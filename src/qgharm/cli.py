@@ -211,17 +211,15 @@ def _run_sharpness(args) -> dict:
         rep = estimate_best_constant_young(
             g, args.p, args.q, restarts=args.restarts, iters=args.iters,
             seed=args.seed)
-        ceiling = 1.0 + 1e-6
     else:
         rep = estimate_best_constant_hy(
             g, args.p, restarts=args.restarts, iters=args.iters,
             seed=args.seed)
-        ceiling = 1.0 + 1e-6
     entry = _check(
         f"best-constant-{args.kind}", "sharp-constant-estimate",
         lhs=rep.constant_estimate, rhs=1.0,
         residual=max(0.0, rep.constant_estimate - 1.0),
-        holds=rep.constant_estimate <= ceiling,
+        holds=rep.constant_estimate <= 1.0 + 1e-6,
         converged=rep.converged, restarts_used=rep.restarts_used,
         iterations=rep.iterations,
         argmax=[[[float(c.real), float(c.imag)] for c in a.coeffs]

@@ -17,13 +17,9 @@ __all__ = ["convolve", "convolve_functional_form", "delta_twisted_convolve",
            "functional_of"]
 
 
-def _coeffs(g: FiniteQuantumGroup, x) -> np.ndarray:
-    return g.coeffs_of(x)
-
-
 def convolve(g: FiniteQuantumGroup, x, y) -> AlgebraElement:
     """x * y = ((x phi)R . id) Delta(y)."""
-    xc, yc = _coeffs(g, x), _coeffs(g, y)
+    xc, yc = g.coeffs_of(x), g.coeffs_of(y)
     # functional applied to the first leg: e_i -> phi(R(e_i) x)
     w = np.einsum("pi,pk,k->i", g.antipode, g.q_matrix, xc, optimize=True)
     dy = (g.comult @ yc).reshape(g.dim, g.dim)
@@ -40,13 +36,13 @@ def convolve_functional_form(g: FiniteQuantumGroup, omega: np.ndarray,
 
 def functional_of(g: FiniteQuantumGroup, x) -> np.ndarray:
     """Coefficient row of the functional x phi: y -> phi(y x)."""
-    xc = _coeffs(g, x)
+    xc = g.coeffs_of(x)
     return np.einsum("ik,k->i", g.q_matrix, xc, optimize=True)
 
 
 def delta_twisted_convolve(g: FiniteQuantumGroup, x, omega: np.ndarray) -> AlgebraElement:
     """x * omega = (id . omega R) Delta(x); the modular twist is trivial here."""
-    xc = _coeffs(g, x)
+    xc = g.coeffs_of(x)
     om = np.asarray(omega, dtype=complex).reshape(-1)
     om_r = om @ g.antipode
     dx = (g.comult @ xc).reshape(g.dim, g.dim)

@@ -1,24 +1,30 @@
-"""Multiplicative unitary, dual quantum group, and Fourier transforms.
+"""Dual quantum group in closed form, multiplicative unitary, and Fourier
+transforms.
 
 The GNS space is the coefficient space with the Gram inner product
 <x, y> = x^dagger G y, so the embedding of the algebra into its Hilbert
-space is the identity on coefficients. W is defined through
-W*(a . b) = Delta(b)(a . 1) on basis pairs, the dual algebra is spanned
-by the second legs of W, and the dual Haar weight is solved from the
-Plancherel system. The Fourier transform at every exponent is the same
-linear map x -> sum_s (Qx)_s B_s; only the norms differ by exponent.
+space is the identity on coefficients. For a finite-dimensional Kac algebra
+the dual is the linear dual of the base with its structure tensors
+transposed: the dual product is the base coproduct, the dual coproduct the
+flipped base product, unit and counit swap, and the dual antipode is the
+transposed antipode. The dual basis operators are B_s = F(Q^{-1} e_s), and
+the dual Haar weight is the Haar integral h = Q^{-1} epsilon. The
+multiplicative unitary W, defined through W*(a . b) = Delta(b)(a . 1), is
+formed only on demand, as the certificate behind the pentagon and
+comultiplication-conjugation checks. The Fourier transform at every
+exponent is the same linear map x -> sum_s (Qx)_s B_s; only the norms
+differ by exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .convolution import convolve
-from .core import AlgebraElement, FiniteQuantumGroup, verify_axioms
+from .core import AlgebraElement, FiniteQuantumGroup, _maxabs, verify_axioms
 from .errors import (
     AxiomFailure,
     DegenerateDual,
@@ -31,10 +37,7 @@ from .errors import (
 from .report import CheckReport
 
 __all__ = [
-    "GnsData",
     "DualPair",
-    "gns_data",
-    "build_multiplicative_unitary",
     "build_dual",
     "fourier",
     "fourier_coeffs",
@@ -51,82 +54,54 @@ __all__ = [
 ]
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-@dataclass(frozen=True)
-class GnsData:
-    """Gram matrix and left regular representation of the Haar GNS triple."""
-
-    gram: np.ndarray
-    left_regular: np.ndarray
-
-    def adjoint(self, a: np.ndarray) -> np.ndarray:
-        """Adjoint of an operator on the GNS space w.r.t. the Gram form."""
-        g = self.gram
-        return np.linalg.solve(g, a.conj().T @ g)
-
-
-def gns_data(g: FiniteQuantumGroup, tol: float = 1e-10) -> GnsData:
-    """GNS representation data; validates that star maps to the Gram adjoint."""
-    data = GnsData(gram=g.gram, left_regular=g.left_regular)
-    worst = 0.0
-    for i in range(g.dim):
-        lhs = data.adjoint(g.left_regular[i])
-        rhs = np.einsum("j,jkl->kl", g.star[:, i], g.left_regular, optimize=True)
-        worst = max(worst, _maxabs(lhs - rhs))
-    if worst > tol:
-        raise AxiomFailure(f"left regular representation is not a *-map: {worst:.3e}")
-    return data
-
-
 @dataclass(eq=False)
 class DualPair:
-    """The base quantum group with its multiplicative unitary and dual.
+    """The base quantum group with its dual and multiplicative unitary.
 
-    w is the multiplicative unitary on the twofold GNS space, w_star its
-    inverse (its adjoint w.r.t. the doubled Gram form). The dual fields are
-    filled by build_dual; build_multiplicative_unitary leaves them None.
-    dual_weight[s] is the true Plancherel weight of dual_basis[s]; the
-    dual_qg carries the normalized state so the axiom verifier applies.
+    dual_basis[s] is the operator B_s on the GNS space; dual_weight[s] is the
+    true Plancherel weight of B_s and dual_weight_total its value at the
+    dual unit. The dual_qg carries the normalized state so the axiom
+    verifier applies. w is the multiplicative unitary on the twofold GNS
+    space and w_star its inverse; both are formed from the base on first
+    use.
     """
 
     base: FiniteQuantumGroup
-    w: np.ndarray
-    w_star: np.ndarray
-    dual_basis: Optional[np.ndarray] = None
-    dual_qg: Optional[FiniteQuantumGroup] = None
-    dual_weight: Optional[np.ndarray] = None
-    dual_weight_total: Optional[float] = None
-
-    @property
-    def has_dual(self) -> bool:
-        return self.dual_basis is not None
-
-    def require_dual(self) -> None:
-        if not self.has_dual:
-            raise DegenerateDual("dual not built; use build_dual")
+    dual_basis: np.ndarray
+    dual_qg: FiniteQuantumGroup
+    dual_weight: np.ndarray
+    dual_weight_total: float
 
     @cached_property
-    def pi_columns(self) -> np.ndarray:
-        """(n^2, n) matrix whose column s is vec(pi(e_s))."""
-        n = self.base.dim
-        return self.base.left_regular.reshape(n, n * n).T
+    def w_star(self) -> np.ndarray:
+        """W* from W*(a . b) = Delta(b)(a . 1) on basis pairs."""
+        g = self.base
+        n = g.dim
+        return np.einsum("stb,sau->utab", g.comult3, g.mult,
+                         optimize=True).reshape(n * n, n * n)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """W as the adjoint of W* under the doubled Gram form; gated on
+        Gram unitarity, which makes the adjoint the inverse."""
+        gg = np.kron(self.base.gram, self.base.gram)
+        adj = self.w_star.conj().T @ gg
+        iso = adj @ self.w_star - gg
+        if _maxabs(iso) > 1e-9 * max(_maxabs(gg), 1.0):
+            raise NotUnitary(f"W fails Gram unitarity by {_maxabs(iso):.3e}")
+        return np.linalg.solve(gg, adj)
 
     @cached_property
     def dual_columns(self) -> np.ndarray:
         """(n^2, n) matrix whose column s is vec(dual_basis[s])."""
-        self.require_dual()
         n = self.base.dim
         return self.dual_basis.reshape(n, n * n).T
 
     @cached_property
     def dual_q_matrix(self) -> np.ndarray:
-        """Qhat[s, t] = phihat(B_s B_t) under the true Plancherel weight."""
-        self.require_dual()
-        return np.einsum("stu,u->st", self.dual_qg.mult, self.dual_weight,
-                         optimize=True)
+        """Qhat[s, t] = phihat(B_s B_t) under the true Plancherel weight,
+        which is Delta(h)."""
+        return self.base.delta(self.dual_weight)
 
     @cached_property
     def dual_gram_weight(self) -> np.ndarray:
@@ -134,169 +109,80 @@ class DualPair:
         return self.dual_qg.star.T @ self.dual_q_matrix
 
 
-def _decompose(columns: np.ndarray, targets: np.ndarray, what: str,
-               err, tol: float = 1e-8) -> np.ndarray:
-    """Least-squares decomposition of stacked vec'd matrices; gated residual.
-
-    columns: (m, k); targets: (..., m). Returns coefficients (..., k).
-    """
-    flat = targets.reshape(-1, targets.shape[-1]).T     # (m, batch)
-    sol, *_ = np.linalg.lstsq(columns, flat, rcond=None)
-    resid = _maxabs(columns @ sol - flat)
-    scale = max(_maxabs(flat), 1.0)
-    if resid > tol * scale:
-        raise err(f"{what}: decomposition residual {resid:.3e}")
-    return sol.T.reshape(targets.shape[:-1] + (columns.shape[1],))
-
-
-def build_multiplicative_unitary(g: FiniteQuantumGroup,
-                                 tol: float = 1e-10) -> DualPair:
-    """Construct W from W*(a . b) = Delta(b)(a . 1) and certify it."""
-    report = verify_axioms(g, tol=max(tol, 1e-10))
-    if not report.passed:
-        raise AxiomFailure(f"base fails axioms: {report.failing()}")
-    n = g.dim
-    c3, m = g.comult3, g.mult
-    w_star = np.einsum("stb,sau->utab", c3, m, optimize=True).reshape(n * n, n * n)
-    gg = np.kron(g.gram, g.gram)
-    iso = w_star.conj().T @ gg @ w_star - gg
-    if _maxabs(iso) > 1e-9 * max(_maxabs(gg), 1.0):
-        raise NotUnitary(f"W fails Gram unitarity by {_maxabs(iso):.3e}")
-    w = np.linalg.inv(w_star)
-    pair = DualPair(base=g, w=w, w_star=w_star)
-
-    pres = pentagon_residual(pair)
-    if pres > 1e-9:
-        raise AxiomFailure(f"pentagon residual {pres:.3e} exceeds 1e-9")
-    cres = comult_conjugation_residual(pair)
-    if cres > 1e-10:
-        raise AxiomFailure(f"comultiplication conjugation residual {cres:.3e}")
-    return pair
+def _legs(w: np.ndarray, x: np.ndarray, legs: tuple) -> np.ndarray:
+    """Apply w to two tensor legs of x, a (n, n, n, m) block of columns."""
+    n = x.shape[0]
+    rest = 3 - sum(legs)
+    order = (*legs, rest, 3)
+    y = (w @ x.transpose(order).reshape(n * n, -1)).reshape(x.shape)
+    return y.transpose(np.argsort(order))
 
 
 def pentagon_residual(pair: DualPair) -> float:
     """Max-abs residual of W12 W13 W23 = W23 W12 on the threefold GNS space."""
     n = pair.base.dim
     w = pair.w
-    eye = np.eye(n)
-    w4 = w.reshape(n, n, n, n)
-    w12 = np.kron(w, eye)
-    w23 = np.kron(eye, w)
-    w13 = np.einsum("ikac,jb->ijkabc", w4, eye,
-                    optimize=True).reshape(n ** 3, n ** 3)
-    return _maxabs(w12 @ w13 @ w23 - w23 @ w12)
+    eye = np.eye(n ** 3).reshape(n, n, n, n ** 3)
+    lhs = _legs(w, _legs(w, _legs(w, eye, (1, 2)), (0, 2)), (0, 1))
+    rhs = _legs(w, _legs(w, eye, (0, 1)), (1, 2))
+    return _maxabs(lhs - rhs)
 
 
 def comult_conjugation_residual(pair: DualPair) -> float:
     """Max-abs residual of Delta(x) = W*(1 . x)W over the operator basis."""
     g = pair.base
     n = g.dim
-    eye = np.eye(n)
-    worst = 0.0
-    for k in range(n):
-        lhs = pair.w_star @ np.kron(eye, g.left_regular[k]) @ pair.w
-        rhs = np.einsum("ij,ikl,jpq->kplq", g.comult3[:, :, k], g.left_regular,
-                        g.left_regular, optimize=True).reshape(n * n, n * n)
-        worst = max(worst, _maxabs(lhs - rhs))
-    return worst
+    w3 = pair.w.reshape(n, n, n * n)
+    lhs = pair.w_star @ np.einsum("kbc,acm->kabm", g.left_regular, w3,
+                                  optimize=True).reshape(n, n * n, n * n)
+    rhs = np.einsum("ijk,iab,jcd->kacbd", g.comult3, g.left_regular,
+                    g.left_regular, optimize=True).reshape(n, n * n, n * n)
+    return _maxabs(lhs - rhs)
 
 
 def build_dual(g: FiniteQuantumGroup, tol: float = 1e-8) -> DualPair:
-    """Complete dual construction: dual basis, dual Hopf data, dual weight."""
-    pair = build_multiplicative_unitary(g)
+    """Dual quantum group, dual basis and dual weight in closed form.
+
+    Gates: the base axioms at 1e-10, a positive dual weight total, the dual
+    axioms at tol, and Plancherel Q^dagger Ghat Q = G at tol.
+    """
+    report = verify_axioms(g, tol=1e-10)
+    if not report.passed:
+        raise AxiomFailure(f"base fails axioms: {report.failing()}")
     n = g.dim
-    base = pair.base
-
-    # W = sum_s pi(e_s) . B_s : solve for the second legs.
-    r_w = pair.w.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    b_flat, *_ = np.linalg.lstsq(pair.pi_columns, r_w, rcond=None)
-    resid = _maxabs(pair.pi_columns @ b_flat - r_w)
-    if resid > tol * max(_maxabs(r_w), 1.0):
-        raise DegenerateDual(f"W does not factor through pi(M): {resid:.3e}")
-    dual_basis = np.ascontiguousarray(b_flat.reshape(n, n, n))
-    if np.linalg.matrix_rank(b_flat.reshape(n, n * n), tol=1e-10) < n:
-        raise DegenerateDual("second legs of W do not span an n-dim space")
-    pair.dual_basis = dual_basis
-
-    bcols = pair.dual_columns
-    gram = base.gram
-
-    def gram_adjoint(a: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(gram, a.conj().T @ gram)
-
-    # dual multiplication and unit in the B basis
-    prods = np.einsum("sij,tjk->stik", dual_basis, dual_basis, optimize=True)
-    mult_hat = _decompose(bcols, prods.reshape(n, n, n * n),
-                          "dual products", DegenerateDual)
-    unit_hat = _decompose(bcols, np.eye(n, dtype=complex).reshape(n * n),
-                          "dual unit", DegenerateDual)
-
-    # dual star from the Gram adjoint; column s holds B_s* in the B basis
-    adjs = np.stack([gram_adjoint(dual_basis[s]) for s in range(n)])
-    star_hat = _decompose(bcols, adjs.reshape(n, n * n),
-                          "dual star", DegenerateDual).T
-
-    # dual comultiplication from What = Sigma W* Sigma
-    flip = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            flip[i * n + j, j * n + i] = 1.0
-    what = flip @ pair.w_star @ flip
-    what_star = flip @ pair.w @ flip
-    bb_cols = np.zeros((n ** 4, n * n), dtype=complex)
-    for u in range(n):
-        for v in range(n):
-            bb_cols[:, u * n + v] = np.kron(dual_basis[u], dual_basis[v]).reshape(-1)
-    comult_hat = np.zeros((n * n, n), dtype=complex)
-    eye = np.eye(n)
-    for s in range(n):
-        conj_s = what_star @ np.kron(eye, dual_basis[s]) @ what
-        comult_hat[:, s] = _decompose(bb_cols, conj_s.reshape(-1),
-                                      "dual comultiplication", DegenerateDual)
-
-    # dual counit and antipode through the defining functional picture:
-    # B_s = F(x_s) with x_s = Q^{-1} e_s, so epsilonhat(B_s) = phi(x_s) and
-    # Shat(F(x)) = F(S(x)).
-    q_inv = np.linalg.inv(base.q_matrix)
-    counit_hat = base.haar @ q_inv
-    antipode_hat = base.q_matrix @ base.antipode @ q_inv
-
-    # Plancherel system for the dual Haar weight
-    kmat = np.zeros((n * n, n), dtype=complex)
-    fe = np.einsum("si,sjk->ijk", base.q_matrix, dual_basis, optimize=True)
-    for i in range(n):
-        fi_adj = gram_adjoint(fe[i])
-        pr = np.einsum("jk,tkl->tjl", fi_adj, fe, optimize=True)
-        kmat[i * n: (i + 1) * n, :] = _decompose(bcols, pr.reshape(n, n * n),
-                                                 "Plancherel products",
-                                                 PlancherelInconsistent)
-    weight, *_ = np.linalg.lstsq(kmat, gram.reshape(-1), rcond=None)
-    presid = _maxabs(kmat @ weight - gram.reshape(-1))
-    if presid > 1e-8 * max(_maxabs(gram), 1.0):
-        raise PlancherelInconsistent(f"dual weight system residual {presid:.3e}")
-    total = complex(weight @ unit_hat)
+    s = g.antipode
+    weight = np.linalg.solve(g.q_matrix, g.counit)
+    total = complex(g.counit @ weight)
     if abs(total.imag) > 1e-9 or total.real <= 0:
         raise PlancherelInconsistent(f"dual weight total {total} not positive")
     total = float(total.real)
 
     dual_qg = FiniteQuantumGroup(
         dim=n,
-        mult=mult_hat,
-        unit=unit_hat,
-        comult=comult_hat,
-        counit=counit_hat,
-        antipode=antipode_hat,
-        star=star_hat,
+        mult=g.comult3,
+        unit=g.counit,
+        comult=g.mult.transpose(1, 0, 2).reshape(n * n, n),
+        counit=g.unit,
+        antipode=s.T,
+        star=(np.conj(g.star) @ s).T,
         haar=weight / total,
-        name=(base.name or "base") + "-dual",
+        name=(g.name or "base") + "-dual",
     )
-    report = verify_axioms(dual_qg, tol=1e-8)
+    report = verify_axioms(dual_qg, tol=tol)
     if not report.passed:
         raise DegenerateDual(f"dual fails axioms: {report.failing()}")
 
-    pair.dual_qg = dual_qg
-    pair.dual_weight = weight
-    pair.dual_weight_total = total
+    pair = DualPair(
+        base=g,
+        dual_basis=np.einsum("si,ijk->sjk", s, g.comult3, optimize=True),
+        dual_qg=dual_qg,
+        dual_weight=weight,
+        dual_weight_total=total,
+    )
+    q = g.q_matrix
+    presid = _maxabs(q.conj().T @ pair.dual_gram_weight @ q - g.gram)
+    if presid > tol * max(_maxabs(g.gram), 1.0):
+        raise PlancherelInconsistent(f"Plancherel identity fails by {presid:.3e}")
     return pair
 
 
@@ -314,7 +200,6 @@ def fourier_coeffs(pair: DualPair, x) -> np.ndarray:
 
 def fourier(pair: DualPair, x) -> np.ndarray:
     """F(x) = lambda(x phi) as a matrix on the GNS space."""
-    pair.require_dual()
     c = fourier_coeffs(pair, x)
     return np.einsum("s,sij->ij", c, pair.dual_basis, optimize=True)
 
@@ -322,7 +207,6 @@ def fourier(pair: DualPair, x) -> np.ndarray:
 def to_dual_coeffs(pair: DualPair, x_hat: np.ndarray,
                    tol: float = 1e-8) -> np.ndarray:
     """Coefficients of a matrix over the dual basis; gated membership test."""
-    pair.require_dual()
     n = pair.base.dim
     x_hat = np.asarray(x_hat, dtype=complex)
     if x_hat.shape != (n, n):
@@ -336,49 +220,19 @@ def to_dual_coeffs(pair: DualPair, x_hat: np.ndarray,
 
 def dual_matrix(pair: DualPair, coeffs) -> np.ndarray:
     """Matrix of a dual element given by coefficients over the dual basis."""
-    pair.require_dual()
     c = np.asarray(coeffs, dtype=complex).reshape(-1)
     return np.einsum("s,sij->ij", c, pair.dual_basis, optimize=True)
 
 
-@dataclass(eq=False)
-class _DualLegs:
-    """Second legs of What decomposed for the inverse Fourier transform."""
-
-    gamma: np.ndarray   # (n, n): row s = base coefficients of C_s
-
-
-def _dual_fourier_legs(pair: DualPair) -> np.ndarray:
-    cache = getattr(pair, "_dual_legs", None)
-    if cache is not None:
-        return cache.gamma
-    pair.require_dual()
-    n = pair.base.dim
-    flip = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            flip[i * n + j, j * n + i] = 1.0
-    what = flip @ pair.w_star @ flip
-    r_hat = what.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    c_flat, *_ = np.linalg.lstsq(pair.dual_columns, r_hat, rcond=None)
-    resid = _maxabs(pair.dual_columns @ c_flat - r_hat)
-    if resid > 1e-8 * max(_maxabs(r_hat), 1.0):
-        raise DegenerateDual(f"What does not factor through the dual: {resid:.3e}")
-    c_mats = c_flat.reshape(n, n, n)
-    gamma = _decompose(pair.pi_columns, c_mats.reshape(n, n * n),
-                       "second legs of What", DegenerateDual)
-    pair._dual_legs = _DualLegs(gamma=gamma)
-    return gamma
-
-
 def dual_fourier(pair: DualPair, x_hat: np.ndarray) -> AlgebraElement:
-    """Inverse-direction transform: Fhat_1 applied to a dual matrix."""
-    gamma = _dual_fourier_legs(pair)
+    """Inverse-direction transform: Fhat_1 applied to a dual matrix.
+
+    The functional X phihat is s -> phihat(B_s X) = (Qhat c)_s, and the
+    first legs of What carry it to S Qhat c. Since Qhat Q = S and S^2 = 1,
+    this inverts F.
+    """
     c = to_dual_coeffs(pair, x_hat)
-    # omega = X phihat evaluated on the first legs: phihat(B_s X)
-    qhat = pair.dual_q_matrix
-    vals = qhat @ c
-    return pair.base.element(vals @ gamma)
+    return pair.base.element(pair.base.antipode @ pair.dual_q_matrix @ c)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +256,6 @@ def lp2_norm_dual(pair: DualPair, coeffs: np.ndarray) -> float:
 def plancherel_check(pair: DualPair, samples: int = 100,
                      seed: int = 42, tol: float = 1e-9) -> CheckReport:
     """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
-    pair.require_dual()
     g = pair.base
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -424,7 +277,6 @@ def plancherel_check(pair: DualPair, samples: int = 100,
 def convolution_theorem_check(pair: DualPair, x, y,
                               tol: float = 1e-9) -> CheckReport:
     """F(x * y) = F(x) F(y), measured in max-abs on the dual coefficients."""
-    pair.require_dual()
     g = pair.base
     conv = convolve(g, x, y)
     lhs = fourier(pair, conv)
@@ -444,22 +296,11 @@ def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> CheckReport:
     """dual(dual(G)) matches G after the canonical GNS identification.
 
     The identification sends the dual-coefficient GNS vector of lambda(x phi)
-    to Lambda(x), i.e. it is the matrix Q^{-1}; conjugating the bidual basis
-    by it lands in pi(M), and pulling back along pi gives a linear map T that
-    must intertwine every structure tensor.
+    to Lambda(x); pulled back to base coefficients it is the antipode T = S,
+    which must intertwine every structure tensor.
     """
-    pair = build_dual(g)
-    bipair = build_dual(pair.dual_qg)
-    n = g.dim
-    u = np.linalg.inv(g.q_matrix)
-    u_inv = g.q_matrix
-    conj = np.einsum("ij,sjk,kl->sil", u, bipair.dual_basis, u_inv,
-                     optimize=True)
-    t_cols = _decompose(pair.pi_columns, conj.reshape(n, n * n),
-                        "bidual basis transport", DegenerateDual)
-    t = t_cols.T     # column s: base coefficients of the s-th bidual basis op
-
-    bid = bipair.dual_qg
+    bid = build_dual(build_dual(g).dual_qg).dual_qg
+    t = g.antipode
     res = {}
     lhs_m = np.einsum("stu,ku->stk", bid.mult, t, optimize=True)
     rhs_m = np.einsum("is,jt,ijk->stk", t, t, g.mult, optimize=True)

@@ -86,11 +86,11 @@ class OwnerMismatch(QgharmError):
 
 
 class DegenerateDual(QgharmError):
-    """Dual basis is linearly dependent; duality data cannot be built."""
+    """The dual quantum group fails its axioms; duality data cannot be built."""
 
 
 class PlancherelInconsistent(QgharmError):
-    """The linear system determining the dual Haar weight is inconsistent."""
+    """The dual Haar weight is not positive or fails the Plancherel identity."""
 
 
 class NotInDual(QgharmError):

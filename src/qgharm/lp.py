@@ -129,7 +129,6 @@ def base_space(g: FiniteQuantumGroup) -> WeightedLpSpace:
 
 def dual_space(pair: DualPair) -> WeightedLpSpace:
     """L^p of the dual under the true Plancherel weight (not the state)."""
-    pair.require_dual()
     return weighted_space(pair.dual_qg, pair.dual_weight, owner="dual")
 
 

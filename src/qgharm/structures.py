@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convolution import convolve
-from .core import AlgebraElement, FiniteQuantumGroup
+from .core import AlgebraElement, FiniteQuantumGroup, _maxabs
 from .duality import (
     DualPair,
     dual_fourier,
@@ -56,10 +56,6 @@ __all__ = [
 ]
 
 TRIVIAL_NOTE = "trivially satisfied (finite-dimensional tracial case)"
-
-
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _orthonormal_matrix(g: FiniteQuantumGroup, mat: np.ndarray) -> np.ndarray:

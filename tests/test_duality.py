@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.core import symmetric_table_s3, verify_axioms
+from qgharm.core import FiniteQuantumGroup, symmetric_table_s3, verify_axioms
 from qgharm.duality import (
     biduality_check,
     build_dual,
@@ -19,7 +19,7 @@ from qgharm.duality import (
     plancherel_check,
     to_dual_coeffs,
 )
-from qgharm.errors import NotInDual
+from qgharm.errors import AxiomFailure, NotInDual
 
 
 def _random(g, seed):
@@ -27,11 +27,145 @@ def _random(g, seed):
     return rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
 
 
+def _maxabs(a):
+    return float(np.max(np.abs(a)))
+
+
+def _transported(g, seed):
+    """g in the basis f_i = sum_j T[j, i] e_j, T = unitary . diag(1 + 0.2u).
+
+    On the catalog S and the star are real and commute; here they are
+    complex and do not, so formulas that only agree on the catalog differ.
+    """
+    rng = np.random.default_rng(seed)
+    n = g.dim
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t = np.linalg.qr(z)[0] @ np.diag(1.0 + 0.2 * rng.uniform(size=n))
+    ti = np.linalg.inv(t)
+    mult = np.einsum("ai,bj,abc,kc->ijk", t, t, g.mult, ti)
+    comult = np.einsum("ia,jb,abc,ck->ijk", ti, ti, g.comult3, t)
+    return FiniteQuantumGroup(
+        dim=n, mult=mult, unit=ti @ g.unit, comult=comult.reshape(n * n, n),
+        counit=g.counit @ t, antipode=ti @ g.antipode @ t,
+        star=ti @ g.star @ np.conj(t), haar=g.haar @ t,
+        name=f"{g.name}-transported")
+
+
+def _catalog_and_transports():
+    for name in EXAMPLE_NAMES:
+        yield get_example(name)
+        yield _transported(get_example(name), seed=7)
+
+
+def _legs_of_w(g, w):
+    """Second legs B_s of W = sum_s pi(e_s) . B_s, by least squares."""
+    n = g.dim
+    r = w.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    cols = g.left_regular.reshape(n, n * n).T
+    legs, *_ = np.linalg.lstsq(cols, r, rcond=None)
+    assert _maxabs(cols @ legs - r) < 1e-12
+    return legs.reshape(n, n, n)
+
+
+def _over_basis(basis, mats):
+    """Coefficients of stacked matrices over a stacked basis; exact fit."""
+    k = basis.shape[0]
+    cols = basis.reshape(k, -1).T
+    flat = mats.reshape(-1, cols.shape[0]).T
+    sol, *_ = np.linalg.lstsq(cols, flat, rcond=None)
+    assert _maxabs(cols @ sol - flat) < 1e-12
+    return sol.T.reshape(mats.shape[:-2] + (k,))
+
+
+def test_closed_form_dual_matches_the_multiplicative_unitary():
+    """Every closed-form dual field against the data W determines."""
+    for g in _catalog_and_transports():
+        n = g.dim
+        pair = build_dual(g)
+        d = pair.dual_qg
+        b = pair.dual_basis
+        w = np.linalg.inv(pair.w_star)
+        assert _maxabs(pair.w - w) < 1e-12, g.name
+        assert _maxabs(_legs_of_w(g, w) - b) < 1e-12, g.name
+
+        prods = np.einsum("sij,tjk->stik", b, b)
+        assert _maxabs(_over_basis(b, prods) - d.mult) < 1e-12, g.name
+        assert _maxabs(_over_basis(b, np.eye(n)) - d.unit) < 1e-12, g.name
+        adjs = np.linalg.solve(g.gram, b.conj().transpose(0, 2, 1) @ g.gram)
+        assert _maxabs(_over_basis(b, adjs).T - d.star) < 1e-12, g.name
+        q_inv = np.linalg.inv(g.q_matrix)
+        assert _maxabs(g.haar @ q_inv - d.counit) < 1e-12, g.name
+        assert _maxabs(g.q_matrix @ g.antipode @ q_inv - d.antipode) < 1e-12
+
+        # What = Sigma W* Sigma conjugates 1 . B_s to Deltahat(B_s)
+        flip = np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3)
+        flip = flip.reshape(n * n, n * n)
+        what = flip @ pair.w_star @ flip
+        conj = np.stack([flip @ w @ flip @ np.kron(np.eye(n), b[s]) @ what
+                         for s in range(n)])
+        comult = np.einsum("uvs,uac,vbd->sabcd", d.comult3, b, b)
+        assert _maxabs(conj - comult.reshape(n, n * n, n * n)) < 1e-12
+
+        # the first legs of What are pi(S e_s), which dual_fourier uses
+        pi_s = np.einsum("is,ikl->skl", g.antipode, g.left_regular)
+        legs = np.einsum("sac,sbd->abcd", b, pi_s).reshape(n * n, n * n)
+        assert _maxabs(what - legs) < 1e-12, g.name
+
+        # Plancherel system: phihat(F(e_i)* F(e_t)) = G[i, t]
+        fe = np.einsum("si,sjk->ijk", g.q_matrix, b)
+        fe_adj = np.linalg.solve(g.gram, fe.conj().transpose(0, 2, 1) @ g.gram)
+        kmat = _over_basis(b, np.einsum("ijk,tkl->itjl", fe_adj, fe))
+        assert _maxabs(kmat @ pair.dual_weight - g.gram) < 1e-12, g.name
+        assert _maxabs(d.haar * pair.dual_weight_total
+                       - pair.dual_weight) < 1e-12, g.name
+
+
+def test_transported_copies_keep_the_duality_stack():
+    for name in EXAMPLE_NAMES:
+        g = _transported(get_example(name), seed=7)
+        pair = build_dual(g)
+        assert pentagon_residual(pair) < 1e-9, name
+        assert comult_conjugation_residual(pair) < 1e-10, name
+        assert plancherel_check(pair).max_residual < 1e-12, name
+        assert biduality_check(g).max_residual < 1e-12, name
+        x = _random(g, seed=5)
+        back = dual_fourier(pair, fourier(pair, x)).coeffs
+        assert _maxabs(back - x) < 1e-12, name
+        # a star formula that is right on the catalog only
+        assert _maxabs(pair.dual_qg.star - g.star.T @ g.antipode.T) > 0.1
+
+
 def test_pentagon_and_conjugation_are_exact_on_the_catalog():
     for name in EXAMPLE_NAMES:
         pair = build_dual(get_example(name))
         assert pentagon_residual(pair) == 0.0, name
         assert comult_conjugation_residual(pair) == 0.0, name
+
+
+def test_single_entry_mutation_fails_the_base_gate():
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        fields = {f: np.array(getattr(g, f)) for f in (
+            "mult", "unit", "comult", "counit", "antipode", "star", "haar")}
+        for field, arr in fields.items():
+            for idx in np.ndindex(arr.shape):
+                bad = arr.copy()
+                bad[idx] += 1e-6
+                mutant = FiniteQuantumGroup(dim=g.dim, **{**fields, field: bad})
+                with pytest.raises(AxiomFailure):
+                    build_dual(mutant)
+
+
+def test_corrupted_unitary_fails_the_pentagon():
+    rng = np.random.default_rng(11)
+    for name in EXAMPLE_NAMES:
+        pair = build_dual(get_example(name))
+        w = pair.w
+        for _ in range(4):
+            bad = w.copy()
+            bad[tuple(rng.integers(0, w.shape[0], size=2))] += 1e-3
+            pair.w = bad
+            assert pentagon_residual(pair) > 1e-9, name
 
 
 def test_dual_satisfies_the_axioms():
