@@ -3,15 +3,15 @@
 Every subcommand prints a single deterministic JSON document to stdout
 (sorted keys, two-space indent, trailing newline) and a short human
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
-mathematical check fails, 1 for usage or construction errors. The QG_SEED
-environment variable overrides the default of every --seed flag; an
+mathematical check fails, 1 for usage or construction errors, including a
+sample count or search budget below 1. The QG_SEED environment variable
+overrides the default of every --seed flag and must be an integer; an
 explicit flag wins over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from .core import verify_axioms
+from .core import json_dumps, verify_axioms
 from .duality import (
     biduality_check,
     build_dual,
@@ -27,7 +27,7 @@ from .duality import (
     pentagon_residual,
     plancherel_check,
 )
-from .errors import AxiomFailure, QgharmError
+from .errors import AxiomFailure, BadFlags, BadParameters, QgharmError
 from .lp import base_space, dual_space, hausdorff_young_check, young_check
 from .sharpness import (
     estimate_best_constant_hy,
@@ -50,10 +50,17 @@ __all__ = ["main", "build_parser", "run"]
 
 
 def _default_seed() -> int:
+    value = os.environ.get("QG_SEED", "42")
     try:
-        return int(os.environ.get("QG_SEED", "42"))
+        return int(value)
     except ValueError:
-        return 42
+        raise BadFlags(f"QG_SEED must be an integer, got {value!r}") from None
+
+
+def _at_least_one(flag: str, value: int) -> None:
+    """Refuse a run on zero evidence."""
+    if value < 1:
+        raise BadFlags(f"{flag} must be at least 1, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,6 +137,7 @@ def _run_verify(args) -> dict:
 
 
 def _run_young(args) -> dict:
+    _at_least_one("--samples", args.samples)
     g = catalog.get_example(args.example)
     sp = base_space(g)
     elems = _seeded_elements(g, 2 * args.samples, args.seed)
@@ -152,6 +160,7 @@ def _run_young(args) -> dict:
 
 
 def _run_hausdorff_young(args) -> dict:
+    _at_least_one("--samples", args.samples)
     g = catalog.get_example(args.example)
     pair = build_dual(g)
     bsp, dsp = base_space(g), dual_space(pair)
@@ -232,6 +241,8 @@ def _run_sharpness(args) -> dict:
 
 
 def _run_suq2(args) -> dict:
+    if args.mu_den == 0:
+        raise BadParameters("--mu-den must be nonzero")
     mu = Fraction(args.mu_num, args.mu_den)
     rep = counterexample_report(args.n, mu)
     entry = _check(
@@ -246,6 +257,7 @@ def _run_suq2(args) -> dict:
 
 
 def _run_hunt(args) -> dict:
+    _at_least_one("--budget", args.budget)
     g = catalog.get_example(args.example)
     rep = hunt_nongrouplike_biprojection(g, budget=args.budget,
                                          seed=args.seed, iters=args.iters)
@@ -270,35 +282,22 @@ def _run_catalog(args) -> dict:
 def _run_all(args) -> dict:
     names = [args.example] if args.example else list(catalog.EXAMPLE_NAMES)
     checks = []
+
+    def add(prefix: str, run, **flags) -> None:
+        for c in run(argparse.Namespace(**flags))["checks"]:
+            c["name"] = f"{prefix}:{c['name']}"
+            checks.append(c)
+
     for name in names:
-        sub = argparse.Namespace(example=name, tol=args.tol, seed=args.seed)
-        doc = _run_verify(sub)
-        for c in doc["checks"]:
-            c["name"] = f"{name}:{c['name']}"
-            checks.append(c)
-        sub = argparse.Namespace(example=name, p=4.0 / 3.0, q=4.0 / 3.0,
-                                 samples=args.samples, seed=args.seed)
-        for c in _run_young(sub)["checks"]:
-            c["name"] = f"{name}:{c['name']}"
-            checks.append(c)
-        sub = argparse.Namespace(example=name, p=4.0 / 3.0,
-                                 samples=args.samples, seed=args.seed)
-        for c in _run_hausdorff_young(sub)["checks"]:
-            c["name"] = f"{name}:{c['name']}"
-            checks.append(c)
-        sub = argparse.Namespace(example=name, tol=args.tol, seed=args.seed)
-        for c in _run_structures(sub)["checks"]:
-            c["name"] = f"{name}:{c['name']}"
-            checks.append(c)
-        sub = argparse.Namespace(example=name, budget=args.budget,
-                                 iters=200, seed=args.seed)
-        for c in _run_hunt(sub)["checks"]:
-            c["name"] = f"{name}:{c['name']}"
-            checks.append(c)
-    sub = argparse.Namespace(n=1, mu_num=1, mu_den=2)
-    for c in _run_suq2(sub)["checks"]:
-        c["name"] = f"suq2:{c['name']}"
-        checks.append(c)
+        add(name, _run_verify, example=name, tol=args.tol, seed=args.seed)
+        add(name, _run_young, example=name, p=4.0 / 3.0, q=4.0 / 3.0,
+            samples=args.samples, seed=args.seed)
+        add(name, _run_hausdorff_young, example=name, p=4.0 / 3.0,
+            samples=args.samples, seed=args.seed)
+        add(name, _run_structures, example=name, tol=args.tol, seed=args.seed)
+        add(name, _run_hunt, example=name, budget=args.budget, iters=200,
+            seed=args.seed)
+    add("suq2", _run_suq2, n=1, mu_num=1, mu_den=2)
     return _document("all", args.example,
                      {"tol": args.tol, "samples": args.samples,
                       "budget": args.budget}, args.seed, checks)
@@ -364,8 +363,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--mu-num", type=int, default=1)
     p.add_argument("--mu-den", type=int, default=2)
-    p.add_argument("--json", action="store_true",
-                   help="kept for compatibility; output is always JSON")
     p.set_defaults(func=_run_suq2)
 
     p = sub.add_parser("hunt", help="search for a biprojection that is "
@@ -391,23 +388,22 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         doc = args.func(args)
-    except AxiomFailure as exc:
+    except AxiomFailure as exc:   # raised by args.func, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},
                         getattr(args, "seed", None),
                         [_check("construction", "axioms", holds=False,
                                 message=str(exc))])
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json_dumps(doc))
         sys.stderr.write(f"FAIL construction: {exc}\n")
         return 2
     except QgharmError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json_dumps(doc))
     ok = all(c["holds"] for c in doc["checks"])
     for c in doc["checks"]:
         status = "PASS" if c["holds"] else "FAIL"

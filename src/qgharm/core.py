@@ -27,11 +27,11 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import matrix_power
 
 __all__ = [
     "CayleyTable",
     "FiniteQuantumGroup",
+    "Blocks",
     "AlgebraElement",
     "AxiomReport",
     "verify_axioms",
@@ -223,9 +223,6 @@ class FiniteQuantumGroup:
         n = self.dim
         return (self.comult @ self.coeffs_of(x)).reshape(n, n)
 
-    def counit_of(self, x) -> complex:
-        return complex(self.counit @ self.coeffs_of(x))
-
     def antipode_of(self, x) -> np.ndarray:
         return self.antipode @ self.coeffs_of(x)
 
@@ -261,28 +258,17 @@ class FiniteQuantumGroup:
         return self.star.T @ self.q_matrix
 
     @cached_property
-    def gram_sqrt(self) -> np.ndarray:
-        return matrix_power(self.gram, 0.5)
-
-    @cached_property
-    def gram_sqrt_inv(self) -> np.ndarray:
-        return matrix_power(self.gram, -0.5)
-
-    @cached_property
     def left_regular(self) -> np.ndarray:
         """Stack L[i] of left multiplication matrices on coefficient space."""
         return np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
 
     @cached_property
-    def left_regular_on(self) -> np.ndarray:
-        """Left regular representation in the orthonormalized GNS picture,
-        where the algebra star becomes the matrix adjoint."""
-        gs, gsi = self.gram_sqrt, self.gram_sqrt_inv
-        return np.einsum("pk,ikj,jq->ipq", gs, self.left_regular, gsi, optimize=True)
-
-    def regular_rep(self, x) -> np.ndarray:
-        """pi(x): left multiplication by x on the GNS space."""
-        return np.einsum("i,ikj->kj", self.coeffs_of(x), self.left_regular, optimize=True)
+    def blocks(self) -> "Blocks":
+        """The Wedderburn block decomposition; see Blocks."""
+        try:
+            return _wedderburn(self)
+        except np.linalg.LinAlgError as exc:   # e.g. a state that is not faithful
+            raise AxiomFailure(f"no block decomposition: {exc}") from exc
 
     def __repr__(self) -> str:
         label = self.name or "unnamed"
@@ -302,6 +288,148 @@ class AlgebraElement:
             raise ShapeMismatch(
                 f"expected {self.owner.dim} coefficients, got {self.coeffs.shape}"
             )
+
+
+# ---------------------------------------------------------------------------
+# the block (Wedderburn) picture
+# ---------------------------------------------------------------------------
+
+# seed of the generic elements that split the centre and the blocks
+BLOCK_SEED = 1611
+
+
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """The algebra as a direct sum of matrix blocks, M = (+)_i M_{d_i}.
+
+    central[i] holds the coefficients of the minimal central projection z_i
+    and sizes[i] = d_i, ascending, so the one-dimensional blocks (the
+    characters) come first. rho_i is an irreducible *-representation: the
+    star becomes the matrix adjoint. to_blocks maps coefficients to the
+    concatenated row-major entries of rho_i(x); it is square, since
+    sum_i d_i^2 = n, and from_blocks is its inverse. Every tracial weight is
+    sum_i c_i tr rho_i with c_i = weight(z_i) / d_i.
+    """
+
+    central: np.ndarray
+    sizes: tuple
+    to_blocks: np.ndarray
+    from_blocks: np.ndarray
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """d_i once per row of block i: the multiplicity of rho_i in the left
+        regular representation, as row weights of the block-diagonal form."""
+        return np.repeat(self.sizes, self.sizes).astype(float)
+
+    @cached_property
+    def _diag_index(self) -> tuple:
+        """Row and column of each block entry in the block-diagonal form,
+        in the order of the concatenated entries."""
+        owner = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        return np.nonzero(owner[:, None] == owner)
+
+    def diag(self, coeffs) -> np.ndarray:
+        """(+)_i rho_i(x) as one block-diagonal matrix of size sum_i d_i,
+        batched over the leading axes of coeffs."""
+        entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
+        m = len(self.multiplicity)
+        out = np.zeros(entries.shape[:-1] + (m, m), dtype=complex)
+        out[..., self._diag_index[0], self._diag_index[1]] = entries
+        return out
+
+    def coeffs_of_diag(self, mat: np.ndarray) -> np.ndarray:
+        """Coefficients of the element whose blocks are the diagonal blocks
+        of mat; entries outside them are ignored."""
+        return self.from_blocks @ mat[self._diag_index]
+
+    def weights(self, weight) -> np.ndarray:
+        """c_i = weight(z_i) / d_i, one real value per block."""
+        return np.real(self.central @ weight) / np.asarray(self.sizes)
+
+    def trace_form(self, c) -> np.ndarray:
+        """The functional sum_i c_i tr rho_i as a row over the basis."""
+        rows, cols = self._diag_index
+        return np.repeat(c, self.sizes) @ self.to_blocks[rows == cols]
+
+
+def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
+    """Blocks of g from its centre, a Cholesky factor of the Gram matrix and
+    seeded generic elements.
+
+    The centre is the null space of x -> [x, e_j]. Multiplication by a
+    generic self-adjoint central element (complex random weights) has the
+    minimal central projections as eigenvectors, and tr L_{z_i} = d_i^2.
+    Right multiplication by z_i y, y generic self-adjoint, is self-adjoint
+    for the Haar inner product (the state is tracial); its top eigenspace is
+    a minimal left ideal M e of block i, and rho_i is left multiplication on
+    it in an orthonormal basis. Raises AxiomFailure unless the block count
+    equals the centre dimension, sum d_i^2 = n, the rho_i are
+    *-homomorphisms within 1e-10, and they reproduce the Haar state.
+    """
+    n = g.dim
+    rng = np.random.default_rng(BLOCK_SEED)
+
+    def generic_self_adjoint(basis: np.ndarray) -> np.ndarray:
+        k = basis.shape[1]
+        z = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        return z + g.star_of(z)
+
+    comm = (g.mult - g.mult.transpose(1, 0, 2)).reshape(n, n * n).T
+    _, s, vh = np.linalg.svd(comm)
+    centre = vh[int(np.sum(s > 1e-10 * np.linalg.norm(g.mult))):].conj().T
+    k = centre.shape[1]
+    if k == 0:
+        raise AxiomFailure("the algebra has no centre, not even its unit")
+    lz = np.einsum("i,ikj->kj", generic_self_adjoint(centre), g.left_regular)
+    lam, vec = np.linalg.eig(centre.conj().T @ lz @ centre)
+    order = np.argsort(lam.real)
+    lam, vec = lam.real[order], vec[:, order]
+    count = 1 + int(np.sum(np.diff(lam) > 1e-8 * max(np.max(np.abs(lam)), 1.0)))
+    if count != k:
+        raise AxiomFailure(f"{count} blocks for a centre of dimension {k}")
+    central = ((centre @ vec) * np.linalg.solve(vec, centre.conj().T @ g.unit)).T
+
+    squares = np.real(central @ np.einsum("skk->s", g.mult))
+    sizes = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
+    if _maxabs(squares - sizes ** 2) > 1e-8 or sizes.min() < 1 \
+            or int(np.sum(sizes ** 2)) != n:
+        raise AxiomFailure(f"block dimensions {squares} are not squares "
+                           f"summing to {n}")
+    order = np.argsort(sizes, kind="stable")
+    central, sizes = central[order], tuple(int(d) for d in sizes[order])
+
+    chol = np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T))
+    to_gns = np.linalg.inv(chol).conj().T     # columns orthonormal for <x, y>
+    y = generic_self_adjoint(np.eye(n))
+    reps = []
+    for z, d in zip(central, sizes):
+        right = np.einsum("s,jsk->kj", g.multiply(z, y), g.mult)
+        herm = chol.conj().T @ right @ to_gns
+        w, vecs = np.linalg.eigh(0.5 * (herm + herm.conj().T))
+        top = int(np.argmax(np.abs(w)))
+        ideal = np.abs(w - w[top]) <= 1e-8 * abs(w[top])
+        if int(np.sum(ideal)) != d:
+            raise AxiomFailure(f"a minimal left ideal of a block of size {d} "
+                               f"has dimension {int(np.sum(ideal))}")
+        u = to_gns @ vecs[:, ideal]
+        reps.append(np.einsum("ka,skj,jb->sab", (g.gram @ u).conj(),
+                              g.left_regular, u))
+
+    hom = max(_maxabs(np.einsum("sab,tbc->stac", r, r)
+                      - np.einsum("stu,uac->stac", g.mult, r)) for r in reps)
+    star = max(_maxabs(np.einsum("us,uab->sba", g.star, r).conj() - r)
+               for r in reps)
+    if max(hom, star) > 1e-10:
+        raise AxiomFailure(f"block representations fail: homomorphism "
+                           f"{hom:.3e}, star {star:.3e}")
+    to_blocks = np.concatenate([r.reshape(n, -1).T for r in reps])
+    blocks = Blocks(central=central, sizes=sizes, to_blocks=to_blocks,
+                    from_blocks=np.linalg.inv(to_blocks))
+    gap = _maxabs(blocks.trace_form(blocks.weights(g.haar)) - g.haar)
+    if gap > 1e-10:
+        raise AxiomFailure(f"blocks miss the Haar state by {gap:.3e}")
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -695,5 +823,6 @@ def from_json(doc: dict) -> FiniteQuantumGroup:
 
 
 def json_dumps(doc: dict) -> str:
-    """Canonical JSON encoding: sorted keys, no spaces, trailing newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON encoding: sorted keys, two-space indent, trailing
+    newline. Every CLI document is written with it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

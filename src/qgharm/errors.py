@@ -10,7 +10,6 @@ __all__ = [
     "QgharmError",
     "NotHermitian",
     "NoConvergence",
-    "NotPositive",
     "Singular",
     "ShapeMismatch",
     "NotAGroup",
@@ -47,10 +46,6 @@ class NotHermitian(QgharmError):
 
 class NoConvergence(QgharmError):
     """Eigensolver failed to converge."""
-
-
-class NotPositive(QgharmError):
-    """Matrix has an eigenvalue below the negative tolerance band."""
 
 
 class Singular(QgharmError):

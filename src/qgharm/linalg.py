@@ -1,5 +1,4 @@
-"""Dense complex matrix helpers: Hermitian eigendecomposition, fractional
-powers of positive-semidefinite matrices, Kronecker products, and range
+"""Dense complex matrix helpers: Hermitian eigendecomposition and range
 projections.
 
 Matrices are plain complex numpy arrays. Everything here is a pure function;
@@ -12,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPositive, ShapeMismatch, Singular
+from .errors import NoConvergence, NotHermitian, ShapeMismatch
 
 __all__ = [
     "HermitianEigen",
     "eig_hermitian",
-    "matrix_power",
-    "kron",
     "range_projection",
 ]
 
@@ -62,43 +59,6 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in practice
         raise NoConvergence(str(exc)) from exc
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
-
-
-def matrix_power(a: np.ndarray, s: float, tol: float = 1e-10) -> np.ndarray:
-    """A**s for Hermitian positive-semidefinite A via functional calculus.
-
-    Eigenvalues in [-tol*scale, 0) are clamped to 0 before the power is taken.
-    Raises NotPositive if an eigenvalue sits below the clamp band (unless s is
-    a nonnegative integer, which needs no positivity), and Singular when s < 0
-    meets an eigenvalue indistinguishable from zero.
-    """
-    eig = eig_hermitian(a, tol=max(tol, 1e-10))
-    w = eig.eigenvalues.copy()
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    needs_positivity = not (s >= 0 and float(s).is_integer())
-    if needs_positivity:
-        low = w < -tol * scale
-        if np.any(low):
-            raise NotPositive(
-                f"eigenvalue {w[low].min():.3e} below -tol*scale = {-tol * scale:.3e}"
-            )
-        w = np.maximum(w, 0.0)
-    if s < 0 and np.any(w < tol * scale):
-        raise Singular("negative power of a numerically singular matrix")
-    if s == 0:
-        # A**0 is the identity on the full space by convention here.
-        ws = np.ones_like(w)
-    else:
-        # safe cases only remain: s < 0 has excluded small eigenvalues above,
-        # fractional s has clamped negatives, integer s accepts any sign.
-        ws = w ** s
-    v = eig.eigenvectors
-    return (v * ws) @ v.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor slow index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def range_projection(a: np.ndarray, tol: float = RANK_CUTOFF) -> np.ndarray:

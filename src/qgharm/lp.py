@@ -1,12 +1,12 @@
 """Noncommutative L^p norms and the Young / Hausdorff-Young checkers.
 
-Norms are computed in a faithful *-representation: conjugating the left
-regular representation by G^{1/2} turns the algebra star into the matrix
-adjoint, so |x|^p has the usual spectral meaning. The weight is evaluated
-through a density matrix D with weight(y) = Tr(D pi(y)); only the values of
-Tr(D .) on the represented algebra matter, so the least-norm solution of the
-defining linear system is enough. One eigendecomposition per element serves
-every exponent, which keeps the thousand-sample suites fast.
+Norms are computed in the block picture of the algebra (core.Blocks):
+M = (+)_i M_{d_i}, where the star is the matrix adjoint and a tracial weight
+is sum_i c_i tr rho_i with c_i = weight(z_i) / d_i. So
+||x||_p^p = sum_i c_i tr |rho_i(x)|^p, from the eigenvalues of
+rho_i(x)* rho_i(x): sum_i d_i of them, one eigensolve per block of size
+d_i > 1 and none for the characters. The eigenvalues serve every exponent,
+which keeps the thousand-sample suites fast.
 """
 
 from __future__ import annotations
@@ -76,13 +76,12 @@ def young_exponent(p, q) -> float:
 
 @dataclass(eq=False)
 class WeightedLpSpace:
-    """A *-represented algebra with a tracial weight for L^p norms."""
+    """An algebra with a tracial weight for L^p norms."""
 
     algebra: FiniteQuantumGroup
     weight: np.ndarray
     owner: str
-    ops_on: np.ndarray      # orthonormalized operator basis, stack (n, n, n)
-    density: np.ndarray     # D with Tr(D ops_on[s]) = weight[s]
+    eigen_weights: np.ndarray   # c_i once per eigenvalue of block i
     tracial: bool
 
     @property
@@ -91,35 +90,19 @@ class WeightedLpSpace:
         return abs(val - 1.0) <= 1e-9
 
 
-def _check_tracial(g: FiniteQuantumGroup, weight: np.ndarray,
-                   tol: float = 1e-9) -> None:
-    qw = np.einsum("ijk,k->ij", g.mult, weight, optimize=True)
-    gap = float(np.max(np.abs(qw - qw.T)))
-    if gap > tol * max(float(np.max(np.abs(qw))), 1.0):
-        raise NotTracial(f"weight is not tracial: residual {gap:.3e}")
-
-
-def _density_for(ops_on: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    n = ops_on.shape[1]
-    rows = ops_on.transpose(0, 2, 1).reshape(ops_on.shape[0], n * n)
-    vec_d, *_ = np.linalg.lstsq(rows, weight.astype(complex), rcond=None)
-    resid = float(np.max(np.abs(rows @ vec_d - weight)))
-    if resid > 1e-9 * max(float(np.max(np.abs(weight))), 1.0):
-        raise ShapeMismatch(f"density system unsolvable: residual {resid:.3e}")
-    d = vec_d.reshape(n, n)
-    return 0.5 * (d + d.conj().T)
-
-
 def weighted_space(g: FiniteQuantumGroup, weight, owner: str = "base") -> WeightedLpSpace:
     """L^p space over g for an arbitrary tracial positive weight vector."""
     w = np.asarray(weight, dtype=complex).reshape(-1)
     if w.shape != (g.dim,):
         raise ShapeMismatch(f"expected {g.dim} weight values, got {w.shape}")
-    _check_tracial(g, w)
-    ops_on = g.left_regular_on
-    density = _density_for(ops_on, w)
+    blocks = g.blocks
+    c = blocks.weights(w)
+    gap = float(np.max(np.abs(blocks.trace_form(c) - w)))
+    if gap > 1e-9 * max(float(np.max(np.abs(w))), 1.0):
+        raise NotTracial(f"weight is not tracial: residual {gap:.3e}")
     return WeightedLpSpace(algebra=g, weight=w, owner=owner,
-                           ops_on=ops_on, density=density, tracial=True)
+                           eigen_weights=np.repeat(c, blocks.sizes),
+                           tracial=True)
 
 
 def base_space(g: FiniteQuantumGroup) -> WeightedLpSpace:
@@ -133,25 +116,28 @@ def dual_space(pair: DualPair) -> WeightedLpSpace:
 
 
 def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
-    """Eigenvalues of |x|^2 and weight masses, batched over leading axes.
+    """Eigenvalues of |x|^2 block by block, and their weights.
 
-    coeffs: (..., n). Returns (w, d) of shape (..., n): w are the eigenvalues
-    of x* x in the faithful picture (clamped at 0), d[k] the weight of the
-    k-th spectral direction. Every L^p norm of x is then
-    (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm is max_k w_k^{1/2}.
+    coeffs: (..., n). Returns (w, d): w of shape (..., m), m = sum_i d_i,
+    holds the eigenvalues of rho_i(x)* rho_i(x) over all blocks (clamped at
+    0), and d of shape (m,) the weight c_i of each. Every L^p norm of x is
+    then (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm is
+    max_k w_k^{1/2}. The one-dimensional blocks are characters, so their
+    eigenvalues are |chi_i(x)|^2 from one matrix product.
     """
+    blocks = space.algebra.blocks
     c = np.asarray(coeffs, dtype=complex)
-    mats = np.einsum("...s,sij->...ij", c, space.ops_on, optimize=True)
-    aa = np.einsum("...ji,...jk->...ik", np.conj(mats), mats, optimize=True)
-    w, v = np.linalg.eigh(aa)
+    k = blocks.sizes.count(1)
+    w = np.abs(c @ blocks.to_blocks[:k].T) ** 2
+    if k < len(blocks.sizes):
+        m = blocks.diag(c)[..., k:, k:]
+        w = np.concatenate(
+            [w, np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)], axis=-1)
     w = np.clip(w, 0.0, None)
     # zero out eigenvalue fuzz: w^{p/2} amplifies rounding noise for p < 2
     scale = np.max(w, axis=-1, keepdims=True)
     w = np.where(w > 1e-13 * scale, w, 0.0)
-    dv = np.einsum("...ji,jl,...lk->...ik", np.conj(v), space.density, v,
-                   optimize=True)
-    d = np.real(np.einsum("...kk->...k", dv))
-    return w, d
+    return w, space.eigen_weights
 
 
 def norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .convolution import convolve
 from .core import FiniteQuantumGroup
-from .duality import DualPair, build_dual, fourier, fourier_coeffs
+from .duality import DualPair, build_dual, fourier_coeffs
 from .errors import AxiomFailure, BadExponents
 from .lp import (
     base_space,
@@ -25,7 +25,6 @@ from .lp import (
     young_exponent,
 )
 from .structures import (
-    _operator_to_coeffs,
     enumerate_group_like_projections,
     is_biprojection,
     is_group_like_projection,
@@ -56,9 +55,6 @@ class SharpnessReport:
     converged: bool
     history: tuple
     converged_per_restart: tuple
-
-    def recomputed_ratio(self, objective: Callable) -> float:
-        return float(objective(*(a.coeffs for a in self.argmax)))
 
 
 def _cgrad(f: Callable, v: np.ndarray) -> np.ndarray:
@@ -264,20 +260,21 @@ class HuntReport:
     disclaimer: str = DISCLAIMER
 
 
-def _nearest_projection_multiple(f_on: np.ndarray) -> np.ndarray:
-    """fit * (spectral rounding of the Hermitian part of f_on)."""
-    herm = 0.5 * (f_on + f_on.conj().T)
+def _nearest_projection_multiple(f: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """fit * (spectral rounding of the Hermitian part of f), for a
+    block-diagonal f whose rows carry the Hilbert-Schmidt weights mu."""
+    herm = 0.5 * (f + f.conj().T)
     w, u = np.linalg.eigh(herm)
-    denom = float(np.real(np.vdot(f_on, f_on)))
+    denom = float(np.real(np.vdot(f, mu * f)))
     if denom <= 1e-300:
-        return np.zeros_like(f_on)
-    level = float(np.real(np.vdot(f_on, f_on @ f_on)) / denom)
+        return np.zeros_like(f)
+    level = float(np.real(np.vdot(f, mu * (f @ f))) / denom)
     mask = (w > 0.5 * level).astype(float)
     proj = (u * mask) @ u.conj().T
-    pnorm = float(np.real(np.vdot(proj, proj)))
+    pnorm = float(np.real(np.vdot(proj, mu * proj)))
     if pnorm <= 1e-300:
-        return np.zeros_like(f_on)
-    fit = np.vdot(proj, f_on) / pnorm
+        return np.zeros_like(f)
+    fit = np.vdot(proj, mu * f) / pnorm
     return fit * proj
 
 
@@ -312,15 +309,11 @@ def _polish_to_projection(g: FiniteQuantumGroup, v: np.ndarray):
     """Spectral rounding of the self-adjoint part onto the nearest
     projection inside the algebra. Returns None when v is too far from
     any projection for rounding to make sense."""
-    v_sa = 0.5 * (v + g.star_of(v))
-    m_on = g.gram_sqrt @ g.regular_rep(v_sa) @ g.gram_sqrt_inv
-    w, u = np.linalg.eigh(0.5 * (m_on + m_on.conj().T))
+    w, u = np.linalg.eigh(g.blocks.diag(0.5 * (v + g.star_of(v))))
     mask = (w > 0.5).astype(float)
     if not mask.any():
         return None
-    p_on = (u * mask) @ u.conj().T
-    p = g.gram_sqrt_inv @ p_on @ g.gram_sqrt
-    return _operator_to_coeffs(g, p)
+    return g.blocks.coeffs_of_diag((u * mask) @ u.conj().T)
 
 
 def hunt_nongrouplike_biprojection(g, budget: int = 8, seed: int = 42,
@@ -330,6 +323,8 @@ def hunt_nongrouplike_biprojection(g, budget: int = 8, seed: int = 42,
 
     Minimizes J(P) = ||F(P) - fit * projection(F(P))||^2
     + penalty * (||P^2 - P||^2 + ||P - P*||^2) from seeded random starts.
+    The first norm is Hilbert-Schmidt on L^2(G), computed in the blocks of
+    the dual, each weighted by its multiplicity d_i.
     Each local minimum is spectrally polished onto the projection manifold
     and then certified with is_biprojection and is_group_like_projection.
     Candidates are exact projections where the first certificate holds and
@@ -338,14 +333,15 @@ def hunt_nongrouplike_biprojection(g, budget: int = 8, seed: int = 42,
     """
     pair = g if isinstance(g, DualPair) else build_dual(g)
     base = pair.base
-    gs, gsi = base.gram_sqrt, base.gram_sqrt_inv
+    dual_blocks = pair.dual_qg.blocks
+    mu = dual_blocks.multiplicity[:, None]
 
     def objective(v):
         r1 = base.multiply(v, v) - v
         r2 = base.star_of(v) - v
-        f_on = gs @ fourier(pair, v) @ gsi
-        j1 = f_on - _nearest_projection_multiple(f_on)
-        return (float(np.real(np.vdot(j1, j1)))
+        f = dual_blocks.diag(fourier_coeffs(pair, v))
+        j1 = f - _nearest_projection_multiple(f, mu)
+        return (float(np.real(np.vdot(j1, mu * j1)))
                 + penalty * (float(np.real(np.vdot(r1, r1)))
                              + float(np.real(np.vdot(r2, r2)))))
 

@@ -16,16 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import is_commutative
 from .convolution import convolve
 from .core import AlgebraElement, FiniteQuantumGroup, _maxabs
-from .duality import (
-    DualPair,
-    dual_fourier,
-    dual_matrix,
-    fourier,
-    fourier_coeffs,
-    to_dual_coeffs,
-)
+from .duality import DualPair, dual_fourier, dual_matrix, fourier_coeffs
 from .errors import (
     CertificateMissing,
     NotABishift,
@@ -56,10 +50,6 @@ __all__ = [
 ]
 
 TRIVIAL_NOTE = "trivially satisfied (finite-dimensional tracial case)"
-
-
-def _orthonormal_matrix(g: FiniteQuantumGroup, mat: np.ndarray) -> np.ndarray:
-    return g.gram_sqrt @ mat @ g.gram_sqrt_inv
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +131,27 @@ def verify_glp_properties(g: FiniteQuantumGroup, h,
 # biprojections
 # ---------------------------------------------------------------------------
 
+def _fourier_blocks(pair: DualPair, x) -> np.ndarray:
+    """F(x) in the block-diagonal picture of the dual."""
+    return pair.dual_qg.blocks.diag(fourier_coeffs(pair, x))
+
+
 def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
-    """Is F(h) a (nonzero) multiple of a projection in the dual algebra?"""
-    g = pair.base
-    f_on = _orthonormal_matrix(g, fourier(pair, h))
-    scale = float(np.linalg.norm(f_on))
+    """Is F(h) a (nonzero) multiple of a projection in the dual algebra?
+
+    Inner products are the Hilbert-Schmidt ones of the operators on L^2(G),
+    where block i of the dual appears d_i times."""
+    f = _fourier_blocks(pair, h)
+    mu = pair.dual_qg.blocks.multiplicity[:, None]
+    scale = float(np.sqrt(np.real(np.vdot(f, mu * f))))
     if scale <= tol:
         return CheckReport(name="biprojection", passed=False,
                            max_residual=1.0, tol=tol,
                            details={"reason": "zero transform", "multiple": 0.0})
-    ff = f_on @ f_on
-    fit = complex(np.vdot(f_on, ff) / np.vdot(f_on, f_on))
-    res_proj = _maxabs(ff - fit * f_on) / max(_maxabs(f_on), 1e-300)
-    res_sa = _maxabs(f_on - f_on.conj().T) / max(_maxabs(f_on), 1e-300)
+    ff = f @ f
+    fit = complex(np.vdot(f, mu * ff) / np.vdot(f, mu * f))
+    res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)
+    res_sa = _maxabs(f - f.conj().T) / max(_maxabs(f), 1e-300)
     res_real = abs(fit.imag)
     worst = max(res_proj, res_sa, res_real)
     return CheckReport(
@@ -169,11 +167,9 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
 
 def range_projection_of_fourier(pair: DualPair, h) -> tuple:
     """Range projection of F(h) as a matrix plus its dual-basis coefficients."""
-    g = pair.base
-    f_on = _orthonormal_matrix(g, fourier(pair, h))
-    p_on = range_projection(f_on)
-    p_mat = g.gram_sqrt_inv @ p_on @ g.gram_sqrt
-    return p_mat, to_dual_coeffs(pair, p_mat)
+    p = range_projection(_fourier_blocks(pair, h))
+    coeffs = pair.dual_qg.blocks.coeffs_of_diag(p)
+    return dual_matrix(pair, coeffs), coeffs
 
 
 def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
@@ -256,29 +252,29 @@ def biprojection_iff_grouplike(pair: DualPair, candidates,
 # candidate generation
 # ---------------------------------------------------------------------------
 
-def _commutative(g: FiniteQuantumGroup) -> bool:
-    return _maxabs(g.mult - g.mult.transpose(1, 0, 2)) <= 1e-12
+def _diagonal_tensor(n: int) -> np.ndarray:
+    """t[i, j, k] = 1 when i = j = k, else 0."""
+    t = np.zeros((n, n, n))
+    t[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    return t
 
 
 def _pointwise_basis(g: FiniteQuantumGroup) -> bool:
     """True when the basis consists of orthogonal minimal projections
     (function algebra in the delta basis): e_i e_j = delta_ij e_i."""
-    target = np.zeros((g.dim, g.dim, g.dim))
-    for i in range(g.dim):
-        target[i, i, i] = 1.0
-    return _maxabs(g.mult - target) <= 1e-12 and _maxabs(
+    return _maxabs(g.mult - _diagonal_tensor(g.dim)) <= 1e-12 and _maxabs(
         g.star - np.eye(g.dim)) <= 1e-12
 
 
 def _basis_group_like(g: FiniteQuantumGroup) -> bool:
     """True when every basis element is group-like (group algebra form)."""
-    for k in range(g.dim):
-        dk = g.comult3[:, :, k]
-        target = np.zeros((g.dim, g.dim))
-        target[k, k] = 1.0
-        if _maxabs(dk - target) > 1e-12:
-            return False
-    return True
+    return _maxabs(g.comult3 - _diagonal_tensor(g.dim)) <= 1e-12
+
+
+def _indicators(n: int) -> list:
+    """Every nonzero 0/1 coefficient vector, in the order of its bit mask."""
+    return [np.array([(mask >> i) & 1 for i in range(n)], dtype=complex)
+            for mask in range(1, 2 ** n)]
 
 
 def _group_table_from_mult(g: FiniteQuantumGroup) -> list:
@@ -318,13 +314,10 @@ def projection_candidates(g: FiniteQuantumGroup, seed: int = 0,
     self-adjoint elements. That list is a sample, not an exhaustive one.
     """
     n = g.dim
-    out = []
     if _pointwise_basis(g):
-        for mask in range(1, 2 ** n):
-            out.append(np.array([(mask >> i) & 1 for i in range(n)],
-                                dtype=complex))
-        return out
+        return _indicators(n)
 
+    out = []
     seen = set()
 
     def push(v: np.ndarray) -> None:
@@ -350,25 +343,18 @@ def projection_candidates(g: FiniteQuantumGroup, seed: int = 0,
             push(cyc)
 
     # minimal central projections and all sums of them
-    minimal = _minimal_central_projections(g)
-    for r in range(1, len(minimal) + 1):
-        for combo in itertools.combinations(minimal, r):
+    blocks = g.blocks
+    for r in range(1, len(blocks.central) + 1):
+        for combo in itertools.combinations(blocks.central, r):
             push(sum(combo))
 
     # spectral projections of seeded random self-adjoint elements
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = v + g.star_of(v)
-        xon = _orthonormal_matrix(g, g.regular_rep(x))
-        w, vecs = np.linalg.eigh(0.5 * (xon + xon.conj().T))
-        groups = _eigen_groups(w)
-        for idx in groups:
-            p_on = vecs[:, idx] @ vecs[:, idx].conj().T
-            p = g.gram_sqrt_inv @ p_on @ g.gram_sqrt
-            coeffs = _operator_to_coeffs(g, p)
-            if coeffs is not None:
-                push(coeffs)
+        w, vecs = np.linalg.eigh(blocks.diag(v + g.star_of(v)))
+        for idx in _eigen_groups(w):
+            push(blocks.coeffs_of_diag(vecs[:, idx] @ vecs[:, idx].conj().T))
     return out
 
 
@@ -380,48 +366,6 @@ def _eigen_groups(w: np.ndarray, tol: float = 1e-8) -> list:
             groups.append(list(range(start, i)))
             start = i
     return groups
-
-
-def _operator_to_coeffs(g: FiniteQuantumGroup, mat: np.ndarray):
-    """Coefficients of an operator that lies in the left regular image."""
-    n = g.dim
-    cols = g.left_regular.reshape(n, n * n).T
-    sol, *_ = np.linalg.lstsq(cols, mat.reshape(-1), rcond=None)
-    if _maxabs(cols @ sol - mat.reshape(-1)) > 1e-8 * max(_maxabs(mat), 1.0):
-        return None
-    return sol
-
-
-def _minimal_central_projections(g: FiniteQuantumGroup) -> list:
-    """Minimal central projections via a generic central element."""
-    n = g.dim
-    # solve for the center: x with pi(x) L_i = L_i pi(x) for all i
-    blocks = []
-    for i in range(n):
-        li = g.left_regular[i]
-        comm = np.einsum("skl,lj->skj", g.left_regular, li, optimize=True) \
-            - np.einsum("kl,slj->skj", li, g.left_regular, optimize=True)
-        blocks.append(comm.reshape(n, n * n))
-    system = np.concatenate(blocks, axis=1).T   # (n*n*n, n) acting on coeffs
-    _, s, vh = np.linalg.svd(system, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
-    null = vh[rank:].conj()                     # rows span the center
-    if null.size == 0:
-        return []
-    rng = np.random.default_rng(12345)
-    weights = rng.standard_normal(null.shape[0])
-    zc = weights @ null
-    z = zc + g.star_of(zc)
-    zon = _orthonormal_matrix(g, g.regular_rep(z))
-    w, vecs = np.linalg.eigh(0.5 * (zon + zon.conj().T))
-    out = []
-    for idx in _eigen_groups(w):
-        p_on = vecs[:, idx] @ vecs[:, idx].conj().T
-        p = g.gram_sqrt_inv @ p_on @ g.gram_sqrt
-        coeffs = _operator_to_coeffs(g, p)
-        if coeffs is not None:
-            out.append(coeffs)
-    return out
 
 
 def enumerate_group_like_projections(g: FiniteQuantumGroup,
@@ -445,11 +389,7 @@ def enumerate_group_like_projections(g: FiniteQuantumGroup,
             seen.add(key)
             certs.append(cert)
 
-    if _pointwise_basis(g):
-        for mask in range(1, 2 ** g.dim):
-            push(np.array([(mask >> i) & 1 for i in range(g.dim)],
-                          dtype=complex))
-    elif _basis_group_like(g):
+    if _basis_group_like(g):
         table = _group_table_from_mult(g)
         for members in _subgroups(table):
             v = np.zeros(g.dim, dtype=complex)
@@ -533,11 +473,9 @@ def enumerate_left_shifts(g: FiniteQuantumGroup, h, candidates=None,
     coset indicators.
     """
     if candidates is None:
-        if not _commutative(g):
+        if not is_commutative(g):
             raise NotAShift("candidate set required for noncommutative input")
-        candidates = [np.array([(mask >> i) & 1 for i in range(g.dim)],
-                               dtype=complex)
-                      for mask in range(1, 2 ** g.dim)]
+        candidates = _indicators(g.dim)
     out = []
     for v in candidates:
         try:
@@ -549,9 +487,9 @@ def enumerate_left_shifts(g: FiniteQuantumGroup, h, candidates=None,
     return out
 
 
-def _partial_isometry_residual(mat_on: np.ndarray) -> float:
+def _partial_isometry_residual(mat: np.ndarray) -> float:
     """How far the matrix is from a multiple of a partial isometry."""
-    sv = np.linalg.svd(mat_on, compute_uv=False)
+    sv = np.linalg.svd(mat, compute_uv=False)
     s = float(sv[0]) if len(sv) else 0.0
     if s <= 0.0:
         return 0.0
@@ -570,16 +508,14 @@ def bipartial_isometry_check(pair: DualPair, x, h,
     hc = cert.base_projection.coeffs
     phi_h = float(g.haar_of(hc).real)
 
-    x_on = _orthonormal_matrix(g, g.regular_rep(xc))
-    f_on = _orthonormal_matrix(g, fourier(pair, xc))
-    fh_on = _orthonormal_matrix(g, fourier(pair, hc))
+    f = _fourier_blocks(pair, xc)
     res = {
-        "element_partial_isometry": _partial_isometry_residual(x_on),
-        "fourier_partial_isometry": _partial_isometry_residual(f_on),
+        "element_partial_isometry": _partial_isometry_residual(
+            g.blocks.diag(xc)),
+        "fourier_partial_isometry": _partial_isometry_residual(f),
         "fourier_polar_identity": _maxabs(
-            f_on.conj().T @ f_on - phi_h * fh_on),
-        "fourier_operator_norm": abs(
-            float(np.linalg.norm(f_on, 2)) - phi_h),
+            f.conj().T @ f - phi_h * _fourier_blocks(pair, hc)),
+        "fourier_operator_norm": abs(float(np.linalg.norm(f, 2)) - phi_h),
     }
     worst = max(res.values())
     return CheckReport(
@@ -630,13 +566,13 @@ def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9,
     if _maxabs(xc) <= tol:
         raise NotABishift("zero element cannot be a bi-shift")
     bsp, dsp = base_space(g), dual_space(pair)
-    x_on = _orthonormal_matrix(g, g.regular_rep(xc))
-    f_on = _orthonormal_matrix(g, fourier(pair, xc))
+    f = _fourier_blocks(pair, xc)
     l1 = lp_norm(bsp, xc, 1.0)
     res = {
-        "element_partial_isometry": _partial_isometry_residual(x_on),
-        "fourier_partial_isometry": _partial_isometry_residual(f_on),
-        "transform_sup_equals_l1": abs(float(np.linalg.norm(f_on, 2)) - l1)
+        "element_partial_isometry": _partial_isometry_residual(
+            g.blocks.diag(xc)),
+        "fourier_partial_isometry": _partial_isometry_residual(f),
+        "transform_sup_equals_l1": abs(float(np.linalg.norm(f, 2)) - l1)
         / max(l1, 1e-300),
     }
     for p in exponents:

@@ -147,6 +147,47 @@ def test_construction_errors_exit_one(capsys):
     assert "error" in err
 
 
+def _one_line_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_young_refuses_zero_or_negative_samples(capsys):
+    for samples in ("0", "-3"):
+        err = _one_line_error(capsys, "young", "--example", "z2-function",
+                              "--samples", samples)
+        assert "--samples" in err
+
+
+def test_hausdorff_young_refuses_zero_or_negative_samples(capsys):
+    for samples in ("0", "-3"):
+        err = _one_line_error(capsys, "hausdorff-young", "--example",
+                              "z2-function", "--samples", samples)
+        assert "--samples" in err
+
+
+def test_hunt_refuses_an_empty_budget(capsys):
+    for budget in ("0", "-1"):
+        err = _one_line_error(capsys, "hunt", "--example", "z2-function",
+                              "--budget", budget)
+        assert "--budget" in err
+
+
+def test_suq2_refuses_a_zero_denominator(capsys):
+    err = _one_line_error(capsys, "suq2", "--mu-num", "1", "--mu-den", "0")
+    assert "--mu-den" in err
+
+
+def test_non_integer_qg_seed_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "abc")
+    err = _one_line_error(capsys, "young", "--example", "z2-function",
+                          "--samples", "5")
+    assert "QG_SEED" in err
+
+
 def test_failing_check_exits_two(capsys, monkeypatch):
     def broken(args):
         return cli._document("young", args.example, {}, args.seed, [

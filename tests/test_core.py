@@ -18,7 +18,8 @@ from qgharm.core import (
     to_json,
     verify_axioms,
 )
-from qgharm.errors import NotAGroup, OwnerMismatch, ShapeMismatch
+from qgharm.duality import build_dual
+from qgharm.errors import AxiomFailure, NotAGroup, OwnerMismatch, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +201,50 @@ def test_scaling_is_not_an_automorphism():
     assert not is_automorphism(g, 2.0 * np.eye(2))
 
 
-def test_gns_picture_turns_star_into_adjoint():
-    for name in ("s3-group", "kac-paljutkin"):
+# ---------------------------------------------------------------------------
+# the block picture
+# ---------------------------------------------------------------------------
+
+def _centre_dimension(g):
+    comm = (g.mult - g.mult.transpose(1, 0, 2)).reshape(g.dim, -1).T
+    return g.dim - np.linalg.matrix_rank(comm, tol=1e-9)
+
+
+def test_kac_paljutkin_has_four_characters_and_one_matrix_block():
+    g = get_example("kac-paljutkin")
+    b = g.blocks
+    assert b.sizes == (1, 1, 1, 1, 2)
+    masses = g.dim * np.real(b.central @ g.haar)
+    assert np.allclose(masses, [1, 1, 1, 1, 4], atol=1e-12)
+    for z in b.central:
+        assert np.max(np.abs(g.multiply(z, z) - z)) < 1e-12
+        assert np.max(np.abs(g.star_of(z) - z)) < 1e-12
+    assert np.max(np.abs(sum(b.central) - g.unit)) < 1e-12
+
+
+def test_block_count_is_the_centre_dimension_everywhere():
+    for name in EXAMPLE_NAMES:
         g = get_example(name)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-        gs, gsi = g.gram_sqrt, g.gram_sqrt_inv
-        lx = gs @ g.regular_rep(x) @ gsi
-        lxs = gs @ g.regular_rep(g.star_of(x)) @ gsi
-        assert np.max(np.abs(lx.conj().T - lxs)) < 1e-10, name
+        for h in (g, build_dual(g).dual_qg):
+            b = h.blocks
+            assert len(b.sizes) == _centre_dimension(h), h.name
+            assert sum(d * d for d in b.sizes) == h.dim, h.name
+
+
+def test_blocks_reject_every_corrupted_product_entry():
+    # on z2-group some single-entry changes leave a valid two-dimensional
+    # C*-algebra with a faithful trace; only the Hopf axioms catch those
+    for name in ("s3-function", "s3-group", "kac-paljutkin"):
+        g = get_example(name)
+        for idx in np.ndindex(g.mult.shape):
+            mult = g.mult.copy()
+            mult[idx] += 1e-6
+            h = FiniteQuantumGroup(
+                dim=g.dim, mult=mult, unit=g.unit, comult=g.comult,
+                counit=g.counit, antipode=g.antipode, star=g.star,
+                haar=g.haar)
+            with pytest.raises(AxiomFailure):
+                h.blocks
 
 
 # ---------------------------------------------------------------------------

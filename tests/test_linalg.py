@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qgharm.errors import NotHermitian, NotPositive, ShapeMismatch, Singular
-from qgharm.linalg import eig_hermitian, kron, matrix_power, range_projection
+from qgharm.errors import NotHermitian, ShapeMismatch
+from qgharm.linalg import eig_hermitian, range_projection
 
 
 def random_hermitian(n, seed):
@@ -29,45 +29,6 @@ def test_eig_hermitian_rejects_nonhermitian():
 def test_eig_hermitian_rejects_nonsquare():
     with pytest.raises(ShapeMismatch):
         eig_hermitian(np.ones((2, 3)))
-
-
-def test_matrix_power_square_root():
-    a = random_hermitian(5, seed=1)
-    psd = a @ a.conj().T
-    root = matrix_power(psd, 0.5)
-    assert np.max(np.abs(root @ root - psd)) < 1e-10
-
-
-def test_matrix_power_integer_needs_no_positivity():
-    # an indefinite matrix is fine for s = 2
-    a = np.diag([1.0, -1.0])
-    assert np.max(np.abs(matrix_power(a, 2) - np.eye(2))) < 1e-14
-    with pytest.raises(NotPositive):
-        matrix_power(a, 0.5)
-
-
-def test_matrix_power_zero_is_identity():
-    a = np.diag([3.0, 0.0])
-    assert np.max(np.abs(matrix_power(a, 0) - np.eye(2))) < 1e-14
-
-
-def test_matrix_power_negative_of_singular_raises():
-    with pytest.raises(Singular):
-        matrix_power(np.diag([1.0, 0.0]), -1.0)
-
-
-def test_matrix_power_inverse():
-    a = random_hermitian(4, seed=2)
-    psd = a @ a.conj().T + np.eye(4)
-    inv = matrix_power(psd, -1.0)
-    assert np.max(np.abs(inv @ psd - np.eye(4))) < 1e-10
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 3))
-    b = rng.standard_normal((3, 2))
-    assert np.array_equal(kron(a, b), np.kron(a.astype(complex), b.astype(complex)))
 
 
 def test_range_projection_rank_one():

@@ -5,6 +5,7 @@ from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import build_function_algebra, cyclic_table
 from qgharm.duality import build_dual, fourier_coeffs
 from qgharm.errors import BadExponents, NotAutomorphism
+from test_duality import _transported
 from qgharm.lp import (
     base_space,
     conjugate_exponent,
@@ -124,6 +125,66 @@ def test_triangle_inequality_and_scaling():
     for p in (1.0, 2.0, 3.0, INF):
         assert lp_norm(sp, x + y, p) <= (lp_norm(sp, x, p) + lp_norm(sp, y, p)) * (1 + 1e-12)
         assert lp_norm(sp, 2.5 * x, p) == pytest.approx(2.5 * lp_norm(sp, x, p), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# second route: the regular representation
+# ---------------------------------------------------------------------------
+
+def _spaces():
+    """Base and dual spaces of the catalog and of complex transports of it."""
+    for name in EXAMPLE_NAMES:
+        for g in (get_example(name), _transported(get_example(name), seed=7)):
+            pair = build_dual(g)
+            yield g, g.haar
+            yield pair.dual_qg, pair.dual_weight
+
+
+def _regular_norms(g, weight, xs, p):
+    """L^p norms in the left regular representation conjugated by G^{1/2},
+    with a least-squares density D, Tr(D pi(e_s)) = weight[s], and one
+    eigendecomposition of |x|^2 per element."""
+    lam, v = np.linalg.eigh(g.gram)
+    root = (v * np.sqrt(lam)) @ v.conj().T
+    root_inv = (v / np.sqrt(lam)) @ v.conj().T
+    ops = np.einsum("pk,ikj,jq->ipq", root, g.left_regular, root_inv)
+    n = g.dim
+    rows = ops.transpose(0, 2, 1).reshape(n, n * n)
+    vec_d, *_ = np.linalg.lstsq(rows, weight.astype(complex), rcond=None)
+    assert np.max(np.abs(rows @ vec_d - weight)) < 1e-10
+    density = vec_d.reshape(n, n)
+    density = 0.5 * (density + density.conj().T)
+    mats = np.einsum("bs,sij->bij", xs, ops)
+    w, vecs = np.linalg.eigh(np.conj(mats).swapaxes(1, 2) @ mats)
+    w = np.clip(w, 0.0, None)
+    if p == INF:
+        return np.sqrt(np.max(w, axis=1))
+    d = np.real(np.einsum("bji,jl,bli->bi", np.conj(vecs), density, vecs))
+    return np.sum(w ** (p / 2) * d, axis=1) ** (1 / p)
+
+
+def test_block_norms_match_the_regular_representation():
+    for g, weight in _spaces():
+        sp = weighted_space(g, weight)
+        xs = _random(g, seed=10, count=20)
+        for p in (1.0, 4.0 / 3.0, 2.0, 4.0, INF):
+            want = _regular_norms(g, weight, xs, p)
+            got = lp_norms_batch(sp, xs, p)
+            assert np.max(np.abs(got - want) / want) < 1e-12, (g.name, p)
+
+
+def test_block_picture_turns_star_into_adjoint():
+    # the gates of Blocks, checked from the outside: rho is a
+    # *-homomorphism and sum_i c_i tr rho_i is the weight
+    for g, weight in _spaces():
+        b = g.blocks
+        x, y = _random(g, seed=11, count=2)
+        rx = b.diag(x)
+        assert np.max(np.abs(rx @ b.diag(y) - b.diag(g.multiply(x, y)))) < 1e-10
+        assert np.max(np.abs(rx.conj().T - b.diag(g.star_of(x)))) < 1e-10
+        c = np.repeat(b.weights(weight), b.sizes)
+        assert abs(c @ np.diag(rx) - weight @ x) < 1e-10 * np.max(np.abs(weight)), g.name
+        assert np.max(np.abs(b.coeffs_of_diag(rx) - x)) < 1e-12, g.name
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ EXPECTED_GROUP_LIKES = {
     "s3-function": [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.5, 1.0],
     "z2-group": [0.5, 1.0],
     "s3-group": [1.0 / 6.0, 1.0 / 3.0, 0.5, 0.5, 0.5, 1.0],
-    "kac-paljutkin": [0.125, 0.25, 0.5, 0.5, 0.5, 1.0],
+    "kac-paljutkin": [0.125, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0],
 }
 
 
@@ -340,6 +340,15 @@ def test_bishift_construct_requires_certificates():
     # the full indicator has the wrong weight, so its certificate fails
     with pytest.raises((CertificateMissing, NotProjection)):
         bishift_construct(pair, np.ones(4), g.unit, h_tilde, h)
+
+
+def test_partial_isometry_residual_sees_a_singular_value_of_1e_minus_7():
+    # singular values 1, 1, 1e-7, 0: the 1e-13 eigenvalue clamp of the
+    # L^p norms would round 1e-7 to zero and pass this as a partial isometry
+    pair = _pair("z4-function")
+    rep = bishift_theorem_check(pair, np.array([1e-7, 1.0, 0.0, 1.0]))
+    assert rep.details["element_partial_isometry"] == pytest.approx(1e-7, rel=1e-6)
+    assert not rep.passed
 
 
 def test_degenerate_combination_collapses_to_zero():
