@@ -5,8 +5,8 @@ Every subcommand prints a single deterministic JSON document to stdout
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
 mathematical check fails, 1 for usage or construction errors, including a
 sample count or search budget below 1. The QG_SEED environment variable
-overrides the default of every --seed flag and must be an integer; an
-explicit flag wins over the environment.
+overrides the default of 42 for every --seed flag that is not given; it
+must then be an integer. An explicit flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -136,24 +136,29 @@ def _run_verify(args) -> dict:
                      {"tol": args.tol, "samples": 100}, args.seed, checks)
 
 
+def _worst_ratio(name: str, claim: str, reports) -> dict:
+    """One check entry for the largest lhs/rhs ratio over seeded samples."""
+    worst_ratio, worst_index = 0.0, -1
+    for i, rep in enumerate(reports):
+        if rep.ratio > worst_ratio:
+            worst_ratio, worst_index = rep.ratio, i
+    holds = worst_ratio <= 1.0 + 1e-9
+    entry = _check(name, claim, lhs=worst_ratio, rhs=1.0,
+                   residual=max(0.0, worst_ratio - 1.0), holds=holds)
+    if not holds:
+        entry["witness"] = {"sample_index": worst_index, "ratio": worst_ratio}
+    return entry
+
+
 def _run_young(args) -> dict:
     _at_least_one("--samples", args.samples)
     g = catalog.get_example(args.example)
     sp = base_space(g)
     elems = _seeded_elements(g, 2 * args.samples, args.seed)
-    worst_ratio = 0.0
-    worst_index = -1
-    for i in range(args.samples):
-        rep = young_check(g, elems[2 * i], elems[2 * i + 1], args.p, args.q,
-                          space=sp)
-        if rep.ratio > worst_ratio:
-            worst_ratio, worst_index = rep.ratio, i
-    holds = worst_ratio <= 1.0 + 1e-9
-    entry = _check("young-inequality", "convolution-norm-bound",
-                   lhs=worst_ratio, rhs=1.0, residual=max(0.0, worst_ratio - 1.0),
-                   holds=holds)
-    if not holds:
-        entry["witness"] = {"sample_index": worst_index, "ratio": worst_ratio}
+    entry = _worst_ratio(
+        "young-inequality", "convolution-norm-bound",
+        (young_check(g, elems[2 * i], elems[2 * i + 1], args.p, args.q,
+                     space=sp) for i in range(args.samples)))
     return _document("young", args.example,
                      {"p": args.p, "q": args.q, "samples": args.samples},
                      args.seed, [entry])
@@ -165,18 +170,9 @@ def _run_hausdorff_young(args) -> dict:
     pair = build_dual(g)
     bsp, dsp = base_space(g), dual_space(pair)
     elems = _seeded_elements(g, args.samples, args.seed)
-    worst_ratio = 0.0
-    worst_index = -1
-    for i in range(args.samples):
-        rep = hausdorff_young_check(pair, elems[i], args.p, bsp, dsp)
-        if rep.ratio > worst_ratio:
-            worst_ratio, worst_index = rep.ratio, i
-    holds = worst_ratio <= 1.0 + 1e-9
-    entry = _check("hausdorff-young-inequality", "fourier-norm-bound",
-                   lhs=worst_ratio, rhs=1.0,
-                   residual=max(0.0, worst_ratio - 1.0), holds=holds)
-    if not holds:
-        entry["witness"] = {"sample_index": worst_index, "ratio": worst_ratio}
+    entry = _worst_ratio(
+        "hausdorff-young-inequality", "fourier-norm-bound",
+        (hausdorff_young_check(pair, x, args.p, bsp, dsp) for x in elems))
     return _document("hausdorff-young", args.example,
                      {"p": args.p, "samples": args.samples}, args.seed,
                      [entry])
@@ -312,7 +308,6 @@ def build_parser() -> _Parser:
                      description="Harmonic analysis checks on finite "
                                  "quantum groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
 
     def add_example(p):
         p.add_argument("--example", required=True,
@@ -321,7 +316,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="Hopf *-algebra and duality axioms")
     add_example(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_verify)
 
     p = sub.add_parser("young", help="Young convolution inequality on "
@@ -330,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=4.0 / 3.0)
     p.add_argument("--q", type=float, default=4.0 / 3.0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_young)
 
     p = sub.add_parser("hausdorff-young", help="Hausdorff-Young inequality "
@@ -338,14 +333,14 @@ def build_parser() -> _Parser:
     add_example(p)
     p.add_argument("--p", type=float, default=4.0 / 3.0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_hausdorff_young)
 
     p = sub.add_parser("structures", help="group-like projections, Fourier "
                                           "images, certificate equivalence")
     add_example(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_structures)
 
     p = sub.add_parser("sharpness", help="best-constant estimation")
@@ -355,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=4.0 / 3.0)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_sharpness)
 
     p = sub.add_parser("suq2", help="exact deformation-parameter "
@@ -370,7 +365,7 @@ def build_parser() -> _Parser:
     add_example(p)
     p.add_argument("--budget", type=int, default=8)
     p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_hunt)
 
     p = sub.add_parser("all", help="full suite on one or all examples")
@@ -378,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--budget", type=int, default=4)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_run_all)
 
     p = sub.add_parser("catalog", help="list the built-in examples")
@@ -390,6 +385,8 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         doc = args.func(args)
     except AxiomFailure as exc:   # raised by args.func, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},

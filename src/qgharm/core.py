@@ -338,6 +338,20 @@ class Blocks:
         out[..., self._diag_index[0], self._diag_index[1]] = entries
         return out
 
+    def matrices(self, coeffs) -> list:
+        """rho_i(x) in block order, batched over the leading axes of coeffs:
+        one (..., count, d, d) array for the count blocks of each size d."""
+        entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
+        runs = [(d, self.sizes.count(d)) for d in sorted(set(self.sizes))]
+        ends = np.cumsum([0] + [k * d * d for d, k in runs])
+        return [entries[..., a:b].reshape(entries.shape[:-1] + (k, d, d))
+                for (d, k), a, b in zip(runs, ends, ends[1:])]
+
+    def hs(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """Hilbert-Schmidt inner product of two block-diagonal matrices as
+        operators on L^2(G), where block i appears d_i times."""
+        return complex(np.vdot(a, self.multiplicity[:, None] * b))
+
     def coeffs_of_diag(self, mat: np.ndarray) -> np.ndarray:
         """Coefficients of the element whose blocks are the diagonal blocks
         of mat; entries outside them are ignored."""

@@ -119,20 +119,21 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
     """Eigenvalues of |x|^2 block by block, and their weights.
 
     coeffs: (..., n). Returns (w, d): w of shape (..., m), m = sum_i d_i,
-    holds the eigenvalues of rho_i(x)* rho_i(x) over all blocks (clamped at
-    0), and d of shape (m,) the weight c_i of each. Every L^p norm of x is
-    then (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm is
-    max_k w_k^{1/2}. The one-dimensional blocks are characters, so their
-    eigenvalues are |chi_i(x)|^2 from one matrix product.
+    holds the eigenvalues of rho_i(x)* rho_i(x) (clamped at 0), block by
+    block in block order, and d of shape (m,) the weight c_i of each. Every
+    L^p norm of x is then (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm
+    is max_k w_k^{1/2}. Blocks of one size share one batched eigensolve; the
+    one-dimensional blocks are characters, so their eigenvalues are
+    |chi_i(x)|^2 with no eigensolve.
     """
-    blocks = space.algebra.blocks
-    c = np.asarray(coeffs, dtype=complex)
-    k = blocks.sizes.count(1)
-    w = np.abs(c @ blocks.to_blocks[:k].T) ** 2
-    if k < len(blocks.sizes):
-        m = blocks.diag(c)[..., k:, k:]
-        w = np.concatenate(
-            [w, np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)], axis=-1)
+    w = []
+    for m in space.algebra.blocks.matrices(coeffs):
+        if m.shape[-1] == 1:
+            w.append(np.abs(m[..., 0, 0]) ** 2)
+        else:
+            eig = np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)
+            w.append(eig.reshape(eig.shape[:-2] + (-1,)))
+    w = np.concatenate(w, axis=-1)
     w = np.clip(w, 0.0, None)
     # zero out eigenvalue fuzz: w^{p/2} amplifies rounding noise for p < 2
     scale = np.max(w, axis=-1, keepdims=True)

@@ -8,13 +8,13 @@ seeded and sequential, so reports are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .convolution import convolve
-from .core import FiniteQuantumGroup
+from .core import Blocks, FiniteQuantumGroup
 from .duality import DualPair, build_dual, fourier_coeffs
 from .errors import AxiomFailure, BadExponents
 from .lp import (
@@ -127,10 +127,8 @@ def _gauge(v: np.ndarray, renorm: Callable) -> np.ndarray:
 def _multistart(objective, renorms, n_blocks, dim, restarts, max_iter, seed,
                 warm_starts) -> SharpnessReport:
     rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(restarts):
-        starts.append([rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                       for _ in range(n_blocks)])
+    starts = [[rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+               for _ in range(n_blocks)] for _ in range(restarts)]
     starts.extend(warm_starts)
 
     best_val = -np.inf
@@ -190,13 +188,8 @@ def estimate_best_constant_young(g: FiniteQuantumGroup, p, q,
             for c in enumerate_group_like_projections(g)]
     rep = _multistart(objective, renorms, 2, g.dim, restarts, iters, seed,
                       warm)
-    rep = SharpnessReport(
-        kind="young", exponents=(float(p), float(q), float(r)),
-        constant_estimate=rep.constant_estimate,
-        argmax=tuple(g.element(v) for v in rep.argmax),
-        restarts_used=rep.restarts_used, iterations=rep.iterations,
-        seed=rep.seed, converged=rep.converged, history=rep.history,
-        converged_per_restart=rep.converged_per_restart)
+    rep = replace(rep, kind="young", exponents=(float(p), float(q), float(r)),
+                  argmax=tuple(g.element(v) for v in rep.argmax))
     if rep.constant_estimate > 1.0 + YOUNG_CEILING:
         raise AxiomFailure(
             f"estimated Young constant {rep.constant_estimate} exceeds 1; "
@@ -232,13 +225,8 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
             for c in enumerate_group_like_projections(base)]
     rep = _multistart(objective, renorms, 1, base.dim, restarts, iters, seed,
                       warm)
-    return SharpnessReport(
-        kind="hausdorff-young", exponents=(p, float(pc)),
-        constant_estimate=rep.constant_estimate,
-        argmax=tuple(base.element(v) for v in rep.argmax),
-        restarts_used=rep.restarts_used, iterations=rep.iterations,
-        seed=rep.seed, converged=rep.converged, history=rep.history,
-        converged_per_restart=rep.converged_per_restart)
+    return replace(rep, kind="hausdorff-young", exponents=(p, float(pc)),
+                   argmax=tuple(base.element(v) for v in rep.argmax))
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +248,21 @@ class HuntReport:
     disclaimer: str = DISCLAIMER
 
 
-def _nearest_projection_multiple(f: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _nearest_projection_multiple(f: np.ndarray, blocks: Blocks) -> np.ndarray:
     """fit * (spectral rounding of the Hermitian part of f), for a
-    block-diagonal f whose rows carry the Hilbert-Schmidt weights mu."""
+    block-diagonal f, fitted in the Hilbert-Schmidt inner product of blocks."""
     herm = 0.5 * (f + f.conj().T)
     w, u = np.linalg.eigh(herm)
-    denom = float(np.real(np.vdot(f, mu * f)))
+    denom = blocks.hs(f, f).real
     if denom <= 1e-300:
         return np.zeros_like(f)
-    level = float(np.real(np.vdot(f, mu * (f @ f))) / denom)
+    level = blocks.hs(f, f @ f).real / denom
     mask = (w > 0.5 * level).astype(float)
     proj = (u * mask) @ u.conj().T
-    pnorm = float(np.real(np.vdot(proj, mu * proj)))
+    pnorm = blocks.hs(proj, proj).real
     if pnorm <= 1e-300:
         return np.zeros_like(f)
-    fit = np.vdot(proj, mu * f) / pnorm
+    fit = blocks.hs(proj, f) / pnorm
     return fit * proj
 
 
@@ -334,14 +322,13 @@ def hunt_nongrouplike_biprojection(g, budget: int = 8, seed: int = 42,
     pair = g if isinstance(g, DualPair) else build_dual(g)
     base = pair.base
     dual_blocks = pair.dual_qg.blocks
-    mu = dual_blocks.multiplicity[:, None]
 
     def objective(v):
         r1 = base.multiply(v, v) - v
         r2 = base.star_of(v) - v
         f = dual_blocks.diag(fourier_coeffs(pair, v))
-        j1 = f - _nearest_projection_multiple(f, mu)
-        return (float(np.real(np.vdot(j1, mu * j1)))
+        j1 = f - _nearest_projection_multiple(f, dual_blocks)
+        return (dual_blocks.hs(j1, j1).real
                 + penalty * (float(np.real(np.vdot(r1, r1)))
                              + float(np.real(np.vdot(r2, r2)))))
 

@@ -142,14 +142,14 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
     Inner products are the Hilbert-Schmidt ones of the operators on L^2(G),
     where block i of the dual appears d_i times."""
     f = _fourier_blocks(pair, h)
-    mu = pair.dual_qg.blocks.multiplicity[:, None]
-    scale = float(np.sqrt(np.real(np.vdot(f, mu * f))))
+    blocks = pair.dual_qg.blocks
+    scale = float(np.sqrt(blocks.hs(f, f).real))
     if scale <= tol:
         return CheckReport(name="biprojection", passed=False,
                            max_residual=1.0, tol=tol,
                            details={"reason": "zero transform", "multiple": 0.0})
     ff = f @ f
-    fit = complex(np.vdot(f, mu * ff) / np.vdot(f, mu * f))
+    fit = blocks.hs(f, ff) / blocks.hs(f, f)
     res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)
     res_sa = _maxabs(f - f.conj().T) / max(_maxabs(f), 1e-300)
     res_real = abs(fit.imag)

@@ -188,6 +188,17 @@ def test_non_integer_qg_seed_is_an_error(capsys, monkeypatch):
     assert "QG_SEED" in err
 
 
+def test_bad_qg_seed_only_matters_where_it_supplies_the_seed(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "abc")
+    code, out, _ = run_cli(capsys, "catalog")
+    assert code == 0 and json.loads(out)["command"] == "catalog"
+    code, out, _ = run_cli(capsys, "suq2", "--n", "1")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--samples", "5", "--seed", "9")
+    assert code == 0 and json.loads(out)["seed"] == 9
+
+
 def test_failing_check_exits_two(capsys, monkeypatch):
     def broken(args):
         return cli._document("young", args.example, {}, args.seed, [

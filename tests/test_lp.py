@@ -1,8 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.core import build_function_algebra, cyclic_table
+from qgharm.core import (
+    CayleyTable,
+    build_function_algebra,
+    build_group_algebra,
+    cyclic_table,
+    dihedral_table,
+)
 from qgharm.duality import build_dual, fourier_coeffs
 from qgharm.errors import BadExponents, NotAutomorphism
 from test_duality import _transported
@@ -131,13 +139,30 @@ def test_triangle_inequality_and_scaling():
 # second route: the regular representation
 # ---------------------------------------------------------------------------
 
+def _s4_table():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return CayleyTable(table=tuple(
+        tuple(index[tuple(p[q[x]] for x in range(4))] for q in perms)
+        for p in perms)).validate()
+
+
 def _spaces():
-    """Base and dual spaces of the catalog and of complex transports of it."""
+    """Base and dual spaces of the catalog and of complex transports of it,
+    and algebras with several matrix blocks of unequal weight c_i: C[S4]
+    (blocks 1, 1, 2, 3, 3), the dual of l^inf(S4), and C[D5] (blocks
+    1, 1, 2, 2) under a central weight that is not the Haar state."""
     for name in EXAMPLE_NAMES:
         for g in (get_example(name), _transported(get_example(name), seed=7)):
             pair = build_dual(g)
             yield g, g.haar
             yield pair.dual_qg, pair.dual_weight
+    s4 = build_group_algebra(_s4_table())
+    yield s4, s4.haar
+    pair = build_dual(build_function_algebra(_s4_table()))
+    yield pair.dual_qg, pair.dual_weight
+    d5 = build_group_algebra(dihedral_table(5))
+    yield d5, d5.blocks.trace_form(np.array([0.3, 1.1, 0.7, 2.9]))
 
 
 def _regular_norms(g, weight, xs, p):
