@@ -30,6 +30,7 @@ from .duality import (
 from .errors import AxiomFailure, BadFlags, BadParameters, QgharmError
 from .lp import base_space, dual_space, hausdorff_young_check, young_check
 from .sharpness import (
+    CEILING,
     estimate_best_constant_hy,
     estimate_best_constant_young,
     hunt_nongrouplike_biprojection,
@@ -224,7 +225,7 @@ def _run_sharpness(args) -> dict:
         f"best-constant-{args.kind}", "sharp-constant-estimate",
         lhs=rep.constant_estimate, rhs=1.0,
         residual=max(0.0, rep.constant_estimate - 1.0),
-        holds=rep.constant_estimate <= 1.0 + 1e-6,
+        holds=rep.constant_estimate <= 1.0 + CEILING,
         converged=rep.converged, restarts_used=rep.restarts_used,
         iterations=rep.iterations,
         argmax=[[[float(c.real), float(c.imag)] for c in a.coeffs]

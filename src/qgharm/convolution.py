@@ -18,12 +18,11 @@ __all__ = ["convolve", "convolve_functional_form", "delta_twisted_convolve",
 
 
 def convolve(g: FiniteQuantumGroup, x, y) -> AlgebraElement:
-    """x * y = ((x phi)R . id) Delta(y)."""
-    xc, yc = g.coeffs_of(x), g.coeffs_of(y)
+    """x * y = ((x phi)R . id) Delta(y), batched over the leading axes."""
+    xc = g.coeffs_of(x)
     # functional applied to the first leg: e_i -> phi(R(e_i) x)
-    w = np.einsum("pi,pk,k->i", g.antipode, g.q_matrix, xc, optimize=True)
-    dy = (g.comult @ yc).reshape(g.dim, g.dim)
-    return g.element(w @ dy)
+    w = (xc @ g.q_matrix.T) @ g.antipode
+    return g.element((w[..., None, :] @ g.delta(y))[..., 0, :])
 
 
 def convolve_functional_form(g: FiniteQuantumGroup, omega: np.ndarray,
@@ -42,8 +41,5 @@ def functional_of(g: FiniteQuantumGroup, x) -> np.ndarray:
 
 def delta_twisted_convolve(g: FiniteQuantumGroup, x, omega: np.ndarray) -> AlgebraElement:
     """x * omega = (id . omega R) Delta(x); the modular twist is trivial here."""
-    xc = g.coeffs_of(x)
     om = np.asarray(omega, dtype=complex).reshape(-1)
-    om_r = om @ g.antipode
-    dx = (g.comult @ xc).reshape(g.dim, g.dim)
-    return g.element(dx @ om_r)
+    return g.element(g.delta(x) @ (om @ g.antipode))

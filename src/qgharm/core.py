@@ -199,35 +199,39 @@ class FiniteQuantumGroup:
     # -- elementary operations on coefficient vectors --
 
     def coeffs_of(self, x) -> np.ndarray:
+        """Coefficients of x, shape (..., n): one vector or a stack of them.
+        The maps below broadcast over the leading axes."""
         if isinstance(x, AlgebraElement):
             if x.owner is not self:
                 raise OwnerMismatch("element belongs to a different algebra")
             return x.coeffs
-        c = np.asarray(x, dtype=complex).reshape(-1)
-        if c.shape != (self.dim,):
+        c = np.asarray(x, dtype=complex)
+        if c.shape[-1:] != (self.dim,):
             raise ShapeMismatch(f"expected {self.dim} coefficients, got {c.shape}")
         return c
 
     def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(owner=self, coeffs=np.asarray(coeffs, dtype=complex).reshape(-1))
+        return AlgebraElement(owner=self, coeffs=coeffs)
 
     def multiply(self, x, y) -> np.ndarray:
         a, b = self.coeffs_of(x), self.coeffs_of(y)
-        return np.einsum("i,j,ijk->k", a, b, self.mult, optimize=True)
+        n = self.dim
+        left = (a @ self.mult.reshape(n, n * n)).reshape(a.shape[:-1] + (n, n))
+        return (b[..., None, :] @ left)[..., 0, :]
 
     def star_of(self, x) -> np.ndarray:
-        return self.star @ np.conj(self.coeffs_of(x))
+        return np.conj(self.coeffs_of(x)) @ self.star.T
 
     def delta(self, x) -> np.ndarray:
-        """Delta(x) as an (n, n) coefficient matrix over e_i x e_j."""
-        n = self.dim
-        return (self.comult @ self.coeffs_of(x)).reshape(n, n)
+        """Delta(x) as an (..., n, n) coefficient matrix over e_i x e_j."""
+        c = self.coeffs_of(x)
+        return (c @ self.comult.T).reshape(c.shape[:-1] + (self.dim, self.dim))
 
     def antipode_of(self, x) -> np.ndarray:
-        return self.antipode @ self.coeffs_of(x)
+        return self.coeffs_of(x) @ self.antipode.T
 
     def haar_of(self, x) -> complex:
-        return complex(self.haar @ self.coeffs_of(x))
+        return self.coeffs_of(x) @ self.haar
 
     def tensor_mult(self, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
         """Product in M x M of two (n, n) coefficient matrices."""
@@ -235,11 +239,6 @@ class FiniteQuantumGroup:
                          optimize=True)
 
     # -- derived data --
-
-    @property
-    def unitary_antipode(self) -> np.ndarray:
-        """R = S on Kac-type data; verify_axioms checks S^2 = id."""
-        return self.antipode
 
     @cached_property
     def comult3(self) -> np.ndarray:
@@ -277,14 +276,15 @@ class FiniteQuantumGroup:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Coefficient vector tagged with the algebra it lives in."""
+    """Coefficient vector, or a stack of them along leading axes, tagged
+    with the algebra it lives in."""
 
     owner: FiniteQuantumGroup
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex).reshape(-1))
-        if self.coeffs.shape != (self.owner.dim,):
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+        if self.coeffs.shape[-1:] != (self.owner.dim,):
             raise ShapeMismatch(
                 f"expected {self.owner.dim} coefficients, got {self.coeffs.shape}"
             )
@@ -347,10 +347,12 @@ class Blocks:
         return [entries[..., a:b].reshape(entries.shape[:-1] + (k, d, d))
                 for (d, k), a, b in zip(runs, ends, ends[1:])]
 
-    def hs(self, a: np.ndarray, b: np.ndarray) -> complex:
+    def hs(self, a: np.ndarray, b: np.ndarray):
         """Hilbert-Schmidt inner product of two block-diagonal matrices as
-        operators on L^2(G), where block i appears d_i times."""
-        return complex(np.vdot(a, self.multiplicity[:, None] * b))
+        operators on L^2(G), where block i appears d_i times; batched over
+        the leading axes."""
+        return np.sum(np.conj(a) * (self.multiplicity[:, None] * b),
+                      axis=(-2, -1))
 
     def coeffs_of_diag(self, mat: np.ndarray) -> np.ndarray:
         """Coefficients of the element whose blocks are the diagonal blocks
@@ -784,7 +786,7 @@ def apply_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray, x) -> AlgebraEl
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (g.dim, g.dim):
         raise ShapeMismatch(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
-    return g.element(alpha @ g.coeffs_of(x))
+    return g.element(g.coeffs_of(x) @ alpha.T)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .errors import (
     DegenerateDual,
     NotInDual,
     NotUnitary,
-    OwnerMismatch,
     PlancherelInconsistent,
     ShapeMismatch,
 )
@@ -191,17 +190,14 @@ def build_dual(g: FiniteQuantumGroup, tol: float = 1e-8) -> DualPair:
 # ---------------------------------------------------------------------------
 
 def fourier_coeffs(pair: DualPair, x) -> np.ndarray:
-    """Coefficients of F(x) over the dual basis: (Qx)_s."""
-    if isinstance(x, AlgebraElement) and x.owner is not pair.base:
-        raise OwnerMismatch("element belongs to a different algebra")
-    xc = pair.base.coeffs_of(x)
-    return pair.base.q_matrix @ xc
+    """Coefficients of F(x) over the dual basis: (Qx)_s, batched over the
+    leading axes."""
+    return pair.base.coeffs_of(x) @ pair.base.q_matrix.T
 
 
 def fourier(pair: DualPair, x) -> np.ndarray:
     """F(x) = lambda(x phi) as a matrix on the GNS space."""
-    c = fourier_coeffs(pair, x)
-    return np.einsum("s,sij->ij", c, pair.dual_basis, optimize=True)
+    return dual_matrix(pair, fourier_coeffs(pair, x))
 
 
 def to_dual_coeffs(pair: DualPair, x_hat: np.ndarray,
@@ -219,9 +215,11 @@ def to_dual_coeffs(pair: DualPair, x_hat: np.ndarray,
 
 
 def dual_matrix(pair: DualPair, coeffs) -> np.ndarray:
-    """Matrix of a dual element given by coefficients over the dual basis."""
-    c = np.asarray(coeffs, dtype=complex).reshape(-1)
-    return np.einsum("s,sij->ij", c, pair.dual_basis, optimize=True)
+    """Matrix of a dual element given by coefficients over the dual basis,
+    batched over the leading axes."""
+    c = np.asarray(coeffs, dtype=complex)
+    n = pair.base.dim
+    return (c @ pair.dual_basis.reshape(n, n * n)).reshape(c.shape[:-1] + (n, n))
 
 
 def dual_fourier(pair: DualPair, x_hat: np.ndarray) -> AlgebraElement:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .convolution import convolve
-from .core import AlgebraElement, FiniteQuantumGroup, is_automorphism
+from .core import FiniteQuantumGroup, is_automorphism
 from .duality import DualPair, fourier_coeffs
 from .errors import BadExponents, NotAutomorphism, NotTracial, ShapeMismatch
 from .report import CheckReport
@@ -153,13 +153,10 @@ def lp_norm(space: WeightedLpSpace, x, p) -> float:
     """weight(|x|^p)^{1/p}; operator norm for p = inf."""
     if not space.tracial:
         raise NotTracial("norm formula needs a tracial weight")
-    if isinstance(x, AlgebraElement):
-        coeffs = space.algebra.coeffs_of(x)
-    else:
-        coeffs = np.asarray(x, dtype=complex).reshape(-1)
-        if coeffs.shape != (space.algebra.dim,):
-            raise ShapeMismatch(
-                f"expected {space.algebra.dim} coefficients, got {coeffs.shape}")
+    coeffs = space.algebra.coeffs_of(x)
+    if coeffs.ndim != 1:
+        raise ShapeMismatch(
+            f"expected {space.algebra.dim} coefficients, got {coeffs.shape}")
     w, d = spectral_data(space, coeffs)
     return float(norms_from_spectral(w, d, p))
 

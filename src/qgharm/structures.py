@@ -110,7 +110,7 @@ def verify_glp_properties(g: FiniteQuantumGroup, h,
     right_fun = np.einsum("ki,k->i", g.q_matrix, hc, optimize=True)
     res = {
         "antipode_fixes": _maxabs(g.antipode @ hc - hc),
-        "unitary_antipode_fixes": _maxabs(g.unitary_antipode @ hc - hc),
+        "unitary_antipode_fixes": _maxabs(g.antipode @ hc - hc),
         "mirrored_relation": _maxabs(mirrored - np.outer(hc, hc)),
         "weighted_functionals_equal": _maxabs(left_fun - right_fun),
         "convolution_idempotent": _maxabs(
@@ -432,7 +432,7 @@ def shift_check(g: FiniteQuantumGroup, x, h, side: str = "left",
             and _maxabs(g.star_of(xc) - xc) <= tol):
         raise NotProjection("shift candidate must be a projection")
     dx, dh = g.delta(xc), g.delta(hc)
-    rx = g.unitary_antipode @ xc
+    rx = g.antipode @ xc
     if side == "left":
         rel1 = np.einsum("ij,k,jkl->il", dx, hc, g.mult, optimize=True) \
             - np.outer(xc, hc)

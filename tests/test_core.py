@@ -183,6 +183,8 @@ def test_bad_coefficient_shape():
     g = get_example("z3-function")
     with pytest.raises(ShapeMismatch):
         g.coeffs_of([1.0, 2.0])
+    with pytest.raises(ShapeMismatch):   # a stack needs n along its last axis
+        g.coeffs_of(np.ones((3, 2)))
 
 
 def test_inversion_is_an_automorphism_of_function_algebra():

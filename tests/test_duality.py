@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
+from qgharm.convolution import convolve
 from qgharm.core import FiniteQuantumGroup, symmetric_table_s3, verify_axioms
 from qgharm.duality import (
     biduality_check,
@@ -278,3 +279,43 @@ def test_element_json_roundtrip():
     assert np.max(np.abs(c - np.array([1.0 + 2.0j, -0.5]))) == 0.0
     with pytest.raises(ValueError):
         element_to_json([1.0], "primal")
+
+
+def _catalog_pairs_and_dual_pairs():
+    for name in EXAMPLE_NAMES:
+        pair = build_dual(get_example(name))
+        yield pair
+        yield build_dual(pair.dual_qg)
+
+
+def test_batched_ops_match_their_definitions():
+    """multiply, star_of, haar_of, convolve, fourier_coeffs, fourier and
+    Blocks.hs on one vector and on stacks (broadcast either way) against
+    einsum/vdot."""
+    rng = np.random.default_rng(5)
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert _maxabs(got - ref) <= 1e-13 * max(1.0, _maxabs(ref))
+
+    for pair in _catalog_pairs_and_dual_pairs():
+        g = pair.base
+        n = g.dim
+        xs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        ys = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for x, y in ((xs[0], ys[0]), (xs, ys), (xs, ys[1]), (xs[2], ys)):
+            close(g.multiply(x, y), np.einsum("...i,...j,ijk->...k", x, y, g.mult))
+            close(g.star_of(x), np.einsum("ij,...j->...i", g.star, np.conj(x)))
+            close(np.asarray(g.haar_of(x)), np.einsum("k,...k->...", g.haar, x))
+            w = np.einsum("pi,pk,...k->...i", g.antipode, g.q_matrix, x)
+            dy = np.einsum("ak,...k->...a", g.comult, y).reshape(y.shape[:-1] + (n, n))
+            close(convolve(g, x, y).coeffs, np.einsum("...i,...ij->...j", w, dy))
+            coeffs = np.einsum("sk,...k->...s", g.q_matrix, x)
+            close(fourier_coeffs(pair, x), coeffs)
+            close(fourier(pair, x), np.einsum("...s,sij->...ij", coeffs, pair.dual_basis))
+            a, b = np.broadcast_arrays(g.blocks.diag(x), g.blocks.diag(y))
+            weighted = g.blocks.multiplicity[:, None] * b
+            ref = np.array([np.vdot(u, v) for u, v in
+                            zip(a.reshape(-1, *a.shape[-2:]),
+                                weighted.reshape(-1, *a.shape[-2:]))])
+            close(np.reshape(g.blocks.hs(a, b), -1), ref)
