@@ -28,7 +28,7 @@ from .duality import (
     plancherel_check,
 )
 from .errors import AxiomFailure, BadFlags, BadParameters, QgharmError
-from .lp import base_space, dual_space, hausdorff_young_check, young_check
+from .lp import hausdorff_young_sides, young_sides
 from .sharpness import (
     CEILING,
     estimate_best_constant_hy,
@@ -137,12 +137,10 @@ def _run_verify(args) -> dict:
                      {"tol": args.tol, "samples": 100}, args.seed, checks)
 
 
-def _worst_ratio(name: str, claim: str, reports) -> dict:
-    """One check entry for the largest lhs/rhs ratio over seeded samples."""
-    worst_ratio, worst_index = 0.0, -1
-    for i, rep in enumerate(reports):
-        if rep.ratio > worst_ratio:
-            worst_ratio, worst_index = rep.ratio, i
+def _worst_ratio(name: str, claim: str, ratios: np.ndarray) -> dict:
+    """Check entry for the largest ratio; the witness is its first sample."""
+    worst_index = int(np.argmax(ratios))
+    worst_ratio = float(ratios[worst_index])
     holds = worst_ratio <= 1.0 + 1e-9
     entry = _check(name, claim, lhs=worst_ratio, rhs=1.0,
                    residual=max(0.0, worst_ratio - 1.0), holds=holds)
@@ -154,12 +152,9 @@ def _worst_ratio(name: str, claim: str, reports) -> dict:
 def _run_young(args) -> dict:
     _at_least_one("--samples", args.samples)
     g = catalog.get_example(args.example)
-    sp = base_space(g)
     elems = _seeded_elements(g, 2 * args.samples, args.seed)
-    entry = _worst_ratio(
-        "young-inequality", "convolution-norm-bound",
-        (young_check(g, elems[2 * i], elems[2 * i + 1], args.p, args.q,
-                     space=sp) for i in range(args.samples)))
+    _, _, ratios = young_sides(g, elems[0::2], elems[1::2], args.p, args.q)
+    entry = _worst_ratio("young-inequality", "convolution-norm-bound", ratios)
     return _document("young", args.example,
                      {"p": args.p, "q": args.q, "samples": args.samples},
                      args.seed, [entry])
@@ -168,12 +163,10 @@ def _run_young(args) -> dict:
 def _run_hausdorff_young(args) -> dict:
     _at_least_one("--samples", args.samples)
     g = catalog.get_example(args.example)
-    pair = build_dual(g)
-    bsp, dsp = base_space(g), dual_space(pair)
     elems = _seeded_elements(g, args.samples, args.seed)
-    entry = _worst_ratio(
-        "hausdorff-young-inequality", "fourier-norm-bound",
-        (hausdorff_young_check(pair, x, args.p, bsp, dsp) for x in elems))
+    _, _, ratios = hausdorff_young_sides(build_dual(g), elems, args.p)
+    entry = _worst_ratio("hausdorff-young-inequality", "fourier-norm-bound",
+                         ratios)
     return _document("hausdorff-young", args.example,
                      {"p": args.p, "samples": args.samples}, args.seed,
                      [entry])

@@ -30,13 +30,13 @@ def convolve_functional_form(g: FiniteQuantumGroup, omega: np.ndarray,
     """(omega * theta) = (omega . theta) Delta, on functional coefficient rows."""
     om = np.asarray(omega, dtype=complex).reshape(-1)
     th = np.asarray(theta, dtype=complex).reshape(-1)
-    return np.einsum("i,j,ijk->k", om, th, g.comult3, optimize=True)
+    return om @ (th @ g.comult3)
 
 
 def functional_of(g: FiniteQuantumGroup, x) -> np.ndarray:
     """Coefficient row of the functional x phi: y -> phi(y x)."""
     xc = g.coeffs_of(x)
-    return np.einsum("ik,k->i", g.q_matrix, xc, optimize=True)
+    return xc @ g.q_matrix.T
 
 
 def delta_twisted_convolve(g: FiniteQuantumGroup, x, omega: np.ndarray) -> AlgebraElement:

@@ -13,6 +13,7 @@ the state, traciality, and the involutivity of the antipode.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -234,9 +235,14 @@ class FiniteQuantumGroup:
         return self.coeffs_of(x) @ self.haar
 
     def tensor_mult(self, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-        """Product in M x M of two (n, n) coefficient matrices."""
-        return np.einsum("ij,kl,ikp,jlq->pq", xx, yy, self.mult, self.mult,
-                         optimize=True)
+        """Product in M x M of (..., n, n) coefficient matrices over
+        e_i x e_j, batched over the leading axes: the first legs multiply
+        for every pair (j, l) of second-leg indices, then the second legs."""
+        n = self.dim
+        first = self.multiply(np.swapaxes(xx, -1, -2)[..., :, None, :],
+                              np.swapaxes(yy, -1, -2)[..., None, :, :])
+        return np.swapaxes(first.reshape(first.shape[:-3] + (n * n, n)),
+                           -1, -2) @ self.mult.reshape(n * n, n)
 
     # -- derived data --
 
@@ -249,7 +255,7 @@ class FiniteQuantumGroup:
     @cached_property
     def q_matrix(self) -> np.ndarray:
         """Q[i, j] = haar(e_i e_j)."""
-        return np.einsum("ijk,k->ij", self.mult, self.haar, optimize=True)
+        return self.mult @ self.haar
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -473,62 +479,61 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _on_two_legs(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """[i, j, k] = sum_{u, v} a[i, u] a[j, v] t[u, v, k]: the matrix a
+    applied to both first legs of an (n, n, n) tensor."""
+    return a @ (a @ t.reshape(len(a), -1)).reshape(t.shape)
+
+
 def verify_axioms(g: FiniteQuantumGroup, tol: float = 1e-10) -> AxiomReport:
     """Check the Hopf *-algebra and Haar axioms; every residual must be <= tol."""
     n = g.dim
     m, c3 = g.mult, g.comult3
+    m_in, m_out = m.reshape(n, n * n), m.reshape(n * n, n)
+    c_in, c_out = c3.reshape(n, n * n), c3.reshape(n * n, n)
     eye = np.eye(n)
     res = {}
 
-    # algebra laws
-    assoc_l = np.einsum("ijl,lkm->ijkm", m, m, optimize=True)
-    assoc_r = np.einsum("jkl,ilm->ijkm", m, m, optimize=True)
-    res["associativity"] = _maxabs(assoc_l - assoc_r)
-    res["unit"] = max(
-        _maxabs(np.einsum("ijk,i->jk", m, g.unit) - eye),
-        _maxabs(np.einsum("ijk,j->ik", m, g.unit) - eye),
-    )
+    # algebra laws, as [i, j, k, m] tensors; a vector times an (n, n, n)
+    # tensor contracts its middle axis
+    assoc_r = np.tensordot(m, m, axes=([2], [1])).transpose(2, 0, 1, 3)
+    res["associativity"] = _maxabs((m_out @ m_in).reshape(n, n, n, n) - assoc_r)
+    res["unit"] = max(_maxabs((g.unit @ m_in).reshape(n, n) - eye),
+                      _maxabs(g.unit @ m - eye))
 
     # coalgebra laws: (Delta x i)Delta and (i x Delta)Delta as (n,n,n,n) tensors
-    lhs = np.einsum("abi,ijk->abjk", c3, c3, optimize=True)
-    rhs = np.einsum("aik,bci->abck", c3, c3, optimize=True)
-    res["coassociativity"] = _maxabs(lhs - rhs)
-    res["counit"] = max(
-        _maxabs(np.einsum("abk,a->bk", c3, g.counit) - eye),
-        _maxabs(np.einsum("abk,b->ak", c3, g.counit) - eye),
-    )
+    rhs = np.tensordot(c3, c3, axes=([1], [2])).transpose(0, 2, 3, 1)
+    res["coassociativity"] = _maxabs((c_out @ c_in).reshape(n, n, n, n) - rhs)
+    res["counit"] = max(_maxabs((g.counit @ c_in).reshape(n, n) - eye),
+                        _maxabs(g.counit @ c3 - eye))
     res["delta_unital"] = _maxabs(g.delta(g.unit) - np.outer(g.unit, g.unit))
 
-    # Delta is a *-homomorphism
-    dprod = np.einsum("abi,cdj,acp,bdq->pqij", c3, c3, m, m, optimize=True)
-    dmul = np.einsum("pqk,ijk->pqij", c3.reshape(n, n, n), m, optimize=True)
-    res["delta_homomorphism"] = _maxabs(dprod - dmul)
-    dstar_lhs = np.einsum("abk,kl->abl", c3, g.star, optimize=True)
-    dstar_rhs = np.einsum("ap,bq,pql->abl", g.star, g.star, np.conj(c3),
-                          optimize=True)
-    res["delta_star_compatibility"] = _maxabs(dstar_lhs - dstar_rhs)
+    # Delta is a *-homomorphism: Delta(e_i) Delta(e_j) = Delta(e_i e_j)
+    deltas = c3.transpose(2, 0, 1)
+    res["delta_homomorphism"] = _maxabs(
+        g.tensor_mult(deltas[:, None], deltas[None, :])
+        - (m_out @ c_out.T).reshape(n, n, n, n))
+    res["delta_star_compatibility"] = _maxabs(
+        c3 @ g.star - _on_two_legs(g.star, np.conj(c3)))
 
-    # antipode axiom and involutivity
+    # antipode axiom and involutivity: m(S x id)Delta = m(id x S)Delta = 1 eps
     s = g.antipode
-    anti_l = np.einsum("abk,pa,pbq->qk", c3, s, m, optimize=True)
-    anti_r = np.einsum("abk,pb,apq->qk", c3, s, m, optimize=True)
+    anti_l = m_out.T @ (s @ c_in).reshape(n * n, n)
+    anti_r = m_out.T @ (s @ c3).reshape(n * n, n)
     target = np.outer(g.unit, g.counit)
     res["antipode"] = max(_maxabs(anti_l - target), _maxabs(anti_r - target))
     res["antipode_squared"] = _maxabs(s @ s - eye)
 
     # star laws: involution, and (e_i e_j)* = e_j* e_i*
     res["star_involution"] = _maxabs(g.star @ np.conj(g.star) - eye)
-    star_prod = np.einsum("ijk,lk->ijl", np.conj(m), g.star, optimize=True)
-    star_rev = np.einsum("pj,qi,pql->ijl", g.star, g.star, m, optimize=True)
-    res["star_antimultiplicative"] = _maxabs(star_prod - star_rev)
+    res["star_antimultiplicative"] = _maxabs(
+        np.conj(m) @ g.star.T - _on_two_legs(g.star.T, m).transpose(1, 0, 2))
 
     # Haar state
     phi = g.haar
-    left_inv = np.einsum("abk,b->ak", c3, phi, optimize=True)
-    right_inv = np.einsum("abk,a->bk", c3, phi, optimize=True)
-    inv_target = np.outer(g.unit, phi)
-    res["haar_left_invariance"] = _maxabs(left_inv - inv_target)
-    res["haar_right_invariance"] = _maxabs(right_inv - inv_target)
+    res["haar_left_invariance"] = _maxabs(phi @ c3 - np.outer(g.unit, phi))
+    res["haar_right_invariance"] = _maxabs((phi @ c_in).reshape(n, n)
+                                           - np.outer(g.unit, phi))
     res["haar_normalized"] = abs(complex(phi @ g.unit) - 1.0)
 
     gram = g.gram
@@ -686,17 +691,12 @@ def build_kac_paljutkin() -> FiniteQuantumGroup:
     delta_z = qg_alg.tensor_mult(j_factor, np.outer(z_v, z_v))
 
     comult = np.zeros((n * n, n), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                acc = np.outer(unit, unit).astype(complex)
-                for _ in range(a):
-                    acc = qg_alg.tensor_mult(acc, delta_x)
-                for _ in range(b):
-                    acc = qg_alg.tensor_mult(acc, delta_y)
-                for _ in range(c):
-                    acc = qg_alg.tensor_mult(acc, delta_z)
-                comult[:, widx(a, b, c)] = acc.reshape(-1)
+    for a, b, c in itertools.product(range(2), repeat=3):
+        acc = np.outer(unit, unit).astype(complex)
+        for factor, power in ((delta_x, a), (delta_y, b), (delta_z, c)):
+            if power:
+                acc = qg_alg.tensor_mult(acc, factor)
+        comult[:, widx(a, b, c)] = acc.reshape(-1)
 
     # S fixes the generators and reverses words: x^a y^b z -> x^b y^a z.
     antipode = np.zeros((n, n))
@@ -713,21 +713,12 @@ def build_kac_paljutkin() -> FiniteQuantumGroup:
             star[widx(a, b, 0), widx(a, b, 0)] = 1.0
             word_times_klein(b, a, 1.0, star[:, widx(a, b, 1)], 1)
 
-    # Haar state: solve (i x phi) Delta = phi(.) 1 together with phi(1) = 1.
-    c3 = comult.reshape(n, n, n)
-    rows = []
-    rhs = []
-    for k in range(n):
-        block = np.zeros((n, n), dtype=complex)   # column s: d/dphi_s of lhs
-        for s in range(n):
-            block[:, s] = c3[:, s, k]
-        block -= np.outer(unit, np.eye(n)[k])
-        rows.append(block)
-        rhs.append(np.zeros(n))
-    rows.append(unit.reshape(1, n).astype(complex))
-    rhs.append(np.ones(1))
-    system = np.vstack([r.reshape(-1, n) for r in rows])
-    target = np.concatenate(rhs)
+    # Haar state: solve (i x phi) Delta = phi(.) 1 together with phi(1) = 1;
+    # row (k, a), column s: comult3[a, s, k] - unit[a] [s = k]
+    invariance = comult.reshape(n, n, n) - unit[:, None, None] * np.eye(n)
+    system = np.vstack([invariance.transpose(2, 0, 1).reshape(n * n, n),
+                        unit[None, :]])
+    target = np.concatenate([np.zeros(n * n), np.ones(1)])
     haar, *_ = np.linalg.lstsq(system, target, rcond=None)
     if _maxabs(system @ haar - target) > 1e-12:
         raise AxiomFailure("no invariant state for the presented data")
@@ -770,10 +761,7 @@ def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray, tol: float = 1e-10
         raise ShapeMismatch(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
     if abs(np.linalg.det(alpha)) < 1e-12:
         return False
-    m = g.mult
-    lhs = np.einsum("ijk,pk->ijp", m, alpha, optimize=True)
-    rhs = np.einsum("ai,bj,abp->ijp", alpha, alpha, m, optimize=True)
-    if _maxabs(lhs - rhs) > tol:
+    if _maxabs(g.mult @ alpha.T - _on_two_legs(alpha.T, g.mult)) > tol:
         return False
     if _maxabs(alpha @ g.unit - g.unit) > tol:
         return False

@@ -18,13 +18,15 @@ differ by exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .convolution import convolve
-from .core import AlgebraElement, FiniteQuantumGroup, _maxabs, verify_axioms
+from .core import (AlgebraElement, FiniteQuantumGroup, _maxabs, _on_two_legs,
+                   verify_axioms)
 from .errors import (
     AxiomFailure,
     DegenerateDual,
@@ -62,7 +64,7 @@ class DualPair:
     dual unit. The dual_qg carries the normalized state so the axiom
     verifier applies. w is the multiplicative unitary on the twofold GNS
     space and w_star its inverse; both are formed from the base on first
-    use.
+    use. The pairs of build_dual share their arrays, which are read-only.
     """
 
     base: FiniteQuantumGroup
@@ -76,8 +78,8 @@ class DualPair:
         """W* from W*(a . b) = Delta(b)(a . 1) on basis pairs."""
         g = self.base
         n = g.dim
-        return np.einsum("stb,sau->utab", g.comult3, g.mult,
-                         optimize=True).reshape(n * n, n * n)
+        return np.tensordot(g.comult3, g.mult, axes=([0], [0])).transpose(
+            3, 0, 2, 1).reshape(n * n, n * n)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -131,11 +133,13 @@ def comult_conjugation_residual(pair: DualPair) -> float:
     """Max-abs residual of Delta(x) = W*(1 . x)W over the operator basis."""
     g = pair.base
     n = g.dim
+    lreg = g.left_regular
     w3 = pair.w.reshape(n, n, n * n)
-    lhs = pair.w_star @ np.einsum("kbc,acm->kabm", g.left_regular, w3,
-                                  optimize=True).reshape(n, n * n, n * n)
-    rhs = np.einsum("ijk,iab,jcd->kacbd", g.comult3, g.left_regular,
-                    g.left_regular, optimize=True).reshape(n, n * n, n * n)
+    lhs = pair.w_star @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
+    # [k, a, b, c, d] = sum_{i, j} comult3[i, j, k] L_i[a, b] L_j[c, d]
+    rhs = np.tensordot(np.tensordot(g.comult3, lreg, axes=([0], [0])), lreg,
+                       axes=([0], [0]))
+    rhs = rhs.transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
     return _maxabs(lhs - rhs)
 
 
@@ -143,8 +147,21 @@ def build_dual(g: FiniteQuantumGroup, tol: float = 1e-8) -> DualPair:
     """Dual quantum group, dual basis and dual weight in closed form.
 
     Gates: the base axioms at 1e-10, a positive dual weight total, the dual
-    axioms at tol, and Plancherel Q^dagger Ghat Q = G at tol.
+    axioms at tol, and Plancherel Q^dagger Ghat Q = G at tol. Built once
+    per group and tol: g keeps the pair without its base and a weak
+    reference to the pair, so g is in no reference cycle, and the pair is
+    the same while a caller holds it. A build that raises is not kept.
     """
+    duals = vars(g).setdefault("_duals", {})
+    template, ref = duals.get(tol, (None, None))
+    pair = ref and ref()
+    if pair is None:
+        pair = replace(template, base=g) if template else _build_dual(g, tol)
+        duals[tol] = (template or replace(pair, base=None), weakref.ref(pair))
+    return pair
+
+
+def _build_dual(g: FiniteQuantumGroup, tol: float) -> DualPair:
     report = verify_axioms(g, tol=1e-10)
     if not report.passed:
         raise AxiomFailure(f"base fails axioms: {report.failing()}")
@@ -173,11 +190,12 @@ def build_dual(g: FiniteQuantumGroup, tol: float = 1e-8) -> DualPair:
 
     pair = DualPair(
         base=g,
-        dual_basis=np.einsum("si,ijk->sjk", s, g.comult3, optimize=True),
+        dual_basis=(s @ g.comult3.reshape(n, n * n)).reshape(n, n, n),
         dual_qg=dual_qg,
         dual_weight=weight,
         dual_weight_total=total,
     )
+    pair.dual_basis.flags.writeable = pair.dual_weight.flags.writeable = False
     q = g.q_matrix
     presid = _maxabs(q.conj().T @ pair.dual_gram_weight @ q - g.gram)
     if presid > tol * max(_maxabs(g.gram), 1.0):
@@ -300,12 +318,8 @@ def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> CheckReport:
     bid = build_dual(build_dual(g).dual_qg).dual_qg
     t = g.antipode
     res = {}
-    lhs_m = np.einsum("stu,ku->stk", bid.mult, t, optimize=True)
-    rhs_m = np.einsum("is,jt,ijk->stk", t, t, g.mult, optimize=True)
-    res["mult"] = _maxabs(lhs_m - rhs_m)
-    lhs_c = np.einsum("uvs,iu,jv->ijs", bid.comult3, t, t, optimize=True)
-    rhs_c = np.einsum("ks,ijk->ijs", t, g.comult3, optimize=True)
-    res["comult"] = _maxabs(lhs_c - rhs_c)
+    res["mult"] = _maxabs(bid.mult @ t.T - _on_two_legs(t.T, g.mult))
+    res["comult"] = _maxabs(_on_two_legs(t, bid.comult3) - g.comult3 @ t)
     res["unit"] = _maxabs(t @ bid.unit - g.unit)
     res["counit"] = _maxabs(bid.counit - g.counit @ t)
     res["antipode"] = _maxabs(t @ bid.antipode - g.antipode @ t)

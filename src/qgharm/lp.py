@@ -35,6 +35,8 @@ __all__ = [
     "spectral_data",
     "norms_from_spectral",
     "YoungReport",
+    "young_sides",
+    "hausdorff_young_sides",
     "young_check",
     "young_l1_lp_check",
     "hausdorff_young_check",
@@ -188,33 +190,60 @@ class YoungReport:
                 f"{self.lhs:.6e} <= {self.rhs:.6e} ({word})")
 
 
+def _ratio(lhs, rhs):
+    """lhs / rhs; 0 where both are 0, INF where only rhs is."""
+    out = np.where(lhs == 0, 0.0, INF)
+    return np.divide(lhs, rhs, out=out, where=rhs > 0)
+
+
+def young_sides(g: FiniteQuantumGroup, x, y, p, q,
+                space: Optional[WeightedLpSpace] = None) -> tuple:
+    """lhs = ||x * y||_r, rhs = ||x||_p ||y||_q and lhs / rhs, with
+    1/r + 1 = 1/p + 1/q, over the leading axes of x and y, (..., n)."""
+    r = young_exponent(p, q)
+    sp = space if space is not None else base_space(g)
+    xc, yc = g.coeffs_of(x), g.coeffs_of(y)
+    lhs = lp_norms_batch(sp, convolve(g, xc, yc).coeffs, r)
+    rhs = lp_norms_batch(sp, xc, p) * lp_norms_batch(sp, yc, q)
+    return lhs, rhs, _ratio(lhs, rhs)
+
+
+def hausdorff_young_sides(pair: DualPair, x, p,
+                          base_sp: Optional[WeightedLpSpace] = None,
+                          dual_sp: Optional[WeightedLpSpace] = None) -> tuple:
+    """lhs = ||F(x)||_{p'} under the dual weight, rhs = ||x||_p and
+    lhs / rhs, for p in [1, 2] and x of shape (..., n)."""
+    p = _as_p(p)
+    if p > 2.0:
+        raise BadExponents("Hausdorff-Young needs p in [1, 2]")
+    bsp = base_sp if base_sp is not None else base_space(pair.base)
+    dsp = dual_sp if dual_sp is not None else dual_space(pair)
+    xc = pair.base.coeffs_of(x)
+    lhs = lp_norms_batch(dsp, fourier_coeffs(pair, xc), conjugate_exponent(p))
+    rhs = lp_norms_batch(bsp, xc, p)
+    return lhs, rhs, _ratio(lhs, rhs)
+
+
+def _report(p, q, r, sides, slack: float) -> YoungReport:
+    lhs, rhs, ratio = (float(v) for v in sides)
+    return YoungReport(p=float(p), q=float(q), r=float(r), lhs=lhs, rhs=rhs,
+                       ratio=ratio, holds=lhs <= rhs * (1.0 + slack),
+                       slack=slack)
+
+
 def young_check(g: FiniteQuantumGroup, x, y, p, q,
                 space: Optional[WeightedLpSpace] = None,
                 slack: float = 1e-9) -> YoungReport:
     """||x * y||_r <= ||x||_p ||y||_q with 1/r + 1 = 1/p + 1/q."""
-    r = young_exponent(p, q)
-    sp = space if space is not None else base_space(g)
-    conv = convolve(g, x, y)
-    lhs = lp_norm(sp, conv, r)
-    rhs = lp_norm(sp, x, p) * lp_norm(sp, y, q)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else INF)
-    return YoungReport(p=float(p), q=float(q), r=float(r), lhs=lhs, rhs=rhs,
-                       ratio=ratio, holds=lhs <= rhs * (1.0 + slack),
-                       slack=slack)
+    return _report(p, q, young_exponent(p, q),
+                   young_sides(g, x, y, p, q, space), slack)
 
 
 def young_l1_lp_check(g: FiniteQuantumGroup, x, y, p,
                       space: Optional[WeightedLpSpace] = None,
                       slack: float = 1e-9) -> YoungReport:
     """||x * y||_p <= ||x||_1 ||y||_p, the q = 1 endpoint including p = inf."""
-    p = _as_p(p)
-    sp = space if space is not None else base_space(g)
-    conv = convolve(g, x, y)
-    lhs = lp_norm(sp, conv, p)
-    rhs = lp_norm(sp, x, 1.0) * lp_norm(sp, y, p)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else INF)
-    return YoungReport(p=1.0, q=p, r=p, lhs=lhs, rhs=rhs, ratio=ratio,
-                       holds=lhs <= rhs * (1.0 + slack), slack=slack)
+    return young_check(g, x, y, 1.0, p, space, slack)
 
 
 def hausdorff_young_check(pair: DualPair, x, p,
@@ -222,17 +251,9 @@ def hausdorff_young_check(pair: DualPair, x, p,
                           dual_sp: Optional[WeightedLpSpace] = None,
                           slack: float = 1e-9) -> YoungReport:
     """||F(x)||_{p'} <= ||x||_p for p in [1, 2], dual side under the weight."""
-    p = _as_p(p)
-    if p > 2.0:
-        raise BadExponents("Hausdorff-Young needs p in [1, 2]")
     pc = conjugate_exponent(p)
-    bsp = base_sp if base_sp is not None else base_space(pair.base)
-    dsp = dual_sp if dual_sp is not None else dual_space(pair)
-    lhs = lp_norm(dsp, fourier_coeffs(pair, x), pc)
-    rhs = lp_norm(bsp, x, p)
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else INF)
-    return YoungReport(p=p, q=pc, r=pc, lhs=lhs, rhs=rhs, ratio=ratio,
-                       holds=lhs <= rhs * (1.0 + slack), slack=slack)
+    sides = hausdorff_young_sides(pair, x, p, base_sp, dual_sp)
+    return _report(p, pc, pc, sides, slack)
 
 
 def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
@@ -277,11 +298,8 @@ def functional_norm_submultiplicativity_check(
         g: FiniteQuantumGroup, x, y, slack: float = 1e-9) -> CheckReport:
     """||omega * theta|| <= ||omega|| ||theta|| for omega = x phi, theta = y phi,
     with the functional norm computed as the L^1 norm of the density."""
-    sp = base_space(g)
-    conv = convolve(g, x, y)
-    lhs = lp_norm(sp, conv, 1.0)
-    rhs = lp_norm(sp, x, 1.0) * lp_norm(sp, y, 1.0)
-    ok = lhs <= rhs * (1.0 + slack)
-    excess = 0.0 if rhs == 0 else max(0.0, lhs / rhs - 1.0)
-    return CheckReport(name="functional-norm-submultiplicative", passed=ok,
-                       max_residual=excess, tol=slack, details={})
+    lhs, rhs, ratio = young_sides(g, x, y, 1.0, 1.0)
+    return CheckReport(name="functional-norm-submultiplicative",
+                       passed=bool(lhs <= rhs * (1.0 + slack)),
+                       max_residual=max(0.0, float(ratio) - 1.0), tol=slack,
+                       details={})

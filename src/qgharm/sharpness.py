@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .convolution import convolve
 from .core import Blocks, FiniteQuantumGroup
 from .duality import DualPair, build_dual, fourier_coeffs
 from .errors import AxiomFailure, BadExponents
@@ -22,9 +21,10 @@ from .lp import (
     base_space,
     conjugate_exponent,
     dual_space,
+    hausdorff_young_sides,
     lp_norm,
-    lp_norms_batch,
     young_exponent,
+    young_sides,
 )
 from .structures import (
     enumerate_group_like_projections,
@@ -191,8 +191,7 @@ def estimate_best_constant_young(g: FiniteQuantumGroup, p, q,
     sp = base_space(g)
 
     def objective(x, y):
-        den = lp_norms_batch(sp, x, p) * lp_norms_batch(sp, y, q)
-        return _ratio(lp_norms_batch(sp, convolve(g, x, y).coeffs, r), den)
+        return young_sides(g, x, y, p, q, sp)[2]
 
     renorms = [lambda v: v / max(lp_norm(sp, v, p), 1e-300),
                lambda v: v / max(lp_norm(sp, v, q), 1e-300)]
@@ -221,8 +220,7 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
     dsp = dual_space(pair)
 
     def objective(x):
-        return _ratio(lp_norms_batch(dsp, fourier_coeffs(pair, x), pc),
-                      lp_norms_batch(bsp, x, p))
+        return hausdorff_young_sides(pair, x, p, bsp, dsp)[2]
 
     renorms = [lambda v: v / max(lp_norm(bsp, v, p), 1e-300)]
     warm = [[c.element.coeffs.astype(complex)]

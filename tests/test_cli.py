@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from qgharm import cli
+from qgharm import catalog, cli, duality, lp
+from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
+from qgharm.errors import AxiomFailure
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +129,107 @@ def test_all_subcommand_on_one_example(capsys):
     assert any(n.startswith("z2-function:") for n in names)
     assert any(n.startswith("suq2:") for n in names)
     assert all(c["holds"] for c in doc["checks"])
+
+
+def _first_strict_max(ratios):
+    """The witness rule of the per-sample loop the CLI used to run."""
+    worst, index = 0.0, -1
+    for i, ratio in enumerate(ratios):
+        if ratio > worst:
+            worst, index = ratio, i
+    return index, worst
+
+
+def test_failing_run_names_the_first_worst_sample(capsys, monkeypatch):
+    # a dual weight 16 times too large doubles ||F(x)||_4 at p = 4/3, so
+    # the run fails; its witness is the first sample of largest ratio
+    g = catalog.get_example("s3-function")
+    pair = duality.build_dual(g)
+    wrong = lp.weighted_space(pair.dual_qg, 16.0 * pair.dual_weight, "dual")
+    monkeypatch.setattr(lp, "dual_space", lambda _: wrong)
+    code, out, _ = run_cli(capsys, "hausdorff-young", "--example",
+                           "s3-function", "--samples", "60", "--seed", "5")
+    assert code == 2
+    (check,) = json.loads(out)["checks"]
+    bsp = lp.base_space(g)
+    index, worst = _first_strict_max(
+        lp.hausdorff_young_check(pair, x, 4.0 / 3.0, bsp, wrong).ratio
+        for x in cli._seeded_elements(g, 60, 5))
+    assert worst > 1.5
+    assert check["witness"]["sample_index"] == index
+    assert check["witness"]["ratio"] == pytest.approx(worst, rel=1e-12)
+
+
+def test_reported_ratio_is_the_per_sample_worst_down_to_one_sample(capsys):
+    g = catalog.get_example("kac-paljutkin")
+    for samples in (1, 20):
+        elems = cli._seeded_elements(g, 2 * samples, 8)
+        _, want = _first_strict_max(
+            lp.young_check(g, elems[2 * i], elems[2 * i + 1], 4.0 / 3.0,
+                           4.0 / 3.0).ratio for i in range(samples))
+        code, out, _ = run_cli(capsys, "young", "--example", "kac-paljutkin",
+                               "--samples", str(samples), "--seed", "8")
+        assert code == 0
+        lhs = json.loads(out)["checks"][0]["lhs"]
+        assert lhs == pytest.approx(want, rel=1e-12)
+    code, out, _ = run_cli(capsys, "hausdorff-young", "--example",
+                           "kac-paljutkin", "--samples", "1", "--seed", "8")
+    assert code == 0
+    (x,) = cli._seeded_elements(g, 1, 8)
+    want = lp.hausdorff_young_check(duality.build_dual(g), x, 4.0 / 3.0).ratio
+    assert json.loads(out)["checks"][0]["lhs"] == pytest.approx(want, rel=1e-12)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sampling_and_dual_construction_do_not_scale_with_calls(
+        capsys, monkeypatch):
+    # young evaluates every sample in one stack
+    spectral = _counting(monkeypatch, lp, "spectral_data")
+    counts = []
+    for samples in ("100", "1000"):
+        spectral.clear()
+        assert run_cli(capsys, "young", "--example", "s3-group",
+                       "--samples", samples)[0] == 0
+        counts.append(len(spectral))
+    assert counts[0] == counts[1] <= 3
+
+    # one dual and one bidual per quantum group, shared by every command
+    fresh = build_kac_paljutkin()
+    monkeypatch.setattr(catalog, "get_example", lambda name: fresh)
+    bodies = _counting(monkeypatch, duality, "_build_dual")
+    for argv in (["verify"], ["hausdorff-young", "--samples", "5"],
+                 ["structures"], ["sharpness", "--kind", "hy", "--restarts",
+                                  "1", "--iters", "2"]):
+        assert run_cli(capsys, *argv, "--example", "kac-paljutkin")[0] == 0
+    assert len(bodies) <= 2 and bodies[0] is fresh
+    assert duality.build_dual(fresh) is duality.build_dual(fresh)
+
+    # a build that raises is not kept, and g is in no reference cycle: it
+    # goes with its last reference, not at the next garbage collection
+    bad = FiniteQuantumGroup(dim=8, mult=fresh.mult, unit=fresh.unit,
+                             comult=fresh.comult, counit=fresh.counit,
+                             antipode=fresh.antipode, star=fresh.star,
+                             haar=fresh.haar + 1e-3)
+    for _ in range(2):
+        with pytest.raises(AxiomFailure):
+            duality.build_dual(bad)
+    assert bodies[-2:] == [bad, bad]
+    ref = weakref.ref(fresh)
+    del fresh, bad
+    bodies.clear()
+    spectral.clear()
+    monkeypatch.undo()
+    assert ref() is None
 
 
 def test_usage_errors_exit_one(capsys):

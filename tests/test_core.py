@@ -20,6 +20,7 @@ from qgharm.core import (
 )
 from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, NotAGroup, OwnerMismatch, ShapeMismatch
+from qgharm.structures import is_group_like_projection
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,100 @@ def test_blocks_reject_every_corrupted_product_entry():
                 haar=g.haar)
             with pytest.raises(AxiomFailure):
                 h.blocks
+
+
+# ---------------------------------------------------------------------------
+# the axiom contractions against their einsum definitions
+# ---------------------------------------------------------------------------
+
+def _einsum_axioms(g):
+    """verify_axioms written as the einsum contractions of each law."""
+    n = g.dim
+    m, c3 = g.mult, g.comult.reshape(n, n, n)
+    eye = np.eye(n)
+    mx = lambda a: float(np.max(np.abs(a)))
+    res = {
+        "associativity": mx(np.einsum("ijl,lkm->ijkm", m, m)
+                            - np.einsum("jkl,ilm->ijkm", m, m)),
+        "unit": max(mx(np.einsum("ijk,i->jk", m, g.unit) - eye),
+                    mx(np.einsum("ijk,j->ik", m, g.unit) - eye)),
+        "coassociativity": mx(np.einsum("abi,ijk->abjk", c3, c3)
+                              - np.einsum("aik,bci->abck", c3, c3)),
+        "counit": max(mx(np.einsum("abk,a->bk", c3, g.counit) - eye),
+                      mx(np.einsum("abk,b->ak", c3, g.counit) - eye)),
+        "delta_unital": mx(np.einsum("abk,k->ab", c3, g.unit)
+                           - np.outer(g.unit, g.unit)),
+        "delta_homomorphism": mx(
+            np.einsum("abi,cdj,acp,bdq->pqij", c3, c3, m, m)
+            - np.einsum("pqk,ijk->pqij", c3, m)),
+        "delta_star_compatibility": mx(
+            np.einsum("abk,kl->abl", c3, g.star)
+            - np.einsum("ap,bq,pql->abl", g.star, g.star, np.conj(c3))),
+        "antipode": max(
+            mx(np.einsum("abk,pa,pbq->qk", c3, g.antipode, m)
+               - np.outer(g.unit, g.counit)),
+            mx(np.einsum("abk,pb,apq->qk", c3, g.antipode, m)
+               - np.outer(g.unit, g.counit))),
+        "antipode_squared": mx(g.antipode @ g.antipode - eye),
+        "star_involution": mx(g.star @ np.conj(g.star) - eye),
+        "star_antimultiplicative": mx(
+            np.einsum("ijk,lk->ijl", np.conj(m), g.star)
+            - np.einsum("pj,qi,pql->ijl", g.star, g.star, m)),
+        "haar_left_invariance": mx(np.einsum("abk,b->ak", c3, g.haar)
+                                   - np.outer(g.unit, g.haar)),
+        "haar_right_invariance": mx(np.einsum("abk,a->bk", c3, g.haar)
+                                    - np.outer(g.unit, g.haar)),
+        "haar_normalized": abs(complex(g.haar @ g.unit) - 1.0),
+    }
+    q = np.einsum("ijk,k->ij", m, g.haar)
+    gram = g.star.T @ q
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    floor = 1e-8 * max(eigs[-1], 1e-300)
+    res["gram_hermitian"] = mx(gram - gram.conj().T)
+    res["positivity"] = max(0.0, -eigs[0])
+    res["faithfulness"] = 0.0 if eigs[0] > floor else max(floor - eigs[0], floor)
+    res["traciality"] = mx(q - q.T)
+    return res
+
+
+def _noisy(g, rng, size=1e-3):
+    """g with complex noise of the given size on mult, comult, star,
+    antipode and haar, so that every law reads well above rounding."""
+    def noise(a):
+        return a + size * (rng.standard_normal(a.shape)
+                           + 1j * rng.standard_normal(a.shape))
+    return FiniteQuantumGroup(
+        dim=g.dim, mult=noise(g.mult), unit=g.unit, comult=noise(g.comult),
+        counit=g.counit, antipode=noise(g.antipode), star=noise(g.star),
+        haar=noise(g.haar))
+
+
+def test_axiom_contractions_match_their_einsum_definitions():
+    rng = np.random.default_rng(5)
+    for name in EXAMPLE_NAMES:
+        base = get_example(name)
+        dual = build_dual(base).dual_qg
+        for g in (base, dual, _noisy(base, rng), _noisy(dual, rng)):
+            got = verify_axioms(g).residuals
+            want = _einsum_axioms(g)
+            assert got.keys() == want.keys()
+            for law, value in want.items():
+                assert got[law] == pytest.approx(value, rel=1e-13, abs=1e-15), \
+                    (name, law)
+
+
+def test_group_like_relation_matches_its_einsum_definition():
+    # random elements are not projections, so the relation reads O(1)
+    rng = np.random.default_rng(6)
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        for h in (rng.standard_normal((3, g.dim))
+                  + 1j * rng.standard_normal((3, g.dim))):
+            dh = g.comult.reshape(g.dim, g.dim, g.dim) @ h
+            want = np.max(np.abs(np.einsum("ij,k,jkl->il", dh, h, g.mult)
+                                 - np.outer(h, h)))
+            got = is_group_like_projection(g, h).residuals["defining_relation"]
+            assert got == pytest.approx(want, rel=1e-13), name
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
+from qgharm.convolution import convolve
 from qgharm.core import (
     CayleyTable,
     build_function_algebra,
@@ -20,6 +21,7 @@ from qgharm.lp import (
     dual_space,
     functional_norm_submultiplicativity_check,
     hausdorff_young_check,
+    hausdorff_young_sides,
     holder_check,
     lp_norm,
     lp_norms_batch,
@@ -28,6 +30,7 @@ from qgharm.lp import (
     young_check,
     young_exponent,
     young_l1_lp_check,
+    young_sides,
 )
 
 INF = float("inf")
@@ -260,6 +263,34 @@ def test_hausdorff_young_random_and_endpoint():
             # p = 2 is the Plancherel identity, an equality
             rep = hausdorff_young_check(pair, x, 2.0, bsp, dsp)
             assert rep.ratio == pytest.approx(1.0, abs=1e-11)
+
+
+def test_stacked_ratios_match_the_per_sample_checks():
+    # the reference is the per-sample formula with scalar norms; the last
+    # row is zero and takes the 0 / 0 = 0 branch
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        pair = build_dual(g)
+        bsp, dsp = base_space(g), dual_space(pair)
+        xs = np.vstack([_random(g, seed=12, count=30), np.zeros(g.dim)])
+        ys = _random(g, seed=13, count=31)
+        for p, q in ((1.0, 1.0), (4.0 / 3.0, 4.0 / 3.0), (1.5, 2.0), (2.0, 2.0)):
+            r = young_exponent(p, q)
+            want = [lp_norm(bsp, convolve(g, x, y), r)
+                    / (lp_norm(bsp, x, p) * lp_norm(bsp, y, q)) for x, y in
+                    zip(xs[:-1], ys)] + [0.0]
+            loop = [young_check(g, x, y, p, q).ratio for x, y in zip(xs, ys)]
+            for got in (young_sides(g, xs, ys, p, q)[2], loop):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                           err_msg=name)
+        for p in (1.0, 4.0 / 3.0, 2.0):
+            pc = conjugate_exponent(p)
+            want = [lp_norm(dsp, fourier_coeffs(pair, x), pc) / lp_norm(bsp, x, p)
+                    for x in xs[:-1]] + [0.0]
+            loop = [hausdorff_young_check(pair, x, p).ratio for x in xs]
+            for got in (hausdorff_young_sides(pair, xs, p)[2], loop):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                           err_msg=name)
 
 
 def test_hausdorff_young_rejects_large_p():
