@@ -4,7 +4,8 @@ Every subcommand prints a single deterministic JSON document to stdout
 (sorted keys, two-space indent, trailing newline) and a short human
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
 mathematical check fails, 1 for usage or construction errors, including a
-sample count or search budget below 1. The QG_SEED environment variable
+sample count, search budget or iteration count below 1 and a tolerance
+that is not a finite positive number. The QG_SEED environment variable
 overrides the default of 42 for every --seed flag that is not given; it
 must then be an integer. An explicit flag wins over the environment.
 """
@@ -12,6 +13,7 @@ must then be an integer. An explicit flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -64,6 +66,13 @@ def _at_least_one(flag: str, value: int) -> None:
         raise BadFlags(f"{flag} must be at least 1, got {value}")
 
 
+def _positive_tol(value: float) -> None:
+    """Refuse a tolerance that no residual can meet, or that every one
+    meets."""
+    if not (math.isfinite(value) and value > 0):
+        raise BadFlags(f"--tol must be finite and above 0, got {value}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with code 1, keeping 2
     reserved for mathematical check failures."""
@@ -110,6 +119,7 @@ def _seeded_elements(g, samples: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _run_verify(args) -> dict:
+    _positive_tol(args.tol)
     g = catalog.get_example(args.example)
     rep = verify_axioms(g, tol=args.tol)
     checks = [
@@ -173,6 +183,7 @@ def _run_hausdorff_young(args) -> dict:
 
 
 def _run_structures(args) -> dict:
+    _positive_tol(args.tol)
     g = catalog.get_example(args.example)
     pair = build_dual(g)
     checks = []
@@ -205,6 +216,8 @@ def _run_structures(args) -> dict:
 
 
 def _run_sharpness(args) -> dict:
+    _at_least_one("--restarts", args.restarts)
+    _at_least_one("--iters", args.iters)
     g = catalog.get_example(args.example)
     if args.kind == "young":
         rep = estimate_best_constant_young(
@@ -248,6 +261,7 @@ def _run_suq2(args) -> dict:
 
 def _run_hunt(args) -> dict:
     _at_least_one("--budget", args.budget)
+    _at_least_one("--iters", args.iters)
     g = catalog.get_example(args.example)
     rep = hunt_nongrouplike_biprojection(g, budget=args.budget,
                                          seed=args.seed, iters=args.iters)

@@ -30,10 +30,8 @@ from .core import (AlgebraElement, FiniteQuantumGroup, _maxabs, _on_two_legs,
 from .errors import (
     AxiomFailure,
     DegenerateDual,
-    NotInDual,
     NotUnitary,
     PlancherelInconsistent,
-    ShapeMismatch,
 )
 from .report import CheckReport
 
@@ -42,7 +40,6 @@ __all__ = [
     "build_dual",
     "fourier",
     "fourier_coeffs",
-    "to_dual_coeffs",
     "dual_matrix",
     "dual_fourier",
     "pentagon_residual",
@@ -50,8 +47,6 @@ __all__ = [
     "plancherel_check",
     "convolution_theorem_check",
     "biduality_check",
-    "element_to_json",
-    "element_from_json",
 ]
 
 
@@ -91,12 +86,6 @@ class DualPair:
         if _maxabs(iso) > 1e-9 * max(_maxabs(gg), 1.0):
             raise NotUnitary(f"W fails Gram unitarity by {_maxabs(iso):.3e}")
         return np.linalg.solve(gg, adj)
-
-    @cached_property
-    def dual_columns(self) -> np.ndarray:
-        """(n^2, n) matrix whose column s is vec(dual_basis[s])."""
-        n = self.base.dim
-        return self.dual_basis.reshape(n, n * n).T
 
     @cached_property
     def dual_q_matrix(self) -> np.ndarray:
@@ -218,20 +207,6 @@ def fourier(pair: DualPair, x) -> np.ndarray:
     return dual_matrix(pair, fourier_coeffs(pair, x))
 
 
-def to_dual_coeffs(pair: DualPair, x_hat: np.ndarray,
-                   tol: float = 1e-8) -> np.ndarray:
-    """Coefficients of a matrix over the dual basis; gated membership test."""
-    n = pair.base.dim
-    x_hat = np.asarray(x_hat, dtype=complex)
-    if x_hat.shape != (n, n):
-        raise ShapeMismatch(f"expected {(n, n)}, got {x_hat.shape}")
-    sol, *_ = np.linalg.lstsq(pair.dual_columns, x_hat.reshape(-1), rcond=None)
-    resid = _maxabs(pair.dual_columns @ sol - x_hat.reshape(-1))
-    if resid > tol * max(_maxabs(x_hat), 1.0):
-        raise NotInDual(f"matrix is outside the dual algebra by {resid:.3e}")
-    return sol
-
-
 def dual_matrix(pair: DualPair, coeffs) -> np.ndarray:
     """Matrix of a dual element given by coefficients over the dual basis,
     batched over the leading axes."""
@@ -240,14 +215,15 @@ def dual_matrix(pair: DualPair, coeffs) -> np.ndarray:
     return (c @ pair.dual_basis.reshape(n, n * n)).reshape(c.shape[:-1] + (n, n))
 
 
-def dual_fourier(pair: DualPair, x_hat: np.ndarray) -> AlgebraElement:
-    """Inverse-direction transform: Fhat_1 applied to a dual matrix.
+def dual_fourier(pair: DualPair, coeffs) -> AlgebraElement:
+    """Inverse-direction transform: Fhat_1 applied to the dual element X
+    with coefficients c over the dual basis.
 
     The functional X phihat is s -> phihat(B_s X) = (Qhat c)_s, and the
     first legs of What carry it to S Qhat c. Since Qhat Q = S and S^2 = 1,
     this inverts F.
     """
-    c = to_dual_coeffs(pair, x_hat)
+    c = pair.dual_qg.coeffs_of(coeffs)
     return pair.base.element(pair.base.antipode @ pair.dual_q_matrix @ c)
 
 
@@ -255,32 +231,32 @@ def dual_fourier(pair: DualPair, x_hat: np.ndarray) -> AlgebraElement:
 # checks
 # ---------------------------------------------------------------------------
 
-def lp2_norm_base(g: FiniteQuantumGroup, x) -> float:
-    """L^2 norm under the Haar state: phi(x* x)^(1/2)."""
-    xc = g.coeffs_of(x)
-    val = complex(xc.conj() @ g.gram @ xc)
-    return float(np.sqrt(max(val.real, 0.0)))
+def lp2_norm_base(g: FiniteQuantumGroup, x) -> np.ndarray:
+    """L^2 norm under the Haar state, phi(x* x)^(1/2), batched over the
+    leading axes."""
+    return _gram_norm(g.coeffs_of(x), g.gram)
 
 
-def lp2_norm_dual(pair: DualPair, coeffs: np.ndarray) -> float:
-    """L^2 norm of a dual element under the true Plancherel weight."""
-    c = np.asarray(coeffs, dtype=complex).reshape(-1)
-    val = complex(c.conj() @ pair.dual_gram_weight @ c)
-    return float(np.sqrt(max(val.real, 0.0)))
+def lp2_norm_dual(pair: DualPair, coeffs) -> np.ndarray:
+    """L^2 norm of a dual element under the true Plancherel weight, batched
+    over the leading axes of its dual-basis coefficients."""
+    return _gram_norm(pair.dual_qg.coeffs_of(coeffs), pair.dual_gram_weight)
+
+
+def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    val = np.sum((c.conj() @ gram) * c, axis=-1)
+    return np.sqrt(np.maximum(val.real, 0.0))
 
 
 def plancherel_check(pair: DualPair, samples: int = 100,
                      seed: int = 42, tol: float = 1e-9) -> CheckReport:
     """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
     g = pair.base
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-        lhs = lp2_norm_dual(pair, fourier_coeffs(pair, x))
-        rhs = lp2_norm_base(g, x)
-        gap = abs(lhs - rhs) / max(rhs, 1e-300)
-        worst = max(worst, gap)
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, g.dim))
+    x = draws[:, 0] + 1j * draws[:, 1]
+    rhs = lp2_norm_base(g, x)
+    gaps = np.abs(lp2_norm_dual(pair, fourier_coeffs(pair, x)) - rhs)
+    worst = float(np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0))
     return CheckReport(
         name="plancherel",
         passed=worst <= tol,
@@ -333,25 +309,3 @@ def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> CheckReport:
         tol=tol,
         details={"example": g.name, **{k: float(v) for k, v in res.items()}},
     )
-
-
-# ---------------------------------------------------------------------------
-# element serialization
-# ---------------------------------------------------------------------------
-
-def element_to_json(coeffs, owner: str) -> dict:
-    if owner not in ("base", "dual"):
-        raise ValueError("owner must be 'base' or 'dual'")
-    c = np.asarray(coeffs, dtype=complex).reshape(-1)
-    return {
-        "owner": owner,
-        "coeffs": [[float(v.real), float(v.imag)] for v in c],
-    }
-
-
-def element_from_json(doc: dict) -> tuple:
-    owner = doc["owner"]
-    if owner not in ("base", "dual"):
-        raise ValueError("owner must be 'base' or 'dual'")
-    flat = np.asarray(doc["coeffs"], dtype=float)
-    return owner, flat[:, 0] + 1j * flat[:, 1]

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 __all__ = [
     "QgharmError",
-    "NotHermitian",
-    "NoConvergence",
     "Singular",
     "ShapeMismatch",
     "NotAGroup",
@@ -18,7 +16,6 @@ __all__ = [
     "OwnerMismatch",
     "DegenerateDual",
     "PlancherelInconsistent",
-    "NotInDual",
     "NotTracial",
     "BadExponents",
     "NotAutomorphism",
@@ -39,14 +36,6 @@ class QgharmError(Exception):
 
 
 # ---- dense linear algebra ----
-
-class NotHermitian(QgharmError):
-    """Matrix is not Hermitian within the requested tolerance."""
-
-
-class NoConvergence(QgharmError):
-    """Eigensolver failed to converge."""
-
 
 class Singular(QgharmError):
     """Matrix (or linear system) is singular beyond tolerance."""
@@ -86,10 +75,6 @@ class DegenerateDual(QgharmError):
 
 class PlancherelInconsistent(QgharmError):
     """The dual Haar weight is not positive or fails the Plancherel identity."""
-
-
-class NotInDual(QgharmError):
-    """Matrix does not lie in the span of the dual basis."""
 
 
 # ---- L^p / convolution ----

@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import is_commutative
 from .convolution import convolve
 from .core import AlgebraElement, FiniteQuantumGroup, _maxabs
-from .duality import DualPair, dual_fourier, dual_matrix, fourier_coeffs
+from .duality import DualPair, dual_fourier, fourier_coeffs
 from .errors import (
     CertificateMissing,
     NotABishift,
@@ -168,11 +168,10 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
     )
 
 
-def range_projection_of_fourier(pair: DualPair, h) -> tuple:
-    """Range projection of F(h) as a matrix plus its dual-basis coefficients."""
+def range_projection_of_fourier(pair: DualPair, h) -> np.ndarray:
+    """Dual-basis coefficients of the range projection of F(h)."""
     p = range_projection(_fourier_blocks(pair, h))
-    coeffs = pair.dual_qg.blocks.coeffs_of_diag(p)
-    return dual_matrix(pair, coeffs), coeffs
+    return pair.dual_qg.blocks.coeffs_of_diag(p)
 
 
 def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
@@ -189,11 +188,11 @@ def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
     dual_coeffs = fourier_coeffs(pair, hc) / phi_h
     dual_cert = is_group_like_projection(pair.dual_qg, dual_coeffs, tol=tol)
 
-    p_mat, p_coeffs = range_projection_of_fourier(pair, hc)
+    p_coeffs = range_projection_of_fourier(pair, hc)
     weight_of_range = complex(pair.dual_weight @ p_coeffs)
     res_weight = abs(phi_h * weight_of_range - 1.0)
 
-    back = dual_fourier(pair, p_mat).coeffs
+    back = dual_fourier(pair, p_coeffs).coeffs
     res_back = _maxabs(back - hc / phi_h)
 
     res = {
@@ -533,14 +532,14 @@ def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
     if not base_cert.certified:
         raise CertificateMissing(
             f"base shift certificate failed: {base_cert.residuals}")
-    _, h_tilde = range_projection_of_fourier(pair, h)
+    h_tilde = range_projection_of_fourier(pair, h)
     dual_cert = shift_check(pair.dual_qg, x_tilde, h_tilde,
                             side="left", tol=tol)
     if not dual_cert.certified:
         raise CertificateMissing(
             f"dual shift certificate failed: {dual_cert.residuals}")
     xy = g.multiply(x_h, y)
-    pulled = dual_fourier(pair, dual_matrix(pair, dual_cert.element.coeffs))
+    pulled = dual_fourier(pair, dual_cert.element)
     return convolve(g, xy, pulled.coeffs)
 
 

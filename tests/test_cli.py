@@ -274,10 +274,29 @@ def test_hausdorff_young_refuses_zero_or_negative_samples(capsys):
 
 
 def test_hunt_refuses_an_empty_budget(capsys):
-    for budget in ("0", "-1"):
-        err = _one_line_error(capsys, "hunt", "--example", "z2-function",
-                              "--budget", budget)
-        assert "--budget" in err
+    for flag in ("--budget", "--iters"):
+        for value in ("0", "-1"):
+            err = _one_line_error(capsys, "hunt", "--example", "z2-function",
+                                  flag, value)
+            assert flag in err
+
+
+def test_sharpness_refuses_an_empty_budget(capsys):
+    for flag, value in (("--restarts", "0"), ("--restarts", "-4"),
+                        ("--iters", "0"), ("--iters", "-1")):
+        for kind in ("young", "hy"):
+            err = _one_line_error(capsys, "sharpness", "--example",
+                                  "z2-function", "--kind", kind, flag, value)
+            assert flag in err
+
+
+def test_bad_tolerances_are_usage_errors(capsys):
+    for value in ("-1", "0", "nan", "inf"):
+        for command in (("verify", "--example", "z2-function"),
+                        ("structures", "--example", "z2-function"),
+                        ("all", "--example", "z2-function")):
+            err = _one_line_error(capsys, *command, "--tol", value)
+            assert "--tol" in err
 
 
 def test_suq2_refuses_a_zero_denominator(capsys):

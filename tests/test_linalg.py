@@ -1,34 +1,6 @@
 import numpy as np
-import pytest
 
-from qgharm.errors import NotHermitian, ShapeMismatch
-from qgharm.linalg import eig_hermitian, range_projection
-
-
-def random_hermitian(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return a + a.conj().T
-
-
-def test_eig_hermitian_reconstructs():
-    a = random_hermitian(7, seed=0)
-    eig = eig_hermitian(a)
-    assert np.max(np.abs(eig.reconstruct() - a)) < 1e-12
-    v = eig.eigenvectors
-    assert np.max(np.abs(v.conj().T @ v - np.eye(7))) < 1e-12
-    assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
-
-
-def test_eig_hermitian_rejects_nonhermitian():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotHermitian):
-        eig_hermitian(a)
-
-
-def test_eig_hermitian_rejects_nonsquare():
-    with pytest.raises(ShapeMismatch):
-        eig_hermitian(np.ones((2, 3)))
+from qgharm.linalg import range_projection
 
 
 def test_range_projection_rank_one():
@@ -45,6 +17,17 @@ def test_range_projection_is_projection():
     assert np.max(np.abs(p - p.conj().T)) < 1e-10
     # rank equals the column count of a full-rank tall factor
     assert abs(np.trace(p).real - 3.0) < 1e-8
+    # a stack gives the per-matrix results: the cutoff is relative to each
+    # member, so a large member does not truncate a rank-one or zero one
+    stack = rng.standard_normal((3, 6, 3)) + 1j * rng.standard_normal((3, 6, 3))
+    stack[0] *= 1e6
+    stack[1, :, 1:] = 0.0
+    stack[2] = 0.0
+    ps = range_projection(stack)
+    assert ps.shape == (3, 6, 6)
+    for got, a in zip(ps, stack):
+        assert np.max(np.abs(got - range_projection(a))) < 1e-14
+    assert [round(np.trace(q).real) for q in ps] == [3, 1, 0]
 
 
 def test_range_projection_of_zero():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.core import symmetric_table_s3
-from qgharm.duality import build_dual, dual_fourier
+from qgharm.core import _maxabs, symmetric_table_s3
+from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
 from qgharm.errors import (
     CertificateMissing,
     NotABishift,
@@ -136,9 +136,25 @@ def test_fourier_image_is_dual_group_like():
 def test_range_transports_back_to_the_rescaled_projection():
     # the range projection of F(delta_0) on two points pulls back to 2 delta_0
     pair = _pair("z2-function")
-    p_mat, _ = range_projection_of_fourier(pair, np.eye(2)[0])
-    back = dual_fourier(pair, p_mat).coeffs
+    p = range_projection_of_fourier(pair, np.eye(2)[0])
+    back = dual_fourier(pair, p).coeffs
     assert np.max(np.abs(back - np.array([2.0, 0.0]))) < 1e-12
+
+
+def test_range_projection_of_fourier_is_a_dual_projection_fixing_the_image():
+    # checked by the dual product and star, not by the blocks that the
+    # range projection is taken in
+    for name in EXAMPLE_NAMES:
+        base_pair = _pair(name)
+        for pair in (base_pair, build_dual(base_pair.dual_qg)):
+            d = pair.dual_qg
+            for cert in enumerate_group_like_projections(pair.base):
+                p = range_projection_of_fourier(pair, cert.element)
+                f = fourier_coeffs(pair, cert.element)
+                assert _maxabs(d.multiply(p, p) - p) < 1e-12, d.name
+                assert _maxabs(d.star_of(p) - p) < 1e-12, d.name
+                assert _maxabs(d.multiply(p, f) - f) < 1e-12, d.name
+                assert _maxabs(d.multiply(f, p) - f) < 1e-12, d.name
 
 
 def test_equivalence_sweep_over_all_small_examples():
@@ -296,7 +312,7 @@ def test_bishift_reconstructs_the_odd_coset_on_z4():
     g = pair.base
     h = np.array([1.0, 0.0, 1.0, 0.0])
     x_h = np.array([0.0, 1.0, 0.0, 1.0])
-    _, h_tilde = range_projection_of_fourier(pair, h)
+    h_tilde = range_projection_of_fourier(pair, h)
     assert np.max(np.abs(h_tilde - np.array([0.5, 0.0, 0.5, 0.0]))) < 1e-12
     x = bishift_construct(pair, x_h, g.unit, h_tilde, h)
     assert np.max(np.abs(x.coeffs - x_h)) < 1e-12
@@ -324,7 +340,7 @@ def test_bishift_on_the_s3_alternating_coset():
     h[[0, 3, 4]] = 1.0
     x_h = np.zeros(6)
     x_h[[1, 2, 5]] = 1.0
-    _, h_tilde = range_projection_of_fourier(pair, h)
+    h_tilde = range_projection_of_fourier(pair, h)
     x = bishift_construct(pair, x_h, g.unit, h_tilde, h)
     assert np.max(np.abs(x.coeffs - x_h)) < 1e-12
     rep = bishift_theorem_check(pair, x)
@@ -336,7 +352,7 @@ def test_bishift_construct_requires_certificates():
     pair = _pair("z4-function")
     g = pair.base
     h = np.array([1.0, 0.0, 1.0, 0.0])
-    _, h_tilde = range_projection_of_fourier(pair, h)
+    h_tilde = range_projection_of_fourier(pair, h)
     # the full indicator has the wrong weight, so its certificate fails
     with pytest.raises((CertificateMissing, NotProjection)):
         bishift_construct(pair, np.ones(4), g.unit, h_tilde, h)
