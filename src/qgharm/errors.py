@@ -27,6 +27,7 @@ __all__ = [
     "BadParameters",
     "EvalAtForbiddenMu",
     "NotABishift",
+    "EnumerationIncomplete",
     "BadFlags",
 ]
 
@@ -107,6 +108,10 @@ class CertificateMissing(QgharmError):
 
 class NotABishift(QgharmError):
     """Element fails the bi-shift equalities."""
+
+
+class EnumerationIncomplete(QgharmError):
+    """An exact enumeration cannot be completed, so no list is returned."""
 
 
 # ---- CLI / catalog / SU_mu(2) ----

@@ -7,21 +7,28 @@ below certify the defining relations together with the derived identities:
 the Fourier transform of a group-like projection is phi(h) times a dual
 group-like projection, shifts map to multiples of partial isometries, and
 bi-shifts are extremal for the Young and Hausdorff-Young inequalities.
+
+The lists of group-like projections, of biprojections and of the shifts of
+a group-like projection are complete. A projection is a choice of one
+projection per Wedderburn block; on a block of size 2 a rank-one choice
+carries a Bloch vector, and each relation is solved exactly for those
+vectors. Algebras with a block of size 3 or more are refused.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import is_commutative
 from .convolution import convolve
 from .core import AlgebraElement, FiniteQuantumGroup, _maxabs
 from .duality import DualPair, dual_fourier, fourier_coeffs
 from .errors import (
     CertificateMissing,
+    EnumerationIncomplete,
     NotABishift,
     NotAShift,
     NotGroupLike,
@@ -39,7 +46,6 @@ __all__ = [
     "is_biprojection",
     "glpbi_check",
     "biprojection_iff_grouplike",
-    "projection_candidates",
     "enumerate_group_like_projections",
     "shift_check",
     "enumerate_left_shifts",
@@ -76,8 +82,7 @@ def is_group_like_projection(g: FiniteQuantumGroup, h,
         "projection": _maxabs(g.multiply(hc, hc) - hc),
         "self_adjoint": _maxabs(g.star_of(hc) - hc),
         "nonzero": 0.0 if _maxabs(hc) > tol else 1.0,
-        "defining_relation": _maxabs(g.delta(hc) @ _right_mult(g, hc)
-                                     - np.outer(hc, hc)),
+        "defining_relation": _maxabs(_group_like_relation(g, hc)),
     }
     phi_h = g.haar_of(hc)
     return GroupLikeCertificate(
@@ -89,9 +94,17 @@ def is_group_like_projection(g: FiniteQuantumGroup, h,
 
 
 def _right_mult(g: FiniteQuantumGroup, h) -> np.ndarray:
-    """R_h[j, l] = coefficient of e_l in e_j h. For d over e_i x e_j,
-    d @ R_h is d(1 . h) and R_h.T @ d is d(h . 1)."""
-    return g.coeffs_of(h) @ g.mult
+    """R_h[j, l] = coefficient of e_l in e_j h, batched over the leading
+    axes of h. For d over e_i x e_j, d @ R_h is d(1 . h) and R_h.T @ d is
+    d(h . 1)."""
+    return (g.coeffs_of(h)[..., None, None, :] @ g.mult)[..., 0, :]
+
+
+def _group_like_relation(g: FiniteQuantumGroup, hc) -> np.ndarray:
+    """Delta(h)(1 . h) - h . h over e_i x e_j, batched over the leading
+    axes of the coefficients hc."""
+    outer = hc[..., :, None] * hc[..., None, :]
+    return g.delta(hc) @ _right_mult(g, hc) - outer
 
 
 def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> GroupLikeCertificate:
@@ -168,6 +181,16 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
     )
 
 
+def _biprojection_relation(pair: DualPair, hc) -> np.ndarray:
+    """F(h)^2 - phi(h) F(h) and F(h)* - F(h) in dual coefficients, batched
+    over the leading axes of hc."""
+    f = fourier_coeffs(pair, hc)
+    d = pair.dual_qg
+    return np.concatenate(
+        [d.multiply(f, f) - pair.base.haar_of(hc)[..., None] * f,
+         d.star_of(f) - f], axis=-1)
+
+
 def range_projection_of_fourier(pair: DualPair, h) -> np.ndarray:
     """Dual-basis coefficients of the range projection of F(h)."""
     p = range_projection(_fourier_blocks(pair, h))
@@ -211,184 +234,266 @@ def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
     )
 
 
-def _is_projection_vector(g: FiniteQuantumGroup, v: np.ndarray,
-                          tol: float) -> bool:
-    return (_maxabs(g.multiply(v, v) - v) <= tol
-            and _maxabs(g.star_of(v) - v) <= tol
-            and _maxabs(v) > tol)
-
-
-def biprojection_iff_grouplike(pair: DualPair, candidates,
+def biprojection_iff_grouplike(pair: DualPair,
                                tol: float = 1e-9) -> CheckReport:
-    """Both certificates must agree on every projection candidate."""
+    """Every biprojection is group-like and every group-like projection is
+    a biprojection, over all projections of the base.
+
+    Both lists are complete: each solves its relation exactly over every
+    block choice (see _enumerate). A biprojection solves F(h)^2 = phi(h) F(h)
+    and F(h)* = F(h); the multiple is phi(h) because the dual counit is a
+    character with epsilon_hat(F(x)) = phi(x). projections_checked counts
+    the block choices, and singular_value_gaps holds the weakest rank
+    decision of each choice solved with rank-one blocks.
+    """
     g = pair.base
-    checked = 0
-    rejected = 0
-    disagreements = []
-    for v in candidates:
-        v = g.coeffs_of(v)
-        if not _is_projection_vector(g, v, tol):
-            rejected += 1
-            continue
-        checked += 1
-        bi = is_biprojection(pair, v, tol=tol).passed
-        gl = is_group_like_projection(g, v, tol=tol).certified
-        if bi != gl:
-            disagreements.append({
-                "coeffs": [[float(c.real), float(c.imag)] for c in v],
-                "biprojection": bi,
-                "group_like": gl,
-            })
+    group_like, gl_run = _group_like(g, tol)
+    bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol)
+    _all_certified(is_biprojection(pair, h, tol=tol).passed
+                   for h in bi_run.points)
+    disagreements = [
+        _disagreement(h, biprojection=True, group_like=False)
+        for h in bi_run.points
+        if not is_group_like_projection(g, h, tol=tol).certified]
+    disagreements += [
+        _disagreement(c.element.coeffs, biprojection=False, group_like=True)
+        for c in group_like
+        if not is_biprojection(pair, c.element, tol=tol).passed]
     return CheckReport(
         name="biprojection-iff-group-like",
         passed=not disagreements,
         max_residual=float(len(disagreements)),
         tol=0.0,
-        details={"projections_checked": checked,
-                 "candidates_rejected": rejected,
-                 "disagreements": disagreements},
+        details={"projections_checked": gl_run.choices,
+                 "biprojections": len(bi_run.points),
+                 "group_like": len(group_like),
+                 "disagreements": disagreements,
+                 "singular_value_gaps": {"group_like": gl_run.gaps,
+                                         "biprojection": bi_run.gaps}},
     )
 
 
-# ---------------------------------------------------------------------------
-# candidate generation
-# ---------------------------------------------------------------------------
-
-def _diagonal_tensor(n: int) -> np.ndarray:
-    """t[i, j, k] = 1 when i = j = k, else 0."""
-    t = np.zeros((n, n, n))
-    t[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    return t
+def _disagreement(h: np.ndarray, biprojection: bool, group_like: bool) -> dict:
+    return {"coeffs": [[float(c.real), float(c.imag)] for c in h],
+            "biprojection": biprojection, "group_like": group_like}
 
 
-def _pointwise_basis(g: FiniteQuantumGroup) -> bool:
-    """True when the basis consists of orthogonal minimal projections
-    (function algebra in the delta basis): e_i e_j = delta_ij e_i."""
-    return _maxabs(g.mult - _diagonal_tensor(g.dim)) <= 1e-12 and _maxabs(
-        g.star - np.eye(g.dim)) <= 1e-12
-
-
-def _basis_group_like(g: FiniteQuantumGroup) -> bool:
-    """True when every basis element is group-like (group algebra form)."""
-    return _maxabs(g.comult3 - _diagonal_tensor(g.dim)) <= 1e-12
-
-
-def _indicators(n: int) -> list:
-    """Every nonzero 0/1 coefficient vector, in the order of its bit mask."""
-    return [np.array([(mask >> i) & 1 for i in range(n)], dtype=complex)
-            for mask in range(1, 2 ** n)]
-
-
-def _subgroups(table: list) -> list:
-    """All subgroups of a small group given by its multiplication table."""
-    n = len(table)
-    identity = next(e for e in range(n)
-                    if all(table[e][j] == j for j in range(n)))
-    subgroups = []
-    for mask in range(1, 2 ** n):
-        members = [i for i in range(n) if mask & (1 << i)]
-        if identity not in members:
-            continue
-        mset = set(members)
-        if all(table[i][j] in mset for i in members for j in members):
-            subgroups.append(members)
-    return subgroups
-
-
-def projection_candidates(g: FiniteQuantumGroup, seed: int = 0,
-                          samples: int = 40) -> list:
-    """Projection candidates for the equivalence sweep.
-
-    Function algebras in the delta basis: every 0/1 indicator vector
-    (complete). Otherwise: cyclic sums of unitary basis words, sums of
-    minimal central projections, and spectral projections of seeded random
-    self-adjoint elements. That list is a sample, not an exhaustive one.
-    """
-    n = g.dim
-    if _pointwise_basis(g):
-        return _indicators(n)
-
-    out = []
-    seen = set()
-
-    def push(v: np.ndarray) -> None:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        key = tuple(np.round(v, 9).tolist())
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-
-    # cyclic sums over powers of each unitary basis word
-    for i in range(n):
-        e_i = np.zeros(n, dtype=complex)
-        e_i[i] = 1.0
-        powers = [g.unit.astype(complex)]
-        cur = e_i
-        for _ in range(2 * n):
-            powers.append(cur)
-            if _maxabs(cur - g.unit) <= 1e-12:
-                break
-            cur = g.multiply(cur, e_i)
-        if _maxabs(powers[-1] - g.unit) <= 1e-12:
-            cyc = sum(powers[:-1]) / (len(powers) - 1)
-            push(cyc)
-
-    # minimal central projections and all sums of them
-    blocks = g.blocks
-    for r in range(1, len(blocks.central) + 1):
-        for combo in itertools.combinations(blocks.central, r):
-            push(sum(combo))
-
-    # spectral projections of seeded random self-adjoint elements
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w, vecs = np.linalg.eigh(blocks.diag(v + g.star_of(v)))
-        for idx in _eigen_groups(w):
-            push(blocks.coeffs_of_diag(vecs[:, idx] @ vecs[:, idx].conj().T))
-    return out
-
-
-def _eigen_groups(w: np.ndarray, tol: float = 1e-8) -> list:
-    groups = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol * max(1.0, abs(w[i])):
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
+def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
+    run = _enumerate(g, lambda h: _group_like_relation(g, h), tol)
+    certs = [is_group_like_projection(g, h, tol=tol) for h in run.points]
+    _all_certified(c.certified for c in certs)
+    return certs, run
 
 
 def enumerate_group_like_projections(g: FiniteQuantumGroup,
                                      tol: float = 1e-9) -> list:
-    """Certified group-like projections.
-
-    Complete for function algebras (subgroup indicators among all 0/1
-    vectors) and for group algebras (normalized subgroup sums); elsewhere
-    the certified list comes from projection_candidates and completeness is
-    not claimed.
+    """Every group-like projection of g, certified at tol, in the order of
+    the block choices. The list is complete (see _enumerate); an algebra
+    with a block of size 3 or more raises EnumerationIncomplete.
     """
-    certs = []
-    seen = set()
+    return _group_like(g, tol)[0]
 
-    def push(v) -> None:
-        cert = is_group_like_projection(g, v, tol=tol)
-        if not cert.certified:
-            return
-        key = tuple(np.round(cert.element.coeffs, 9).tolist())
-        if key not in seen:
-            seen.add(key)
-            certs.append(cert)
 
-    if _basis_group_like(g):
-        for members in _subgroups(np.argmax(np.abs(g.mult), axis=2).tolist()):
-            v = np.zeros(g.dim, dtype=complex)
-            v[members] = 1.0 / len(members)
-            push(v)
-    else:
-        for v in projection_candidates(g):
-            push(v)
-    return certs
+# ---------------------------------------------------------------------------
+# exact enumeration over block choices
+# ---------------------------------------------------------------------------
+
+# relative singular-value cutoff of every rank decision of the solver
+RANK_TOL = 1e-8
+# a root must solve its system within this, and is real when its imaginary
+# parts are within it
+ROOT_TOL = 1e-6
+# a system whose null space is not stable by this Macaulay degree is refused
+MAX_DEGREE = 6
+# seed of the generic linear form whose multiplication matrix is diagonalized
+STETTER_SEED = 1611
+
+
+@dataclass(frozen=True)
+class _Enumeration:
+    """The coefficients of every projection that solves a relation, the
+    number of nonzero block choices, and, per choice with rank-one blocks,
+    the weakest rank decision of its solve: (smallest singular value kept,
+    largest dropped), each relative to the largest."""
+
+    points: list
+    choices: int
+    gaps: list
+
+
+def _all_certified(flags) -> None:
+    if not all(flags):
+        raise EnumerationIncomplete("a solution of a block choice fails its "
+                                    "certificate")
+
+
+def _block_choices(g: FiniteQuantumGroup) -> list:
+    """(h0, directions) for every nonzero choice of one projection per
+    block: 0 or 1 on a block of size 1; 0, 1 or a rank-one (1 + n.sigma)/2
+    on a block of size 2. The element is h0 + n @ directions, affine in the
+    unit Bloch vectors n, three rows of directions per rank-one block."""
+    blocks = g.blocks
+    if max(blocks.sizes) > 2:
+        raise EnumerationIncomplete(
+            f"a block of size {max(blocks.sizes)} has projections of rank "
+            "between 1 and its size minus 1; only blocks of size 1 and 2 "
+            "are enumerated")
+    units = blocks.from_blocks.T        # row j: the matrix unit of entry j
+    zero = (np.zeros(g.dim, dtype=complex), ())
+    options, start = [], 0
+    for d in blocks.sizes:
+        e = units[start:start + d * d]
+        start += d * d
+        if d == 1:
+            options.append((zero, (e[0], ())))
+        else:
+            one = e[0] + e[3]
+            bloch = (0.5 * (e[1] + e[2]), 0.5j * (e[2] - e[1]),
+                     0.5 * (e[0] - e[3]))
+            options.append((zero, (one, ()), (0.5 * one, bloch)))
+    choices = [(sum(h for h, _ in combo),
+                np.reshape([v for _, vs in combo for v in vs], (-1, g.dim)))
+               for combo in itertools.product(*options)]
+    return choices[1:]                  # the first one is zero everywhere
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(m: int, d: int) -> dict:
+    """Exponent tuples of the monomials of degree <= d in m unknowns, by
+    degree and then in combinations_with_replacement order, mapped to their
+    column."""
+    words = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(m), deg)
+        for deg in range(d + 1))
+    return {tuple(w.count(i) for i in range(m)): col
+            for col, w in enumerate(words)}
+
+
+@functools.lru_cache(maxsize=None)
+def _shifted(m: int, d: int, by: int) -> np.ndarray:
+    """[s, a] = column, among the monomials of degree <= d, of monomial s of
+    degree <= d - by times monomial a of degree <= by."""
+    cols = _monomials(m, d)
+    return np.array([[cols[tuple(i + j for i, j in zip(s, a))]
+                      for a in _monomials(m, by)]
+                     for s in _monomials(m, d - by)])
+
+
+def _quadratic_rows(relation, h0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Real coefficient rows, over _monomials(m, 2), of the real and
+    imaginary parts of relation(h0 + n @ dirs) and of |n_b|^2 - 1 for each
+    rank-one block b. The relation has degree <= 2 in n, so its values at
+    n = 0, +-e_k and e_k + e_l fix its coefficients (polarization)."""
+    m = len(dirs)
+    eye = np.eye(m)
+    k, l = np.triu_indices(m, 1)
+    stencil = np.concatenate([np.zeros((1, m)), eye, -eye, eye[k] + eye[l]])
+    vals = relation(h0 + stencil @ dirs).reshape(len(stencil), -1)
+    vals = np.concatenate([vals.real, vals.imag], axis=-1)
+    zero, plus, minus = vals[0], vals[1:m + 1], vals[m + 1:2 * m + 1]
+    quad = np.empty((m, m, vals.shape[1]))
+    quad[k, l] = vals[2 * m + 1:] - plus[k] - plus[l] + zero
+    quad[np.arange(m), np.arange(m)] = 0.5 * (plus + minus) - zero
+    ku, lu = np.triu_indices(m)
+    rows = np.concatenate([zero[None], 0.5 * (plus - minus), quad[ku, lu]]).T
+    sphere = np.zeros((m // 3, rows.shape[1]))
+    sphere[:, 0] = -1.0
+    sphere[np.arange(m) // 3, 1 + m + np.flatnonzero(ku == lu)] = 1.0
+    return np.concatenate([rows, sphere])
+
+
+def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
+    """All complex roots, as an (m, count) array, of the real system with
+    these coefficient rows over _monomials(m, 2), and the weakest rank
+    decision of the solve.
+
+    The rows are compressed to an orthonormal row basis. The Macaulay matrix
+    of degree d stacks that basis times every monomial of degree <= d - 2;
+    its null space is spanned by the monomial vectors of the roots. The
+    degree is raised until the null-space dimension repeats and the
+    monomials of degree <= d - 1 separate the null space. Then the
+    multiplication matrix (Stetter matrix) of a generic linear form, taken
+    on the null space, has those monomial vectors as eigenvectors. A
+    null space of dimension 0 means 1 is in the ideal: there is no root.
+    """
+    gaps = []
+
+    def rank(s: np.ndarray) -> int:
+        rel = s / s[0] if s[0] > 0 else s
+        r = int(np.sum(rel > RANK_TOL))
+        gaps.append((rel[r - 1] if r else 0.0,
+                     rel[r] if r < len(rel) else 0.0))
+        return r
+
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = vh[:rank(s)]
+    # the Macaulay matrix of degree 2 is the basis itself
+    previous = len(basis[0]) - len(basis)
+    if previous == 0:
+        return np.zeros((m, 0)), _weakest(gaps)
+    for d in range(3, MAX_DEGREE + 1):
+        table = _shifted(m, d, 2)
+        width = len(_monomials(m, d))
+        mac = np.zeros((len(table), len(basis), width))
+        mac[np.arange(len(table))[:, None, None],
+            np.arange(len(basis))[None, :, None], table[:, None, :]] = basis
+        mac = mac.reshape(-1, width)
+        null = width - rank(np.linalg.svd(mac, compute_uv=False))
+        if null == 0:
+            return np.zeros((m, 0)), _weakest(gaps)
+        if null == previous:
+            kernel = np.linalg.svd(mac)[2][width - null:].T
+            shift = _shifted(m, d, 1)
+            u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
+                                       full_matrices=False)
+            if rank(sl) == null:
+                rng = np.random.default_rng(STETTER_SEED)
+                weights = rng.standard_normal(m)
+                stetter = ((vlh.T / sl) @ u.T) @ (
+                    kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
+                roots = kernel @ np.linalg.eig(stetter)[1]
+                return roots[1:m + 1] / roots[0], _weakest(gaps)
+        previous = null
+    raise EnumerationIncomplete(
+        f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
+
+
+def _weakest(gaps: list) -> tuple:
+    return (float(min(k for k, _ in gaps)), float(max(d for _, d in gaps)))
+
+
+def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
+    """Every projection h of g with relation(h) = 0, in the order of the
+    block choices. relation maps a stack of coefficient vectors to residual
+    arrays and has degree <= 2. Choices without a rank-one block are
+    points: one stack of them is tested at tol. The others are solved
+    exactly (_bloch_roots); every root must solve its system, and each real
+    one gives a projection. Raises EnumerationIncomplete when a block has
+    size 3 or more, or when a system does not resolve."""
+    choices = _block_choices(g)
+    points = np.array([h0 for h0, dirs in choices if not len(dirs)])
+    holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
+                        axis=-1) <= tol)
+    out, gaps = [], []
+    for h0, dirs in choices:
+        if not len(dirs):
+            if next(holds):
+                out.append(h0)
+            continue
+        m = len(dirs)
+        rows = _quadratic_rows(relation, h0, dirs)
+        roots, gap = _bloch_roots(rows, m)
+        gaps.append(gap)
+        exps = np.array(list(_monomials(m, 2)))
+        values = np.prod(roots.T[:, None, :] ** exps, axis=-1) @ rows.T
+        if not np.all(np.abs(values) <= ROOT_TOL):
+            raise EnumerationIncomplete("a root of a block choice does not "
+                                        "solve its system")
+        for n in roots.T[np.all(np.abs(roots.imag) <= ROOT_TOL, axis=0)]:
+            n = n.real.reshape(-1, 3)
+            out.append(h0 + (n / np.linalg.norm(n, axis=1)[:, None]).ravel()
+                       @ dirs)
+    return _Enumeration(points=out, choices=len(choices), gaps=gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +526,7 @@ def shift_check(g: FiniteQuantumGroup, x, h, side: str = "left",
     if not (_maxabs(g.multiply(xc, xc) - xc) <= tol
             and _maxabs(g.star_of(xc) - xc) <= tol):
         raise NotProjection("shift candidate must be a projection")
-    dx, dh = g.delta(xc), g.delta(hc)
-    rx = g.antipode @ xc
-    right_h, right_x = _right_mult(g, hc), _right_mult(g, xc)
-    if side == "left":
-        rel1 = dx @ right_h - np.outer(xc, hc)
-        rel2 = dh @ right_x - np.outer(rx, xc)
-    else:
-        rel1 = right_h.T @ dx - np.outer(hc, xc)
-        rel2 = right_x.T @ dh - np.outer(xc, rx)
-    res = {
-        "shift_relation": float(_maxabs(rel1)),
-        "base_relation": float(_maxabs(rel2)),
-        "weight_equality": float(abs(g.haar_of(xc) - g.haar_of(hc))),
-    }
+    res = {k: _maxabs(v) for k, v in _shift_relations(g, xc, hc, side).items()}
     return ShiftCertificate(
         element=g.element(xc),
         base_projection=cert.element,
@@ -451,27 +543,38 @@ def shift_check(g: FiniteQuantumGroup, x, h, side: str = "left",
     )
 
 
-def enumerate_left_shifts(g: FiniteQuantumGroup, h, candidates=None,
-                          tol: float = 1e-9) -> list:
-    """Certified left shifts of h among the candidates.
+def _shift_relations(g: FiniteQuantumGroup, xc, hc, side: str) -> dict:
+    """The residuals of the shift relations of x over h, one (..., k) array
+    per relation, batched over the leading axes of xc."""
+    dx, dh = g.delta(xc), g.delta(hc)
+    rx = g.antipode_of(xc)
+    right_h, right_x = _right_mult(g, hc), _right_mult(g, xc)
+    if side == "left":
+        rel1 = dx @ right_h - xc[..., :, None] * hc
+        rel2 = dh @ right_x - rx[..., :, None] * xc[..., None, :]
+    else:
+        rel1 = right_h.T @ dx - hc[:, None] * xc[..., None, :]
+        rel2 = (np.swapaxes(right_x, -1, -2) @ dh
+                - xc[..., :, None] * rx[..., None, :])
+    flat = xc.shape[:-1] + (-1,)
+    return {"shift_relation": rel1.reshape(flat),
+            "base_relation": rel2.reshape(flat),
+            "weight_equality": (g.haar_of(xc) - g.haar_of(hc))[..., None]}
 
-    For a commutative algebra the default candidate set is every 0/1 vector,
-    which brute-forces the classical statement that shifts are exactly the
-    coset indicators.
+
+def enumerate_left_shifts(g: FiniteQuantumGroup, h,
+                          tol: float = 1e-9) -> list:
+    """Every left shift of the group-like projection h, certified at tol,
+    in the order of the block choices. The list is complete: the shift
+    relations are solved exactly over every block choice, as in
+    enumerate_group_like_projections.
     """
-    if candidates is None:
-        if not is_commutative(g):
-            raise NotAShift("candidate set required for noncommutative input")
-        candidates = _indicators(g.dim)
-    out = []
-    for v in candidates:
-        try:
-            cert = shift_check(g, v, h, side="left", tol=tol)
-        except (NotProjection, NotGroupLike):
-            continue
-        if cert.certified:
-            out.append(cert)
-    return out
+    hc = _require_group_like(g, h, tol).element.coeffs
+    run = _enumerate(g, lambda x: np.concatenate(
+        list(_shift_relations(g, x, hc, "left").values()), axis=-1), tol)
+    certs = [shift_check(g, x, hc, side="left", tol=tol) for x in run.points]
+    _all_certified(c.certified for c in certs)
+    return certs
 
 
 def _partial_isometry_residual(mat: np.ndarray) -> float:

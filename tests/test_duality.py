@@ -245,6 +245,10 @@ def test_inverse_transform_roundtrip():
         x = _random(g, seed=5)
         back = dual_fourier(pair, fourier_coeffs(pair, x)).coeffs
         assert np.max(np.abs(back - x)) < 1e-12, g.name
+        # the dual counit is phi after F: the multiple of a biprojection
+        # F(h)^2 = lambda F(h) is then lambda = phi(h)
+        counit = pair.dual_qg.counit @ fourier_coeffs(pair, x)
+        assert abs(counit - g.haar_of(x)) < 1e-12, g.name
 
 
 def test_biduality_on_the_catalog():

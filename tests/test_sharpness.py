@@ -12,7 +12,6 @@ from qgharm.lp import base_space, lp_norm
 from qgharm.sharpness import (
     estimate_best_constant_hy,
     estimate_best_constant_young,
-    hunt_nongrouplike_biprojection,
 )
 
 # restart and iteration budgets are kept small here; the warm starts at the
@@ -91,25 +90,6 @@ def test_hy_rejects_exponents_outside_the_band():
         estimate_best_constant_hy(g, 0.9)
 
 
-def test_hunt_finds_no_rogue_biprojection():
-    for name in ("z2-function", "s3-function"):
-        rep = hunt_nongrouplike_biprojection(get_example(name), budget=4,
-                                             seed=3, iters=200)
-        assert rep.candidates == ()
-        assert rep.near_misses == ()
-        assert rep.group_like_hits >= 1, name
-        assert "not a proof" in rep.disclaimer
-
-
-def test_hunt_is_deterministic():
-    g = get_example("z2-group")
-    r1 = hunt_nongrouplike_biprojection(g, budget=3, seed=11, iters=150)
-    r2 = hunt_nongrouplike_biprojection(g, budget=3, seed=11, iters=150)
-    assert r1.candidates == r2.candidates
-    assert r1.group_like_hits == r2.group_like_hits
-    assert r1.iterations == r2.iterations
-
-
 def test_hy_estimate_above_one_is_refused():
     # a dual weight 16 times too large doubles ||F(x)||_4 at p = 4/3
     pair = build_dual(get_example("s3-function"))
@@ -151,11 +131,6 @@ def _hy(monkeypatch, name):
         estimate_best_constant_hy(get_example(name), 4.0 / 3.0)))
 
 
-def _hunt(monkeypatch, name):
-    return _objective_of(monkeypatch, "_descend", lambda: (
-        hunt_nongrouplike_biprojection(get_example(name), budget=1)))
-
-
 def _cgrad_reference(f, v):
     """The per-coordinate central differences, one scalar call per probe."""
     grad = np.zeros_like(v, dtype=complex)
@@ -187,8 +162,6 @@ def _single_argument_cases(monkeypatch):
         yield f"young {name} y", (lambda v, f=f, x=fixed: f(x, v)), dim
     for name in ("s3-function", "kac-paljutkin"):
         yield f"hy {name}", _hy(monkeypatch, name), get_example(name).dim
-    for name in ("kac-paljutkin", "s3-group"):
-        yield f"hunt {name}", _hunt(monkeypatch, name), get_example(name).dim
 
 
 def test_batched_gradient_matches_the_per_coordinate_loop(monkeypatch):

@@ -2,16 +2,29 @@ import numpy as np
 import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.core import _maxabs, symmetric_table_s3
+from qgharm.core import (
+    _maxabs,
+    build_group_algebra,
+    cyclic_table,
+    dihedral_table,
+    symmetric_table_s3,
+)
 from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
 from qgharm.errors import (
     CertificateMissing,
+    EnumerationIncomplete,
     NotABishift,
     NotAShift,
     NotGroupLike,
     NotProjection,
 )
 from qgharm.structures import (
+    _biprojection_relation,
+    _bloch_roots,
+    _block_choices,
+    _enumerate,
+    _group_like_relation,
+    _quadratic_rows,
     bipartial_isometry_check,
     biprojection_iff_grouplike,
     bishift_construct,
@@ -21,11 +34,11 @@ from qgharm.structures import (
     glpbi_check,
     is_biprojection,
     is_group_like_projection,
-    projection_candidates,
     range_projection_of_fourier,
     shift_check,
     verify_glp_properties,
 )
+from test_lp import _s4_table
 
 # haar values of the full certified list, per example, sorted ascending
 EXPECTED_GROUP_LIKES = {
@@ -84,6 +97,102 @@ def test_enumerated_elements_are_normalized_subgroup_sums():
     certs = enumerate_group_like_projections(get_example("z2-group"))
     coeff_sets = {tuple(np.round(c.element.coeffs.real, 9)) for c in certs}
     assert coeff_sets == {(1.0, 0.0), (0.5, 0.5)}
+
+
+def _subgroup_sums(table):
+    """The reference list: the normalized sum of every subgroup of a group
+    given by its multiplication table, found by testing every subset."""
+    n = len(table)
+    identity = next(e for e in range(n)
+                    if all(table[e][j] == j for j in range(n)))
+    sums = []
+    for mask in range(1, 2 ** n):
+        members = [i for i in range(n) if mask & (1 << i)]
+        if identity in members and all(table[i][j] in members
+                                       for i in members for j in members):
+            v = np.zeros(n)
+            v[members] = 1.0 / len(members)
+            sums.append(v)
+    return sums
+
+
+def test_group_algebra_enumeration_equals_the_subgroup_sums():
+    # C[D5] has two blocks of size 2, so six Bloch unknowns
+    for table in (cyclic_table(2), cyclic_table(4), symmetric_table_s3(),
+                  dihedral_table(5)):
+        g = build_group_algebra(table)
+        got = [c.element.coeffs for c in enumerate_group_like_projections(g)]
+        ref = _subgroup_sums(table.table)
+        assert len(got) == len(ref), len(table.table)
+        for v in ref:
+            assert min(_maxabs(v - h) for h in got) <= 1e-9
+
+
+def test_enumeration_agrees_across_the_fourier_transform():
+    # the range of F(h) is a dual group-like projection, one for each h
+    for name in EXAMPLE_NAMES:
+        base_pair = _pair(name)
+        for pair in (base_pair, build_dual(base_pair.dual_qg)):
+            here = enumerate_group_like_projections(pair.base)
+            there = [c.element.coeffs
+                     for c in enumerate_group_like_projections(pair.dual_qg)]
+            assert len(here) == len(there), pair.base.name
+            hits = set()
+            for cert in here:
+                p = range_projection_of_fourier(pair, cert.element)
+                gaps = [_maxabs(p - q) for q in there]
+                assert min(gaps) <= 1e-9, pair.base.name
+                hits.add(int(np.argmin(gaps)))
+            assert len(hits) == len(there), pair.base.name
+
+
+def test_a_sphere_grid_on_kac_paljutkin_sees_only_the_exact_roots():
+    # a sampled second route: on every rank-one block choice, the residual
+    # at 16000 Bloch vectors (a Fibonacci grid, spacing about 0.03) is
+    # small only next to a real root of the exact solve, and is small next
+    # to each of them
+    pair = _pair("kac-paljutkin")
+    g = pair.base
+    i = np.arange(16000) + 0.5
+    z = 1.0 - 2.0 * i / len(i)
+    turn = np.pi * (1.0 + np.sqrt(5.0)) * i
+    grid = np.stack([np.sqrt(1.0 - z * z) * np.cos(turn),
+                     np.sqrt(1.0 - z * z) * np.sin(turn), z], axis=1)
+    for relation in (lambda h: _group_like_relation(g, h),
+                     lambda h: _biprojection_relation(pair, h)):
+        real_roots = 0
+        for h0, dirs in _block_choices(g):
+            if not len(dirs):
+                continue
+            roots, _ = _bloch_roots(_quadratic_rows(relation, h0, dirs), 3)
+            real = roots.real.T[np.all(np.abs(roots.imag) <= 1e-6, axis=0)]
+            res = np.abs(relation(h0 + grid @ dirs)).reshape(len(grid), -1)
+            res = res.max(axis=1)
+            dist = np.full(len(grid), np.inf)
+            for n in real:
+                near = np.linalg.norm(grid - n, axis=1)
+                assert res[np.argmin(near)] <= 0.01
+                dist = np.minimum(dist, near)
+            assert np.all(dist[res <= 0.01] <= 0.2)
+            real_roots += len(real)
+        assert real_roots == 2
+
+
+def test_a_block_of_size_three_is_refused():
+    # C[S4] has blocks 1, 1, 2, 3, 3: no list is returned, not even a part
+    g = build_group_algebra(_s4_table())
+    with pytest.raises(EnumerationIncomplete, match="block of size 3"):
+        enumerate_group_like_projections(g)
+    with pytest.raises(EnumerationIncomplete, match="block of size 3"):
+        enumerate_left_shifts(g, g.unit)
+
+
+def test_a_continuum_of_solutions_is_refused():
+    # every rank-one projection of the M_2 block of KP solves the zero
+    # relation: the Macaulay null space keeps growing and is never read
+    g = get_example("kac-paljutkin")
+    with pytest.raises(EnumerationIncomplete, match="not stable"):
+        _enumerate(g, lambda h: np.zeros(h.shape[:-1] + (1,)), 1e-9)
 
 
 def test_glp_derived_properties_hold_everywhere():
@@ -158,24 +267,25 @@ def test_range_projection_of_fourier_is_a_dual_projection_fixing_the_image():
 
 
 def test_equivalence_sweep_over_all_small_examples():
+    # projections_checked counts the nonzero block choices: 2^k - 1 for k
+    # blocks of size 1, and 2 * 2 * 3 - 1 for the blocks 1, 1, 2 of C[S3]
     expected_checked = {
         "z2-function": 3, "z3-function": 7, "z4-function": 15,
-        "s3-function": 63, "z2-group": 3, "s3-group": 90,
+        "s3-function": 63, "z2-group": 3, "s3-group": 11,
     }
     for name, count in expected_checked.items():
         pair = _pair(name)
-        cands = projection_candidates(pair.base, seed=7)
-        rep = biprojection_iff_grouplike(pair, cands)
+        rep = biprojection_iff_grouplike(pair)
         assert rep.passed, (name, rep.details)
         assert rep.details["projections_checked"] == count, name
         assert rep.details["disagreements"] == []
-
-
-def test_equivalence_sweep_skips_non_projections():
-    pair = _pair("z2-function")
-    rep = biprojection_iff_grouplike(pair, [np.array([0.3, 0.4])])
-    assert rep.details["candidates_rejected"] == 1
-    assert rep.details["projections_checked"] == 0
+        assert rep.details["biprojections"] == len(EXPECTED_GROUP_LIKES[name])
+        # C[S3] has 4 choices with a rank-one block, each solved twice; every
+        # rank decision keeps singular values far above those it drops
+        gaps = rep.details["singular_value_gaps"]
+        solved = gaps["group_like"] + gaps["biprojection"]
+        assert len(solved) == (8 if name == "s3-group" else 0), name
+        assert all(kept > 1e-3 and dropped < 1e-12 for kept, dropped in solved)
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +360,6 @@ def test_right_shifts_and_the_antipode_bridge():
     assert left.certified
 
 
-def test_noncommutative_enumeration_needs_candidates():
-    g = get_example("s3-group")
-    h = get_example("s3-group").unit
-    with pytest.raises(NotAShift):
-        enumerate_left_shifts(g, h)
-
-
-def test_group_algebra_shifts_from_explicit_candidates():
-    g = get_example("z2-group")
-    h = np.array([0.5, 0.5])
-    sign = np.array([0.5, -0.5])
-    shifts = enumerate_left_shifts(g, h, candidates=[h, sign, np.array([1.0, 0.0])])
-    got = {tuple(np.round(s.element.coeffs.real, 9)) for s in shifts}
-    assert got == {(0.5, 0.5), (0.5, -0.5)}
-
-
 # ---------------------------------------------------------------------------
 # bi-partial isometries and bi-shifts
 # ---------------------------------------------------------------------------
@@ -287,17 +381,31 @@ def test_every_certified_shift_is_a_bipartial_isometry():
 
 
 def test_group_algebra_bipartial_isometries():
-    for name in ("z2-group", "s3-group", "kac-paljutkin"):
+    # (Haar value, number of left shifts) of each group-like projection
+    expected = {
+        "z2-group": [(0.5, 2), (1.0, 1)],
+        "s3-group": [(1 / 6, 2), (1 / 3, 3), (0.5, 2), (0.5, 2), (0.5, 2),
+                     (1.0, 1)],
+        "kac-paljutkin": [(0.125, 4), (0.25, 4), (0.25, 4), (0.25, 4),
+                          (0.5, 2), (0.5, 2), (0.5, 2), (1.0, 1)],
+    }
+    for name, spec in expected.items():
         pair = _pair(name)
         g = pair.base
-        cands = projection_candidates(g, seed=7)
-        seen = 0
+        got = []
         for cert in enumerate_group_like_projections(g):
-            for s in enumerate_left_shifts(g, cert.element, candidates=cands):
+            shifts = enumerate_left_shifts(g, cert.element)
+            for s in shifts:
                 rep = bipartial_isometry_check(pair, s.element, cert.element)
                 assert rep.passed, (name, rep.details)
-                seen += 1
-        assert seen >= len(enumerate_group_like_projections(g)), name
+                assert rep.max_residual < 1e-12
+            got.append((round(cert.haar_value, 9), len(shifts)))
+        assert sorted(got) == [(round(a, 9), b) for a, b in spec], name
+    # on C[Z2] the shifts of (e + a)/2 are itself and (e - a)/2
+    g = get_example("z2-group")
+    shifts = enumerate_left_shifts(g, np.array([0.5, 0.5]))
+    got = {tuple(np.round(s.element.coeffs.real, 9)) for s in shifts}
+    assert got == {(0.5, 0.5), (0.5, -0.5)}
 
 
 def test_bipartial_isometry_refuses_an_uncertified_pair():
