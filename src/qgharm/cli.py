@@ -38,7 +38,6 @@ from .sharpness import (
 )
 from .structures import (
     biprojection_iff_grouplike,
-    enumerate_group_like_projections,
     glpbi_check,
     is_biprojection,
     verify_glp_properties,
@@ -182,13 +181,12 @@ def _run_hausdorff_young(args) -> dict:
 
 def _run_structures(args) -> dict:
     _positive_tol(args.tol)
-    g = catalog.get_example(args.example)
-    pair = build_dual(g)
+    pair = build_dual(catalog.get_example(args.example))
+    sweep = biprojection_iff_grouplike(pair, tol=args.tol)
     checks = []
-    certs = enumerate_group_like_projections(g, tol=args.tol)
-    for idx, cert in enumerate(certs):
+    for idx, cert in enumerate(sweep.details["group_like"]):
         h = cert.element
-        props = verify_glp_properties(g, h, tol=args.tol)
+        props = verify_glp_properties(pair.base, h, tol=args.tol)
         checks.append(_check(
             f"group-like-{idx}-properties", "group-like-projection",
             residual=props.max_residual, rhs=props.tol, holds=props.passed,
@@ -203,7 +201,6 @@ def _run_structures(args) -> dict:
         checks.append(_check(
             f"group-like-{idx}-fourier-image", "dual-group-like-and-weight",
             residual=gb.max_residual, rhs=gb.tol, holds=gb.passed))
-    sweep = biprojection_iff_grouplike(pair, tol=args.tol)
     checks.append(_check(
         "biprojection-iff-group-like", "certificate-equivalence",
         residual=sweep.max_residual, rhs=0.0, holds=sweep.passed,
@@ -359,9 +356,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suq2", help="exact deformation-parameter "
                                     "counterexample certificate")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--mu-num", type=int, default=1)
-    p.add_argument("--mu-den", type=int, default=2)
+    p.add_argument("--n", type=int, default=1,
+                   help="power of the certificate; 1 <= n <= 4")
+    p.add_argument("--mu-num", type=int, default=1,
+                   help="numerator of mu; 0 < |mu| < 1")
+    p.add_argument("--mu-den", type=int, default=2,
+                   help="denominator of mu; nonzero")
     p.set_defaults(func=_run_suq2)
 
     p = sub.add_parser("hunt", help="biprojections that are not group-like, "

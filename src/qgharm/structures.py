@@ -243,8 +243,9 @@ def biprojection_iff_grouplike(pair: DualPair,
     block choice (see _enumerate). A biprojection solves F(h)^2 = phi(h) F(h)
     and F(h)* = F(h); the multiple is phi(h) because the dual counit is a
     character with epsilon_hat(F(x)) = phi(x). projections_checked counts
-    the block choices, and singular_value_gaps holds the weakest rank
-    decision of each choice solved with rank-one blocks.
+    the block choices, group_like holds the certificates of
+    enumerate_group_like_projections, and singular_value_gaps holds the
+    weakest rank decision of each choice solved with rank-one blocks.
     """
     g = pair.base
     group_like, gl_run = _group_like(g, tol)
@@ -266,7 +267,7 @@ def biprojection_iff_grouplike(pair: DualPair,
         tol=0.0,
         details={"projections_checked": gl_run.choices,
                  "biprojections": len(bi_run.points),
-                 "group_like": len(group_like),
+                 "group_like": group_like,
                  "disagreements": disagreements,
                  "singular_value_gaps": {"group_like": gl_run.gaps,
                                          "biprojection": bi_run.gaps}},

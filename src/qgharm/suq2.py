@@ -168,6 +168,11 @@ class MuRational:
         if num.is_zero():
             self.num, self.den = ZERO, ONE
             return
+        if len(den.coeffs) == 1:
+            # a monomial denominator divides out with no gcd
+            (k, c0), = den.coeffs.items()
+            self.num, self.den = num.shift(-k).scale(1 / c0), ONE
+            return
         # clear negative exponents out of the denominator
         shift = den.min_exp()
         if shift != 0:
@@ -266,53 +271,54 @@ class Monomial(NamedTuple):
 
 UNIT_MONOMIAL = Monomial(0, 0, 0)
 
-# c-letter followed by a-letter: move the a-letter left, with the exact
-# mu power dictated by ac = mu ca, ac* = mu c* a and their adjoints
-_SWAP_POWER = {("c", "a"): -1, ("C", "a"): -1, ("c", "A"): 1, ("C", "A"): 1}
+# every non-normal adjacent pair and its rewrites (letters, mu exponent,
+# sign): a-letters move left of c-letters by ac = mu ca, ac* = mu c* a and
+# their adjoints, a*a = 1 - c*c, aa* = 1 - mu^2 c*c, and cc* = c*c
+_REWRITE = {
+    ("c", "a"): ((("a", "c"), -1, 1),),
+    ("C", "a"): ((("a", "C"), -1, 1),),
+    ("c", "A"): ((("A", "c"), 1, 1),),
+    ("C", "A"): ((("A", "C"), 1, 1),),
+    ("A", "a"): (((), 0, 1), (("C", "c"), 0, -1)),
+    ("a", "A"): (((), 0, 1), (("C", "c"), 2, -1)),
+    ("c", "C"): ((("C", "c"), 0, 1),),
+}
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    total = value if cur is None else cur + value
+    if total.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = total
 
 
 def _reduce_word(word: Tuple[str, ...], coeff: Laurent,
                  out: Dict[Monomial, Laurent]) -> None:
-    """Rewrite word to normal form, accumulating into out."""
-    stack = [(word, coeff)]
+    """Rewrite coeff * word to normal form, accumulating into out.
+
+    Each rewrite only multiplies by a signed power of mu, so a branch
+    carries that power and sign as ints; the Laurent coefficient of each
+    output monomial is built once, from the signed counts per power."""
+    counts: Dict[Monomial, Dict[int, int]] = {}
+    stack = [(word, 0, 1)]
     while stack:
-        w, c = stack.pop()
-        changed = False
+        w, e, s = stack.pop()
         for i in range(len(w) - 1):
-            pair = (w[i], w[i + 1])
-            if pair in _SWAP_POWER:
-                nw = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                stack.append((nw, c * Laurent.mu_power(_SWAP_POWER[pair])))
-                changed = True
+            rule = _REWRITE.get(w[i:i + 2])
+            if rule is not None:
+                for sub, de, ds in rule:
+                    stack.append((w[:i] + sub + w[i + 2:], e + de, s * ds))
                 break
-            if pair == ("A", "a"):
-                rest = w[:i] + w[i + 2:]
-                stack.append((rest, c))
-                stack.append((w[:i] + ("C", "c") + w[i + 2:], -c))
-                changed = True
-                break
-            if pair == ("a", "A"):
-                rest = w[:i] + w[i + 2:]
-                stack.append((rest, c))
-                stack.append((w[:i] + ("C", "c") + w[i + 2:],
-                              (-c) * Laurent.mu_power(2)))
-                changed = True
-                break
-            if pair == ("c", "C"):
-                stack.append((w[:i] + ("C", "c") + w[i + 2:], c))
-                changed = True
-                break
-        if changed:
-            continue
-        ks = sum(1 for l in w if l == "a") - sum(1 for l in w if l == "A")
-        mono = Monomial(ks, sum(1 for l in w if l == "C"),
-                        sum(1 for l in w if l == "c"))
-        prev = out.get(mono, ZERO)
-        total = prev + c
-        if total.is_zero():
-            out.pop(mono, None)
         else:
-            out[mono] = total
+            mono = Monomial(w.count("a") - w.count("A"), w.count("C"),
+                            w.count("c"))
+            per_power = counts.setdefault(mono, {})
+            per_power[e] = per_power.get(e, 0) + s
+    for mono, per_power in counts.items():
+        _accumulate(out, mono, coeff * Laurent(per_power))
 
 
 class PolyElement:
@@ -348,8 +354,7 @@ class PolyElement:
     def __add__(self, other: "PolyElement") -> "PolyElement":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            cur = out.get(mono)
-            out[mono] = coeff if cur is None else cur + coeff
+            _accumulate(out, mono, coeff)
         return PolyElement(out)
 
     def __sub__(self, other: "PolyElement") -> "PolyElement":
@@ -368,9 +373,7 @@ class PolyElement:
                 _reduce_word(m1.word() + m2.word(), ONE, reduced)
                 factor = c1 * c2
                 for mono, lc in reduced.items():
-                    add = factor * lc
-                    cur = out.get(mono)
-                    out[mono] = add if cur is None else cur + add
+                    _accumulate(out, mono, factor * lc)
         return PolyElement(out)
 
     def scaled(self, value) -> "PolyElement":
@@ -387,9 +390,8 @@ class PolyElement:
             word = tuple(ADJOINT[l] for l in reversed(mono.word()))
             _reduce_word(word, ONE, reduced)
             for m2, lc in reduced.items():
-                add = coeff * lc   # mu is real: coefficients self-conjugate
-                cur = out.get(m2)
-                out[m2] = add if cur is None else cur + add
+                # mu is real: coefficients are self-conjugate
+                _accumulate(out, m2, coeff * lc)
         return PolyElement(out)
 
     def __eq__(self, other) -> bool:
@@ -457,32 +459,30 @@ _DELTA = {
 
 
 def comultiply(x: PolyElement) -> Dict[Tuple[Monomial, Monomial], MuRational]:
-    """Comultiplication as a dictionary over pairs of normal-form monomials."""
+    """Comultiplication as a dictionary over pairs of normal-form monomials.
+
+    Delta is multiplicative, so Delta of a monomial is the product of the
+    Delta of its letters. Each letter is multiplied into a running sum over
+    pairs of normal-form monomials, which is rewritten to normal form at
+    once; for c^k the sum never holds more than k + 1 pairs.
+    """
     out: Dict[Tuple[Monomial, Monomial], MuRational] = {}
     for mono, coeff in x.terms.items():
-        # expand letter by letter in the tensor algebra
-        partial = [((), (), ONE)]
+        partial = {(UNIT_MONOMIAL, UNIT_MONOMIAL): ONE}
         for letter in mono.word():
-            nxt = []
-            for lw, rw, lc in partial:
+            nxt: Dict[Tuple[Monomial, Monomial], Laurent] = {}
+            for (lm, rm), lc in partial.items():
                 for dl, dr, dc in _DELTA[letter]:
-                    nxt.append((lw + dl, rw + dr, lc * dc))
+                    lred: Dict[Monomial, Laurent] = {}
+                    rred: Dict[Monomial, Laurent] = {}
+                    _reduce_word(lm.word() + dl, lc * dc, lred)
+                    _reduce_word(rm.word() + dr, ONE, rred)
+                    for lm2, lcf in lred.items():
+                        for rm2, rcf in rred.items():
+                            _accumulate(nxt, (lm2, rm2), lcf * rcf)
             partial = nxt
-        for lw, rw, lc in partial:
-            lred: Dict[Monomial, Laurent] = {}
-            rred: Dict[Monomial, Laurent] = {}
-            _reduce_word(lw, ONE, lred)
-            _reduce_word(rw, ONE, rred)
-            for lm, lcf in lred.items():
-                for rm, rcf in rred.items():
-                    add = coeff * (lc * lcf * rcf)
-                    key = (lm, rm)
-                    cur = out.get(key)
-                    tot = add if cur is None else cur + add
-                    if tot.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = tot
+        for key, lc in partial.items():
+            _accumulate(out, key, coeff * lc)
     return out
 
 
@@ -513,9 +513,7 @@ def _apply_antimultiplicative(x: PolyElement, table) -> PolyElement:
         reduced: Dict[Monomial, Laurent] = {}
         _reduce_word(word, factor, reduced)
         for m2, lc in reduced.items():
-            add = coeff * lc
-            cur = out.get(m2)
-            out[m2] = add if cur is None else cur + add
+            _accumulate(out, m2, coeff * lc)
     return PolyElement(out)
 
 

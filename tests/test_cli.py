@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from qgharm import catalog, cli, duality, lp
+from qgharm import catalog, cli, duality, lp, structures
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
 from qgharm.errors import AxiomFailure
 
@@ -73,9 +73,13 @@ def test_hausdorff_young_subcommand(capsys):
     assert check["holds"]
 
 
-def test_structures_subcommand_emits_one_block_per_candidate(capsys):
+def test_structures_subcommand_emits_one_block_per_candidate(
+        capsys, monkeypatch):
+    enumerations = _counting(monkeypatch, structures, "_group_like")
     code, out, _ = run_cli(capsys, "structures", "--example", "z4-function")
     assert code == 0
+    # the per-projection checks reuse the equivalence report's list
+    assert len(enumerations) == 1
     doc = json.loads(out)
     names = [c["name"] for c in doc["checks"]]
     for idx in range(3):  # three group-like projections on four points

@@ -1,8 +1,10 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from qgharm import suq2
 from qgharm.errors import BadParameters, EvalAtForbiddenMu
 from qgharm.suq2 import (
     Laurent,
@@ -52,6 +54,10 @@ def test_mu_rational_reduction_and_equality():
     plain = MuRational.from_laurent(Laurent.const(1) + Laurent.mu_power(2))
     assert frac == plain
     assert frac.evaluate(HALF) == Fraction(5, 4)
+    # a monomial denominator divides out: 2 mu^3 / (4 mu) = mu^2 / 2
+    mono = MuRational(Laurent.mu_power(3, 2), Laurent.mu_power(1, 4))
+    assert mono.num == Laurent.mu_power(2, HALF)
+    assert mono.den == Laurent.const(1)
 
 
 def test_mu_rational_cross_multiplication_equality():
@@ -196,6 +202,108 @@ def test_comultiplication_is_an_algebra_map_on_samples():
             assert lhs[key] == rhs[key], (u, v, key)
 
 
+# Delta on the generators: a -> a (x) a - mu c* (x) c, c -> c (x) a + a* (x) c,
+# and their adjoints
+_DELTA_OF_LETTER = {
+    "a": (("a", "a", Laurent.const(1)), ("C", "c", Laurent.mu_power(1, -1))),
+    "A": (("A", "A", Laurent.const(1)), ("c", "C", Laurent.mu_power(1, -1))),
+    "c": (("c", "a", Laurent.const(1)), ("A", "c", Laurent.const(1))),
+    "C": (("C", "A", Laurent.const(1)), ("a", "C", Laurent.const(1))),
+}
+
+
+def expanded_comultiply(combination):
+    """Delta of sum coeff * word by the expansion in the tensor algebra: the
+    2^k word pairs of a word of length k, each side normalized at the end."""
+    out = {}
+    for word, coeff in combination:
+        paths = [("", "", Laurent.const(1))]
+        for letter in word:
+            paths = [(lw + dl, rw + dr, lc * dc) for lw, rw, lc in paths
+                     for dl, dr, dc in _DELTA_OF_LETTER[letter]]
+        terms = {}   # Laurent sums: normal forms of words have den 1
+        for lw, rw, lc in paths:
+            for lm, lcf in normalize(lw).terms.items():
+                for rm, rcf in normalize(rw).terms.items():
+                    add = lcf.num * rcf.num * lc
+                    key = (lm, rm)
+                    terms[key] = terms[key] + add if key in terms else add
+        for key, total in terms.items():
+            add = coeff * total
+            out[key] = out[key] + add if key in out else add
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _random_word(rng, length):
+    return "".join(rng.choice("aAcC") for _ in range(length))
+
+
+def _random_coefficient(rng):
+    num = Laurent({e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                   for e in range(rng.randint(-2, 0), rng.randint(1, 3))})
+    den = Laurent({0: 1, rng.randint(1, 3): Fraction(rng.randint(1, 3), 4)})
+    return MuRational(num, den)
+
+
+def test_comultiply_equals_the_word_expansion():
+    rng = random.Random(8)
+    one = MuRational.const(1)
+    for length in range(9):
+        for _ in range(3):
+            word = _random_word(rng, length)
+            assert comultiply(normalize(word)) == \
+                expanded_comultiply([(word, one)]), word
+    for _ in range(6):
+        combination = [(_random_word(rng, rng.randint(0, 5)),
+                        _random_coefficient(rng)) for _ in range(3)]
+        x = PolyElement.zero()
+        for word, coeff in combination:
+            x = x + normalize(word).scaled(coeff)
+        assert comultiply(x) == expanded_comultiply(combination), combination
+
+
+def _q_binomial(k, j):
+    """[k choose j]_q at q = mu^2: prod_{i<j} (1-q^{k-i}) / (1-q^{i+1})."""
+    out = MuRational.const(1)
+    for i in range(j):
+        out = out * MuRational(
+            Laurent.const(1) - Laurent.mu_power(2 * (k - i)),
+            Laurent.const(1) - Laurent.mu_power(2 * (i + 1)))
+    return out
+
+
+def test_comultiply_of_c_powers_is_the_q_binomial_sum():
+    # with X = c (x) a and Y = a* (x) c, XY = mu^2 YX in normal form, and
+    # Delta(c^k) = sum_j [k choose j]_{mu^2} Y^j X^{k-j}, where
+    # Y^j X^{k-j} = a*^j c^{k-j} (x) c^j a^{k-j}
+    for k in range(1, 9):
+        expected = {}
+        for j in range(k + 1):
+            left = normalize("A" * j + "c" * (k - j))
+            right = normalize("c" * j + "a" * (k - j))
+            for lm, lc in left.terms.items():
+                for rm, rc in right.terms.items():
+                    expected[lm, rm] = _q_binomial(k, j) * lc * rc
+        assert comultiply(gen("c", k)) == expected, k
+
+
+def test_comultiply_rewrites_polynomially_many_words(monkeypatch):
+    calls = []
+    reduce_word = suq2._reduce_word
+
+    def counted(*args):
+        calls.append(args[0])
+        return reduce_word(*args)
+    monkeypatch.setattr(suq2, "_reduce_word", counted)
+    for k in range(1, 9):
+        x = gen("c", k)
+        calls.clear()
+        comultiply(x)
+        # at most k + 1 pairs enter each of the k steps, where the 2^k
+        # expansion rewrites 2 * 2^k words
+        assert len(calls) <= 2 * k * (k + 1), k
+
+
 def test_haar_invariance_on_sample_words():
     # (id x haar)Delta(x) = haar(x) 1
     for word in ("a", "Cc", "aCc", "CCcc"):
@@ -251,11 +359,12 @@ def test_bounds_increase_without_limit_in_n():
 
 def test_counterexample_identity_is_exact():
     start = time.monotonic()
-    for n in (1, 2, 3):
-        rep = counterexample_report(n, HALF)
-        assert rep.identity_holds, n
-        assert rep.bound == certified_bound(n, HALF)
-        assert rep.convolution == rep.expected
+    for mu in (HALF, Fraction(3, 4), Fraction(-2, 3)):
+        for n in (1, 2, 3, 4):
+            rep = counterexample_report(n, mu)
+            assert rep.identity_holds, (n, mu)
+            assert rep.bound == certified_bound(n, mu)
+            assert rep.convolution == rep.expected
     assert time.monotonic() - start < 30.0
 
 
