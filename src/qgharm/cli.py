@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from .core import json_dumps, verify_axioms
+from .core import _encode_array, json_dumps, verify_axioms
 from .duality import (
     biduality_check,
     build_dual,
@@ -31,6 +31,7 @@ from .duality import (
 )
 from .errors import AxiomFailure, BadFlags, BadParameters, QgharmError
 from .lp import hausdorff_young_sides, young_sides
+from .report import Check, check
 from .sharpness import (
     CEILING,
     estimate_best_constant_hy,
@@ -39,7 +40,6 @@ from .sharpness import (
 from .structures import (
     biprojection_iff_grouplike,
     glpbi_check,
-    is_biprojection,
     verify_glp_properties,
 )
 from .suq2 import counterexample_report
@@ -79,18 +79,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _check(name: str, claim: str, lhs=None, rhs=None, residual=None,
-           holds: bool = True, **extra) -> dict:
-    entry = {
-        "name": name,
-        "claim": claim,
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": residual,
-        "holds": bool(holds),
-    }
-    entry.update(extra)
-    return entry
+def _entry(c: Check, **extra) -> dict:
+    """The printed form of a check: its largest residual, and its rhs or,
+    without one, the tol that residual is held to. details are not
+    printed; extra adds keys or replaces the name."""
+    return {"name": c.name, "claim": c.claim, "lhs": c.lhs,
+            "rhs": c.tol if c.rhs is None else c.rhs,
+            "residual": max(c.residuals.values(), default=None),
+            "holds": c.holds, **extra}
 
 
 def _document(command: str, example, params: dict, seed, checks: list) -> dict:
@@ -119,41 +115,31 @@ def _run_verify(args) -> dict:
     _positive_tol(args.tol)
     g = catalog.get_example(args.example)
     rep = verify_axioms(g, tol=args.tol)
-    checks = [
-        _check(name, "hopf-star-algebra-axioms", residual=float(value),
-               rhs=args.tol, holds=float(value) <= args.tol)
-        for name, value in sorted(rep.residuals.items())
-    ]
     pair = build_dual(g)
-    pres = pentagon_residual(pair)
-    checks.append(_check("pentagon", "multiplicative-unitary",
-                         residual=pres, rhs=1e-9, holds=pres <= 1e-9))
-    conj = comult_conjugation_residual(pair)
-    checks.append(_check("comultiplication-conjugation",
-                         "multiplicative-unitary", residual=conj, rhs=1e-10,
-                         holds=conj <= 1e-10))
-    pl = plancherel_check(pair, samples=100, seed=args.seed)
-    checks.append(_check("plancherel", "fourier-isometry",
-                         residual=pl.max_residual, rhs=pl.tol,
-                         holds=pl.passed))
-    bid = biduality_check(g)
-    checks.append(_check("biduality", "double-dual-identification",
-                         residual=bid.max_residual, rhs=bid.tol,
-                         holds=bid.passed))
+    checks = [check(name, rep.claim, {name: value}, rep.tol)
+              for name, value in sorted(rep.residuals.items())] + [
+        check("pentagon", "multiplicative-unitary",
+              {"pentagon": pentagon_residual(pair)}, 1e-9),
+        check("comultiplication-conjugation", "multiplicative-unitary",
+              {"conjugation": comult_conjugation_residual(pair)}, 1e-10),
+        plancherel_check(pair, samples=100, seed=args.seed),
+        biduality_check(g),
+    ]
     return _document("verify", args.example,
-                     {"tol": args.tol, "samples": 100}, args.seed, checks)
+                     {"tol": args.tol, "samples": 100}, args.seed,
+                     [_entry(c) for c in checks])
 
 
 def _worst_ratio(name: str, claim: str, ratios: np.ndarray) -> dict:
     """Check entry for the largest ratio; the witness is its first sample."""
     worst_index = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst_index])
-    holds = worst_ratio <= 1.0 + 1e-9
-    entry = _check(name, claim, lhs=worst_ratio, rhs=1.0,
-                   residual=max(0.0, worst_ratio - 1.0), holds=holds)
-    if not holds:
-        entry["witness"] = {"sample_index": worst_index, "ratio": worst_ratio}
-    return entry
+    c = check(name, claim, {"excess": max(0.0, worst_ratio - 1.0)}, 1e-9,
+              lhs=worst_ratio, rhs=1.0)
+    if c.holds:
+        return _entry(c)
+    return _entry(c, witness={"sample_index": worst_index,
+                              "ratio": worst_ratio})
 
 
 def _run_young(args) -> dict:
@@ -184,27 +170,22 @@ def _run_structures(args) -> dict:
     pair = build_dual(catalog.get_example(args.example))
     sweep = biprojection_iff_grouplike(pair, tol=args.tol)
     checks = []
-    for idx, cert in enumerate(sweep.details["group_like"]):
-        h = cert.element
-        props = verify_glp_properties(pair.base, h, tol=args.tol)
-        checks.append(_check(
-            f"group-like-{idx}-properties", "group-like-projection",
-            residual=props.max_residual, rhs=props.tol, holds=props.passed,
-            coeffs=[[float(c.real), float(c.imag)] for c in h.coeffs],
-            haar_value=cert.haar_value))
-        bi = is_biprojection(pair, h, tol=args.tol)
-        checks.append(_check(
-            f"group-like-{idx}-biprojection", "fourier-multiple-of-projection",
-            residual=bi.max_residual, rhs=bi.tol, holds=bi.passed,
-            multiple=bi.details["multiple"]))
-        gb = glpbi_check(pair, h, tol=args.tol)
-        checks.append(_check(
-            f"group-like-{idx}-fourier-image", "dual-group-like-and-weight",
-            residual=gb.max_residual, rhs=gb.tol, holds=gb.passed))
-    checks.append(_check(
-        "biprojection-iff-group-like", "certificate-equivalence",
-        residual=sweep.max_residual, rhs=0.0, holds=sweep.passed,
-        projections_checked=sweep.details["projections_checked"]))
+    for idx, (cert, bi) in enumerate(zip(
+            sweep.details["group_like"],
+            sweep.details["group_like_biprojection"])):
+        h = cert.details["element"]
+        checks += [
+            _entry(verify_glp_properties(pair.base, h, tol=args.tol),
+                   name=f"group-like-{idx}-properties",
+                   coeffs=_encode_array(h.coeffs),
+                   haar_value=cert.details["haar_value"]),
+            _entry(bi, name=f"group-like-{idx}-biprojection",
+                   multiple=bi.details["multiple"]),
+            _entry(glpbi_check(pair, h, tol=args.tol),
+                   name=f"group-like-{idx}-fourier-image"),
+        ]
+    checks.append(_entry(
+        sweep, projections_checked=sweep.details["projections_checked"]))
     return _document("structures", args.example, {"tol": args.tol},
                      args.seed, checks)
 
@@ -221,15 +202,13 @@ def _run_sharpness(args) -> dict:
         rep = estimate_best_constant_hy(
             g, args.p, restarts=args.restarts, iters=args.iters,
             seed=args.seed)
-    entry = _check(
-        f"best-constant-{args.kind}", "sharp-constant-estimate",
-        lhs=rep.constant_estimate, rhs=1.0,
-        residual=max(0.0, rep.constant_estimate - 1.0),
-        holds=rep.constant_estimate <= 1.0 + CEILING,
+    entry = _entry(
+        check(f"best-constant-{args.kind}", "sharp-constant-estimate",
+              {"excess": max(0.0, rep.constant_estimate - 1.0)}, CEILING,
+              lhs=rep.constant_estimate, rhs=1.0),
         converged=rep.converged, restarts_used=rep.restarts_used,
         iterations=rep.iterations,
-        argmax=[[[float(c.real), float(c.imag)] for c in a.coeffs]
-                for a in rep.argmax])
+        argmax=[_encode_array(a.coeffs) for a in rep.argmax])
     params = {"kind": args.kind, "p": args.p, "restarts": args.restarts,
               "iters": args.iters}
     if args.kind == "young":
@@ -242,10 +221,9 @@ def _run_suq2(args) -> dict:
         raise BadParameters("--mu-den must be nonzero")
     mu = Fraction(args.mu_num, args.mu_den)
     rep = counterexample_report(args.n, mu)
-    entry = _check(
-        "convolution-unbounded-certificate", "exact-lower-bound",
-        lhs=rep.bound_decimal, rhs=None, residual=None,
-        holds=rep.identity_holds,
+    entry = _entry(
+        Check("convolution-unbounded-certificate", "exact-lower-bound", {},
+              None, holds=rep.identity_holds, lhs=rep.bound_decimal),
         bound_numerator=str(rep.bound.numerator),
         bound_denominator=str(rep.bound.denominator))
     return _document("suq2", None,
@@ -259,10 +237,10 @@ def _run_hunt(args) -> dict:
     g = catalog.get_example(args.example)
     rep = biprojection_iff_grouplike(build_dual(g))
     candidates = [d for d in rep.details["disagreements"] if d["biprojection"]]
-    entry = _check(
-        "non-group-like-biprojection-hunt", "certificate-equivalence",
-        lhs=float(len(candidates)), rhs=0.0,
-        residual=float(len(candidates)), holds=not candidates,
+    entry = _entry(
+        check("non-group-like-biprojection-hunt", "certificate-equivalence",
+              {"candidates": len(candidates)}, 0.0,
+              lhs=float(len(candidates))),
         candidates=candidates,
         group_like_hits=rep.details["biprojections"] - len(candidates))
     return _document("hunt", args.example,
@@ -394,8 +372,8 @@ def run(argv=None) -> int:
     except AxiomFailure as exc:   # raised by args.func, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},
                         getattr(args, "seed", None),
-                        [_check("construction", "axioms", holds=False,
-                                message=str(exc))])
+                        [_entry(Check("construction", "axioms", {}, None,
+                                      holds=False), message=str(exc))])
         sys.stdout.write(json_dumps(doc))
         sys.stderr.write(f"FAIL construction: {exc}\n")
         return 2

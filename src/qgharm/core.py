@@ -28,13 +28,13 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
+from .report import Check, check
 
 __all__ = [
     "CayleyTable",
     "FiniteQuantumGroup",
     "Blocks",
     "AlgebraElement",
-    "AxiomReport",
     "verify_axioms",
     "build_function_algebra",
     "build_group_algebra",
@@ -458,23 +458,6 @@ def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
 # axiom verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
-    residuals: dict
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-    def failing(self) -> dict:
-        return {k: v for k, v in self.residuals.items() if v > self.tol}
-
-
 def _maxabs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -485,7 +468,7 @@ def _on_two_legs(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return a @ (a @ t.reshape(len(a), -1)).reshape(t.shape)
 
 
-def verify_axioms(g: FiniteQuantumGroup, tol: float = 1e-10) -> AxiomReport:
+def verify_axioms(g: FiniteQuantumGroup, tol: float = 1e-10) -> Check:
     """Check the Hopf *-algebra and Haar axioms; every residual must be <= tol."""
     n = g.dim
     m, c3 = g.mult, g.comult3
@@ -548,7 +531,7 @@ def verify_axioms(g: FiniteQuantumGroup, tol: float = 1e-10) -> AxiomReport:
     q = g.q_matrix
     res["traciality"] = _maxabs(q - q.T)
 
-    return AxiomReport(residuals={k: float(v) for k, v in res.items()}, tol=tol)
+    return check("axioms", "hopf-star-algebra-axioms", res, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +729,7 @@ def build_kac_paljutkin() -> FiniteQuantumGroup:
 
 def _accept(qg: FiniteQuantumGroup, tol: float = 1e-12) -> None:
     report = verify_axioms(qg, tol=tol)
-    if not report.passed:
+    if not report.holds:
         raise AxiomFailure(f"construction fails axioms: {report.failing()}")
 
 

@@ -33,7 +33,7 @@ from .errors import (
     NotUnitary,
     PlancherelInconsistent,
 )
-from .report import CheckReport
+from .report import Check, check
 
 __all__ = [
     "DualPair",
@@ -152,7 +152,7 @@ def build_dual(g: FiniteQuantumGroup, tol: float = 1e-8) -> DualPair:
 
 def _build_dual(g: FiniteQuantumGroup, tol: float) -> DualPair:
     report = verify_axioms(g, tol=1e-10)
-    if not report.passed:
+    if not report.holds:
         raise AxiomFailure(f"base fails axioms: {report.failing()}")
     n = g.dim
     s = g.antipode
@@ -174,7 +174,7 @@ def _build_dual(g: FiniteQuantumGroup, tol: float) -> DualPair:
         name=(g.name or "base") + "-dual",
     )
     report = verify_axioms(dual_qg, tol=tol)
-    if not report.passed:
+    if not report.holds:
         raise DegenerateDual(f"dual fails axioms: {report.failing()}")
 
     pair = DualPair(
@@ -249,42 +249,32 @@ def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def plancherel_check(pair: DualPair, samples: int = 100,
-                     seed: int = 42, tol: float = 1e-9) -> CheckReport:
+                     seed: int = 42, tol: float = 1e-9) -> Check:
     """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
     g = pair.base
     draws = np.random.default_rng(seed).standard_normal((samples, 2, g.dim))
     x = draws[:, 0] + 1j * draws[:, 1]
     rhs = lp2_norm_base(g, x)
     gaps = np.abs(lp2_norm_dual(pair, fourier_coeffs(pair, x)) - rhs)
-    worst = float(np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0))
-    return CheckReport(
-        name="plancherel",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={"samples": samples, "seed": seed, "example": g.name},
-    )
+    worst = np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0)
+    return check("plancherel", "fourier-isometry", {"relative_gap": worst},
+                 tol, samples=samples, seed=seed, example=g.name)
 
 
 def convolution_theorem_check(pair: DualPair, x, y,
-                              tol: float = 1e-9) -> CheckReport:
+                              tol: float = 1e-9) -> Check:
     """F(x * y) = F(x) F(y), measured in max-abs on the dual coefficients."""
     g = pair.base
     conv = convolve(g, x, y)
     lhs = fourier(pair, conv)
     rhs = fourier(pair, x) @ fourier(pair, y)
     scale = max(_maxabs(rhs), 1.0)
-    resid = _maxabs(lhs - rhs) / scale
-    return CheckReport(
-        name="convolution-theorem",
-        passed=resid <= tol,
-        max_residual=resid,
-        tol=tol,
-        details={"example": g.name},
-    )
+    return check("convolution-theorem", "fourier-multiplicative",
+                 {"relative_gap": _maxabs(lhs - rhs) / scale}, tol,
+                 example=g.name)
 
 
-def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> CheckReport:
+def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> Check:
     """dual(dual(G)) matches G after the canonical GNS identification.
 
     The identification sends the dual-coefficient GNS vector of lambda(x phi)
@@ -301,11 +291,5 @@ def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> CheckReport:
     res["antipode"] = _maxabs(t @ bid.antipode - g.antipode @ t)
     res["star"] = _maxabs(t @ bid.star - g.star @ np.conj(t))
     res["haar"] = _maxabs(bid.haar - g.haar @ t)
-    worst = max(res.values())
-    return CheckReport(
-        name="biduality",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={"example": g.name, **{k: float(v) for k, v in res.items()}},
-    )
+    return check("biduality", "double-dual-identification", res, tol,
+                 example=g.name)

@@ -21,7 +21,7 @@ from .convolution import convolve
 from .core import FiniteQuantumGroup, is_automorphism
 from .duality import DualPair, fourier_coeffs
 from .errors import BadExponents, NotAutomorphism, NotTracial, ShapeMismatch
-from .report import CheckReport
+from .report import Check, check
 
 __all__ = [
     "conjugate_exponent",
@@ -34,7 +34,6 @@ __all__ = [
     "lp_norms_batch",
     "spectral_data",
     "norms_from_spectral",
-    "YoungReport",
     "young_sides",
     "hausdorff_young_sides",
     "young_check",
@@ -173,23 +172,6 @@ def lp_norms_batch(space: WeightedLpSpace, coeffs: np.ndarray, p) -> np.ndarray:
 # inequality checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class YoungReport:
-    p: float
-    q: float
-    r: float
-    lhs: float
-    rhs: float
-    ratio: float
-    holds: bool
-    slack: float = 1e-9
-
-    def __str__(self) -> str:
-        word = "ok" if self.holds else "VIOLATED"
-        return (f"young p={self.p} q={self.q} r={self.r}: "
-                f"{self.lhs:.6e} <= {self.rhs:.6e} ({word})")
-
-
 def _ratio(lhs, rhs):
     """lhs / rhs; 0 where both are 0, INF where only rhs is."""
     out = np.where(lhs == 0, 0.0, INF)
@@ -224,24 +206,27 @@ def hausdorff_young_sides(pair: DualPair, x, p,
     return lhs, rhs, _ratio(lhs, rhs)
 
 
-def _report(p, q, r, sides, slack: float) -> YoungReport:
+def _bound(name: str, claim: str, sides, slack: float, **details) -> Check:
+    """lhs <= rhs up to the relative slack; the residual is the excess of
+    lhs / rhs over 1."""
     lhs, rhs, ratio = (float(v) for v in sides)
-    return YoungReport(p=float(p), q=float(q), r=float(r), lhs=lhs, rhs=rhs,
-                       ratio=ratio, holds=lhs <= rhs * (1.0 + slack),
-                       slack=slack)
+    return check(name, claim, {"excess": max(0.0, ratio - 1.0)}, slack,
+                 lhs=lhs, rhs=rhs, ratio=ratio, **details)
 
 
 def young_check(g: FiniteQuantumGroup, x, y, p, q,
                 space: Optional[WeightedLpSpace] = None,
-                slack: float = 1e-9) -> YoungReport:
+                slack: float = 1e-9) -> Check:
     """||x * y||_r <= ||x||_p ||y||_q with 1/r + 1 = 1/p + 1/q."""
-    return _report(p, q, young_exponent(p, q),
-                   young_sides(g, x, y, p, q, space), slack)
+    r = young_exponent(p, q)
+    return _bound("young-inequality", "convolution-norm-bound",
+                  young_sides(g, x, y, p, q, space), slack,
+                  p=float(p), q=float(q), r=r)
 
 
 def young_l1_lp_check(g: FiniteQuantumGroup, x, y, p,
                       space: Optional[WeightedLpSpace] = None,
-                      slack: float = 1e-9) -> YoungReport:
+                      slack: float = 1e-9) -> Check:
     """||x * y||_p <= ||x||_1 ||y||_p, the q = 1 endpoint including p = inf."""
     return young_check(g, x, y, 1.0, p, space, slack)
 
@@ -249,15 +234,15 @@ def young_l1_lp_check(g: FiniteQuantumGroup, x, y, p,
 def hausdorff_young_check(pair: DualPair, x, p,
                           base_sp: Optional[WeightedLpSpace] = None,
                           dual_sp: Optional[WeightedLpSpace] = None,
-                          slack: float = 1e-9) -> YoungReport:
+                          slack: float = 1e-9) -> Check:
     """||F(x)||_{p'} <= ||x||_p for p in [1, 2], dual side under the weight."""
-    pc = conjugate_exponent(p)
-    sides = hausdorff_young_sides(pair, x, p, base_sp, dual_sp)
-    return _report(p, pc, pc, sides, slack)
+    return _bound("hausdorff-young-inequality", "fourier-norm-bound",
+                  hausdorff_young_sides(pair, x, p, base_sp, dual_sp), slack,
+                  p=float(p), p_conjugate=conjugate_exponent(p))
 
 
 def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
-                         tol: float = 1e-9) -> CheckReport:
+                         tol: float = 1e-9) -> Check:
     """||x||_{p, phi} equals ||alpha(x)||_{p, phi o alpha^{-1}}."""
     if not is_automorphism(g, alpha):
         raise NotAutomorphism("alpha does not preserve the algebra structure")
@@ -269,37 +254,28 @@ def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
     xc = g.coeffs_of(x)
     lhs = lp_norm(sp, xc, p)
     rhs = lp_norm(sp_moved, alpha @ xc, p)
-    gap = abs(lhs - rhs) / max(lhs, 1e-300)
-    return CheckReport(
-        name="norm-transport",
-        passed=gap <= tol,
-        max_residual=gap,
-        tol=tol,
-        details={"p": float(p), "lhs": lhs, "rhs": rhs, "example": g.name},
-    )
+    return check("norm-transport", "automorphism-invariant-norm",
+                 {"relative_gap": abs(lhs - rhs) / max(lhs, 1e-300)}, tol,
+                 lhs=lhs, rhs=rhs, p=float(p), example=g.name)
 
 
 def holder_check(g: FiniteQuantumGroup, x, y, p,
                  space: Optional[WeightedLpSpace] = None,
-                 slack: float = 1e-9) -> CheckReport:
+                 slack: float = 1e-9) -> Check:
     """|phi(x* y)| <= ||x||_p ||y||_{p'} sanity bound for the norms."""
     sp = space if space is not None else base_space(g)
     pc = conjugate_exponent(p)
     xc, yc = g.coeffs_of(x), g.coeffs_of(y)
     pairing = abs(complex(xc.conj() @ g.gram @ yc))
     bound = lp_norm(sp, xc, p) * lp_norm(sp, yc, pc)
-    ok = pairing <= bound * (1.0 + slack)
-    excess = 0.0 if bound == 0 else max(0.0, pairing / bound - 1.0)
-    return CheckReport(name="hoelder", passed=ok, max_residual=excess,
-                       tol=slack, details={"p": float(p)})
+    return _bound("hoelder", "pairing-norm-bound",
+                  (pairing, bound, _ratio(pairing, bound)), slack, p=float(p))
 
 
 def functional_norm_submultiplicativity_check(
-        g: FiniteQuantumGroup, x, y, slack: float = 1e-9) -> CheckReport:
+        g: FiniteQuantumGroup, x, y, slack: float = 1e-9) -> Check:
     """||omega * theta|| <= ||omega|| ||theta|| for omega = x phi, theta = y phi,
     with the functional norm computed as the L^1 norm of the density."""
-    lhs, rhs, ratio = young_sides(g, x, y, 1.0, 1.0)
-    return CheckReport(name="functional-norm-submultiplicative",
-                       passed=bool(lhs <= rhs * (1.0 + slack)),
-                       max_residual=max(0.0, float(ratio) - 1.0), tol=slack,
-                       details={})
+    return _bound("functional-norm-submultiplicative",
+                  "convolution-norm-bound", young_sides(g, x, y, 1.0, 1.0),
+                  slack)

@@ -1,20 +1,42 @@
-"""Small result record shared by the numerical checkers."""
+"""The one record every check returns."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
+
+__all__ = ["Check", "check"]
 
 
 @dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification: a named residual against a tolerance."""
+class Check:
+    """Outcome of one check: named residuals against a tolerance.
+
+    name and claim say what was checked and holds is the verdict. lhs and
+    rhs are the two sides of an inequality where the check has them. details
+    holds the evidence that the CLI does not print, such as a certified
+    element and its Haar value.
+    """
 
     name: str
-    passed: bool
-    max_residual: float
-    tol: float
+    claim: str
+    residuals: dict
+    tol: Optional[float]
+    holds: bool
+    lhs: Optional[float] = None
+    rhs: Optional[float] = None
     details: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:
-        word = "ok" if self.passed else "FAIL"
-        return f"{self.name}: {word} (max residual {self.max_residual:.3e}, tol {self.tol:.1e})"
+    def failing(self) -> dict:
+        return {k: v for k, v in self.residuals.items() if v > self.tol}
+
+
+def check(name: str, claim: str, residuals: dict, tol: float,
+          lhs: Optional[float] = None, rhs: Optional[float] = None,
+          **details) -> Check:
+    """The record of a check that holds when its largest residual is at
+    most tol."""
+    residuals = {k: float(v) for k, v in residuals.items()}
+    return Check(name=name, claim=claim, residuals=residuals, tol=tol,
+                 holds=bool(max(residuals.values()) <= tol), lhs=lhs, rhs=rhs,
+                 details=details)

@@ -183,7 +183,8 @@ def estimate_best_constant_young(g: FiniteQuantumGroup, p, q,
 
     renorms = [lambda v: v / max(lp_norm(sp, v, p), 1e-300),
                lambda v: v / max(lp_norm(sp, v, q), 1e-300)]
-    warm = [[c.element.coeffs.astype(complex), c.element.coeffs.astype(complex)]
+    warm = [[c.details["element"].coeffs.astype(complex),
+             c.details["element"].coeffs.astype(complex)]
             for c in enumerate_group_like_projections(g)]
     return _multistart(g, "young", (float(p), float(q), float(r)), objective,
                        renorms, restarts, iters, seed, warm)
@@ -211,7 +212,7 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
         return hausdorff_young_sides(pair, x, p, bsp, dsp)[2]
 
     renorms = [lambda v: v / max(lp_norm(bsp, v, p), 1e-300)]
-    warm = [[c.element.coeffs.astype(complex)]
+    warm = [[c.details["element"].coeffs.astype(complex)]
             for c in enumerate_group_like_projections(base)]
     return _multistart(base, "hausdorff-young", (p, float(pc)), objective,
                        renorms, restarts, iters, seed, warm)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convolution import convolve
-from .core import AlgebraElement, FiniteQuantumGroup, _maxabs
+from .core import AlgebraElement, FiniteQuantumGroup, _encode_array, _maxabs
 from .duality import DualPair, dual_fourier, fourier_coeffs
 from .errors import (
     CertificateMissing,
@@ -36,11 +36,9 @@ from .errors import (
 )
 from .linalg import range_projection
 from .lp import base_space, dual_space, hausdorff_young_check, lp_norm
-from .report import CheckReport
+from .report import Check, check
 
 __all__ = [
-    "GroupLikeCertificate",
-    "ShiftCertificate",
     "is_group_like_projection",
     "verify_glp_properties",
     "is_biprojection",
@@ -62,21 +60,10 @@ TRIVIAL_NOTE = "trivially satisfied (finite-dimensional tracial case)"
 # group-like projections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupLikeCertificate:
-    element: AlgebraElement
-    residuals: dict
-    tol: float
-    haar_value: float
-
-    @property
-    def certified(self) -> bool:
-        return max(self.residuals.values()) <= self.tol
-
-
 def is_group_like_projection(g: FiniteQuantumGroup, h,
-                             tol: float = 1e-9) -> GroupLikeCertificate:
-    """Certificate for h = h* = h^2 != 0 with Delta(h)(1 . h) = h . h."""
+                             tol: float = 1e-9) -> Check:
+    """Certificate for h = h* = h^2 != 0 with Delta(h)(1 . h) = h . h; its
+    details hold the element and its Haar value."""
     hc = g.coeffs_of(h)
     res = {
         "projection": _maxabs(g.multiply(hc, hc) - hc),
@@ -84,13 +71,8 @@ def is_group_like_projection(g: FiniteQuantumGroup, h,
         "nonzero": 0.0 if _maxabs(hc) > tol else 1.0,
         "defining_relation": _maxabs(_group_like_relation(g, hc)),
     }
-    phi_h = g.haar_of(hc)
-    return GroupLikeCertificate(
-        element=g.element(hc),
-        residuals={k: float(v) for k, v in res.items()},
-        tol=tol,
-        haar_value=float(phi_h.real),
-    )
+    return check("group-like-projection", "group-like-projection", res, tol,
+                 element=g.element(hc), haar_value=float(g.haar_of(hc).real))
 
 
 def _right_mult(g: FiniteQuantumGroup, h) -> np.ndarray:
@@ -107,20 +89,20 @@ def _group_like_relation(g: FiniteQuantumGroup, hc) -> np.ndarray:
     return g.delta(hc) @ _right_mult(g, hc) - outer
 
 
-def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> GroupLikeCertificate:
+def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> Check:
     cert = is_group_like_projection(g, h, tol=tol)
-    if not cert.certified:
+    if not cert.holds:
         raise NotGroupLike(f"not a group-like projection: {cert.residuals}")
     return cert
 
 
 def verify_glp_properties(g: FiniteQuantumGroup, h,
-                          tol: float = 1e-9) -> CheckReport:
+                          tol: float = 1e-9) -> Check:
     """Derived identities of a group-like projection: fixed by S (which is
     R on Kac-type data), the mirrored relation, and equality of the two
     weighted functionals."""
     cert = _require_group_like(g, h, tol)
-    hc = cert.element.coeffs
+    hc = cert.details["element"].coeffs
     mirrored = _right_mult(g, hc).T @ g.delta(hc)
     # h phi = h psi: both are y -> haar(y h) here since the left and right
     # Haar weights coincide; assert through the two product orders.
@@ -130,17 +112,10 @@ def verify_glp_properties(g: FiniteQuantumGroup, h,
         "weighted_functionals_equal": _maxabs(g.q_matrix @ hc
                                               - hc @ g.q_matrix),
         "convolution_idempotent": _maxabs(
-            convolve(g, hc, hc).coeffs - cert.haar_value * hc),
+            convolve(g, hc, hc).coeffs - cert.details["haar_value"] * hc),
     }
-    worst = max(res.values())
-    return CheckReport(
-        name="group-like-properties",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={**{k: float(v) for k, v in res.items()},
-                 "modular_invariance": TRIVIAL_NOTE},
-    )
+    return check("group-like-properties", "group-like-projection", res, tol,
+                 modular_invariance=TRIVIAL_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +127,7 @@ def _fourier_blocks(pair: DualPair, x) -> np.ndarray:
     return pair.dual_qg.blocks.diag(fourier_coeffs(pair, x))
 
 
-def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
+def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> Check:
     """Is F(h) a (nonzero) multiple of a projection in the dual algebra?
 
     Inner products are the Hilbert-Schmidt ones of the operators on L^2(G),
@@ -161,24 +136,16 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
     blocks = pair.dual_qg.blocks
     scale = float(np.sqrt(blocks.hs(f, f).real))
     if scale <= tol:
-        return CheckReport(name="biprojection", passed=False,
-                           max_residual=1.0, tol=tol,
-                           details={"reason": "zero transform", "multiple": 0.0})
+        return check("biprojection", "fourier-multiple-of-projection",
+                     {"nonzero_transform": 1.0}, tol, multiple=0.0)
     ff = f @ f
     fit = blocks.hs(f, ff) / blocks.hs(f, f)
     res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)
     res_sa = _maxabs(f - f.conj().T) / max(_maxabs(f), 1e-300)
-    res_real = abs(fit.imag)
-    worst = max(res_proj, res_sa, res_real)
-    return CheckReport(
-        name="biprojection",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={"multiple": float(fit.real),
-                 "idempotent_after_fit": float(res_proj),
-                 "self_adjoint": float(res_sa)},
-    )
+    return check("biprojection", "fourier-multiple-of-projection",
+                 {"idempotent_after_fit": res_proj, "self_adjoint": res_sa,
+                  "real_multiple": abs(fit.imag)}, tol,
+                 multiple=float(fit.real))
 
 
 def _biprojection_relation(pair: DualPair, hc) -> np.ndarray:
@@ -197,14 +164,14 @@ def range_projection_of_fourier(pair: DualPair, h) -> np.ndarray:
     return pair.dual_qg.blocks.coeffs_of_diag(p)
 
 
-def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
+def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> Check:
     """Fourier image of a group-like projection: phi(h)^{-1} F(h) is a
     dual group-like projection, the dual weight of its range is 1/phi(h),
     and transporting the range back recovers phi(h)^{-1} h."""
     g = pair.base
     cert = _require_group_like(g, h, tol)
-    hc = cert.element.coeffs
-    phi_h = cert.haar_value
+    hc = cert.details["element"].coeffs
+    phi_h = cert.details["haar_value"]
     if phi_h <= 0:
         raise NotGroupLike(f"Haar value {phi_h} is not positive")
 
@@ -220,22 +187,16 @@ def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> CheckReport:
 
     res = {
         "dual_group_like": max(dual_cert.residuals.values()),
-        "weight_of_range": float(res_weight),
-        "inverse_transform_of_range": float(res_back),
+        "weight_of_range": res_weight,
+        "inverse_transform_of_range": res_back,
     }
-    worst = max(res.values())
-    return CheckReport(
-        name="group-like-fourier-image",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={**res, "haar_value": phi_h,
-                 "dual_weight_of_range": float(weight_of_range.real)},
-    )
+    return check("group-like-fourier-image", "dual-group-like-and-weight",
+                 res, tol, haar_value=phi_h,
+                 dual_weight_of_range=float(weight_of_range.real))
 
 
 def biprojection_iff_grouplike(pair: DualPair,
-                               tol: float = 1e-9) -> CheckReport:
+                               tol: float = 1e-9) -> Check:
     """Every biprojection is group-like and every group-like projection is
     a biprojection, over all projections of the base.
 
@@ -244,45 +205,45 @@ def biprojection_iff_grouplike(pair: DualPair,
     and F(h)* = F(h); the multiple is phi(h) because the dual counit is a
     character with epsilon_hat(F(x)) = phi(x). projections_checked counts
     the block choices, group_like holds the certificates of
-    enumerate_group_like_projections, and singular_value_gaps holds the
+    enumerate_group_like_projections, group_like_biprojection the
+    is_biprojection record of each of them, and singular_value_gaps holds the
     weakest rank decision of each choice solved with rank-one blocks.
     """
     g = pair.base
     group_like, gl_run = _group_like(g, tol)
     bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol)
-    _all_certified(is_biprojection(pair, h, tol=tol).passed
+    _all_certified(is_biprojection(pair, h, tol=tol).holds
                    for h in bi_run.points)
     disagreements = [
         _disagreement(h, biprojection=True, group_like=False)
         for h in bi_run.points
-        if not is_group_like_projection(g, h, tol=tol).certified]
+        if not is_group_like_projection(g, h, tol=tol).holds]
+    group_like_bi = [is_biprojection(pair, c.details["element"], tol=tol)
+                     for c in group_like]
     disagreements += [
-        _disagreement(c.element.coeffs, biprojection=False, group_like=True)
-        for c in group_like
-        if not is_biprojection(pair, c.element, tol=tol).passed]
-    return CheckReport(
-        name="biprojection-iff-group-like",
-        passed=not disagreements,
-        max_residual=float(len(disagreements)),
-        tol=0.0,
-        details={"projections_checked": gl_run.choices,
-                 "biprojections": len(bi_run.points),
-                 "group_like": group_like,
-                 "disagreements": disagreements,
-                 "singular_value_gaps": {"group_like": gl_run.gaps,
-                                         "biprojection": bi_run.gaps}},
-    )
+        _disagreement(c.details["element"].coeffs, biprojection=False,
+                      group_like=True)
+        for c, bi in zip(group_like, group_like_bi) if not bi.holds]
+    return check("biprojection-iff-group-like", "certificate-equivalence",
+                 {"disagreements": len(disagreements)}, 0.0,
+                 projections_checked=gl_run.choices,
+                 biprojections=len(bi_run.points),
+                 group_like=group_like,
+                 group_like_biprojection=group_like_bi,
+                 disagreements=disagreements,
+                 singular_value_gaps={"group_like": gl_run.gaps,
+                                      "biprojection": bi_run.gaps})
 
 
 def _disagreement(h: np.ndarray, biprojection: bool, group_like: bool) -> dict:
-    return {"coeffs": [[float(c.real), float(c.imag)] for c in h],
+    return {"coeffs": _encode_array(h),
             "biprojection": biprojection, "group_like": group_like}
 
 
 def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
     run = _enumerate(g, lambda h: _group_like_relation(g, h), tol)
     certs = [is_group_like_projection(g, h, tol=tol) for h in run.points]
-    _all_certified(c.certified for c in certs)
+    _all_certified(c.holds for c in certs)
     return certs, run
 
 
@@ -501,47 +462,26 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
 # shifts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftCertificate:
-    element: AlgebraElement
-    base_projection: AlgebraElement
-    side: str
-    mu: float
-    residuals: dict
-    tol: float
-    details: dict = field(default_factory=dict)
-
-    @property
-    def certified(self) -> bool:
-        return max(self.residuals.values()) <= self.tol
-
-
 def shift_check(g: FiniteQuantumGroup, x, h, side: str = "left",
-                tol: float = 1e-9) -> ShiftCertificate:
-    """Certify x as a left or right shift of the group-like projection h."""
+                tol: float = 1e-9) -> Check:
+    """Certify x as a left or right shift of the group-like projection h;
+    its details hold x, h and the side."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     cert = _require_group_like(g, h, tol)
-    hc = cert.element.coeffs
+    hc = cert.details["element"].coeffs
     xc = g.coeffs_of(x)
     if not (_maxabs(g.multiply(xc, xc) - xc) <= tol
             and _maxabs(g.star_of(xc) - xc) <= tol):
         raise NotProjection("shift candidate must be a projection")
     res = {k: _maxabs(v) for k, v in _shift_relations(g, xc, hc, side).items()}
-    return ShiftCertificate(
-        element=g.element(xc),
-        base_projection=cert.element,
-        side=side,
-        mu=1.0,
-        residuals=res,
-        tol=tol,
-        details={
-            "scaling_invariance": TRIVIAL_NOTE,
-            "modular_invariance": TRIVIAL_NOTE,
-            "delta_eigenvalue": TRIVIAL_NOTE + "; mu_x = 1",
-            "dual_modular_covariance": TRIVIAL_NOTE,
-        },
-    )
+    return check("shift", "shift-of-group-like-projection", res, tol,
+                 element=g.element(xc),
+                 base_projection=cert.details["element"], side=side,
+                 scaling_invariance=TRIVIAL_NOTE,
+                 modular_invariance=TRIVIAL_NOTE,
+                 delta_eigenvalue=TRIVIAL_NOTE + "; mu_x = 1",
+                 dual_modular_covariance=TRIVIAL_NOTE)
 
 
 def _shift_relations(g: FiniteQuantumGroup, xc, hc, side: str) -> dict:
@@ -570,11 +510,11 @@ def enumerate_left_shifts(g: FiniteQuantumGroup, h,
     relations are solved exactly over every block choice, as in
     enumerate_group_like_projections.
     """
-    hc = _require_group_like(g, h, tol).element.coeffs
+    hc = _require_group_like(g, h, tol).details["element"].coeffs
     run = _enumerate(g, lambda x: np.concatenate(
         list(_shift_relations(g, x, hc, "left").values()), axis=-1), tol)
     certs = [shift_check(g, x, hc, side="left", tol=tol) for x in run.points]
-    _all_certified(c.certified for c in certs)
+    _all_certified(c.holds for c in certs)
     return certs
 
 
@@ -588,15 +528,15 @@ def _partial_isometry_residual(mat: np.ndarray) -> float:
 
 
 def bipartial_isometry_check(pair: DualPair, x, h,
-                             tol: float = 1e-9) -> CheckReport:
+                             tol: float = 1e-9) -> Check:
     """A certified left shift is a bi-partial isometry with
     F(x)* F(x) = phi(h) F(h) and operator norm phi(h)."""
     g = pair.base
     cert = shift_check(g, x, h, side="left", tol=tol)
-    if not cert.certified:
+    if not cert.holds:
         raise NotAShift(f"shift certificate failed: {cert.residuals}")
-    xc = cert.element.coeffs
-    hc = cert.base_projection.coeffs
+    xc = cert.details["element"].coeffs
+    hc = cert.details["base_projection"].coeffs
     phi_h = float(g.haar_of(hc).real)
 
     f = _fourier_blocks(pair, xc)
@@ -608,15 +548,8 @@ def bipartial_isometry_check(pair: DualPair, x, h,
             f.conj().T @ f - phi_h * _fourier_blocks(pair, hc)),
         "fourier_operator_norm": abs(float(np.linalg.norm(f, 2)) - phi_h),
     }
-    worst = max(res.values())
-    return CheckReport(
-        name="bi-partial-isometry",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={**{k: float(v) for k, v in res.items()},
-                 "haar_value": phi_h},
-    )
+    return check("bi-partial-isometry", "fourier-partial-isometry", res, tol,
+                 haar_value=phi_h)
 
 
 # ---------------------------------------------------------------------------
@@ -633,22 +566,22 @@ def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
     """
     g = pair.base
     base_cert = shift_check(g, x_h, h, side="left", tol=tol)
-    if not base_cert.certified:
+    if not base_cert.holds:
         raise CertificateMissing(
             f"base shift certificate failed: {base_cert.residuals}")
     h_tilde = range_projection_of_fourier(pair, h)
     dual_cert = shift_check(pair.dual_qg, x_tilde, h_tilde,
                             side="left", tol=tol)
-    if not dual_cert.certified:
+    if not dual_cert.holds:
         raise CertificateMissing(
             f"dual shift certificate failed: {dual_cert.residuals}")
     xy = g.multiply(x_h, y)
-    pulled = dual_fourier(pair, dual_cert.element)
+    pulled = dual_fourier(pair, dual_cert.details["element"])
     return convolve(g, xy, pulled.coeffs)
 
 
 def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9,
-                          exponents=(1.0, 4.0 / 3.0, 2.0)) -> CheckReport:
+                          exponents=(1.0, 4.0 / 3.0, 2.0)) -> Check:
     """Extremality of a bi-shift: both x and F(x) are multiples of partial
     isometries, the transform's operator norm equals ||x||_1, and the
     Hausdorff-Young inequality is an equality at the listed exponents."""
@@ -668,14 +601,7 @@ def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9,
     }
     for p in exponents:
         rep = hausdorff_young_check(pair, xc, p, bsp, dsp)
-        res[f"extremal_p_{p:g}"] = abs(rep.ratio - 1.0)
-    worst = max(res.values())
-    return CheckReport(
-        name="bi-shift-extremality",
-        passed=worst <= tol,
-        max_residual=worst,
-        tol=tol,
-        details={**{k: float(v) for k, v in res.items()},
-                 "scaling_invariance": TRIVIAL_NOTE,
-                 "delta_eigenvalue": TRIVIAL_NOTE + "; mu_x = 1"},
-    )
+        res[f"extremal_p_{p:g}"] = abs(rep.details["ratio"] - 1.0)
+    return check("bi-shift-extremality", "hausdorff-young-extremal", res, tol,
+                 scaling_invariance=TRIVIAL_NOTE,
+                 delta_eigenvalue=TRIVIAL_NOTE + "; mu_x = 1")

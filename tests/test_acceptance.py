@@ -67,8 +67,8 @@ def test_criterion_1_axioms_on_the_whole_catalog():
     from qgharm.core import verify_axioms
     for name in EXAMPLE_NAMES:
         rep = verify_axioms(get_example(name), tol=1e-10)
-        worst = max(worst, rep.max_residual)
-        assert rep.passed, f"{name}: {rep.failing()}"
+        worst = max(worst, *rep.residuals.values())
+        assert rep.holds, f"{name}: {rep.failing()}"
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 5.0
     _report(1, ok, f"worst residual {worst:.2e}, {elapsed:.2f}s")
@@ -85,9 +85,9 @@ def test_criterion_2_duality_stack():
         worst["conjugation"] = max(worst["conjugation"],
                                    comult_conjugation_residual(pair))
         pl = plancherel_check(pair, samples=100, seed=42)
-        worst["plancherel"] = max(worst["plancherel"], pl.max_residual)
+        worst["plancherel"] = max(worst["plancherel"], *pl.residuals.values())
         bd = biduality_check(g)
-        worst["biduality"] = max(worst["biduality"], bd.max_residual)
+        worst["biduality"] = max(worst["biduality"], *bd.residuals.values())
     ok = (worst["pentagon"] <= 1e-9 and worst["conjugation"] <= 1e-10
           and worst["plancherel"] <= 1e-9 and worst["biduality"] <= 1e-8)
     _report(2, ok, ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
@@ -120,25 +120,25 @@ def test_criterion_3_young_inequality():
         g = get_example(name)
         sp = base_space(g)
         for cert in enumerate_group_like_projections(g):
-            h = cert.element.coeffs
+            h = cert.details["element"].coeffs
             for p in YOUNG_EXPONENTS:
                 for q in YOUNG_EXPONENTS:
                     rep = young_check(g, h, h, p, q, space=sp)
-                    eq_gap = max(eq_gap, abs(rep.ratio - 1.0))
+                    eq_gap = max(eq_gap, abs(rep.details["ratio"] - 1.0))
 
     # equality at (R(x), x) for every certified coset shift on six points
     g6 = get_example("s3-function")
     sp6 = base_space(g6)
     shifts_seen = 0
     for cert in enumerate_group_like_projections(g6):
-        for s in enumerate_left_shifts(g6, cert.element):
-            x = s.element.coeffs
+        for s in enumerate_left_shifts(g6, cert.details["element"]):
+            x = s.details["element"].coeffs
             rx = g6.antipode @ x
             shifts_seen += 1
             for p in YOUNG_EXPONENTS:
                 for q in YOUNG_EXPONENTS:
                     rep = young_check(g6, rx, x, p, q, space=sp6)
-                    eq_gap = max(eq_gap, abs(rep.ratio - 1.0))
+                    eq_gap = max(eq_gap, abs(rep.details["ratio"] - 1.0))
     elapsed = time.monotonic() - start
     ok = random_ok and eq_gap <= 1e-9 and shifts_seen == 18 and elapsed < 60.0
     _report(3, ok, f"max ratio {worst_ratio:.12f}, equality gap {eq_gap:.2e}, "
@@ -161,8 +161,8 @@ def test_criterion_4_hausdorff_young():
             ratios = lp_norms_batch(dsp, fs, pc) / lp_norms_batch(bsp, xs, p)
             worst_ratio = max(worst_ratio, float(np.max(ratios)))
         for cert in enumerate_group_like_projections(g):
-            h = cert.element.coeffs
-            phi_h = cert.haar_value
+            h = cert.details["element"].coeffs
+            phi_h = cert.details["haar_value"]
             for p in HY_EXPONENTS:
                 pc = conjugate_exponent(p)
                 lhs = lp_norm(dsp, fourier_coeffs(pair, h), pc)
@@ -184,25 +184,26 @@ def test_criterion_5_projection_machinery():
         pair = build_dual(g)
         certs = enumerate_group_like_projections(g)
         for cert in certs:
-            h = cert.element.coeffs
+            h = cert.details["element"].coeffs
             conv_idem = max(conv_idem, float(np.max(np.abs(
-                convolve(g, h, h).coeffs - cert.haar_value * h))))
-            rep = glpbi_check(pair, cert.element)
-            assert rep.passed, (name, rep.details)
-            glpbi_worst = max(glpbi_worst, rep.max_residual)
-            shifts = enumerate_left_shifts(g, cert.element)
-            assert shifts, (name, cert.haar_value)
+                convolve(g, h, h).coeffs - cert.details["haar_value"] * h))))
+            rep = glpbi_check(pair, cert.details["element"])
+            assert rep.holds, (name, rep.details)
+            glpbi_worst = max(glpbi_worst, *rep.residuals.values())
+            shifts = enumerate_left_shifts(g, cert.details["element"])
+            assert shifts, (name, cert.details["haar_value"])
             for s in shifts:
-                brep = bipartial_isometry_check(pair, s.element, cert.element)
-                assert brep.passed, (name, brep.details)
-                bipartial_worst = max(bipartial_worst, brep.max_residual)
+                brep = bipartial_isometry_check(pair, s.details["element"],
+                                                cert.details["element"])
+                assert brep.holds, (name, brep.details)
+                bipartial_worst = max(bipartial_worst, *brep.residuals.values())
 
     # certificate equivalence over every projection
     sweep_ok = True
     for name in EXAMPLE_NAMES:
         pair = build_dual(get_example(name))
         rep = biprojection_iff_grouplike(pair)
-        sweep_ok = sweep_ok and rep.passed and not rep.details["disagreements"]
+        sweep_ok = sweep_ok and rep.holds and not rep.details["disagreements"]
 
     # bi-shift extremality on four and six points
     bishift_gap = 0.0
@@ -212,8 +213,8 @@ def test_criterion_5_projection_machinery():
     ht4 = range_projection_of_fourier(pair4, h4)
     x4 = bishift_construct(pair4, xh4, pair4.base.unit, ht4, h4)
     rep4 = bishift_theorem_check(pair4, x4)
-    assert rep4.passed, rep4.details
-    bishift_gap = max(bishift_gap, rep4.max_residual)
+    assert rep4.holds, rep4.details
+    bishift_gap = max(bishift_gap, *rep4.residuals.values())
     pair6 = build_dual(get_example("s3-function"))
     h6 = np.zeros(6)
     h6[[0, 3, 4]] = 1.0
@@ -222,8 +223,8 @@ def test_criterion_5_projection_machinery():
     ht6 = range_projection_of_fourier(pair6, h6)
     x6 = bishift_construct(pair6, xh6, pair6.base.unit, ht6, h6)
     rep6 = bishift_theorem_check(pair6, x6)
-    assert rep6.passed, rep6.details
-    bishift_gap = max(bishift_gap, rep6.max_residual)
+    assert rep6.holds, rep6.details
+    bishift_gap = max(bishift_gap, *rep6.residuals.values())
 
     ok = (conv_idem <= 1e-12 and glpbi_worst <= 1e-9 and sweep_ok
           and bipartial_worst <= 1e-9 and bishift_gap <= 1e-9)

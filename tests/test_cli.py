@@ -1,11 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 import weakref
 
 import pytest
 
-from qgharm import catalog, cli, duality, lp, structures
+from qgharm import catalog, cli, duality, lp, report, structures
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
 from qgharm.errors import AxiomFailure
 
@@ -90,6 +91,65 @@ def test_structures_subcommand_emits_one_block_per_candidate(
     assert all(c["holds"] for c in doc["checks"])
 
 
+def test_structures_certifies_each_biprojection_once(capsys):
+    # counted by code object, so calls through every imported name count
+    code = structures.is_biprojection.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+    sys.setprofile(profile)
+    try:
+        assert run_cli(capsys, "structures", "--example",
+                       "kac-paljutkin")[0] == 0
+    finally:
+        sys.setprofile(None)
+    # once per enumerated biprojection and once per group-like projection,
+    # 8 of each on KP; the printed checks reuse the equivalence record's
+    assert calls == 16
+
+
+COMMON_KEYS = {"name", "claim", "lhs", "rhs", "residual", "holds"}
+PRINTED_EXTRAS = {
+    r"group-like-\d+-properties": {"coeffs", "haar_value"},
+    r"group-like-\d+-biprojection": {"multiple"},
+    r"biprojection-iff-group-like": {"projections_checked"},
+    r"best-constant-(young|hy)": {"converged", "restarts_used", "iterations",
+                                  "argmax"},
+    r"non-group-like-biprojection-hunt": {"candidates", "group_like_hits"},
+    r"convolution-unbounded-certificate": {"bound_numerator",
+                                           "bound_denominator"},
+}
+# keys of library records that stay out of the printed document
+DETAIL_KEYS = ("residuals", "details", "element", "base_projection",
+               "group_like_biprojection", "singular_value_gaps",
+               "dual_weight_of_range", "modular_invariance", "ratio", "excess")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("all", "--example", "kac-paljutkin", "--samples", "5"), 50),
+    (("sharpness", "--example", "z2-function", "--restarts", "1",
+      "--iters", "3"), 1),
+    (("sharpness", "--kind", "hy", "--example", "s3-function",
+      "--restarts", "1", "--iters", "3"), 1),
+    (("hunt", "--example", "kac-paljutkin"), 1),
+    (("suq2", "--n", "2"), 1),
+])
+def test_printed_checks_have_exactly_their_keys(capsys, argv, count):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == count
+    for c in checks:
+        name = c["name"].split(":")[-1]
+        extras = [keys for pattern, keys in PRINTED_EXTRAS.items()
+                  if re.fullmatch(pattern, name)]
+        assert set(c) == COMMON_KEYS.union(*extras), c["name"]
+    for key in DETAIL_KEYS:
+        assert f'"{key}":' not in out, key
+
+
 def test_sharpness_subcommand(capsys):
     code, out, _ = run_cli(capsys, "sharpness", "--example", "z2-function",
                            "--kind", "hy", "--p", "2.0", "--restarts", "2",
@@ -159,7 +219,7 @@ def test_failing_run_names_the_first_worst_sample(capsys, monkeypatch):
     (check,) = json.loads(out)["checks"]
     bsp = lp.base_space(g)
     index, worst = _first_strict_max(
-        lp.hausdorff_young_check(pair, x, 4.0 / 3.0, bsp, wrong).ratio
+        lp.hausdorff_young_check(pair, x, 4.0 / 3.0, bsp, wrong).details["ratio"]
         for x in cli._seeded_elements(g, 60, 5))
     assert worst > 1.5
     assert check["witness"]["sample_index"] == index
@@ -172,7 +232,7 @@ def test_reported_ratio_is_the_per_sample_worst_down_to_one_sample(capsys):
         elems = cli._seeded_elements(g, 2 * samples, 8)
         _, want = _first_strict_max(
             lp.young_check(g, elems[2 * i], elems[2 * i + 1], 4.0 / 3.0,
-                           4.0 / 3.0).ratio for i in range(samples))
+                           4.0 / 3.0).details["ratio"] for i in range(samples))
         code, out, _ = run_cli(capsys, "young", "--example", "kac-paljutkin",
                                "--samples", str(samples), "--seed", "8")
         assert code == 0
@@ -182,7 +242,8 @@ def test_reported_ratio_is_the_per_sample_worst_down_to_one_sample(capsys):
                            "kac-paljutkin", "--samples", "1", "--seed", "8")
     assert code == 0
     (x,) = cli._seeded_elements(g, 1, 8)
-    want = lp.hausdorff_young_check(duality.build_dual(g), x, 4.0 / 3.0).ratio
+    want = lp.hausdorff_young_check(duality.build_dual(g), x,
+                                    4.0 / 3.0).details["ratio"]
     assert json.loads(out)["checks"][0]["lhs"] == pytest.approx(want, rel=1e-12)
 
 
@@ -331,8 +392,9 @@ def test_bad_qg_seed_only_matters_where_it_supplies_the_seed(capsys, monkeypatch
 def test_failing_check_exits_two(capsys, monkeypatch):
     def broken(args):
         return cli._document("young", args.example, {}, args.seed, [
-            cli._check("young-inequality", "convolution-norm-bound",
-                       lhs=1.5, rhs=1.0, residual=0.5, holds=False)])
+            cli._entry(report.check("young-inequality",
+                                    "convolution-norm-bound",
+                                    {"excess": 0.5}, 1e-9, lhs=1.5, rhs=1.0))])
     monkeypatch.setattr(cli, "_run_young", broken)
     parser = cli.build_parser()
     args = parser.parse_args(["young", "--example", "z2-function"])

@@ -124,8 +124,8 @@ def test_transported_copies_keep_the_duality_stack():
         pair = build_dual(g)
         assert pentagon_residual(pair) < 1e-9, name
         assert comult_conjugation_residual(pair) < 1e-10, name
-        assert plancherel_check(pair).max_residual < 1e-12, name
-        assert biduality_check(g).max_residual < 1e-12, name
+        assert max(plancherel_check(pair).residuals.values()) < 1e-12, name
+        assert max(biduality_check(g).residuals.values()) < 1e-12, name
         x = _random(g, seed=5)
         back = dual_fourier(pair, fourier_coeffs(pair, x)).coeffs
         assert _maxabs(back - x) < 1e-12, name
@@ -170,7 +170,7 @@ def test_dual_satisfies_the_axioms():
     for name in EXAMPLE_NAMES:
         pair = build_dual(get_example(name))
         rep = verify_axioms(pair.dual_qg, tol=1e-10)
-        assert rep.passed, f"{name}: {rep.failing()}"
+        assert rep.holds, f"{name}: {rep.failing()}"
 
 
 def test_dual_weight_total_is_the_dimension():
@@ -213,8 +213,8 @@ def test_plancherel_on_seeded_samples():
     for name in EXAMPLE_NAMES:
         pair = build_dual(get_example(name))
         rep = plancherel_check(pair, samples=100, seed=42)
-        assert rep.passed, name
-        assert rep.max_residual < 1e-12, name
+        assert rep.holds, name
+        assert max(rep.residuals.values()) < 1e-12, name
 
 
 def test_plancherel_single_element_norms():
@@ -230,7 +230,7 @@ def test_convolution_theorem():
         g = get_example(name)
         pair = build_dual(g)
         rep = convolution_theorem_check(pair, _random(g, 3), _random(g, 4))
-        assert rep.passed, name
+        assert rep.holds, name
 
 
 def test_transform_of_point_mass_is_a_scaled_projection():
@@ -254,8 +254,8 @@ def test_inverse_transform_roundtrip():
 def test_biduality_on_the_catalog():
     for name in EXAMPLE_NAMES:
         rep = biduality_check(get_example(name))
-        assert rep.passed, f"{name}: {rep.details}"
-        assert rep.max_residual < 1e-12, name
+        assert rep.holds, f"{name}: {rep.details}"
+        assert max(rep.residuals.values()) < 1e-12, name
 
 
 def _catalog_pairs_and_dual_pairs():

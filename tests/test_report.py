@@ -1,0 +1,94 @@
+import numpy as np
+import pytest
+
+from qgharm import duality, lp, structures
+from qgharm.catalog import get_example
+from qgharm.core import FiniteQuantumGroup, verify_axioms
+from qgharm.report import Check
+
+
+KP = get_example("kac-paljutkin")
+KP_PAIR = duality.build_dual(KP)
+_draws = np.random.default_rng(11).standard_normal((2, 2, KP.dim))
+X, Y = _draws[0] + 1j * _draws[1]
+
+# z4-function with the indicator H of the subgroup {0, 2} and of its coset
+Z4 = get_example("z4-function")
+Z4_PAIR = duality.build_dual(Z4)
+H = np.array([1.0, 0.0, 1.0, 0.0])
+COSET = np.array([0.0, 1.0, 0.0, 1.0])
+
+
+def _wrong_haar():
+    """z3-function with the counit in place of its Haar state."""
+    g = get_example("z3-function")
+    return FiniteQuantumGroup(dim=g.dim, mult=g.mult, unit=g.unit,
+                              comult=g.comult, counit=g.counit,
+                              antipode=g.antipode, star=g.star,
+                              haar=g.counit)
+
+
+PASSING = {
+    "verify_axioms": lambda: verify_axioms(KP),
+    "plancherel_check": lambda: duality.plancherel_check(KP_PAIR),
+    "convolution_theorem_check":
+        lambda: duality.convolution_theorem_check(KP_PAIR, X, Y),
+    "biduality_check": lambda: duality.biduality_check(KP),
+    "young_check": lambda: lp.young_check(KP, X, Y, 4.0 / 3.0, 1.5),
+    "young_l1_lp_check": lambda: lp.young_l1_lp_check(KP, X, Y, 3.0),
+    "hausdorff_young_check":
+        lambda: lp.hausdorff_young_check(KP_PAIR, X, 4.0 / 3.0),
+    "norm_transport_check":
+        lambda: lp.norm_transport_check(KP, np.eye(KP.dim), X, 3.0),
+    "holder_check": lambda: lp.holder_check(KP, X, Y, 4.0 / 3.0),
+    "functional_norm_submultiplicativity_check":
+        lambda: lp.functional_norm_submultiplicativity_check(KP, X, Y),
+    "is_group_like_projection":
+        lambda: structures.is_group_like_projection(Z4, H),
+    "verify_glp_properties": lambda: structures.verify_glp_properties(Z4, H),
+    "is_biprojection": lambda: structures.is_biprojection(Z4_PAIR, H),
+    "glpbi_check": lambda: structures.glpbi_check(Z4_PAIR, H),
+    "biprojection_iff_grouplike":
+        lambda: structures.biprojection_iff_grouplike(Z4_PAIR),
+    "shift_check": lambda: structures.shift_check(Z4, COSET, H),
+    "bipartial_isometry_check":
+        lambda: structures.bipartial_isometry_check(Z4_PAIR, COSET, H),
+    "bishift_theorem_check":
+        lambda: structures.bishift_theorem_check(Z4_PAIR, COSET),
+}
+
+FAILING = {
+    "verify_axioms": lambda: verify_axioms(_wrong_haar()),
+    # the indicator of {1} is a projection, but {1} is no subgroup
+    "is_group_like_projection":
+        lambda: structures.is_group_like_projection(Z4, np.eye(4)[1]),
+    # the weight phi / 16 makes ||x * y||_r / (||x||_p ||y||_q) 16 times
+    # larger
+    "young_check": lambda: lp.young_check(
+        KP, X, Y, 4.0 / 3.0, 4.0 / 3.0,
+        space=lp.weighted_space(KP, KP.haar / 16.0)),
+}
+
+
+def _assert_consistent(rep):
+    assert type(rep) is Check
+    assert rep.residuals
+    assert rep.holds == (max(rep.residuals.values()) <= rep.tol)
+    assert rep.failing() == {k: v for k, v in rep.residuals.items()
+                             if v > rep.tol}
+
+
+@pytest.mark.parametrize("name", sorted(PASSING))
+def test_every_checker_returns_one_record_with_a_consistent_verdict(name):
+    rep = PASSING[name]()
+    _assert_consistent(rep)
+    assert rep.holds, (name, rep.failing())
+    assert rep.failing() == {}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_a_failing_check_names_its_failing_residuals(name):
+    rep = FAILING[name]()
+    _assert_consistent(rep)
+    assert not rep.holds
+    assert rep.failing()
