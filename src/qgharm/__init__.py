@@ -3,159 +3,11 @@
 Convolution, weighted L^p norms, Fourier duality, group-like projection
 machinery, sharp-constant searches, and an exact symbolic certificate for
 the unboundedness of convolution on the deformed SU(2) family.
-"""
 
-from .catalog import (
-    EXAMPLE_NAMES,
-    example_summary,
-    get_example,
-    is_cocommutative,
-    is_commutative,
-    list_examples,
-)
-from .convolution import convolve, convolve_functional_form, functional_of
-from .core import (
-    AlgebraElement,
-    CayleyTable,
-    FiniteQuantumGroup,
-    build_function_algebra,
-    build_group_algebra,
-    build_kac_paljutkin,
-    verify_axioms,
-)
-from .duality import (
-    DualPair,
-    biduality_check,
-    build_dual,
-    convolution_theorem_check,
-    dual_fourier,
-    dual_matrix,
-    fourier,
-    fourier_coeffs,
-    plancherel_check,
-)
-from .errors import (
-    AxiomFailure,
-    BadExponents,
-    BadFlags,
-    BadParameters,
-    CertificateMissing,
-    EnumerationIncomplete,
-    EvalAtForbiddenMu,
-    NotABishift,
-    NotAShift,
-    NotGroupLike,
-    NotProjection,
-    QgharmError,
-    UnknownExample,
-)
-from .lp import (
-    WeightedLpSpace,
-    base_space,
-    conjugate_exponent,
-    dual_space,
-    hausdorff_young_check,
-    lp_norm,
-    young_check,
-    young_exponent,
-)
-from .report import Check
-from .sharpness import (
-    SharpnessReport,
-    estimate_best_constant_hy,
-    estimate_best_constant_young,
-)
-from .structures import (
-    bipartial_isometry_check,
-    biprojection_iff_grouplike,
-    bishift_construct,
-    bishift_theorem_check,
-    enumerate_group_like_projections,
-    enumerate_left_shifts,
-    glpbi_check,
-    is_biprojection,
-    is_group_like_projection,
-    shift_check,
-    verify_glp_properties,
-)
-from .suq2 import (
-    CounterexampleReport,
-    MuRational,
-    PolyElement,
-    certified_bound,
-    convolve_compact,
-    counterexample_report,
-)
+Import every name from the module that defines it, such as qgharm.lp or
+qgharm.structures; the package itself exports only __version__.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "EXAMPLE_NAMES",
-    "example_summary",
-    "get_example",
-    "is_cocommutative",
-    "is_commutative",
-    "list_examples",
-    "convolve",
-    "convolve_functional_form",
-    "functional_of",
-    "AlgebraElement",
-    "CayleyTable",
-    "FiniteQuantumGroup",
-    "build_function_algebra",
-    "build_group_algebra",
-    "build_kac_paljutkin",
-    "verify_axioms",
-    "DualPair",
-    "biduality_check",
-    "build_dual",
-    "convolution_theorem_check",
-    "dual_fourier",
-    "dual_matrix",
-    "fourier",
-    "fourier_coeffs",
-    "plancherel_check",
-    "QgharmError",
-    "AxiomFailure",
-    "BadExponents",
-    "BadFlags",
-    "BadParameters",
-    "CertificateMissing",
-    "EnumerationIncomplete",
-    "EvalAtForbiddenMu",
-    "NotABishift",
-    "NotAShift",
-    "NotGroupLike",
-    "NotProjection",
-    "UnknownExample",
-    "WeightedLpSpace",
-    "base_space",
-    "conjugate_exponent",
-    "dual_space",
-    "hausdorff_young_check",
-    "lp_norm",
-    "young_check",
-    "young_exponent",
-    "Check",
-    "SharpnessReport",
-    "estimate_best_constant_hy",
-    "estimate_best_constant_young",
-    "bipartial_isometry_check",
-    "biprojection_iff_grouplike",
-    "bishift_construct",
-    "bishift_theorem_check",
-    "enumerate_group_like_projections",
-    "enumerate_left_shifts",
-    "glpbi_check",
-    "is_biprojection",
-    "is_group_like_projection",
-    "shift_check",
-    "verify_glp_properties",
-    "CounterexampleReport",
-    "MuRational",
-    "PolyElement",
-    "certified_bound",
-    "convolve_compact",
-    "counterexample_report",
-]
+__all__ = ["__version__"]

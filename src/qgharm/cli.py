@@ -4,23 +4,22 @@ Every subcommand prints a single deterministic JSON document to stdout
 (sorted keys, two-space indent, trailing newline) and a short human
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
 mathematical check fails, 1 for usage or construction errors, including a
-sample count, search budget or iteration count below 1 and a tolerance
-that is not a finite positive number. The QG_SEED environment variable
-overrides the default of 42 for every --seed flag that is not given; it
-must then be an integer. An explicit flag wins over the environment.
+sample count, search budget or iteration count below 1 and a --tol outside
+0 < tol <= 1e-6. The QG_SEED environment variable overrides the default of
+42 for every --seed flag that is not given; it must then be an integer. An
+explicit flag wins over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import catalog
+from . import __version__, catalog
 from .core import _encode_array, json_dumps, verify_axioms
 from .duality import (
     biduality_check,
@@ -38,13 +37,12 @@ from .sharpness import (
     estimate_best_constant_young,
 )
 from .structures import (
+    ROOT_TOL,
     biprojection_iff_grouplike,
     glpbi_check,
     verify_glp_properties,
 )
 from .suq2 import counterexample_report
-
-TOOL_VERSION = "0.1.0"
 
 __all__ = ["main", "build_parser", "run"]
 
@@ -64,10 +62,11 @@ def _at_least_one(flag: str, value: int) -> None:
 
 
 def _positive_tol(value: float) -> None:
-    """Refuse a tolerance that no residual can meet, or that every one
-    meets."""
-    if not (math.isfinite(value) and value > 0):
-        raise BadFlags(f"--tol must be finite and above 0, got {value}")
+    """Refuse a tolerance that no residual can meet, or one looser than the
+    exact solver holds its own roots to, which would certify non-solutions."""
+    if not 0 < value <= ROOT_TOL:
+        raise BadFlags(f"--tol must be above 0 and at most {ROOT_TOL:g}, "
+                       f"got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +90,7 @@ def _entry(c: Check, **extra) -> dict:
 
 def _document(command: str, example, params: dict, seed, checks: list) -> dict:
     return {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "command": command,
         "example": example,
         "params": params,
@@ -250,8 +249,7 @@ def _run_hunt(args) -> dict:
 
 def _run_catalog(args) -> dict:
     doc = _document("catalog", None, {}, None, [])
-    doc["examples"] = [catalog.example_summary(name)
-                       for name in catalog.EXAMPLE_NAMES]
+    doc["examples"] = catalog.list_examples()
     return doc
 
 

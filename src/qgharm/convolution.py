@@ -13,8 +13,7 @@ import numpy as np
 
 from .core import AlgebraElement, FiniteQuantumGroup
 
-__all__ = ["convolve", "convolve_functional_form", "delta_twisted_convolve",
-           "functional_of"]
+__all__ = ["convolve", "convolve_functional_form", "functional_of"]
 
 
 def convolve(g: FiniteQuantumGroup, x, y) -> AlgebraElement:
@@ -38,8 +37,3 @@ def functional_of(g: FiniteQuantumGroup, x) -> np.ndarray:
     xc = g.coeffs_of(x)
     return xc @ g.q_matrix.T
 
-
-def delta_twisted_convolve(g: FiniteQuantumGroup, x, omega: np.ndarray) -> AlgebraElement:
-    """x * omega = (id . omega R) Delta(x); the modular twist is trivial here."""
-    om = np.asarray(omega, dtype=complex).reshape(-1)
-    return g.element(g.delta(x) @ (om @ g.antipode))

@@ -21,13 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AxiomFailure,
-    NotAGroup,
-    OwnerMismatch,
-    ShapeMismatch,
-    Singular,
-)
+from .errors import AxiomFailure, NotAGroup, OwnerMismatch, ShapeMismatch
 from .report import Check, check
 
 __all__ = [
@@ -43,9 +37,6 @@ __all__ = [
     "symmetric_table_s3",
     "dihedral_table",
     "is_automorphism",
-    "apply_automorphism",
-    "to_json",
-    "from_json",
     "json_dumps",
 ]
 
@@ -59,7 +50,6 @@ class CayleyTable:
     """Multiplication table of a finite group: table[i][j] = index of g_i g_j."""
 
     table: tuple
-    names: Optional[tuple] = None
 
     @property
     def order(self) -> int:
@@ -110,10 +100,8 @@ def cyclic_table(n: int) -> CayleyTable:
     """Z/n with elements 0..n-1 under addition."""
     if n < 1:
         raise NotAGroup("order must be positive")
-    return CayleyTable(
-        table=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
-        names=tuple(str(i) for i in range(n)),
-    ).validate()
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return CayleyTable(table=table).validate()
 
 
 def symmetric_table_s3() -> CayleyTable:
@@ -123,8 +111,7 @@ def symmetric_table_s3() -> CayleyTable:
     table = tuple(
         tuple(index[tuple(p[q[x]] for x in range(3))] for q in perms) for p in perms
     )
-    names = tuple("".join(str(v) for v in p) for p in perms)
-    return CayleyTable(table=table, names=names).validate()
+    return CayleyTable(table=table).validate()
 
 
 def dihedral_table(n: int) -> CayleyTable:
@@ -144,8 +131,7 @@ def dihedral_table(n: int) -> CayleyTable:
             i = (i1 + (i2 if j1 == 0 else -i2)) % n
             row.append(idx(i, j1 ^ j2))
         table.append(tuple(row))
-    names = tuple(f"r{i}s{j}" if j else f"r{i}" for j in range(2) for i in range(n))
-    return CayleyTable(table=tuple(table), names=names).validate()
+    return CayleyTable(table=tuple(table)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +739,6 @@ def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray, tol: float = 1e-10
     return True
 
 
-def apply_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray, x) -> AlgebraElement:
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (g.dim, g.dim):
-        raise ShapeMismatch(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
-    return g.element(g.coeffs_of(x) @ alpha.T)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -769,44 +748,6 @@ def _encode_array(a: np.ndarray) -> list:
     if a.ndim == 1:
         return [[float(v.real), float(v.imag)] for v in a]
     return [_encode_array(row) for row in a]
-
-def _decode_array(data, shape) -> np.ndarray:
-    flat = np.asarray(data, dtype=float).reshape(-1, 2)
-    return (flat[:, 0] + 1j * flat[:, 1]).reshape(shape)
-
-
-def to_json(g: FiniteQuantumGroup) -> dict:
-    n = g.dim
-    return {
-        "dim": n,
-        "mult": _encode_array(g.mult),
-        "comult": _encode_array(g.comult),
-        "counit": _encode_array(g.counit),
-        "antipode": _encode_array(g.antipode),
-        "star": _encode_array(g.star),
-        "haar": _encode_array(g.haar),
-    }
-
-
-def from_json(doc: dict) -> FiniteQuantumGroup:
-    n = int(doc["dim"])
-    mult = _decode_array(doc["mult"], (n, n, n))
-    # the unit is not stored: recover it as the two-sided identity of mult
-    lhs = np.transpose(mult, (1, 2, 0)).reshape(n * n, n)
-    target = np.eye(n).reshape(-1)
-    unit, *_ = np.linalg.lstsq(lhs, target, rcond=None)
-    if _maxabs(np.einsum("ijk,i->jk", mult, unit) - np.eye(n)) > 1e-8:
-        raise Singular("multiplication tensor has no unit")
-    return FiniteQuantumGroup(
-        dim=n,
-        mult=mult,
-        unit=unit,
-        comult=_decode_array(doc["comult"], (n * n, n)),
-        counit=_decode_array(doc["counit"], (n,)),
-        antipode=_decode_array(doc["antipode"], (n, n)),
-        star=_decode_array(doc["star"], (n, n)),
-        haar=_decode_array(doc["haar"], (n,)),
-    )
 
 
 def json_dumps(doc: dict) -> str:

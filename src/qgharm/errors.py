@@ -8,7 +8,6 @@ from __future__ import annotations
 
 __all__ = [
     "QgharmError",
-    "Singular",
     "ShapeMismatch",
     "NotAGroup",
     "AxiomFailure",
@@ -37,10 +36,6 @@ class QgharmError(Exception):
 
 
 # ---- dense linear algebra ----
-
-class Singular(QgharmError):
-    """Matrix (or linear system) is singular beyond tolerance."""
-
 
 class ShapeMismatch(QgharmError):
     """Operands have incompatible shapes."""

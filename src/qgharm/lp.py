@@ -37,11 +37,9 @@ __all__ = [
     "young_sides",
     "hausdorff_young_sides",
     "young_check",
-    "young_l1_lp_check",
     "hausdorff_young_check",
     "norm_transport_check",
     "holder_check",
-    "functional_norm_submultiplicativity_check",
 ]
 
 INF = math.inf
@@ -80,18 +78,10 @@ class WeightedLpSpace:
     """An algebra with a tracial weight for L^p norms."""
 
     algebra: FiniteQuantumGroup
-    weight: np.ndarray
-    owner: str
     eigen_weights: np.ndarray   # c_i once per eigenvalue of block i
-    tracial: bool
-
-    @property
-    def is_state(self) -> bool:
-        val = complex(self.weight @ self.algebra.unit)
-        return abs(val - 1.0) <= 1e-9
 
 
-def weighted_space(g: FiniteQuantumGroup, weight, owner: str = "base") -> WeightedLpSpace:
+def weighted_space(g: FiniteQuantumGroup, weight) -> WeightedLpSpace:
     """L^p space over g for an arbitrary tracial positive weight vector."""
     w = np.asarray(weight, dtype=complex).reshape(-1)
     if w.shape != (g.dim,):
@@ -101,19 +91,17 @@ def weighted_space(g: FiniteQuantumGroup, weight, owner: str = "base") -> Weight
     gap = float(np.max(np.abs(blocks.trace_form(c) - w)))
     if gap > 1e-9 * max(float(np.max(np.abs(w))), 1.0):
         raise NotTracial(f"weight is not tracial: residual {gap:.3e}")
-    return WeightedLpSpace(algebra=g, weight=w, owner=owner,
-                           eigen_weights=np.repeat(c, blocks.sizes),
-                           tracial=True)
+    return WeightedLpSpace(algebra=g, eigen_weights=np.repeat(c, blocks.sizes))
 
 
 def base_space(g: FiniteQuantumGroup) -> WeightedLpSpace:
     """L^p(G) under the Haar state."""
-    return weighted_space(g, g.haar, owner="base")
+    return weighted_space(g, g.haar)
 
 
 def dual_space(pair: DualPair) -> WeightedLpSpace:
     """L^p of the dual under the true Plancherel weight (not the state)."""
-    return weighted_space(pair.dual_qg, pair.dual_weight, owner="dual")
+    return weighted_space(pair.dual_qg, pair.dual_weight)
 
 
 def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
@@ -152,8 +140,6 @@ def norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:
 
 def lp_norm(space: WeightedLpSpace, x, p) -> float:
     """weight(|x|^p)^{1/p}; operator norm for p = inf."""
-    if not space.tracial:
-        raise NotTracial("norm formula needs a tracial weight")
     coeffs = space.algebra.coeffs_of(x)
     if coeffs.ndim != 1:
         raise ShapeMismatch(
@@ -224,13 +210,6 @@ def young_check(g: FiniteQuantumGroup, x, y, p, q,
                   p=float(p), q=float(q), r=r)
 
 
-def young_l1_lp_check(g: FiniteQuantumGroup, x, y, p,
-                      space: Optional[WeightedLpSpace] = None,
-                      slack: float = 1e-9) -> Check:
-    """||x * y||_p <= ||x||_1 ||y||_p, the q = 1 endpoint including p = inf."""
-    return young_check(g, x, y, 1.0, p, space, slack)
-
-
 def hausdorff_young_check(pair: DualPair, x, p,
                           base_sp: Optional[WeightedLpSpace] = None,
                           dual_sp: Optional[WeightedLpSpace] = None,
@@ -250,7 +229,7 @@ def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
     alpha_inv = np.linalg.inv(alpha)
     moved_weight = g.haar @ alpha_inv
     sp = base_space(g)
-    sp_moved = weighted_space(g, moved_weight, owner="base")
+    sp_moved = weighted_space(g, moved_weight)
     xc = g.coeffs_of(x)
     lhs = lp_norm(sp, xc, p)
     rhs = lp_norm(sp_moved, alpha @ xc, p)
@@ -271,11 +250,3 @@ def holder_check(g: FiniteQuantumGroup, x, y, p,
     return _bound("hoelder", "pairing-norm-bound",
                   (pairing, bound, _ratio(pairing, bound)), slack, p=float(p))
 
-
-def functional_norm_submultiplicativity_check(
-        g: FiniteQuantumGroup, x, y, slack: float = 1e-9) -> Check:
-    """||omega * theta|| <= ||omega|| ||theta|| for omega = x phi, theta = y phi,
-    with the functional norm computed as the L^1 norm of the density."""
-    return _bound("functional-norm-submultiplicative",
-                  "convolution-norm-bound", young_sides(g, x, y, 1.0, 1.0),
-                  slack)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,7 @@ def is_group_like_projection(g: FiniteQuantumGroup, h,
     res = {
         "projection": _maxabs(g.multiply(hc, hc) - hc),
         "self_adjoint": _maxabs(g.star_of(hc) - hc),
-        "nonzero": 0.0 if _maxabs(hc) > tol else 1.0,
+        "nonzero": 0.0 if _maxabs(hc) > tol else math.inf,
         "defining_relation": _maxabs(_group_like_relation(g, hc)),
     }
     return check("group-like-projection", "group-like-projection", res, tol,
@@ -137,7 +138,7 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> Check:
     scale = float(np.sqrt(blocks.hs(f, f).real))
     if scale <= tol:
         return check("biprojection", "fourier-multiple-of-projection",
-                     {"nonzero_transform": 1.0}, tol, multiple=0.0)
+                     {"nonzero_transform": math.inf}, tol, multiple=0.0)
     ff = f @ f
     fit = blocks.hs(f, ff) / blocks.hs(f, f)
     res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)

@@ -211,7 +211,7 @@ def test_failing_run_names_the_first_worst_sample(capsys, monkeypatch):
     # the run fails; its witness is the first sample of largest ratio
     g = catalog.get_example("s3-function")
     pair = duality.build_dual(g)
-    wrong = lp.weighted_space(pair.dual_qg, 16.0 * pair.dual_weight, "dual")
+    wrong = lp.weighted_space(pair.dual_qg, 16.0 * pair.dual_weight)
     monkeypatch.setattr(lp, "dual_space", lambda _: wrong)
     code, out, _ = run_cli(capsys, "hausdorff-young", "--example",
                            "s3-function", "--samples", "60", "--seed", "5")
@@ -358,7 +358,7 @@ def test_sharpness_refuses_an_empty_budget(capsys):
 
 
 def test_bad_tolerances_are_usage_errors(capsys):
-    for value in ("-1", "0", "nan", "inf"):
+    for value in ("-1", "0", "nan", "inf", "2", "0.05"):
         for command in (("verify", "--example", "z2-function"),
                         ("structures", "--example", "z2-function"),
                         ("all", "--example", "z2-function")):

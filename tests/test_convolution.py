@@ -4,7 +4,6 @@ from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import (
     convolve,
     convolve_functional_form,
-    delta_twisted_convolve,
     functional_of,
 )
 from qgharm.core import build_function_algebra, symmetric_table_s3
@@ -94,13 +93,3 @@ def test_functional_convolution_unit_is_the_counit():
     got = convolve_functional_form(g, om, g.counit)
     assert np.max(np.abs(got - om)) < 1e-12
 
-
-def test_twisted_convolve_against_haar_functional():
-    # x * (h phi) pairs the second leg; against phi itself it gives phi(x) 1
-    for name in EXAMPLE_NAMES:
-        g = get_example(name)
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-        got = delta_twisted_convolve(g, x, g.haar).coeffs
-        expect = g.haar_of(x) * g.unit
-        assert np.max(np.abs(got - expect)) < 1e-12, name

@@ -5,17 +5,15 @@ from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import (
     CayleyTable,
     FiniteQuantumGroup,
-    apply_automorphism,
+    _encode_array,
     build_function_algebra,
     build_group_algebra,
     build_kac_paljutkin,
     cyclic_table,
     dihedral_table,
-    from_json,
     is_automorphism,
     json_dumps,
     symmetric_table_s3,
-    to_json,
     verify_axioms,
 )
 from qgharm.duality import build_dual
@@ -195,8 +193,7 @@ def test_inversion_is_an_automorphism_of_function_algebra():
     for i in range(4):
         alpha[table.inverse[i], i] = 1.0
     assert is_automorphism(g, alpha)
-    y = apply_automorphism(g, alpha, np.eye(4)[1])
-    assert np.argmax(np.abs(y.coeffs)) == 3
+    assert np.argmax(np.abs(alpha @ np.eye(4)[1])) == 3
 
 
 def test_scaling_is_not_an_automorphism():
@@ -348,19 +345,12 @@ def test_group_like_relation_matches_its_einsum_definition():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_json_roundtrip_preserves_structure():
-    g = build_kac_paljutkin()
-    doc = to_json(g)
-    g2 = from_json(doc)
-    assert g2.dim == 8
-    assert np.max(np.abs(g2.mult - g.mult)) == 0.0
-    assert np.max(np.abs(g2.unit - g.unit)) < 1e-10
-    assert verify_axioms(g2).holds
-
-
 def test_json_dumps_is_deterministic():
-    doc = to_json(get_example("z4-function"))
-    s1 = json_dumps(doc)
-    s2 = json_dumps(to_json(get_example("z4-function")))
-    assert s1 == s2
+    def doc():
+        g = get_example("z4-function")
+        return {"mult": _encode_array(g.mult), "haar": _encode_array(g.haar)}
+
+    s1 = json_dumps(doc())
+    assert s1 == json_dumps(doc())
     assert s1.endswith("\n")
+    assert s1.index('"haar"') < s1.index('"mult"')

@@ -19,7 +19,6 @@ from qgharm.lp import (
     base_space,
     conjugate_exponent,
     dual_space,
-    functional_norm_submultiplicativity_check,
     hausdorff_young_check,
     hausdorff_young_sides,
     holder_check,
@@ -29,7 +28,6 @@ from qgharm.lp import (
     weighted_space,
     young_check,
     young_exponent,
-    young_l1_lp_check,
     young_sides,
 )
 
@@ -245,7 +243,7 @@ def test_young_endpoint_q_one():
     g = get_example("s3-group")
     x, y = _random(g, seed=5, count=2)
     for p in (1.0, 2.0, INF):
-        rep = young_l1_lp_check(g, x, y, p)
+        rep = young_check(g, x, y, 1.0, p)
         assert rep.holds
 
 
@@ -325,11 +323,11 @@ def test_holder_and_functional_submultiplicativity():
     x, y = _random(g, seed=9, count=2)
     assert holder_check(g, x, y, 4.0 / 3.0).holds
     assert holder_check(g, x, y, 1.0).holds
-    assert functional_norm_submultiplicativity_check(g, x, y).holds
+    assert young_check(g, x, y, 1.0, 1.0).holds
 
 
 def test_weighted_space_accepts_the_dual_weight():
     pair = build_dual(get_example("s3-group"))
-    sp = weighted_space(pair.dual_qg, pair.dual_weight, owner="dual")
-    assert not sp.is_state  # total mass is dim, not 1
-    assert sp.tracial
+    sp = weighted_space(pair.dual_qg, pair.dual_weight)
+    # total mass is dim, not 1
+    assert lp_norm(sp, pair.dual_qg.unit, 1.0) == pytest.approx(6.0, rel=1e-12)

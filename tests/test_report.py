@@ -35,14 +35,11 @@ PASSING = {
         lambda: duality.convolution_theorem_check(KP_PAIR, X, Y),
     "biduality_check": lambda: duality.biduality_check(KP),
     "young_check": lambda: lp.young_check(KP, X, Y, 4.0 / 3.0, 1.5),
-    "young_l1_lp_check": lambda: lp.young_l1_lp_check(KP, X, Y, 3.0),
     "hausdorff_young_check":
         lambda: lp.hausdorff_young_check(KP_PAIR, X, 4.0 / 3.0),
     "norm_transport_check":
         lambda: lp.norm_transport_check(KP, np.eye(KP.dim), X, 3.0),
     "holder_check": lambda: lp.holder_check(KP, X, Y, 4.0 / 3.0),
-    "functional_norm_submultiplicativity_check":
-        lambda: lp.functional_norm_submultiplicativity_check(KP, X, Y),
     "is_group_like_projection":
         lambda: structures.is_group_like_projection(Z4, H),
     "verify_glp_properties": lambda: structures.verify_glp_properties(Z4, H),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,9 @@ def test_certificate_rejects_zero():
     g = get_example("z2-function")
     cert = is_group_like_projection(g, [0.0, 0.0])
     assert not cert.holds
-    assert cert.residuals["nonzero"] == 1.0
+    assert cert.residuals["nonzero"] == math.inf
+    # no tolerance, however loose, certifies zero
+    assert not is_group_like_projection(g, [0.0, 0.0], tol=2.0).holds
 
 
 def test_enumeration_matches_the_subgroup_lattice():
@@ -229,6 +233,7 @@ def test_biprojection_rejects_zero_input():
     rep = is_biprojection(pair, [0.0, 0.0])
     assert not rep.holds
     assert "nonzero_transform" in rep.failing()
+    assert not is_biprojection(pair, [0.0, 0.0], tol=2.0).holds
 
 
 def test_fourier_image_is_dual_group_like():
