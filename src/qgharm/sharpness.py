@@ -2,9 +2,11 @@
 
 Estimates the best Young and Hausdorff-Young constants by multistart
 projected gradient ascent on the unit L^p spheres, warm-started at the
-complete list of group-like projections. The objectives take stacks of
-points, so each central-difference gradient is one call. Everything is
-seeded and sequential, so reports are reproducible bit for bit.
+complete list of group-like projections. All starts ascend in lockstep,
+one (R, n) stack per argument: a gradient is one objective call on the
+central-difference probes of every active start, a line search one call
+on all 30 step halvings of each. Each start follows the path it follows
+alone; everything is seeded, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import numpy as np
 
 from .core import FiniteQuantumGroup
 from .duality import DualPair, build_dual
-from .errors import AxiomFailure, BadExponents
+from .errors import AxiomFailure, BadExponents, BadParameters
 from .lp import (
     base_space,
     conjugate_exponent,
     dual_space,
     hausdorff_young_sides,
     lp_norm,
+    lp_norms_batch,
     young_exponent,
     young_sides,
 )
@@ -55,63 +58,85 @@ class SharpnessReport:
 
 
 def _cgrad(f: Callable, v: np.ndarray) -> np.ndarray:
-    """Central-difference gradient over the 2n real coordinates of v.
+    """Central-difference gradient over the 2n real coordinates of v, one
+    point (n,) or a stack (R, n).
 
     f takes a stack of points; the 4n probes v +- h_i e_i and
-    v +- i h_i e_i go to it as one (4n, n) stack.
+    v +- i h_i e_i of every row go to it as one (..., 4n, n) stack.
     """
     h = REL_STEP * np.maximum(1.0, np.abs(v))
-    steps = np.diag(h).astype(complex)
-    vals = f(v + np.concatenate([steps, -steps, 1j * steps, -1j * steps]))
-    vals = np.reshape(vals, (4, len(v)))
+    steps = (h[..., None] * np.eye(v.shape[-1])).astype(complex)
+    vals = f(v[..., None, :] + np.concatenate(
+        [steps, -steps, 1j * steps, -1j * steps], axis=-2))
+    vals = np.reshape(vals, v.shape[:-1] + (4, v.shape[-1]))
     two_h = 2.0 * h
-    return (vals[0] - vals[1]) / two_h + 1j * ((vals[2] - vals[3]) / two_h)
+    return ((vals[..., 0, :] - vals[..., 1, :]) / two_h
+            + 1j * ((vals[..., 2, :] - vals[..., 3, :]) / two_h))
 
 
-def _ascend(objective: Callable, blocks: list, renorms: list,
+def _unit(v: np.ndarray, space, p) -> np.ndarray:
+    """The rows of a (..., n) stack scaled onto the unit L^p sphere."""
+    return v / np.maximum(lp_norms_batch(space, v, p), 1e-300)[..., None]
+
+
+def _ascend(objective: Callable, blocks: list, spheres: list,
             max_iter: int) -> tuple:
-    """Alternating projected gradient ascent; returns
-    (blocks, value, iterations, converged)."""
-    blocks = [renorm(b) for b, renorm in zip(blocks, renorms)]
-    val = objective(*blocks)
-    converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        prev = val
-        for bi in range(len(blocks)):
-            def f_of(v, _bi=bi):
-                trial = list(blocks)
-                trial[_bi] = v
-                return objective(*trial)
+    """Alternating projected gradient ascent from R starts in lockstep.
 
-            grad = _cgrad(f_of, blocks[bi])
-            gnorm = float(np.max(np.abs(grad)))
-            if gnorm <= 1e-14 * max(1.0, abs(val)):
+    blocks holds one (R, n) stack per argument, on the unit sphere of its
+    (space, p) in spheres. A row whose gradient
+    vanishes skips its line search; the line search takes the first of the
+    steps 0.5^k / max|grad|, k < 30, that raises the value; a row leaves
+    the active set once an iteration gains less than REL_IMPROVEMENT or its
+    max_iter iterations are spent. Returns (blocks, values, iterations,
+    converged), one entry per row.
+    """
+    # a lone point goes in as a (..., 1, n) slice, which numpy multiplies as
+    # one vector, so each row rounds, and breaks ties, as it would alone
+    blocks = [_unit(b[:, None], *sph)[:, 0] for b, sph in zip(blocks, spheres)]
+    val = objective(*[b[:, None] for b in blocks])[:, 0]
+    its, converged = np.zeros(len(val), int), np.zeros(len(val), bool)
+    active = np.arange(len(val))
+    halvings = 0.5 ** np.arange(30)
+    while active.size:
+        its[active] += 1
+        prev = val[active]
+        for bi, (space, p) in enumerate(spheres):
+            def f_of(v, rows, _bi=bi):
+                held = tuple(range(1, v.ndim - 1))
+                return objective(*[v if j == _bi else np.expand_dims(
+                    b[rows], held) for j, b in enumerate(blocks)])
+
+            grad = _cgrad(lambda v: f_of(v, active), blocks[bi][active])
+            gnorm = np.max(np.abs(grad), axis=-1)
+            move = gnorm > 1e-14 * np.maximum(1.0, np.abs(val[active]))
+            rows = active[move]
+            if not rows.size:
                 continue
-            step = 0.5 / gnorm
-            for _ in range(30):
-                cand = renorms[bi](blocks[bi] + step * grad)
-                cval = objective(*[cand if j == bi else blocks[j]
-                                   for j in range(len(blocks))])
-                if cval > val:
-                    blocks[bi] = cand
-                    val = cval
-                    break
-                step *= 0.5
-        if val - prev <= REL_IMPROVEMENT * max(abs(prev), 1e-300):
-            converged = True
-            break
-    return blocks, val, it, converged
+            steps = (0.5 / gnorm[move])[:, None] * halvings
+            cand = _unit(blocks[bi][rows, None, None]
+                         + steps[..., None, None] * grad[move, None, None],
+                         space, p)
+            up = f_of(cand, rows)[..., 0]
+            better = up > val[rows, None]
+            hit = np.any(better, axis=-1)
+            k = np.argmax(better, axis=-1)[hit]
+            blocks[bi][rows[hit]] = cand[hit, k, 0]
+            val[rows[hit]] = up[hit, k]
+        done = val[active] - prev <= REL_IMPROVEMENT * np.maximum(
+            np.abs(prev), 1e-300)
+        converged[active[done]] = True
+        active = active[~done & (its[active] < max_iter)]
+    return blocks, val, its, converged
 
 
-def _gauge(v: np.ndarray, renorm: Callable) -> np.ndarray:
+def _gauge(v: np.ndarray, space, p) -> np.ndarray:
     """Unit norm with the first significant coefficient real positive.
 
     Coefficients below 1e-6 of the largest magnitude count as zero here;
     optimizer residue must not steer the phase convention.
     """
-    v = renorm(v)
+    v = v / max(lp_norm(space, v, p), 1e-300)
     mags = np.abs(v)
     top = float(np.max(mags))
     if top <= 0.0:
@@ -121,30 +146,22 @@ def _gauge(v: np.ndarray, renorm: Callable) -> np.ndarray:
     return v * np.conj(phase)
 
 
-def _multistart(g, kind, exponents, objective, renorms, restarts, max_iter,
+def _multistart(g, kind, exponents, objective, spheres, restarts, max_iter,
                 seed, warm_starts) -> SharpnessReport:
-    """Best of the ascents from seeded random starts and the warm starts.
-    Raises AxiomFailure above 1 + CEILING: both sharp constants are 1."""
+    """Best of the ascents from seeded random starts and the warm starts on
+    the unit spheres, one (space, p) per argument. Raises BadParameters on
+    an empty budget, and AxiomFailure above 1 + CEILING: both sharp
+    constants are 1."""
+    if restarts < 1 or max_iter < 1:
+        raise BadParameters(
+            f"empty budget: {restarts} restarts, {max_iter} iterations")
     rng = np.random.default_rng(seed)
     starts = [[rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-               for _ in renorms] for _ in range(restarts)]
-    starts.extend(warm_starts)
-
-    best_val = -np.inf
-    best_blocks = None
-    best_converged = False
-    history = []
-    flags = []
-    total_iters = 0
-    for blocks0 in starts:
-        blocks, val, its, conv = _ascend(objective, list(blocks0), renorms,
-                                         max_iter)
-        history.append(float(val))
-        flags.append(bool(conv))
-        total_iters += its
-        if val > best_val:
-            best_val, best_blocks, best_converged = val, blocks, conv
-    gauged = [_gauge(b, r) for b, r in zip(best_blocks, renorms)]
+               for _ in spheres] for _ in range(restarts)] + list(warm_starts)
+    stacks = [np.array(column) for column in zip(*starts)]
+    blocks, vals, its, flags = _ascend(objective, stacks, spheres, max_iter)
+    best = int(np.argmax(vals))
+    gauged = [_gauge(b[best], *sph) for b, sph in zip(blocks, spheres)]
     final = float(objective(*gauged))
     if final > 1.0 + CEILING:
         raise AxiomFailure(
@@ -156,11 +173,11 @@ def _multistart(g, kind, exponents, objective, renorms, restarts, max_iter,
         constant_estimate=final,
         argmax=tuple(g.element(v) for v in gauged),
         restarts_used=len(starts),
-        iterations=total_iters,
+        iterations=int(np.sum(its)),
         seed=seed,
-        converged=best_converged,
-        history=tuple(history),
-        converged_per_restart=tuple(flags),
+        converged=bool(flags[best]),
+        history=tuple(float(v) for v in vals),
+        converged_per_restart=tuple(bool(c) for c in flags),
     )
 
 
@@ -181,13 +198,11 @@ def estimate_best_constant_young(g: FiniteQuantumGroup, p, q,
     def objective(x, y):
         return young_sides(g, x, y, p, q, sp)[2]
 
-    renorms = [lambda v: v / max(lp_norm(sp, v, p), 1e-300),
-               lambda v: v / max(lp_norm(sp, v, q), 1e-300)]
     warm = [[c.details["element"].coeffs.astype(complex),
              c.details["element"].coeffs.astype(complex)]
             for c in enumerate_group_like_projections(g)]
     return _multistart(g, "young", (float(p), float(q), float(r)), objective,
-                       renorms, restarts, iters, seed, warm)
+                       [(sp, p), (sp, q)], restarts, iters, seed, warm)
 
 
 def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
@@ -211,8 +226,7 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
     def objective(x):
         return hausdorff_young_sides(pair, x, p, bsp, dsp)[2]
 
-    renorms = [lambda v: v / max(lp_norm(bsp, v, p), 1e-300)]
     warm = [[c.details["element"].coeffs.astype(complex)]
             for c in enumerate_group_like_projections(base)]
     return _multistart(base, "hausdorff-young", (p, float(pc)), objective,
-                       renorms, restarts, iters, seed, warm)
+                       [(bsp, p)], restarts, iters, seed, warm)

@@ -7,7 +7,7 @@ import pytest
 from qgharm import sharpness
 from qgharm.catalog import get_example
 from qgharm.duality import build_dual
-from qgharm.errors import AxiomFailure, BadExponents
+from qgharm.errors import AxiomFailure, BadExponents, BadParameters
 from qgharm.lp import base_space, lp_norm
 from qgharm.sharpness import (
     estimate_best_constant_hy,
@@ -106,12 +106,12 @@ class _Caught(Exception):
     pass
 
 
-def _objective_of(monkeypatch, name, run):
-    """The objective that run() hands to sharpness.<name>."""
+def _args_of(monkeypatch, name, run):
+    """The arguments that run() hands to sharpness.<name>."""
     seen = []
 
     def grab(*args):
-        seen.append(next(a for a in args if callable(a)))
+        seen.append(args)
         raise _Caught
 
     monkeypatch.setattr(sharpness, name, grab)
@@ -122,13 +122,15 @@ def _objective_of(monkeypatch, name, run):
 
 
 def _young(monkeypatch, name):
-    return _objective_of(monkeypatch, "_multistart", lambda: (
+    args = _args_of(monkeypatch, "_multistart", lambda: (
         estimate_best_constant_young(get_example(name), 4.0 / 3.0, 1.5)))
+    return next(a for a in args if callable(a))
 
 
 def _hy(monkeypatch, name):
-    return _objective_of(monkeypatch, "_multistart", lambda: (
+    args = _args_of(monkeypatch, "_multistart", lambda: (
         estimate_best_constant_hy(get_example(name), 4.0 / 3.0)))
+    return next(a for a in args if callable(a))
 
 
 def _cgrad_reference(f, v):
@@ -166,9 +168,11 @@ def _single_argument_cases(monkeypatch):
 
 def test_batched_gradient_matches_the_per_coordinate_loop(monkeypatch):
     for label, f, dim in list(_single_argument_cases(monkeypatch)):
-        for v in _points(dim, 3, seed=4):
-            got = sharpness._cgrad(f, v)
-            ref = _cgrad_reference(f, v)
+        stack = _points(dim, 3, seed=4)
+        ref = np.array([_cgrad_reference(f, v) for v in stack])
+        one_by_one = np.array([sharpness._cgrad(f, v) for v in stack])
+        for got in (one_by_one, sharpness._cgrad(f, stack)):
+            assert got.shape == stack.shape, label
             gap = np.abs(got - ref)
             assert np.all(gap <= 1e-7 * np.maximum(1.0, np.abs(ref))), label
 
@@ -184,3 +188,164 @@ def test_objectives_on_a_stack_match_row_by_row(monkeypatch):
         assert got.shape == (5,), label
         assert got[2] == 0.0, label
         assert np.all(np.abs(got - rows) <= 1e-12 * np.abs(rows)), label
+
+
+def test_an_empty_budget_is_refused_by_the_library():
+    g = get_example("z2-function")
+    for restarts, iters in ((0, 0), (0, 50), (-3, 50), (4, 0), (4, -1)):
+        with pytest.raises(BadParameters):
+            estimate_best_constant_young(g, 4.0 / 3.0, 4.0 / 3.0,
+                                         restarts=restarts, iters=iters)
+        with pytest.raises(BadParameters):
+            estimate_best_constant_hy(g, 4.0 / 3.0, restarts=restarts,
+                                      iters=iters)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep ascent against the sequential one, start by start
+# ---------------------------------------------------------------------------
+
+def _ascend_reference(objective, blocks, spheres, max_iter):
+    """One start at a time and one line-search halving at a time; returns
+    (blocks, value, iterations, converged, skipped line searches)."""
+    renorms = [lambda v, sp=sp, p=p: v / max(lp_norm(sp, v, p), 1e-300)
+               for sp, p in spheres]
+    blocks = [renorm(b) for b, renorm in zip(blocks, renorms)]
+    val = objective(*blocks)
+    converged = False
+    skipped = 0
+    it = 0
+    while it < max_iter:
+        it += 1
+        prev = val
+        for bi in range(len(blocks)):
+            def f_of(v, _bi=bi):
+                trial = list(blocks)
+                trial[_bi] = v
+                return objective(*trial)
+
+            grad = sharpness._cgrad(f_of, blocks[bi])
+            gnorm = float(np.max(np.abs(grad)))
+            if gnorm <= 1e-14 * max(1.0, abs(val)):
+                skipped += 1
+                continue
+            step = 0.5 / gnorm
+            for _ in range(30):
+                cand = renorms[bi](blocks[bi] + step * grad)
+                cval = objective(*[cand if j == bi else blocks[j]
+                                   for j in range(len(blocks))])
+                if cval > val:
+                    blocks[bi] = cand
+                    val = cval
+                    break
+                step *= 0.5
+        if val - prev <= sharpness.REL_IMPROVEMENT * max(abs(prev), 1e-300):
+            converged = True
+            break
+    return blocks, val, it, converged, skipped
+
+
+def _close(a, b, rel=1e-12):
+    return np.all(np.abs(np.asarray(a) - b) <= rel * np.max(np.abs(b)))
+
+
+ASCENTS = {
+    "young z2-function (4/3, 4/3)": lambda: estimate_best_constant_young(
+        get_example("z2-function"), 4.0 / 3.0, 4.0 / 3.0, restarts=4,
+        iters=60, seed=3),
+    # the first restart spends its 40 iterations, the others converge early
+    "hy s3-function 4/3": lambda: estimate_best_constant_hy(
+        get_example("s3-function"), 4.0 / 3.0, restarts=3, iters=40, seed=3),
+    # a 2x2 block: the norms go through eigvalsh
+    "young kac-paljutkin (1.5, 1.25)": lambda: estimate_best_constant_young(
+        get_example("kac-paljutkin"), 1.5, 1.25, restarts=2, iters=20,
+        seed=3),
+    "hy kac-paljutkin 4/3": lambda: estimate_best_constant_hy(
+        get_example("kac-paljutkin"), 4.0 / 3.0, restarts=2, iters=20, seed=3),
+    # the gradient vanishes and the line search is skipped
+    "young z2-function (1, 1)": lambda: estimate_best_constant_young(
+        get_example("z2-function"), 1.0, 1.0, restarts=3, iters=20, seed=3),
+}
+
+
+@pytest.mark.parametrize("label", list(ASCENTS))
+def test_lockstep_ascent_follows_each_sequential_ascent(monkeypatch, label):
+    objective, starts, spheres, max_iter = _args_of(
+        monkeypatch, "_ascend", ASCENTS[label])
+    refs = [_ascend_reference(objective, [s[r] for s in starts], spheres,
+                              max_iter) for r in range(len(starts[0]))]
+    blocks, vals, its, flags = sharpness._ascend(objective, starts, spheres,
+                                                 max_iter)
+    assert list(its) == [ref[2] for ref in refs]
+    assert list(flags) == [ref[3] for ref in refs]
+    for r, (ref_blocks, ref_val, *_) in enumerate(refs):
+        assert _close(vals[r], ref_val)
+        for b, ref_b in zip(blocks, ref_blocks):
+            assert _close(b[r], ref_b)
+
+    rep = ASCENTS[label]()
+    assert rep.iterations == sum(ref[2] for ref in refs)
+    assert rep.converged_per_restart == tuple(ref[3] for ref in refs)
+    assert _close(rep.history, [ref[1] for ref in refs])
+    best = refs[int(np.argmax([ref[1] for ref in refs]))][0]
+    for a, ref_b, sphere in zip(rep.argmax, best, spheres):
+        assert _close(a.coeffs, sharpness._gauge(ref_b, *sphere))
+
+    if "(1, 1)" in label:
+        assert sum(ref[4] for ref in refs) > 0
+    if "s3-function" in label:
+        assert len(set(its)) > 1 and its[0] == max_iter and not flags[0]
+        assert all(flags[1:])
+
+
+def _endpoints(monkeypatch, run):
+    """run()'s report and the per-start result of its ascent."""
+    seen = []
+    lockstep = sharpness._ascend
+
+    def keep(*args):
+        seen.append(lockstep(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sharpness, "_ascend", keep)
+    rep = run()
+    monkeypatch.undo()
+    return rep, seen[0]
+
+
+def test_restarts_do_not_see_each_other(monkeypatch):
+    g = get_example("s3-function")
+    few, (fb, fv, fi, fc) = _endpoints(monkeypatch, lambda: (
+        estimate_best_constant_hy(g, 4.0 / 3.0, restarts=3, iters=25, seed=8)))
+    many, (mb, mv, mi, mc) = _endpoints(monkeypatch, lambda: (
+        estimate_best_constant_hy(g, 4.0 / 3.0, restarts=8, iters=25, seed=8)))
+    warm = few.restarts_used - 3
+    assert warm > 0 and many.restarts_used == 8 + warm
+    # the first 3 random starts, then the warm starts
+    rows = list(range(3)) + list(range(8, 8 + warm))
+    assert list(fi) == list(mi[rows]) and list(fc) == list(mc[rows])
+    assert _close(fv, mv[rows])
+    for a, b in zip(fb, mb):
+        for r, m in enumerate(rows):
+            assert _close(a[r], b[m])
+
+
+def test_objective_calls_per_iteration_do_not_grow_with_restarts(monkeypatch):
+    g = get_example("z2-function")
+    counts = []
+    for restarts in (2, 16):
+        calls = []
+        original = sharpness.young_sides
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sharpness, "young_sides", counted)
+        estimate_best_constant_young(g, 4.0 / 3.0, 4.0 / 3.0,
+                                     restarts=restarts, iters=5, seed=42)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    # the start, a gradient and a line search per block and iteration, and
+    # the gauged best point
+    assert counts[0] == counts[1] <= 2 + 2 * 2 * 5
