@@ -5,9 +5,9 @@ Every subcommand prints a single deterministic JSON document to stdout
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
 mathematical check fails, 1 for usage or construction errors, including a
 sample count, search budget or iteration count below 1 and a --tol outside
-0 < tol <= 1e-6. The QG_SEED environment variable overrides the default of
-42 for every --seed flag that is not given; it must then be an integer. An
-explicit flag wins over the environment.
+0 < tol <= 1e-6, or a negative seed. The QG_SEED environment variable
+overrides the default of 42 for every --seed flag that is not given; it
+must then be an integer. An explicit flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -172,15 +172,14 @@ def _run_structures(args) -> dict:
     for idx, (cert, bi) in enumerate(zip(
             sweep.details["group_like"],
             sweep.details["group_like_biprojection"])):
-        h = cert.details["element"]
         checks += [
-            _entry(verify_glp_properties(pair.base, h, tol=args.tol),
+            _entry(verify_glp_properties(pair.base, cert, tol=args.tol),
                    name=f"group-like-{idx}-properties",
-                   coeffs=_encode_array(h.coeffs),
+                   coeffs=_encode_array(cert.details["element"].coeffs),
                    haar_value=cert.details["haar_value"]),
             _entry(bi, name=f"group-like-{idx}-biprojection",
                    multiple=bi.details["multiple"]),
-            _entry(glpbi_check(pair, h, tol=args.tol),
+            _entry(glpbi_check(pair, cert, tol=args.tol),
                    name=f"group-like-{idx}-fourier-image"),
         ]
     checks.append(_entry(
@@ -366,6 +365,9 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
+        if getattr(args, "seed", 0) < 0:   # numpy's generators refuse it
+            raise BadFlags(f"--seed and QG_SEED must not be negative, "
+                           f"got {args.seed}")
         doc = args.func(args)
     except AxiomFailure as exc:   # raised by args.func, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},

@@ -91,17 +91,21 @@ def _group_like_relation(g: FiniteQuantumGroup, hc) -> np.ndarray:
 
 
 def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> Check:
-    cert = is_group_like_projection(g, h, tol=tol)
-    if not cert.holds:
-        raise NotGroupLike(f"not a group-like projection: {cert.residuals}")
+    """The holding certificate of h, an element of g; a record of
+    is_group_like_projection for one at tol or tighter is taken as it is."""
+    cert = h if isinstance(h, Check) else is_group_like_projection(g, h, tol)
+    if not (cert.name == "group-like-projection" and cert.holds
+            and cert.tol <= tol):
+        raise NotGroupLike(f"not group-like at tol {tol}: {cert.residuals}")
+    g.coeffs_of(cert.details["element"])   # refuses another algebra's
     return cert
 
 
 def verify_glp_properties(g: FiniteQuantumGroup, h,
                           tol: float = 1e-9) -> Check:
-    """Derived identities of a group-like projection: fixed by S (which is
-    R on Kac-type data), the mirrored relation, and equality of the two
-    weighted functionals."""
+    """Derived identities of a group-like projection h or its certificate:
+    fixed by S (which is R on Kac-type data), the mirrored relation, and
+    equality of the two weighted functionals."""
     cert = _require_group_like(g, h, tol)
     hc = cert.details["element"].coeffs
     mirrored = _right_mult(g, hc).T @ g.delta(hc)
@@ -166,9 +170,9 @@ def range_projection_of_fourier(pair: DualPair, h) -> np.ndarray:
 
 
 def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> Check:
-    """Fourier image of a group-like projection: phi(h)^{-1} F(h) is a
-    dual group-like projection, the dual weight of its range is 1/phi(h),
-    and transporting the range back recovers phi(h)^{-1} h."""
+    """Fourier image of a group-like projection h (or its certificate):
+    phi(h)^{-1} F(h) is a dual group-like projection, the dual weight of
+    its range is 1/phi(h), and the range transported back is phi(h)^{-1} h."""
     g = pair.base
     cert = _require_group_like(g, h, tol)
     hc = cert.details["element"].coeffs

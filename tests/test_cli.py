@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from qgharm import catalog, cli, duality, lp, report, structures
+from qgharm import catalog, cli, core, duality, lp, report, structures
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
 from qgharm.errors import AxiomFailure
 
@@ -91,9 +91,10 @@ def test_structures_subcommand_emits_one_block_per_candidate(
     assert all(c["holds"] for c in doc["checks"])
 
 
-def test_structures_certifies_each_biprojection_once(capsys):
-    # counted by code object, so calls through every imported name count
-    code = structures.is_biprojection.__code__
+def _calls(func, capsys, *argv) -> int:
+    """Calls of func during one passing CLI run, counted by code object, so
+    calls through every imported name count."""
+    code = func.__code__
     calls = 0
 
     def profile(frame, event, arg):
@@ -101,13 +102,34 @@ def test_structures_certifies_each_biprojection_once(capsys):
         calls += event == "call" and frame.f_code is code
     sys.setprofile(profile)
     try:
-        assert run_cli(capsys, "structures", "--example",
-                       "kac-paljutkin")[0] == 0
+        assert run_cli(capsys, *argv)[0] == 0
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def test_structures_certifies_each_biprojection_once(capsys):
     # once per enumerated biprojection and once per group-like projection,
     # 8 of each on KP; the printed checks reuse the equivalence record's
-    assert calls == 16
+    assert _calls(structures.is_biprojection, capsys, "structures",
+                  "--example", "kac-paljutkin") == 16
+
+
+def test_structures_certifies_each_group_like_projection_once(capsys):
+    # KP has 8 group-like projections and 8 biprojections: once each in the
+    # enumeration and in the filter of biprojections that are not
+    # group-like, and once per dual image in glpbi_check; the printed
+    # checks reuse the enumeration's certificates
+    assert _calls(structures.is_group_like_projection, capsys, "structures",
+                  "--example", "kac-paljutkin") == 24
+
+
+def test_verify_evaluates_the_axioms_once_per_group(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "get_example",
+                        lambda name: build_kac_paljutkin())
+    # the base at construction, then the dual and the bidual
+    assert _calls(core._axiom_residuals, capsys, "verify", "--example",
+                  "kac-paljutkin") == 3
 
 
 COMMON_KEYS = {"name", "claim", "lhs", "rhs", "residual", "holds"}
@@ -376,6 +398,32 @@ def test_non_integer_qg_seed_is_an_error(capsys, monkeypatch):
     err = _one_line_error(capsys, "young", "--example", "z2-function",
                           "--samples", "5")
     assert "QG_SEED" in err
+
+
+def test_negative_seed_flag_is_an_error(capsys):
+    for command in (("verify", "--example", "z2-function"),
+                    ("young", "--example", "z2-function"),
+                    ("hausdorff-young", "--example", "z2-function"),
+                    ("structures", "--example", "z2-function"),
+                    ("sharpness", "--example", "z2-function"),
+                    ("hunt", "--example", "z2-function"),
+                    ("all", "--example", "z2-function")):
+        err = _one_line_error(capsys, *command, "--seed", "-1")
+        assert "--seed" in err
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--samples", "5", "--seed", "0")
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def test_negative_qg_seed_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "-3")
+    err = _one_line_error(capsys, "young", "--example", "z2-function",
+                          "--samples", "5")
+    assert "QG_SEED" in err
+    # an explicit flag still wins
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--samples", "5", "--seed", "9")
+    assert code == 0 and json.loads(out)["seed"] == 9
 
 
 def test_bad_qg_seed_only_matters_where_it_supplies_the_seed(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from qgharm.core import (
 from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, NotAGroup, OwnerMismatch, ShapeMismatch
 from qgharm.structures import is_group_like_projection
+from test_duality import _transported
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,24 @@ def test_axioms_hold_on_every_example():
 def test_kac_paljutkin_axioms_are_exact():
     rep = verify_axioms(build_kac_paljutkin())
     assert max(rep.residuals.values()) == 0.0
+
+
+def test_axiom_records_copy_the_residuals_kept_on_the_group():
+    g = build_kac_paljutkin()
+    first = verify_axioms(g)
+    first.residuals["associativity"] = 1.0
+    again = verify_axioms(g)
+    assert again.residuals["associativity"] == 0.0 and again.holds
+
+
+def test_one_group_checked_at_two_tolerances_gets_both_verdicts():
+    g = _transported(get_example("kac-paljutkin"), seed=7)
+    worst = max(verify_axioms(g).residuals.values())
+    assert worst > 0.0
+    for tol, holds in ((0.5 * worst, False), (2.0 * worst, True),
+                       (0.5 * worst, False)):
+        rep = verify_axioms(g, tol=tol)
+        assert (rep.holds, rep.tol) == (holds, tol)
 
 
 def test_axiom_report_flags_a_wrong_haar():

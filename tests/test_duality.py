@@ -154,6 +154,39 @@ def test_single_entry_mutation_fails_the_base_gate():
                     build_dual(mutant)
 
 
+def _pentagon_reference(pair):
+    """The pentagon residual leg by leg: each factor of W12 W13 W23 and
+    W23 W12 multiplies the columns of the n^3 identity on two tensor legs."""
+    n = pair.base.dim
+    w = pair.w
+
+    def on_legs(x, legs):
+        order = (*legs, 3 - sum(legs), 3)
+        y = (w @ x.transpose(order).reshape(n * n, -1)).reshape(x.shape)
+        return y.transpose(np.argsort(order))
+
+    eye = np.eye(n ** 3).reshape(n, n, n, n ** 3)
+    lhs = on_legs(on_legs(on_legs(eye, (1, 2)), (0, 2)), (0, 1))
+    rhs = on_legs(on_legs(eye, (0, 1)), (1, 2))
+    return _maxabs(lhs - rhs)
+
+
+def test_pentagon_contraction_equals_the_leg_by_leg_product():
+    for g in _catalog_and_transports():
+        pair = build_dual(g)
+        assert pentagon_residual(pair) == _pentagon_reference(pair), g.name
+    # the corrupted unitaries of test_corrupted_unitary_fails_the_pentagon
+    rng = np.random.default_rng(11)
+    for name in EXAMPLE_NAMES:
+        pair = build_dual(get_example(name))
+        w = pair.w
+        for _ in range(4):
+            bad = w.copy()
+            bad[tuple(rng.integers(0, w.shape[0], size=2))] += 1e-3
+            pair.w = bad
+            assert pentagon_residual(pair) == _pentagon_reference(pair), name
+
+
 def test_corrupted_unitary_fails_the_pentagon():
     rng = np.random.default_rng(11)
     for name in EXAMPLE_NAMES:

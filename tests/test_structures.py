@@ -19,6 +19,7 @@ from qgharm.errors import (
     NotAShift,
     NotGroupLike,
     NotProjection,
+    OwnerMismatch,
 )
 from qgharm.structures import (
     _biprojection_relation,
@@ -206,6 +207,36 @@ def test_glp_derived_properties_hold_everywhere():
             rep = verify_glp_properties(g, cert.details["element"])
             assert rep.holds, (name, rep.details)
             assert max(rep.residuals.values()) < 1e-12
+
+
+def test_group_like_checks_take_a_certificate_for_its_element():
+    for name in ("z4-function", "kac-paljutkin"):
+        pair = _pair(name)
+        for cert in enumerate_group_like_projections(pair.base):
+            h = cert.details["element"]
+            assert verify_glp_properties(pair.base, cert) \
+                == verify_glp_properties(pair.base, h)
+            assert glpbi_check(pair, cert) == glpbi_check(pair, h)
+
+
+def test_group_like_checks_refuse_a_record_that_does_not_certify():
+    pair = _pair("z4-function")
+    g = pair.base
+    h = enumerate_group_like_projections(g)[1].details["element"]
+    for record in (is_group_like_projection(g, np.eye(4)[1]),
+                   is_group_like_projection(g, h, tol=1e-7),
+                   is_biprojection(pair, h)):
+        with pytest.raises(NotGroupLike):
+            verify_glp_properties(g, record)
+        with pytest.raises(NotGroupLike):
+            glpbi_check(pair, record)
+    # a certificate for an element of another algebra of the same dimension
+    foreign = enumerate_group_like_projections(_pair("z2-group").base)[0]
+    z2 = _pair("z2-function")
+    with pytest.raises(OwnerMismatch):
+        verify_glp_properties(z2.base, foreign)
+    with pytest.raises(OwnerMismatch):
+        glpbi_check(z2, foreign)
 
 
 def test_glp_properties_refuse_non_group_like_input():
