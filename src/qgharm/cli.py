@@ -4,7 +4,7 @@ Every subcommand prints a single deterministic JSON document to stdout
 (sorted keys, two-space indent, trailing newline) and a short human
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
 mathematical check fails, 1 for usage or construction errors, including a
-sample count, search budget or iteration count below 1 and a --tol outside
+count below 1, --samples above 10^6, --restarts above 10^4, a --tol outside
 0 < tol <= 1e-6, or a negative seed. The QG_SEED environment variable
 overrides the default of 42 for every --seed flag that is not given; it
 must then be an integer. An explicit flag wins over the environment.
@@ -13,6 +13,7 @@ must then be an integer. An explicit flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -55,10 +56,13 @@ def _default_seed() -> int:
         raise BadFlags(f"QG_SEED must be an integer, got {value!r}") from None
 
 
-def _at_least_one(flag: str, value: int) -> None:
-    """Refuse a run on zero evidence."""
+def _count(flag: str, value: int) -> None:
+    """Refuse zero evidence, and a count whose arrays would exhaust memory."""
     if value < 1:
         raise BadFlags(f"{flag} must be at least 1, got {value}")
+    ceiling = {"--samples": 10**6, "--restarts": 10**4}.get(flag, float("inf"))
+    if value > ceiling:
+        raise BadFlags(f"{flag} must be at most {ceiling}, got {value}")
 
 
 def _positive_tol(value: float) -> None:
@@ -142,7 +146,7 @@ def _worst_ratio(name: str, claim: str, ratios: np.ndarray) -> dict:
 
 
 def _run_young(args) -> dict:
-    _at_least_one("--samples", args.samples)
+    _count("--samples", args.samples)
     g = catalog.get_example(args.example)
     elems = _seeded_elements(g, 2 * args.samples, args.seed)
     _, _, ratios = young_sides(g, elems[0::2], elems[1::2], args.p, args.q)
@@ -153,7 +157,7 @@ def _run_young(args) -> dict:
 
 
 def _run_hausdorff_young(args) -> dict:
-    _at_least_one("--samples", args.samples)
+    _count("--samples", args.samples)
     g = catalog.get_example(args.example)
     elems = _seeded_elements(g, args.samples, args.seed)
     _, _, ratios = hausdorff_young_sides(build_dual(g), elems, args.p)
@@ -189,8 +193,8 @@ def _run_structures(args) -> dict:
 
 
 def _run_sharpness(args) -> dict:
-    _at_least_one("--restarts", args.restarts)
-    _at_least_one("--iters", args.iters)
+    _count("--restarts", args.restarts)
+    _count("--iters", args.iters)
     g = catalog.get_example(args.example)
     if args.kind == "young":
         rep = estimate_best_constant_young(
@@ -230,8 +234,8 @@ def _run_suq2(args) -> dict:
 
 
 def _run_hunt(args) -> dict:
-    _at_least_one("--budget", args.budget)
-    _at_least_one("--iters", args.iters)
+    _count("--budget", args.budget)
+    _count("--iters", args.iters)
     g = catalog.get_example(args.example)
     rep = biprojection_iff_grouplike(build_dual(g))
     candidates = [d for d in rep.details["disagreements"] if d["biprojection"]]
@@ -253,6 +257,7 @@ def _run_catalog(args) -> dict:
 
 
 def _run_all(args) -> dict:
+    _count("--samples", args.samples)
     names = [args.example] if args.example else list(catalog.EXAMPLE_NAMES)
     checks = []
 
@@ -278,10 +283,14 @@ def _run_all(args) -> dict:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="qgharm",
                      description="Harmonic analysis checks on finite "
                                  "quantum groups")
+    # look the handler up by name at each call; the cached parser holds none
+    parser.set_defaults(func=lambda args: globals()[
+        "_run_" + args.command.replace("-", "_")](args))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_example(p):
@@ -292,7 +301,6 @@ def build_parser() -> _Parser:
     add_example(p)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_run_verify)
 
     p = sub.add_parser("young", help="Young convolution inequality on "
                                      "seeded random pairs")
@@ -301,7 +309,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=4.0 / 3.0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_run_young)
 
     p = sub.add_parser("hausdorff-young", help="Hausdorff-Young inequality "
                                                "on seeded random elements")
@@ -309,7 +316,6 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=4.0 / 3.0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_run_hausdorff_young)
 
     no_effect = "echoed in the report; has no effect on the result"
     p = sub.add_parser("structures", help="group-like projections, Fourier "
@@ -317,7 +323,6 @@ def build_parser() -> _Parser:
     add_example(p)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, help=no_effect)
-    p.set_defaults(func=_run_structures)
 
     p = sub.add_parser("sharpness", help="best-constant estimation")
     add_example(p)
@@ -327,7 +332,6 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_run_sharpness)
 
     p = sub.add_parser("suq2", help="exact deformation-parameter "
                                     "counterexample certificate")
@@ -337,7 +341,6 @@ def build_parser() -> _Parser:
                    help="numerator of mu; 0 < |mu| < 1")
     p.add_argument("--mu-den", type=int, default=2,
                    help="denominator of mu; nonzero")
-    p.set_defaults(func=_run_suq2)
 
     p = sub.add_parser("hunt", help="biprojections that are not group-like, "
                                     "from the exact enumeration")
@@ -345,17 +348,14 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=8, help=no_effect)
     p.add_argument("--iters", type=int, default=300, help=no_effect)
     p.add_argument("--seed", type=int, help=no_effect)
-    p.set_defaults(func=_run_hunt)
 
     p = sub.add_parser("all", help="full suite on one or all examples")
     p.add_argument("--example", choices=list(catalog.EXAMPLE_NAMES))
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=_run_all)
 
-    p = sub.add_parser("catalog", help="list the built-in examples")
-    p.set_defaults(func=_run_catalog)
+    sub.add_parser("catalog", help="list the built-in examples")
 
     return parser
 

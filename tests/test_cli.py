@@ -379,6 +379,29 @@ def test_sharpness_refuses_an_empty_budget(capsys):
             assert flag in err
 
 
+class _WorkStarted(Exception):
+    pass
+
+
+def test_counts_above_their_ceiling_are_refused_before_any_work(
+        capsys, monkeypatch):
+    def start(name):
+        raise _WorkStarted(name)
+    monkeypatch.setattr(catalog, "get_example", start)
+    example = ("--example", "z2-function")
+    for command, flag, ceiling in ((("young", *example), "--samples", 10**6),
+                                   (("hausdorff-young", *example),
+                                    "--samples", 10**6),
+                                   (("all", *example), "--samples", 10**6),
+                                   (("sharpness", *example), "--restarts",
+                                    10**4)):
+        err = _one_line_error(capsys, *command, flag, str(ceiling + 1))
+        assert f"{flag} must be at most {ceiling}" in err
+        # the ceiling itself passes the check and reaches the example
+        with pytest.raises(_WorkStarted):
+            cli.run([*command, flag, str(ceiling)])
+
+
 def test_bad_tolerances_are_usage_errors(capsys):
     for value in ("-1", "0", "nan", "inf", "2", "0.05"):
         for command in (("verify", "--example", "z2-function"),
@@ -473,3 +496,75 @@ def test_installed_entry_point_round_trip():
     doc = json.loads(proc.stdout)
     assert doc["checks"][0]["bound_numerator"] == "5376"
     assert doc["checks"][0]["bound_denominator"] == "341"
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, request):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    argvs = [["catalog"], ["young", "--example", "z2-function", "--samples",
+                           "5"], ["suq2", "--n", "1"]]
+    assert cli.run(argvs[0]) == 0
+    after_first = len(built)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["young", "--example", "z9-function"])
+    assert exc.value.code == 1
+    for i in range(18):
+        assert cli.run(argvs[i % 3]) == 0
+    capsys.readouterr()
+    assert built.count("qgharm") == 1
+    assert len(built) == after_first
+
+
+def test_a_later_call_starts_from_the_defaults(capsys):
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--p", "1.5", "--q", "1.5", "--samples", "5")
+    assert code == 0 and json.loads(out)["params"]["p"] == 1.5
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--samples", "5")
+    params = json.loads(out)["params"]
+    assert code == 0 and params["p"] == params["q"] == 4.0 / 3.0
+
+
+def test_help_and_usage_errors_leave_nothing_behind(capsys):
+    argv = ["young", "--example", "z2-function", "--samples", "5",
+            "--seed", "3"]
+    fresh = subprocess.run([sys.executable, "-m", "qgharm.cli", *argv],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    for before, status in ((["--help"], 0), (["young", "--bogus"], 1)):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(before)
+        assert exc.value.code == status
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == (0, fresh.stdout, fresh.stderr)
+
+
+def test_qg_seed_is_read_at_each_call(capsys, monkeypatch):
+    for seed in ("5", "6"):
+        monkeypatch.setenv("QG_SEED", seed)
+        _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                            "--samples", "5")
+        assert json.loads(out)["seed"] == int(seed)
+
+
+def test_one_process_prints_the_same_bytes_in_any_order(capsys):
+    argvs = [(command, "--example", name, *extra)
+             for name in catalog.EXAMPLE_NAMES
+             for command, *extra in (("verify",),
+                                     ("young", "--samples", "5"),
+                                     ("hausdorff-young", "--samples", "5"),
+                                     ("structures",))]
+    runs = []
+    for order in (argvs, argvs[::-1]):
+        catalog.get_example.cache_clear()
+        runs.append({argv: run_cli(capsys, *argv) for argv in order})
+    assert all(code == 0 for code, _, _ in runs[0].values())
+    assert runs[0] == runs[1]
