@@ -288,9 +288,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qgharm",
                      description="Harmonic analysis checks on finite "
                                  "quantum groups")
-    # look the handler up by name at each call; the cached parser holds none
-    parser.set_defaults(func=lambda args: globals()[
-        "_run_" + args.command.replace("-", "_")](args))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_example(p):
@@ -368,8 +365,8 @@ def run(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:   # numpy's generators refuse it
             raise BadFlags(f"--seed and QG_SEED must not be negative, "
                            f"got {args.seed}")
-        doc = args.func(args)
-    except AxiomFailure as exc:   # raised by args.func, never by parsing
+        doc = globals()["_run_" + args.command.replace("-", "_")](args)
+    except AxiomFailure as exc:   # raised by a handler, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},
                         getattr(args, "seed", None),
                         [_entry(Check("construction", "axioms", {}, None,

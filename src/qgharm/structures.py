@@ -12,7 +12,8 @@ The lists of group-like projections, of biprojections and of the shifts of
 a group-like projection are complete. A projection is a choice of one
 projection per Wedderburn block; on a block of size 2 a rank-one choice
 carries a Bloch vector, and each relation is solved exactly for those
-vectors. Algebras with a block of size 3 or more are refused.
+vectors. Algebras with a block of size 3 or more, or with more than two
+blocks of size 2 (see MAX_MACAULAY_ENTRIES), are refused.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def biprojection_iff_grouplike(pair: DualPair,
     a biprojection, over all projections of the base.
 
     Both lists are complete: each solves its relation exactly over every
-    block choice (see _enumerate). A biprojection solves F(h)^2 = phi(h) F(h)
+    block choice, the choices with the same number of Bloch unknowns as one
+    stack (see _enumerate). A biprojection solves F(h)^2 = phi(h) F(h)
     and F(h)* = F(h); the multiple is phi(h) because the dual counit is a
     character with epsilon_hat(F(x)) = phi(x). projections_checked counts
     the block choices, group_like holds the certificates of
@@ -274,6 +276,9 @@ ROOT_TOL = 1e-6
 MAX_DEGREE = 6
 # seed of the generic linear form whose multiplication matrix is diagonalized
 STETTER_SEED = 1611
+# most entries of a batched Macaulay stack, and the refusal bound of one
+# choice: two 2x2 blocks need <= 28 x 210 x 924, three (C[D7]) about 197M
+MAX_MACAULAY_ENTRIES = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -349,30 +354,32 @@ def _shifted(m: int, d: int, by: int) -> np.ndarray:
 def _quadratic_rows(relation, h0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Real coefficient rows, over _monomials(m, 2), of the real and
     imaginary parts of relation(h0 + n @ dirs) and of |n_b|^2 - 1 for each
-    rank-one block b. The relation has degree <= 2 in n, so its values at
-    n = 0, +-e_k and e_k + e_l fix its coefficients (polarization)."""
-    m = len(dirs)
+    rank-one block b, as a (choices, rows, monomials) stack. The relation has
+    degree <= 2 in n, so its values at n = 0, +-e_k and e_k + e_l, taken for
+    every choice in one call, fix its coefficients (polarization)."""
+    m = dirs.shape[1]
     eye = np.eye(m)
     k, l = np.triu_indices(m, 1)
     stencil = np.concatenate([np.zeros((1, m)), eye, -eye, eye[k] + eye[l]])
-    vals = relation(h0 + stencil @ dirs).reshape(len(stencil), -1)
+    vals = relation(h0[:, None] + stencil @ dirs).reshape(
+        len(h0), len(stencil), -1)
     vals = np.concatenate([vals.real, vals.imag], axis=-1)
-    zero, plus, minus = vals[0], vals[1:m + 1], vals[m + 1:2 * m + 1]
-    quad = np.empty((m, m, vals.shape[1]))
-    quad[k, l] = vals[2 * m + 1:] - plus[k] - plus[l] + zero
-    quad[np.arange(m), np.arange(m)] = 0.5 * (plus + minus) - zero
+    zero, plus, minus = vals[:, :1], vals[:, 1:m + 1], vals[:, m + 1:2 * m + 1]
+    quad = np.empty((len(h0), m, m, vals.shape[-1]))
+    quad[:, k, l] = vals[:, 2 * m + 1:] - plus[:, k] - plus[:, l] + zero
+    quad[:, np.arange(m), np.arange(m)] = 0.5 * (plus + minus) - zero
     ku, lu = np.triu_indices(m)
-    rows = np.concatenate([zero[None], 0.5 * (plus - minus), quad[ku, lu]]).T
-    sphere = np.zeros((m // 3, rows.shape[1]))
+    rows = np.concatenate([zero, 0.5 * (plus - minus), quad[:, ku, lu]], 1)
+    sphere = np.zeros((len(h0), rows.shape[1], m // 3))
     sphere[:, 0] = -1.0
-    sphere[np.arange(m) // 3, 1 + m + np.flatnonzero(ku == lu)] = 1.0
-    return np.concatenate([rows, sphere])
+    sphere[:, 1 + m + np.flatnonzero(ku == lu), np.arange(m) // 3] = 1.0
+    return np.concatenate([rows, sphere], axis=-1).transpose(0, 2, 1)
 
 
 def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
-    """All complex roots, as an (m, count) array, of the real system with
-    these coefficient rows over _monomials(m, 2), and the weakest rank
-    decision of the solve.
+    """All complex roots of each real system in a stack of coefficient rows
+    over _monomials(m, 2), one (m, count) array per system, and the weakest
+    rank decision of each solve (see _Enumeration).
 
     The rows are compressed to an orthonormal row basis. The Macaulay matrix
     of degree d stacks that basis times every monomial of degree <= d - 2;
@@ -382,51 +389,57 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     multiplication matrix (Stetter matrix) of a generic linear form, taken
     on the null space, has those monomial vectors as eigenvectors. A
     null space of dimension 0 means 1 is in the ideal: there is no root.
+    Systems whose bases have the same rank go in lockstep, one batched SVD
+    per degree, and each takes the rank decisions it would take alone.
     """
-    gaps = []
+    kept, dropped = np.full(len(rows), np.inf), np.zeros(len(rows))
 
-    def rank(s: np.ndarray) -> int:
-        rel = s / s[0] if s[0] > 0 else s
-        r = int(np.sum(rel > RANK_TOL))
-        gaps.append((rel[r - 1] if r else 0.0,
-                     rel[r] if r < len(rel) else 0.0))
+    def rank(s: np.ndarray, which) -> np.ndarray:
+        rel = s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
+        r = np.sum(rel > RANK_TOL, axis=1)
+        edge = np.zeros((len(s), 1))
+        ends, at = np.concatenate([edge, rel, edge], 1), np.arange(len(s))
+        kept[which] = np.minimum(kept[which], ends[at, r])
+        dropped[which] = np.maximum(dropped[which], ends[at, r + 1])
         return r
 
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    basis = vh[:rank(s)]
-    # the Macaulay matrix of degree 2 is the basis itself
-    previous = len(basis[0]) - len(basis)
-    if previous == 0:
-        return np.zeros((m, 0)), _weakest(gaps)
-    for d in range(3, MAX_DEGREE + 1):
-        table = _shifted(m, d, 2)
-        width = len(_monomials(m, d))
-        mac = np.zeros((len(table), len(basis), width))
-        mac[np.arange(len(table))[:, None, None],
-            np.arange(len(basis))[None, :, None], table[:, None, :]] = basis
-        mac = mac.reshape(-1, width)
-        null = width - rank(np.linalg.svd(mac, compute_uv=False))
-        if null == 0:
-            return np.zeros((m, 0)), _weakest(gaps)
-        if null == previous:
-            kernel = np.linalg.svd(mac)[2][width - null:].T
-            shift = _shifted(m, d, 1)
-            u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
-                                       full_matrices=False)
-            if rank(sl) == null:
-                rng = np.random.default_rng(STETTER_SEED)
-                weights = rng.standard_normal(m)
-                stetter = ((vlh.T / sl) @ u.T) @ (
-                    kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
-                roots = kernel @ np.linalg.eig(stetter)[1]
-                return roots[1:m + 1] / roots[0], _weakest(gaps)
-        previous = null
-    raise EnumerationIncomplete(
-        f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
-
-
-def _weakest(gaps: list) -> tuple:
-    return (float(min(k for k, _ in gaps)), float(max(d for _, d in gaps)))
+    ranks = rank(s, slice(None))
+    # null-space dimensions; the Macaulay matrix of degree 2 is the basis
+    previous = vh.shape[-1] - ranks
+    roots, open_ = [np.zeros((m, 0))] * len(rows), previous > 0
+    for r in set(ranks.tolist()):
+        live = np.flatnonzero((ranks == r) & open_)
+        for d in range(3, MAX_DEGREE + 1):
+            if not len(live):
+                break
+            table, width = _shifted(m, d, 2), len(_monomials(m, d))
+            mac = np.zeros((len(live), len(table), r, width))
+            mac[:, np.arange(len(table))[:, None, None],
+                np.arange(r)[None, :, None], table[:, None, :]] = \
+                vh[live, None, :r]
+            mac = mac.reshape(len(live), -1, width)
+            null = width - rank(np.linalg.svd(mac, compute_uv=False), live)
+            open_[live[null == 0]] = False
+            for j in np.flatnonzero((null == previous[live]) & (null > 0)):
+                kernel = np.linalg.svd(mac[j])[2][width - null[j]:].T
+                shift = _shifted(m, d, 1)
+                u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
+                                           full_matrices=False)
+                if rank(sl[None], live[[j]])[0] == null[j]:
+                    rng = np.random.default_rng(STETTER_SEED)
+                    weights = rng.standard_normal(m)
+                    stetter = ((vlh.T / sl) @ u.T) @ (
+                        kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
+                    vecs = kernel @ np.linalg.eig(stetter)[1]
+                    roots[live[j]] = vecs[1:m + 1] / vecs[0]
+                    open_[live[j]] = False
+            previous[live] = null
+            live = live[open_[live]]
+    if np.any(open_):
+        raise EnumerationIncomplete(
+            f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
+    return roots, [(float(a), float(b)) for a, b in zip(kept, dropped)]
 
 
 def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
@@ -434,33 +447,50 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
     block choices. relation maps a stack of coefficient vectors to residual
     arrays and has degree <= 2. Choices without a rank-one block are
     points: one stack of them is tested at tol. The others are solved
-    exactly (_bloch_roots); every root must solve its system, and each real
-    one gives a projection. Raises EnumerationIncomplete when a block has
-    size 3 or more, or when a system does not resolve."""
+    exactly (_bloch_roots), one stack per number m of Bloch unknowns in
+    parts of at most MAX_MACAULAY_ENTRIES worst-case Macaulay entries; every
+    root must solve its system, and each real one gives a projection. Raises
+    EnumerationIncomplete when a block has size 3 or more, before any solve
+    when one choice may exceed that bound, or when a system does not
+    resolve."""
     choices = _block_choices(g)
-    points = np.array([h0 for h0, dirs in choices if not len(dirs)])
-    holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
-                        axis=-1) <= tol)
-    out, gaps = [], []
-    for h0, dirs in choices:
-        if not len(dirs):
-            if next(holds):
-                out.append(h0)
-            continue
-        m = len(dirs)
-        rows = _quadratic_rows(relation, h0, dirs)
-        roots, gap = _bloch_roots(rows, m)
-        gaps.append(gap)
-        exps = np.array(list(_monomials(m, 2)))
-        values = np.prod(roots.T[:, None, :] ** exps, axis=-1) @ rows.T
-        if not np.all(np.abs(values) <= ROOT_TOL):
-            raise EnumerationIncomplete("a root of a block choice does not "
-                                        "solve its system")
-        for n in roots.T[np.all(np.abs(roots.imag) <= ROOT_TOL, axis=0)]:
-            n = n.real.reshape(-1, 3)
-            out.append(h0 + (n / np.linalg.norm(n, axis=1)[:, None]).ravel()
-                       @ dirs)
-    return _Enumeration(points=out, choices=len(choices), gaps=gaps)
+    unknowns = np.array([len(dirs) for _, dirs in choices])
+    # basis rank times monomial shifts times columns, at degree MAX_DEGREE
+    worst = {m: math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)
+             * math.comb(m + MAX_DEGREE, m) for m in set(unknowns.tolist())}
+    if max(worst.values()) > MAX_MACAULAY_ENTRIES:
+        raise EnumerationIncomplete(
+            f"a block choice may need {max(worst.values())} Macaulay entries, "
+            f"above the bound of {MAX_MACAULAY_ENTRIES}")
+    at = np.flatnonzero(unknowns == 0)
+    points = np.array([choices[i][0] for i in at])
+    holds = np.max(np.abs(relation(points)).reshape(len(points), -1),
+                   axis=-1) <= tol
+    found, gaps = [(i, h) for i, h, ok in zip(at, points, holds) if ok], []
+    for m in sorted(worst.keys() - {0}):
+        at = np.flatnonzero(unknowns == m)
+        step = MAX_MACAULAY_ENTRIES // worst[m]
+        for part in np.split(at, range(step, len(at), step)):
+            h0 = np.array([choices[i][0] for i in part])
+            dirs = np.array([choices[i][1] for i in part])
+            rows = _quadratic_rows(relation, h0, dirs)
+            roots, gap = _bloch_roots(rows, m)
+            gaps += zip(part, gap)
+            which = np.repeat(range(len(part)), [r.shape[1] for r in roots])
+            n = np.concatenate([r.T for r in roots])
+            mono = np.prod(n[:, None] ** np.array(list(_monomials(m, 2))), -1)
+            if not np.all(np.abs(np.einsum("rj,rkj->rk", mono, rows[which]))
+                          <= ROOT_TOL):
+                raise EnumerationIncomplete("a root of a block choice does "
+                                            "not solve its system")
+            real = np.all(np.abs(n.imag) <= ROOT_TOL, axis=1)
+            unit = n[real].real.reshape(-1, m // 3, 3)
+            unit /= np.linalg.norm(unit, axis=-1)[..., None]
+            found += zip(part[which[real]], h0[which[real]] + (
+                unit.reshape(-1, 1, m) @ dirs[which[real]])[:, 0])
+    found.sort(key=lambda ih: ih[0])
+    return _Enumeration(points=[h for _, h in found], choices=len(choices),
+                        gaps=[gap for _, gap in sorted(gaps)])
 
 
 # ---------------------------------------------------------------------------

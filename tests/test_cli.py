@@ -467,9 +467,6 @@ def test_failing_check_exits_two(capsys, monkeypatch):
                                     "convolution-norm-bound",
                                     {"excess": 0.5}, 1e-9, lhs=1.5, rhs=1.0))])
     monkeypatch.setattr(cli, "_run_young", broken)
-    parser = cli.build_parser()
-    args = parser.parse_args(["young", "--example", "z2-function"])
-    monkeypatch.setattr(args, "func", broken)
     code = cli.run(["young", "--example", "z2-function"])
     captured = capsys.readouterr()
     assert code == 2

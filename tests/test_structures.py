@@ -1,10 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qgharm import structures
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import (
+    FiniteQuantumGroup,
     _maxabs,
     build_group_algebra,
     cyclic_table,
@@ -22,12 +25,20 @@ from qgharm.errors import (
     OwnerMismatch,
 )
 from qgharm.structures import (
+    MAX_DEGREE,
+    RANK_TOL,
+    ROOT_TOL,
+    STETTER_SEED,
     _biprojection_relation,
     _bloch_roots,
     _block_choices,
     _enumerate,
+    _Enumeration,
     _group_like_relation,
+    _monomials,
     _quadratic_rows,
+    _shift_relations,
+    _shifted,
     bipartial_isometry_check,
     biprojection_iff_grouplike,
     bishift_construct,
@@ -166,10 +177,11 @@ def test_a_sphere_grid_on_kac_paljutkin_sees_only_the_exact_roots():
     for relation in (lambda h: _group_like_relation(g, h),
                      lambda h: _biprojection_relation(pair, h)):
         real_roots = 0
-        for h0, dirs in _block_choices(g):
-            if not len(dirs):
-                continue
-            roots, _ = _bloch_roots(_quadratic_rows(relation, h0, dirs), 3)
+        bloch = [(h0, dirs) for h0, dirs in _block_choices(g) if len(dirs)]
+        stack, _ = _bloch_roots(_quadratic_rows(
+            relation, np.array([h0 for h0, _ in bloch]),
+            np.array([dirs for _, dirs in bloch])), 3)
+        for (h0, dirs), roots in zip(bloch, stack):
             real = roots.real.T[np.all(np.abs(roots.imag) <= 1e-6, axis=0)]
             res = np.abs(relation(h0 + grid @ dirs)).reshape(len(grid), -1)
             res = res.max(axis=1)
@@ -198,6 +210,213 @@ def test_a_continuum_of_solutions_is_refused():
     g = get_example("kac-paljutkin")
     with pytest.raises(EnumerationIncomplete, match="not stable"):
         _enumerate(g, lambda h: np.zeros(h.shape[:-1] + (1,)), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the per-choice enumerator, kept as the reference of the stacked one
+# ---------------------------------------------------------------------------
+
+def _reference_rows(relation, h0, dirs):
+    """_quadratic_rows for one choice, one relation call per choice."""
+    m = len(dirs)
+    eye = np.eye(m)
+    k, l = np.triu_indices(m, 1)
+    stencil = np.concatenate([np.zeros((1, m)), eye, -eye, eye[k] + eye[l]])
+    vals = relation(h0 + stencil @ dirs).reshape(len(stencil), -1)
+    vals = np.concatenate([vals.real, vals.imag], axis=-1)
+    zero, plus, minus = vals[0], vals[1:m + 1], vals[m + 1:2 * m + 1]
+    quad = np.empty((m, m, vals.shape[1]))
+    quad[k, l] = vals[2 * m + 1:] - plus[k] - plus[l] + zero
+    quad[np.arange(m), np.arange(m)] = 0.5 * (plus + minus) - zero
+    ku, lu = np.triu_indices(m)
+    rows = np.concatenate([zero[None], 0.5 * (plus - minus), quad[ku, lu]]).T
+    sphere = np.zeros((m // 3, rows.shape[1]))
+    sphere[:, 0] = -1.0
+    sphere[np.arange(m) // 3, 1 + m + np.flatnonzero(ku == lu)] = 1.0
+    return np.concatenate([rows, sphere])
+
+
+def _reference_roots(rows, m):
+    """_bloch_roots for one system, its Macaulay degrees raised one by
+    one."""
+    gaps = []
+
+    def rank(s):
+        rel = s / s[0] if s[0] > 0 else s
+        r = int(np.sum(rel > RANK_TOL))
+        gaps.append((rel[r - 1] if r else 0.0,
+                     rel[r] if r < len(rel) else 0.0))
+        return r
+
+    def weakest():
+        return (float(min(k for k, _ in gaps)),
+                float(max(d for _, d in gaps)))
+
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = vh[:rank(s)]
+    previous = len(basis[0]) - len(basis)
+    if previous == 0:
+        return np.zeros((m, 0)), weakest()
+    for d in range(3, MAX_DEGREE + 1):
+        table = _shifted(m, d, 2)
+        width = len(_monomials(m, d))
+        mac = np.zeros((len(table), len(basis), width))
+        mac[np.arange(len(table))[:, None, None],
+            np.arange(len(basis))[None, :, None], table[:, None, :]] = basis
+        mac = mac.reshape(-1, width)
+        null = width - rank(np.linalg.svd(mac, compute_uv=False))
+        if null == 0:
+            return np.zeros((m, 0)), weakest()
+        if null == previous:
+            kernel = np.linalg.svd(mac)[2][width - null:].T
+            shift = _shifted(m, d, 1)
+            u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
+                                       full_matrices=False)
+            if rank(sl) == null:
+                rng = np.random.default_rng(STETTER_SEED)
+                weights = rng.standard_normal(m)
+                stetter = ((vlh.T / sl) @ u.T) @ (
+                    kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
+                roots = kernel @ np.linalg.eig(stetter)[1]
+                return roots[1:m + 1] / roots[0], weakest()
+        previous = null
+    raise EnumerationIncomplete(
+        f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
+
+
+def _enumerate_reference(g, relation, tol):
+    """_enumerate with one polarization and one solve per block choice."""
+    choices = _block_choices(g)
+    points = np.array([h0 for h0, dirs in choices if not len(dirs)])
+    holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
+                        axis=-1) <= tol)
+    out, gaps = [], []
+    for h0, dirs in choices:
+        if not len(dirs):
+            if next(holds):
+                out.append(h0)
+            continue
+        m = len(dirs)
+        rows = _reference_rows(relation, h0, dirs)
+        roots, gap = _reference_roots(rows, m)
+        gaps.append(gap)
+        exps = np.array(list(_monomials(m, 2)))
+        values = np.prod(roots.T[:, None, :] ** exps, axis=-1) @ rows.T
+        if not np.all(np.abs(values) <= ROOT_TOL):
+            raise EnumerationIncomplete("a root of a block choice does not "
+                                        "solve its system")
+        for n in roots.T[np.all(np.abs(roots.imag) <= ROOT_TOL, axis=0)]:
+            n = n.real.reshape(-1, 3)
+            out.append(h0 + (n / np.linalg.norm(n, axis=1)[:, None]).ravel()
+                       @ dirs)
+    return _Enumeration(points=out, choices=len(choices), gaps=gaps)
+
+
+def _kron_group(a, b):
+    """The tensor product quantum group of a and b, on the basis
+    e_i x f_p at index i * b.dim + p."""
+    n = a.dim * b.dim
+
+    def both(x, y):
+        return np.einsum("ijk,pqr->ipjqkr", x, y).reshape(n * n, n)
+
+    return FiniteQuantumGroup(
+        dim=n, mult=both(a.mult, b.mult).reshape(n, n, n),
+        unit=np.kron(a.unit, b.unit),
+        comult=both(a.comult.reshape(a.dim, a.dim, a.dim),
+                    b.comult.reshape(b.dim, b.dim, b.dim)),
+        counit=np.kron(a.counit, b.counit),
+        antipode=np.kron(a.antipode, b.antipode),
+        star=np.kron(a.star, b.star), haar=np.kron(a.haar, b.haar),
+        name=f"{a.name} x {b.name}")
+
+
+def _relations(pair):
+    """The group-like, biprojection and left-shift relations of the base,
+    the last over every group-like projection."""
+    g = pair.base
+    yield lambda h: _group_like_relation(g, h)
+    yield lambda h: _biprojection_relation(pair, h)
+    for cert in enumerate_group_like_projections(g):
+        hc = cert.details["element"].coeffs
+        yield lambda x, hc=hc: np.concatenate(
+            list(_shift_relations(g, x, hc, "left").values()), axis=-1)
+
+
+def _assert_same_run(got, want):
+    assert got.choices == want.choices
+    assert got.gaps == want.gaps
+    assert len(got.points) == len(want.points)
+    assert all(np.array_equal(p, q) for p, q in zip(got.points, want.points))
+
+
+def test_the_stacked_solve_equals_the_per_choice_reference_exactly():
+    for name in EXAMPLE_NAMES:
+        base_pair = _pair(name)
+        for pair in (base_pair, build_dual(base_pair.dual_qg)):
+            for relation in _relations(pair):
+                _assert_same_run(_enumerate(pair.base, relation, 1e-9),
+                                 _enumerate_reference(pair.base, relation,
+                                                      1e-9))
+
+
+def test_the_stacked_solve_equals_the_reference_with_two_bloch_blocks():
+    # blocks 8 x 1 + 2 x 2: 1024 choices with one rank-one block and 256
+    # with two, the only stack of six Bloch unknowns the catalog reaches
+    g = _kron_group(get_example("kac-paljutkin"), get_example("z2-function"))
+    relation = lambda h: _group_like_relation(g, h)
+    got = _enumerate(g, relation, 1e-9)
+    _assert_same_run(got, _enumerate_reference(g, relation, 1e-9))
+    assert len(got.points) == 27
+    assert sum(len(dirs) == 6 for _, dirs in _block_choices(g)) == 256
+
+
+def _counted(relation, calls):
+    def wrapped(h):
+        calls.append(h.shape)
+        return relation(h)
+    return wrapped
+
+
+def test_each_relation_is_called_once_per_stack_on_kac_paljutkin():
+    # 31 point choices in one call, then the 10 stencil points of all 16
+    # choices with the rank-one block in one more
+    pair = _pair("kac-paljutkin")
+    g = pair.base
+    for relation in (lambda h: _group_like_relation(g, h),
+                     lambda h: _biprojection_relation(pair, h)):
+        calls = []
+        _enumerate(g, _counted(relation, calls), 1e-9)
+        assert calls == [(31, 8), (16, 10, 8)]
+
+
+def test_stacks_split_into_chunks_give_the_same_enumeration(monkeypatch):
+    pair = _pair("kac-paljutkin")
+    g = pair.base
+    relations = list(_relations(pair))
+    whole = [_enumerate(g, relation, 1e-9) for relation in relations]
+    # three times the worst Macaulay matrix of one choice with m = 3: rank
+    # 10, 35 monomial shifts, 84 columns
+    monkeypatch.setattr(structures, "MAX_MACAULAY_ENTRIES", 3 * 10 * 35 * 84)
+    for relation, want in zip(relations, whole):
+        calls = []
+        _assert_same_run(_enumerate(g, _counted(relation, calls), 1e-9), want)
+        assert [shape[0] for shape in calls[1:]] == [3, 3, 3, 3, 3, 1]
+
+
+def test_three_two_by_two_blocks_are_refused_before_any_solve():
+    # C[D7] has blocks 1, 1, 2, 2, 2: one choice with nine Bloch unknowns
+    # could need a Macaulay matrix of about 197M entries
+    start = time.perf_counter()
+    g = build_group_algebra(dihedral_table(7))
+    with pytest.raises(EnumerationIncomplete, match="above the bound"):
+        enumerate_group_like_projections(g)
+    assert time.perf_counter() - start < 5.0
+    calls = []
+    with pytest.raises(EnumerationIncomplete, match="above the bound"):
+        _enumerate(g, _counted(lambda h: _group_like_relation(g, h), calls),
+                   1e-9)
+    assert calls == []
 
 
 def test_glp_derived_properties_hold_everywhere():
