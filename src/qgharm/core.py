@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AxiomFailure, NotAGroup, OwnerMismatch, ShapeMismatch
+from .errors import (AxiomFailure, EnumerationIncomplete, NotAGroup,
+                     OwnerMismatch, ShapeMismatch)
 from .report import Check, check
 
 __all__ = [
@@ -364,6 +365,37 @@ class Blocks:
         """The functional sum_i c_i tr rho_i as a row over the basis."""
         rows, cols = self._diag_index
         return np.repeat(c, self.sizes) @ self.to_blocks[rows == cols]
+
+    @cached_property
+    def choices(self) -> list:
+        """(h0, directions) for every nonzero choice of one projection per
+        block: 0 or 1 on a block of size 1; 0, 1 or a rank-one (1 + n.sigma)/2
+        on a block of size 2. The element is h0 + n @ directions, affine in
+        the unit Bloch vectors n, three rows of directions per rank-one block;
+        built once per algebra."""
+        if max(self.sizes) > 2:
+            raise EnumerationIncomplete(
+                f"a block of size {max(self.sizes)} has projections of rank "
+                "between 1 and its size minus 1; only blocks of size 1 and 2 "
+                "are enumerated")
+        units = self.from_blocks.T          # row j: the matrix unit of entry j
+        zero = (np.zeros(len(units), dtype=complex), ())
+        options, start = [], 0
+        for d in self.sizes:
+            e = units[start:start + d * d]
+            start += d * d
+            if d == 1:
+                options.append((zero, (e[0], ())))
+            else:
+                one = e[0] + e[3]
+                bloch = (0.5 * (e[1] + e[2]), 0.5j * (e[2] - e[1]),
+                         0.5 * (e[0] - e[3]))
+                options.append((zero, (one, ()), (0.5 * one, bloch)))
+        choices = [(sum(h for h, _ in combo),
+                    np.reshape([v for _, vs in combo for v in vs],
+                               (-1, len(units))))
+                   for combo in itertools.product(*options)]
+        return choices[1:]              # the first one is zero everywhere
 
 
 def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:

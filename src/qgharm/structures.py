@@ -299,36 +299,6 @@ def _all_certified(flags) -> None:
                                     "certificate")
 
 
-def _block_choices(g: FiniteQuantumGroup) -> list:
-    """(h0, directions) for every nonzero choice of one projection per
-    block: 0 or 1 on a block of size 1; 0, 1 or a rank-one (1 + n.sigma)/2
-    on a block of size 2. The element is h0 + n @ directions, affine in the
-    unit Bloch vectors n, three rows of directions per rank-one block."""
-    blocks = g.blocks
-    if max(blocks.sizes) > 2:
-        raise EnumerationIncomplete(
-            f"a block of size {max(blocks.sizes)} has projections of rank "
-            "between 1 and its size minus 1; only blocks of size 1 and 2 "
-            "are enumerated")
-    units = blocks.from_blocks.T        # row j: the matrix unit of entry j
-    zero = (np.zeros(g.dim, dtype=complex), ())
-    options, start = [], 0
-    for d in blocks.sizes:
-        e = units[start:start + d * d]
-        start += d * d
-        if d == 1:
-            options.append((zero, (e[0], ())))
-        else:
-            one = e[0] + e[3]
-            bloch = (0.5 * (e[1] + e[2]), 0.5j * (e[2] - e[1]),
-                     0.5 * (e[0] - e[3]))
-            options.append((zero, (one, ()), (0.5 * one, bloch)))
-    choices = [(sum(h for h, _ in combo),
-                np.reshape([v for _, vs in combo for v in vs], (-1, g.dim)))
-               for combo in itertools.product(*options)]
-    return choices[1:]                  # the first one is zero everywhere
-
-
 @functools.lru_cache(maxsize=None)
 def _monomials(m: int, d: int) -> dict:
     """Exponent tuples of the monomials of degree <= d in m unknowns, by
@@ -453,7 +423,7 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
     EnumerationIncomplete when a block has size 3 or more, before any solve
     when one choice may exceed that bound, or when a system does not
     resolve."""
-    choices = _block_choices(g)
+    choices = g.blocks.choices
     unknowns = np.array([len(dirs) for _, dirs in choices])
     # basis rank times monomial shifts times columns, at degree MAX_DEGREE
     worst = {m: math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)

@@ -13,6 +13,7 @@ Letters: 'a' and 'c' are the generators, 'A' and 'C' their adjoints.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Tuple
@@ -44,32 +45,42 @@ ADJOINT = {"a": "A", "A": "a", "c": "C", "C": "c"}
 # exact scalars
 # ---------------------------------------------------------------------------
 
+def _div(a, b=1):
+    """a / b exactly: an int when the quotient is integral, else a Fraction.
+    Every coefficient passes through here; a float a converts exactly."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
 class Laurent:
-    """Laurent polynomial in mu with Fraction coefficients, canonical
-    (no zero coefficients stored)."""
+    """Laurent polynomial in mu with exact coefficients, canonical: no zero
+    coefficient is stored, and each one is an int when it is integral and
+    a Fraction with denominator other than 1 otherwise."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Dict[int, Fraction] = None):
         clean = {}
         for k, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v != 0:
+            v = _div(v)
+            if v:
                 clean[int(k)] = v
         self.coeffs = clean
 
     @staticmethod
     def const(value) -> "Laurent":
-        return Laurent({0: Fraction(value)})
+        return Laurent({0: value})
 
     @staticmethod
     def mu_power(k: int, value=1) -> "Laurent":
-        return Laurent({k: Fraction(value)})
+        return Laurent({k: value})
 
     def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return Laurent(out)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
@@ -83,7 +94,7 @@ class Laurent:
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
+                out[k] = out.get(k, 0) + v1 * v2
         return Laurent(out)
 
     def __eq__(self, other) -> bool:
@@ -102,7 +113,9 @@ class Laurent:
         return Laurent({e + k: v for e, v in self.coeffs.items()})
 
     def scale(self, value) -> "Laurent":
-        value = Fraction(value)
+        value = _div(value)
+        if value == 1:
+            return self
         return Laurent({e: v * value for e, v in self.coeffs.items()})
 
     def evaluate(self, mu: Fraction) -> Fraction:
@@ -135,11 +148,11 @@ def _poly_divmod(num: Dict[int, Fraction], den: Dict[int, Fraction]):
     quo: Dict[int, Fraction] = {}
     while num and max(num) >= dd:
         nd = max(num)
-        f = num[nd] / dlead
+        f = _div(num[nd], dlead)
         quo[nd - dd] = f
         for e, v in den.items():
             k = e + nd - dd
-            num[k] = num.get(k, Fraction(0)) - f * v
+            num[k] = num.get(k, 0) - f * v
             if num[k] == 0:
                 del num[k]
     return quo, num
@@ -150,9 +163,9 @@ def _poly_gcd(p: Dict[int, Fraction], q: Dict[int, Fraction]):
         _, r = _poly_divmod(p, q)
         p, q = q, r
     if not p:
-        return {0: Fraction(1)}
+        return {0: 1}
     lead = p[max(p)]
-    return {e: v / lead for e, v in p.items()}
+    return {e: _div(v, lead) for e, v in p.items()}
 
 
 class MuRational:
@@ -165,13 +178,13 @@ class MuRational:
         den = den if den is not None else ONE
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
+        if den == ONE or num.is_zero():
+            self.num, self.den = num, ONE
             return
         if len(den.coeffs) == 1:
             # a monomial denominator divides out with no gcd
             (k, c0), = den.coeffs.items()
-            self.num, self.den = num.shift(-k).scale(1 / c0), ONE
+            self.num, self.den = num.shift(-k).scale(_div(1, c0)), ONE
             return
         # clear negative exponents out of the denominator
         shift = den.min_exp()
@@ -197,8 +210,8 @@ class MuRational:
             den = den.shift(-k)
             num = num.shift(-k)
             c0 = den.coeffs.get(0)
-        self.num = num.scale(Fraction(1) / c0)
-        self.den = den.scale(Fraction(1) / c0)
+        self.num = num.scale(_div(1, c0))
+        self.den = den.scale(_div(1, c0))
 
     @staticmethod
     def from_laurent(p: Laurent) -> "MuRational":
@@ -349,6 +362,8 @@ class PolyElement:
     def generator(letter: str, power: int = 1) -> "PolyElement":
         if letter not in LETTERS:
             raise BadParameters(f"unknown letter {letter!r}")
+        if not isinstance(power, int) or power < 0:
+            raise BadParameters(f"power must be an int >= 0, got {power!r}")
         return normalize((letter,) * power)
 
     def __add__(self, other: "PolyElement") -> "PolyElement":
@@ -585,6 +600,10 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
     supremum of the ratio is infinite.
     """
     mu = _check_parameters(n, mu)
+    bound = certified_bound(n, mu)
+    if bound > sys.float_info.max:
+        raise BadParameters(f"the certified bound at n = {n}, mu = {mu} is "
+                            "above the float range")
 
     x = PolyElement.generator("C", 2 * n)
     y = PolyElement.generator("c", 2 * n)
@@ -599,7 +618,6 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
             "symbolic convolution identity failed: "
             f"got {conv!r}, expected {expected!r}")
 
-    bound = certified_bound(n, mu)
     return CounterexampleReport(
         n=n, mu=mu, identity_holds=True, bound=bound,
         bound_decimal=float(bound), convolution=conv, expected=expected)

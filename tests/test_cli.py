@@ -124,6 +124,14 @@ def test_structures_certifies_each_group_like_projection_once(capsys):
                   "--example", "kac-paljutkin") == 24
 
 
+def test_structures_builds_the_block_choices_once(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "get_example",
+                        lambda name: build_kac_paljutkin())
+    # the group-like and the biprojection enumerations share the base's list
+    assert _calls(core.Blocks.choices.func, capsys, "structures",
+                  "--example", "kac-paljutkin") == 1
+
+
 def test_verify_evaluates_the_axioms_once_per_group(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "get_example",
                         lambda name: build_kac_paljutkin())
@@ -414,6 +422,15 @@ def test_bad_tolerances_are_usage_errors(capsys):
 def test_suq2_refuses_a_zero_denominator(capsys):
     err = _one_line_error(capsys, "suq2", "--mu-num", "1", "--mu-den", "0")
     assert "--mu-den" in err
+
+
+def test_suq2_refuses_a_mu_whose_bound_is_above_the_float_range(capsys):
+    # |mu| = 10^-200 at n = 1 and 10^-50 at n = 4: the bound is about 10^400
+    for n, den in (("1", "1" + "0" * 200), ("4", str(10 ** 50))):
+        for num in ("1", "-1"):
+            err = _one_line_error(capsys, "suq2", "--n", n, "--mu-num", num,
+                                  "--mu-den", den)
+            assert "above the float range" in err
 
 
 def test_non_integer_qg_seed_is_an_error(capsys, monkeypatch):

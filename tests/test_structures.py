@@ -31,7 +31,6 @@ from qgharm.structures import (
     STETTER_SEED,
     _biprojection_relation,
     _bloch_roots,
-    _block_choices,
     _enumerate,
     _Enumeration,
     _group_like_relation,
@@ -177,7 +176,7 @@ def test_a_sphere_grid_on_kac_paljutkin_sees_only_the_exact_roots():
     for relation in (lambda h: _group_like_relation(g, h),
                      lambda h: _biprojection_relation(pair, h)):
         real_roots = 0
-        bloch = [(h0, dirs) for h0, dirs in _block_choices(g) if len(dirs)]
+        bloch = [(h0, dirs) for h0, dirs in g.blocks.choices if len(dirs)]
         stack, _ = _bloch_roots(_quadratic_rows(
             relation, np.array([h0 for h0, _ in bloch]),
             np.array([dirs for _, dirs in bloch])), 3)
@@ -286,7 +285,7 @@ def _reference_roots(rows, m):
 
 def _enumerate_reference(g, relation, tol):
     """_enumerate with one polarization and one solve per block choice."""
-    choices = _block_choices(g)
+    choices = g.blocks.choices
     points = np.array([h0 for h0, dirs in choices if not len(dirs)])
     holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
                         axis=-1) <= tol)
@@ -368,7 +367,7 @@ def test_the_stacked_solve_equals_the_reference_with_two_bloch_blocks():
     got = _enumerate(g, relation, 1e-9)
     _assert_same_run(got, _enumerate_reference(g, relation, 1e-9))
     assert len(got.points) == 27
-    assert sum(len(dirs) == 6 for _, dirs in _block_choices(g)) == 256
+    assert sum(len(dirs) == 6 for _, dirs in g.blocks.choices) == 256
 
 
 def _counted(relation, calls):

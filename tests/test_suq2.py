@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -386,3 +387,117 @@ def test_bad_parameters_are_rejected():
         certified_bound(1, Fraction(3, 2))
     with pytest.raises(BadParameters):
         counterexample_report(2, Fraction(0))
+
+
+def test_tiny_mu_is_refused_before_any_symbolic_work(monkeypatch):
+    def no_rewriting(*args):
+        raise AssertionError("symbolic work started")
+    monkeypatch.setattr(suq2, "_reduce_word", no_rewriting)
+    # the bound is about |mu|^{-2n}: 10^400 here, above the float range
+    for n, mu in ((1, Fraction(1, 10 ** 200)), (4, Fraction(1, 10 ** 50))):
+        for sign in (1, -1):
+            with pytest.raises(BadParameters, match="above the float range"):
+                counterexample_report(n, sign * mu)
+
+
+def test_a_small_mu_inside_the_float_range_still_certifies():
+    # |mu| = 10^-38 at n = 4 gives a bound near 10^304, inside the range
+    rep = counterexample_report(4, Fraction(-1, 10 ** 38))
+    assert rep.identity_holds and rep.bound_decimal > 1e303
+
+
+def test_negative_or_fractional_generator_powers_are_refused():
+    for power in (-1, -4, 1.5):
+        with pytest.raises(BadParameters, match="an int >= 0"):
+            gen("a", power)
+    assert gen("a", 0) == PolyElement.unit()
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients
+# ---------------------------------------------------------------------------
+
+def test_laurent_coefficients_are_canonical():
+    # an integral value is stored as an int, whatever it came in as; a
+    # float converts exactly
+    p = Laurent({0: Fraction(4, 2), 1: 2.0, 2: 0.25, 3: Fraction(0), 4: 0.0})
+    assert p.coeffs == {0: 2, 1: 2, 2: Fraction(1, 4)}
+    assert [type(v) for v in p.coeffs.values()] == [int, int, Fraction]
+    assert type(Laurent.const(Fraction(6, 3)).coeffs[0]) is int
+    assert type(p.scale(4).coeffs[2]) is int
+    # exact division: an int when it leaves no remainder
+    assert suq2._div(6, 3) == 2 and type(suq2._div(6, 3)) is int
+    assert suq2._div(1, -3) == Fraction(-1, 3)
+    assert type(suq2._div(Fraction(3, 2), Fraction(1, 2))) is int
+
+
+def test_a_unit_denominator_keeps_the_numerator():
+    num = Laurent({-2: 3, 1: Fraction(1, 2)})
+    frac = MuRational(num, Laurent.const(1))
+    assert frac.num is num and frac.den == Laurent.const(1)
+
+
+def _scalars(value):
+    """Every stored coefficient of a Laurent, a MuRational, a PolyElement
+    or a comultiplication dictionary."""
+    if isinstance(value, Laurent):
+        return list(value.coeffs.values())
+    if isinstance(value, MuRational):
+        return _scalars(value.num) + _scalars(value.den)
+    if isinstance(value, PolyElement):
+        return _scalars(value.terms)
+    return [v for c in value.values() for v in _scalars(c)]
+
+
+def _canonical(values):
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
+def test_every_computed_coefficient_is_an_int_or_a_proper_fraction():
+    for word in ("a", "ca", "aA", "CCcc", "AacC", "cCaaC"):
+        x = normalize(word)
+        assert _canonical(_scalars(x)), word
+        assert _canonical(_scalars(comultiply(x))), word
+        assert _canonical(_scalars(haar(x))), word
+    for n in (1, 2, 3, 4):
+        y = gen("c", 2 * n)
+        assert _canonical(_scalars(comultiply(y))), n
+        assert _canonical(_scalars(haar(y * gen("C", 2 * n)))), n
+        assert _canonical(_scalars(convolve_compact(gen("C", 2 * n), y))), n
+        for mu in (HALF, Fraction(-2, 3), Fraction(7, 8)):
+            rep = counterexample_report(n, mu)
+            assert _canonical(_scalars(rep.convolution) +
+                              _scalars(rep.expected)), (n, mu)
+
+
+def test_a_certificate_makes_few_fractions():
+    # 8,055 Fraction constructions at n = 4 when every coefficient was one
+    code = Fraction.__new__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+    sys.setprofile(profile)
+    try:
+        counterexample_report(4, HALF)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 1000
+
+
+# repr of c*^{2n} * c^{2n}, as printed when every coefficient was a Fraction
+_CONVOLUTION_REPR = {
+    1: "((1*mu^-2) / (1 + 1*mu^2 + 1*mu^4))*a[2,0,0]",
+    2: "((1*mu^-4) / (1 + 1*mu^2 + 1*mu^4 + 1*mu^6 + 1*mu^8))*a[4,0,0]",
+    3: "((1*mu^-6) / (1 + 1*mu^2 + 1*mu^4 + 1*mu^6 + 1*mu^8 + 1*mu^10"
+       " + 1*mu^12))*a[6,0,0]",
+    4: "((1*mu^-8) / (1 + 1*mu^2 + 1*mu^4 + 1*mu^6 + 1*mu^8 + 1*mu^10"
+       " + 1*mu^12 + 1*mu^14 + 1*mu^16))*a[8,0,0]",
+}
+
+
+def test_convolution_repr_is_unchanged():
+    for n, text in _CONVOLUTION_REPR.items():
+        assert repr(counterexample_report(n, HALF).convolution) == text, n
