@@ -34,6 +34,8 @@ EXAMPLE_NAMES = (
     "s3-group",
     "kac-paljutkin",
 )
+# max-abs gap within which a product or coproduct counts as symmetric
+SYMMETRY_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -56,13 +58,14 @@ def get_example(name: str) -> FiniteQuantumGroup:
     raise UnknownExample(f"no example named {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
 
 
-def is_commutative(g: FiniteQuantumGroup, tol: float = 1e-12) -> bool:
-    return float(np.max(np.abs(g.mult - g.mult.transpose(1, 0, 2)))) <= tol
+def is_commutative(g: FiniteQuantumGroup) -> bool:
+    m = g.mult
+    return float(np.max(np.abs(m - m.transpose(1, 0, 2)))) <= SYMMETRY_TOL
 
 
-def is_cocommutative(g: FiniteQuantumGroup, tol: float = 1e-12) -> bool:
+def is_cocommutative(g: FiniteQuantumGroup) -> bool:
     c3 = g.comult3
-    return float(np.max(np.abs(c3 - c3.transpose(1, 0, 2)))) <= tol
+    return float(np.max(np.abs(c3 - c3.transpose(1, 0, 2)))) <= SYMMETRY_TOL
 
 
 def example_summary(name: str) -> dict:

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, catalog
 from .core import _encode_array, json_dumps, verify_axioms
 from .duality import (
+    PLANCHEREL_SAMPLES,
     biduality_check,
     build_dual,
     comult_conjugation_residual,
@@ -125,20 +126,20 @@ def _run_verify(args) -> dict:
               {"pentagon": pentagon_residual(pair)}, 1e-9),
         check("comultiplication-conjugation", "multiplicative-unitary",
               {"conjugation": comult_conjugation_residual(pair)}, 1e-10),
-        plancherel_check(pair, samples=100, seed=args.seed),
+        plancherel_check(pair, seed=args.seed),
         biduality_check(g),
     ]
     return _document("verify", args.example,
-                     {"tol": args.tol, "samples": 100}, args.seed,
-                     [_entry(c) for c in checks])
+                     {"tol": args.tol, "samples": PLANCHEREL_SAMPLES},
+                     args.seed, [_entry(c) for c in checks])
 
 
 def _worst_ratio(name: str, claim: str, ratios: np.ndarray) -> dict:
     """Check entry for the largest ratio; the witness is its first sample."""
     worst_index = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst_index])
-    c = check(name, claim, {"excess": max(0.0, worst_ratio - 1.0)}, 1e-9,
-              lhs=worst_ratio, rhs=1.0)
+    c = check(name, claim, {"excess": np.maximum(worst_ratio - 1.0, 0.0)},
+              1e-9, lhs=worst_ratio, rhs=1.0)
     if c.holds:
         return _entry(c)
     return _entry(c, witness={"sample_index": worst_index,
@@ -206,8 +207,8 @@ def _run_sharpness(args) -> dict:
             seed=args.seed)
     entry = _entry(
         check(f"best-constant-{args.kind}", "sharp-constant-estimate",
-              {"excess": max(0.0, rep.constant_estimate - 1.0)}, CEILING,
-              lhs=rep.constant_estimate, rhs=1.0),
+              {"excess": np.maximum(rep.constant_estimate - 1.0, 0.0)},
+              CEILING, lhs=rep.constant_estimate, rhs=1.0),
         converged=rep.converged, restarts_used=rep.restarts_used,
         iterations=rep.iterations,
         argmax=[_encode_array(a.coeffs) for a in rep.argmax])

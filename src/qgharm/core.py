@@ -180,6 +180,8 @@ class FiniteQuantumGroup:
         for key, (got, want) in shapes.items():
             if got != want:
                 raise ShapeMismatch(f"{key}: expected shape {want}, got {got}")
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise AxiomFailure(f"{key} has a non-finite entry")
         for arr in (self.mult, self.unit, self.comult, self.counit,
                     self.antipode, self.star, self.haar):
             arr.flags.writeable = False
@@ -261,6 +263,11 @@ class FiniteQuantumGroup:
             return _wedderburn(self)
         except np.linalg.LinAlgError as exc:   # e.g. a state that is not faithful
             raise AxiomFailure(f"no block decomposition: {exc}") from exc
+
+    @cached_property
+    def haar_eigen_weights(self) -> np.ndarray:
+        """The Haar state's c_i once per eigenvalue, for lp.base_space."""
+        return np.repeat(self.blocks.weights(self.haar), self.blocks.sizes)
 
     @cached_property
     def _axiom_residuals(self) -> dict:
@@ -751,20 +758,20 @@ def _accept(qg: FiniteQuantumGroup, tol: float = 1e-12,
 # automorphisms
 # ---------------------------------------------------------------------------
 
-def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray, tol: float = 1e-10) -> bool:
+AUTOMORPHISM_TOL = 1e-10
+
+
+def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray) -> bool:
     """True when alpha preserves multiplication, the unit, and the star."""
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (g.dim, g.dim):
         raise ShapeMismatch(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
     if abs(np.linalg.det(alpha)) < 1e-12:
         return False
-    if _maxabs(g.mult @ alpha.T - _on_two_legs(alpha.T, g.mult)) > tol:
-        return False
-    if _maxabs(alpha @ g.unit - g.unit) > tol:
-        return False
-    if _maxabs(alpha @ g.star - g.star @ np.conj(alpha)) > tol:
-        return False
-    return True
+    residuals = (g.mult @ alpha.T - _on_two_legs(alpha.T, g.mult),
+                 alpha @ g.unit - g.unit,
+                 alpha @ g.star - g.star @ np.conj(alpha))
+    return all(_maxabs(r) <= AUTOMORPHISM_TOL for r in residuals)
 
 
 # ---------------------------------------------------------------------------

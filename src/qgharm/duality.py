@@ -48,6 +48,9 @@ __all__ = [
     "biduality_check",
 ]
 
+DUAL_TOL = 1e-8
+PLANCHEREL_SAMPLES = 100
+
 
 @dataclass(eq=False)
 class DualPair:
@@ -97,6 +100,12 @@ class DualPair:
         """Ghat[s, t] = phihat(B_s* B_t) under the true Plancherel weight."""
         return self.dual_qg.star.T @ self.dual_q_matrix
 
+    @cached_property
+    def dual_eigen_weights(self) -> np.ndarray:
+        """The dual weight's c_i once per eigenvalue, for lp.dual_space."""
+        blocks = self.dual_qg.blocks
+        return np.repeat(blocks.weights(self.dual_weight), blocks.sizes)
+
 
 def pentagon_residual(pair: DualPair) -> float:
     """Max-abs residual of W12 W13 W23 = W23 W12 on the threefold GNS space.
@@ -130,25 +139,24 @@ def comult_conjugation_residual(pair: DualPair) -> float:
     return _maxabs(lhs - rhs)
 
 
-def build_dual(g: FiniteQuantumGroup, tol: float = 1e-8) -> DualPair:
+def build_dual(g: FiniteQuantumGroup) -> DualPair:
     """Dual quantum group, dual basis and dual weight in closed form.
 
     Gates: the base axioms at 1e-10, a positive dual weight total, the dual
-    axioms at tol, and Plancherel Q^dagger Ghat Q = G at tol. Built once
-    per group and tol: g keeps the pair without its base and a weak
+    axioms at DUAL_TOL, and Plancherel Q^dagger Ghat Q = G at DUAL_TOL.
+    Built once per group: g keeps the pair without its base and a weak
     reference to the pair, so g is in no reference cycle, and the pair is
     the same while a caller holds it. A build that raises is not kept.
     """
-    duals = vars(g).setdefault("_duals", {})
-    template, ref = duals.get(tol, (None, None))
+    template, ref = vars(g).get("_dual", (None, None))
     pair = ref and ref()
     if pair is None:
-        pair = replace(template, base=g) if template else _build_dual(g, tol)
-        duals[tol] = (template or replace(pair, base=None), weakref.ref(pair))
+        pair = replace(template, base=g) if template else _build_dual(g)
+        g._dual = (template or replace(pair, base=None), weakref.ref(pair))
     return pair
 
 
-def _build_dual(g: FiniteQuantumGroup, tol: float) -> DualPair:
+def _build_dual(g: FiniteQuantumGroup) -> DualPair:
     _accept(g, 1e-10, "base")
     n = g.dim
     s = g.antipode
@@ -169,7 +177,7 @@ def _build_dual(g: FiniteQuantumGroup, tol: float) -> DualPair:
         haar=weight / total,
         name=(g.name or "base") + "-dual",
     )
-    _accept(dual_qg, tol, "dual", DegenerateDual)
+    _accept(dual_qg, DUAL_TOL, "dual", DegenerateDual)
 
     pair = DualPair(
         base=g,
@@ -181,7 +189,7 @@ def _build_dual(g: FiniteQuantumGroup, tol: float) -> DualPair:
     pair.dual_basis.flags.writeable = pair.dual_weight.flags.writeable = False
     q = g.q_matrix
     presid = _maxabs(q.conj().T @ pair.dual_gram_weight @ q - g.gram)
-    if presid > tol * max(_maxabs(g.gram), 1.0):
+    if presid > DUAL_TOL * max(_maxabs(g.gram), 1.0):
         raise PlancherelInconsistent(f"Plancherel identity fails by {presid:.3e}")
     return pair
 
@@ -242,17 +250,18 @@ def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val.real, 0.0))
 
 
-def plancherel_check(pair: DualPair, samples: int = 100,
-                     seed: int = 42, tol: float = 1e-9) -> Check:
+def plancherel_check(pair: DualPair, seed: int = 42,
+                     tol: float = 1e-9) -> Check:
     """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
     g = pair.base
-    draws = np.random.default_rng(seed).standard_normal((samples, 2, g.dim))
+    draws = np.random.default_rng(seed).standard_normal(
+        (PLANCHEREL_SAMPLES, 2, g.dim))
     x = draws[:, 0] + 1j * draws[:, 1]
     rhs = lp2_norm_base(g, x)
     gaps = np.abs(lp2_norm_dual(pair, fourier_coeffs(pair, x)) - rhs)
     worst = np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0)
     return check("plancherel", "fourier-isometry", {"relative_gap": worst},
-                 tol, samples=samples, seed=seed, example=g.name)
+                 tol, samples=PLANCHEREL_SAMPLES, seed=seed, example=g.name)
 
 
 def convolution_theorem_check(pair: DualPair, x, y,

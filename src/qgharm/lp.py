@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 INF = math.inf
+SLACK = 1e-9
 
 
 def _as_p(p) -> float:
@@ -95,13 +95,13 @@ def weighted_space(g: FiniteQuantumGroup, weight) -> WeightedLpSpace:
 
 
 def base_space(g: FiniteQuantumGroup) -> WeightedLpSpace:
-    """L^p(G) under the Haar state."""
-    return weighted_space(g, g.haar)
+    """L^p(G) under the Haar state, whose eigen weights g keeps."""
+    return WeightedLpSpace(g, g.haar_eigen_weights)
 
 
 def dual_space(pair: DualPair) -> WeightedLpSpace:
     """L^p of the dual under the true Plancherel weight (not the state)."""
-    return weighted_space(pair.dual_qg, pair.dual_weight)
+    return WeightedLpSpace(pair.dual_qg, pair.dual_eigen_weights)
 
 
 def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
@@ -124,9 +124,10 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
             w.append(eig.reshape(eig.shape[:-2] + (-1,)))
     w = np.concatenate(w, axis=-1)
     w = np.clip(w, 0.0, None)
-    # zero out eigenvalue fuzz: w^{p/2} amplifies rounding noise for p < 2
+    # zero out eigenvalue fuzz, w^{p/2} amplifies rounding noise for p < 2;
+    # a NaN compares false and stays, so no check passes on it
     scale = np.max(w, axis=-1, keepdims=True)
-    w = np.where(w > 1e-13 * scale, w, 0.0)
+    w = np.where(w <= 1e-13 * scale, 0.0, w)
     return w, space.eigen_weights
 
 
@@ -164,59 +165,49 @@ def _ratio(lhs, rhs):
     return np.divide(lhs, rhs, out=out, where=rhs > 0)
 
 
-def young_sides(g: FiniteQuantumGroup, x, y, p, q,
-                space: Optional[WeightedLpSpace] = None) -> tuple:
+def young_sides(g: FiniteQuantumGroup, x, y, p, q) -> tuple:
     """lhs = ||x * y||_r, rhs = ||x||_p ||y||_q and lhs / rhs, with
     1/r + 1 = 1/p + 1/q, over the leading axes of x and y, (..., n)."""
     r = young_exponent(p, q)
-    sp = space if space is not None else base_space(g)
+    sp = base_space(g)
     xc, yc = g.coeffs_of(x), g.coeffs_of(y)
     lhs = lp_norms_batch(sp, convolve(g, xc, yc).coeffs, r)
     rhs = lp_norms_batch(sp, xc, p) * lp_norms_batch(sp, yc, q)
     return lhs, rhs, _ratio(lhs, rhs)
 
 
-def hausdorff_young_sides(pair: DualPair, x, p,
-                          base_sp: Optional[WeightedLpSpace] = None,
-                          dual_sp: Optional[WeightedLpSpace] = None) -> tuple:
+def hausdorff_young_sides(pair: DualPair, x, p) -> tuple:
     """lhs = ||F(x)||_{p'} under the dual weight, rhs = ||x||_p and
     lhs / rhs, for p in [1, 2] and x of shape (..., n)."""
     p = _as_p(p)
     if p > 2.0:
         raise BadExponents("Hausdorff-Young needs p in [1, 2]")
-    bsp = base_sp if base_sp is not None else base_space(pair.base)
-    dsp = dual_sp if dual_sp is not None else dual_space(pair)
     xc = pair.base.coeffs_of(x)
-    lhs = lp_norms_batch(dsp, fourier_coeffs(pair, xc), conjugate_exponent(p))
-    rhs = lp_norms_batch(bsp, xc, p)
+    lhs = lp_norms_batch(dual_space(pair), fourier_coeffs(pair, xc),
+                         conjugate_exponent(p))
+    rhs = lp_norms_batch(base_space(pair.base), xc, p)
     return lhs, rhs, _ratio(lhs, rhs)
 
 
-def _bound(name: str, claim: str, sides, slack: float, **details) -> Check:
-    """lhs <= rhs up to the relative slack; the residual is the excess of
-    lhs / rhs over 1."""
+def _bound(name: str, claim: str, sides, **details) -> Check:
+    """lhs <= rhs up to the relative SLACK; the residual is the excess of
+    lhs / rhs over 1, NaN where the ratio is NaN."""
     lhs, rhs, ratio = (float(v) for v in sides)
-    return check(name, claim, {"excess": max(0.0, ratio - 1.0)}, slack,
+    return check(name, claim, {"excess": np.maximum(ratio - 1.0, 0.0)}, SLACK,
                  lhs=lhs, rhs=rhs, ratio=ratio, **details)
 
 
-def young_check(g: FiniteQuantumGroup, x, y, p, q,
-                space: Optional[WeightedLpSpace] = None,
-                slack: float = 1e-9) -> Check:
+def young_check(g: FiniteQuantumGroup, x, y, p, q) -> Check:
     """||x * y||_r <= ||x||_p ||y||_q with 1/r + 1 = 1/p + 1/q."""
     r = young_exponent(p, q)
     return _bound("young-inequality", "convolution-norm-bound",
-                  young_sides(g, x, y, p, q, space), slack,
-                  p=float(p), q=float(q), r=r)
+                  young_sides(g, x, y, p, q), p=float(p), q=float(q), r=r)
 
 
-def hausdorff_young_check(pair: DualPair, x, p,
-                          base_sp: Optional[WeightedLpSpace] = None,
-                          dual_sp: Optional[WeightedLpSpace] = None,
-                          slack: float = 1e-9) -> Check:
+def hausdorff_young_check(pair: DualPair, x, p) -> Check:
     """||F(x)||_{p'} <= ||x||_p for p in [1, 2], dual side under the weight."""
     return _bound("hausdorff-young-inequality", "fourier-norm-bound",
-                  hausdorff_young_sides(pair, x, p, base_sp, dual_sp), slack,
+                  hausdorff_young_sides(pair, x, p),
                   p=float(p), p_conjugate=conjugate_exponent(p))
 
 
@@ -238,15 +229,13 @@ def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
                  lhs=lhs, rhs=rhs, p=float(p), example=g.name)
 
 
-def holder_check(g: FiniteQuantumGroup, x, y, p,
-                 space: Optional[WeightedLpSpace] = None,
-                 slack: float = 1e-9) -> Check:
+def holder_check(g: FiniteQuantumGroup, x, y, p) -> Check:
     """|phi(x* y)| <= ||x||_p ||y||_{p'} sanity bound for the norms."""
-    sp = space if space is not None else base_space(g)
+    sp = base_space(g)
     pc = conjugate_exponent(p)
     xc, yc = g.coeffs_of(x), g.coeffs_of(y)
     pairing = abs(complex(xc.conj() @ g.gram @ yc))
     bound = lp_norm(sp, xc, p) * lp_norm(sp, yc, pc)
     return _bound("hoelder", "pairing-norm-bound",
-                  (pairing, bound, _ratio(pairing, bound)), slack, p=float(p))
+                  (pairing, bound, _ratio(pairing, bound)), p=float(p))
 

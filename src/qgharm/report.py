@@ -28,15 +28,18 @@ class Check:
     details: dict = field(default_factory=dict)
 
     def failing(self) -> dict:
-        return {k: v for k, v in self.residuals.items() if v > self.tol}
+        """The residuals above tol, and those that are NaN."""
+        return {k: v for k, v in self.residuals.items() if not v <= self.tol}
 
 
 def check(name: str, claim: str, residuals: dict, tol: float,
           lhs: Optional[float] = None, rhs: Optional[float] = None,
           **details) -> Check:
-    """The record of a check that holds when its largest residual is at
-    most tol."""
+    """The record of a check that holds when every residual is at most tol,
+    so never with a NaN one. An empty residual dict raises ValueError."""
     residuals = {k: float(v) for k, v in residuals.items()}
+    if not residuals:
+        raise ValueError(f"check {name!r} has no residuals")
     return Check(name=name, claim=claim, residuals=residuals, tol=tol,
-                 holds=bool(max(residuals.values()) <= tol), lhs=lhs, rhs=rhs,
-                 details=details)
+                 holds=all(v <= tol for v in residuals.values()), lhs=lhs,
+                 rhs=rhs, details=details)

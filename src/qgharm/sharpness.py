@@ -17,12 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .core import FiniteQuantumGroup
-from .duality import DualPair, build_dual
+from .duality import build_dual
 from .errors import AxiomFailure, BadExponents, BadParameters
 from .lp import (
     base_space,
     conjugate_exponent,
-    dual_space,
     hausdorff_young_sides,
     lp_norm,
     lp_norms_batch,
@@ -196,7 +195,7 @@ def estimate_best_constant_young(g: FiniteQuantumGroup, p, q,
     sp = base_space(g)
 
     def objective(x, y):
-        return young_sides(g, x, y, p, q, sp)[2]
+        return young_sides(g, x, y, p, q)[2]
 
     warm = [[c.details["element"].coeffs.astype(complex),
              c.details["element"].coeffs.astype(complex)]
@@ -209,24 +208,20 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
                               seed: int = 42) -> SharpnessReport:
     """Best constant for ||F(x)||_{p'} <= C ||x||_p over the unit sphere.
 
-    Accepts either the algebra or a prebuilt dual pair. Warm starts at the
-    enumerated group-like projections keep the estimate at or above the
-    known attainment points. Raises AxiomFailure if the estimate exceeds
-    1 + 1e-6, which would contradict the inequality itself.
+    Warm starts at the enumerated group-like projections keep the estimate
+    at or above the known attainment points. Raises AxiomFailure if the
+    estimate exceeds 1 + 1e-6, which would contradict the inequality itself.
     """
     p = float(p)
     if not 1.0 <= p <= 2.0:
         raise BadExponents("Hausdorff-Young needs p in [1, 2]")
-    pair = g if isinstance(g, DualPair) else build_dual(g)
-    base = pair.base
+    pair = build_dual(g)
     pc = conjugate_exponent(p)
-    bsp = base_space(base)
-    dsp = dual_space(pair)
 
     def objective(x):
-        return hausdorff_young_sides(pair, x, p, bsp, dsp)[2]
+        return hausdorff_young_sides(pair, x, p)[2]
 
     warm = [[c.details["element"].coeffs.astype(complex)]
-            for c in enumerate_group_like_projections(base)]
-    return _multistart(base, "hausdorff-young", (p, float(pc)), objective,
-                       [(bsp, p)], restarts, iters, seed, warm)
+            for c in enumerate_group_like_projections(g)]
+    return _multistart(g, "hausdorff-young", (p, float(pc)), objective,
+                       [(base_space(g), p)], restarts, iters, seed, warm)

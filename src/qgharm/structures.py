@@ -37,7 +37,7 @@ from .errors import (
     NotProjection,
 )
 from .linalg import range_projection
-from .lp import base_space, dual_space, hausdorff_young_check, lp_norm
+from .lp import base_space, hausdorff_young_check, lp_norm
 from .report import Check, check
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 TRIVIAL_NOTE = "trivially satisfied (finite-dimensional tracial case)"
+BISHIFT_EXPONENTS = (1.0, 4.0 / 3.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +586,16 @@ def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
     return convolve(g, xy, pulled.coeffs)
 
 
-def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9,
-                          exponents=(1.0, 4.0 / 3.0, 2.0)) -> Check:
+def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9) -> Check:
     """Extremality of a bi-shift: both x and F(x) are multiples of partial
     isometries, the transform's operator norm equals ||x||_1, and the
-    Hausdorff-Young inequality is an equality at the listed exponents."""
+    Hausdorff-Young inequality is an equality at BISHIFT_EXPONENTS."""
     g = pair.base
     xc = g.coeffs_of(x)
     if _maxabs(xc) <= tol:
         raise NotABishift("zero element cannot be a bi-shift")
-    bsp, dsp = base_space(g), dual_space(pair)
     f = _fourier_blocks(pair, xc)
-    l1 = lp_norm(bsp, xc, 1.0)
+    l1 = lp_norm(base_space(g), xc, 1.0)
     res = {
         "element_partial_isometry": _partial_isometry_residual(
             g.blocks.diag(xc)),
@@ -604,8 +603,8 @@ def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9,
         "transform_sup_equals_l1": abs(float(np.linalg.norm(f, 2)) - l1)
         / max(l1, 1e-300),
     }
-    for p in exponents:
-        rep = hausdorff_young_check(pair, xc, p, bsp, dsp)
+    for p in BISHIFT_EXPONENTS:
+        rep = hausdorff_young_check(pair, xc, p)
         res[f"extremal_p_{p:g}"] = abs(rep.details["ratio"] - 1.0)
     return check("bi-shift-extremality", "hausdorff-young-extremal", res, tol,
                  scaling_invariance=TRIVIAL_NOTE,

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 from qgharm import catalog, cli, core, duality, lp, report, structures
@@ -247,13 +250,30 @@ def test_failing_run_names_the_first_worst_sample(capsys, monkeypatch):
                            "s3-function", "--samples", "60", "--seed", "5")
     assert code == 2
     (check,) = json.loads(out)["checks"]
-    bsp = lp.base_space(g)
     index, worst = _first_strict_max(
-        lp.hausdorff_young_check(pair, x, 4.0 / 3.0, bsp, wrong).details["ratio"]
+        lp.hausdorff_young_check(pair, x, 4.0 / 3.0).details["ratio"]
         for x in cli._seeded_elements(g, 60, 5))
     assert worst > 1.5
     assert check["witness"]["sample_index"] == index
     assert check["witness"]["ratio"] == pytest.approx(worst, rel=1e-12)
+
+
+def test_a_nan_ratio_or_estimate_fails_the_run(capsys, monkeypatch):
+    entry = cli._worst_ratio("young-inequality", "convolution-norm-bound",
+                             np.array([0.5, math.nan, 0.7]))
+    assert not entry["holds"]
+    assert entry["witness"]["sample_index"] == 1
+    real = cli.estimate_best_constant_young
+
+    def nan_estimate(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   constant_estimate=math.nan)
+
+    monkeypatch.setattr(cli, "estimate_best_constant_young", nan_estimate)
+    code, out, _ = run_cli(capsys, "sharpness", "--example", "z2-function",
+                           "--restarts", "1", "--iters", "1")
+    assert code == 2
+    assert not json.loads(out)["checks"][0]["holds"]
 
 
 def test_reported_ratio_is_the_per_sample_worst_down_to_one_sample(capsys):

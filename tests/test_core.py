@@ -112,6 +112,21 @@ def test_axiom_report_flags_a_wrong_haar():
     assert "haar_left_invariance" in rep.failing()
 
 
+TENSORS = ("mult", "unit", "comult", "counit", "antipode", "star", "haar")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_structure_constants_are_refused(bad):
+    # a NaN Haar entry used to end in numpy's LinAlgError inside
+    # verify_axioms; now no object holds one
+    g = get_example("kac-paljutkin")
+    for key in TENSORS:
+        data = {k: np.array(getattr(g, k)) for k in TENSORS}
+        data[key].flat[-1] = bad
+        with pytest.raises(AxiomFailure, match=f"^{key} has a non-finite"):
+            FiniteQuantumGroup(dim=g.dim, **data)
+
+
 # ---------------------------------------------------------------------------
 # function algebra structure
 # ---------------------------------------------------------------------------

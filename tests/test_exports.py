@@ -10,16 +10,19 @@ import pytest
 import qgharm
 
 PACKAGE = Path(qgharm.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qgharm.__path__))
 
 # Library entry points that no code in the package calls: tests run them as
 # a paper claim or as a second route to a value the CLI computes.
 ONLY_TESTS_CALL = {
+    "antipode",
     "bipartial_isometry_check",
     "bishift_construct",
     "bishift_theorem_check",
     "convolution_theorem_check",
     "convolve_functional_form",
+    "counit",
     "dihedral_table",
     "enumerate_left_shifts",
     "functional_of",
@@ -27,6 +30,21 @@ ONLY_TESTS_CALL = {
     "norm_transport_check",
     "young_check",
 }
+
+# Defaulted parameters that no call sets: the tol of checkers and
+# enumerators that run only at their default, kept so that every checker
+# has the one tol interface that the CLI's --tol drives on the others.
+DEFAULT_ONLY = {(name, "tol") for name in (
+    "biduality_check",
+    "bipartial_isometry_check",
+    "bishift_construct",
+    "bishift_theorem_check",
+    "convolution_theorem_check",
+    "enumerate_group_like_projections",
+    "enumerate_left_shifts",
+    "norm_transport_check",
+    "plancherel_check",
+)}
 
 
 @pytest.mark.parametrize("module",
@@ -43,27 +61,87 @@ def test_star_import_of_the_package():
     assert set(qgharm.__all__) <= set(namespace)
 
 
+def _package_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _public_definitions(tree: ast.Module) -> list:
+    return [stmt for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")]
+
+
 def _public_definitions_without_a_caller() -> set:
-    """Module-level public functions and classes whose name no other
-    top-level statement of the package mentions. Imports and the strings of
-    __all__ are not mentions."""
-    defined, mentions = {}, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            names = {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(stmt)
-                     if isinstance(node, (ast.Name, ast.Attribute))}
-            mentions.append((stmt, names))
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defined[stmt.name] = stmt
-    return {name for name, stmt in defined.items()
-            if not any(name in names for other, names in mentions
-                       if other is not stmt)}
+    """Module-level public functions and classes of the package that no
+    other top-level statement of it refers to. A reference is the bare name
+    in its own module or in a module that imports it from there, or
+    module.name; the strings of __all__ are not references."""
+    trees = _package_trees()
+    defined = {(mod, stmt.name): stmt for mod, tree in trees.items()
+               for stmt in _public_definitions(tree)}
+    referred = set()
+    for mod, tree in trees.items():
+        origin = {alias.asname or alias.name: (node.module, alias.name)
+                  for node in tree.body if isinstance(node, ast.ImportFrom)
+                  and node.level and node.module for alias in node.names}
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    ref = origin.get(node.id, (mod, node.id))
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in trees):
+                    ref = (node.value.id, node.attr)
+                else:
+                    continue
+                if defined.get(ref) is not stmt:
+                    referred.add(ref)
+    return {name for mod, name in defined.keys() - referred}
 
 
 def test_every_public_helper_has_a_caller_or_is_pinned():
     assert _public_definitions_without_a_caller() == ONLY_TESTS_CALL
+
+
+def _defaulted_parameters_no_call_sets() -> set:
+    """(function, parameter) for every defaulted parameter of a module-level
+    public function of the package that no call in the package or the tests
+    sets, by position or by keyword. A call is matched by the function's
+    name; a *args or **kwargs argument sets every parameter."""
+    params = {}
+    for tree in _package_trees().values():
+        for stmt in _public_definitions(tree):
+            if isinstance(stmt, ast.FunctionDef):
+                a = stmt.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                params[stmt.name] = (positional, {
+                    *positional[len(positional) - len(a.defaults):],
+                    *(p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None)})
+    unset = {(name, p) for name, (_, defaulted) in params.items()
+             for p in defaulted}
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name not in params:
+                continue
+            positional, _ = params[name]
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                unset = {(f, p) for f, p in unset if f != name}
+                continue
+            unset -= {(name, p) for p in positional[:len(node.args)]}
+            unset -= {(name, k.arg) for k in node.keywords}
+    return unset
+
+
+def test_every_default_is_set_by_some_call_or_is_pinned():
+    assert _defaulted_parameters_no_call_sets() == DEFAULT_ONLY
 
 
 def test_importing_the_cli_loads_every_module():

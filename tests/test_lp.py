@@ -6,11 +6,13 @@ import pytest
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import (
+    Blocks,
     CayleyTable,
     build_function_algebra,
     build_group_algebra,
     cyclic_table,
     dihedral_table,
+    symmetric_table_s3,
 )
 from qgharm.duality import build_dual, fourier_coeffs
 from qgharm.errors import BadExponents, NotAutomorphism
@@ -29,6 +31,10 @@ from qgharm.lp import (
     young_check,
     young_exponent,
     young_sides,
+)
+from qgharm.sharpness import (
+    estimate_best_constant_hy,
+    estimate_best_constant_young,
 )
 
 INF = float("inf")
@@ -221,21 +227,19 @@ def test_young_holds_on_random_samples():
     pairs = [(1.0, 1.0), (4.0 / 3.0, 4.0 / 3.0), (3.0 / 2.0, 2.0), (2.0, 1.0)]
     for name in EXAMPLE_NAMES:
         g = get_example(name)
-        sp = base_space(g)
         rng = np.random.default_rng(123)
         for _ in range(50):
             x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
             y = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
             for p, q in pairs:
-                rep = young_check(g, x, y, p, q, space=sp)
+                rep = young_check(g, x, y, p, q)
                 assert rep.holds, (name, p, q, rep.details["ratio"])
 
 
 def test_young_equality_at_a_group_like_projection():
     g = get_example("z4-function")
-    sp = base_space(g)
     h = np.array([1.0, 0.0, 1.0, 0.0])
-    rep = young_check(g, h, h, 4.0 / 3.0, 4.0 / 3.0, space=sp)
+    rep = young_check(g, h, h, 4.0 / 3.0, 4.0 / 3.0)
     assert rep.details["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -251,15 +255,14 @@ def test_hausdorff_young_random_and_endpoint():
     for name in EXAMPLE_NAMES:
         g = get_example(name)
         pair = build_dual(g)
-        bsp, dsp = base_space(g), dual_space(pair)
         rng = np.random.default_rng(7)
         for _ in range(25):
             x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
             for p in (1.0, 4.0 / 3.0, 2.0):
-                rep = hausdorff_young_check(pair, x, p, bsp, dsp)
+                rep = hausdorff_young_check(pair, x, p)
                 assert rep.holds, (name, p, rep.details["ratio"])
             # p = 2 is the Plancherel identity, an equality
-            rep = hausdorff_young_check(pair, x, 2.0, bsp, dsp)
+            rep = hausdorff_young_check(pair, x, 2.0)
             assert rep.details["ratio"] == pytest.approx(1.0, abs=1e-11)
 
 
@@ -289,6 +292,49 @@ def test_stacked_ratios_match_the_per_sample_checks():
             for got in (hausdorff_young_sides(pair, xs, p)[2], loop):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
                                            err_msg=name)
+
+
+def test_a_nan_coefficient_fails_both_inequalities():
+    # the eigenvalue fuzz filter used to turn the NaN into 0, so both
+    # checks held with ratio 0
+    g = get_example("z3-function")
+    x = np.array([1.0, np.nan, 0.0])
+    checks = (young_check(g, x, x, 4.0 / 3.0, 4.0 / 3.0),
+              hausdorff_young_check(build_dual(g), x, 4.0 / 3.0))
+    for rep in checks:
+        assert not rep.holds
+        assert list(rep.failing()) == ["excess"]
+
+
+def test_eigen_weights_are_computed_once_per_algebra_and_pair(monkeypatch):
+    # every call derives its spaces, but only the first computes weights
+    calls = []
+    weights = Blocks.weights
+    monkeypatch.setattr(Blocks, "weights",
+                        lambda self, w: calls.append(w) or weights(self, w))
+    x, y = _random(get_example("s3-group"), seed=14, count=2)
+
+    def weights_calls(run) -> int:
+        """The Blocks.weights calls of run on a fresh s3-group."""
+        calls.clear()
+        run(build_group_algebra(symmetric_table_s3()))
+        return len(calls)
+
+    def young_checks(times):
+        return lambda g: [young_check(g, x, y, 4.0 / 3.0, 1.5)
+                          for _ in range(times)]
+
+    assert weights_calls(young_checks(1)) == weights_calls(young_checks(10))
+    for estimate, exponents in ((estimate_best_constant_young, (1.5, 1.5)),
+                                (estimate_best_constant_hy, (1.5,))):
+        reports = []
+
+        def search(iters, estimate=estimate, exponents=exponents):
+            return lambda g: reports.append(estimate(
+                g, *exponents, restarts=2, iters=iters, seed=3))
+
+        assert weights_calls(search(2)) == weights_calls(search(20))
+        assert reports[0].iterations < reports[1].iterations
 
 
 def test_hausdorff_young_rejects_large_p():

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qgharm import duality, lp, structures
 from qgharm.catalog import get_example
 from qgharm.core import FiniteQuantumGroup, verify_axioms
-from qgharm.report import Check
+from qgharm.report import Check, check
 
 
 KP = get_example("kac-paljutkin")
@@ -26,6 +28,16 @@ def _wrong_haar():
                               comult=g.comult, counit=g.counit,
                               antipode=g.antipode, star=g.star,
                               haar=g.counit)
+
+
+def _young_under_a_sixteenth_of_phi():
+    """young_check with L^p(G) taken under phi / 16, which makes
+    ||x * y||_r / (||x||_p ||y||_q) 16 times larger. A Haar state scaled
+    in the algebra itself would not do: x * y scales with it."""
+    small = lp.weighted_space(KP, KP.haar / 16.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "base_space", lambda g: small)
+        return lp.young_check(KP, X, Y, 4.0 / 3.0, 4.0 / 3.0)
 
 
 PASSING = {
@@ -59,11 +71,7 @@ FAILING = {
     # the indicator of {1} is a projection, but {1} is no subgroup
     "is_group_like_projection":
         lambda: structures.is_group_like_projection(Z4, np.eye(4)[1]),
-    # the weight phi / 16 makes ||x * y||_r / (||x||_p ||y||_q) 16 times
-    # larger
-    "young_check": lambda: lp.young_check(
-        KP, X, Y, 4.0 / 3.0, 4.0 / 3.0,
-        space=lp.weighted_space(KP, KP.haar / 16.0)),
+    "young_check": _young_under_a_sixteenth_of_phi,
 }
 
 
@@ -89,3 +97,17 @@ def test_a_failing_check_names_its_failing_residuals(name):
     _assert_consistent(rep)
     assert not rep.holds
     assert rep.failing()
+
+
+@pytest.mark.parametrize("residuals", [{"a": 0.0, "b": math.nan},
+                                       {"b": math.nan, "a": 0.0},
+                                       {"b": math.nan}])
+def test_a_nan_residual_fails_in_any_position(residuals):
+    rep = check("t", "c", residuals, 1e-9)
+    assert not rep.holds
+    assert list(rep.failing()) == ["b"]
+
+
+def test_a_check_without_residuals_is_refused():
+    with pytest.raises(ValueError):
+        check("t", "c", {}, 1e-9)

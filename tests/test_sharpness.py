@@ -90,12 +90,14 @@ def test_hy_rejects_exponents_outside_the_band():
         estimate_best_constant_hy(g, 0.9)
 
 
-def test_hy_estimate_above_one_is_refused():
+def test_hy_estimate_above_one_is_refused(monkeypatch):
     # a dual weight 16 times too large doubles ||F(x)||_4 at p = 4/3
-    pair = build_dual(get_example("s3-function"))
+    g = get_example("s3-function")
+    pair = build_dual(g)
     wrong = dataclasses.replace(pair, dual_weight=16.0 * pair.dual_weight)
+    monkeypatch.setattr(sharpness, "build_dual", lambda _: wrong)
     with pytest.raises(AxiomFailure, match="exceeds 1"):
-        estimate_best_constant_hy(wrong, 4.0 / 3.0, restarts=1, iters=5)
+        estimate_best_constant_hy(g, 4.0 / 3.0, restarts=1, iters=5)
 
 
 # ---------------------------------------------------------------------------
