@@ -20,7 +20,7 @@ from .core import (
     cyclic_table,
     symmetric_table_s3,
 )
-from .errors import UnknownExample
+from .errors import QgharmError
 
 __all__ = ["EXAMPLE_NAMES", "get_example", "list_examples", "example_summary"]
 
@@ -55,7 +55,7 @@ def get_example(name: str) -> FiniteQuantumGroup:
         return build_group_algebra(symmetric_table_s3(), name=name)
     if name == "kac-paljutkin":
         return build_kac_paljutkin()
-    raise UnknownExample(f"no example named {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    raise QgharmError(f"no example named {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
 
 
 def is_commutative(g: FiniteQuantumGroup) -> bool:

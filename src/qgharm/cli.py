@@ -3,17 +3,22 @@
 Every subcommand prints a single deterministic JSON document to stdout
 (sorted keys, two-space indent, trailing newline) and a short human
 summary to stderr. Exit codes: 0 when every check holds, 2 when a
-mathematical check fails, 1 for usage or construction errors, including a
-count below 1, --samples above 10^6, --restarts above 10^4, a --tol outside
-0 < tol <= 1e-6, or a negative seed. The QG_SEED environment variable
-overrides the default of 42 for every --seed flag that is not given; it
-must then be an integer. An explicit flag wins over the environment.
+mathematical check fails, 1 for usage errors and refused inputs, including
+a count below 1, --samples above 10^6, --restarts above 10^4, a --tol
+outside 0 < tol <= 1e-6, or a negative seed. Each of the two error types
+of qgharm.errors has its exit code: an AxiomFailure (the paper's identities
+fail on the data) prints a failing `construction` check and exits 2; any
+other QgharmError prints one `error:` line and exits 1. The QG_SEED
+environment variable overrides the default of 42 for every --seed flag
+that is not given; it must then be an integer. An explicit flag wins over
+the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -30,8 +35,8 @@ from .duality import (
     pentagon_residual,
     plancherel_check,
 )
-from .errors import AxiomFailure, BadFlags, BadParameters, QgharmError
-from .lp import hausdorff_young_sides, young_sides
+from .errors import AxiomFailure, QgharmError
+from .lp import SLACK, hausdorff_young_sides, young_sides
 from .report import Check, check
 from .sharpness import (
     CEILING,
@@ -54,24 +59,25 @@ def _default_seed() -> int:
     try:
         return int(value)
     except ValueError:
-        raise BadFlags(f"QG_SEED must be an integer, got {value!r}") from None
+        raise QgharmError(
+            f"QG_SEED must be an integer, got {value!r}") from None
 
 
 def _count(flag: str, value: int) -> None:
     """Refuse zero evidence, and a count whose arrays would exhaust memory."""
     if value < 1:
-        raise BadFlags(f"{flag} must be at least 1, got {value}")
+        raise QgharmError(f"{flag} must be at least 1, got {value}")
     ceiling = {"--samples": 10**6, "--restarts": 10**4}.get(flag, float("inf"))
     if value > ceiling:
-        raise BadFlags(f"{flag} must be at most {ceiling}, got {value}")
+        raise QgharmError(f"{flag} must be at most {ceiling}, got {value}")
 
 
 def _positive_tol(value: float) -> None:
     """Refuse a tolerance that no residual can meet, or one looser than the
     exact solver holds its own roots to, which would certify non-solutions."""
     if not 0 < value <= ROOT_TOL:
-        raise BadFlags(f"--tol must be above 0 and at most {ROOT_TOL:g}, "
-                       f"got {value}")
+        raise QgharmError(f"--tol must be above 0 and at most {ROOT_TOL:g}, "
+                          f"got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,12 +90,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _entry(c: Check, **extra) -> dict:
-    """The printed form of a check: its largest residual, and its rhs or,
-    without one, the tol that residual is held to. details are not
-    printed; extra adds keys or replaces the name."""
+    """The printed form of a check: its largest residual (NaN if any is
+    NaN), and its rhs or, without one, the tol that residual is held to.
+    details are not printed; extra adds keys or replaces the name."""
     return {"name": c.name, "claim": c.claim, "lhs": c.lhs,
             "rhs": c.tol if c.rhs is None else c.rhs,
-            "residual": max(c.residuals.values(), default=None),
+            "residual": max(c.residuals.values(), default=None,
+                            key=lambda r: (math.isnan(r), r)),
             "holds": c.holds, **extra}
 
 
@@ -139,7 +146,7 @@ def _worst_ratio(name: str, claim: str, ratios: np.ndarray) -> dict:
     worst_index = int(np.argmax(ratios))
     worst_ratio = float(ratios[worst_index])
     c = check(name, claim, {"excess": np.maximum(worst_ratio - 1.0, 0.0)},
-              1e-9, lhs=worst_ratio, rhs=1.0)
+              SLACK, lhs=worst_ratio, rhs=1.0)
     if c.holds:
         return _entry(c)
     return _entry(c, witness={"sample_index": worst_index,
@@ -221,7 +228,7 @@ def _run_sharpness(args) -> dict:
 
 def _run_suq2(args) -> dict:
     if args.mu_den == 0:
-        raise BadParameters("--mu-den must be nonzero")
+        raise QgharmError("--mu-den must be nonzero")
     mu = Fraction(args.mu_num, args.mu_den)
     rep = counterexample_report(args.n, mu)
     entry = _entry(
@@ -364,8 +371,8 @@ def run(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
         if getattr(args, "seed", 0) < 0:   # numpy's generators refuse it
-            raise BadFlags(f"--seed and QG_SEED must not be negative, "
-                           f"got {args.seed}")
+            raise QgharmError(f"--seed and QG_SEED must not be negative, "
+                              f"got {args.seed}")
         doc = globals()["_run_" + args.command.replace("-", "_")](args)
     except AxiomFailure as exc:   # raised by a handler, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import QgharmError
 
 __all__ = ["range_projection"]
 
@@ -25,7 +25,7 @@ def range_projection(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {a.shape}")
+        raise QgharmError(f"expected a matrix, got shape {a.shape}")
     w, v = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
     top = np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
     keep = w > RANK_CUTOFF * top

@@ -19,7 +19,7 @@ import numpy as np
 from .convolution import convolve
 from .core import FiniteQuantumGroup, is_automorphism
 from .duality import DualPair, fourier_coeffs
-from .errors import BadExponents, NotAutomorphism, NotTracial, ShapeMismatch
+from .errors import QgharmError
 from .report import Check, check
 
 __all__ = [
@@ -48,7 +48,7 @@ SLACK = 1e-9
 def _as_p(p) -> float:
     p = float(p)
     if not (p >= 1.0):
-        raise BadExponents(f"exponent {p} is outside [1, inf]")
+        raise QgharmError(f"exponent {p} is outside [1, inf]")
     return p
 
 
@@ -67,7 +67,7 @@ def young_exponent(p, q) -> float:
     p, q = _as_p(p), _as_p(q)
     inv = (0.0 if p == INF else 1.0 / p) + (0.0 if q == INF else 1.0 / q) - 1.0
     if inv < -1e-12 or inv > 1.0 + 1e-12:
-        raise BadExponents(f"no Young exponent for (p, q) = ({p}, {q})")
+        raise QgharmError(f"no Young exponent for (p, q) = ({p}, {q})")
     if inv <= 1e-15:
         return INF
     return 1.0 / inv
@@ -85,12 +85,12 @@ def weighted_space(g: FiniteQuantumGroup, weight) -> WeightedLpSpace:
     """L^p space over g for an arbitrary tracial positive weight vector."""
     w = np.asarray(weight, dtype=complex).reshape(-1)
     if w.shape != (g.dim,):
-        raise ShapeMismatch(f"expected {g.dim} weight values, got {w.shape}")
+        raise QgharmError(f"expected {g.dim} weight values, got {w.shape}")
     blocks = g.blocks
     c = blocks.weights(w)
     gap = float(np.max(np.abs(blocks.trace_form(c) - w)))
     if gap > 1e-9 * max(float(np.max(np.abs(w))), 1.0):
-        raise NotTracial(f"weight is not tracial: residual {gap:.3e}")
+        raise QgharmError(f"weight is not tracial: residual {gap:.3e}")
     return WeightedLpSpace(algebra=g, eigen_weights=np.repeat(c, blocks.sizes))
 
 
@@ -143,7 +143,7 @@ def lp_norm(space: WeightedLpSpace, x, p) -> float:
     """weight(|x|^p)^{1/p}; operator norm for p = inf."""
     coeffs = space.algebra.coeffs_of(x)
     if coeffs.ndim != 1:
-        raise ShapeMismatch(
+        raise QgharmError(
             f"expected {space.algebra.dim} coefficients, got {coeffs.shape}")
     w, d = spectral_data(space, coeffs)
     return float(norms_from_spectral(w, d, p))
@@ -181,7 +181,7 @@ def hausdorff_young_sides(pair: DualPair, x, p) -> tuple:
     lhs / rhs, for p in [1, 2] and x of shape (..., n)."""
     p = _as_p(p)
     if p > 2.0:
-        raise BadExponents("Hausdorff-Young needs p in [1, 2]")
+        raise QgharmError("Hausdorff-Young needs p in [1, 2]")
     xc = pair.base.coeffs_of(x)
     lhs = lp_norms_batch(dual_space(pair), fourier_coeffs(pair, xc),
                          conjugate_exponent(p))
@@ -215,7 +215,7 @@ def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
                          tol: float = 1e-9) -> Check:
     """||x||_{p, phi} equals ||alpha(x)||_{p, phi o alpha^{-1}}."""
     if not is_automorphism(g, alpha):
-        raise NotAutomorphism("alpha does not preserve the algebra structure")
+        raise QgharmError("alpha does not preserve the algebra structure")
     alpha = np.asarray(alpha, dtype=complex)
     alpha_inv = np.linalg.inv(alpha)
     moved_weight = g.haar @ alpha_inv

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import FiniteQuantumGroup
 from .duality import build_dual
-from .errors import AxiomFailure, BadExponents, BadParameters
+from .errors import AxiomFailure, QgharmError
 from .lp import (
     base_space,
     conjugate_exponent,
@@ -148,11 +148,11 @@ def _gauge(v: np.ndarray, space, p) -> np.ndarray:
 def _multistart(g, kind, exponents, objective, spheres, restarts, max_iter,
                 seed, warm_starts) -> SharpnessReport:
     """Best of the ascents from seeded random starts and the warm starts on
-    the unit spheres, one (space, p) per argument. Raises BadParameters on
+    the unit spheres, one (space, p) per argument. Raises QgharmError on
     an empty budget, and AxiomFailure above 1 + CEILING: both sharp
     constants are 1."""
     if restarts < 1 or max_iter < 1:
-        raise BadParameters(
+        raise QgharmError(
             f"empty budget: {restarts} restarts, {max_iter} iterations")
     rng = np.random.default_rng(seed)
     starts = [[rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
@@ -214,7 +214,7 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
     """
     p = float(p)
     if not 1.0 <= p <= 2.0:
-        raise BadExponents("Hausdorff-Young needs p in [1, 2]")
+        raise QgharmError("Hausdorff-Young needs p in [1, 2]")
     pair = build_dual(g)
     pc = conjugate_exponent(p)
 

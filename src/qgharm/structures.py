@@ -28,14 +28,7 @@ import numpy as np
 from .convolution import convolve
 from .core import AlgebraElement, FiniteQuantumGroup, _encode_array, _maxabs
 from .duality import DualPair, dual_fourier, fourier_coeffs
-from .errors import (
-    CertificateMissing,
-    EnumerationIncomplete,
-    NotABishift,
-    NotAShift,
-    NotGroupLike,
-    NotProjection,
-)
+from .errors import QgharmError
 from .linalg import range_projection
 from .lp import base_space, hausdorff_young_check, lp_norm
 from .report import Check, check
@@ -98,7 +91,7 @@ def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> Check:
     cert = h if isinstance(h, Check) else is_group_like_projection(g, h, tol)
     if not (cert.name == "group-like-projection" and cert.holds
             and cert.tol <= tol):
-        raise NotGroupLike(f"not group-like at tol {tol}: {cert.residuals}")
+        raise QgharmError(f"not group-like at tol {tol}: {cert.residuals}")
     g.coeffs_of(cert.details["element"])   # refuses another algebra's
     return cert
 
@@ -180,7 +173,7 @@ def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> Check:
     hc = cert.details["element"].coeffs
     phi_h = cert.details["haar_value"]
     if phi_h <= 0:
-        raise NotGroupLike(f"Haar value {phi_h} is not positive")
+        raise QgharmError(f"Haar value {phi_h} is not positive")
 
     dual_coeffs = fourier_coeffs(pair, hc) / phi_h
     dual_cert = is_group_like_projection(pair.dual_qg, dual_coeffs, tol=tol)
@@ -259,7 +252,7 @@ def enumerate_group_like_projections(g: FiniteQuantumGroup,
                                      tol: float = 1e-9) -> list:
     """Every group-like projection of g, certified at tol, in the order of
     the block choices. The list is complete (see _enumerate); an algebra
-    with a block of size 3 or more raises EnumerationIncomplete.
+    with a block of size 3 or more raises QgharmError.
     """
     return _group_like(g, tol)[0]
 
@@ -296,8 +289,8 @@ class _Enumeration:
 
 def _all_certified(flags) -> None:
     if not all(flags):
-        raise EnumerationIncomplete("a solution of a block choice fails its "
-                                    "certificate")
+        raise QgharmError("a solution of a block choice fails its "
+                          "certificate")
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,7 +401,7 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
             previous[live] = null
             live = live[open_[live]]
     if np.any(open_):
-        raise EnumerationIncomplete(
+        raise QgharmError(
             f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
     return roots, [(float(a), float(b)) for a, b in zip(kept, dropped)]
 
@@ -421,16 +414,15 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
     exactly (_bloch_roots), one stack per number m of Bloch unknowns in
     parts of at most MAX_MACAULAY_ENTRIES worst-case Macaulay entries; every
     root must solve its system, and each real one gives a projection. Raises
-    EnumerationIncomplete when a block has size 3 or more, before any solve
-    when one choice may exceed that bound, or when a system does not
-    resolve."""
+    QgharmError when a block has size 3 or more, before any solve when one
+    choice may exceed that bound, or when a system does not resolve."""
     choices = g.blocks.choices
     unknowns = np.array([len(dirs) for _, dirs in choices])
     # basis rank times monomial shifts times columns, at degree MAX_DEGREE
     worst = {m: math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)
              * math.comb(m + MAX_DEGREE, m) for m in set(unknowns.tolist())}
     if max(worst.values()) > MAX_MACAULAY_ENTRIES:
-        raise EnumerationIncomplete(
+        raise QgharmError(
             f"a block choice may need {max(worst.values())} Macaulay entries, "
             f"above the bound of {MAX_MACAULAY_ENTRIES}")
     at = np.flatnonzero(unknowns == 0)
@@ -452,8 +444,8 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
             mono = np.prod(n[:, None] ** np.array(list(_monomials(m, 2))), -1)
             if not np.all(np.abs(np.einsum("rj,rkj->rk", mono, rows[which]))
                           <= ROOT_TOL):
-                raise EnumerationIncomplete("a root of a block choice does "
-                                            "not solve its system")
+                raise QgharmError("a root of a block choice does "
+                                  "not solve its system")
             real = np.all(np.abs(n.imag) <= ROOT_TOL, axis=1)
             unit = n[real].real.reshape(-1, m // 3, 3)
             unit /= np.linalg.norm(unit, axis=-1)[..., None]
@@ -479,7 +471,7 @@ def shift_check(g: FiniteQuantumGroup, x, h, side: str = "left",
     xc = g.coeffs_of(x)
     if not (_maxabs(g.multiply(xc, xc) - xc) <= tol
             and _maxabs(g.star_of(xc) - xc) <= tol):
-        raise NotProjection("shift candidate must be a projection")
+        raise QgharmError("shift candidate must be a projection")
     res = {k: _maxabs(v) for k, v in _shift_relations(g, xc, hc, side).items()}
     return check("shift", "shift-of-group-like-projection", res, tol,
                  element=g.element(xc),
@@ -540,7 +532,7 @@ def bipartial_isometry_check(pair: DualPair, x, h,
     g = pair.base
     cert = shift_check(g, x, h, side="left", tol=tol)
     if not cert.holds:
-        raise NotAShift(f"shift certificate failed: {cert.residuals}")
+        raise QgharmError(f"shift certificate failed: {cert.residuals}")
     xc = cert.details["element"].coeffs
     hc = cert.details["base_projection"].coeffs
     phi_h = float(g.haar_of(hc).real)
@@ -573,13 +565,13 @@ def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
     g = pair.base
     base_cert = shift_check(g, x_h, h, side="left", tol=tol)
     if not base_cert.holds:
-        raise CertificateMissing(
+        raise QgharmError(
             f"base shift certificate failed: {base_cert.residuals}")
     h_tilde = range_projection_of_fourier(pair, h)
     dual_cert = shift_check(pair.dual_qg, x_tilde, h_tilde,
                             side="left", tol=tol)
     if not dual_cert.holds:
-        raise CertificateMissing(
+        raise QgharmError(
             f"dual shift certificate failed: {dual_cert.residuals}")
     xy = g.multiply(x_h, y)
     pulled = dual_fourier(pair, dual_cert.details["element"])
@@ -593,7 +585,7 @@ def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9) -> Check:
     g = pair.base
     xc = g.coeffs_of(x)
     if _maxabs(xc) <= tol:
-        raise NotABishift("zero element cannot be a bi-shift")
+        raise QgharmError("zero element cannot be a bi-shift")
     f = _fourier_blocks(pair, xc)
     l1 = lp_norm(base_space(g), xc, 1.0)
     res = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Tuple
 
-from .errors import AxiomFailure, BadParameters, EvalAtForbiddenMu
+from .errors import AxiomFailure, QgharmError
 
 __all__ = [
     "Laurent",
@@ -121,7 +121,7 @@ class Laurent:
     def evaluate(self, mu: Fraction) -> Fraction:
         mu = Fraction(mu)
         if mu == 0 and self.min_exp() < 0:
-            raise EvalAtForbiddenMu("negative power of mu at mu = 0")
+            raise QgharmError("negative power of mu at mu = 0")
         return sum((v * mu ** e for e, v in self.coeffs.items()), Fraction(0))
 
     def __repr__(self) -> str:
@@ -252,10 +252,10 @@ class MuRational:
     def evaluate(self, mu: Fraction) -> Fraction:
         mu = Fraction(mu)
         if mu == 0 or mu == 1 or mu == -1:
-            raise EvalAtForbiddenMu(f"mu = {mu} is outside the valid range")
+            raise QgharmError(f"mu = {mu} is outside the valid range")
         den = self.den.evaluate(mu)
         if den == 0:
-            raise EvalAtForbiddenMu(f"denominator vanishes at mu = {mu}")
+            raise QgharmError(f"denominator vanishes at mu = {mu}")
         return self.num.evaluate(mu) / den
 
     def __repr__(self) -> str:
@@ -361,9 +361,9 @@ class PolyElement:
     @staticmethod
     def generator(letter: str, power: int = 1) -> "PolyElement":
         if letter not in LETTERS:
-            raise BadParameters(f"unknown letter {letter!r}")
+            raise QgharmError(f"unknown letter {letter!r}")
         if not isinstance(power, int) or power < 0:
-            raise BadParameters(f"power must be an int >= 0, got {power!r}")
+            raise QgharmError(f"power must be an int >= 0, got {power!r}")
         return normalize((letter,) * power)
 
     def __add__(self, other: "PolyElement") -> "PolyElement":
@@ -434,7 +434,7 @@ def normalize(word: Iterable[str]) -> PolyElement:
     word = tuple(word)
     for letter in word:
         if letter not in LETTERS:
-            raise BadParameters(f"unknown letter {letter!r}")
+            raise QgharmError(f"unknown letter {letter!r}")
     reduced: Dict[Monomial, Laurent] = {}
     _reduce_word(word, ONE, reduced)
     return PolyElement(dict(reduced))
@@ -578,9 +578,9 @@ class CounterexampleReport:
 def _check_parameters(n: int, mu: Fraction) -> Fraction:
     mu = Fraction(mu)
     if not isinstance(n, int) or n < 1 or n > 4:
-        raise BadParameters("n must be an integer in [1, 4]")
+        raise QgharmError("n must be an integer in [1, 4]")
     if not 0 < abs(mu) < 1:
-        raise BadParameters("mu must satisfy 0 < |mu| < 1")
+        raise QgharmError("mu must satisfy 0 < |mu| < 1")
     return mu
 
 
@@ -602,8 +602,8 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
     mu = _check_parameters(n, mu)
     bound = certified_bound(n, mu)
     if bound > sys.float_info.max:
-        raise BadParameters(f"the certified bound at n = {n}, mu = {mu} is "
-                            "above the float range")
+        raise QgharmError(f"the certified bound at n = {n}, mu = {mu} is "
+                          "above the float range")
 
     x = PolyElement.generator("C", 2 * n)
     y = PolyElement.generator("c", 2 * n)

@@ -8,7 +8,7 @@ from qgharm.catalog import (
     is_commutative,
     list_examples,
 )
-from qgharm.errors import UnknownExample
+from qgharm.errors import QgharmError
 
 EXPECTED_DIMS = {
     "z2-function": 2,
@@ -32,7 +32,8 @@ def test_dimensions():
 
 
 def test_unknown_name_raises():
-    with pytest.raises(UnknownExample):
+    with pytest.raises(QgharmError, match="^no example named 'z5-function'; "
+                                          "known: z2-function, "):
         get_example("z5-function")
 
 

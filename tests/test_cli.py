@@ -11,7 +11,7 @@ import pytest
 
 from qgharm import catalog, cli, core, duality, lp, report, structures
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
-from qgharm.errors import AxiomFailure
+from qgharm.errors import AxiomFailure, QgharmError
 
 
 def run_cli(capsys, *argv):
@@ -276,6 +276,18 @@ def test_a_nan_ratio_or_estimate_fails_the_run(capsys, monkeypatch):
     assert not json.loads(out)["checks"][0]["holds"]
 
 
+def test_a_nan_residual_is_printed_in_any_position():
+    # Python's max skips a NaN that is not first
+    for residuals in ({"x": 0.0, "y": math.nan}, {"x": math.nan, "y": 0.0}):
+        entry = cli._entry(report.check("a", "b", residuals, 1e-9))
+        assert not entry["holds"] and math.isnan(entry["residual"])
+    # without one, the printed residual is Python's max, -0.0 included
+    for residuals in ({"x": -0.0, "y": 0.0}, {"x": 0.0, "y": -0.0},
+                      {"x": 3e-12, "y": 1e-12, "z": 2e-12}):
+        entry = cli._entry(report.check("a", "b", residuals, 1e-9))
+        assert repr(entry["residual"]) == repr(max(residuals.values()))
+
+
 def test_reported_ratio_is_the_per_sample_worst_down_to_one_sample(capsys):
     g = catalog.get_example("kac-paljutkin")
     for samples in (1, 20):
@@ -374,6 +386,27 @@ def _one_line_error(capsys, *argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+@pytest.mark.parametrize("error, code", [(QgharmError, 1), (AxiomFailure, 2)])
+def test_each_error_type_has_its_exit_code(capsys, monkeypatch, error, code):
+    def refuse(name):
+        raise error(f"refused {name}")
+    monkeypatch.setattr(catalog, "get_example", refuse)
+    got, out, err = run_cli(capsys, "verify", "--example", "z2-function",
+                            "--seed", "7")
+    assert got == code
+    if error is QgharmError:
+        assert out == ""
+        assert err == "error: refused z2-function\n"
+        return
+    doc = json.loads(out)
+    assert (doc["command"], doc["example"], doc["seed"]) == (
+        "verify", "z2-function", 7)
+    [entry] = doc["checks"]
+    assert entry["name"] == "construction" and entry["holds"] is False
+    assert entry["message"] == "refused z2-function"
+    assert err == "FAIL construction: refused z2-function\n"
 
 
 def test_young_refuses_zero_or_negative_samples(capsys):

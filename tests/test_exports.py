@@ -144,6 +144,25 @@ def test_every_default_is_set_by_some_call_or_is_pinned():
     assert _defaulted_parameters_no_call_sets() == DEFAULT_ONLY
 
 
+def test_every_error_type_is_told_apart_by_some_handler():
+    """An exception type is kept only while an except clause of the package
+    names it: the CLI maps each one it catches to an exit code."""
+    defined = {(module, name) for module in MODULES
+               for name, obj in vars(importlib.import_module(
+                   f"qgharm.{module}")).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == f"qgharm.{module}"}
+    assert {module for module, _ in defined} == {"errors"}
+    caught = set()
+    for tree in _package_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type:
+                types = getattr(node.type, "elts", [node.type])
+                caught |= {getattr(t, "id", None) or getattr(t, "attr", None)
+                           for t in types}
+    assert {name for _, name in defined} <= caught
+
+
 def test_importing_the_cli_loads_every_module():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qgharm.cli; "
              "print(' '.join(sorted(m for m in sys.modules "

@@ -15,15 +15,7 @@ from qgharm.core import (
     symmetric_table_s3,
 )
 from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
-from qgharm.errors import (
-    CertificateMissing,
-    EnumerationIncomplete,
-    NotABishift,
-    NotAShift,
-    NotGroupLike,
-    NotProjection,
-    OwnerMismatch,
-)
+from qgharm.errors import QgharmError
 from qgharm.structures import (
     MAX_DEGREE,
     RANK_TOL,
@@ -63,6 +55,10 @@ EXPECTED_GROUP_LIKES = {
     "s3-group": [1.0 / 6.0, 1.0 / 3.0, 0.5, 0.5, 0.5, 1.0],
     "kac-paljutkin": [0.125, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0],
 }
+
+# the messages of the refusals of an uncertified or foreign group-like input
+NOT_GROUP_LIKE = r"^not group-like at tol 1e-09: \{"
+FOREIGN = "^element belongs to a different algebra$"
 
 
 def _pair(name):
@@ -197,9 +193,10 @@ def test_a_sphere_grid_on_kac_paljutkin_sees_only_the_exact_roots():
 def test_a_block_of_size_three_is_refused():
     # C[S4] has blocks 1, 1, 2, 3, 3: no list is returned, not even a part
     g = build_group_algebra(_s4_table())
-    with pytest.raises(EnumerationIncomplete, match="block of size 3"):
+    size3 = "^a block of size 3 has projections of rank between 1 and "
+    with pytest.raises(QgharmError, match=size3):
         enumerate_group_like_projections(g)
-    with pytest.raises(EnumerationIncomplete, match="block of size 3"):
+    with pytest.raises(QgharmError, match=size3):
         enumerate_left_shifts(g, g.unit)
 
 
@@ -207,7 +204,8 @@ def test_a_continuum_of_solutions_is_refused():
     # every rank-one projection of the M_2 block of KP solves the zero
     # relation: the Macaulay null space keeps growing and is never read
     g = get_example("kac-paljutkin")
-    with pytest.raises(EnumerationIncomplete, match="not stable"):
+    with pytest.raises(QgharmError, match="^a Macaulay null space is not "
+                                          "stable by degree "):
         _enumerate(g, lambda h: np.zeros(h.shape[:-1] + (1,)), 1e-9)
 
 
@@ -279,7 +277,7 @@ def _reference_roots(rows, m):
                 roots = kernel @ np.linalg.eig(stetter)[1]
                 return roots[1:m + 1] / roots[0], weakest()
         previous = null
-    raise EnumerationIncomplete(
+    raise QgharmError(
         f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
 
 
@@ -302,8 +300,8 @@ def _enumerate_reference(g, relation, tol):
         exps = np.array(list(_monomials(m, 2)))
         values = np.prod(roots.T[:, None, :] ** exps, axis=-1) @ rows.T
         if not np.all(np.abs(values) <= ROOT_TOL):
-            raise EnumerationIncomplete("a root of a block choice does not "
-                                        "solve its system")
+            raise QgharmError("a root of a block choice does not "
+                              "solve its system")
         for n in roots.T[np.all(np.abs(roots.imag) <= ROOT_TOL, axis=0)]:
             n = n.real.reshape(-1, 3)
             out.append(h0 + (n / np.linalg.norm(n, axis=1)[:, None]).ravel()
@@ -408,11 +406,13 @@ def test_three_two_by_two_blocks_are_refused_before_any_solve():
     # could need a Macaulay matrix of about 197M entries
     start = time.perf_counter()
     g = build_group_algebra(dihedral_table(7))
-    with pytest.raises(EnumerationIncomplete, match="above the bound"):
+    with pytest.raises(QgharmError, match="Macaulay entries, above the "
+                                          "bound of "):
         enumerate_group_like_projections(g)
     assert time.perf_counter() - start < 5.0
     calls = []
-    with pytest.raises(EnumerationIncomplete, match="above the bound"):
+    with pytest.raises(QgharmError, match="Macaulay entries, above the "
+                                          "bound of "):
         _enumerate(g, _counted(lambda h: _group_like_relation(g, h), calls),
                    1e-9)
     assert calls == []
@@ -444,22 +444,22 @@ def test_group_like_checks_refuse_a_record_that_does_not_certify():
     for record in (is_group_like_projection(g, np.eye(4)[1]),
                    is_group_like_projection(g, h, tol=1e-7),
                    is_biprojection(pair, h)):
-        with pytest.raises(NotGroupLike):
+        with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
             verify_glp_properties(g, record)
-        with pytest.raises(NotGroupLike):
+        with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
             glpbi_check(pair, record)
     # a certificate for an element of another algebra of the same dimension
     foreign = enumerate_group_like_projections(_pair("z2-group").base)[0]
     z2 = _pair("z2-function")
-    with pytest.raises(OwnerMismatch):
+    with pytest.raises(QgharmError, match=FOREIGN):
         verify_glp_properties(z2.base, foreign)
-    with pytest.raises(OwnerMismatch):
+    with pytest.raises(QgharmError, match=FOREIGN):
         glpbi_check(z2, foreign)
 
 
 def test_glp_properties_refuse_non_group_like_input():
     g = get_example("z4-function")
-    with pytest.raises(NotGroupLike):
+    with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
         verify_glp_properties(g, np.eye(4)[1])
 
 
@@ -587,9 +587,10 @@ def test_shift_certificate_fields():
 def test_shift_check_rejects_bad_inputs():
     g = get_example("z4-function")
     h = np.array([1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(NotProjection):
+    with pytest.raises(QgharmError,
+                       match="^shift candidate must be a projection$"):
         shift_check(g, [0.3, 0.1, 0.0, 0.0], h)
-    with pytest.raises(NotGroupLike):
+    with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
         shift_check(g, h, np.eye(4)[1])
     with pytest.raises(ValueError):
         shift_check(g, h, h, side="middle")
@@ -668,7 +669,7 @@ def test_group_algebra_bipartial_isometries():
 def test_bipartial_isometry_refuses_an_uncertified_pair():
     pair = _pair("z4-function")
     h = np.array([1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(NotAShift):
+    with pytest.raises(QgharmError, match="^shift certificate failed: "):
         bipartial_isometry_check(pair, np.ones(4), h)
 
 
@@ -719,7 +720,8 @@ def test_bishift_construct_requires_certificates():
     h = np.array([1.0, 0.0, 1.0, 0.0])
     h_tilde = range_projection_of_fourier(pair, h)
     # the full indicator has the wrong weight, so its certificate fails
-    with pytest.raises((CertificateMissing, NotProjection)):
+    with pytest.raises(QgharmError,
+                       match="^base shift certificate failed: "):
         bishift_construct(pair, np.ones(4), g.unit, h_tilde, h)
 
 
@@ -742,5 +744,6 @@ def test_degenerate_combination_collapses_to_zero():
     x_tilde = np.array([0.5, 0.0, -0.5, 0.0])
     x = bishift_construct(pair, x_h, g.unit, x_tilde, h)
     assert np.max(np.abs(x.coeffs)) < 1e-12
-    with pytest.raises(NotABishift):
+    with pytest.raises(QgharmError,
+                       match="^zero element cannot be a bi-shift$"):
         bishift_theorem_check(pair, x)
