@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .core import (
     FiniteQuantumGroup,
     build_function_algebra,
     build_group_algebra,
     build_kac_paljutkin,
     cyclic_table,
+    is_cocommutative,
+    is_commutative,
     symmetric_table_s3,
 )
 from .errors import QgharmError
@@ -34,8 +34,6 @@ EXAMPLE_NAMES = (
     "s3-group",
     "kac-paljutkin",
 )
-# max-abs gap within which a product or coproduct counts as symmetric
-SYMMETRY_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -56,16 +54,6 @@ def get_example(name: str) -> FiniteQuantumGroup:
     if name == "kac-paljutkin":
         return build_kac_paljutkin()
     raise QgharmError(f"no example named {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
-
-
-def is_commutative(g: FiniteQuantumGroup) -> bool:
-    m = g.mult
-    return float(np.max(np.abs(m - m.transpose(1, 0, 2)))) <= SYMMETRY_TOL
-
-
-def is_cocommutative(g: FiniteQuantumGroup) -> bool:
-    c3 = g.comult3
-    return float(np.max(np.abs(c3 - c3.transpose(1, 0, 2)))) <= SYMMETRY_TOL
 
 
 def example_summary(name: str) -> dict:

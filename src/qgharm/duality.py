@@ -4,10 +4,8 @@ transforms.
 The GNS space is the coefficient space with the Gram inner product
 <x, y> = x^dagger G y, so the embedding of the algebra into its Hilbert
 space is the identity on coefficients. For a finite-dimensional Kac algebra
-the dual is the linear dual of the base with its structure tensors
-transposed: the dual product is the base coproduct, the dual coproduct the
-flipped base product, unit and counit swap, and the dual antipode is the
-transposed antipode. The dual basis operators are B_s = F(Q^{-1} e_s), and
+the dual is core.transposed of the base, the linear dual with its structure
+tensors transposed. The dual basis operators are B_s = F(Q^{-1} e_s), and
 the dual Haar weight is the Haar integral h = Q^{-1} epsilon. The
 multiplicative unitary W, defined through W*(a . b) = Delta(b)(a . 1), is
 formed only on demand, as the certificate behind the pentagon and
@@ -26,7 +24,7 @@ import numpy as np
 
 from .convolution import convolve
 from .core import (AlgebraElement, FiniteQuantumGroup, _accept, _maxabs,
-                   _on_two_legs)
+                   _on_two_legs, transposed)
 from .errors import QgharmError
 from .report import Check, check
 
@@ -45,6 +43,7 @@ __all__ = [
 ]
 
 DUAL_TOL = 1e-8
+FOURIER_TOL = 1e-9
 PLANCHEREL_SAMPLES = 100
 
 
@@ -155,29 +154,18 @@ def build_dual(g: FiniteQuantumGroup) -> DualPair:
 def _build_dual(g: FiniteQuantumGroup) -> DualPair:
     _accept(g, 1e-10, "base")
     n = g.dim
-    s = g.antipode
     weight = np.linalg.solve(g.q_matrix, g.counit)
     total = complex(g.counit @ weight)
     if abs(total.imag) > 1e-9 or total.real <= 0:
         raise QgharmError(f"dual weight total {total} not positive")
     total = float(total.real)
 
-    dual_qg = FiniteQuantumGroup(
-        dim=n,
-        mult=g.comult3,
-        unit=g.counit,
-        comult=g.mult.transpose(1, 0, 2).reshape(n * n, n),
-        counit=g.unit,
-        antipode=s.T,
-        star=(np.conj(g.star) @ s).T,
-        haar=weight / total,
-        name=(g.name or "base") + "-dual",
-    )
+    dual_qg = transposed(g, weight / total, (g.name or "base") + "-dual")
     _accept(dual_qg, DUAL_TOL, "dual")
 
     pair = DualPair(
         base=g,
-        dual_basis=(s @ g.comult3.reshape(n, n * n)).reshape(n, n, n),
+        dual_basis=(g.antipode @ g.comult3.reshape(n, n * n)).reshape(n, n, n),
         dual_qg=dual_qg,
         dual_weight=weight,
         dual_weight_total=total,
@@ -246,8 +234,7 @@ def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val.real, 0.0))
 
 
-def plancherel_check(pair: DualPair, seed: int = 42,
-                     tol: float = 1e-9) -> Check:
+def plancherel_check(pair: DualPair, seed: int = 42) -> Check:
     """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
     g = pair.base
     draws = np.random.default_rng(seed).standard_normal(
@@ -257,11 +244,11 @@ def plancherel_check(pair: DualPair, seed: int = 42,
     gaps = np.abs(lp2_norm_dual(pair, fourier_coeffs(pair, x)) - rhs)
     worst = np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0)
     return check("plancherel", "fourier-isometry", {"relative_gap": worst},
-                 tol, samples=PLANCHEREL_SAMPLES, seed=seed, example=g.name)
+                 FOURIER_TOL, samples=PLANCHEREL_SAMPLES, seed=seed,
+                 example=g.name)
 
 
-def convolution_theorem_check(pair: DualPair, x, y,
-                              tol: float = 1e-9) -> Check:
+def convolution_theorem_check(pair: DualPair, x, y) -> Check:
     """F(x * y) = F(x) F(y), measured in max-abs on the dual coefficients."""
     g = pair.base
     conv = convolve(g, x, y)
@@ -269,11 +256,11 @@ def convolution_theorem_check(pair: DualPair, x, y,
     rhs = fourier(pair, x) @ fourier(pair, y)
     scale = max(_maxabs(rhs), 1.0)
     return check("convolution-theorem", "fourier-multiplicative",
-                 {"relative_gap": _maxabs(lhs - rhs) / scale}, tol,
+                 {"relative_gap": _maxabs(lhs - rhs) / scale}, FOURIER_TOL,
                  example=g.name)
 
 
-def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> Check:
+def biduality_check(g: FiniteQuantumGroup) -> Check:
     """dual(dual(G)) matches G after the canonical GNS identification.
 
     The identification sends the dual-coefficient GNS vector of lambda(x phi)
@@ -290,5 +277,5 @@ def biduality_check(g: FiniteQuantumGroup, tol: float = 1e-8) -> Check:
     res["antipode"] = _maxabs(t @ bid.antipode - g.antipode @ t)
     res["star"] = _maxabs(t @ bid.star - g.star @ np.conj(t))
     res["haar"] = _maxabs(bid.haar - g.haar @ t)
-    return check("biduality", "double-dual-identification", res, tol,
+    return check("biduality", "double-dual-identification", res, DUAL_TOL,
                  example=g.name)

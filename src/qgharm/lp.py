@@ -211,8 +211,7 @@ def hausdorff_young_check(pair: DualPair, x, p) -> Check:
                   p=float(p), p_conjugate=conjugate_exponent(p))
 
 
-def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
-                         tol: float = 1e-9) -> Check:
+def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p) -> Check:
     """||x||_{p, phi} equals ||alpha(x)||_{p, phi o alpha^{-1}}."""
     if not is_automorphism(g, alpha):
         raise QgharmError("alpha does not preserve the algebra structure")
@@ -225,7 +224,7 @@ def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p,
     lhs = lp_norm(sp, xc, p)
     rhs = lp_norm(sp_moved, alpha @ xc, p)
     return check("norm-transport", "automorphism-invariant-norm",
-                 {"relative_gap": abs(lhs - rhs) / max(lhs, 1e-300)}, tol,
+                 {"relative_gap": abs(lhs - rhs) / max(lhs, 1e-300)}, SLACK,
                  lhs=lhs, rhs=rhs, p=float(p), example=g.name)
 
 

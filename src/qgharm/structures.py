@@ -50,6 +50,8 @@ __all__ = [
 
 TRIVIAL_NOTE = "trivially satisfied (finite-dimensional tracial case)"
 BISHIFT_EXPONENTS = (1.0, 4.0 / 3.0, 2.0)
+# tol of the two enumerators and the bi-partial-isometry and bi-shift checks
+CERT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +250,12 @@ def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
     return certs, run
 
 
-def enumerate_group_like_projections(g: FiniteQuantumGroup,
-                                     tol: float = 1e-9) -> list:
-    """Every group-like projection of g, certified at tol, in the order of
+def enumerate_group_like_projections(g: FiniteQuantumGroup) -> list:
+    """Every group-like projection of g, certified at CERT_TOL, in the order of
     the block choices. The list is complete (see _enumerate); an algebra
     with a block of size 3 or more raises QgharmError.
     """
-    return _group_like(g, tol)[0]
+    return _group_like(g, CERT_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +466,7 @@ def shift_check(g: FiniteQuantumGroup, x, h, side: str = "left",
     """Certify x as a left or right shift of the group-like projection h;
     its details hold x, h and the side."""
     if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+        raise QgharmError("side must be 'left' or 'right'")
     cert = _require_group_like(g, h, tol)
     hc = cert.details["element"].coeffs
     xc = g.coeffs_of(x)
@@ -501,17 +502,17 @@ def _shift_relations(g: FiniteQuantumGroup, xc, hc, side: str) -> dict:
             "weight_equality": (g.haar_of(xc) - g.haar_of(hc))[..., None]}
 
 
-def enumerate_left_shifts(g: FiniteQuantumGroup, h,
-                          tol: float = 1e-9) -> list:
-    """Every left shift of the group-like projection h, certified at tol,
+def enumerate_left_shifts(g: FiniteQuantumGroup, h) -> list:
+    """Every left shift of the group-like projection h, certified at CERT_TOL,
     in the order of the block choices. The list is complete: the shift
     relations are solved exactly over every block choice, as in
     enumerate_group_like_projections.
     """
-    hc = _require_group_like(g, h, tol).details["element"].coeffs
+    hc = _require_group_like(g, h, CERT_TOL).details["element"].coeffs
     run = _enumerate(g, lambda x: np.concatenate(
-        list(_shift_relations(g, x, hc, "left").values()), axis=-1), tol)
-    certs = [shift_check(g, x, hc, side="left", tol=tol) for x in run.points]
+        list(_shift_relations(g, x, hc, "left").values()), axis=-1), CERT_TOL)
+    certs = [shift_check(g, x, hc, side="left", tol=CERT_TOL)
+             for x in run.points]
     _all_certified(c.holds for c in certs)
     return certs
 
@@ -525,12 +526,11 @@ def _partial_isometry_residual(mat: np.ndarray) -> float:
     return float(np.max(np.minimum(sv, s - sv)) / s)
 
 
-def bipartial_isometry_check(pair: DualPair, x, h,
-                             tol: float = 1e-9) -> Check:
+def bipartial_isometry_check(pair: DualPair, x, h) -> Check:
     """A certified left shift is a bi-partial isometry with
     F(x)* F(x) = phi(h) F(h) and operator norm phi(h)."""
     g = pair.base
-    cert = shift_check(g, x, h, side="left", tol=tol)
+    cert = shift_check(g, x, h, side="left", tol=CERT_TOL)
     if not cert.holds:
         raise QgharmError(f"shift certificate failed: {cert.residuals}")
     xc = cert.details["element"].coeffs
@@ -546,16 +546,15 @@ def bipartial_isometry_check(pair: DualPair, x, h,
             f.conj().T @ f - phi_h * _fourier_blocks(pair, hc)),
         "fourier_operator_norm": abs(float(np.linalg.norm(f, 2)) - phi_h),
     }
-    return check("bi-partial-isometry", "fourier-partial-isometry", res, tol,
-                 haar_value=phi_h)
+    return check("bi-partial-isometry", "fourier-partial-isometry", res,
+                 CERT_TOL, haar_value=phi_h)
 
 
 # ---------------------------------------------------------------------------
 # bi-shifts
 # ---------------------------------------------------------------------------
 
-def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
-                      tol: float = 1e-9) -> AlgebraElement:
+def bishift_construct(pair: DualPair, x_h, y, x_tilde, h) -> AlgebraElement:
     """x = (x_h y) * Fhat_1(x_tilde) for certified shifts on both sides.
 
     x_h must be a certified left shift of h in the base; x_tilde (given by
@@ -563,13 +562,13 @@ def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
     projection of F(h) in the dual.
     """
     g = pair.base
-    base_cert = shift_check(g, x_h, h, side="left", tol=tol)
+    base_cert = shift_check(g, x_h, h, side="left", tol=CERT_TOL)
     if not base_cert.holds:
         raise QgharmError(
             f"base shift certificate failed: {base_cert.residuals}")
     h_tilde = range_projection_of_fourier(pair, h)
     dual_cert = shift_check(pair.dual_qg, x_tilde, h_tilde,
-                            side="left", tol=tol)
+                            side="left", tol=CERT_TOL)
     if not dual_cert.holds:
         raise QgharmError(
             f"dual shift certificate failed: {dual_cert.residuals}")
@@ -578,13 +577,13 @@ def bishift_construct(pair: DualPair, x_h, y, x_tilde, h,
     return convolve(g, xy, pulled.coeffs)
 
 
-def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9) -> Check:
+def bishift_theorem_check(pair: DualPair, x) -> Check:
     """Extremality of a bi-shift: both x and F(x) are multiples of partial
     isometries, the transform's operator norm equals ||x||_1, and the
     Hausdorff-Young inequality is an equality at BISHIFT_EXPONENTS."""
     g = pair.base
     xc = g.coeffs_of(x)
-    if _maxabs(xc) <= tol:
+    if _maxabs(xc) <= CERT_TOL:
         raise QgharmError("zero element cannot be a bi-shift")
     f = _fourier_blocks(pair, xc)
     l1 = lp_norm(base_space(g), xc, 1.0)
@@ -598,6 +597,6 @@ def bishift_theorem_check(pair: DualPair, x, tol: float = 1e-9) -> Check:
     for p in BISHIFT_EXPONENTS:
         rep = hausdorff_young_check(pair, xc, p)
         res[f"extremal_p_{p:g}"] = abs(rep.details["ratio"] - 1.0)
-    return check("bi-shift-extremality", "hausdorff-young-extremal", res, tol,
-                 scaling_invariance=TRIVIAL_NOTE,
+    return check("bi-shift-extremality", "hausdorff-young-extremal", res,
+                 CERT_TOL, scaling_invariance=TRIVIAL_NOTE,
                  delta_eigenvalue=TRIVIAL_NOTE + "; mu_x = 1")

@@ -345,7 +345,7 @@ def test_sampling_and_dual_construction_do_not_scale_with_calls(
 
     # a build that raises is not kept, and g is in no reference cycle: it
     # goes with its last reference, not at the next garbage collection
-    bad = FiniteQuantumGroup(dim=8, mult=fresh.mult, unit=fresh.unit,
+    bad = FiniteQuantumGroup(mult=fresh.mult, unit=fresh.unit,
                              comult=fresh.comult, counit=fresh.counit,
                              antipode=fresh.antipode, star=fresh.star,
                              haar=fresh.haar + 1e-3)

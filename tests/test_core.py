@@ -58,6 +58,20 @@ def test_bad_table_rejected():
         cyclic_table(0)
 
 
+# a Latin square with identity 0 and two-sided inverses that is not a
+# group: (1 1) 2 = 2 while 1 (1 2) = 4
+LOOP = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def test_a_non_associative_table_fails_the_axiom_gate():
+    table = CayleyTable(table=LOOP).validate()
+    with pytest.raises(AxiomFailure, match="'coassociativity'"):
+        build_function_algebra(table)
+    with pytest.raises(AxiomFailure, match="'associativity'"):
+        build_group_algebra(table)
+
+
 # ---------------------------------------------------------------------------
 # axioms on the full catalog
 # ---------------------------------------------------------------------------
@@ -69,6 +83,11 @@ def test_axioms_hold_on_every_example():
         assert rep.holds, f"{name}: {rep.failing()}"
         # residuals on these small examples sit at rounding level
         assert max(rep.residuals.values()) < 1e-12, name
+
+
+def test_kac_paljutkin_haar_state_is_its_unit_vector():
+    g = build_kac_paljutkin()
+    assert g.haar.tobytes() == g.unit.tobytes()
 
 
 def test_kac_paljutkin_axioms_are_exact():
@@ -97,7 +116,6 @@ def test_one_group_checked_at_two_tolerances_gets_both_verdicts():
 def test_axiom_report_flags_a_wrong_haar():
     g = get_example("z3-function")
     broken = FiniteQuantumGroup(
-        dim=g.dim,
         mult=g.mult,
         unit=g.unit,
         comult=g.comult,
@@ -124,7 +142,19 @@ def test_non_finite_structure_constants_are_refused(bad):
         data = {k: np.array(getattr(g, k)) for k in TENSORS}
         data[key].flat[-1] = bad
         with pytest.raises(AxiomFailure, match=f"^{key} has a non-finite"):
-            FiniteQuantumGroup(dim=g.dim, **data)
+            FiniteQuantumGroup(**data)
+
+
+def test_a_tensor_of_the_wrong_size_is_refused():
+    g = get_example("z3-function")
+    data = {k: getattr(g, k) for k in TENSORS}
+    for key in TENSORS:
+        if key != "unit":
+            bad = np.zeros(getattr(g, key).shape[:-1] + (2,))
+            with pytest.raises(QgharmError, match=f"^{key}: expected shape"):
+                FiniteQuantumGroup(**{**data, key: bad})
+    with pytest.raises(QgharmError, match=r"^mult: expected shape \(4, 4, 4\)"):
+        FiniteQuantumGroup(**{**data, "unit": np.ones(4)})
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +308,7 @@ def test_blocks_reject_every_corrupted_product_entry():
             mult = g.mult.copy()
             mult[idx] += 1e-6
             h = FiniteQuantumGroup(
-                dim=g.dim, mult=mult, unit=g.unit, comult=g.comult,
+                mult=mult, unit=g.unit, comult=g.comult,
                 counit=g.counit, antipode=g.antipode, star=g.star,
                 haar=g.haar)
             with pytest.raises(AxiomFailure):
@@ -346,7 +376,7 @@ def _noisy(g, rng, size=1e-3):
         return a + size * (rng.standard_normal(a.shape)
                            + 1j * rng.standard_normal(a.shape))
     return FiniteQuantumGroup(
-        dim=g.dim, mult=noise(g.mult), unit=g.unit, comult=noise(g.comult),
+        mult=noise(g.mult), unit=g.unit, comult=noise(g.comult),
         counit=g.counit, antipode=noise(g.antipode), star=noise(g.star),
         haar=noise(g.haar))
 

@@ -31,22 +31,6 @@ ONLY_TESTS_CALL = {
     "young_check",
 }
 
-# Defaulted parameters that no call sets: the tol of checkers and
-# enumerators that run only at their default, kept so that every checker
-# has the one tol interface that the CLI's --tol drives on the others.
-DEFAULT_ONLY = {(name, "tol") for name in (
-    "biduality_check",
-    "bipartial_isometry_check",
-    "bishift_construct",
-    "bishift_theorem_check",
-    "convolution_theorem_check",
-    "enumerate_group_like_projections",
-    "enumerate_left_shifts",
-    "norm_transport_check",
-    "plancherel_check",
-)}
-
-
 @pytest.mark.parametrize("module",
                          ["qgharm"] + [f"qgharm.{m}" for m in MODULES])
 def test_every_exported_name_resolves(module):
@@ -140,8 +124,18 @@ def _defaulted_parameters_no_call_sets() -> set:
     return unset
 
 
-def test_every_default_is_set_by_some_call_or_is_pinned():
-    assert _defaulted_parameters_no_call_sets() == DEFAULT_ONLY
+def test_every_default_is_set_by_some_call():
+    assert _defaulted_parameters_no_call_sets() == set()
+
+
+def test_no_module_solves_by_least_squares():
+    """Structure with a closed form is written in it, not fitted: no module
+    of the package calls lstsq."""
+    callers = sorted(mod for mod, tree in _package_trees().items()
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and "lstsq" in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None)))
+    assert callers == []
 
 
 def test_every_error_type_is_told_apart_by_some_handler():

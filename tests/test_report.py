@@ -24,7 +24,7 @@ COSET = np.array([0.0, 1.0, 0.0, 1.0])
 def _wrong_haar():
     """z3-function with the counit in place of its Haar state."""
     g = get_example("z3-function")
-    return FiniteQuantumGroup(dim=g.dim, mult=g.mult, unit=g.unit,
+    return FiniteQuantumGroup(mult=g.mult, unit=g.unit,
                               comult=g.comult, counit=g.counit,
                               antipode=g.antipode, star=g.star,
                               haar=g.counit)

@@ -318,7 +318,7 @@ def _kron_group(a, b):
         return np.einsum("ijk,pqr->ipjqkr", x, y).reshape(n * n, n)
 
     return FiniteQuantumGroup(
-        dim=n, mult=both(a.mult, b.mult).reshape(n, n, n),
+        mult=both(a.mult, b.mult).reshape(n, n, n),
         unit=np.kron(a.unit, b.unit),
         comult=both(a.comult.reshape(a.dim, a.dim, a.dim),
                     b.comult.reshape(b.dim, b.dim, b.dim)),
@@ -592,7 +592,7 @@ def test_shift_check_rejects_bad_inputs():
         shift_check(g, [0.3, 0.1, 0.0, 0.0], h)
     with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
         shift_check(g, h, np.eye(4)[1])
-    with pytest.raises(ValueError):
+    with pytest.raises(QgharmError, match="^side must be 'left' or 'right'$"):
         shift_check(g, h, h, side="middle")
 
 
