@@ -137,7 +137,7 @@ def dihedral_table(n: int) -> CayleyTable:
 # the quantum group data model
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FiniteQuantumGroup:
     """Structure constants of a finite quantum group.
 
@@ -145,6 +145,8 @@ class FiniteQuantumGroup:
     comult[(i*n + j), k]: coefficient of e_i x e_j in Delta(e_k).
     counit, haar: row functionals. antipode, star: matrices acting on
     coefficient columns (star is applied to the conjugated coefficients).
+    The fields cannot be reassigned and the tensors are read-only, so the
+    cached derived data and axiom residuals always describe them.
     """
 
     mult: np.ndarray
@@ -157,30 +159,28 @@ class FiniteQuantumGroup:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.unit = np.asarray(self.unit, dtype=complex).reshape(-1)
-        n = self.dim
-        self.mult = np.ascontiguousarray(np.asarray(self.mult, dtype=complex))
-        self.comult = np.ascontiguousarray(np.asarray(self.comult, dtype=complex))
-        self.counit = np.asarray(self.counit, dtype=complex).reshape(-1)
-        self.antipode = np.asarray(self.antipode, dtype=complex)
-        self.star = np.asarray(self.star, dtype=complex)
-        self.haar = np.asarray(self.haar, dtype=complex).reshape(-1)
-        shapes = {
-            "mult": (self.mult.shape, (n, n, n)),
-            "unit": (self.unit.shape, (n,)),
-            "comult": (self.comult.shape, (n * n, n)),
-            "counit": (self.counit.shape, (n,)),
-            "antipode": (self.antipode.shape, (n, n)),
-            "star": (self.star.shape, (n, n)),
-            "haar": (self.haar.shape, (n,)),
+        # copies, so that no array the caller holds can change them
+        tensors = {
+            "mult": np.array(self.mult, dtype=complex, order="C"),
+            "unit": np.array(self.unit, dtype=complex).reshape(-1),
+            "comult": np.array(self.comult, dtype=complex, order="C"),
+            "counit": np.array(self.counit, dtype=complex).reshape(-1),
+            "antipode": np.array(self.antipode, dtype=complex),
+            "star": np.array(self.star, dtype=complex),
+            "haar": np.array(self.haar, dtype=complex).reshape(-1),
         }
-        for key, (got, want) in shapes.items():
-            if got != want:
-                raise QgharmError(f"{key}: expected shape {want}, got {got}")
-            if not np.all(np.isfinite(getattr(self, key))):
+        n = len(tensors["unit"])
+        shapes = {"mult": (n, n, n), "unit": (n,), "comult": (n * n, n),
+                  "counit": (n,), "antipode": (n, n), "star": (n, n),
+                  "haar": (n,)}
+        for key, arr in tensors.items():
+            if arr.shape != shapes[key]:
+                raise QgharmError(
+                    f"{key}: expected shape {shapes[key]}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
                 raise AxiomFailure(f"{key} has a non-finite entry")
-        for arr in (self.mult, self.unit, self.comult, self.counit,
-                    self.antipode, self.star, self.haar):
+            object.__setattr__(self, key, arr)
+        for arr in tensors.values():
             arr.flags.writeable = False
 
     @property

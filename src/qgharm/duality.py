@@ -147,7 +147,8 @@ def build_dual(g: FiniteQuantumGroup) -> DualPair:
     pair = ref and ref()
     if pair is None:
         pair = replace(template, base=g) if template else _build_dual(g)
-        g._dual = (template or replace(pair, base=None), weakref.ref(pair))
+        vars(g)["_dual"] = (template or replace(pair, base=None),
+                             weakref.ref(pair))
     return pair
 
 

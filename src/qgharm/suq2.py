@@ -1,12 +1,13 @@
 """Exact symbolic quantum SU(2) at a rational deformation parameter.
 
-Words in the generators a, a*, c, c* are rewritten to the normal form
-a^k c*^m c^n with exact Laurent-polynomial coefficients in the parameter
-mu, kept symbolic throughout. On top of the rewriting engine: the Haar
-state as an exact rational function of mu, the comultiplication, both
-antipodes, the compact-type convolution x * y = ((x phi) S^{-1} (x) id)
-Delta(y), and the certified lower bound showing that no finite constant C
-satisfies ||x * y|| <= C ||x||_1 ||y|| on this algebra.
+Words in the generators a, a*, c, c* are brought to the normal form
+a^k c*^m c^n one letter at a time, with exact Laurent-polynomial
+coefficients in the parameter mu, kept symbolic throughout. On top of the
+normal form: the Haar state as an exact rational function of mu, the
+comultiplication, both antipodes, the compact-type convolution
+x * y = ((x phi) S^{-1} (x) id) Delta(y), and the certified lower bound
+showing that no finite constant C satisfies ||x * y|| <= C ||x||_1 ||y||
+on this algebra.
 
 Letters: 'a' and 'c' are the generators, 'A' and 'C' their adjoints.
 """
@@ -284,18 +285,28 @@ class Monomial(NamedTuple):
 
 UNIT_MONOMIAL = Monomial(0, 0, 0)
 
-# every non-normal adjacent pair and its rewrites (letters, mu exponent,
-# sign): a-letters move left of c-letters by ac = mu ca, ac* = mu c* a and
-# their adjoints, a*a = 1 - c*c, aa* = 1 - mu^2 c*c, and cc* = c*c
-_REWRITE = {
-    ("c", "a"): ((("a", "c"), -1, 1),),
-    ("C", "a"): ((("a", "C"), -1, 1),),
-    ("c", "A"): ((("A", "c"), 1, 1),),
-    ("C", "A"): ((("A", "C"), 1, 1),),
-    ("A", "a"): (((), 0, 1), (("C", "c"), 0, -1)),
-    ("a", "A"): (((), 0, 1), (("C", "c"), 2, -1)),
-    ("c", "C"): ((("C", "c"), 0, 1),),
-}
+def _times_letter(mono: Monomial, letter: str):
+    """mono * letter in normal form, as at most two (monomial, mu power,
+    sign) terms. Moving a or a* left past c*^m c^n costs mu^-(m+n) or
+    mu^(m+n) (ac = mu ca, ac* = mu c* a and their adjoints); a*a = 1 - c*c
+    and aa* = 1 - mu^2 c*c cancel a letter against a^k of the other sign;
+    cc* = c*c."""
+    k, m, n = mono
+    if letter == "c":
+        return ((Monomial(k, m, n + 1), 0, 1),)
+    if letter == "C":
+        return ((Monomial(k, m + 1, n), 0, 1),)
+    if letter == "a":
+        e = -(m + n)
+        if k >= 0:
+            return ((Monomial(k + 1, m, n), e, 1),)
+        return ((Monomial(k + 1, m, n), e, 1),
+                (Monomial(k + 1, m + 1, n + 1), e, -1))
+    e = m + n
+    if k <= 0:
+        return ((Monomial(k - 1, m, n), e, 1),)
+    return ((Monomial(k - 1, m, n), e, 1),
+            (Monomial(k - 1, m + 1, n + 1), e + 2, -1))
 
 
 def _accumulate(out: dict, key, value) -> None:
@@ -308,30 +319,32 @@ def _accumulate(out: dict, key, value) -> None:
         out[key] = total
 
 
+def _collect(counts: Dict[tuple, int], coeff, out: dict) -> None:
+    """out[key] += coeff * (sum over e of counts[key, e] mu^e): one Laurent
+    coefficient per key, built from its signed counts per mu power."""
+    per_key: Dict[tuple, Dict[int, int]] = {}
+    for (key, e), s in counts.items():
+        per_key.setdefault(key, {})[e] = s
+    for key, per_power in per_key.items():
+        _accumulate(out, key, coeff * Laurent(per_power))
+
+
 def _reduce_word(word: Tuple[str, ...], coeff: Laurent,
                  out: Dict[Monomial, Laurent]) -> None:
     """Rewrite coeff * word to normal form, accumulating into out.
 
-    Each rewrite only multiplies by a signed power of mu, so a branch
-    carries that power and sign as ints; the Laurent coefficient of each
-    output monomial is built once, from the signed counts per power."""
-    counts: Dict[Monomial, Dict[int, int]] = {}
-    stack = [(word, 0, 1)]
-    while stack:
-        w, e, s = stack.pop()
-        for i in range(len(w) - 1):
-            rule = _REWRITE.get(w[i:i + 2])
-            if rule is not None:
-                for sub, de, ds in rule:
-                    stack.append((w[:i] + sub + w[i + 2:], e + de, s * ds))
-                break
-        else:
-            mono = Monomial(w.count("a") - w.count("A"), w.count("C"),
-                            w.count("c"))
-            per_power = counts.setdefault(mono, {})
-            per_power[e] = per_power.get(e, 0) + s
-    for mono, per_power in counts.items():
-        _accumulate(out, mono, coeff * Laurent(per_power))
+    A left fold of _times_letter from the unit monomial. Each product only
+    multiplies by a signed power of mu, so the fold counts signed branches
+    per (monomial, power) as ints."""
+    counts = {(UNIT_MONOMIAL, 0): 1}
+    for letter in word:
+        nxt: Dict[Tuple[Monomial, int], int] = {}
+        for (mono, e), s in counts.items():
+            for mono2, de, ds in _times_letter(mono, letter):
+                key = (mono2, e + de)
+                nxt[key] = nxt.get(key, 0) + s * ds
+        counts = nxt
+    _collect(counts, coeff, out)
 
 
 class PolyElement:
@@ -465,11 +478,12 @@ def counit(x: PolyElement) -> MuRational:
     return total
 
 
+# Delta of each letter as (left letter, right letter, mu power, sign)
 _DELTA = {
-    "a": ((("a",), ("a",), ONE), (("C",), ("c",), Laurent.mu_power(1, -1))),
-    "c": ((("c",), ("a",), ONE), (("A",), ("c",), ONE)),
-    "A": ((("A",), ("A",), ONE), (("c",), ("C",), Laurent.mu_power(1, -1))),
-    "C": ((("C",), ("A",), ONE), (("a",), ("C",), ONE)),
+    "a": (("a", "a", 0, 1), ("C", "c", 1, -1)),
+    "c": (("c", "a", 0, 1), ("A", "c", 0, 1)),
+    "A": (("A", "A", 0, 1), ("c", "C", 1, -1)),
+    "C": (("C", "A", 0, 1), ("a", "C", 0, 1)),
 }
 
 
@@ -477,27 +491,26 @@ def comultiply(x: PolyElement) -> Dict[Tuple[Monomial, Monomial], MuRational]:
     """Comultiplication as a dictionary over pairs of normal-form monomials.
 
     Delta is multiplicative, so Delta of a monomial is the product of the
-    Delta of its letters. Each letter is multiplied into a running sum over
-    pairs of normal-form monomials, which is rewritten to normal form at
-    once; for c^k the sum never holds more than k + 1 pairs.
+    Delta of its letters. Each letter is multiplied into a running sum
+    keyed by (pair of normal-form monomials, mu power) with signed int
+    counts, one _times_letter per side; for c^k the sum never holds more
+    than k + 1 pairs, each with at most k^2/4 + 1 powers. Each output pair
+    gets one Laurent coefficient, built from its counts.
     """
     out: Dict[Tuple[Monomial, Monomial], MuRational] = {}
     for mono, coeff in x.terms.items():
-        partial = {(UNIT_MONOMIAL, UNIT_MONOMIAL): ONE}
+        partial = {((UNIT_MONOMIAL, UNIT_MONOMIAL), 0): 1}
         for letter in mono.word():
-            nxt: Dict[Tuple[Monomial, Monomial], Laurent] = {}
-            for (lm, rm), lc in partial.items():
-                for dl, dr, dc in _DELTA[letter]:
-                    lred: Dict[Monomial, Laurent] = {}
-                    rred: Dict[Monomial, Laurent] = {}
-                    _reduce_word(lm.word() + dl, lc * dc, lred)
-                    _reduce_word(rm.word() + dr, ONE, rred)
-                    for lm2, lcf in lred.items():
-                        for rm2, rcf in rred.items():
-                            _accumulate(nxt, (lm2, rm2), lcf * rcf)
+            nxt: Dict[tuple, int] = {}
+            for ((lm, rm), e), s in partial.items():
+                for dl, dr, de, ds in _DELTA[letter]:
+                    right = _times_letter(rm, dr)
+                    for lm2, le, ls in _times_letter(lm, dl):
+                        for rm2, re, rs in right:
+                            key = ((lm2, rm2), e + de + le + re)
+                            nxt[key] = nxt.get(key, 0) + s * ds * ls * rs
             partial = nxt
-        for key, lc in partial.items():
-            _accumulate(out, key, coeff * lc)
+        _collect(partial, coeff, out)
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -204,6 +205,61 @@ def test_suq2_subcommand_exact_strings(capsys):
     assert check["bound_denominator"] == "21"
     assert check["holds"]
     assert doc["params"]["mu"] == "1/2"
+
+
+# sha256 of the suq2 document's stdout, recorded before the normal form
+# was computed one letter at a time
+_SUQ2_STDOUT_SHA256 = {
+    (1, "1", "2"):
+        "204b98985685201ab29abb714ab70852a599099ca893bf538cca31e1da1ff910",
+    (1, "-2", "3"):
+        "1357fa92258953a0cd769c1b343d1251693da2ace735c19f16310d1756c63426",
+    (1, "7", "8"):
+        "5f7e62d9c2e43d073f1bd5c73f1f3d0701882d6a6ceaac42fc14ffbb2008d114",
+    (1, "3", "7"):
+        "f11037157eaa924ae55d2c970d8dc6606cbafb90af194387d1729d95430ea8db",
+    (1, "999", "1000"):
+        "d50c90365723227273ec8c45d3e07993f2dfd3223d24ea515b98dbbf789bcbf2",
+    (2, "1", "2"):
+        "c087d8b35de3cbd095ea8a01e571c52144169c1bb456e1626ed7d7195922e8c8",
+    (2, "-2", "3"):
+        "04de7d746efa8ca12d116660d0a470ebd946b09c49d0a562a530e5de5dedf0fa",
+    (2, "7", "8"):
+        "061a6d16a9161ab9915bb2c45bca6f84507b12d17a5df12dbe39d0f87118b8c5",
+    (2, "3", "7"):
+        "624662e0b87e69e4e21daa9bac23a6e806b99556a33a6e7f903e3b46ee7a97d9",
+    (2, "999", "1000"):
+        "8f751a3d171ac3676f4e2e9c3f2af173ddc37db32f20743d4e3cf013561c0ea1",
+    (3, "1", "2"):
+        "06f048aed8219e459140064aa0d347e862948bca66b6ba42188f9f4c82164763",
+    (3, "-2", "3"):
+        "04eb7073576ee23862952d3d8e99401a5835054337ca0dbec0ee1f46fab725a6",
+    (3, "7", "8"):
+        "6cc45802d7b16bba0e2892243150d085fe55eca1568c7fa3532b57121bd16a69",
+    (3, "3", "7"):
+        "fdb22ec66fcd8b49bcb15af5b4dd1d775cba1a246c963f2bcfa8809ddb9befc4",
+    (3, "999", "1000"):
+        "fa4161b2b4ef08b6712c6522473c6410d85ad8d775c1a95aa949590c792b9816",
+    (4, "1", "2"):
+        "04d02e69bdb833281be8e662bfb8e7cf6e462b00aff3a23218638c26ed6f0141",
+    (4, "-2", "3"):
+        "975cc7fb00549f050e0db2f02c808d8154ff95811b430434dd5f5121747281d6",
+    (4, "7", "8"):
+        "47b65cd6ba699ccbe922e8a67e93b040d9d2f432222a40c7471adcce8b7d0082",
+    (4, "3", "7"):
+        "1aedd85a68f06ecb659c8d5328bd6deff6586698c4a552035aa57c95d89042fb",
+    (4, "999", "1000"):
+        "2d7d3feb54b34bafef7b0d7a0708657e30a81148c09352016b4a7d4f80fce26a",
+}
+
+
+def test_suq2_documents_are_byte_for_byte_unchanged(capsys):
+    for (n, num, den), digest in _SUQ2_STDOUT_SHA256.items():
+        code, out, _ = run_cli(capsys, "suq2", "--n", str(n), "--mu-num", num,
+                               "--mu-den", den)
+        assert code == 0
+        got = hashlib.sha256(out.encode()).hexdigest()
+        assert got == digest, (n, num, den)
 
 
 def test_hunt_subcommand(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,33 @@ def test_a_tensor_of_the_wrong_size_is_refused():
                 FiniteQuantumGroup(**{**data, key: bad})
     with pytest.raises(QgharmError, match=r"^mult: expected shape \(4, 4, 4\)"):
         FiniteQuantumGroup(**{**data, "unit": np.ones(4)})
+
+
+def test_a_constructed_group_cannot_be_changed():
+    g = build_function_algebra(cyclic_table(3))
+    haar = g.haar
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.haar = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.unit = np.ones(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del g.star
+    for key in TENSORS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, key).flat[0] = 1.0
+    assert g.haar is haar and g.dim == 3
+    assert verify_axioms(g).holds
+    # the cached derived data and the dual memo still fill in
+    assert g.gram is g.gram
+    assert build_dual(g) is build_dual(g)
+    # a group keeps copies: the caller's arrays stay writable, and writing
+    # to them does not reach the group
+    data = {k: np.array(getattr(g, k)) for k in TENSORS}
+    h = FiniteQuantumGroup(**data)
+    for key in TENSORS:
+        data[key].flat[0] = 7.0
+        assert np.array_equal(getattr(h, key), getattr(g, key)), key
+    assert verify_axioms(h).holds
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import time
@@ -123,6 +124,65 @@ def test_product_is_associative_on_sample_words():
             for w in words:
                 x, y, z = normalize(u), normalize(v), normalize(w)
                 assert (x * y) * z == x * (y * z), (u, v, w)
+
+
+# every non-normal adjacent pair and its rewrites (letters, mu exponent,
+# sign): a-letters move left of c-letters by ac = mu ca, ac* = mu c* a and
+# their adjoints, a*a = 1 - c*c, aa* = 1 - mu^2 c*c, and cc* = c*c
+_REWRITE = {
+    ("c", "a"): ((("a", "c"), -1, 1),),
+    ("C", "a"): ((("a", "C"), -1, 1),),
+    ("c", "A"): ((("A", "c"), 1, 1),),
+    ("C", "A"): ((("A", "C"), 1, 1),),
+    ("A", "a"): (((), 0, 1), (("C", "c"), 0, -1)),
+    ("a", "A"): (((), 0, 1), (("C", "c"), 2, -1)),
+    ("c", "C"): ((("C", "c"), 0, 1),),
+}
+
+
+def _reduce_word_reference(word):
+    """Normal form of a word by the rewrite system above, as a dictionary of
+    Laurent coefficients: the first non-normal pair is rewritten until none
+    is left, each branch carrying its mu power and sign."""
+    counts = {}
+    stack = [(tuple(word), 0, 1)]
+    while stack:
+        w, e, s = stack.pop()
+        for i in range(len(w) - 1):
+            rule = _REWRITE.get(w[i:i + 2])
+            if rule is not None:
+                for sub, de, ds in rule:
+                    stack.append((w[:i] + sub + w[i + 2:], e + de, s * ds))
+                break
+        else:
+            key = Monomial(w.count("a") - w.count("A"), w.count("C"),
+                           w.count("c"))
+            per_power = counts.setdefault(key, {})
+            per_power[e] = per_power.get(e, 0) + s
+    out = {key: Laurent(per_power) for key, per_power in counts.items()}
+    return {key: lc for key, lc in out.items() if not lc.is_zero()}
+
+
+def test_normal_form_equals_the_rewrite_system_on_every_short_word():
+    # 5461 words of length <= 6, compared exactly
+    for length in range(7):
+        for word in itertools.product("aAcC", repeat=length):
+            terms = normalize(word).terms
+            assert all(c.den == Laurent.const(1) for c in terms.values())
+            got = {key: c.num for key, c in terms.items()}
+            assert got == _reduce_word_reference(word), word
+
+
+def test_one_letter_product_equals_the_rewrite_system():
+    for k, m, n in itertools.product(range(-3, 4), range(4), range(4)):
+        start = Monomial(k, m, n)
+        for letter in "aAcC":
+            got = {}
+            for key, e, sign in suq2._times_letter(start, letter):
+                assert key not in got
+                got[key] = Laurent.mu_power(e, sign)
+            assert got == _reduce_word_reference(start.word() + (letter,)), \
+                (start, letter)
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +352,21 @@ def test_comultiply_of_c_powers_is_the_q_binomial_sum():
 
 def test_comultiply_rewrites_polynomially_many_words(monkeypatch):
     calls = []
-    reduce_word = suq2._reduce_word
+    times_letter = suq2._times_letter
 
     def counted(*args):
-        calls.append(args[0])
-        return reduce_word(*args)
-    monkeypatch.setattr(suq2, "_reduce_word", counted)
-    for k in range(1, 9):
+        calls.append(args)
+        return times_letter(*args)
+    monkeypatch.setattr(suq2, "_times_letter", counted)
+    for k in range(1, 13):
         x = gen("c", k)
         calls.clear()
         comultiply(x)
-        # at most k + 1 pairs enter each of the k steps, where the 2^k
-        # expansion rewrites 2 * 2^k words
-        assert len(calls) <= 2 * k * (k + 1), k
+        # each of the k steps starts from at most k pairs, each with at most
+        # k^2/4 + 1 mu powers (the terms of a q-binomial [i choose j] at
+        # q = mu^2), and makes 2 letter products per key and Delta term,
+        # where the 2^k expansion multiplies 2k * 2^k letters
+        assert 0 < len(calls) <= 4 * k * k * (k * k // 4 + 1), k
 
 
 def test_haar_invariance_on_sample_words():
@@ -394,9 +456,9 @@ def test_bad_parameters_are_rejected():
 
 
 def test_tiny_mu_is_refused_before_any_symbolic_work(monkeypatch):
-    def no_rewriting(*args):
+    def no_letter_products(*args):
         raise AssertionError("symbolic work started")
-    monkeypatch.setattr(suq2, "_reduce_word", no_rewriting)
+    monkeypatch.setattr(suq2, "_times_letter", no_letter_products)
     # the bound is about |mu|^{-2n}: 10^400 here, above the float range
     for n, mu in ((1, Fraction(1, 10 ** 200)), (4, Fraction(1, 10 ** 50))):
         for sign in (1, -1):
