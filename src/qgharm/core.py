@@ -137,6 +137,11 @@ def dihedral_table(n: int) -> CayleyTable:
 # the quantum group data model
 # ---------------------------------------------------------------------------
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteQuantumGroup:
     """Structure constants of a finite quantum group.
@@ -145,8 +150,9 @@ class FiniteQuantumGroup:
     comult[(i*n + j), k]: coefficient of e_i x e_j in Delta(e_k).
     counit, haar: row functionals. antipode, star: matrices acting on
     coefficient columns (star is applied to the conjugated coefficients).
-    The fields cannot be reassigned and the tensors are read-only, so the
-    cached derived data and axiom residuals always describe them.
+    The fields cannot be reassigned, and the tensors and the cached arrays
+    derived from them are read-only, so the cached derived data and axiom
+    residuals always describe them.
     """
 
     mult: np.ndarray
@@ -181,7 +187,7 @@ class FiniteQuantumGroup:
                 raise AxiomFailure(f"{key} has a non-finite entry")
             object.__setattr__(self, key, arr)
         for arr in tensors.values():
-            arr.flags.writeable = False
+            _read_only(arr)
 
     @property
     def dim(self) -> int:
@@ -246,17 +252,18 @@ class FiniteQuantumGroup:
     @cached_property
     def q_matrix(self) -> np.ndarray:
         """Q[i, j] = haar(e_i e_j)."""
-        return self.mult @ self.haar
+        return _read_only(self.mult @ self.haar)
 
     @cached_property
     def gram(self) -> np.ndarray:
         """G[i, j] = haar(e_i* e_j); Hermitian positive definite when faithful."""
-        return self.star.T @ self.q_matrix
+        return _read_only(self.star.T @ self.q_matrix)
 
     @cached_property
     def left_regular(self) -> np.ndarray:
         """Stack L[i] of left multiplication matrices on coefficient space."""
-        return np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1)))
+        return _read_only(
+            np.ascontiguousarray(np.transpose(self.mult, (0, 2, 1))))
 
     @cached_property
     def blocks(self) -> "Blocks":
@@ -269,7 +276,8 @@ class FiniteQuantumGroup:
     @cached_property
     def haar_eigen_weights(self) -> np.ndarray:
         """The Haar state's c_i once per eigenvalue, for lp.base_space."""
-        return np.repeat(self.blocks.weights(self.haar), self.blocks.sizes)
+        return _read_only(np.repeat(self.blocks.weights(self.haar),
+                                    self.blocks.sizes))
 
     @cached_property
     def _axiom_residuals(self) -> dict:

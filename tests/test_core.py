@@ -173,9 +173,15 @@ def test_a_constructed_group_cannot_be_changed():
             getattr(g, key).flat[0] = 1.0
     assert g.haar is haar and g.dim == 3
     assert verify_axioms(g).holds
-    # the cached derived data and the dual memo still fill in
+    # the cached derived data and the dual memo still fill in, and the
+    # cached arrays are read-only too
     assert g.gram is g.gram
     assert build_dual(g) is build_dual(g)
+    for key in ("q_matrix", "gram", "left_regular", "haar_eigen_weights",
+                "comult3"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, key).flat[0] = 5.0
+    assert verify_axioms(g).holds
     # a group keeps copies: the caller's arrays stay writable, and writing
     # to them does not reach the group
     data = {k: np.array(getattr(g, k)) for k in TENSORS}

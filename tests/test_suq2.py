@@ -362,11 +362,13 @@ def test_comultiply_rewrites_polynomially_many_words(monkeypatch):
         x = gen("c", k)
         calls.clear()
         comultiply(x)
-        # each of the k steps starts from at most k pairs, each with at most
-        # k^2/4 + 1 mu powers (the terms of a q-binomial [i choose j] at
-        # q = mu^2), and makes 2 letter products per key and Delta term,
-        # where the 2^k expansion multiplies 2k * 2^k letters
-        assert 0 < len(calls) <= 4 * k * k * (k * k // 4 + 1), k
+        # step i + 1 starts from the i + 1 pairs a*^j c^(i-j) (x) c^j a^(i-j),
+        # each with j(i-j) + 1 mu powers (the terms of the q-binomial
+        # [i choose j] at q = mu^2), and makes 2 letter products per key and
+        # Delta term: about k^4/6 calls in all, where a sum that did not
+        # merge equal keys would make 4(2^k - 1)
+        keys = [i + 1 + (i ** 3 - i) // 6 for i in range(k)]
+        assert 0 < len(calls) == 4 * sum(keys), k
 
 
 def test_haar_invariance_on_sample_words():
