@@ -32,7 +32,6 @@ __all__ = [
     "counit",
     "comultiply",
     "antipode",
-    "antipode_inverse",
     "convolve_compact",
     "certified_bound",
     "counterexample_report",
@@ -65,7 +64,8 @@ class Laurent:
     def __init__(self, coeffs: Dict[int, Fraction] = None):
         clean = {}
         for k, v in (coeffs or {}).items():
-            v = _div(v)
+            if type(v) is not int:
+                v = _div(v)
             if v:
                 clean[int(k)] = v
         self.coeffs = clean
@@ -223,6 +223,8 @@ class MuRational:
         return MuRational(Laurent.const(value), ONE)
 
     def __add__(self, other: "MuRational") -> "MuRational":
+        if self.den == ONE and other.den == ONE:
+            return MuRational(self.num + other.num)
         return MuRational(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
@@ -234,7 +236,9 @@ class MuRational:
 
     def __mul__(self, other) -> "MuRational":
         if isinstance(other, Laurent):
-            other = MuRational.from_laurent(other)
+            return MuRational(self.num * other, self.den)
+        if self.den == ONE and other.den == ONE:
+            return MuRational(self.num * other.num)
         return MuRational(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other) -> bool:
@@ -319,32 +323,32 @@ def _accumulate(out: dict, key, value) -> None:
         out[key] = total
 
 
-def _collect(counts: Dict[tuple, int], coeff, out: dict) -> None:
-    """out[key] += coeff * (sum over e of counts[key, e] mu^e): one Laurent
-    coefficient per key, built from its signed counts per mu power."""
-    per_key: Dict[tuple, Dict[int, int]] = {}
-    for (key, e), s in counts.items():
-        per_key.setdefault(key, {})[e] = s
-    for key, per_power in per_key.items():
-        _accumulate(out, key, coeff * Laurent(per_power))
+def _add_powers(out: Dict[int, int], powers: Dict[int, int], shift: int,
+                sign: int) -> None:
+    """out += sign * mu^shift * powers."""
+    for e, s in powers.items():
+        e += shift
+        out[e] = out.get(e, 0) + sign * s
 
 
-def _reduce_word(word: Tuple[str, ...], coeff: Laurent,
-                 out: Dict[Monomial, Laurent]) -> None:
-    """Rewrite coeff * word to normal form, accumulating into out.
-
-    A left fold of _times_letter from the unit monomial. Each product only
-    multiplies by a signed power of mu, so the fold counts signed branches
-    per (monomial, power) as ints."""
-    counts = {(UNIT_MONOMIAL, 0): 1}
+def _fold(counts: dict, word: Iterable[str]) -> dict:
+    """counts times the letters of word in turn. Counts map each monomial
+    (or pair of them) to its powers, {mu power: signed int count}; a letter
+    product only shifts a monomial's powers and flips their signs, so it
+    costs one _times_letter per monomial, whatever its number of powers."""
     for letter in word:
-        nxt: Dict[Tuple[Monomial, int], int] = {}
-        for (mono, e), s in counts.items():
+        nxt: Dict[Monomial, Dict[int, int]] = {}
+        for mono, powers in counts.items():
             for mono2, de, ds in _times_letter(mono, letter):
-                key = (mono2, e + de)
-                nxt[key] = nxt.get(key, 0) + s * ds
+                _add_powers(nxt.setdefault(mono2, {}), powers, de, ds)
         counts = nxt
-    _collect(counts, coeff, out)
+    return counts
+
+
+def _add_counts(out: dict, counts: dict, coeff) -> None:
+    """out[key] += coeff * (sum over e of powers[e] mu^e), per key."""
+    for key, powers in counts.items():
+        _accumulate(out, key, coeff * Laurent(powers))
 
 
 class PolyElement:
@@ -397,11 +401,8 @@ class PolyElement:
         out: Dict[Monomial, MuRational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                reduced: Dict[Monomial, Laurent] = {}
-                _reduce_word(m1.word() + m2.word(), ONE, reduced)
-                factor = c1 * c2
-                for mono, lc in reduced.items():
-                    _accumulate(out, mono, factor * lc)
+                # m1 is in normal form already: only m2's letters are folded
+                _add_counts(out, _fold({m1: {0: 1}}, m2.word()), c1 * c2)
         return PolyElement(out)
 
     def scaled(self, value) -> "PolyElement":
@@ -414,12 +415,9 @@ class PolyElement:
     def star(self) -> "PolyElement":
         out: Dict[Monomial, MuRational] = {}
         for mono, coeff in self.terms.items():
-            reduced: Dict[Monomial, Laurent] = {}
-            word = tuple(ADJOINT[l] for l in reversed(mono.word()))
-            _reduce_word(word, ONE, reduced)
-            for m2, lc in reduced.items():
-                # mu is real: coefficients are self-conjugate
-                _accumulate(out, m2, coeff * lc)
+            word = [ADJOINT[l] for l in reversed(mono.word())]
+            # mu is real: coefficients are self-conjugate
+            _add_counts(out, _fold({UNIT_MONOMIAL: {0: 1}}, word), coeff)
         return PolyElement(out)
 
     def __eq__(self, other) -> bool:
@@ -448,24 +446,29 @@ def normalize(word: Iterable[str]) -> PolyElement:
     for letter in word:
         if letter not in LETTERS:
             raise QgharmError(f"unknown letter {letter!r}")
-    reduced: Dict[Monomial, Laurent] = {}
-    _reduce_word(word, ONE, reduced)
-    return PolyElement(dict(reduced))
+    counts = _fold({UNIT_MONOMIAL: {0: 1}}, word)
+    return PolyElement({mono: Laurent(p) for mono, p in counts.items()})
 
 
 # ---------------------------------------------------------------------------
 # Hopf structure
 # ---------------------------------------------------------------------------
 
+def _haar_diagonal(m: int) -> MuRational:
+    """phi(a[0,m,m]) = (1-mu^2)/(1-mu^{2m+2})."""
+    return MuRational(ONE - Laurent.mu_power(2),
+                      ONE - Laurent.mu_power(2 * m + 2))
+
+
 def haar(x: PolyElement) -> MuRational:
-    """Haar state: a[k,m,n] -> delta_{k,0} delta_{m,n} (1-mu^2)/(1-mu^{2m+2})."""
+    """Haar state: a[k,m,n] -> delta_{k,0} delta_{m,n} (1-mu^2)/(1-mu^{2m+2}).
+
+    convolve_compact applies the same values to its int counts, once per
+    output monomial and m."""
     total = MuRational.const(0)
     for mono, coeff in x.terms.items():
-        if mono.k != 0 or mono.m != mono.n:
-            continue
-        value = MuRational(ONE - Laurent.mu_power(2),
-                           ONE - Laurent.mu_power(2 * mono.m + 2))
-        total = total + coeff * value
+        if mono.k == 0 and mono.m == mono.n:
+            total = total + coeff * _haar_diagonal(mono.m)
     return total
 
 
@@ -490,58 +493,53 @@ _DELTA = {
 def comultiply(x: PolyElement) -> Dict[Tuple[Monomial, Monomial], MuRational]:
     """Comultiplication as a dictionary over pairs of normal-form monomials.
 
-    Delta is multiplicative, so Delta of a monomial is the product of the
-    Delta of its letters. Each letter is multiplied into a running sum
-    keyed by (pair of normal-form monomials, mu power) with signed int
-    counts, one _times_letter per side; for c^k the sum never holds more
-    than k + 1 pairs, each with at most k^2/4 + 1 powers. Each output pair
-    gets one Laurent coefficient, built from its counts.
+    Delta is multiplicative: each letter's Delta is multiplied into a
+    running sum that maps each pair to its powers (signed int counts per
+    mu power), one _times_letter per side, pair and Delta term, whatever
+    the number of powers. For c^k the sum holds at most k + 1 pairs, and
+    2k(k + 1) letter products are made in all. Each output pair gets one
+    Laurent coefficient from its counts, times x's.
     """
     out: Dict[Tuple[Monomial, Monomial], MuRational] = {}
     for mono, coeff in x.terms.items():
-        partial = {((UNIT_MONOMIAL, UNIT_MONOMIAL), 0): 1}
+        partial = {(UNIT_MONOMIAL, UNIT_MONOMIAL): {0: 1}}
         for letter in mono.word():
-            nxt: Dict[tuple, int] = {}
-            for ((lm, rm), e), s in partial.items():
+            nxt: Dict[Tuple[Monomial, Monomial], Dict[int, int]] = {}
+            for (lm, rm), powers in partial.items():
                 for dl, dr, de, ds in _DELTA[letter]:
                     right = _times_letter(rm, dr)
                     for lm2, le, ls in _times_letter(lm, dl):
                         for rm2, re, rs in right:
-                            key = ((lm2, rm2), e + de + le + re)
-                            nxt[key] = nxt.get(key, 0) + s * ds * ls * rs
+                            _add_powers(nxt.setdefault((lm2, rm2), {}),
+                                        powers, de + le + re, ds * ls * rs)
             partial = nxt
-        _collect(partial, coeff, out)
+        _add_counts(out, partial, coeff)
     return out
 
 
-_ANTIPODE = {
-    "a": (("A",), ONE),
-    "A": (("a",), ONE),
-    "c": (("c",), Laurent.mu_power(1, -1)),
-    "C": (("C",), Laurent.mu_power(-1, -1)),
-}
+# S and S^{-1} of each letter as (letter, mu power, sign); both reverse
+# products: S(c) = -mu c, S(c*) = -mu^{-1} c*, and S^{-1} the other way
+_ANTIPODE = {"a": ("A", 0, 1), "A": ("a", 0, 1),
+             "c": ("c", 1, -1), "C": ("C", -1, -1)}
+_ANTIPODE_INV = {"a": ("A", 0, 1), "A": ("a", 0, 1),
+                 "c": ("c", -1, -1), "C": ("C", 1, -1)}
 
-_ANTIPODE_INV = {
-    "a": (("A",), ONE),
-    "A": (("a",), ONE),
-    "c": (("c",), Laurent.mu_power(-1, -1)),
-    "C": (("C",), Laurent.mu_power(1, -1)),
-}
+
+def _antimultiplicative_counts(mono: Monomial, table) -> dict:
+    """The image of mono, as counts, under the antimultiplicative map that
+    sends each letter to table's signed power of mu times a letter."""
+    word, e, s = [], 0, 1
+    for letter in reversed(mono.word()):
+        image, de, ds = table[letter]
+        word.append(image)
+        e, s = e + de, s * ds
+    return _fold({UNIT_MONOMIAL: {e: s}}, word)
 
 
 def _apply_antimultiplicative(x: PolyElement, table) -> PolyElement:
     out: Dict[Monomial, MuRational] = {}
     for mono, coeff in x.terms.items():
-        word = ()
-        factor = ONE
-        for letter in reversed(mono.word()):
-            sub, c = table[letter]
-            word = word + sub
-            factor = factor * c
-        reduced: Dict[Monomial, Laurent] = {}
-        _reduce_word(word, factor, reduced)
-        for m2, lc in reduced.items():
-            _accumulate(out, m2, coeff * lc)
+        _add_counts(out, _antimultiplicative_counts(mono, table), coeff)
     return PolyElement(out)
 
 
@@ -550,21 +548,27 @@ def antipode(x: PolyElement) -> PolyElement:
     return _apply_antimultiplicative(x, _ANTIPODE)
 
 
-def antipode_inverse(x: PolyElement) -> PolyElement:
-    """S^{-1}: like S but c -> -mu^{-1} c and c* -> -mu c*."""
-    return _apply_antimultiplicative(x, _ANTIPODE_INV)
-
-
 def convolve_compact(x: PolyElement, y: PolyElement) -> PolyElement:
-    """x * y = ((x phi) S^{-1} (x) id) Delta(y), with (x phi)(z) = phi(z x)."""
-    out = PolyElement.zero()
+    """x * y = ((x phi) S^{-1} (x) id) Delta(y), with (x phi)(z) = phi(z x).
+
+    For each pair (l, r) of Delta(y), S^{-1}(l) and then the letters of
+    each monomial of x are folded into int counts, and phi reads only their
+    diagonal monomials a[0,m,m]. Those Laurent terms are summed per (r, m)
+    with the pair's and x's coefficients, and one rational per (r, m) is
+    made at the end: phi(a[0,m,m]) times the sum.
+    """
+    sums: Dict[Tuple[Monomial, int], MuRational] = {}
     for (lm, rm), coeff in comultiply(y).items():
-        left = PolyElement({lm: MuRational.const(1)})
-        weight = haar(antipode_inverse(left) * x)
-        if weight.is_zero():
-            continue
-        out = out + PolyElement({rm: weight * coeff})
-    return out
+        s_inv = _antimultiplicative_counts(lm, _ANTIPODE_INV)
+        for xm, xc in x.terms.items():
+            for mono, powers in _fold(s_inv, xm.word()).items():
+                if mono.k == 0 and mono.m == mono.n:
+                    _accumulate(sums, (rm, mono.m),
+                                coeff * xc * Laurent(powers))
+    out: Dict[Monomial, MuRational] = {}
+    for (rm, m), total in sums.items():
+        _accumulate(out, rm, total * _haar_diagonal(m))
+    return PolyElement(out)
 
 
 # ---------------------------------------------------------------------------

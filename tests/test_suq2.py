@@ -14,7 +14,6 @@ from qgharm.suq2 import (
     MuRational,
     PolyElement,
     antipode,
-    antipode_inverse,
     certified_bound,
     comultiply,
     convolve_compact,
@@ -220,6 +219,11 @@ def test_antipode_on_generators():
         MuRational.from_laurent(-Laurent.mu_power(-1))
 
 
+def antipode_inverse(x):
+    """S^{-1} by the count-level table that convolve_compact folds."""
+    return suq2._apply_antimultiplicative(x, suq2._ANTIPODE_INV)
+
+
 def test_antipode_inverse_really_inverts():
     for word in ("a", "c", "C", "Ac", "caC"):
         x = normalize(word)
@@ -362,13 +366,110 @@ def test_comultiply_rewrites_polynomially_many_words(monkeypatch):
         x = gen("c", k)
         calls.clear()
         comultiply(x)
-        # step i + 1 starts from the i + 1 pairs a*^j c^(i-j) (x) c^j a^(i-j),
-        # each with j(i-j) + 1 mu powers (the terms of the q-binomial
-        # [i choose j] at q = mu^2), and makes 2 letter products per key and
-        # Delta term: about k^4/6 calls in all, where a sum that did not
-        # merge equal keys would make 4(2^k - 1)
-        keys = [i + 1 + (i ** 3 - i) // 6 for i in range(k)]
-        assert 0 < len(calls) == 4 * sum(keys), k
+        # step i + 1 starts from the i + 1 pairs a*^j c^(i-j) (x) c^j a^(i-j)
+        # and makes one letter product per side, pair and Delta term:
+        # 2k(k + 1) in all. Keyed by (pair, mu power), with j(i-j) + 1
+        # powers per pair, it would make 4 sum_{i<k} (i + 1 + (i^3 - i)/6),
+        # about k^4/6; a sum that did not merge equal keys, 4(2^k - 1)
+        assert len(calls) == 2 * k * (k + 1), k
+
+
+def _comultiply_reference(x):
+    """Delta with its running sum keyed by (pair, mu power), signed int
+    counts per key, and one Laurent per pair built at the end."""
+    out = {}
+    for m, coeff in x.terms.items():
+        unit = Monomial(0, 0, 0)
+        partial = {((unit, unit), 0): 1}
+        for letter in m.word():
+            nxt = {}
+            for ((lm, rm), e), s in partial.items():
+                for dl, dr, de, ds in suq2._DELTA[letter]:
+                    right = suq2._times_letter(rm, dr)
+                    for lm2, le, ls in suq2._times_letter(lm, dl):
+                        for rm2, re, rs in right:
+                            key = ((lm2, rm2), e + de + le + re)
+                            nxt[key] = nxt.get(key, 0) + s * ds * ls * rs
+            partial = nxt
+        per_pair = {}
+        for (pair, e), s in partial.items():
+            per_pair.setdefault(pair, {})[e] = s
+        for pair, powers in per_pair.items():
+            add = coeff * Laurent(powers)
+            out[pair] = out[pair] + add if pair in out else add
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+# S^{-1} of each letter as its image and a Laurent factor
+_ANTIPODE_INV_OF_LETTER = {
+    "a": ("A", Laurent.const(1)),
+    "A": ("a", Laurent.const(1)),
+    "c": ("c", Laurent.mu_power(-1, -1)),
+    "C": ("C", Laurent.mu_power(1, -1)),
+}
+
+
+def _antipode_inverse_reference(x):
+    """S^{-1} word by word: the reversed image word, normalized, times the
+    product of the letter factors."""
+    out = PolyElement.zero()
+    for m, coeff in x.terms.items():
+        word, factor = "", Laurent.const(1)
+        for letter in reversed(m.word()):
+            image, c = _ANTIPODE_INV_OF_LETTER[letter]
+            word, factor = word + image, factor * c
+        out = out + normalize(word).scaled(coeff * factor)
+    return out
+
+
+def _convolve_reference(x, y):
+    """x * y term by term in PolyElement arithmetic: for each pair (l, r)
+    of Delta(y), phi(S^{-1}(l) x) times the pair's coefficient on r."""
+    out = PolyElement.zero()
+    for (lm, rm), coeff in _comultiply_reference(y).items():
+        weight = haar(_antipode_inverse_reference(mono(lm)) * x)
+        if not weight.is_zero():
+            out = out + PolyElement({rm: weight * coeff})
+    return out
+
+
+def _assert_same(got, ref):
+    """Equal as values and equal in print, term for term."""
+    if isinstance(got, PolyElement):
+        got, ref = got.terms, ref.terms
+    assert got == ref
+    assert sorted(map(repr, got.items())) == sorted(map(repr, ref.items()))
+
+
+def _random_element(rng):
+    """A sum of up to 3 normal forms of words of length <= 3, each scaled by
+    an int or by a rational function with a non-unit denominator."""
+    x = PolyElement.zero()
+    for _ in range(rng.randint(1, 3)):
+        coeff = (_random_coefficient(rng) if rng.random() < 0.5
+                 else MuRational.const(rng.choice((-3, -1, 1, 2))))
+        x = x + normalize(_random_word(rng, rng.randint(0, 3))).scaled(coeff)
+    return x
+
+
+def test_comultiply_and_convolution_equal_their_second_routes():
+    for n in range(1, 5):
+        x, y = gen("C", 2 * n), gen("c", 2 * n)
+        _assert_same(comultiply(x), _comultiply_reference(x))
+        _assert_same(comultiply(y), _comultiply_reference(y))
+        _assert_same(convolve_compact(x, y), _convolve_reference(x, y))
+        _assert_same(convolve_compact(y, x), _convolve_reference(y, x))
+    rng = random.Random(20)
+    reached = 0
+    for _ in range(40):
+        x, y = _random_element(rng), _random_element(rng)
+        _assert_same(comultiply(y), _comultiply_reference(y))
+        got = convolve_compact(x, y)
+        _assert_same(got, _convolve_reference(x, y))
+        reached += not got.is_zero() and any(
+            c.den != Laurent.const(1) for c in x.terms.values())
+    # nonzero weights reached through x coefficients with a denominator
+    assert reached >= 5, reached
 
 
 def test_haar_invariance_on_sample_words():
