@@ -171,7 +171,10 @@ def _poly_gcd(p: Dict[int, Fraction], q: Dict[int, Fraction]):
 
 class MuRational:
     """Exact rational function of mu: Laurent numerator over a polynomial
-    denominator normalized to constant term 1, with common factors removed."""
+    denominator normalized to constant term 1, with common factors removed.
+    No gcd is taken when the denominator is a monomial, or when the
+    numerator is one term c mu^k and the denominator a polynomial with
+    constant term 1, which mu, a monomial's only factor, does not divide."""
 
     __slots__ = ("num", "den")
 
@@ -186,6 +189,10 @@ class MuRational:
             # a monomial denominator divides out with no gcd
             (k, c0), = den.coeffs.items()
             self.num, self.den = num.shift(-k).scale(_div(1, c0)), ONE
+            return
+        if len(num.coeffs) == 1 and den.coeffs.get(0) == 1 \
+                and den.min_exp() == 0:
+            self.num, self.den = num, den
             return
         # clear negative exponents out of the denominator
         shift = den.min_exp()
@@ -455,9 +462,9 @@ def normalize(word: Iterable[str]) -> PolyElement:
 # ---------------------------------------------------------------------------
 
 def _haar_diagonal(m: int) -> MuRational:
-    """phi(a[0,m,m]) = (1-mu^2)/(1-mu^{2m+2})."""
-    return MuRational(ONE - Laurent.mu_power(2),
-                      ONE - Laurent.mu_power(2 * m + 2))
+    """phi(a[0,m,m]) = (1-mu^2)/(1-mu^{2m+2}) = 1/(1 + mu^2 + ... + mu^{2m}),
+    canonical as written, so no gcd is taken."""
+    return MuRational(ONE, Laurent(dict.fromkeys(range(0, 2 * m + 1, 2), 1)))
 
 
 def haar(x: PolyElement) -> MuRational:
@@ -592,19 +599,19 @@ class CounterexampleReport:
                 f"~ {self.bound_decimal:.4f}")
 
 
-def _check_parameters(n: int, mu: Fraction) -> Fraction:
+def certified_bound(n: int, mu: Fraction) -> Fraction:
+    """L(n, mu) = mu^{-2n} (1 - mu^{2n+2}) / (1 - mu^{4n+2}), exact.
+
+    With mu = p/q, L = q^{4n} (q^{2n+2} - p^{2n+2}) over
+    p^{2n} (q^{4n+2} - p^{4n+2}): one Fraction of two ints."""
     mu = Fraction(mu)
     if not isinstance(n, int) or n < 1 or n > 4:
         raise QgharmError("n must be an integer in [1, 4]")
     if not 0 < abs(mu) < 1:
         raise QgharmError("mu must satisfy 0 < |mu| < 1")
-    return mu
-
-
-def certified_bound(n: int, mu: Fraction) -> Fraction:
-    """L(n, mu) = mu^{-2n} (1 - mu^{2n+2}) / (1 - mu^{4n+2}), exact."""
-    mu = _check_parameters(n, mu)
-    return (mu ** (-2 * n)) * (1 - mu ** (2 * n + 2)) / (1 - mu ** (4 * n + 2))
+    p, q = mu.numerator, mu.denominator
+    return Fraction(q ** (4 * n) * (q ** (2 * n + 2) - p ** (2 * n + 2)),
+                    p ** (2 * n) * (q ** (4 * n + 2) - p ** (4 * n + 2)))
 
 
 def counterexample_report(n: int, mu) -> CounterexampleReport:
@@ -616,8 +623,8 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
     using ||a^{2n}|| = 1 and ||c|| <= 1. L grows like mu^{-2n}, so the
     supremum of the ratio is infinite.
     """
-    mu = _check_parameters(n, mu)
     bound = certified_bound(n, mu)
+    mu = Fraction(mu)
     if bound > sys.float_info.max:
         raise QgharmError(f"the certified bound at n = {n}, mu = {mu} is "
                           "above the float range")

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qgharm import suq2
 from qgharm.errors import QgharmError
@@ -32,6 +34,23 @@ def gen(letter, power=1):
 
 def mono(m):
     return PolyElement({m: MuRational.const(1)})
+
+
+def _calls_to(function, thunk):
+    """thunk's result and the number of calls to a pure-Python function
+    while it runs."""
+    code = function.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+    sys.setprofile(profile)
+    try:
+        value = thunk()
+    finally:
+        sys.setprofile(None)
+    return value, calls
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +96,47 @@ def test_mu_rational_forbidden_evaluation():
     with pytest.raises(QgharmError,
                        match="^mu = 0 is outside the valid range$"):
         one_minus.evaluate(Fraction(0))
+
+
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_nonzero_fractions = _small_fractions.filter(bool)
+
+
+@st.composite
+def _polynomials(draw, constant):
+    """A polynomial of degree <= 4 with the given constant term."""
+    tail = draw(st.lists(_small_fractions, max_size=4))
+    return Laurent({0: constant, **dict(enumerate(tail, start=1))})
+
+
+@seed(20261019)
+@settings(database=None, max_examples=150, deadline=None)
+@given(k=st.integers(-6, 6), c=_nonzero_fractions,
+       den=_polynomials(1), cofactor=_nonzero_fractions.flatmap(_polynomials),
+       shift=st.integers(-3, 3), scale=_nonzero_fractions,
+       unit_constant=st.booleans())
+def test_a_monomial_over_a_unit_constant_denominator_is_canonical(
+        k, c, den, cofactor, shift, scale, unit_constant):
+    num = Laurent.mu_power(k, c)
+    rule, gcds = _calls_to(suq2._poly_gcd, lambda: MuRational(num, den))
+    assert gcds == 0
+    # the gcd route cancels the common cofactor back to the same pair
+    reduced = MuRational(num * cofactor, den * cofactor)
+    assert (reduced.num.coeffs, reduced.den.coeffs) == \
+        (rule.num.coeffs, rule.den.coeffs)
+    assert hash(reduced) == hash(rule)
+    # a denominator with a negative power, or with a constant term other
+    # than 1, is still normalized: its lowest term moves to the numerator
+    moved = den.shift(shift).scale(scale)
+    if unit_constant:
+        moved = moved + Laurent.const(1 - moved.coeffs.get(0, 0))
+    low = moved.min_exp()
+    lead = Fraction(1) / moved.coeffs[low]
+    got = MuRational(num, moved)
+    want = (num.shift(-low).scale(lead), moved.shift(-low).scale(lead))
+    assert (got.num.coeffs, got.den.coeffs) == \
+        (want[0].coeffs, want[1].coeffs)
+    assert hash(got) == hash(want)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +260,25 @@ def test_haar_closed_form():
         (1 - HALF ** 2) / (1 - HALF ** 6)
     # unbalanced words integrate to zero
     assert haar(normalize("Ccc")).is_zero()
+
+
+def test_haar_diagonal_closed_form_equals_the_gcd_route():
+    one, mu2 = Laurent.const(1), Laurent.mu_power(2)
+    for m in range(17):
+        closed, gcds = _calls_to(suq2._poly_gcd,
+                                 lambda: suq2._haar_diagonal(m))
+        assert gcds == 0
+        # a two-term numerator: this quotient is reduced by a gcd
+        via_gcd, gcds = _calls_to(
+            suq2._poly_gcd,
+            lambda: MuRational(one - mu2, one - Laurent.mu_power(2 * m + 2)))
+        assert gcds == 1
+        assert closed.num.coeffs == via_gcd.num.coeffs, m
+        assert closed.den.coeffs == via_gcd.den.coeffs, m
+    for mu in (HALF, Fraction(-2, 3)):
+        for m in range(9):
+            assert haar(normalize("C" * m + "c" * m)).evaluate(mu) == \
+                (1 - mu ** 2) / (1 - mu ** (2 * m + 2)), (mu, m)
 
 
 def test_counit_kills_off_diagonal_letters():
@@ -643,18 +722,18 @@ def test_every_computed_coefficient_is_an_int_or_a_proper_fraction():
 
 def test_a_certificate_makes_few_fractions():
     # 8,055 Fraction constructions at n = 4 when every coefficient was one
-    code = Fraction.__new__.__code__
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code is code
-    sys.setprofile(profile)
-    try:
-        counterexample_report(4, HALF)
-    finally:
-        sys.setprofile(None)
+    _, calls = _calls_to(Fraction.__new__,
+                         lambda: counterexample_report(4, HALF))
     assert calls <= 1000
+
+
+def test_a_certificate_takes_no_polynomial_gcd():
+    # 7 per report when phi(a[0,m,m]) and every quotient were reduced by one
+    for mu in (HALF, Fraction(8, 13)):
+        for n in (1, 2, 3, 4):
+            _, gcds = _calls_to(suq2._poly_gcd,
+                                lambda: counterexample_report(n, mu))
+            assert gcds == 0, (n, mu)
 
 
 # repr of c*^{2n} * c^{2n}, as printed when every coefficient was a Fraction
