@@ -24,7 +24,7 @@ import numpy as np
 
 from .convolution import convolve
 from .core import (AlgebraElement, FiniteQuantumGroup, _accept, _maxabs,
-                   _on_two_legs, transposed)
+                   _on_two_legs, _real_if_exact, transposed)
 from .errors import QgharmError
 from .report import Check, check
 
@@ -70,14 +70,20 @@ class DualPair:
         """W* from W*(a . b) = Delta(b)(a . 1) on basis pairs."""
         g = self.base
         n = g.dim
-        return np.tensordot(g.comult3, g.mult, axes=([0], [0])).transpose(
-            3, 0, 2, 1).reshape(n * n, n * n)
+        return np.tensordot(_real_if_exact(g.comult3), _real_if_exact(g.mult),
+                            axes=([0], [0])).transpose(3, 0, 2, 1).reshape(
+                                n * n, n * n)
 
     @cached_property
     def w(self) -> np.ndarray:
         """W as the adjoint of W* under the doubled Gram form; gated on
-        Gram unitarity, which makes the adjoint the inverse."""
-        gg = np.kron(self.base.gram, self.base.gram)
+        Gram unitarity, which makes the adjoint the inverse. W and W* are
+        float64 exactly when the comult, mult and Gram tensors have no
+        nonzero imaginary part, as on the catalog, so the certificates run
+        in real arithmetic there; core._axiom_residuals says why the
+        stored tensors stay complex."""
+        gram = _real_if_exact(self.base.gram)
+        gg = np.kron(gram, gram)
         adj = self.w_star.conj().T @ gg
         iso = adj @ self.w_star - gg
         if _maxabs(iso) > 1e-9 * max(_maxabs(gg), 1.0):
@@ -107,7 +113,8 @@ def pentagon_residual(pair: DualPair) -> float:
     With W4[a, b, A, B] = W[(a, b), (A, B)], at [(a, b, c), (A, B, C)]:
     W23 W12 = sum_x W4[b, c, x, C] W4[a, x, A, B] and W13 W23 =
     sum_y W4[a, c, A, y] W4[b, y, B, C], which W12 then multiplies. Each
-    side is formed one column leg C at a time, which W12 does not touch."""
+    side is formed one column leg C at a time, which W12 does not touch.
+    It reads only pair.w, so it runs in real arithmetic when W is real."""
     n = pair.base.dim
     w4 = pair.w.reshape(n, n, n, n)
     worst = 0.0
@@ -124,12 +131,12 @@ def comult_conjugation_residual(pair: DualPair) -> float:
     """Max-abs residual of Delta(x) = W*(1 . x)W over the operator basis."""
     g = pair.base
     n = g.dim
-    lreg = g.left_regular
+    lreg = _real_if_exact(g.left_regular)
     w3 = pair.w.reshape(n, n, n * n)
     lhs = pair.w_star @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
     # [k, a, b, c, d] = sum_{i, j} comult3[i, j, k] L_i[a, b] L_j[c, d]
-    rhs = np.tensordot(np.tensordot(g.comult3, lreg, axes=([0], [0])), lreg,
-                       axes=([0], [0]))
+    rhs = np.tensordot(np.tensordot(_real_if_exact(g.comult3), lreg,
+                                    axes=([0], [0])), lreg, axes=([0], [0]))
     rhs = rhs.transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
     return _maxabs(lhs - rhs)
 

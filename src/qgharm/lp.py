@@ -43,6 +43,7 @@ __all__ = [
 
 INF = math.inf
 SLACK = 1e-9
+_TINY = np.finfo(float).tiny   # the least normal float64
 
 
 def _as_p(p) -> float:
@@ -132,11 +133,37 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
 
 
 def norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:
+    """(sum_k w_k^{p/2} d_k)^{1/p} over the last axis of w, the operator
+    norm max_k w_k^{1/2} for p = inf. A term that leaves the normal range,
+    as w^{p/2} does at large p, sends the batch to _norms_at_large_p."""
     p = _as_p(p)
     if p == INF:
         return np.sqrt(np.max(w, axis=-1))
-    vals = np.sum(np.power(w, 0.5 * p) * d, axis=-1)
-    return np.power(np.clip(np.real(vals), 0.0, None), 1.0 / p)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            vals = _power_sums(w, d, p)
+    except FloatingPointError:
+        return _norms_at_large_p(w, d, p)
+    return np.power(np.clip(vals, 0.0, None), 1.0 / p)
+
+
+def _power_sums(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
+    return np.real(np.sum(np.power(w, 0.5 * p) * d, axis=-1))
+
+
+def _norms_at_large_p(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
+    """norms_from_spectral where the plain sum overflows or leaves the
+    normal range: there the row's largest eigenvalue t is factored out,
+    t^{1/2} (sum_k (w_k / t)^{p/2} d_k)^{1/p}. Every other row, and a row of
+    zeros or with a NaN or an infinity, keeps the plain value."""
+    with np.errstate(over="ignore"):
+        vals = _power_sums(w, d, p)
+    top = np.max(w, axis=-1)
+    fix = ~((vals >= _TINY) & (vals < INF)) & (top > 0) & (top < INF)
+    t = np.where(fix, top, 1.0)
+    factored = np.sqrt(t) * np.power(_power_sums(w / t[..., None], d, p),
+                                     1.0 / p)
+    return np.where(fix, factored, np.power(np.clip(vals, 0.0, None), 1.0 / p))
 
 
 def lp_norm(space: WeightedLpSpace, x, p) -> float:

@@ -78,6 +78,20 @@ def test_hausdorff_young_subcommand(capsys):
     assert check["holds"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("hausdorff-young", "--example", "kac-paljutkin", "--p", "1.001"),
+    ("hausdorff-young", "--example", "z2-function", "--p", "1.00001"),
+    ("young", "--example", "s3-function", "--p", "2", "--q", "1.999"),
+])
+def test_large_exponents_hold(capsys, argv):
+    # p' = 1001, p' = 100001 and r = 4000: the norms' p-th powers used to
+    # overflow, and the inequality read as failing with lhs inf
+    code, out, err = run_cli(capsys, *argv, "--seed", "42")
+    assert code == 0, err
+    (check,) = json.loads(out)["checks"]
+    assert check["holds"] and 0.9 < check["lhs"] <= check["rhs"]
+
+
 def test_structures_subcommand_emits_one_block_per_candidate(
         capsys, monkeypatch):
     enumerations = _counting(monkeypatch, structures, "_group_like")

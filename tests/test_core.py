@@ -430,6 +430,57 @@ def test_axiom_contractions_match_their_einsum_definitions():
                     (name, law)
 
 
+def _delta_homomorphism_reference(g):
+    """The delta_homomorphism residual as the tensor_mult product of every
+    pair Delta(e_i), Delta(e_j): n^4 (1 x n)(n x n) products."""
+    n = g.dim
+    deltas = g.comult3.transpose(2, 0, 1)
+    return float(np.max(np.abs(
+        g.tensor_mult(deltas[:, None], deltas[None, :])
+        - (g.mult.reshape(n * n, n) @ g.comult.T).reshape(n, n, n, n))))
+
+
+def test_delta_homomorphism_contraction_equals_the_tensor_mult_product():
+    rng = np.random.default_rng(8)
+    for name in EXAMPLE_NAMES:
+        base = get_example(name)
+        dual = build_dual(base).dual_qg
+        for g in (base, dual):
+            assert verify_axioms(g).residuals["delta_homomorphism"] == 0.0
+            assert _delta_homomorphism_reference(g) == 0.0
+        for g in (_transported(base, seed=7), _transported(dual, seed=7),
+                  _noisy(base, rng), _noisy(dual, rng)):
+            # each entry of Delta(e_i) Delta(e_j) sums these magnitudes
+            c, m = np.abs(g.comult3), np.abs(g.mult)
+            scale = np.max(np.einsum("abi,cdj,acp,bdq->ipjq", c, c, m, m,
+                                     optimize=True))
+            got = verify_axioms(g).residuals["delta_homomorphism"]
+            assert abs(got - _delta_homomorphism_reference(g)) \
+                <= 1e-15 * scale, g.name
+
+
+def test_an_imaginary_defect_fails_the_axioms():
+    # the real-arithmetic path must not drop a nonzero imaginary part
+    g = get_example("kac-paljutkin")
+    fields = {f: np.array(getattr(g, f)) for f in TENSORS}
+    for field in ("mult", "comult"):
+        arr = fields[field]
+        # a stride prime to n = 8 reaches every value of every index
+        for idx in list(np.ndindex(arr.shape))[::7]:
+            bad = arr.copy()
+            bad[idx] += 1e-6j
+            mutant = FiniteQuantumGroup(**{**fields, field: bad})
+            assert not verify_axioms(mutant, tol=1e-10).holds, (field, idx)
+
+
+def test_the_unitary_is_real_exactly_when_the_tensors_are():
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        assert build_dual(g).w.dtype == np.float64, name
+        moved = build_dual(_transported(g, seed=7))
+        assert moved.w.dtype == np.complex128, name
+
+
 def test_group_like_relation_matches_its_einsum_definition():
     # random elements are not projections, so the relation reads O(1)
     rng = np.random.default_rng(6)

@@ -27,6 +27,7 @@ from qgharm.lp import (
     lp_norm,
     lp_norms_batch,
     norm_transport_check,
+    spectral_data,
     weighted_space,
     young_check,
     young_exponent,
@@ -381,3 +382,31 @@ def test_weighted_space_accepts_the_dual_weight():
     sp = weighted_space(pair.dual_qg, pair.dual_weight)
     # total mass is dim, not 1
     assert lp_norm(sp, pair.dual_qg.unit, 1.0) == pytest.approx(6.0, rel=1e-12)
+
+
+def test_large_exponents_factor_out_the_largest_eigenvalue():
+    # w^{p/2} overflows for eigenvalues above 1 and leaves the normal range
+    # for those below it; the norm is still t^{1/2} (sum (w/t)^{p/2} d)^{1/p}
+    g = get_example("kac-paljutkin")
+    pair = build_dual(g)
+    xs = _random(g, seed=9, count=4)
+    for space, coeffs in ((base_space(g), xs),
+                          (dual_space(pair), fourier_coeffs(pair, xs))):
+        top = np.max(spectral_data(space, coeffs)[0], axis=-1)
+        # rows with largest eigenvalue about 1 keep the plain sum bit for
+        # bit, in the same batch as rows that need the factored form
+        batch = np.concatenate([coeffs / np.sqrt(top)[:, None],
+                                1e3 * coeffs, 1e-3 * coeffs])
+        w, d = spectral_data(space, batch)
+        top = np.max(w, axis=-1)
+        for p in (1001.0, 4000.0):
+            got = lp_norms_batch(space, batch, p)
+            plain = np.sum(w[:4] ** (0.5 * p) * d, axis=-1).real ** (1 / p)
+            assert np.array_equal(got[:4], plain)
+            want = np.sqrt(top) * np.sum(
+                (w / top[:, None]) ** (0.5 * p) * d, axis=-1).real ** (1 / p)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+            # sums that only leave the normal range, on their own
+            np.testing.assert_allclose(lp_norms_batch(space, batch[8:], p),
+                                       want[8:], rtol=1e-13)
+    assert lp_norm(base_space(g), np.zeros(g.dim), 4000.0) == 0.0
