@@ -45,9 +45,9 @@ from .sharpness import (
 )
 from .structures import (
     ROOT_TOL,
+    _glp_properties_checks,
+    _glpbi_checks,
     biprojection_iff_grouplike,
-    glpbi_check,
-    verify_glp_properties,
 )
 from .suq2 import counterexample_report
 
@@ -180,19 +180,19 @@ def _run_structures(args) -> dict:
     _positive_tol(args.tol)
     pair = build_dual(catalog.get_example(args.example))
     sweep = biprojection_iff_grouplike(pair, tol=args.tol)
+    certs = sweep.details["group_like"]
     checks = []
-    for idx, (cert, bi) in enumerate(zip(
-            sweep.details["group_like"],
-            sweep.details["group_like_biprojection"])):
+    for idx, (cert, props, bi, image) in enumerate(zip(
+            certs, _glp_properties_checks(pair.base, certs, args.tol),
+            sweep.details["group_like_biprojection"],
+            _glpbi_checks(pair, certs, args.tol))):
         checks += [
-            _entry(verify_glp_properties(pair.base, cert, tol=args.tol),
-                   name=f"group-like-{idx}-properties",
+            _entry(props, name=f"group-like-{idx}-properties",
                    coeffs=_encode_array(cert.details["element"].coeffs),
                    haar_value=cert.details["haar_value"]),
             _entry(bi, name=f"group-like-{idx}-biprojection",
                    multiple=bi.details["multiple"]),
-            _entry(glpbi_check(pair, cert, tol=args.tol),
-                   name=f"group-like-{idx}-fourier-image"),
+            _entry(image, name=f"group-like-{idx}-fourier-image"),
         ]
     checks.append(_entry(
         sweep, projections_checked=sweep.details["projections_checked"]))

@@ -211,14 +211,15 @@ def dual_matrix(pair: DualPair, coeffs) -> np.ndarray:
 
 def dual_fourier(pair: DualPair, coeffs) -> AlgebraElement:
     """Inverse-direction transform: Fhat_1 applied to the dual element X
-    with coefficients c over the dual basis.
+    with coefficients c over the dual basis, batched over the leading axes.
 
     The functional X phihat is s -> phihat(B_s X) = (Qhat c)_s, and the
     first legs of What carry it to S Qhat c. Since Qhat Q = S and S^2 = 1,
     this inverts F.
     """
     c = pair.dual_qg.coeffs_of(coeffs)
-    return pair.base.element(pair.base.antipode @ pair.dual_q_matrix @ c)
+    return pair.base.element(
+        (pair.base.antipode @ pair.dual_q_matrix @ c[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,31 @@ CERT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
+# certificates over stacks
+# ---------------------------------------------------------------------------
+
+def _row_maxabs(a: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each row of a (k, ...) stack, never
+    taken across rows: 0 for an empty row and NaN for a row with a NaN."""
+    return np.abs(a).reshape(len(a), -1 if a.size else 0).max(
+        axis=1, initial=0.0)
+
+
+def _stack(g: FiniteQuantumGroup, hs) -> np.ndarray:
+    """The (k, n) coefficient stack of the elements hs of g."""
+    return np.array([g.coeffs_of(h) for h in hs],
+                    dtype=complex).reshape(-1, g.dim)
+
+
+def _row_checks(name: str, claim: str, res: dict, tol: float, rows: list,
+                **same) -> list:
+    """One check record per row: row i takes entry i of every (k,) residual
+    array of res and the details rows[i], and every row the details same."""
+    return [check(name, claim, {key: v[i] for key, v in res.items()}, tol,
+                  **row, **same) for i, row in enumerate(rows)]
+
+
+# ---------------------------------------------------------------------------
 # group-like projections
 # ---------------------------------------------------------------------------
 
@@ -62,15 +87,30 @@ def is_group_like_projection(g: FiniteQuantumGroup, h,
                              tol: float = 1e-9) -> Check:
     """Certificate for h = h* = h^2 != 0 with Delta(h)(1 . h) = h . h; its
     details hold the element and its Haar value."""
-    hc = g.coeffs_of(h)
-    res = {
-        "projection": _maxabs(g.multiply(hc, hc) - hc),
-        "self_adjoint": _maxabs(g.star_of(hc) - hc),
-        "nonzero": 0.0 if _maxabs(hc) > tol else math.inf,
-        "defining_relation": _maxabs(_group_like_relation(g, hc)),
+    return _group_like_checks(g, [h], tol)[0]
+
+
+def _group_like_residuals(g: FiniteQuantumGroup, hc: np.ndarray,
+                          tol: float) -> dict:
+    """The residuals of is_group_like_projection, one (k,) array per key,
+    over a (k, n) coefficient stack."""
+    return {
+        "projection": _row_maxabs(g.multiply(hc, hc) - hc),
+        "self_adjoint": _row_maxabs(g.star_of(hc) - hc),
+        "nonzero": np.where(_row_maxabs(hc) > tol, 0.0, math.inf),
+        "defining_relation": _row_maxabs(_group_like_relation(g, hc)),
     }
-    return check("group-like-projection", "group-like-projection", res, tol,
-                 element=g.element(hc), haar_value=float(g.haar_of(hc).real))
+
+
+def _group_like_checks(g: FiniteQuantumGroup, hs, tol: float) -> list:
+    """is_group_like_projection of every element of hs, as one stack."""
+    hc = _stack(g, hs)
+    haar = g.haar_of(hc).real
+    return _row_checks(
+        "group-like-projection", "group-like-projection",
+        _group_like_residuals(g, hc, tol), tol,
+        [{"element": g.element(h), "haar_value": float(v)}
+         for h, v in zip(hc, haar)])
 
 
 def _right_mult(g: FiniteQuantumGroup, h) -> np.ndarray:
@@ -98,26 +138,39 @@ def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> Check:
     return cert
 
 
+def _certified(g: FiniteQuantumGroup, hs, tol: float) -> tuple:
+    """The coefficient stack and the Haar values of the group-like
+    projections hs, or of their certificates (see _require_group_like)."""
+    certs = [_require_group_like(g, h, tol) for h in hs]
+    return (_stack(g, [c.details["element"] for c in certs]),
+            np.array([c.details["haar_value"] for c in certs]))
+
+
 def verify_glp_properties(g: FiniteQuantumGroup, h,
                           tol: float = 1e-9) -> Check:
     """Derived identities of a group-like projection h or its certificate:
     fixed by S (which is R on Kac-type data), the mirrored relation, and
     equality of the two weighted functionals."""
-    cert = _require_group_like(g, h, tol)
-    hc = cert.details["element"].coeffs
-    mirrored = _right_mult(g, hc).T @ g.delta(hc)
+    return _glp_properties_checks(g, [h], tol)[0]
+
+
+def _glp_properties_checks(g: FiniteQuantumGroup, hs, tol: float) -> list:
+    """verify_glp_properties of every element of hs, as one stack."""
+    hc, phi = _certified(g, hs, tol)
+    mirrored = np.swapaxes(_right_mult(g, hc), -1, -2) @ g.delta(hc)
     # h phi = h psi: both are y -> haar(y h) here since the left and right
     # Haar weights coincide; assert through the two product orders.
     res = {
-        "antipode_fixes": _maxabs(g.antipode @ hc - hc),
-        "mirrored_relation": _maxabs(mirrored - np.outer(hc, hc)),
-        "weighted_functionals_equal": _maxabs(g.q_matrix @ hc
-                                              - hc @ g.q_matrix),
-        "convolution_idempotent": _maxabs(
-            convolve(g, hc, hc).coeffs - cert.details["haar_value"] * hc),
+        "antipode_fixes": _row_maxabs(g.antipode_of(hc) - hc),
+        "mirrored_relation": _row_maxabs(
+            mirrored - hc[:, :, None] * hc[:, None, :]),
+        "weighted_functionals_equal": _row_maxabs(hc @ g.q_matrix.T
+                                                  - hc @ g.q_matrix),
+        "convolution_idempotent": _row_maxabs(
+            convolve(g, hc, hc).coeffs - phi[:, None] * hc),
     }
-    return check("group-like-properties", "group-like-projection", res, tol,
-                 modular_invariance=TRIVIAL_NOTE)
+    return _row_checks("group-like-properties", "group-like-projection", res,
+                       tol, [{}] * len(hc), modular_invariance=TRIVIAL_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +178,8 @@ def verify_glp_properties(g: FiniteQuantumGroup, h,
 # ---------------------------------------------------------------------------
 
 def _fourier_blocks(pair: DualPair, x) -> np.ndarray:
-    """F(x) in the block-diagonal picture of the dual."""
+    """F(x) in the block-diagonal picture of the dual, batched over the
+    leading axes."""
     return pair.dual_qg.blocks.diag(fourier_coeffs(pair, x))
 
 
@@ -134,20 +188,29 @@ def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> Check:
 
     Inner products are the Hilbert-Schmidt ones of the operators on L^2(G),
     where block i of the dual appears d_i times."""
-    f = _fourier_blocks(pair, h)
+    return _biprojection_checks(pair, [h], tol)[0]
+
+
+def _biprojection_checks(pair: DualPair, hs, tol: float) -> list:
+    """is_biprojection of every element of hs, as one stack; a row whose
+    transform is zero fails on nonzero_transform alone."""
+    f = _fourier_blocks(pair, _stack(pair.base, hs))
     blocks = pair.dual_qg.blocks
-    scale = float(np.sqrt(blocks.hs(f, f).real))
-    if scale <= tol:
-        return check("biprojection", "fourier-multiple-of-projection",
-                     {"nonzero_transform": math.inf}, tol, multiple=0.0)
+    norm2 = blocks.hs(f, f)
+    nonzero = np.sqrt(norm2.real) > tol
     ff = f @ f
-    fit = blocks.hs(f, ff) / blocks.hs(f, f)
-    res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)
-    res_sa = _maxabs(f - f.conj().T) / max(_maxabs(f), 1e-300)
-    return check("biprojection", "fourier-multiple-of-projection",
-                 {"idempotent_after_fit": res_proj, "self_adjoint": res_sa,
-                  "real_multiple": abs(fit.imag)}, tol,
-                 multiple=float(fit.real))
+    fit = blocks.hs(f, ff) / np.where(nonzero, norm2, 1.0)
+    size = np.maximum(_row_maxabs(f), 1e-300)
+    res = {"idempotent_after_fit": _row_maxabs(ff - fit[:, None, None] * f)
+           / size,
+           "self_adjoint": _row_maxabs(f - f.conj().swapaxes(-1, -2)) / size,
+           "real_multiple": np.abs(fit.imag)}
+    name, claim = "biprojection", "fourier-multiple-of-projection"
+    fits = _row_checks(name, claim, res, tol,
+                       [{"multiple": float(v)} for v in fit.real])
+    return [c if ok else check(name, claim, {"nonzero_transform": math.inf},
+                               tol, multiple=0.0)
+            for c, ok in zip(fits, nonzero)]
 
 
 def _biprojection_relation(pair: DualPair, hc) -> np.ndarray:
@@ -161,7 +224,8 @@ def _biprojection_relation(pair: DualPair, hc) -> np.ndarray:
 
 
 def range_projection_of_fourier(pair: DualPair, h) -> np.ndarray:
-    """Dual-basis coefficients of the range projection of F(h)."""
+    """Dual-basis coefficients of the range projection of F(h), batched
+    over the leading axes of h."""
     p = range_projection(_fourier_blocks(pair, h))
     return pair.dual_qg.blocks.coeffs_of_diag(p)
 
@@ -170,31 +234,29 @@ def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> Check:
     """Fourier image of a group-like projection h (or its certificate):
     phi(h)^{-1} F(h) is a dual group-like projection, the dual weight of
     its range is 1/phi(h), and the range transported back is phi(h)^{-1} h."""
-    g = pair.base
-    cert = _require_group_like(g, h, tol)
-    hc = cert.details["element"].coeffs
-    phi_h = cert.details["haar_value"]
-    if phi_h <= 0:
-        raise QgharmError(f"Haar value {phi_h} is not positive")
+    return _glpbi_checks(pair, [h], tol)[0]
 
-    dual_coeffs = fourier_coeffs(pair, hc) / phi_h
-    dual_cert = is_group_like_projection(pair.dual_qg, dual_coeffs, tol=tol)
 
+def _glpbi_checks(pair: DualPair, hs, tol: float) -> list:
+    """glpbi_check of every element of hs, as one stack."""
+    hc, phi = _certified(pair.base, hs, tol)
+    if np.any(phi <= 0):
+        raise QgharmError(f"Haar value {phi[phi <= 0][0]} is not positive")
+    dual = _group_like_residuals(
+        pair.dual_qg, fourier_coeffs(pair, hc) / phi[:, None], tol)
     p_coeffs = range_projection_of_fourier(pair, hc)
-    weight_of_range = complex(pair.dual_weight @ p_coeffs)
-    res_weight = abs(phi_h * weight_of_range - 1.0)
-
+    weight_of_range = p_coeffs @ pair.dual_weight
     back = dual_fourier(pair, p_coeffs).coeffs
-    res_back = _maxabs(back - hc / phi_h)
-
     res = {
-        "dual_group_like": max(dual_cert.residuals.values()),
-        "weight_of_range": res_weight,
-        "inverse_transform_of_range": res_back,
+        "dual_group_like": np.max(list(dual.values()), axis=0),
+        "weight_of_range": np.abs(phi * weight_of_range - 1.0),
+        "inverse_transform_of_range": _row_maxabs(back - hc / phi[:, None]),
     }
-    return check("group-like-fourier-image", "dual-group-like-and-weight",
-                 res, tol, haar_value=phi_h,
-                 dual_weight_of_range=float(weight_of_range.real))
+    return _row_checks("group-like-fourier-image",
+                       "dual-group-like-and-weight", res, tol,
+                       [{"haar_value": float(p),
+                         "dual_weight_of_range": float(w.real)}
+                        for p, w in zip(phi, weight_of_range)])
 
 
 def biprojection_iff_grouplike(pair: DualPair,
@@ -210,19 +272,21 @@ def biprojection_iff_grouplike(pair: DualPair,
     the block choices, group_like holds the certificates of
     enumerate_group_like_projections, group_like_biprojection the
     is_biprojection record of each of them, and singular_value_gaps holds the
-    weakest rank decision of each choice solved with rank-one blocks.
+    weakest rank decision of each choice solved with rank-one blocks. Each
+    list is certified as one stack.
     """
     g = pair.base
     group_like, gl_run = _group_like(g, tol)
     bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol)
-    _all_certified(is_biprojection(pair, h, tol=tol).holds
-                   for h in bi_run.points)
+    _all_certified(c.holds for c in
+                   _biprojection_checks(pair, bi_run.points, tol))
     disagreements = [
         _disagreement(h, biprojection=True, group_like=False)
-        for h in bi_run.points
-        if not is_group_like_projection(g, h, tol=tol).holds]
-    group_like_bi = [is_biprojection(pair, c.details["element"], tol=tol)
-                     for c in group_like]
+        for h, c in zip(bi_run.points,
+                        _group_like_checks(g, bi_run.points, tol))
+        if not c.holds]
+    group_like_bi = _biprojection_checks(
+        pair, [c.details["element"] for c in group_like], tol)
     disagreements += [
         _disagreement(c.details["element"].coeffs, biprojection=False,
                       group_like=True)
@@ -245,7 +309,7 @@ def _disagreement(h: np.ndarray, biprojection: bool, group_like: bool) -> dict:
 
 def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
     run = _enumerate(g, lambda h: _group_like_relation(g, h), tol)
-    certs = [is_group_like_projection(g, h, tol=tol) for h in run.points]
+    certs = _group_like_checks(g, run.points, tol)
     _all_certified(c.holds for c in certs)
     return certs, run
 
@@ -387,7 +451,9 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
             null = width - rank(np.linalg.svd(mac, compute_uv=False), live)
             open_[live[null == 0]] = False
             for j in np.flatnonzero((null == previous[live]) & (null > 0)):
-                kernel = np.linalg.svd(mac[j])[2][width - null[j]:].T
+                # the null space needs the full V when rows are fewer
+                kernel = np.linalg.svd(mac[j], full_matrices=len(
+                    mac[j]) < width)[2][width - null[j]:].T
                 shift = _shifted(m, d, 1)
                 u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
                                            full_matrices=False)

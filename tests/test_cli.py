@@ -126,20 +126,50 @@ def _calls(func, capsys, *argv) -> int:
     return calls
 
 
+def _stacks(func, stack, capsys, *argv) -> list:
+    """The length of the argument named stack of each call of func during
+    one passing CLI run, counted as in _calls."""
+    code, lengths = func.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            lengths.append(len(frame.f_locals[stack]))
+    sys.setprofile(profile)
+    try:
+        assert run_cli(capsys, *argv)[0] == 0
+    finally:
+        sys.setprofile(None)
+    return lengths
+
+
 def test_structures_certifies_each_biprojection_once(capsys):
     # once per enumerated biprojection and once per group-like projection,
-    # 8 of each on KP; the printed checks reuse the equivalence record's
-    assert _calls(structures.is_biprojection, capsys, "structures",
-                  "--example", "kac-paljutkin") == 16
+    # 8 of each on KP, one stack per list; the printed checks reuse the
+    # equivalence record's
+    assert _stacks(structures._biprojection_checks, "hs", capsys,
+                   "structures", "--example", "kac-paljutkin") == [8, 8]
 
 
 def test_structures_certifies_each_group_like_projection_once(capsys):
     # KP has 8 group-like projections and 8 biprojections: once each in the
     # enumeration and in the filter of biprojections that are not
-    # group-like, and once per dual image in glpbi_check; the printed
-    # checks reuse the enumeration's certificates
-    assert _calls(structures.is_group_like_projection, capsys, "structures",
-                  "--example", "kac-paljutkin") == 24
+    # group-like, and once per dual image in the Fourier-image check, one
+    # stack per list; the printed checks reuse the enumeration's
+    # certificates
+    assert _stacks(structures._group_like_residuals, "hc", capsys,
+                   "structures", "--example", "kac-paljutkin") == [8, 8, 8]
+
+
+@pytest.mark.parametrize("command", ["structures", "hunt"])
+def test_no_certificate_is_evaluated_one_element_at_a_time(capsys, command):
+    # every list goes through the stacked formulas; the single-element
+    # entry points are the stack of one, for callers outside the package
+    for func in (structures.is_group_like_projection,
+                 structures.is_biprojection,
+                 structures.verify_glp_properties,
+                 structures.glpbi_check):
+        assert _calls(func, capsys, command, "--example",
+                      "kac-paljutkin") == 0, func.__name__
 
 
 def test_structures_builds_the_block_choices_once(capsys, monkeypatch):

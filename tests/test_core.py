@@ -5,9 +5,13 @@ import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import (
+    BLOCK_SEED,
+    Blocks,
     CayleyTable,
     FiniteQuantumGroup,
     _encode_array,
+    _maxabs,
+    _wedderburn,
     build_function_algebra,
     build_group_algebra,
     build_kac_paljutkin,
@@ -22,6 +26,8 @@ from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, QgharmError
 from qgharm.structures import is_group_like_projection
 from test_duality import _transported
+from test_lp import _s4_table
+from test_structures import _kron_group
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +354,83 @@ def test_blocks_reject_every_corrupted_product_entry():
                 haar=g.haar)
             with pytest.raises(AxiomFailure):
                 h.blocks
+
+
+def _wedderburn_reference(g):
+    """_wedderburn with a full SVD of the commutator map and one eigh and
+    one representation per block."""
+    n = g.dim
+    rng = np.random.default_rng(BLOCK_SEED)
+
+    def generic_self_adjoint(basis):
+        k = basis.shape[1]
+        z = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        return z + g.star_of(z)
+
+    comm = (g.mult - g.mult.transpose(1, 0, 2)).reshape(n, n * n).T
+    _, s, vh = np.linalg.svd(comm)
+    centre = vh[int(np.sum(s > 1e-10 * np.linalg.norm(g.mult))):].conj().T
+    lz = np.einsum("i,ikj->kj", generic_self_adjoint(centre), g.left_regular)
+    lam, vec = np.linalg.eig(centre.conj().T @ lz @ centre)
+    order = np.argsort(lam.real)
+    vec = vec[:, order]
+    central = ((centre @ vec)
+               * np.linalg.solve(vec, centre.conj().T @ g.unit)).T
+    squares = np.real(central @ np.einsum("skk->s", g.mult))
+    sizes = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
+    order = np.argsort(sizes, kind="stable")
+    central, sizes = central[order], tuple(int(d) for d in sizes[order])
+
+    chol = np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T))
+    to_gns = np.linalg.inv(chol).conj().T
+    y = generic_self_adjoint(np.eye(n))
+    reps = []
+    for z, d in zip(central, sizes):
+        right = np.einsum("s,jsk->kj", g.multiply(z, y), g.mult)
+        herm = chol.conj().T @ right @ to_gns
+        w, vecs = np.linalg.eigh(0.5 * (herm + herm.conj().T))
+        top = int(np.argmax(np.abs(w)))
+        ideal = np.abs(w - w[top]) <= 1e-8 * abs(w[top])
+        assert int(np.sum(ideal)) == d
+        u = to_gns @ vecs[:, ideal]
+        reps.append(np.einsum("ka,skj,jb->sab", (g.gram @ u).conj(),
+                              g.left_regular, u))
+    hom = max(_maxabs(np.einsum("sab,tbc->stac", r, r)
+                      - np.einsum("stu,uac->stac", g.mult, r)) for r in reps)
+    star = max(_maxabs(np.einsum("us,uab->sba", g.star, r).conj() - r)
+               for r in reps)
+    assert max(hom, star) <= 1e-10
+    to_blocks = np.concatenate([r.reshape(n, -1).T for r in reps])
+    return Blocks(central=central, sizes=sizes, to_blocks=to_blocks,
+                  from_blocks=np.linalg.inv(to_blocks))
+
+
+def _blocks_arrays(b):
+    return b.central, b.to_blocks, b.from_blocks
+
+
+def test_the_blocks_equal_the_per_block_reference_on_the_catalog():
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        for h in (g, build_dual(g).dual_qg):
+            got, want = _wedderburn(h), _wedderburn_reference(h)
+            assert got.sizes == want.sizes, h.name
+            for a, b in zip(_blocks_arrays(got), _blocks_arrays(want)):
+                assert a.tobytes() == b.tobytes(), h.name
+
+
+def test_the_blocks_agree_with_the_reference_on_larger_algebras():
+    # C[S4] has blocks 1, 1, 2, 3, 3 and C[D5] blocks 1, 1, 2, 2: two sizes
+    # above 1 in one pass; KP x C(Z2) has 8 characters and two 2 x 2 blocks
+    for g in (build_group_algebra(_s4_table()),
+              build_group_algebra(dihedral_table(5)),
+              _kron_group(get_example("kac-paljutkin"),
+                          get_example("z2-function"))):
+        got, want = _wedderburn(g), _wedderburn_reference(g)
+        assert got.sizes == want.sizes
+        for a, b in zip(_blocks_arrays(got), _blocks_arrays(want)):
+            assert _maxabs(a - b) <= 1e-14, g.name
+    assert build_group_algebra(_s4_table()).blocks.sizes == (1, 1, 2, 3, 3)
 
 
 # ---------------------------------------------------------------------------

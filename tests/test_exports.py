@@ -26,8 +26,11 @@ ONLY_TESTS_CALL = {
     "dihedral_table",
     "enumerate_left_shifts",
     "functional_of",
+    "glpbi_check",
     "holder_check",
+    "is_biprojection",
     "norm_transport_check",
+    "verify_glp_properties",
     "young_check",
 }
 

@@ -6,6 +6,7 @@ import pytest
 
 from qgharm import structures
 from qgharm.catalog import EXAMPLE_NAMES, get_example
+from qgharm.convolution import convolve
 from qgharm.core import (
     FiniteQuantumGroup,
     _maxabs,
@@ -16,18 +17,27 @@ from qgharm.core import (
 )
 from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
 from qgharm.errors import QgharmError
+from qgharm.report import check
 from qgharm.structures import (
     MAX_DEGREE,
     RANK_TOL,
     ROOT_TOL,
     STETTER_SEED,
+    TRIVIAL_NOTE,
+    _biprojection_checks,
     _biprojection_relation,
     _bloch_roots,
     _enumerate,
     _Enumeration,
+    _fourier_blocks,
+    _glp_properties_checks,
+    _glpbi_checks,
+    _group_like_checks,
     _group_like_relation,
     _monomials,
     _quadratic_rows,
+    _require_group_like,
+    _right_mult,
     _shift_relations,
     _shifted,
     bipartial_isometry_check,
@@ -207,6 +217,27 @@ def test_a_continuum_of_solutions_is_refused():
     with pytest.raises(QgharmError, match="^a Macaulay null space is not "
                                           "stable by degree "):
         _enumerate(g, lambda h: np.zeros(h.shape[:-1] + (1,)), 1e-9)
+
+
+def test_a_macaulay_matrix_with_fewer_rows_than_columns_is_solved(
+        monkeypatch):
+    # |n|^2 = 1 and xy = yz = zx = 0 have the six roots +-e_i; the null
+    # space is stable at degree 3, where the Macaulay matrix is 16 x 20 and
+    # the null space needs the full V of its SVD
+    monkeypatch.setattr(structures, "MAX_DEGREE", 3)
+    cols = _monomials(3, 2)
+    equations = [{(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
+                  (0, 0, 0): -1.0},
+                 {(1, 1, 0): 1.0}, {(0, 1, 1): 1.0}, {(1, 0, 1): 1.0}]
+    rows = np.zeros((1, len(equations), len(cols)))
+    for i, equation in enumerate(equations):
+        for exps, coeff in equation.items():
+            rows[0, i, cols[exps]] = coeff
+    (roots,), _ = _bloch_roots(rows, 3)
+    assert np.all(np.abs(roots.imag) <= 1e-12)
+    found = sorted(map(tuple, np.round(roots.real.T, 12) + 0.0))
+    assert found == sorted(map(tuple, np.concatenate([np.eye(3),
+                                                      -np.eye(3)])))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +571,178 @@ def test_equivalence_sweep_over_all_small_examples():
         solved = gaps["group_like"] + gaps["biprojection"]
         assert len(solved) == (8 if name == "s3-group" else 0), name
         assert all(kept > 1e-3 and dropped < 1e-12 for kept, dropped in solved)
+
+
+# ---------------------------------------------------------------------------
+# the stacked certificates against the per-element reference
+# ---------------------------------------------------------------------------
+
+def _reference_is_group_like_projection(g, h, tol):
+    """is_group_like_projection evaluated on one element."""
+    hc = g.coeffs_of(h)
+    res = {
+        "projection": _maxabs(g.multiply(hc, hc) - hc),
+        "self_adjoint": _maxabs(g.star_of(hc) - hc),
+        "nonzero": 0.0 if _maxabs(hc) > tol else math.inf,
+        "defining_relation": _maxabs(_group_like_relation(g, hc)),
+    }
+    return check("group-like-projection", "group-like-projection", res, tol,
+                 element=g.element(hc), haar_value=float(g.haar_of(hc).real))
+
+
+def _reference_verify_glp_properties(g, h, tol):
+    """verify_glp_properties evaluated on one element."""
+    cert = _require_group_like(g, h, tol)
+    hc = cert.details["element"].coeffs
+    mirrored = _right_mult(g, hc).T @ g.delta(hc)
+    res = {
+        "antipode_fixes": _maxabs(g.antipode @ hc - hc),
+        "mirrored_relation": _maxabs(mirrored - np.outer(hc, hc)),
+        "weighted_functionals_equal": _maxabs(g.q_matrix @ hc
+                                              - hc @ g.q_matrix),
+        "convolution_idempotent": _maxabs(
+            convolve(g, hc, hc).coeffs - cert.details["haar_value"] * hc),
+    }
+    return check("group-like-properties", "group-like-projection", res, tol,
+                 modular_invariance=TRIVIAL_NOTE)
+
+
+def _reference_is_biprojection(pair, h, tol):
+    """is_biprojection evaluated on one element."""
+    f = _fourier_blocks(pair, h)
+    blocks = pair.dual_qg.blocks
+    scale = float(np.sqrt(blocks.hs(f, f).real))
+    if scale <= tol:
+        return check("biprojection", "fourier-multiple-of-projection",
+                     {"nonzero_transform": math.inf}, tol, multiple=0.0)
+    ff = f @ f
+    fit = blocks.hs(f, ff) / blocks.hs(f, f)
+    res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)
+    res_sa = _maxabs(f - f.conj().T) / max(_maxabs(f), 1e-300)
+    return check("biprojection", "fourier-multiple-of-projection",
+                 {"idempotent_after_fit": res_proj, "self_adjoint": res_sa,
+                  "real_multiple": abs(fit.imag)}, tol,
+                 multiple=float(fit.real))
+
+
+def _reference_glpbi_check(pair, h, tol):
+    """glpbi_check evaluated on one element."""
+    g = pair.base
+    cert = _require_group_like(g, h, tol)
+    hc = cert.details["element"].coeffs
+    phi_h = cert.details["haar_value"]
+    dual_cert = _reference_is_group_like_projection(
+        pair.dual_qg, fourier_coeffs(pair, hc) / phi_h, tol)
+    p_coeffs = range_projection_of_fourier(pair, hc)
+    weight_of_range = complex(pair.dual_weight @ p_coeffs)
+    back = dual_fourier(pair, p_coeffs).coeffs
+    res = {
+        "dual_group_like": max(dual_cert.residuals.values()),
+        "weight_of_range": abs(phi_h * weight_of_range - 1.0),
+        "inverse_transform_of_range": _maxabs(back - hc / phi_h),
+    }
+    return check("group-like-fourier-image", "dual-group-like-and-weight",
+                 res, tol, haar_value=phi_h,
+                 dual_weight_of_range=float(weight_of_range.real))
+
+
+# details that are computed values, held to 4e-16 relative
+COMPUTED_DETAILS = ("haar_value", "multiple", "dual_weight_of_range")
+
+
+def _assert_same_record(got, want):
+    assert (got.name, got.claim, got.tol, got.holds) \
+        == (want.name, want.claim, want.tol, want.holds)
+    assert list(got.residuals) == list(want.residuals)
+    for key, value in want.residuals.items():
+        assert got.residuals[key] == pytest.approx(value, rel=0, abs=1e-15)
+    assert list(got.details) == list(want.details)
+    for key, value in want.details.items():
+        if key in COMPUTED_DETAILS:
+            assert got.details[key] == pytest.approx(value, rel=4e-16, abs=0)
+        elif key == "element":
+            assert got.details[key].owner is value.owner
+            assert np.array_equal(got.details[key].coeffs, value.coeffs)
+        else:
+            assert got.details[key] == value
+
+
+def test_the_stacked_certificates_equal_the_per_element_reference():
+    # every enumerated group-like projection and biprojection, and the
+    # zero element and the basis vectors, so that failing rows and the
+    # zero-transform branch are compared too
+    for name in EXAMPLE_NAMES:
+        base_pair = _pair(name)
+        for pair in (base_pair, build_dual(base_pair.dual_qg)):
+            g = pair.base
+            certs = enumerate_group_like_projections(g)
+            bis = _enumerate(g, lambda h: _biprojection_relation(pair, h),
+                             1e-9).points
+            hs = ([c.details["element"].coeffs for c in certs] + bis
+                  + [np.zeros(g.dim)] + list(np.eye(g.dim)))
+            for got, h in zip(_group_like_checks(g, hs, 1e-9), hs):
+                _assert_same_record(
+                    got, _reference_is_group_like_projection(g, h, 1e-9))
+            for got, h in zip(_biprojection_checks(pair, hs, 1e-9), hs):
+                _assert_same_record(
+                    got, _reference_is_biprojection(pair, h, 1e-9))
+            for got, cert in zip(_glp_properties_checks(g, certs, 1e-9),
+                                 certs):
+                _assert_same_record(
+                    got, _reference_verify_glp_properties(g, cert, 1e-9))
+            for got, cert in zip(_glpbi_checks(pair, certs, 1e-9), certs):
+                _assert_same_record(
+                    got, _reference_glpbi_check(pair, cert, 1e-9))
+
+
+def test_the_single_element_checks_are_the_stack_of_one():
+    pair = _pair("kac-paljutkin")
+    g = pair.base
+    for cert in enumerate_group_like_projections(g):
+        h = cert.details["element"]
+        for tol in (1e-9, 1e-12):
+            _assert_same_record(is_group_like_projection(g, h, tol=tol),
+                                _group_like_checks(g, [h], tol)[0])
+            _assert_same_record(is_biprojection(pair, h, tol=tol),
+                                _biprojection_checks(pair, [h], tol)[0])
+            _assert_same_record(verify_glp_properties(g, h, tol=tol),
+                                _glp_properties_checks(g, [h], tol)[0])
+            _assert_same_record(glpbi_check(pair, h, tol=tol),
+                                _glpbi_checks(pair, [h], tol)[0])
+
+
+def test_one_perturbed_row_fails_alone_and_moves_no_other_row():
+    pair = _pair("kac-paljutkin")
+    g = pair.base
+    hs = np.array([c.details["element"].coeffs
+                   for c in enumerate_group_like_projections(g)])
+    perturbed = hs.copy()
+    perturbed[3, -1] += 1e-6
+    others = np.arange(len(hs)) != 3
+    for stacked, of in ((_group_like_checks, g),
+                        (_biprojection_checks, pair)):
+        want, got = stacked(of, hs, 1e-9), stacked(of, perturbed, 1e-9)
+        assert all(c.holds for c in want)
+        assert [c.holds for c in got] == list(others), stacked.__name__
+        assert [c.residuals for c, keep in zip(got, others) if keep] \
+            == [c.residuals for c, keep in zip(want, others) if keep]
+    # the derived checks take certificates: certified at 1e-5, the
+    # perturbed row passes, and still moves no other row's residuals
+    certs = _group_like_checks(g, perturbed, 1e-5)
+    clean = _group_like_checks(g, hs, 1e-5)
+    for stacked, of in ((_glp_properties_checks, g), (_glpbi_checks, pair)):
+        want, got = stacked(of, clean, 1e-5), stacked(of, certs, 1e-5)
+        assert max(got[3].residuals.values()) > 1e-8, stacked.__name__
+        assert [c.residuals for c, keep in zip(got, others) if keep] \
+            == [c.residuals for c, keep in zip(want, others) if keep]
+
+
+def test_empty_stacks_give_no_records():
+    pair = _pair("z4-function")
+    assert _group_like_checks(pair.base, [], 1e-9) == []
+    assert _biprojection_checks(pair, [], 1e-9) == []
+    assert _glp_properties_checks(pair.base, [], 1e-9) == []
+    assert _glpbi_checks(pair, [], 1e-9) == []
 
 
 # ---------------------------------------------------------------------------
