@@ -37,7 +37,6 @@ __all__ = [
     "cyclic_table",
     "symmetric_table_s3",
     "dihedral_table",
-    "is_automorphism",
     "json_dumps",
 ]
 
@@ -353,14 +352,25 @@ class Blocks:
         out[..., self._diag_index[0], self._diag_index[1]] = entries
         return out
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """(d, count, start, end) for each block size d, ascending: the
+        count blocks of size d fill entries[start:end] of the concatenated
+        entries. Laid out once per Blocks."""
+        runs, start = [], 0
+        for d in sorted(set(self.sizes)):
+            k = self.sizes.count(d)
+            runs.append((d, k, start, start + k * d * d))
+            start += k * d * d
+        return tuple(runs)
+
     def matrices(self, coeffs) -> list:
         """rho_i(x) in block order, batched over the leading axes of coeffs:
         one (..., count, d, d) array for the count blocks of each size d."""
         entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
-        runs = [(d, self.sizes.count(d)) for d in sorted(set(self.sizes))]
-        ends = np.cumsum([0] + [k * d * d for d, k in runs])
-        return [entries[..., a:b].reshape(entries.shape[:-1] + (k, d, d))
-                for (d, k), a, b in zip(runs, ends, ends[1:])]
+        lead = entries.shape[:-1]
+        return [entries[..., a:b].reshape(lead + (k, d, d))
+                for d, k, a, b in self._runs]
 
     def hs(self, a: np.ndarray, b: np.ndarray):
         """Hilbert-Schmidt inner product of two block-diagonal matrices as
@@ -787,26 +797,6 @@ def is_commutative(g: FiniteQuantumGroup) -> bool:
 
 def is_cocommutative(g: FiniteQuantumGroup) -> bool:
     return _maxabs(g.comult3 - g.comult3.transpose(1, 0, 2)) <= SYMMETRY_TOL
-
-
-# ---------------------------------------------------------------------------
-# automorphisms
-# ---------------------------------------------------------------------------
-
-AUTOMORPHISM_TOL = 1e-10
-
-
-def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray) -> bool:
-    """True when alpha preserves multiplication, the unit, and the star."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (g.dim, g.dim):
-        raise QgharmError(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
-    if abs(np.linalg.det(alpha)) < 1e-12:
-        return False
-    residuals = (g.mult @ alpha.T - _on_two_legs(alpha.T, g.mult),
-                 alpha @ g.unit - g.unit,
-                 alpha @ g.star - g.star @ np.conj(alpha))
-    return all(_maxabs(r) <= AUTOMORPHISM_TOL for r in residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Norms are computed in the block picture of the algebra (core.Blocks):
 M = (+)_i M_{d_i}, where the star is the matrix adjoint and a tracial weight
 is sum_i c_i tr rho_i with c_i = weight(z_i) / d_i. So
 ||x||_p^p = sum_i c_i tr |rho_i(x)|^p, from the eigenvalues of
-rho_i(x)* rho_i(x): sum_i d_i of them, one eigensolve per block of size
-d_i > 1 and none for the characters. The eigenvalues serve every exponent,
-which keeps the thousand-sample suites fast.
+rho_i(x)* rho_i(x): sum_i d_i of them, from one batched eigensolve over
+all blocks of each size d > 1 and none for the characters. Where the blocks
+of each size sit among the block entries is laid out once per Blocks. The
+eigenvalues serve every exponent, which keeps the thousand-sample suites
+fast.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import convolve
-from .core import FiniteQuantumGroup, is_automorphism
+from .core import FiniteQuantumGroup
 from .duality import DualPair, fourier_coeffs
 from .errors import QgharmError
 from .report import Check, check
@@ -28,7 +30,6 @@ __all__ = [
     "WeightedLpSpace",
     "base_space",
     "dual_space",
-    "weighted_space",
     "lp_norm",
     "lp_norms_batch",
     "spectral_data",
@@ -37,8 +38,6 @@ __all__ = [
     "hausdorff_young_sides",
     "young_check",
     "hausdorff_young_check",
-    "norm_transport_check",
-    "holder_check",
 ]
 
 INF = math.inf
@@ -82,19 +81,6 @@ class WeightedLpSpace:
     eigen_weights: np.ndarray   # c_i once per eigenvalue of block i
 
 
-def weighted_space(g: FiniteQuantumGroup, weight) -> WeightedLpSpace:
-    """L^p space over g for an arbitrary tracial positive weight vector."""
-    w = np.asarray(weight, dtype=complex).reshape(-1)
-    if w.shape != (g.dim,):
-        raise QgharmError(f"expected {g.dim} weight values, got {w.shape}")
-    blocks = g.blocks
-    c = blocks.weights(w)
-    gap = float(np.max(np.abs(blocks.trace_form(c) - w)))
-    if gap > 1e-9 * max(float(np.max(np.abs(w))), 1.0):
-        raise QgharmError(f"weight is not tracial: residual {gap:.3e}")
-    return WeightedLpSpace(algebra=g, eigen_weights=np.repeat(c, blocks.sizes))
-
-
 def base_space(g: FiniteQuantumGroup) -> WeightedLpSpace:
     """L^p(G) under the Haar state, whose eigen weights g keeps."""
     return WeightedLpSpace(g, g.haar_eigen_weights)
@@ -123,12 +109,11 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
         else:
             eig = np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)
             w.append(eig.reshape(eig.shape[:-2] + (-1,)))
-    w = np.concatenate(w, axis=-1)
-    w = np.clip(w, 0.0, None)
+    # clip copies, so the fuzz is zeroed in place below
+    w = (w[0] if len(w) == 1 else np.concatenate(w, axis=-1)).clip(0.0)
     # zero out eigenvalue fuzz, w^{p/2} amplifies rounding noise for p < 2;
     # a NaN compares false and stays, so no check passes on it
-    scale = np.max(w, axis=-1, keepdims=True)
-    w = np.where(w <= 1e-13 * scale, 0.0, w)
+    w[w <= 1e-13 * w.max(axis=-1, keepdims=True)] = 0.0
     return w, space.eigen_weights
 
 
@@ -138,17 +123,17 @@ def norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:
     as w^{p/2} does at large p, sends the batch to _norms_at_large_p."""
     p = _as_p(p)
     if p == INF:
-        return np.sqrt(np.max(w, axis=-1))
+        return np.sqrt(w.max(axis=-1))
     try:
         with np.errstate(over="raise", under="raise"):
             vals = _power_sums(w, d, p)
     except FloatingPointError:
         return _norms_at_large_p(w, d, p)
-    return np.power(np.clip(vals, 0.0, None), 1.0 / p)
+    return np.power(vals.clip(0.0), 1.0 / p)
 
 
 def _power_sums(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
-    return np.real(np.sum(np.power(w, 0.5 * p) * d, axis=-1))
+    return (np.power(w, 0.5 * p) * d).sum(axis=-1).real
 
 
 def _norms_at_large_p(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
@@ -158,12 +143,12 @@ def _norms_at_large_p(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
     zeros or with a NaN or an infinity, keeps the plain value."""
     with np.errstate(over="ignore"):
         vals = _power_sums(w, d, p)
-    top = np.max(w, axis=-1)
+    top = w.max(axis=-1)
     fix = ~((vals >= _TINY) & (vals < INF)) & (top > 0) & (top < INF)
     t = np.where(fix, top, 1.0)
     factored = np.sqrt(t) * np.power(_power_sums(w / t[..., None], d, p),
                                      1.0 / p)
-    return np.where(fix, factored, np.power(np.clip(vals, 0.0, None), 1.0 / p))
+    return np.where(fix, factored, np.power(vals.clip(0.0), 1.0 / p))
 
 
 def lp_norm(space: WeightedLpSpace, x, p) -> float:
@@ -236,32 +221,3 @@ def hausdorff_young_check(pair: DualPair, x, p) -> Check:
     return _bound("hausdorff-young-inequality", "fourier-norm-bound",
                   hausdorff_young_sides(pair, x, p),
                   p=float(p), p_conjugate=conjugate_exponent(p))
-
-
-def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p) -> Check:
-    """||x||_{p, phi} equals ||alpha(x)||_{p, phi o alpha^{-1}}."""
-    if not is_automorphism(g, alpha):
-        raise QgharmError("alpha does not preserve the algebra structure")
-    alpha = np.asarray(alpha, dtype=complex)
-    alpha_inv = np.linalg.inv(alpha)
-    moved_weight = g.haar @ alpha_inv
-    sp = base_space(g)
-    sp_moved = weighted_space(g, moved_weight)
-    xc = g.coeffs_of(x)
-    lhs = lp_norm(sp, xc, p)
-    rhs = lp_norm(sp_moved, alpha @ xc, p)
-    return check("norm-transport", "automorphism-invariant-norm",
-                 {"relative_gap": abs(lhs - rhs) / max(lhs, 1e-300)}, SLACK,
-                 lhs=lhs, rhs=rhs, p=float(p), example=g.name)
-
-
-def holder_check(g: FiniteQuantumGroup, x, y, p) -> Check:
-    """|phi(x* y)| <= ||x||_p ||y||_{p'} sanity bound for the norms."""
-    sp = base_space(g)
-    pc = conjugate_exponent(p)
-    xc, yc = g.coeffs_of(x), g.coeffs_of(y)
-    pairing = abs(complex(xc.conj() @ g.gram @ yc))
-    bound = lp_norm(sp, xc, p) * lp_norm(sp, yc, pc)
-    return _bound("hoelder", "pairing-norm-bound",
-                  (pairing, bound, _ratio(pairing, bound)), p=float(p))
-

@@ -13,6 +13,7 @@ import pytest
 from qgharm import catalog, cli, core, duality, lp, report, structures
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
 from qgharm.errors import AxiomFailure, QgharmError
+from test_lp import weighted_space
 
 
 def run_cli(capsys, *argv):
@@ -344,7 +345,7 @@ def test_failing_run_names_the_first_worst_sample(capsys, monkeypatch):
     # the run fails; its witness is the first sample of largest ratio
     g = catalog.get_example("s3-function")
     pair = duality.build_dual(g)
-    wrong = lp.weighted_space(pair.dual_qg, 16.0 * pair.dual_weight)
+    wrong = weighted_space(pair.dual_qg, 16.0 * pair.dual_weight)
     monkeypatch.setattr(lp, "dual_space", lambda _: wrong)
     code, out, _ = run_cli(capsys, "hausdorff-young", "--example",
                            "s3-function", "--samples", "60", "--seed", "5")

@@ -17,7 +17,6 @@ from qgharm.core import (
     build_kac_paljutkin,
     cyclic_table,
     dihedral_table,
-    is_automorphism,
     json_dumps,
     symmetric_table_s3,
     verify_axioms,
@@ -26,7 +25,7 @@ from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, QgharmError
 from qgharm.structures import is_group_like_projection
 from test_duality import _transported
-from test_lp import _s4_table
+from test_lp import _s4_table, is_automorphism
 from test_structures import _kron_group
 
 

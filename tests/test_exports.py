@@ -27,9 +27,7 @@ ONLY_TESTS_CALL = {
     "enumerate_left_shifts",
     "functional_of",
     "glpbi_check",
-    "holder_check",
     "is_biprojection",
-    "norm_transport_check",
     "verify_glp_properties",
     "young_check",
 }
@@ -139,6 +137,25 @@ def test_no_module_solves_by_least_squares():
                      and "lstsq" in (getattr(node.func, "attr", None),
                                      getattr(node.func, "id", None)))
     assert callers == []
+
+
+def test_the_runtime_imports_only_numpy_and_the_standard_library():
+    """Every import of the package is relative, from the standard library
+    or from numpy; qgharm.suq2 stays pure Python and imports no numpy."""
+    outside = set()
+    for mod, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            allowed = set(sys.stdlib_module_names) | (
+                set() if mod == "suq2" else {"numpy"})
+            outside |= {(mod, name) for name in names
+                        if name.partition(".")[0] not in allowed}
+    assert outside == set()
 
 
 def test_every_error_type_is_told_apart_by_some_handler():

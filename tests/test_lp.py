@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from qgharm import lp
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import (
     Blocks,
     CayleyTable,
+    FiniteQuantumGroup,
+    _maxabs,
+    _on_two_legs,
     build_function_algebra,
     build_group_algebra,
     cyclic_table,
@@ -18,27 +22,155 @@ from qgharm.duality import build_dual, fourier_coeffs
 from qgharm.errors import QgharmError
 from test_duality import _transported
 from qgharm.lp import (
+    SLACK,
+    WeightedLpSpace,
     base_space,
     conjugate_exponent,
     dual_space,
     hausdorff_young_check,
     hausdorff_young_sides,
-    holder_check,
     lp_norm,
     lp_norms_batch,
-    norm_transport_check,
+    norms_from_spectral,
     spectral_data,
-    weighted_space,
     young_check,
     young_exponent,
     young_sides,
 )
+from qgharm.report import Check, check
 from qgharm.sharpness import (
     estimate_best_constant_hy,
     estimate_best_constant_young,
 )
 
 INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# references: the one-sample checkers and helpers that only tests call, and
+# the L^p kernels as they were before their layout was cached, which the
+# kernels must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+AUTOMORPHISM_TOL = 1e-10
+
+
+def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray) -> bool:
+    """True when alpha preserves multiplication, the unit, and the star."""
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (g.dim, g.dim):
+        raise QgharmError(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
+    if abs(np.linalg.det(alpha)) < 1e-12:
+        return False
+    residuals = (g.mult @ alpha.T - _on_two_legs(alpha.T, g.mult),
+                 alpha @ g.unit - g.unit,
+                 alpha @ g.star - g.star @ np.conj(alpha))
+    return all(_maxabs(r) <= AUTOMORPHISM_TOL for r in residuals)
+
+
+def weighted_space(g: FiniteQuantumGroup, weight) -> WeightedLpSpace:
+    """L^p space over g for an arbitrary tracial positive weight vector."""
+    w = np.asarray(weight, dtype=complex).reshape(-1)
+    if w.shape != (g.dim,):
+        raise QgharmError(f"expected {g.dim} weight values, got {w.shape}")
+    blocks = g.blocks
+    c = blocks.weights(w)
+    gap = float(np.max(np.abs(blocks.trace_form(c) - w)))
+    if gap > 1e-9 * max(float(np.max(np.abs(w))), 1.0):
+        raise QgharmError(f"weight is not tracial: residual {gap:.3e}")
+    return WeightedLpSpace(algebra=g, eigen_weights=np.repeat(c, blocks.sizes))
+
+
+def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p) -> Check:
+    """||x||_{p, phi} equals ||alpha(x)||_{p, phi o alpha^{-1}}."""
+    if not is_automorphism(g, alpha):
+        raise QgharmError("alpha does not preserve the algebra structure")
+    alpha = np.asarray(alpha, dtype=complex)
+    alpha_inv = np.linalg.inv(alpha)
+    moved_weight = g.haar @ alpha_inv
+    sp = base_space(g)
+    sp_moved = weighted_space(g, moved_weight)
+    xc = g.coeffs_of(x)
+    lhs = lp_norm(sp, xc, p)
+    rhs = lp_norm(sp_moved, alpha @ xc, p)
+    return check("norm-transport", "automorphism-invariant-norm",
+                 {"relative_gap": abs(lhs - rhs) / max(lhs, 1e-300)}, SLACK,
+                 lhs=lhs, rhs=rhs, p=float(p), example=g.name)
+
+
+def holder_check(g: FiniteQuantumGroup, x, y, p) -> Check:
+    """|phi(x* y)| <= ||x||_p ||y||_{p'} sanity bound for the norms."""
+    sp = base_space(g)
+    pc = conjugate_exponent(p)
+    xc, yc = g.coeffs_of(x), g.coeffs_of(y)
+    pairing = abs(complex(xc.conj() @ g.gram @ yc))
+    bound = lp_norm(sp, xc, p) * lp_norm(sp, yc, pc)
+    return lp._bound("hoelder", "pairing-norm-bound",
+                     (pairing, bound, lp._ratio(pairing, bound)), p=float(p))
+
+
+def _reference_matrices(self: Blocks, coeffs) -> list:
+    """Blocks.matrices with its layout worked out on every call."""
+    entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
+    runs = [(d, self.sizes.count(d)) for d in sorted(set(self.sizes))]
+    ends = np.cumsum([0] + [k * d * d for d, k in runs])
+    return [entries[..., a:b].reshape(entries.shape[:-1] + (k, d, d))
+            for (d, k), a, b in zip(runs, ends, ends[1:])]
+
+
+def _reference_spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
+    """spectral_data with a concatenation of every size run and np.where
+    for the fuzz."""
+    w = []
+    for m in space.algebra.blocks.matrices(coeffs):
+        if m.shape[-1] == 1:
+            w.append(np.abs(m[..., 0, 0]) ** 2)
+        else:
+            eig = np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)
+            w.append(eig.reshape(eig.shape[:-2] + (-1,)))
+    w = np.concatenate(w, axis=-1)
+    w = np.clip(w, 0.0, None)
+    scale = np.max(w, axis=-1, keepdims=True)
+    w = np.where(w <= 1e-13 * scale, 0.0, w)
+    return w, space.eigen_weights
+
+
+def _reference_norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:
+    """norms_from_spectral through the np.* function forms."""
+    p = lp._as_p(p)
+    if p == INF:
+        return np.sqrt(np.max(w, axis=-1))
+    try:
+        with np.errstate(over="raise", under="raise"):
+            vals = _reference_power_sums(w, d, p)
+    except FloatingPointError:
+        return _reference_norms_at_large_p(w, d, p)
+    return np.power(np.clip(vals, 0.0, None), 1.0 / p)
+
+
+def _reference_power_sums(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
+    return np.real(np.sum(np.power(w, 0.5 * p) * d, axis=-1))
+
+
+def _reference_norms_at_large_p(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        vals = _reference_power_sums(w, d, p)
+    top = np.max(w, axis=-1)
+    fix = ~((vals >= lp._TINY) & (vals < INF)) & (top > 0) & (top < INF)
+    t = np.where(fix, top, 1.0)
+    factored = np.sqrt(t) * np.power(
+        _reference_power_sums(w / t[..., None], d, p), 1.0 / p)
+    return np.where(fix, factored,
+                    np.power(np.clip(vals, 0.0, None), 1.0 / p))
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values, NaN where NaN, and the sign of every zero kept."""
+    got, want = np.asarray(got), np.asarray(want)
+    parts = ((got.real, want.real), (got.imag, want.imag))
+    return got.shape == want.shape and all(
+        np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b)) for a, b in parts)
 
 
 def _random(g, seed, count=1):
@@ -220,6 +352,79 @@ def test_block_picture_turns_star_into_adjoint():
         c = np.repeat(b.weights(weight), b.sizes)
         assert abs(c @ np.diag(rx) - weight @ x) < 1e-10 * np.max(np.abs(weight)), g.name
         assert np.max(np.abs(b.coeffs_of_diag(rx) - x)) < 1e-12, g.name
+
+
+def _kernel_stacks(g, seed: int):
+    """Stacks of shape (n,), (k, n), (R, 4n, n) and (R, 30, 1, n), each
+    with a zero row, a NaN row and a row x z, z the last minimal central
+    projection, whose other blocks hold only rounding fuzz; a lone row is
+    one of the four."""
+    rng = np.random.default_rng(seed)
+    z = g.blocks.central[-1]
+    n = g.dim
+    for shape in ((n,), (5, n), (3, 4 * n, n), (2, 30, 1, n)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if len(shape) == 1:
+            yield from (x, np.zeros(n, dtype=complex),
+                        np.full(n, np.nan, dtype=complex), g.multiply(x, z))
+            continue
+        lead = len(shape) - 1
+        x[(0,) * lead] = 0.0
+        x[(-1,) * lead] = np.nan
+        x[(1,) + (0,) * (lead - 1)] = g.multiply(x[(1,) + (0,) * (lead - 1)], z)
+        yield x
+
+
+def test_kernels_reproduce_their_references_bit_for_bit():
+    # the layout is cached, a lone size run is not concatenated, and the
+    # fuzz is zeroed in place: the same products in the same order
+    for i, (g, weight) in enumerate(_spaces()):
+        sp = weighted_space(g, weight)
+        blocks = sp.algebra.blocks
+        for x in _kernel_stacks(sp.algebra, seed=20 + i):
+            for got, want in zip(blocks.matrices(x),
+                                 _reference_matrices(blocks, x),
+                                 strict=True):
+                assert _same_bits(got, want), sp.algebra.name
+            try:
+                ref_w, ref_d = _reference_spectral_data(sp, x)
+            except np.linalg.LinAlgError:
+                # LAPACK refuses a NaN 3x3 block (C[S4]); so must the kernel
+                with pytest.raises(np.linalg.LinAlgError):
+                    spectral_data(sp, x)
+                x = np.where(np.isnan(x), 1.0, x)
+                ref_w, ref_d = _reference_spectral_data(sp, x)
+            w, d = spectral_data(sp, x)
+            assert _same_bits(w, ref_w) and d is ref_d, sp.algebra.name
+            for p in (1.0, 4.0 / 3.0, 2.0, 4.0, 1001.0, INF):
+                got = norms_from_spectral(w, d, p)
+                want = _reference_norms_from_spectral(w, d, p)
+                assert _same_bits(got, want), (sp.algebra.name, x.shape, p)
+
+
+def _report_bits(rep) -> tuple:
+    return (rep.constant_estimate, np.array(rep.history).tobytes(),
+            rep.iterations, rep.converged, rep.converged_per_restart,
+            tuple(a.coeffs.tobytes() for a in rep.argmax))
+
+
+def test_searches_are_unchanged_with_the_reference_kernels():
+    # the two sharpness jobs of the search workload, at its caps
+    runs = (lambda: estimate_best_constant_young(
+                get_example("z2-function"), 4.0 / 3.0, 4.0 / 3.0,
+                restarts=8, iters=6, seed=7),
+            lambda: estimate_best_constant_hy(
+                get_example("s3-function"), 4.0 / 3.0,
+                restarts=4, iters=10, seed=7))
+    for run in runs:
+        got = _report_bits(run())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Blocks, "matrices", _reference_matrices)
+            patch.setattr(lp, "spectral_data", _reference_spectral_data)
+            patch.setattr(lp, "norms_from_spectral",
+                          _reference_norms_from_spectral)
+            want = _report_bits(run())
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from qgharm import duality, lp, structures
 from qgharm.catalog import get_example
 from qgharm.core import FiniteQuantumGroup, verify_axioms
 from qgharm.report import Check, check
+from test_lp import holder_check, norm_transport_check, weighted_space
 
 
 KP = get_example("kac-paljutkin")
@@ -34,7 +35,7 @@ def _young_under_a_sixteenth_of_phi():
     """young_check with L^p(G) taken under phi / 16, which makes
     ||x * y||_r / (||x||_p ||y||_q) 16 times larger. A Haar state scaled
     in the algebra itself would not do: x * y scales with it."""
-    small = lp.weighted_space(KP, KP.haar / 16.0)
+    small = weighted_space(KP, KP.haar / 16.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "base_space", lambda g: small)
         return lp.young_check(KP, X, Y, 4.0 / 3.0, 4.0 / 3.0)
@@ -50,8 +51,8 @@ PASSING = {
     "hausdorff_young_check":
         lambda: lp.hausdorff_young_check(KP_PAIR, X, 4.0 / 3.0),
     "norm_transport_check":
-        lambda: lp.norm_transport_check(KP, np.eye(KP.dim), X, 3.0),
-    "holder_check": lambda: lp.holder_check(KP, X, Y, 4.0 / 3.0),
+        lambda: norm_transport_check(KP, np.eye(KP.dim), X, 3.0),
+    "holder_check": lambda: holder_check(KP, X, Y, 4.0 / 3.0),
     "is_group_like_projection":
         lambda: structures.is_group_like_projection(Z4, H),
     "verify_glp_properties": lambda: structures.verify_glp_properties(Z4, H),
