@@ -100,14 +100,22 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
     L^p norm of x is then (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm
     is max_k w_k^{1/2}. Blocks of one size share one batched eigensolve; the
     one-dimensional blocks are characters, so their eigenvalues are
-    |chi_i(x)|^2 with no eigensolve.
+    |chi_i(x)|^2 with no eigensolve. A block with a NaN or an infinity has
+    NaN eigenvalues.
     """
     w = []
     for m in space.algebra.blocks.matrices(coeffs):
         if m.shape[-1] == 1:
             w.append(np.abs(m[..., 0, 0]) ** 2)
         else:
-            eig = np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)
+            mm = np.conj(m).swapaxes(-1, -2) @ m
+            try:
+                eig = np.linalg.eigvalsh(mm)
+            except np.linalg.LinAlgError:
+                # LAPACK may refuse a non-finite matrix, and with it the stack
+                finite = np.isfinite(mm).all(axis=(-1, -2))
+                eig = np.full(mm.shape[:-1], np.nan)
+                eig[finite] = np.linalg.eigvalsh(mm[finite])
             w.append(eig.reshape(eig.shape[:-2] + (-1,)))
     # clip copies, so the fuzz is zeroed in place below
     w = (w[0] if len(w) == 1 else np.concatenate(w, axis=-1)).clip(0.0)

@@ -12,8 +12,11 @@ The lists of group-like projections, of biprojections and of the shifts of
 a group-like projection are complete. A projection is a choice of one
 projection per Wedderburn block; on a block of size 2 a rank-one choice
 carries a Bloch vector, and each relation is solved exactly for those
-vectors. Algebras with a block of size 3 or more, or with more than two
-blocks of size 2 (see MAX_MACAULAY_ENTRIES), are refused.
+vectors. A system whose affine rows (the equations it implies with no
+quadratic term) are inconsistent is closed at degree 2, before any
+Macaulay matrix, and the rank decisions of that step are among the
+singular_value_gaps. Algebras with a block of size 3 or more, or with more
+than two blocks of size 2 (see MAX_MACAULAY_ENTRIES), are refused.
 """
 
 from __future__ import annotations
@@ -345,7 +348,8 @@ class _Enumeration:
     """The coefficients of every projection that solves a relation, the
     number of nonzero block choices, and, per choice with rank-one blocks,
     the weakest rank decision of its solve: (smallest singular value kept,
-    largest dropped), each relative to the largest."""
+    largest dropped), each relative to the largest, or to 1 at the
+    degree-2 step of the affine rows."""
 
     points: list
     choices: int
@@ -410,7 +414,13 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     over _monomials(m, 2), one (m, count) array per system, and the weakest
     rank decision of each solve (see _Enumeration).
 
-    The rows are compressed to an orthonormal row basis. The Macaulay matrix
+    The rows are compressed to an orthonormal row basis. Its combinations
+    with no quadratic term, the left singular vectors of its quadratic
+    columns beyond their rank, are orthonormal affine rows; when their
+    n-columns have a lower rank than they do, 1 = 0 is among them and the
+    system has no root. Both rank decisions of this degree-2 step use
+    RANK_TOL as an absolute cutoff, since the rows have norm 1, and are
+    recorded with the others. Every other system goes on. The Macaulay matrix
     of degree d stacks that basis times every monomial of degree <= d - 2;
     its null space is spanned by the monomial vectors of the roots. The
     degree is raised until the null-space dimension repeats and the
@@ -419,15 +429,19 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     on the null space, has those monomial vectors as eigenvectors. A
     null space of dimension 0 means 1 is in the ideal: there is no root.
     Systems whose bases have the same rank go in lockstep, one batched SVD
-    per degree, and each takes the rank decisions it would take alone.
+    per degree (at degree 2, one of the quadratic columns and one of the
+    affine rows per quadratic rank), and each takes the rank decisions it
+    would take alone.
     """
     kept, dropped = np.full(len(rows), np.inf), np.zeros(len(rows))
 
-    def rank(s: np.ndarray, which) -> np.ndarray:
-        rel = s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
+    def rank(s: np.ndarray, which, absolute: bool = False) -> np.ndarray:
+        rel = s if absolute else s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
         r = np.sum(rel > RANK_TOL, axis=1)
-        edge = np.zeros((len(s), 1))
-        ends, at = np.concatenate([edge, rel, edge], 1), np.arange(len(s))
+        # an absolute decision that keeps nothing has no weakest kept value
+        first = np.full((len(s), 1), np.inf if absolute else 0.0)
+        ends = np.concatenate([first, rel, np.zeros((len(s), 1))], 1)
+        at = np.arange(len(s))
         kept[which] = np.minimum(kept[which], ends[at, r])
         dropped[which] = np.maximum(dropped[which], ends[at, r + 1])
         return r
@@ -437,8 +451,21 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     # null-space dimensions; the Macaulay matrix of degree 2 is the basis
     previous = vh.shape[-1] - ranks
     roots, open_ = [np.zeros((m, 0))] * len(rows), previous > 0
-    for r in set(ranks.tolist()):
+    linear = len(_monomials(m, 1))
+    for r in set(ranks[open_].tolist()):
         live = np.flatnonzero((ranks == r) & open_)
+        # the orthonormal combinations of the basis with no quadratic term;
+        # when the constant is in their span, 1 = 0 is in the ideal
+        u, sq, _ = np.linalg.svd(vh[live, :r, linear:])
+        quadratic = rank(sq, live, absolute=True)
+        for q in set(quadratic.tolist()) - {r}:
+            at = live[quadratic == q]
+            affine = u[quadratic == q, :, q:].transpose(0, 2, 1) @ \
+                vh[at, :r, 1:linear]
+            n_rank = rank(np.linalg.svd(affine, compute_uv=False), at,
+                          absolute=True)
+            open_[at[n_rank < r - q]] = False
+        live = live[open_[live]]
         for d in range(3, MAX_DEGREE + 1):
             if not len(live):
                 break

@@ -1,12 +1,21 @@
 import numpy as np
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.convolution import (
-    convolve,
-    convolve_functional_form,
-    functional_of,
-)
+from qgharm.convolution import convolve
 from qgharm.core import build_function_algebra, symmetric_table_s3
+
+
+def convolve_functional_form(g, omega, theta):
+    """(omega * theta) = (omega . theta) Delta, on functional coefficient
+    rows: the reference of the element convolution."""
+    om = np.asarray(omega, dtype=complex).reshape(-1)
+    th = np.asarray(theta, dtype=complex).reshape(-1)
+    return om @ (th @ g.comult3)
+
+
+def functional_of(g, x):
+    """Coefficient row of the functional x phi: y -> phi(y x)."""
+    return g.coeffs_of(x) @ g.q_matrix.T
 
 
 def test_function_algebra_convolution_is_classical():

@@ -21,11 +21,9 @@ ONLY_TESTS_CALL = {
     "bishift_construct",
     "bishift_theorem_check",
     "convolution_theorem_check",
-    "convolve_functional_form",
     "counit",
     "dihedral_table",
     "enumerate_left_shifts",
-    "functional_of",
     "glpbi_check",
     "is_biprojection",
     "verify_glp_properties",

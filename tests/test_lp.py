@@ -386,15 +386,17 @@ def test_kernels_reproduce_their_references_bit_for_bit():
                                  _reference_matrices(blocks, x),
                                  strict=True):
                 assert _same_bits(got, want), sp.algebra.name
+            w, d = spectral_data(sp, x)
             try:
                 ref_w, ref_d = _reference_spectral_data(sp, x)
             except np.linalg.LinAlgError:
-                # LAPACK refuses a NaN 3x3 block (C[S4]); so must the kernel
-                with pytest.raises(np.linalg.LinAlgError):
-                    spectral_data(sp, x)
-                x = np.where(np.isnan(x), 1.0, x)
-                ref_w, ref_d = _reference_spectral_data(sp, x)
-            w, d = spectral_data(sp, x)
+                # LAPACK refuses a NaN 3x3 block (C[S4]); the kernel gives
+                # the NaN row NaN eigenvalues and every other row its bits
+                nan = np.isnan(x).any(axis=-1)
+                assert np.isnan(w[nan]).all(), sp.algebra.name
+                ref_w, ref_d = _reference_spectral_data(
+                    sp, np.where(nan[..., None], 1.0, x))
+                ref_w[nan] = w[nan]
             assert _same_bits(w, ref_w) and d is ref_d, sp.algebra.name
             for p in (1.0, 4.0 / 3.0, 2.0, 4.0, 1001.0, INF):
                 got = norms_from_spectral(w, d, p)

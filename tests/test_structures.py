@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qgharm import structures
 from qgharm.catalog import EXAMPLE_NAMES, get_example
@@ -240,6 +242,90 @@ def test_a_macaulay_matrix_with_fewer_rows_than_columns_is_solved(
                                                       -np.eye(3)])))
 
 
+def _count_svd_shapes(mp, shapes):
+    """Record the shape of the input of every np.linalg.svd call."""
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    mp.setattr(np.linalg, "svd", counted)
+
+
+def _planted_rows(points, seed):
+    """Rows over _monomials(3, 2) of every quadric that vanishes at the
+    points, mixed by a seeded random matrix."""
+    exps = np.array(list(_monomials(3, 2)))
+    mono = np.prod(points[:, None, :] ** exps, axis=-1)
+    quadrics = np.linalg.svd(mono)[2][len(points):]
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((len(quadrics), len(quadrics))) @ quadrics
+
+
+_unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
+    lambda v: np.linalg.norm(v) >= 0.5).map(lambda v: v / np.linalg.norm(v))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(points=st.lists(_unit_vectors, min_size=3, max_size=4),
+       a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_planted_roots_are_found_and_contradicting_affine_rows_close(
+        points, a, b, seed):
+    # three or four unit vectors in general position are the only roots of
+    # the quadrics through them; with n_x = a and n_x = b added, the rank
+    # at degree 2 is at most 9 of 10, so only the affine rows can close
+    # the system before a Macaulay matrix of 20 columns
+    points = np.array(points)
+    assume(min(np.linalg.norm(p - q) for i, p in enumerate(points)
+               for q in points[:i]) >= 0.3)
+    assume(np.linalg.svd(np.c_[np.ones(len(points)), points],
+                         compute_uv=False)[-1] >= 0.05)
+    assume(abs(a - b) >= 0.1)
+    rows = _planted_rows(points, seed)
+    contradiction = np.zeros((2, len(_monomials(3, 2))))
+    contradiction[:, 0], contradiction[:, 1] = [-a, -b], 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = []
+        _count_svd_shapes(mp, shapes)
+        (roots,), _ = _bloch_roots(rows[None], 3)
+        assert any(shape[-1] >= 20 for shape in shapes)
+        for p in points:
+            assert np.min(np.linalg.norm(roots.T - p, axis=1)) <= 1e-6
+        shapes.clear()
+        (roots,), _ = _bloch_roots(
+            np.concatenate([rows, contradiction])[None], 3)
+        assert roots.shape == (3, 0)
+        assert all(shape[-1] < 20 for shape in shapes)
+
+
+def test_one_equals_zero_alone_closes_without_a_weak_decision():
+    # |n|^2 = 1 and 1 = 0: the only affine row is the constant, whose
+    # n-columns keep no singular value; that is no kept value of 0
+    cols = _monomials(3, 2)
+    rows = np.zeros((1, 2, len(cols)))
+    rows[0, 0, [cols[0, 0, 0], cols[2, 0, 0], cols[0, 2, 0],
+                cols[0, 0, 2]]] = [-1.0, 1.0, 1.0, 1.0]
+    rows[0, 1, cols[0, 0, 0]] = 1.0
+    (roots,), ((kept, dropped),) = _bloch_roots(rows, 3)
+    assert roots.shape == (3, 0)
+    assert kept > 0.3 and dropped < 1e-12
+
+
+def test_kac_paljutkin_biprojections_close_at_degree_two(monkeypatch):
+    # 14 of the 16 choices with the rank-one block have 1 = 0 among their
+    # affine rows; solved by Macaulay matrices, they took a (14, 28, 20)
+    # and a (14, 70, 35) SVD
+    pair = _pair("kac-paljutkin")
+    shapes = []
+    _count_svd_shapes(monkeypatch, shapes)
+    assert biprojection_iff_grouplike(pair).holds
+    stacks = [shape for shape in shapes
+              if len(shape) == 3 and shape[-1] >= 20]
+    assert stacks and max(shape[0] for shape in stacks) <= 2
+
+
 # ---------------------------------------------------------------------------
 # the per-choice enumerator, kept as the reference of the stacked one
 # ---------------------------------------------------------------------------
@@ -264,15 +350,17 @@ def _reference_rows(relation, h0, dirs):
     return np.concatenate([rows, sphere])
 
 
-def _reference_roots(rows, m):
+def _reference_roots(rows, m, affine_rows=True):
     """_bloch_roots for one system, its Macaulay degrees raised one by
-    one."""
+    one. Without affine_rows it is the solver as it was before inconsistent
+    affine rows closed a system at degree 2, kept as the reference of the
+    points."""
     gaps = []
 
-    def rank(s):
-        rel = s / s[0] if s[0] > 0 else s
+    def rank(s, absolute=False):
+        rel = s if absolute else (s / s[0] if s[0] > 0 else s)
         r = int(np.sum(rel > RANK_TOL))
-        gaps.append((rel[r - 1] if r else 0.0,
+        gaps.append((rel[r - 1] if r else (np.inf if absolute else 0.0),
                      rel[r] if r < len(rel) else 0.0))
         return r
 
@@ -285,6 +373,16 @@ def _reference_roots(rows, m):
     previous = len(basis[0]) - len(basis)
     if previous == 0:
         return np.zeros((m, 0)), weakest()
+    if affine_rows:
+        # the basis rows with no quadratic term have orthonormal affine
+        # parts; fewer ranks in their n-columns put 1 in the ideal
+        u, sq, _ = np.linalg.svd(basis[:, 1 + m:])
+        q = rank(sq, absolute=True)
+        if q < len(basis):
+            affine = u[:, q:].T @ basis[:, 1:1 + m]
+            if rank(np.linalg.svd(affine, compute_uv=False),
+                    absolute=True) < len(basis) - q:
+                return np.zeros((m, 0)), weakest()
     for d in range(3, MAX_DEGREE + 1):
         table = _shifted(m, d, 2)
         width = len(_monomials(m, d))
@@ -312,8 +410,9 @@ def _reference_roots(rows, m):
         f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
 
 
-def _enumerate_reference(g, relation, tol):
-    """_enumerate with one polarization and one solve per block choice."""
+def _enumerate_reference(g, relation, tol, affine_rows=True):
+    """_enumerate with one polarization and one solve per block choice, by
+    _reference_roots."""
     choices = g.blocks.choices
     points = np.array([h0 for h0, dirs in choices if not len(dirs)])
     holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
@@ -326,7 +425,7 @@ def _enumerate_reference(g, relation, tol):
             continue
         m = len(dirs)
         rows = _reference_rows(relation, h0, dirs)
-        roots, gap = _reference_roots(rows, m)
+        roots, gap = _reference_roots(rows, m, affine_rows)
         gaps.append(gap)
         exps = np.array(list(_monomials(m, 2)))
         values = np.prod(roots.T[:, None, :] ** exps, axis=-1) @ rows.T
@@ -371,11 +470,26 @@ def _relations(pair):
             list(_shift_relations(g, x, hc, "left").values()), axis=-1)
 
 
-def _assert_same_run(got, want):
+def _assert_same_points(got, want):
     assert got.choices == want.choices
-    assert got.gaps == want.gaps
     assert len(got.points) == len(want.points)
-    assert all(np.array_equal(p, q) for p, q in zip(got.points, want.points))
+    assert all(p.dtype == q.dtype and p.tobytes() == q.tobytes()
+               for p, q in zip(got.points, want.points))
+
+
+def _assert_same_run(got, want):
+    _assert_same_points(got, want)
+    assert got.gaps == want.gaps
+
+
+def _assert_matches_both_references(g, relation):
+    """The stacked solve equals the per-choice reference, gaps included,
+    and has the points of the solver without the affine-row closing."""
+    got = _enumerate(g, relation, 1e-9)
+    _assert_same_run(got, _enumerate_reference(g, relation, 1e-9))
+    _assert_same_points(got, _enumerate_reference(g, relation, 1e-9,
+                                                  affine_rows=False))
+    return got
 
 
 def test_the_stacked_solve_equals_the_per_choice_reference_exactly():
@@ -383,18 +497,28 @@ def test_the_stacked_solve_equals_the_per_choice_reference_exactly():
         base_pair = _pair(name)
         for pair in (base_pair, build_dual(base_pair.dual_qg)):
             for relation in _relations(pair):
-                _assert_same_run(_enumerate(pair.base, relation, 1e-9),
-                                 _enumerate_reference(pair.base, relation,
-                                                      1e-9))
+                _assert_matches_both_references(pair.base, relation)
+
+
+def test_the_stacked_solve_equals_the_references_on_dihedral_groups():
+    # C[D4] and C[D6] have 16 and 64 choices with three Bloch unknowns,
+    # C[D5] and C[D6] 4 and 16 with six; most biprojection systems close
+    # at degree 2
+    for n in (4, 5, 6):
+        pair = build_dual(build_group_algebra(dihedral_table(n)))
+        g = pair.base
+        _assert_matches_both_references(
+            g, lambda h: _group_like_relation(g, h))
+        _assert_matches_both_references(
+            g, lambda h: _biprojection_relation(pair, h))
 
 
 def test_the_stacked_solve_equals_the_reference_with_two_bloch_blocks():
     # blocks 8 x 1 + 2 x 2: 1024 choices with one rank-one block and 256
     # with two, the only stack of six Bloch unknowns the catalog reaches
     g = _kron_group(get_example("kac-paljutkin"), get_example("z2-function"))
-    relation = lambda h: _group_like_relation(g, h)
-    got = _enumerate(g, relation, 1e-9)
-    _assert_same_run(got, _enumerate_reference(g, relation, 1e-9))
+    got = _assert_matches_both_references(
+        g, lambda h: _group_like_relation(g, h))
     assert len(got.points) == 27
     assert sum(len(dirs) == 6 for _, dirs in g.blocks.choices) == 256
 
@@ -553,23 +677,29 @@ def test_range_projection_of_fourier_is_a_dual_projection_fixing_the_image():
 
 def test_equivalence_sweep_over_all_small_examples():
     # projections_checked counts the nonzero block choices: 2^k - 1 for k
-    # blocks of size 1, and 2 * 2 * 3 - 1 for the blocks 1, 1, 2 of C[S3]
-    expected_checked = {
-        "z2-function": 3, "z3-function": 7, "z4-function": 15,
-        "s3-function": 63, "z2-group": 3, "s3-group": 11,
-    }
-    for name, count in expected_checked.items():
-        pair = _pair(name)
+    # blocks of size 1, 2 * 2 * 3 - 1 for the blocks 1, 1, 2 of C[S3],
+    # 2^4 * 3 - 1 for KP and 2 * 2 * 3 * 3 - 1 for C[D5]; then the choices
+    # with a rank-one block, each solved twice, and the biprojections
+    expected = {name: (count, 0, len(EXPECTED_GROUP_LIKES[name])) for
+                name, count in (("z2-function", 3), ("z3-function", 7),
+                                ("z4-function", 15), ("s3-function", 63),
+                                ("z2-group", 3))}
+    expected["s3-group"] = (11, 4, 6)
+    expected["kac-paljutkin"] = (47, 16, 8)
+    expected["C[D5]"] = (35, 20, 8)
+    for name, (count, with_bloch, biprojections) in expected.items():
+        pair = (build_dual(build_group_algebra(dihedral_table(5)))
+                if name == "C[D5]" else _pair(name))
         rep = biprojection_iff_grouplike(pair)
         assert rep.holds, (name, rep.details)
         assert rep.details["projections_checked"] == count, name
         assert rep.details["disagreements"] == []
-        assert rep.details["biprojections"] == len(EXPECTED_GROUP_LIKES[name])
-        # C[S3] has 4 choices with a rank-one block, each solved twice; every
-        # rank decision keeps singular values far above those it drops
+        assert rep.details["biprojections"] == biprojections, name
+        # every rank decision, the affine rows' ones at degree 2 included,
+        # keeps singular values far above those it drops
         gaps = rep.details["singular_value_gaps"]
         solved = gaps["group_like"] + gaps["biprojection"]
-        assert len(solved) == (8 if name == "s3-group" else 0), name
+        assert len(solved) == 2 * with_bloch, name
         assert all(kept > 1e-3 and dropped < 1e-12 for kept, dropped in solved)
 
 
