@@ -7,11 +7,11 @@ mathematical check fails, 1 for usage errors and refused inputs, including
 a count below 1, --samples above 10^6, --restarts above 10^4, a --tol
 outside 0 < tol <= 1e-6, or a negative seed. Each of the two error types
 of qgharm.errors has its exit code: an AxiomFailure (the paper's identities
-fail on the data) prints a failing `construction` check and exits 2; any
-other QgharmError prints one `error:` line and exits 1. The QG_SEED
-environment variable overrides the default of 42 for every --seed flag
-that is not given; it must then be an integer. An explicit flag wins over
-the environment.
+fail on the data) prints a failing `construction` check under the claim it
+names and exits 2; any other QgharmError prints one `error:` line and exits
+1. The QG_SEED environment variable overrides the default of 42 for every
+--seed flag that is not given; it must then be an integer. An explicit flag
+wins over the environment.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ def run(argv=None) -> int:
     except AxiomFailure as exc:   # raised by a handler, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},
                         getattr(args, "seed", None),
-                        [_entry(Check("construction", "axioms", {}, None,
+                        [_entry(Check("construction", exc.claim, {}, None,
                                       holds=False), message=str(exc))])
         sys.stdout.write(json_dumps(doc))
         sys.stderr.write(f"FAIL construction: {exc}\n")

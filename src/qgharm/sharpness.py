@@ -165,7 +165,8 @@ def _multistart(g, kind, exponents, objective, spheres, restarts, max_iter,
     if final > 1.0 + CEILING:
         raise AxiomFailure(
             f"estimated {kind} constant {final} exceeds 1; "
-            "the inequality itself would be violated")
+            "the inequality itself would be violated",
+            claim="sharp-constant-estimate")
     return SharpnessReport(
         kind=kind,
         exponents=exponents,

@@ -9,6 +9,11 @@ x * y = ((x phi) S^{-1} (x) id) Delta(y), and the certified lower bound
 showing that no finite constant C satisfies ||x * y|| <= C ||x||_1 ||y||
 on this algebra.
 
+A rational function of mu is kept in the one shape the certificate builds:
+a Laurent numerator over 1 or over a polynomial with constant term 1 and
+no negative power, as given, with no gcd. Equality cross-multiplies. Any
+other denominator raises QgharmError.
+
 Letters: 'a' and 'c' are the generators, 'A' and 'C' their adjoints.
 """
 
@@ -38,21 +43,11 @@ __all__ = [
 ]
 
 LETTERS = ("a", "A", "c", "C")
-ADJOINT = {"a": "A", "A": "a", "c": "C", "C": "c"}
 
 
 # ---------------------------------------------------------------------------
 # exact scalars
 # ---------------------------------------------------------------------------
-
-def _div(a, b=1):
-    """a / b exactly: an int when the quotient is integral, else a Fraction.
-    Every coefficient passes through here; a float a converts exactly."""
-    if type(a) is int and type(b) is int and a % b == 0:
-        return a // b
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
-
 
 class Laurent:
     """Laurent polynomial in mu with exact coefficients, canonical: no zero
@@ -65,7 +60,10 @@ class Laurent:
         clean = {}
         for k, v in (coeffs or {}).items():
             if type(v) is not int:
-                v = _div(v)
+                # exact for a float too; an integral value becomes an int
+                v = Fraction(v)
+                if v.denominator == 1:
+                    v = v.numerator
             if v:
                 clean[int(k)] = v
         self.coeffs = clean
@@ -84,12 +82,6 @@ class Laurent:
             out[k] = out.get(k, 0) + v
         return Laurent(out)
 
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({k: -v for k, v in self.coeffs.items()})
-
     def __mul__(self, other: "Laurent") -> "Laurent":
         out: Dict[int, Fraction] = {}
         for k1, v1 in self.coeffs.items():
@@ -101,29 +93,8 @@ class Laurent:
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def min_exp(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    def shift(self, k: int) -> "Laurent":
-        return Laurent({e + k: v for e, v in self.coeffs.items()})
-
-    def scale(self, value) -> "Laurent":
-        value = _div(value)
-        if value == 1:
-            return self
-        return Laurent({e: v * value for e, v in self.coeffs.items()})
-
-    def evaluate(self, mu: Fraction) -> Fraction:
-        mu = Fraction(mu)
-        if mu == 0 and self.min_exp() < 0:
-            raise QgharmError("negative power of mu at mu = 0")
-        return sum((v * mu ** e for e, v in self.coeffs.items()), Fraction(0))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -137,89 +108,23 @@ class Laurent:
         return " + ".join(parts)
 
 
-ZERO = Laurent()
 ONE = Laurent.const(1)
 
 
-def _poly_divmod(num: Dict[int, Fraction], den: Dict[int, Fraction]):
-    """Polynomial division for nonnegative-exponent dictionaries."""
-    num = dict(num)
-    dd = max(den)
-    dlead = den[dd]
-    quo: Dict[int, Fraction] = {}
-    while num and max(num) >= dd:
-        nd = max(num)
-        f = _div(num[nd], dlead)
-        quo[nd - dd] = f
-        for e, v in den.items():
-            k = e + nd - dd
-            num[k] = num.get(k, 0) - f * v
-            if num[k] == 0:
-                del num[k]
-    return quo, num
-
-
-def _poly_gcd(p: Dict[int, Fraction], q: Dict[int, Fraction]):
-    while q:
-        _, r = _poly_divmod(p, q)
-        p, q = q, r
-    if not p:
-        return {0: 1}
-    lead = p[max(p)]
-    return {e: _div(v, lead) for e, v in p.items()}
-
-
 class MuRational:
-    """Exact rational function of mu: Laurent numerator over a polynomial
-    denominator normalized to constant term 1, with common factors removed.
-    No gcd is taken when the denominator is a monomial, or when the
-    numerator is one term c mu^k and the denominator a polynomial with
-    constant term 1, which mu, a monomial's only factor, does not divide."""
+    """Exact rational function of mu in the one shape the certificate
+    builds: a Laurent numerator over 1, or over a polynomial with constant
+    term 1 and no negative power. The pair is kept as given, with no gcd
+    and no rescaling, so equal values may be stored as different pairs;
+    equality cross-multiplies. Any other denominator is refused."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Laurent, den: Laurent = None):
-        den = den if den is not None else ONE
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if den == ONE or num.is_zero():
-            self.num, self.den = num, ONE
-            return
-        if len(den.coeffs) == 1:
-            # a monomial denominator divides out with no gcd
-            (k, c0), = den.coeffs.items()
-            self.num, self.den = num.shift(-k).scale(_div(1, c0)), ONE
-            return
-        if len(num.coeffs) == 1 and den.coeffs.get(0) == 1 \
-                and den.min_exp() == 0:
-            self.num, self.den = num, den
-            return
-        # clear negative exponents out of the denominator
-        shift = den.min_exp()
-        if shift != 0:
-            den = den.shift(-shift)
-            num = num.shift(-shift)
-        # pull the numerator's negative part into a monomial factor, reduce
-        # the polynomial parts by their gcd, then restore it
-        nshift = min(num.min_exp(), 0)
-        npoly = num.shift(-nshift).coeffs
-        g = _poly_gcd(dict(npoly), dict(den.coeffs))
-        if max(g) > 0:
-            nq, nr = _poly_divmod(npoly, g)
-            dq, dr = _poly_divmod(dict(den.coeffs), g)
-            if not nr and not dr:
-                npoly, den = nq, Laurent(dq)
-        num = Laurent(npoly).shift(nshift)
-        # constant term of the denominator scaled to 1
-        c0 = den.coeffs.get(0)
-        if c0 is None:
-            # denominator divisible by mu: shift the power to the numerator
-            k = den.min_exp()
-            den = den.shift(-k)
-            num = num.shift(-k)
-            c0 = den.coeffs.get(0)
-        self.num = num.scale(_div(1, c0))
-        self.den = den.scale(_div(1, c0))
+    def __init__(self, num: Laurent, den: Laurent = ONE):
+        if den.coeffs.get(0) != 1 or min(den.coeffs) < 0:
+            raise QgharmError(f"denominator {den!r} is not a polynomial in "
+                              "mu with constant term 1")
+        self.num, self.den = num, (ONE if num.is_zero() else den)
 
     @staticmethod
     def from_laurent(p: Laurent) -> "MuRational":
@@ -235,12 +140,6 @@ class MuRational:
         return MuRational(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
-    def __sub__(self, other: "MuRational") -> "MuRational":
-        return self + (-other)
-
-    def __neg__(self) -> "MuRational":
-        return MuRational(-self.num, self.den)
-
     def __mul__(self, other) -> "MuRational":
         if isinstance(other, Laurent):
             return MuRational(self.num * other, self.den)
@@ -255,20 +154,8 @@ class MuRational:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def evaluate(self, mu: Fraction) -> Fraction:
-        mu = Fraction(mu)
-        if mu == 0 or mu == 1 or mu == -1:
-            raise QgharmError(f"mu = {mu} is outside the valid range")
-        den = self.den.evaluate(mu)
-        if den == 0:
-            raise QgharmError(f"denominator vanishes at mu = {mu}")
-        return self.num.evaluate(mu) / den
 
     def __repr__(self) -> str:
         if self.den == ONE:
@@ -375,14 +262,6 @@ class PolyElement:
         self.terms = clean
 
     @staticmethod
-    def unit() -> "PolyElement":
-        return PolyElement({UNIT_MONOMIAL: MuRational.const(1)})
-
-    @staticmethod
-    def zero() -> "PolyElement":
-        return PolyElement()
-
-    @staticmethod
     def generator(letter: str, power: int = 1) -> "PolyElement":
         if letter not in LETTERS:
             raise QgharmError(f"unknown letter {letter!r}")
@@ -395,12 +274,6 @@ class PolyElement:
         for mono, coeff in other.terms.items():
             _accumulate(out, mono, coeff)
         return PolyElement(out)
-
-    def __sub__(self, other: "PolyElement") -> "PolyElement":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyElement":
-        return PolyElement({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "PolyElement":
         if isinstance(other, (int, Fraction, Laurent, MuRational)):
@@ -419,25 +292,11 @@ class PolyElement:
             value = MuRational.const(value)
         return PolyElement({m: c * value for m, c in self.terms.items()})
 
-    def star(self) -> "PolyElement":
-        out: Dict[Monomial, MuRational] = {}
-        for mono, coeff in self.terms.items():
-            word = [ADJOINT[l] for l in reversed(mono.word())]
-            # mu is real: coefficients are self-conjugate
-            _add_counts(out, _fold({UNIT_MONOMIAL: {0: 1}}, word), coeff)
-        return PolyElement(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyElement) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, mu: Fraction) -> Dict[Monomial, Fraction]:
-        return {m: c.evaluate(mu) for m, c in self.terms.items()}
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -463,7 +322,7 @@ def normalize(word: Iterable[str]) -> PolyElement:
 
 def _haar_diagonal(m: int) -> MuRational:
     """phi(a[0,m,m]) = (1-mu^2)/(1-mu^{2m+2}) = 1/(1 + mu^2 + ... + mu^{2m}),
-    canonical as written, so no gcd is taken."""
+    written over a denominator with constant term 1, the shape kept."""
     return MuRational(ONE, Laurent(dict.fromkeys(range(0, 2 * m + 1, 2), 1)))
 
 
@@ -592,13 +451,6 @@ class CounterexampleReport:
     convolution: PolyElement
     expected: PolyElement
 
-    def __str__(self) -> str:
-        return (f"n={self.n} mu={self.mu}: identity "
-                f"{'holds' if self.identity_holds else 'FAILS'}, "
-                f"certified lower bound {self.bound} "
-                f"~ {self.bound_decimal:.4f}")
-
-
 def certified_bound(n: int, mu: Fraction) -> Fraction:
     """L(n, mu) = mu^{-2n} (1 - mu^{2n+2}) / (1 - mu^{4n+2}), exact.
 
@@ -640,7 +492,8 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
     if conv != expected:
         raise AxiomFailure(
             "symbolic convolution identity failed: "
-            f"got {conv!r}, expected {expected!r}")
+            f"got {conv!r}, expected {expected!r}",
+            claim="exact-lower-bound")
 
     return CounterexampleReport(
         n=n, mu=mu, identity_holds=True, bound=bound,

@@ -10,7 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from qgharm import catalog, cli, core, duality, lp, report, structures
+from qgharm import (catalog, cli, core, duality, lp, report, sharpness,
+                    structures, suq2)
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
 from qgharm.errors import AxiomFailure, QgharmError
 from test_lp import weighted_space
@@ -506,8 +507,41 @@ def test_each_error_type_has_its_exit_code(capsys, monkeypatch, error, code):
         "verify", "z2-function", 7)
     [entry] = doc["checks"]
     assert entry["name"] == "construction" and entry["holds"] is False
+    assert entry["claim"] == "axioms"
     assert entry["message"] == "refused z2-function"
     assert err == "FAIL construction: refused z2-function\n"
+
+
+def _break_the_sharpness_ceiling(monkeypatch):
+    # every estimate, about 1, is then above 1 + CEILING
+    monkeypatch.setattr(sharpness, "CEILING", -1.0)
+
+
+def _break_the_suq2_identity(monkeypatch):
+    monkeypatch.setattr(suq2, "convolve_compact",
+                        lambda x, y: suq2.PolyElement())
+
+
+@pytest.mark.parametrize("argv, claim, message, breaks", [
+    (("sharpness", "--kind", "young", "--example", "z2-function",
+      "--restarts", "1", "--iters", "2"), "sharp-constant-estimate",
+     "estimated young constant", _break_the_sharpness_ceiling),
+    (("sharpness", "--kind", "hy", "--example", "s3-function",
+      "--restarts", "1", "--iters", "2"), "sharp-constant-estimate",
+     "estimated hausdorff-young constant", _break_the_sharpness_ceiling),
+    (("suq2", "--n", "2"), "exact-lower-bound",
+     "symbolic convolution identity failed", _break_the_suq2_identity),
+], ids=["young-ceiling", "hy-ceiling", "suq2-identity"])
+def test_an_exit_two_document_names_the_claim_that_failed(
+        capsys, monkeypatch, argv, claim, message, breaks):
+    breaks(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    [entry] = json.loads(out)["checks"]
+    assert (entry["name"], entry["claim"], entry["holds"]) == (
+        "construction", claim, False)
+    assert entry["message"].startswith(message)
+    assert err == f"FAIL construction: {entry['message']}\n"
 
 
 def test_young_refuses_zero_or_negative_samples(capsys):

@@ -1,13 +1,19 @@
 import ast
+import contextlib
 import importlib
+import inspect
+import io
+import json
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import qgharm
+from qgharm import catalog, cli
 
 PACKAGE = Path(qgharm.__file__).parent
 TESTS = Path(__file__).parent
@@ -182,3 +188,124 @@ def test_importing_the_cli_loads_every_module():
     proc = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parent)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == [f"qgharm.{m}" for m in MODULES]
+
+
+# Package functions that the CLI sweep below never enters, each with the
+# reason it stays. A function that loses its last runtime caller fails
+# test_every_function_the_cli_sweep_skips_is_pinned until it is deleted or
+# pinned here; one that gains a caller fails it until it leaves the list.
+SHIFTS = "shift and bi-shift machinery: no subcommand certifies shifts yet"
+SECOND_ROUTE = ("a second route to a value the CLI computes, called only by "
+                "tests (ONLY_TESTS_CALL), or its helper")
+ERROR_PATH = "an error path that no catalog example or sweep input takes"
+REPR = "a __repr__ for error messages and pinned prints"
+HOPF = ("SU_mu(2) Hopf structure beyond the certificate: counit and "
+        "antipode, waiting for the exact Hopf identities")
+ELEMENT_SUMS = ("element arithmetic of the tests' second routes; the "
+                "certificate adds coefficients, not elements")
+NEVER_ENTERED = {
+    "cli._Parser.error": ERROR_PATH + " (argparse usage errors)",
+    "cli.main": "the console-script entry point; the sweep calls cli.run",
+    "core.FiniteQuantumGroup.__repr__": REPR,
+    "core.dihedral_table": SECOND_ROUTE,
+    "core.dihedral_table.<locals>.idx": SECOND_ROUTE,
+    "duality.convolution_theorem_check": SECOND_ROUTE,
+    "duality.dual_matrix": SECOND_ROUTE,
+    "duality.fourier": SECOND_ROUTE,
+    "errors.AxiomFailure.__init__": ERROR_PATH + " (exit 2)",
+    "lp._bound": SECOND_ROUTE,
+    "lp._norms_at_large_p": ERROR_PATH + " (overflow at a large p)",
+    "lp.hausdorff_young_check": SHIFTS,
+    "lp.young_check": SECOND_ROUTE,
+    "report.Check.failing": ERROR_PATH + " (names failing residuals)",
+    "structures._disagreement": ERROR_PATH + " (a non-group-like "
+                                "biprojection, which no example has)",
+    "structures._partial_isometry_residual": SHIFTS,
+    "structures._shift_relations": SHIFTS,
+    "structures.bipartial_isometry_check": SHIFTS,
+    "structures.bishift_construct": SHIFTS,
+    "structures.bishift_theorem_check": SHIFTS,
+    "structures.enumerate_left_shifts": SHIFTS,
+    "structures.glpbi_check": SECOND_ROUTE,
+    "structures.is_biprojection": SECOND_ROUTE,
+    "structures.is_group_like_projection": SECOND_ROUTE,
+    "structures.shift_check": SHIFTS,
+    "structures.verify_glp_properties": SECOND_ROUTE,
+    "suq2.Laurent.__repr__": REPR,
+    "suq2.Monomial.__repr__": REPR,
+    "suq2.MuRational.__repr__": REPR,
+    "suq2.PolyElement.__add__": ELEMENT_SUMS,
+    "suq2.PolyElement.__repr__": REPR,
+    "suq2.PolyElement.is_zero": ELEMENT_SUMS,
+    "suq2._apply_antimultiplicative": HOPF,
+    "suq2.antipode": HOPF,
+    "suq2.counit": HOPF,
+}
+
+
+def _sweep() -> list:
+    """The CLI sweep: every subcommand on every example, both sharpness
+    kinds, suq2 at n = 1..4, all, catalog and three refusals."""
+    argvs = []
+    for name in catalog.EXAMPLE_NAMES:
+        ex = ("--example", name)
+        argvs += [("verify", *ex), ("young", *ex, "--samples", "10"),
+                  ("hausdorff-young", *ex, "--samples", "10"),
+                  ("structures", *ex), ("hunt", *ex)]
+        argvs += [("sharpness", *ex, "--kind", kind, "--restarts", "2",
+                   "--iters", "3") for kind in ("young", "hy")]
+    argvs += [("suq2", "--n", str(n)) for n in range(1, 5)]
+    argvs += [("all", "--samples", "10"), ("catalog",)]
+    return argvs + [("suq2", "--n", "9"),
+                    ("young", "--example", "z2-function", "--samples", "0"),
+                    ("verify", "--example", "z2-function", "--tol", "1")]
+
+
+def _print_the_sweep_entries() -> None:
+    """Run the sweep in this process under a profile hook, and print its
+    exit codes and the module.qualname of every package function it
+    entered, as JSON."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(str(PACKAGE)):
+            entered.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv in _sweep():
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.run(list(argv)))
+    finally:
+        sys.setprofile(None)
+    print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+
+
+def _package_functions() -> set:
+    """module.qualname of every function the package defines, nested ones
+    included; lambdas, comprehensions and class bodies are not counted."""
+    def walk(code):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                if (const.co_flags & inspect.CO_NEWLOCALS
+                        and not const.co_name.startswith("<")):
+                    yield const.co_qualname
+                yield from walk(const)
+    return {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in walk(compile(path.read_text(), str(path), "exec"))}
+
+
+def test_every_function_the_cli_sweep_skips_is_pinned():
+    # a fresh interpreter, so that no cache filled by another test hides a
+    # function from the sweep
+    probe = ("import sys; sys.path[:0] = sys.argv[1:]; import test_exports; "
+             "test_exports._print_the_sweep_entries()")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(PACKAGE.parent), str(TESTS)],
+        capture_output=True, text=True, check=True)
+    run = json.loads(proc.stdout)
+    assert run["codes"] == [0] * (len(_sweep()) - 3) + [1, 1, 1]
+    assert _package_functions() - set(run["entered"]) == set(NEVER_ENTERED)
