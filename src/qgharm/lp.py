@@ -4,11 +4,13 @@ Norms are computed in the block picture of the algebra (core.Blocks):
 M = (+)_i M_{d_i}, where the star is the matrix adjoint and a tracial weight
 is sum_i c_i tr rho_i with c_i = weight(z_i) / d_i. So
 ||x||_p^p = sum_i c_i tr |rho_i(x)|^p, from the eigenvalues of
-rho_i(x)* rho_i(x): sum_i d_i of them, from one batched eigensolve over
-all blocks of each size d > 1 and none for the characters. Where the blocks
-of each size sit among the block entries is laid out once per Blocks. The
-eigenvalues serve every exponent, which keeps the thousand-sample suites
-fast.
+rho_i(x)* rho_i(x), the squared singular values of rho_i(x): d_i of them per
+block. They come in closed form for blocks of size 1 (|chi_i(x)|^2) and 2
+(from the Frobenius norm and the determinant), which is every block of the
+catalog, and from one batched eigensolve over the blocks of each size d >= 3.
+Where the blocks of each size sit among the block entries is laid out once
+per Blocks. The eigenvalues serve every exponent, which keeps the
+thousand-sample suites fast.
 """
 
 from __future__ import annotations
@@ -95,19 +97,30 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
     """Eigenvalues of |x|^2 block by block, and their weights.
 
     coeffs: (..., n). Returns (w, d): w of shape (..., m), m = sum_i d_i,
-    holds the eigenvalues of rho_i(x)* rho_i(x) (clamped at 0), block by
-    block in block order, and d of shape (m,) the weight c_i of each. Every
-    L^p norm of x is then (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm
-    is max_k w_k^{1/2}. Blocks of one size share one batched eigensolve; the
-    one-dimensional blocks are characters, so their eigenvalues are
-    |chi_i(x)|^2 with no eigensolve. A block with a NaN or an infinity has
-    NaN eigenvalues.
+    holds the eigenvalues of rho_i(x)* rho_i(x), block by block in block
+    order, and d of shape (m,) the weight c_i of each. Every L^p norm of x
+    is then (sum_k w_k^{p/2} d_k)^{1/p}, and the operator norm is
+    max_k w_k^{1/2}. A block with a NaN or an infinity has NaN eigenvalues.
+
+    Blocks of size 1 (characters) give |chi_i(x)|^2, and blocks of size 2
+    the closed form of _gram_eigenvalues_2x2, with no eigensolve and no
+    floor. Blocks of each size d >= 3 share one batched eigvalsh, whose
+    eigenvalues are only good to about eps times the row's largest: a
+    singular value below about 1e-8 of the largest comes out as noise, and
+    w^{p/2} at p = 1 would carry that noise into the norm. So there, and
+    only there, eigenvalues at or below 1e-13 times the row's largest are
+    zeroed. The floor follows the row, not the block, because a block that
+    is zero in exact arithmetic holds rounding fuzz of the row's scale.
     """
-    w = []
+    w, solved_from = [], None
     for m in space.algebra.blocks.matrices(coeffs):
         if m.shape[-1] == 1:
             w.append(np.abs(m[..., 0, 0]) ** 2)
+        elif m.shape[-1] == 2:
+            w.append(_gram_eigenvalues_2x2(m))
         else:
+            if solved_from is None:
+                solved_from = sum(v.shape[-1] for v in w)
             mm = np.conj(m).swapaxes(-1, -2) @ m
             try:
                 eig = np.linalg.eigvalsh(mm)
@@ -116,13 +129,42 @@ def spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
                 finite = np.isfinite(mm).all(axis=(-1, -2))
                 eig = np.full(mm.shape[:-1], np.nan)
                 eig[finite] = np.linalg.eigvalsh(mm[finite])
-            w.append(eig.reshape(eig.shape[:-2] + (-1,)))
-    # clip copies, so the fuzz is zeroed in place below
-    w = (w[0] if len(w) == 1 else np.concatenate(w, axis=-1)).clip(0.0)
-    # zero out eigenvalue fuzz, w^{p/2} amplifies rounding noise for p < 2;
-    # a NaN compares false and stays, so no check passes on it
-    w[w <= 1e-13 * w.max(axis=-1, keepdims=True)] = 0.0
+            w.append(eig.reshape(eig.shape[:-2] + (-1,)).clip(0.0))
+    w = w[0] if len(w) == 1 else np.concatenate(w, axis=-1)
+    if solved_from is not None:
+        # a NaN compares false and stays, so no check passes on it
+        solved = w[..., solved_from:]
+        solved[solved <= 1e-13 * w.max(axis=-1, keepdims=True)] = 0.0
     return w, space.eigen_weights
+
+
+def _gram_eigenvalues_2x2(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of m* m for a stack of 2x2 blocks, (..., k, 2, 2) ->
+    (..., 2k), the smaller of each block first, with no eigensolve.
+
+    With m* m = [[p, q], [q*, r]], F = p + r = ||m||_F^2 and
+    D = |det m|^2, the larger eigenvalue is (F + sqrt(F^2 - 4D)) / 2 and the
+    smaller is D over the larger, or 0 for the zero block. F^2 - 4D is
+    summed as (p - r)^2 + 4|q|^2, which cancels nothing where the singular
+    values meet, and the smaller is |det m| (|det m| / larger), which stays
+    in range where D would not. Both singular values are then within a few
+    eps ||m||_F of the true ones, the smaller one included.
+    """
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = m.real ** 2 + m.imag ** 2
+        p, r = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+        f = p + r
+        q = np.conj(a) * b + np.conj(c) * d
+        large = 0.5 * (f + np.hypot(p - r, 2.0 * np.abs(q)))
+        det = np.abs(a * d - b * c)
+        w = np.empty(f.shape + (2,))
+        w[..., 0] = det * np.divide(det, large, out=np.zeros_like(large),
+                                    where=large > 0)
+        w[..., 1] = large
+    # f is not finite exactly when an entry is not (or its square overflows)
+    w[~np.isfinite(f)] = np.nan
+    return w.reshape(f.shape[:-1] + (-1,))
 
 
 def norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:

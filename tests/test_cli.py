@@ -230,6 +230,21 @@ def test_printed_checks_have_exactly_their_keys(capsys, argv, count):
         assert f'"{key}":' not in out, key
 
 
+@pytest.mark.parametrize("example, seed", [
+    ("kac-paljutkin", "1"), ("kac-paljutkin", "2"), ("s3-group", "3")])
+def test_young_at_p_q_one_stays_at_one(capsys, example, seed):
+    # the eigen route of the L^p kernel lost the small singular values of
+    # a 2x2 block, and these runs exited 2 with estimates up to
+    # 1.0000016735701454
+    code, out, err = run_cli(capsys, "sharpness", "--kind", "young",
+                             "--example", example, "--p", "1", "--q", "1",
+                             "--restarts", "1", "--iters", "2",
+                             "--seed", seed)
+    assert code == 0, err
+    (check,) = json.loads(out)["checks"]
+    assert check["holds"] and check["lhs"] <= 1.0 + 1e-12
+
+
 def test_sharpness_subcommand(capsys):
     code, out, _ = run_cli(capsys, "sharpness", "--example", "z2-function",
                            "--kind", "hy", "--p", "2.0", "--restarts", "2",

@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgharm import lp
 from qgharm.catalog import EXAMPLE_NAMES, get_example
@@ -47,9 +50,10 @@ INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# references: the one-sample checkers and helpers that only tests call, and
-# the L^p kernels as they were before their layout was cached, which the
-# kernels must reproduce bit for bit
+# references: the one-sample checkers and helpers that only tests call, the
+# block layout and norms as they were before the layout was cached, which
+# the kernels must reproduce bit for bit, and the eigen route of
+# spectral_data as it was before 2x2 blocks took their closed form
 # ---------------------------------------------------------------------------
 
 AUTOMORPHISM_TOL = 1e-10
@@ -119,19 +123,26 @@ def _reference_matrices(self: Blocks, coeffs) -> list:
 
 
 def _reference_spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
-    """spectral_data with a concatenation of every size run and np.where
-    for the fuzz."""
+    """spectral_data with one batched eigensolve of rho(x)* rho(x) for every
+    block size d > 1, and every eigenvalue at or below 1e-13 times the row's
+    largest zeroed."""
     w = []
     for m in space.algebra.blocks.matrices(coeffs):
         if m.shape[-1] == 1:
             w.append(np.abs(m[..., 0, 0]) ** 2)
         else:
-            eig = np.linalg.eigvalsh(np.conj(m).swapaxes(-1, -2) @ m)
+            mm = np.conj(m).swapaxes(-1, -2) @ m
+            try:
+                eig = np.linalg.eigvalsh(mm)
+            except np.linalg.LinAlgError:
+                # LAPACK may refuse a non-finite matrix, and with it the stack
+                finite = np.isfinite(mm).all(axis=(-1, -2))
+                eig = np.full(mm.shape[:-1], np.nan)
+                eig[finite] = np.linalg.eigvalsh(mm[finite])
             w.append(eig.reshape(eig.shape[:-2] + (-1,)))
-    w = np.concatenate(w, axis=-1)
-    w = np.clip(w, 0.0, None)
-    scale = np.max(w, axis=-1, keepdims=True)
-    w = np.where(w <= 1e-13 * scale, 0.0, w)
+    # clip copies, so the fuzz is zeroed in place below
+    w = (w[0] if len(w) == 1 else np.concatenate(w, axis=-1)).clip(0.0)
+    w[w <= 1e-13 * w.max(axis=-1, keepdims=True)] = 0.0
     return w, space.eigen_weights
 
 
@@ -375,58 +386,139 @@ def _kernel_stacks(g, seed: int):
         yield x
 
 
-def test_kernels_reproduce_their_references_bit_for_bit():
-    # the layout is cached, a lone size run is not concatenated, and the
-    # fuzz is zeroed in place: the same products in the same order
+def test_kernels_match_the_eigen_route_away_from_rank_deficiency():
+    # the block layout and the norms reproduce their references bit for
+    # bit. Away from rank deficiency, on the rows where every eigenvalue of
+    # the eigen route is above 1e-10 of the row's largest (every random
+    # row), the eigenvalues lie within 1e-14 of the row's largest of the
+    # eigen route's, and the norms within 1e-13 relative (5.3e-15 seen, at
+    # p = 1). The x z rows, whose other blocks hold rounding fuzz that the
+    # eigen route floors to 0, are rank deficient. Zero rows give 0 and NaN
+    # rows NaN, and the eigenvalues of blocks of size 3 (C[S4]) keep the
+    # eigen route's bits on every row
     for i, (g, weight) in enumerate(_spaces()):
         sp = weighted_space(g, weight)
         blocks = sp.algebra.blocks
+        solved = sum(d for d in blocks.sizes if d <= 2)
         for x in _kernel_stacks(sp.algebra, seed=20 + i):
             for got, want in zip(blocks.matrices(x),
                                  _reference_matrices(blocks, x),
                                  strict=True):
                 assert _same_bits(got, want), sp.algebra.name
             w, d = spectral_data(sp, x)
-            try:
-                ref_w, ref_d = _reference_spectral_data(sp, x)
-            except np.linalg.LinAlgError:
-                # LAPACK refuses a NaN 3x3 block (C[S4]); the kernel gives
-                # the NaN row NaN eigenvalues and every other row its bits
-                nan = np.isnan(x).any(axis=-1)
-                assert np.isnan(w[nan]).all(), sp.algebra.name
-                ref_w, ref_d = _reference_spectral_data(
-                    sp, np.where(nan[..., None], 1.0, x))
-                ref_w[nan] = w[nan]
-            assert _same_bits(w, ref_w) and d is ref_d, sp.algebra.name
+            ref_w, ref_d = _reference_spectral_data(sp, x)
+            assert d is ref_d
+            nan = np.isnan(x).any(axis=-1)
+            assert np.isnan(w[nan]).all() and not np.isnan(w[~nan]).any()
+            assert _same_bits(w[..., solved:], ref_w[..., solved:])
+            full = (ref_w > 1e-10 * ref_w.max(axis=-1, keepdims=True)).all(
+                axis=-1)
+            assert full.sum() >= full.size - 3, sp.algebra.name
+            top = ref_w[full].max(axis=-1, keepdims=True)
+            assert np.all(np.abs(w[full] - ref_w[full]) <= 1e-14 * top), \
+                sp.algebra.name
+            zero = ~np.abs(x).any(axis=-1)
             for p in (1.0, 4.0 / 3.0, 2.0, 4.0, 1001.0, INF):
                 got = norms_from_spectral(w, d, p)
-                want = _reference_norms_from_spectral(w, d, p)
-                assert _same_bits(got, want), (sp.algebra.name, x.shape, p)
+                assert _same_bits(
+                    got, _reference_norms_from_spectral(w, d, p)), p
+                want = norms_from_spectral(ref_w, d, p)
+                np.testing.assert_allclose(got[full], want[full], rtol=1e-13,
+                                           atol=0, err_msg=sp.algebra.name)
+                assert (got[zero] == 0.0).all()
 
 
-def _report_bits(rep) -> tuple:
-    return (rep.constant_estimate, np.array(rep.history).tobytes(),
-            rep.iterations, rep.converged, rep.converged_per_restart,
-            tuple(a.coeffs.tobytes() for a in rep.argmax))
+def test_no_eigensolve_runs_on_blocks_of_size_at_most_two(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or eigvalsh(a))
+    for i, (g, weight) in enumerate(_spaces()):
+        sp = weighted_space(g, weight)
+        calls.clear()
+        for x in _kernel_stacks(g, seed=20 + i):
+            spectral_data(sp, x)
+        # only C[S4] and the dual of l^inf(S4) have blocks of size 3
+        assert bool(calls) == (max(g.blocks.sizes) > 2), g.name
+        assert all(shape[-1] == 3 for shape in calls)
 
 
-def test_searches_are_unchanged_with_the_reference_kernels():
-    # the two sharpness jobs of the search workload, at its caps
+def test_searches_follow_the_eigen_route_without_its_excess():
+    # the two sharpness jobs of the search workload at its caps, and two
+    # runs on KP's 2x2 block. With the eigen route the estimates sit up to
+    # 2.2e-13 above 1; with the closed form within 1e-15 of it. The
+    # ascents take the same iterations and converge alike, their
+    # per-restart values agree within 1e-9, and the argmax may be another
+    # point of the same value
     runs = (lambda: estimate_best_constant_young(
                 get_example("z2-function"), 4.0 / 3.0, 4.0 / 3.0,
                 restarts=8, iters=6, seed=7),
             lambda: estimate_best_constant_hy(
                 get_example("s3-function"), 4.0 / 3.0,
-                restarts=4, iters=10, seed=7))
+                restarts=4, iters=10, seed=7),
+            lambda: estimate_best_constant_young(
+                get_example("kac-paljutkin"), 1.5, 1.25, restarts=2,
+                iters=20, seed=3),
+            lambda: estimate_best_constant_hy(
+                get_example("kac-paljutkin"), 4.0 / 3.0, restarts=2,
+                iters=20, seed=3))
     for run in runs:
-        got = _report_bits(run())
+        got = run()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Blocks, "matrices", _reference_matrices)
             patch.setattr(lp, "spectral_data", _reference_spectral_data)
-            patch.setattr(lp, "norms_from_spectral",
-                          _reference_norms_from_spectral)
-            want = _report_bits(run())
-        assert got == want
+            want = run()
+        assert abs(got.constant_estimate - 1.0) <= 1e-15
+        assert abs(got.constant_estimate - want.constant_estimate) <= 1e-12
+        assert (got.iterations, got.converged, got.converged_per_restart) \
+            == (want.iterations, want.converged, want.converged_per_restart)
+        np.testing.assert_allclose(got.history, want.history, rtol=0,
+                                   atol=1e-9)
+
+
+_angles = st.floats(0.0, 2.0 * np.pi)
+
+
+def _unitary(t, a, b, phase) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return np.exp(1j * phase) * np.array(
+        [[c * np.exp(1j * a), -s * np.exp(-1j * b)],
+         [s * np.exp(1j * b), c * np.exp(-1j * a)]])
+
+
+# s2 / s1: rank one, a rank gap 10^-g down to 1e-18, or singular values
+# that meet to within 10^-g
+_ratios = st.one_of(st.just(0.0), st.just(1.0),
+                    st.floats(0.0, 18.0).map(lambda g: 10.0 ** -g),
+                    st.floats(0.0, 16.0).map(lambda g: 1.0 - 10.0 ** -g))
+_blocks = st.builds(
+    lambda u, v, scale, ratio: (
+        _unitary(*u) * (10.0 ** scale * np.array([1.0, ratio]))
+        @ _unitary(*v).conj().T),
+    st.tuples(*[_angles] * 4), st.tuples(*[_angles] * 4),
+    st.floats(-8.0, 8.0), _ratios)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(blocks=st.lists(_blocks, min_size=1, max_size=6),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, 1j * np.inf,
+                            np.nan * 1j]),
+       at=st.tuples(st.integers(0, 1), st.integers(0, 1)))
+def test_closed_form_singular_values_match_the_svd(blocks, bad, at):
+    # 16 orders of magnitude of scale, with the zero block added: each
+    # singular value within 4e-15 ||m||_F of the SVD's. A block with a NaN
+    # or an infinity gives NaN for both, leaves the other blocks' bits, and
+    # raises no warning
+    m = np.array(blocks + [np.zeros((2, 2))], dtype=complex)
+    want = np.linalg.svd(m, compute_uv=False)[:, ::-1]
+    frobenius = np.linalg.norm(m, axis=(-2, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = lp._gram_eigenvalues_2x2(m)
+        m[0][at] = bad
+        broken = lp._gram_eigenvalues_2x2(m)
+    got = np.sqrt(w).reshape(-1, 2)
+    assert np.all(np.abs(got - want) <= 4e-15 * frobenius[:, None])
+    assert np.isnan(broken[:2]).all() and _same_bits(broken[2:], w[2:])
 
 
 # ---------------------------------------------------------------------------
