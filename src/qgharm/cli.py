@@ -45,9 +45,9 @@ from .sharpness import (
 )
 from .structures import (
     ROOT_TOL,
-    _glp_properties_checks,
-    _glpbi_checks,
     biprojection_iff_grouplike,
+    glp_properties_checks,
+    glpbi_checks,
 )
 from .suq2 import counterexample_report
 
@@ -183,9 +183,9 @@ def _run_structures(args) -> dict:
     certs = sweep.details["group_like"]
     checks = []
     for idx, (cert, props, bi, image) in enumerate(zip(
-            certs, _glp_properties_checks(pair.base, certs, args.tol),
+            certs, glp_properties_checks(pair.base, certs, args.tol),
             sweep.details["group_like_biprojection"],
-            _glpbi_checks(pair, certs, args.tol))):
+            glpbi_checks(pair, certs, args.tol))):
         checks += [
             _entry(props, name=f"group-like-{idx}-properties",
                    coeffs=_encode_array(cert.details["element"].coeffs),

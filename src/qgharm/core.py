@@ -366,8 +366,11 @@ class Blocks:
 
     def matrices(self, coeffs) -> list:
         """rho_i(x) in block order, batched over the leading axes of coeffs:
-        one (..., count, d, d) array for the count blocks of each size d."""
-        entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
+        one (..., count, d, d) array for the count blocks of each size d.
+        An infinite coefficient times a zero of to_blocks gives NaN there,
+        silently, so that the blocks of x are NaN and not an error."""
+        with np.errstate(invalid="ignore"):
+            entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
         lead = entries.shape[:-1]
         return [entries[..., a:b].reshape(lead + (k, d, d))
                 for d, k, a, b in self._runs]

@@ -5,13 +5,13 @@ The GNS space is the coefficient space with the Gram inner product
 <x, y> = x^dagger G y, so the embedding of the algebra into its Hilbert
 space is the identity on coefficients. For a finite-dimensional Kac algebra
 the dual is core.transposed of the base, the linear dual with its structure
-tensors transposed. The dual basis operators are B_s = F(Q^{-1} e_s), and
-the dual Haar weight is the Haar integral h = Q^{-1} epsilon. The
-multiplicative unitary W, defined through W*(a . b) = Delta(b)(a . 1), is
-formed only on demand, as the certificate behind the pentagon and
-comultiplication-conjugation checks. The Fourier transform at every
-exponent is the same linear map x -> sum_s (Qx)_s B_s; only the norms
-differ by exponent.
+tensors transposed, over the operators B_s = F(Q^{-1} e_s); the dual Haar
+weight is the Haar integral h = Q^{-1} epsilon. The Fourier transform has
+one picture at every exponent, its coefficients (Qx)_s over the B_s:
+products, adjoints, blocks and norms of F(x) are those of the dual algebra,
+and no operator matrix of F(x) is formed. The multiplicative unitary W,
+defined through W*(a . b) = Delta(b)(a . 1), is formed only on demand, as
+the certificate behind the pentagon and comultiplication-conjugation checks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .convolution import convolve
 from .core import (AlgebraElement, FiniteQuantumGroup, _accept, _maxabs,
                    _on_two_legs, _real_if_exact, transposed)
 from .errors import QgharmError
@@ -31,14 +30,11 @@ from .report import Check, check
 __all__ = [
     "DualPair",
     "build_dual",
-    "fourier",
     "fourier_coeffs",
-    "dual_matrix",
     "dual_fourier",
     "pentagon_residual",
     "comult_conjugation_residual",
     "plancherel_check",
-    "convolution_theorem_check",
     "biduality_check",
 ]
 
@@ -51,16 +47,15 @@ PLANCHEREL_SAMPLES = 100
 class DualPair:
     """The base quantum group with its dual and multiplicative unitary.
 
-    dual_basis[s] is the operator B_s on the GNS space; dual_weight[s] is the
-    true Plancherel weight of B_s and dual_weight_total its value at the
-    dual unit. The dual_qg carries the normalized state so the axiom
-    verifier applies. w is the multiplicative unitary on the twofold GNS
-    space and w_star its inverse; both are formed from the base on first
-    use. The pairs of build_dual share their arrays, which are read-only.
+    dual_weight[s] is the true Plancherel weight of the dual basis operator
+    B_s and dual_weight_total its value at the dual unit. The dual_qg
+    carries the normalized state so the axiom verifier applies. w is the
+    multiplicative unitary on the twofold GNS space and w_star its inverse;
+    both are formed from the base on first use. The pairs of build_dual
+    share their arrays, which are read-only.
     """
 
     base: FiniteQuantumGroup
-    dual_basis: np.ndarray
     dual_qg: FiniteQuantumGroup
     dual_weight: np.ndarray
     dual_weight_total: float
@@ -161,7 +156,6 @@ def build_dual(g: FiniteQuantumGroup) -> DualPair:
 
 def _build_dual(g: FiniteQuantumGroup) -> DualPair:
     _accept(g, 1e-10, "base")
-    n = g.dim
     weight = np.linalg.solve(g.q_matrix, g.counit)
     total = complex(g.counit @ weight)
     if abs(total.imag) > 1e-9 or total.real <= 0:
@@ -171,14 +165,9 @@ def _build_dual(g: FiniteQuantumGroup) -> DualPair:
     dual_qg = transposed(g, weight / total, (g.name or "base") + "-dual")
     _accept(dual_qg, DUAL_TOL, "dual")
 
-    pair = DualPair(
-        base=g,
-        dual_basis=(g.antipode @ g.comult3.reshape(n, n * n)).reshape(n, n, n),
-        dual_qg=dual_qg,
-        dual_weight=weight,
-        dual_weight_total=total,
-    )
-    pair.dual_basis.flags.writeable = pair.dual_weight.flags.writeable = False
+    pair = DualPair(base=g, dual_qg=dual_qg, dual_weight=weight,
+                    dual_weight_total=total)
+    pair.dual_weight.flags.writeable = False
     q = g.q_matrix
     presid = _maxabs(q.conj().T @ pair.dual_gram_weight @ q - g.gram)
     if presid > DUAL_TOL * max(_maxabs(g.gram), 1.0):
@@ -194,19 +183,6 @@ def fourier_coeffs(pair: DualPair, x) -> np.ndarray:
     """Coefficients of F(x) over the dual basis: (Qx)_s, batched over the
     leading axes."""
     return pair.base.coeffs_of(x) @ pair.base.q_matrix.T
-
-
-def fourier(pair: DualPair, x) -> np.ndarray:
-    """F(x) = lambda(x phi) as a matrix on the GNS space."""
-    return dual_matrix(pair, fourier_coeffs(pair, x))
-
-
-def dual_matrix(pair: DualPair, coeffs) -> np.ndarray:
-    """Matrix of a dual element given by coefficients over the dual basis,
-    batched over the leading axes."""
-    c = np.asarray(coeffs, dtype=complex)
-    n = pair.base.dim
-    return (c @ pair.dual_basis.reshape(n, n * n)).reshape(c.shape[:-1] + (n, n))
 
 
 def dual_fourier(pair: DualPair, coeffs) -> AlgebraElement:
@@ -226,19 +202,8 @@ def dual_fourier(pair: DualPair, coeffs) -> AlgebraElement:
 # checks
 # ---------------------------------------------------------------------------
 
-def lp2_norm_base(g: FiniteQuantumGroup, x) -> np.ndarray:
-    """L^2 norm under the Haar state, phi(x* x)^(1/2), batched over the
-    leading axes."""
-    return _gram_norm(g.coeffs_of(x), g.gram)
-
-
-def lp2_norm_dual(pair: DualPair, coeffs) -> np.ndarray:
-    """L^2 norm of a dual element under the true Plancherel weight, batched
-    over the leading axes of its dual-basis coefficients."""
-    return _gram_norm(pair.dual_qg.coeffs_of(coeffs), pair.dual_gram_weight)
-
-
 def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """(c^dagger gram c)^(1/2), batched over the leading axes of c."""
     val = np.sum((c.conj() @ gram) * c, axis=-1)
     return np.sqrt(np.maximum(val.real, 0.0))
 
@@ -249,23 +214,12 @@ def plancherel_check(pair: DualPair, seed: int = 42) -> Check:
     draws = np.random.default_rng(seed).standard_normal(
         (PLANCHEREL_SAMPLES, 2, g.dim))
     x = draws[:, 0] + 1j * draws[:, 1]
-    rhs = lp2_norm_base(g, x)
-    gaps = np.abs(lp2_norm_dual(pair, fourier_coeffs(pair, x)) - rhs)
+    rhs = _gram_norm(x, g.gram)
+    gaps = np.abs(_gram_norm(fourier_coeffs(pair, x), pair.dual_gram_weight)
+                  - rhs)
     worst = np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0)
     return check("plancherel", "fourier-isometry", {"relative_gap": worst},
                  FOURIER_TOL, samples=PLANCHEREL_SAMPLES, seed=seed,
-                 example=g.name)
-
-
-def convolution_theorem_check(pair: DualPair, x, y) -> Check:
-    """F(x * y) = F(x) F(y), measured in max-abs on the dual coefficients."""
-    g = pair.base
-    conv = convolve(g, x, y)
-    lhs = fourier(pair, conv)
-    rhs = fourier(pair, x) @ fourier(pair, y)
-    scale = max(_maxabs(rhs), 1.0)
-    return check("convolution-theorem", "fourier-multiplicative",
-                 {"relative_gap": _maxabs(lhs - rhs) / scale}, FOURIER_TOL,
                  example=g.name)
 
 

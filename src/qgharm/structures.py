@@ -8,6 +8,12 @@ the Fourier transform of a group-like projection is phi(h) times a dual
 group-like projection, shifts map to multiples of partial isometries, and
 bi-shifts are extremal for the Young and Hausdorff-Young inequalities.
 
+The certificates of group-like projections and biprojections have one form,
+the stack: group_like_checks, glp_properties_checks, biprojection_checks
+and glpbi_checks take a list of elements (the derived two also take their
+certificates) and give one record per element, computed in one pass over
+the (k, n) coefficient stack. A row never moves another row's residuals.
+
 The lists of group-like projections, of biprojections and of the shifts of
 a group-like projection are complete. A projection is a choice of one
 projection per Wedderburn block; on a block of size 2 a rank-one choice
@@ -37,10 +43,10 @@ from .lp import base_space, hausdorff_young_check, lp_norm
 from .report import Check, check
 
 __all__ = [
-    "is_group_like_projection",
-    "verify_glp_properties",
-    "is_biprojection",
-    "glpbi_check",
+    "group_like_checks",
+    "glp_properties_checks",
+    "biprojection_checks",
+    "glpbi_checks",
     "biprojection_iff_grouplike",
     "enumerate_group_like_projections",
     "shift_check",
@@ -86,17 +92,10 @@ def _row_checks(name: str, claim: str, res: dict, tol: float, rows: list,
 # group-like projections
 # ---------------------------------------------------------------------------
 
-def is_group_like_projection(g: FiniteQuantumGroup, h,
-                             tol: float = 1e-9) -> Check:
-    """Certificate for h = h* = h^2 != 0 with Delta(h)(1 . h) = h . h; its
-    details hold the element and its Haar value."""
-    return _group_like_checks(g, [h], tol)[0]
-
-
 def _group_like_residuals(g: FiniteQuantumGroup, hc: np.ndarray,
                           tol: float) -> dict:
-    """The residuals of is_group_like_projection, one (k,) array per key,
-    over a (k, n) coefficient stack."""
+    """The residuals of group_like_checks, one (k,) array per key, over a
+    (k, n) coefficient stack."""
     return {
         "projection": _row_maxabs(g.multiply(hc, hc) - hc),
         "self_adjoint": _row_maxabs(g.star_of(hc) - hc),
@@ -105,8 +104,10 @@ def _group_like_residuals(g: FiniteQuantumGroup, hc: np.ndarray,
     }
 
 
-def _group_like_checks(g: FiniteQuantumGroup, hs, tol: float) -> list:
-    """is_group_like_projection of every element of hs, as one stack."""
+def group_like_checks(g: FiniteQuantumGroup, hs, tol: float) -> list:
+    """Certificate for h = h* = h^2 != 0 with Delta(h)(1 . h) = h . h, one
+    record per element h of hs, as one stack; its details hold the element
+    and its Haar value."""
     hc = _stack(g, hs)
     haar = g.haar_of(hc).real
     return _row_checks(
@@ -132,8 +133,8 @@ def _group_like_relation(g: FiniteQuantumGroup, hc) -> np.ndarray:
 
 def _require_group_like(g: FiniteQuantumGroup, h, tol: float) -> Check:
     """The holding certificate of h, an element of g; a record of
-    is_group_like_projection for one at tol or tighter is taken as it is."""
-    cert = h if isinstance(h, Check) else is_group_like_projection(g, h, tol)
+    group_like_checks for one at tol or tighter is taken as it is."""
+    cert = h if isinstance(h, Check) else group_like_checks(g, [h], tol)[0]
     if not (cert.name == "group-like-projection" and cert.holds
             and cert.tol <= tol):
         raise QgharmError(f"not group-like at tol {tol}: {cert.residuals}")
@@ -149,16 +150,10 @@ def _certified(g: FiniteQuantumGroup, hs, tol: float) -> tuple:
             np.array([c.details["haar_value"] for c in certs]))
 
 
-def verify_glp_properties(g: FiniteQuantumGroup, h,
-                          tol: float = 1e-9) -> Check:
-    """Derived identities of a group-like projection h or its certificate:
-    fixed by S (which is R on Kac-type data), the mirrored relation, and
-    equality of the two weighted functionals."""
-    return _glp_properties_checks(g, [h], tol)[0]
-
-
-def _glp_properties_checks(g: FiniteQuantumGroup, hs, tol: float) -> list:
-    """verify_glp_properties of every element of hs, as one stack."""
+def glp_properties_checks(g: FiniteQuantumGroup, hs, tol: float) -> list:
+    """Derived identities of each group-like projection of hs, or of its
+    certificate, as one stack: fixed by S (which is R on Kac-type data),
+    the mirrored relation, and equality of the two weighted functionals."""
     hc, phi = _certified(g, hs, tol)
     mirrored = np.swapaxes(_right_mult(g, hc), -1, -2) @ g.delta(hc)
     # h phi = h psi: both are y -> haar(y h) here since the left and right
@@ -186,17 +181,13 @@ def _fourier_blocks(pair: DualPair, x) -> np.ndarray:
     return pair.dual_qg.blocks.diag(fourier_coeffs(pair, x))
 
 
-def is_biprojection(pair: DualPair, h, tol: float = 1e-9) -> Check:
+def biprojection_checks(pair: DualPair, hs, tol: float) -> list:
     """Is F(h) a (nonzero) multiple of a projection in the dual algebra?
+    One record per element h of hs, as one stack; a row whose transform is
+    zero fails on nonzero_transform alone.
 
     Inner products are the Hilbert-Schmidt ones of the operators on L^2(G),
     where block i of the dual appears d_i times."""
-    return _biprojection_checks(pair, [h], tol)[0]
-
-
-def _biprojection_checks(pair: DualPair, hs, tol: float) -> list:
-    """is_biprojection of every element of hs, as one stack; a row whose
-    transform is zero fails on nonzero_transform alone."""
     f = _fourier_blocks(pair, _stack(pair.base, hs))
     blocks = pair.dual_qg.blocks
     norm2 = blocks.hs(f, f)
@@ -233,15 +224,11 @@ def range_projection_of_fourier(pair: DualPair, h) -> np.ndarray:
     return pair.dual_qg.blocks.coeffs_of_diag(p)
 
 
-def glpbi_check(pair: DualPair, h, tol: float = 1e-9) -> Check:
-    """Fourier image of a group-like projection h (or its certificate):
-    phi(h)^{-1} F(h) is a dual group-like projection, the dual weight of
-    its range is 1/phi(h), and the range transported back is phi(h)^{-1} h."""
-    return _glpbi_checks(pair, [h], tol)[0]
-
-
-def _glpbi_checks(pair: DualPair, hs, tol: float) -> list:
-    """glpbi_check of every element of hs, as one stack."""
+def glpbi_checks(pair: DualPair, hs, tol: float) -> list:
+    """Fourier image of each group-like projection h of hs (or of its
+    certificate), as one stack: phi(h)^{-1} F(h) is a dual group-like
+    projection, the dual weight of its range is 1/phi(h), and the range
+    transported back is phi(h)^{-1} h."""
     hc, phi = _certified(pair.base, hs, tol)
     if np.any(phi <= 0):
         raise QgharmError(f"Haar value {phi[phi <= 0][0]} is not positive")
@@ -274,21 +261,21 @@ def biprojection_iff_grouplike(pair: DualPair,
     character with epsilon_hat(F(x)) = phi(x). projections_checked counts
     the block choices, group_like holds the certificates of
     enumerate_group_like_projections, group_like_biprojection the
-    is_biprojection record of each of them, and singular_value_gaps holds the
-    weakest rank decision of each choice solved with rank-one blocks. Each
-    list is certified as one stack.
+    biprojection_checks record of each of them, and singular_value_gaps
+    holds the weakest rank decision of each choice solved with rank-one
+    blocks. Each list is certified as one stack.
     """
     g = pair.base
     group_like, gl_run = _group_like(g, tol)
     bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol)
     _all_certified(c.holds for c in
-                   _biprojection_checks(pair, bi_run.points, tol))
+                   biprojection_checks(pair, bi_run.points, tol))
     disagreements = [
         _disagreement(h, biprojection=True, group_like=False)
         for h, c in zip(bi_run.points,
-                        _group_like_checks(g, bi_run.points, tol))
+                        group_like_checks(g, bi_run.points, tol))
         if not c.holds]
-    group_like_bi = _biprojection_checks(
+    group_like_bi = biprojection_checks(
         pair, [c.details["element"] for c in group_like], tol)
     disagreements += [
         _disagreement(c.details["element"].coeffs, biprojection=False,
@@ -312,7 +299,7 @@ def _disagreement(h: np.ndarray, biprojection: bool, group_like: bool) -> dict:
 
 def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
     run = _enumerate(g, lambda h: _group_like_relation(g, h), tol)
-    certs = _group_like_checks(g, run.points, tol)
+    certs = group_like_checks(g, run.points, tol)
     _all_certified(c.holds for c in certs)
     return certs, run
 

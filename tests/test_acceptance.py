@@ -39,7 +39,7 @@ from qgharm.structures import (
     bishift_theorem_check,
     enumerate_group_like_projections,
     enumerate_left_shifts,
-    glpbi_check,
+    glpbi_checks,
     range_projection_of_fourier,
 )
 from qgharm.suq2 import certified_bound, counterexample_report
@@ -185,7 +185,7 @@ def test_criterion_5_projection_machinery():
             h = cert.details["element"].coeffs
             conv_idem = max(conv_idem, float(np.max(np.abs(
                 convolve(g, h, h).coeffs - cert.details["haar_value"] * h))))
-            rep = glpbi_check(pair, cert.details["element"])
+            rep = glpbi_checks(pair, [cert], 1e-9)[0]
             assert rep.holds, (name, rep.details)
             glpbi_worst = max(glpbi_worst, *rep.residuals.values())
             shifts = enumerate_left_shifts(g, cert.details["element"])

@@ -148,7 +148,7 @@ def test_structures_certifies_each_biprojection_once(capsys):
     # once per enumerated biprojection and once per group-like projection,
     # 8 of each on KP, one stack per list; the printed checks reuse the
     # equivalence record's
-    assert _stacks(structures._biprojection_checks, "hs", capsys,
+    assert _stacks(structures.biprojection_checks, "hs", capsys,
                    "structures", "--example", "kac-paljutkin") == [8, 8]
 
 
@@ -164,14 +164,14 @@ def test_structures_certifies_each_group_like_projection_once(capsys):
 
 @pytest.mark.parametrize("command", ["structures", "hunt"])
 def test_no_certificate_is_evaluated_one_element_at_a_time(capsys, command):
-    # every list goes through the stacked formulas; the single-element
-    # entry points are the stack of one, for callers outside the package
-    for func in (structures.is_group_like_projection,
-                 structures.is_biprojection,
-                 structures.verify_glp_properties,
-                 structures.glpbi_check):
-        assert _calls(func, capsys, command, "--example",
-                      "kac-paljutkin") == 0, func.__name__
+    # every list goes through the certificates as one stack: none of them
+    # is called on a stack of one
+    for func in (structures.group_like_checks,
+                 structures.biprojection_checks,
+                 structures.glp_properties_checks,
+                 structures.glpbi_checks):
+        assert 1 not in _stacks(func, "hs", capsys, command, "--example",
+                                "kac-paljutkin"), func.__name__
 
 
 def test_structures_builds_the_block_choices_once(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from qgharm.core import (
 )
 from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, QgharmError
-from qgharm.structures import is_group_like_projection
+from qgharm.structures import group_like_checks
 from test_duality import _transported
 from test_lp import _s4_table, is_automorphism
 from test_structures import _kron_group
@@ -573,7 +573,8 @@ def test_group_like_relation_matches_its_einsum_definition():
             dh = g.comult.reshape(g.dim, g.dim, g.dim) @ h
             want = np.max(np.abs(np.einsum("ij,k,jkl->il", dh, h, g.mult)
                                  - np.outer(h, h)))
-            got = is_group_like_projection(g, h).residuals["defining_relation"]
+            [cert] = group_like_checks(g, [h], 1e-9)
+            got = cert.residuals["defining_relation"]
             assert got == pytest.approx(want, rel=1e-13), name
 
 

@@ -26,13 +26,9 @@ ONLY_TESTS_CALL = {
     "bipartial_isometry_check",
     "bishift_construct",
     "bishift_theorem_check",
-    "convolution_theorem_check",
     "counit",
     "dihedral_table",
     "enumerate_left_shifts",
-    "glpbi_check",
-    "is_biprojection",
-    "verify_glp_properties",
     "young_check",
 }
 
@@ -162,6 +158,30 @@ def test_the_runtime_imports_only_numpy_and_the_standard_library():
     assert outside == set()
 
 
+def test_private_names_cross_modules_only_from_core():
+    """A module of the package takes an underscore name of another package
+    module only from core, the shared kernel, whether by a relative import
+    or as module._name; dunder names such as __version__ are not private."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__"))
+
+    trees = _package_trees()
+    crossing = set()
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing |= {(mod, node.module, alias.name)
+                             for alias in node.names if private(alias.name)
+                             and node.module != "core"}
+            elif (isinstance(node, ast.Attribute) and private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in trees
+                  and node.value.id not in ("core", mod)):
+                crossing.add((mod, node.value.id, node.attr))
+    assert crossing == set()
+
+
 def test_every_error_type_is_told_apart_by_some_handler():
     """An exception type is kept only while an except clause of the package
     names it: the CLI maps each one it catches to an exit code."""
@@ -209,9 +229,6 @@ NEVER_ENTERED = {
     "core.FiniteQuantumGroup.__repr__": REPR,
     "core.dihedral_table": SECOND_ROUTE,
     "core.dihedral_table.<locals>.idx": SECOND_ROUTE,
-    "duality.convolution_theorem_check": SECOND_ROUTE,
-    "duality.dual_matrix": SECOND_ROUTE,
-    "duality.fourier": SECOND_ROUTE,
     "errors.AxiomFailure.__init__": ERROR_PATH + " (exit 2)",
     "lp._bound": SECOND_ROUTE,
     "lp._norms_at_large_p": ERROR_PATH + " (overflow at a large p)",
@@ -226,11 +243,7 @@ NEVER_ENTERED = {
     "structures.bishift_construct": SHIFTS,
     "structures.bishift_theorem_check": SHIFTS,
     "structures.enumerate_left_shifts": SHIFTS,
-    "structures.glpbi_check": SECOND_ROUTE,
-    "structures.is_biprojection": SECOND_ROUTE,
-    "structures.is_group_like_projection": SECOND_ROUTE,
     "structures.shift_check": SHIFTS,
-    "structures.verify_glp_properties": SECOND_ROUTE,
     "suq2.Laurent.__repr__": REPR,
     "suq2.Monomial.__repr__": REPR,
     "suq2.MuRational.__repr__": REPR,

@@ -608,6 +608,25 @@ def test_a_nan_coefficient_fails_both_inequalities():
         assert list(rep.failing()) == ["excess"]
 
 
+def test_an_infinite_coefficient_gives_nan_norms():
+    # an infinite coefficient times a zero of the block map is NaN, which
+    # forming the blocks must give silently: every eigenvalue and norm of
+    # the row is NaN, on both sides, whichever coefficient is infinite
+    bads = (np.inf, -np.inf, complex(0, np.inf), complex(0, -np.inf))
+    for name in ("kac-paljutkin", "s3-group", "z2-function"):
+        pair = build_dual(get_example(name))
+        for sp in (base_space(pair.base), dual_space(pair)):
+            n = sp.algebra.dim
+            x = np.ones((n, len(bads), n), dtype=complex)
+            x[np.arange(n), :, np.arange(n)] = bads
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(spectral_data(sp, x)[0]).all(), name
+                for p in (1.0, 4.0 / 3.0, 2.0, 1001.0, INF):
+                    assert np.isnan(lp_norms_batch(sp, x, p)).all(), (name, p)
+                    assert np.isnan(lp_norm(sp, x[-1, -1], p)), (name, p)
+
+
 def test_eigen_weights_are_computed_once_per_algebra_and_pair(monkeypatch):
     # every call derives its spaces, but only the first computes weights
     calls = []

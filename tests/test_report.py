@@ -44,8 +44,6 @@ def _young_under_a_sixteenth_of_phi():
 PASSING = {
     "verify_axioms": lambda: verify_axioms(KP),
     "plancherel_check": lambda: duality.plancherel_check(KP_PAIR),
-    "convolution_theorem_check":
-        lambda: duality.convolution_theorem_check(KP_PAIR, X, Y),
     "biduality_check": lambda: duality.biduality_check(KP),
     "young_check": lambda: lp.young_check(KP, X, Y, 4.0 / 3.0, 1.5),
     "hausdorff_young_check":
@@ -54,10 +52,12 @@ PASSING = {
         lambda: norm_transport_check(KP, np.eye(KP.dim), X, 3.0),
     "holder_check": lambda: holder_check(KP, X, Y, 4.0 / 3.0),
     "is_group_like_projection":
-        lambda: structures.is_group_like_projection(Z4, H),
-    "verify_glp_properties": lambda: structures.verify_glp_properties(Z4, H),
-    "is_biprojection": lambda: structures.is_biprojection(Z4_PAIR, H),
-    "glpbi_check": lambda: structures.glpbi_check(Z4_PAIR, H),
+        lambda: structures.group_like_checks(Z4, [H], 1e-9)[0],
+    "verify_glp_properties":
+        lambda: structures.glp_properties_checks(Z4, [H], 1e-9)[0],
+    "is_biprojection":
+        lambda: structures.biprojection_checks(Z4_PAIR, [H], 1e-9)[0],
+    "glpbi_check": lambda: structures.glpbi_checks(Z4_PAIR, [H], 1e-9)[0],
     "biprojection_iff_grouplike":
         lambda: structures.biprojection_iff_grouplike(Z4_PAIR),
     "shift_check": lambda: structures.shift_check(Z4, COSET, H),
@@ -71,7 +71,7 @@ FAILING = {
     "verify_axioms": lambda: verify_axioms(_wrong_haar()),
     # the indicator of {1} is a projection, but {1} is no subgroup
     "is_group_like_projection":
-        lambda: structures.is_group_like_projection(Z4, np.eye(4)[1]),
+        lambda: structures.group_like_checks(Z4, [np.eye(4)[1]], 1e-9)[0],
     "young_check": _young_under_a_sixteenth_of_phi,
 }
 

@@ -26,15 +26,11 @@ from qgharm.structures import (
     ROOT_TOL,
     STETTER_SEED,
     TRIVIAL_NOTE,
-    _biprojection_checks,
     _biprojection_relation,
     _bloch_roots,
     _enumerate,
     _Enumeration,
     _fourier_blocks,
-    _glp_properties_checks,
-    _glpbi_checks,
-    _group_like_checks,
     _group_like_relation,
     _monomials,
     _quadratic_rows,
@@ -43,17 +39,17 @@ from qgharm.structures import (
     _shift_relations,
     _shifted,
     bipartial_isometry_check,
+    biprojection_checks,
     biprojection_iff_grouplike,
     bishift_construct,
     bishift_theorem_check,
     enumerate_group_like_projections,
     enumerate_left_shifts,
-    glpbi_check,
-    is_biprojection,
-    is_group_like_projection,
+    glp_properties_checks,
+    glpbi_checks,
+    group_like_checks,
     range_projection_of_fourier,
     shift_check,
-    verify_glp_properties,
 )
 from test_lp import _s4_table
 
@@ -83,7 +79,7 @@ def _pair(name):
 
 def test_certificate_accepts_a_subgroup_indicator():
     g = get_example("z4-function")
-    cert = is_group_like_projection(g, [1.0, 0.0, 1.0, 0.0])
+    [cert] = group_like_checks(g, [[1.0, 0.0, 1.0, 0.0]], 1e-9)
     assert cert.holds
     assert cert.details["haar_value"] == pytest.approx(0.5, abs=1e-14)
     assert max(cert.residuals.values()) < 1e-14
@@ -92,21 +88,21 @@ def test_certificate_accepts_a_subgroup_indicator():
 def test_certificate_rejects_a_non_subgroup_indicator():
     g = get_example("z4-function")
     # {0, 1} is not closed under the group law
-    cert = is_group_like_projection(g, [1.0, 1.0, 0.0, 0.0])
-    assert not cert.holds
-    assert cert.residuals["defining_relation"] > 0.1
-    # a point mass off the identity is a projection but not group-like
-    cert = is_group_like_projection(g, np.eye(4)[1])
-    assert not cert.holds
+    # and a point mass off the identity is a projection but not group-like
+    closed, point = group_like_checks(g, [[1.0, 1.0, 0.0, 0.0], np.eye(4)[1]],
+                                      1e-9)
+    assert not closed.holds
+    assert closed.residuals["defining_relation"] > 0.1
+    assert not point.holds
 
 
 def test_certificate_rejects_zero():
     g = get_example("z2-function")
-    cert = is_group_like_projection(g, [0.0, 0.0])
+    [cert] = group_like_checks(g, [[0.0, 0.0]], 1e-9)
     assert not cert.holds
     assert cert.residuals["nonzero"] == math.inf
     # no tolerance, however loose, certifies zero
-    assert not is_group_like_projection(g, [0.0, 0.0], tol=2.0).holds
+    assert not group_like_checks(g, [[0.0, 0.0]], 2.0)[0].holds
 
 
 def test_enumeration_matches_the_subgroup_lattice():
@@ -576,8 +572,9 @@ def test_three_two_by_two_blocks_are_refused_before_any_solve():
 def test_glp_derived_properties_hold_everywhere():
     for name in EXAMPLE_NAMES:
         g = get_example(name)
-        for cert in enumerate_group_like_projections(g):
-            rep = verify_glp_properties(g, cert.details["element"])
+        certs = enumerate_group_like_projections(g)
+        for rep in glp_properties_checks(
+                g, [c.details["element"] for c in certs], 1e-9):
             assert rep.holds, (name, rep.details)
             assert max(rep.residuals.values()) < 1e-12
 
@@ -585,37 +582,37 @@ def test_glp_derived_properties_hold_everywhere():
 def test_group_like_checks_take_a_certificate_for_its_element():
     for name in ("z4-function", "kac-paljutkin"):
         pair = _pair(name)
-        for cert in enumerate_group_like_projections(pair.base):
-            h = cert.details["element"]
-            assert verify_glp_properties(pair.base, cert) \
-                == verify_glp_properties(pair.base, h)
-            assert glpbi_check(pair, cert) == glpbi_check(pair, h)
+        certs = enumerate_group_like_projections(pair.base)
+        hs = [c.details["element"] for c in certs]
+        assert glp_properties_checks(pair.base, certs, 1e-9) \
+            == glp_properties_checks(pair.base, hs, 1e-9)
+        assert glpbi_checks(pair, certs, 1e-9) == glpbi_checks(pair, hs, 1e-9)
 
 
 def test_group_like_checks_refuse_a_record_that_does_not_certify():
     pair = _pair("z4-function")
     g = pair.base
     h = enumerate_group_like_projections(g)[1].details["element"]
-    for record in (is_group_like_projection(g, np.eye(4)[1]),
-                   is_group_like_projection(g, h, tol=1e-7),
-                   is_biprojection(pair, h)):
+    for record in (group_like_checks(g, [np.eye(4)[1]], 1e-9)[0],
+                   group_like_checks(g, [h], 1e-7)[0],
+                   biprojection_checks(pair, [h], 1e-9)[0]):
         with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
-            verify_glp_properties(g, record)
+            glp_properties_checks(g, [record], 1e-9)
         with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
-            glpbi_check(pair, record)
+            glpbi_checks(pair, [record], 1e-9)
     # a certificate for an element of another algebra of the same dimension
     foreign = enumerate_group_like_projections(_pair("z2-group").base)[0]
     z2 = _pair("z2-function")
     with pytest.raises(QgharmError, match=FOREIGN):
-        verify_glp_properties(z2.base, foreign)
+        glp_properties_checks(z2.base, [foreign], 1e-9)
     with pytest.raises(QgharmError, match=FOREIGN):
-        glpbi_check(z2, foreign)
+        glpbi_checks(z2, [foreign], 1e-9)
 
 
 def test_glp_properties_refuse_non_group_like_input():
     g = get_example("z4-function")
     with pytest.raises(QgharmError, match=NOT_GROUP_LIKE):
-        verify_glp_properties(g, np.eye(4)[1])
+        glp_properties_checks(g, [np.eye(4)[1]], 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +622,9 @@ def test_glp_properties_refuse_non_group_like_input():
 def test_transform_of_group_like_is_a_biprojection():
     for name in EXAMPLE_NAMES:
         pair = _pair(name)
-        for cert in enumerate_group_like_projections(pair.base):
-            rep = is_biprojection(pair, cert.details["element"])
+        certs = enumerate_group_like_projections(pair.base)
+        for cert, rep in zip(certs, biprojection_checks(
+                pair, [c.details["element"] for c in certs], 1e-9)):
             assert rep.holds, (name, rep.details)
             assert rep.details["multiple"] == pytest.approx(
                 cert.details["haar_value"], abs=1e-10)
@@ -634,18 +632,19 @@ def test_transform_of_group_like_is_a_biprojection():
 
 def test_biprojection_rejects_zero_input():
     pair = _pair("z2-function")
-    rep = is_biprojection(pair, [0.0, 0.0])
+    [rep] = biprojection_checks(pair, [[0.0, 0.0]], 1e-9)
     assert not rep.holds
     assert "nonzero_transform" in rep.failing()
-    assert not is_biprojection(pair, [0.0, 0.0], tol=2.0).holds
+    assert not biprojection_checks(pair, [[0.0, 0.0]], 2.0)[0].holds
 
 
 def test_fourier_image_is_dual_group_like():
     worst = 0.0
     for name in EXAMPLE_NAMES:
         pair = _pair(name)
-        for cert in enumerate_group_like_projections(pair.base):
-            rep = glpbi_check(pair, cert.details["element"])
+        certs = enumerate_group_like_projections(pair.base)
+        for rep in glpbi_checks(
+                pair, [c.details["element"] for c in certs], 1e-9):
             assert rep.holds, (name, rep.details)
             worst = max(worst, *rep.residuals.values())
     assert worst < 1e-12
@@ -708,7 +707,7 @@ def test_equivalence_sweep_over_all_small_examples():
 # ---------------------------------------------------------------------------
 
 def _reference_is_group_like_projection(g, h, tol):
-    """is_group_like_projection evaluated on one element."""
+    """group_like_checks evaluated on one element."""
     hc = g.coeffs_of(h)
     res = {
         "projection": _maxabs(g.multiply(hc, hc) - hc),
@@ -721,7 +720,7 @@ def _reference_is_group_like_projection(g, h, tol):
 
 
 def _reference_verify_glp_properties(g, h, tol):
-    """verify_glp_properties evaluated on one element."""
+    """glp_properties_checks evaluated on one element."""
     cert = _require_group_like(g, h, tol)
     hc = cert.details["element"].coeffs
     mirrored = _right_mult(g, hc).T @ g.delta(hc)
@@ -738,7 +737,7 @@ def _reference_verify_glp_properties(g, h, tol):
 
 
 def _reference_is_biprojection(pair, h, tol):
-    """is_biprojection evaluated on one element."""
+    """biprojection_checks evaluated on one element."""
     f = _fourier_blocks(pair, h)
     blocks = pair.dual_qg.blocks
     scale = float(np.sqrt(blocks.hs(f, f).real))
@@ -756,7 +755,7 @@ def _reference_is_biprojection(pair, h, tol):
 
 
 def _reference_glpbi_check(pair, h, tol):
-    """glpbi_check evaluated on one element."""
+    """glpbi_checks evaluated on one element."""
     g = pair.base
     cert = _require_group_like(g, h, tol)
     hc = cert.details["element"].coeffs
@@ -810,35 +809,19 @@ def test_the_stacked_certificates_equal_the_per_element_reference():
                              1e-9).points
             hs = ([c.details["element"].coeffs for c in certs] + bis
                   + [np.zeros(g.dim)] + list(np.eye(g.dim)))
-            for got, h in zip(_group_like_checks(g, hs, 1e-9), hs):
+            for got, h in zip(group_like_checks(g, hs, 1e-9), hs):
                 _assert_same_record(
                     got, _reference_is_group_like_projection(g, h, 1e-9))
-            for got, h in zip(_biprojection_checks(pair, hs, 1e-9), hs):
+            for got, h in zip(biprojection_checks(pair, hs, 1e-9), hs):
                 _assert_same_record(
                     got, _reference_is_biprojection(pair, h, 1e-9))
-            for got, cert in zip(_glp_properties_checks(g, certs, 1e-9),
+            for got, cert in zip(glp_properties_checks(g, certs, 1e-9),
                                  certs):
                 _assert_same_record(
                     got, _reference_verify_glp_properties(g, cert, 1e-9))
-            for got, cert in zip(_glpbi_checks(pair, certs, 1e-9), certs):
+            for got, cert in zip(glpbi_checks(pair, certs, 1e-9), certs):
                 _assert_same_record(
                     got, _reference_glpbi_check(pair, cert, 1e-9))
-
-
-def test_the_single_element_checks_are_the_stack_of_one():
-    pair = _pair("kac-paljutkin")
-    g = pair.base
-    for cert in enumerate_group_like_projections(g):
-        h = cert.details["element"]
-        for tol in (1e-9, 1e-12):
-            _assert_same_record(is_group_like_projection(g, h, tol=tol),
-                                _group_like_checks(g, [h], tol)[0])
-            _assert_same_record(is_biprojection(pair, h, tol=tol),
-                                _biprojection_checks(pair, [h], tol)[0])
-            _assert_same_record(verify_glp_properties(g, h, tol=tol),
-                                _glp_properties_checks(g, [h], tol)[0])
-            _assert_same_record(glpbi_check(pair, h, tol=tol),
-                                _glpbi_checks(pair, [h], tol)[0])
 
 
 def test_one_perturbed_row_fails_alone_and_moves_no_other_row():
@@ -849,8 +832,8 @@ def test_one_perturbed_row_fails_alone_and_moves_no_other_row():
     perturbed = hs.copy()
     perturbed[3, -1] += 1e-6
     others = np.arange(len(hs)) != 3
-    for stacked, of in ((_group_like_checks, g),
-                        (_biprojection_checks, pair)):
+    for stacked, of in ((group_like_checks, g),
+                        (biprojection_checks, pair)):
         want, got = stacked(of, hs, 1e-9), stacked(of, perturbed, 1e-9)
         assert all(c.holds for c in want)
         assert [c.holds for c in got] == list(others), stacked.__name__
@@ -858,9 +841,9 @@ def test_one_perturbed_row_fails_alone_and_moves_no_other_row():
             == [c.residuals for c, keep in zip(want, others) if keep]
     # the derived checks take certificates: certified at 1e-5, the
     # perturbed row passes, and still moves no other row's residuals
-    certs = _group_like_checks(g, perturbed, 1e-5)
-    clean = _group_like_checks(g, hs, 1e-5)
-    for stacked, of in ((_glp_properties_checks, g), (_glpbi_checks, pair)):
+    certs = group_like_checks(g, perturbed, 1e-5)
+    clean = group_like_checks(g, hs, 1e-5)
+    for stacked, of in ((glp_properties_checks, g), (glpbi_checks, pair)):
         want, got = stacked(of, clean, 1e-5), stacked(of, certs, 1e-5)
         assert max(got[3].residuals.values()) > 1e-8, stacked.__name__
         assert [c.residuals for c, keep in zip(got, others) if keep] \
@@ -869,10 +852,10 @@ def test_one_perturbed_row_fails_alone_and_moves_no_other_row():
 
 def test_empty_stacks_give_no_records():
     pair = _pair("z4-function")
-    assert _group_like_checks(pair.base, [], 1e-9) == []
-    assert _biprojection_checks(pair, [], 1e-9) == []
-    assert _glp_properties_checks(pair.base, [], 1e-9) == []
-    assert _glpbi_checks(pair, [], 1e-9) == []
+    assert group_like_checks(pair.base, [], 1e-9) == []
+    assert biprojection_checks(pair, [], 1e-9) == []
+    assert glp_properties_checks(pair.base, [], 1e-9) == []
+    assert glpbi_checks(pair, [], 1e-9) == []
 
 
 # ---------------------------------------------------------------------------
