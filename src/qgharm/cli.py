@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, catalog
-from .core import _encode_array, json_dumps, verify_axioms
+from .core import _encode_array, verify_axioms
 from .duality import (
     PLANCHEREL_SAMPLES,
     biduality_check,
@@ -37,7 +37,7 @@ from .duality import (
 )
 from .errors import AxiomFailure, QgharmError
 from .lp import SLACK, hausdorff_young_sides, young_sides
-from .report import Check, check
+from .report import Check, check, json_dumps
 from .sharpness import (
     CEILING,
     estimate_best_constant_hy,

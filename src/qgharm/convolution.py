@@ -9,14 +9,19 @@ omega = x phi, which the tests keep as its reference.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import AlgebraElement, FiniteQuantumGroup
 
 __all__ = ["convolve"]
 
 
 def convolve(g: FiniteQuantumGroup, x, y) -> AlgebraElement:
-    """x * y = ((x phi)R . id) Delta(y), batched over the leading axes."""
+    """x * y = ((x phi)R . id) Delta(y), batched over the leading axes.
+    An infinite coefficient times a zero of a structure tensor gives NaN
+    there, silently, as in Blocks.matrices."""
     xc = g.coeffs_of(x)
-    # functional applied to the first leg: e_i -> phi(R(e_i) x)
-    w = (xc @ g.q_matrix.T) @ g.antipode
-    return g.element((w[..., None, :] @ g.delta(y))[..., 0, :])
+    with np.errstate(invalid="ignore"):
+        # functional applied to the first leg: e_i -> phi(R(e_i) x)
+        w = (xc @ g.q_matrix.T) @ g.antipode
+        return g.element((w[..., None, :] @ g.delta(y))[..., 0, :])

@@ -14,7 +14,6 @@ the state, traciality, and the involutivity of the antipode.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -37,7 +36,6 @@ __all__ = [
     "cyclic_table",
     "symmetric_table_s3",
     "dihedral_table",
-    "json_dumps",
 ]
 
 
@@ -318,11 +316,13 @@ class Blocks:
 
     central[i] holds the coefficients of the minimal central projection z_i
     and sizes[i] = d_i, ascending, so the one-dimensional blocks (the
-    characters) come first. rho_i is an irreducible *-representation: the
-    star becomes the matrix adjoint. to_blocks maps coefficients to the
-    concatenated row-major entries of rho_i(x); it is square, since
-    sum_i d_i^2 = n, and from_blocks is its inverse. Every tracial weight is
-    sum_i c_i tr rho_i with c_i = weight(z_i) / d_i.
+    characters) come first; each character is in closed form,
+    chi_i(e_s) = phi(e_s z_i) / phi(z_i), and only the blocks of size 2 or
+    more come from an eigensolve. rho_i is an irreducible
+    *-representation: the star becomes the matrix adjoint. to_blocks maps
+    coefficients to the concatenated row-major entries of rho_i(x); it is
+    square, since sum_i d_i^2 = n, and from_blocks is its inverse. Every
+    tracial weight is sum_i c_i tr rho_i with c_i = weight(z_i) / d_i.
     """
 
     central: np.ndarray
@@ -431,20 +431,27 @@ class Blocks:
 
 
 def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
-    """Blocks of g from its centre, a Cholesky factor of the Gram matrix and
-    seeded generic elements.
+    """Blocks of g from its centre, characters in closed form, and a
+    Cholesky factor of the Gram matrix and seeded generic elements for the
+    matrix blocks.
 
     The centre is the null space of x -> [x, e_j]. Multiplication by a
     generic self-adjoint central element (complex random weights) has the
     minimal central projections as eigenvectors, and tr L_{z_i} = d_i^2.
-    Right multiplication by z_i y, y generic self-adjoint, is self-adjoint
-    for the Haar inner product (the state is tracial); its top eigenspace is
-    a minimal left ideal M e of block i, and rho_i is left multiplication on
-    it in an orthonormal basis. One batched eigh serves every block, and
-    the representations and their gates are built once per block size.
-    Raises AxiomFailure unless the block count equals the centre dimension,
-    sum d_i^2 = n, the rho_i are *-homomorphisms within 1e-10, and they
-    reproduce the Haar state.
+    A block of size 1 is a character: e_s z_i = chi_i(e_s) z_i, so
+    chi_i(e_s) = phi(e_s z_i) / phi(z_i), one product with Q for every
+    character. It is read at z_i z_i*, equal to z_i in exact arithmetic,
+    where an error of the eigensolve in z_i enters only at second order.
+    On a block of size d >= 2, right multiplication by z_i y, y generic
+    self-adjoint, is self-adjoint for the Haar inner product (the state is
+    tracial); its top eigenspace is a minimal left ideal M e of block i,
+    and rho_i is left multiplication on it in an orthonormal basis. One
+    batched eigh serves every matrix block, and none runs on a commutative
+    algebra. The representations and their gates are built once per block
+    size. Raises AxiomFailure unless the block count equals the centre
+    dimension, sum d_i^2 = n, the state is faithful on every character,
+    every minimal left ideal has the dimension of its block, the rho_i are
+    *-homomorphisms within 1e-10, and they reproduce the Haar state.
     """
     n = g.dim
     rng = np.random.default_rng(BLOCK_SEED)
@@ -478,35 +485,46 @@ def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
     order = np.argsort(sizes, kind="stable")
     central, sizes = central[order], tuple(int(d) for d in sizes[order])
 
-    chol = np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T))
-    to_gns = np.linalg.inv(chol).conj().T     # columns orthonormal for <x, y>
-    y = generic_self_adjoint(np.eye(n))
-    # the right multiplications by every z_i y as one stack
-    right = np.einsum("is,jsk->ikj", g.multiply(central, y), g.mult)
-    herm = chol.conj().T @ right @ to_gns
-    w, vecs = np.linalg.eigh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
-    top = w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
-    ideal = np.abs(w - top) <= 1e-8 * np.abs(top)
-    dims = np.sum(ideal, axis=1)
-    for d, dim in zip(sizes, dims):
-        if dim != d:
-            raise AxiomFailure(f"a minimal left ideal of a block of size {d} "
-                               f"has dimension {dim}")
-    # the representations and their gates once per block size, each an
-    # (s, block, a, b) stack over the blocks of that size
+    # the characters, as an (s, block, 1, 1) stack
+    chars = sizes.count(1)
+    z = g.multiply(central[:chars], g.star_of(central[:chars]))
+    mass = z @ g.haar
+    if not np.all(mass.real > 1e-8 * _maxabs(mass)):
+        raise AxiomFailure(f"the state is not faithful: phi(z_i) = "
+                           f"{min(mass.real):.3e} on a character")
+    reps = {1: ((g.q_matrix @ z.T) / mass).reshape(n, chars, 1, 1)}
+    if chars < len(sizes):
+        # the matrix blocks, each from a minimal left ideal, in one eigh
+        chol = np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T))
+        to_gns = np.linalg.inv(chol).conj().T  # columns orthonormal for <x, y>
+        y = generic_self_adjoint(np.eye(n))
+        # the right multiplications by every z_i y as one stack
+        right = np.einsum("is,jsk->ikj", g.multiply(central[chars:], y),
+                          g.mult)
+        herm = chol.conj().T @ right @ to_gns
+        w, vecs = np.linalg.eigh(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
+        top = w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
+        ideal = np.abs(w - top) <= 1e-8 * np.abs(top)
+        dims = np.sum(ideal, axis=1)
+        for d, dim in zip(sizes[chars:], dims):
+            if dim != d:
+                raise AxiomFailure(f"a minimal left ideal of a block of size "
+                                   f"{d} has dimension {dim}")
+        for d in sorted(set(sizes[chars:])):
+            at = np.flatnonzero(np.asarray(sizes[chars:]) == d)
+            cols = np.nonzero(ideal[at])[1].reshape(len(at), 1, d)
+            u = to_gns @ np.take_along_axis(vecs[at], cols, axis=2)
+            reps[d] = np.einsum("cka,skj,cjb->scab", (g.gram @ u).conj(),
+                                g.left_regular, u)
+    # the gates once per block size, each on an (s, block, a, b) stack over
+    # the blocks of that size, characters included
     hom = star = 0.0
-    parts = []
-    for d in sorted(set(sizes)):
-        at = np.flatnonzero(np.asarray(sizes) == d)
-        cols = np.nonzero(ideal[at])[1].reshape(len(at), 1, d)
-        u = to_gns @ np.take_along_axis(vecs[at], cols, axis=2)
-        r = np.einsum("cka,skj,cjb->scab", (g.gram @ u).conj(),
-                      g.left_regular, u)
+    for r in reps.values():
         hom = max(hom, _maxabs(np.einsum("scab,tcbe->stcae", r, r)
                                - np.einsum("stu,ucae->stcae", g.mult, r)))
         star = max(star, _maxabs(
             np.einsum("us,ucab->scba", g.star, r).conj() - r))
-        parts.append(r.reshape(n, -1).T)
+    parts = [r.reshape(n, -1).T for r in reps.values()]
     if max(hom, star) > 1e-10:
         raise AxiomFailure(f"block representations fail: homomorphism "
                            f"{hom:.3e}, star {star:.3e}")
@@ -811,9 +829,3 @@ def _encode_array(a: np.ndarray) -> list:
     if a.ndim == 1:
         return [[float(v.real), float(v.imag)] for v in a]
     return [_encode_array(row) for row in a]
-
-
-def json_dumps(doc: dict) -> str:
-    """Canonical JSON encoding: sorted keys, two-space indent, trailing
-    newline. Every CLI document is written with it."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -181,8 +181,10 @@ def _build_dual(g: FiniteQuantumGroup) -> DualPair:
 
 def fourier_coeffs(pair: DualPair, x) -> np.ndarray:
     """Coefficients of F(x) over the dual basis: (Qx)_s, batched over the
-    leading axes."""
-    return pair.base.coeffs_of(x) @ pair.base.q_matrix.T
+    leading axes. An infinite coefficient times a zero of Q gives NaN
+    there, silently, as in Blocks.matrices."""
+    with np.errstate(invalid="ignore"):
+        return pair.base.coeffs_of(x) @ pair.base.q_matrix.T
 
 
 def dual_fourier(pair: DualPair, coeffs) -> AlgebraElement:

@@ -2,7 +2,10 @@
 
 Norms are computed in the block picture of the algebra (core.Blocks):
 M = (+)_i M_{d_i}, where the star is the matrix adjoint and a tracial weight
-is sum_i c_i tr rho_i with c_i = weight(z_i) / d_i. So
+is sum_i c_i tr rho_i with c_i = weight(z_i) / d_i. The block maps come
+from core._wedderburn: the characters chi_i, the blocks of size 1, in
+closed form from the central projections, and only the matrix blocks from
+an eigensolve. So
 ||x||_p^p = sum_i c_i tr |rho_i(x)|^p, from the eigenvalues of
 rho_i(x)* rho_i(x), the squared singular values of rho_i(x): d_i of them per
 block. They come in closed form for blocks of size 1 (|chi_i(x)|^2) and 2
@@ -222,9 +225,10 @@ def lp_norms_batch(space: WeightedLpSpace, coeffs: np.ndarray, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ratio(lhs, rhs):
-    """lhs / rhs; 0 where both are 0, INF where only rhs is."""
+    """lhs / rhs; 0 where both are 0, INF where only rhs is, and NaN where
+    rhs is NaN, as it is wherever x or y has a NaN or infinite coefficient."""
     out = np.where(lhs == 0, 0.0, INF)
-    return np.divide(lhs, rhs, out=out, where=rhs > 0)
+    return np.divide(lhs, rhs, out=out, where=~(rhs <= 0))
 
 
 def young_sides(g: FiniteQuantumGroup, x, y, p, q) -> tuple:

@@ -17,12 +17,13 @@ from qgharm.core import (
     build_kac_paljutkin,
     cyclic_table,
     dihedral_table,
-    json_dumps,
+    is_commutative,
     symmetric_table_s3,
     verify_axioms,
 )
 from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, QgharmError
+from qgharm.report import json_dumps
 from qgharm.structures import group_like_checks
 from test_duality import _transported
 from test_lp import _s4_table, is_automorphism
@@ -355,6 +356,18 @@ def test_blocks_reject_every_corrupted_product_entry():
                 h.blocks
 
 
+@pytest.mark.parametrize("haar", [(1, 0, 0, 0, 0, 0),
+                                  (0.5, 0.5, 0.5, -0.5, 0, 0)])
+def test_blocks_refuse_a_state_that_is_not_faithful_on_a_character(haar):
+    # on a commutative algebra no Cholesky factor runs to refuse it
+    g = get_example("s3-function")
+    h = FiniteQuantumGroup(mult=g.mult, unit=g.unit, comult=g.comult,
+                           counit=g.counit, antipode=g.antipode, star=g.star,
+                           haar=haar)
+    with pytest.raises(AxiomFailure, match="not faithful"):
+        h.blocks
+
+
 def _wedderburn_reference(g):
     """_wedderburn with a full SVD of the commutator map and one eigh and
     one representation per block."""
@@ -404,18 +417,53 @@ def _wedderburn_reference(g):
                   from_blocks=np.linalg.inv(to_blocks))
 
 
-def _blocks_arrays(b):
-    return b.central, b.to_blocks, b.from_blocks
+EPS = np.finfo(float).eps
+
+
+def _assert_blocks_match(got, want, tol, name):
+    """got against the reference: the central projections and the rows of
+    the matrix blocks within tol (0: bit for bit), and the characters and
+    from_blocks within rounding bounds derived from eps and n.
+
+    Both routes read a character entry chi_i(e_s), of modulus at most 1, as
+    a Rayleigh quotient of unit-scale data: the closed form as
+    phi(e_s p) / phi(p) with p = z_i z_i*, the reference as <u, e_s u> for a
+    unit vector u of the ideal. The error of the eigensolve in z_i or u
+    enters a Rayleigh quotient at second order, so each route is within the
+    rounding bound of a length-n inner product, gamma_n = n eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), and
+    the two are within n eps. Such a change of the rows of to_blocks,
+    relative to its largest entries, 1, moves the inverse by at most
+    cond(to_blocks) n eps relative to its largest entry, to first order,
+    and each route's inversion adds a rounding error of the same order:
+    2 cond n eps in all.
+    """
+    n, chars = got.to_blocks.shape[1], got.sizes.count(1)
+    assert got.sizes == want.sizes, name
+    for a, b in ((got.central, want.central),
+                 (got.to_blocks[chars:], want.to_blocks[chars:])):
+        if tol == 0:
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert _maxabs(a - b) <= tol, name
+    assert _maxabs(got.to_blocks[:chars] - want.to_blocks[:chars]) \
+        <= n * EPS, name
+    bound = (2 * np.linalg.cond(want.to_blocks) * n * EPS
+             * _maxabs(want.from_blocks))
+    assert _maxabs(got.from_blocks - want.from_blocks) <= bound, name
+
+
+def _catalog_algebras():
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        yield g
+        yield build_dual(g).dual_qg
 
 
 def test_the_blocks_equal_the_per_block_reference_on_the_catalog():
-    for name in EXAMPLE_NAMES:
-        g = get_example(name)
-        for h in (g, build_dual(g).dual_qg):
-            got, want = _wedderburn(h), _wedderburn_reference(h)
-            assert got.sizes == want.sizes, h.name
-            for a, b in zip(_blocks_arrays(got), _blocks_arrays(want)):
-                assert a.tobytes() == b.tobytes(), h.name
+    for h in _catalog_algebras():
+        _assert_blocks_match(_wedderburn(h), _wedderburn_reference(h), 0,
+                             h.name)
 
 
 def test_the_blocks_agree_with_the_reference_on_larger_algebras():
@@ -425,11 +473,44 @@ def test_the_blocks_agree_with_the_reference_on_larger_algebras():
               build_group_algebra(dihedral_table(5)),
               _kron_group(get_example("kac-paljutkin"),
                           get_example("z2-function"))):
-        got, want = _wedderburn(g), _wedderburn_reference(g)
-        assert got.sizes == want.sizes
-        for a, b in zip(_blocks_arrays(got), _blocks_arrays(want)):
-            assert _maxabs(a - b) <= 1e-14, g.name
+        _assert_blocks_match(_wedderburn(g), _wedderburn_reference(g), 1e-14,
+                             g.name)
     assert build_group_algebra(_s4_table()).blocks.sizes == (1, 1, 2, 3, 3)
+
+
+def test_every_catalog_character_is_zero_or_unimodular_on_the_basis():
+    # the basis elements of the catalog are group elements, points or
+    # products of unitary generators (and their duals), so a character
+    # takes them to 0 or to the unit circle; within 4 eps here
+    for h in _catalog_algebras():
+        chi = h.blocks.to_blocks[:h.blocks.sizes.count(1)]
+        assert len(chi) > 0
+        off = np.minimum(np.abs(chi), np.abs(np.abs(chi) - 1.0))
+        assert _maxabs(off) <= 4 * EPS, h.name
+
+
+def test_only_the_matrix_blocks_take_an_eigensolve(monkeypatch):
+    algebras = list(_catalog_algebras())
+    calls = []
+    for attr in ("eigh", "cholesky"):
+        original = getattr(np.linalg, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, attr, counted)
+    commutative = 0
+    for h in algebras:
+        calls.clear()
+        _wedderburn(h)
+        if is_commutative(h):
+            commutative += 1
+            assert calls == [], h.name
+        else:
+            assert sorted(calls) == ["cholesky", "eigh"], h.name
+    # s3-group, C[S3], kac-paljutkin and its dual have a 2 x 2 block
+    assert (commutative, len(algebras)) == (10, 14)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def _pentagon_reference(pair):
     return _maxabs(lhs - rhs)
 
 
-def test_pentagon_contraction_equals_the_leg_by_leg_product():
+def test_pentagon_contraction_equals_the_leg_by_leg_product(monkeypatch):
     for g in _catalog_and_transports():
         pair = build_dual(g)
         assert pentagon_residual(pair) == _pentagon_reference(pair), g.name
@@ -197,11 +197,12 @@ def test_pentagon_contraction_equals_the_leg_by_leg_product():
         for _ in range(4):
             bad = w.copy()
             bad[tuple(rng.integers(0, w.shape[0], size=2))] += 1e-3
-            pair.w = bad
+            # build_dual shares the pair, so its W is put back afterwards
+            monkeypatch.setattr(pair, "w", bad)
             assert pentagon_residual(pair) == _pentagon_reference(pair), name
 
 
-def test_corrupted_unitary_fails_the_pentagon():
+def test_corrupted_unitary_fails_the_pentagon(monkeypatch):
     rng = np.random.default_rng(11)
     for name in EXAMPLE_NAMES:
         pair = build_dual(get_example(name))
@@ -209,7 +210,7 @@ def test_corrupted_unitary_fails_the_pentagon():
         for _ in range(4):
             bad = w.copy()
             bad[tuple(rng.integers(0, w.shape[0], size=2))] += 1e-3
-            pair.w = bad
+            monkeypatch.setattr(pair, "w", bad)
             assert pentagon_residual(pair) > 1e-9, name
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qgharm
-from qgharm import catalog, cli
+from qgharm import catalog, cli, report
 
 PACKAGE = Path(qgharm.__file__).parent
 TESTS = Path(__file__).parent
@@ -322,3 +322,22 @@ def test_every_function_the_cli_sweep_skips_is_pinned():
     run = json.loads(proc.stdout)
     assert run["codes"] == [0] * (len(_sweep()) - 3) + [1, 1, 1]
     assert _package_functions() - set(run["entered"]) == set(NEVER_ENTERED)
+
+
+def test_every_sweep_document_has_the_bytes_of_the_stdlib_encoder(
+        monkeypatch):
+    docs = []
+
+    def recorded(doc):
+        docs.append(doc)
+        return report.json_dumps(doc)
+
+    monkeypatch.setattr(cli, "json_dumps", recorded)
+    for argv in _sweep():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.run(list(argv))
+    assert len(docs) == len(_sweep()) - 3     # the refusals print none
+    for doc in docs:
+        assert report.json_dumps(doc) == (
+            json.dumps(doc, sort_keys=True, indent=2) + "\n"), doc["command"]

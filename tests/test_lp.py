@@ -627,6 +627,23 @@ def test_an_infinite_coefficient_gives_nan_norms():
                     assert np.isnan(lp_norm(sp, x[-1, -1], p)), (name, p)
 
 
+@pytest.mark.parametrize("name, index", [("kac-paljutkin", 3),
+                                         ("z2-function", 1), ("s3-group", 1)])
+def test_an_infinite_coefficient_gives_nan_ratios_without_a_warning(name,
+                                                                    index):
+    # the Fourier coefficients and the convolution multiply the infinity by
+    # zeros of Q and of the coproduct, which must give NaN silently
+    g = get_example(name)
+    x = np.ones(g.dim, dtype=complex)
+    x[index] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sides = (hausdorff_young_sides(build_dual(g), x, 4.0 / 3.0),
+                 young_sides(g, x, x, 1.5, 1.5))
+    for lhs, rhs, ratio in sides:
+        assert np.isnan(ratio), (name, lhs, rhs, ratio)
+
+
 def test_eigen_weights_are_computed_once_per_algebra_and_pair(monkeypatch):
     # every call derives its spaces, but only the first computes weights
     calls = []

@@ -1,12 +1,19 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qgharm
 from qgharm import duality, lp, structures
 from qgharm.catalog import get_example
 from qgharm.core import FiniteQuantumGroup, verify_axioms
-from qgharm.report import Check, check
+from qgharm.report import Check, check, json_dumps
 from test_lp import holder_check, norm_transport_check, weighted_space
 
 
@@ -112,3 +119,59 @@ def test_a_nan_residual_fails_in_any_position(residuals):
 def test_a_check_without_residuals_is_refused():
     with pytest.raises(ValueError):
         check("t", "c", {}, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the canonical JSON writer
+# ---------------------------------------------------------------------------
+
+def _stdlib_form(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf, 1e16, 1e-7, 0.1]),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+)
+
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_the_writer_gives_the_bytes_of_the_stdlib_encoder(doc):
+    assert json_dumps(doc) == _stdlib_form(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 0.0}, {"a": {None: 1}}, [{(1,): 2}]])
+def test_the_writer_refuses_a_key_that_is_not_a_str(doc):
+    with pytest.raises(TypeError, match="keys must be str"):
+        json_dumps(doc)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, np.bool_(True), np.int64(3),
+                                   1j, b"x", np.zeros(2)])
+def test_the_writer_refuses_what_the_stdlib_encoder_refuses(value):
+    with pytest.raises(TypeError):
+        _stdlib_form({"a": [value]})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_dumps({"a": [value]})
+
+
+def test_importing_the_report_module_loads_no_numpy():
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import qgharm.report; print('numpy' in sys.modules)")
+    package = Path(qgharm.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-c", probe, str(package)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
