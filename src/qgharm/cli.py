@@ -231,11 +231,9 @@ def _run_suq2(args) -> dict:
         raise QgharmError("--mu-den must be nonzero")
     mu = Fraction(args.mu_num, args.mu_den)
     rep = counterexample_report(args.n, mu)
-    entry = _entry(
-        Check("convolution-unbounded-certificate", "exact-lower-bound", {},
-              None, holds=rep.identity_holds, lhs=rep.bound_decimal),
-        bound_numerator=str(rep.bound.numerator),
-        bound_denominator=str(rep.bound.denominator))
+    bound = rep.details["bound"]
+    entry = _entry(rep, bound_numerator=str(bound.numerator),
+                   bound_denominator=str(bound.denominator))
     return _document("suq2", None,
                      {"n": args.n, "mu": f"{mu.numerator}/{mu.denominator}"},
                      None, [entry])

@@ -228,16 +228,6 @@ class FiniteQuantumGroup:
     def haar_of(self, x) -> complex:
         return self.coeffs_of(x) @ self.haar
 
-    def tensor_mult(self, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-        """Product in M x M of (..., n, n) coefficient matrices over
-        e_i x e_j, batched over the leading axes: the first legs multiply
-        for every pair (j, l) of second-leg indices, then the second legs."""
-        n = self.dim
-        first = self.multiply(np.swapaxes(xx, -1, -2)[..., :, None, :],
-                              np.swapaxes(yy, -1, -2)[..., None, :, :])
-        return np.swapaxes(first.reshape(first.shape[:-3] + (n * n, n)),
-                           -1, -2) @ self.mult.reshape(n * n, n)
-
     # -- derived data --
 
     @cached_property
@@ -747,25 +737,26 @@ def build_kac_paljutkin() -> FiniteQuantumGroup:
     unit = np.zeros(n)
     unit[widx(0, 0, 0)] = 1.0
 
-    qg_alg = FiniteQuantumGroup(
-        mult=mult, unit=unit,
-        comult=np.zeros((n * n, n)), counit=np.ones(n),
-        antipode=np.eye(n), star=np.eye(n), haar=unit.copy(),
-    )  # scaffold carrying only the product, for tensor_mult below
+    def times(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+        # product in A x A of (n, n) coefficient matrices over e_i x e_j:
+        # first legs for every pair (j, l) of second-leg indices, then
+        # second legs
+        first = yy.T @ (xx.T @ mult.reshape(n, n * n)).reshape(n, n, n)
+        return first.reshape(n * n, n).T @ mult.reshape(n * n, n)
 
     x_v, y_v, z_v = np.eye(n)[[widx(1, 0, 0), widx(0, 1, 0), widx(0, 0, 1)]]
     delta_x = np.outer(x_v, x_v)
     delta_y = np.outer(y_v, y_v)
     j_factor = 0.5 * (np.outer(unit, unit) + np.outer(unit, x_v)
                       + np.outer(y_v, unit) - np.outer(y_v, x_v))
-    delta_z = qg_alg.tensor_mult(j_factor, np.outer(z_v, z_v))
+    delta_z = times(j_factor, np.outer(z_v, z_v))
 
     comult = np.zeros((n * n, n), dtype=complex)
     for a, b, c in itertools.product(range(2), repeat=3):
         acc = np.outer(unit, unit).astype(complex)
         for factor, power in ((delta_x, a), (delta_y, b), (delta_z, c)):
             if power:
-                acc = qg_alg.tensor_mult(acc, factor)
+                acc = times(acc, factor)
         comult[:, widx(a, b, c)] = acc.reshape(-1)
 
     # S fixes the generators and reverses words: x^a y^b z -> x^b y^a z.

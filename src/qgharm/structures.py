@@ -418,9 +418,12 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     Systems whose bases have the same rank go in lockstep, one batched SVD
     per degree (at degree 2, one of the quadratic columns and one of the
     affine rows per quadratic rank), and each takes the rank decisions it
-    would take alone.
+    would take alone. A Macaulay matrix is decomposed once: the rank comes
+    from the singular values of the batched SVD and the kernel from the last
+    rows of its V.
     """
     kept, dropped = np.full(len(rows), np.inf), np.zeros(len(rows))
+    weights = np.random.default_rng(STETTER_SEED).standard_normal(m)
 
     def rank(s: np.ndarray, which, absolute: bool = False) -> np.ndarray:
         rel = s if absolute else s / np.where(s[:, :1] > 0, s[:, :1], 1.0)
@@ -462,18 +465,17 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
                 np.arange(r)[None, :, None], table[:, None, :]] = \
                 vh[live, None, :r]
             mac = mac.reshape(len(live), -1, width)
-            null = width - rank(np.linalg.svd(mac, compute_uv=False), live)
+            # the null space needs the full V when rows are fewer
+            _, s, mac_vh = np.linalg.svd(
+                mac, full_matrices=mac.shape[1] < width)
+            null = width - rank(s, live)
             open_[live[null == 0]] = False
+            shift = _shifted(m, d, 1)
             for j in np.flatnonzero((null == previous[live]) & (null > 0)):
-                # the null space needs the full V when rows are fewer
-                kernel = np.linalg.svd(mac[j], full_matrices=len(
-                    mac[j]) < width)[2][width - null[j]:].T
-                shift = _shifted(m, d, 1)
+                kernel = mac_vh[j, width - null[j]:].T
                 u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
                                            full_matrices=False)
                 if rank(sl[None], live[[j]])[0] == null[j]:
-                    rng = np.random.default_rng(STETTER_SEED)
-                    weights = rng.standard_normal(m)
                     stetter = ((vlh.T / sl) @ u.T) @ (
                         kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
                     vecs = kernel @ np.linalg.eig(stetter)[1]

@@ -20,18 +20,17 @@ Letters: 'a' and 'c' are the generators, 'A' and 'C' their adjoints.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Tuple
 
 from .errors import AxiomFailure, QgharmError
+from .report import Check
 
 __all__ = [
     "Laurent",
     "MuRational",
     "Monomial",
     "PolyElement",
-    "CounterexampleReport",
     "normalize",
     "haar",
     "counit",
@@ -441,16 +440,6 @@ def convolve_compact(x: PolyElement, y: PolyElement) -> PolyElement:
 # the unbounded-ratio certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    n: int
-    mu: Fraction
-    identity_holds: bool
-    bound: Fraction
-    bound_decimal: float
-    convolution: PolyElement
-    expected: PolyElement
-
 def certified_bound(n: int, mu: Fraction) -> Fraction:
     """L(n, mu) = mu^{-2n} (1 - mu^{2n+2}) / (1 - mu^{4n+2}), exact.
 
@@ -466,7 +455,7 @@ def certified_bound(n: int, mu: Fraction) -> Fraction:
                     p ** (2 * n) * (q ** (4 * n + 2) - p ** (4 * n + 2)))
 
 
-def counterexample_report(n: int, mu) -> CounterexampleReport:
+def counterexample_report(n: int, mu) -> Check:
     """Exact certificate that convolution is unbounded from L^1 x L^inf.
 
     Computes c*^{2n} * c^{2n} symbolically, asserts it equals
@@ -474,6 +463,10 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
     certified lower bound L(n, mu) for the ratio ||x*y|| / (||x||_1 ||y||),
     using ||a^{2n}|| = 1 and ||c|| <= 1. L grows like mu^{-2n}, so the
     supremum of the ratio is infinite.
+
+    The check has no residuals, since the identity is exact, and lhs is L
+    as a float; details hold n, mu, the exact bound, the convolution and
+    the expected element.
     """
     bound = certified_bound(n, mu)
     mu = Fraction(mu)
@@ -495,6 +488,7 @@ def counterexample_report(n: int, mu) -> CounterexampleReport:
             f"got {conv!r}, expected {expected!r}",
             claim="exact-lower-bound")
 
-    return CounterexampleReport(
-        n=n, mu=mu, identity_holds=True, bound=bound,
-        bound_decimal=float(bound), convolution=conv, expected=expected)
+    return Check("convolution-unbounded-certificate", "exact-lower-bound",
+                 {}, None, holds=True, lhs=float(bound),
+                 details={"n": n, "mu": mu, "bound": bound,
+                          "convolution": conv, "expected": expected})

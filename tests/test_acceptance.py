@@ -249,7 +249,7 @@ def test_criterion_6_sharpness_search():
 
 def test_criterion_7_symbolic_counterexample():
     start = time.monotonic()
-    identity_ok = all(counterexample_report(n, Fraction(1, 2)).identity_holds
+    identity_ok = all(counterexample_report(n, Fraction(1, 2)).holds
                       for n in (1, 2, 3))
     bound_ok = (certified_bound(1, Fraction(1, 2)) == Fraction(80, 21)
                 and certified_bound(2, Fraction(1, 2)) > 10)

@@ -168,10 +168,21 @@ def test_the_writer_refuses_what_the_stdlib_encoder_refuses(value):
         json_dumps({"a": [value]})
 
 
-def test_importing_the_report_module_loads_no_numpy():
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import qgharm.report; print('numpy' in sys.modules)")
+def _loads_numpy(module: str) -> bool:
+    """Whether importing module in a fresh interpreter loads numpy."""
+    probe = (f"import sys; sys.path.insert(0, sys.argv[1]); "
+             f"import {module}; print('numpy' in sys.modules)")
     package = Path(qgharm.__file__).parent.parent
     proc = subprocess.run([sys.executable, "-c", probe, str(package)],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    return proc.stdout != "False\n"
+
+
+def test_importing_the_report_module_loads_no_numpy():
+    assert not _loads_numpy("qgharm.report")
+
+
+def test_importing_the_exact_engine_loads_no_numpy():
+    # qgharm.suq2 returns a report.Check; a relative import pulling numpy
+    # in would escape the absolute-import scan of tests/test_exports.py
+    assert not _loads_numpy("qgharm.suq2")

@@ -231,20 +231,31 @@ def test_a_macaulay_matrix_with_fewer_rows_than_columns_is_solved(
     for i, equation in enumerate(equations):
         for exps, coeff in equation.items():
             rows[0, i, cols[exps]] = coeff
+    shapes, v_shapes = [], []
+    _count_svd_shapes(monkeypatch, shapes, v_shapes)
     (roots,), _ = _bloch_roots(rows, 3)
     assert np.all(np.abs(roots.imag) <= 1e-12)
     found = sorted(map(tuple, np.round(roots.real.T, 12) + 0.0))
     assert found == sorted(map(tuple, np.concatenate([np.eye(3),
                                                       -np.eye(3)])))
+    # one SVD of the stack gives the rank and the kernel; no Macaulay
+    # matrix is decomposed again on its own
+    assert [v for shape, v in zip(shapes, v_shapes)
+            if shape == (1, 16, 20)] == [(1, 20, 20)]
+    assert not any(len(shape) == 2 and shape[-1] == 20 for shape in shapes)
 
 
-def _count_svd_shapes(mp, shapes):
-    """Record the shape of the input of every np.linalg.svd call."""
+def _count_svd_shapes(mp, shapes, v_shapes=None):
+    """Record the shape of the input of every np.linalg.svd call, and in
+    v_shapes the shape of its V, None when it computes none."""
     svd = np.linalg.svd
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        out = svd(a, *args, **kwargs)
+        if v_shapes is not None:
+            v_shapes.append(out.Vh.shape if isinstance(out, tuple) else None)
+        return out
 
     mp.setattr(np.linalg, "svd", counted)
 
@@ -478,11 +489,43 @@ def _assert_same_run(got, want):
     assert got.gaps == want.gaps
 
 
+def _gap_bound(m):
+    """How far a relative singular value of a rank decision may move
+    between the reference's values-only SVD and the stacked solve's SVD
+    with V, two LAPACK paths, on m Bloch unknowns. Each path is backward
+    stable: its singular values are within p eps s_1 of the exact ones,
+    with p = max(rows, columns) the rounding estimate of numpy's
+    matrix_rank, here of the largest Macaulay matrix, at MAX_DEGREE. Each
+    s_i / s_1 is then within 2 p eps / (1 - p eps) of the exact ratio, and
+    the two paths within twice that. The weakest kept and strongest dropped
+    values, a min and a max over decisions, move no more."""
+    rows = math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)
+    p = max(rows, math.comb(m + MAX_DEGREE, m))
+    eps = np.finfo(float).eps
+    return 4 * p * eps / (1 - p * eps)
+
+
+def _assert_gaps_within_bound(g, got, want):
+    """The gaps of each solved choice, equal where infinite and otherwise
+    within _gap_bound of its number of Bloch unknowns."""
+    bounds = [_gap_bound(len(dirs)) for _, dirs in g.blocks.choices
+              if len(dirs)]
+    assert len(got.gaps) == len(want.gaps) == len(bounds)
+    for (kept, dropped), (ref_kept, ref_dropped), bound in zip(
+            got.gaps, want.gaps, bounds):
+        assert kept == ref_kept if math.isinf(ref_kept) \
+            else abs(kept - ref_kept) <= bound
+        assert abs(dropped - ref_dropped) <= bound
+
+
 def _assert_matches_both_references(g, relation):
-    """The stacked solve equals the per-choice reference, gaps included,
-    and has the points of the solver without the affine-row closing."""
+    """The stacked solve has the points of the per-choice reference, byte
+    for byte, and its gaps within _gap_bound; and the points of the solver
+    without the affine-row closing."""
     got = _enumerate(g, relation, 1e-9)
-    _assert_same_run(got, _enumerate_reference(g, relation, 1e-9))
+    want = _enumerate_reference(g, relation, 1e-9)
+    _assert_same_points(got, want)
+    _assert_gaps_within_bound(g, got, want)
     _assert_same_points(got, _enumerate_reference(g, relation, 1e-9,
                                                   affine_rows=False))
     return got
