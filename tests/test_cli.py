@@ -14,7 +14,7 @@ from qgharm import (catalog, cli, core, duality, lp, report, sharpness,
                     structures, suq2)
 from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
 from qgharm.errors import AxiomFailure, QgharmError
-from test_lp import weighted_space
+from reference import _calls_to, _counting, weighted_space
 
 
 def run_cli(capsys, *argv):
@@ -111,37 +111,18 @@ def test_structures_subcommand_emits_one_block_per_candidate(
     assert all(c["holds"] for c in doc["checks"])
 
 
-def _calls(func, capsys, *argv) -> int:
-    """Calls of func during one passing CLI run, counted by code object, so
-    calls through every imported name count."""
-    code = func.__code__
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code is code
-    sys.setprofile(profile)
-    try:
-        assert run_cli(capsys, *argv)[0] == 0
-    finally:
-        sys.setprofile(None)
+def _calls(func, capsys, *argv) -> list:
+    """The locals, at entry, of each call of func during one passing CLI
+    run, counted as reference._calls_to counts them."""
+    (code, _, _), calls = _calls_to(func, lambda: run_cli(capsys, *argv))
+    assert code == 0
     return calls
 
 
 def _stacks(func, stack, capsys, *argv) -> list:
     """The length of the argument named stack of each call of func during
-    one passing CLI run, counted as in _calls."""
-    code, lengths = func.__code__, []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            lengths.append(len(frame.f_locals[stack]))
-    sys.setprofile(profile)
-    try:
-        assert run_cli(capsys, *argv)[0] == 0
-    finally:
-        sys.setprofile(None)
-    return lengths
+    one passing CLI run."""
+    return [len(call[stack]) for call in _calls(func, capsys, *argv)]
 
 
 def test_structures_certifies_each_biprojection_once(capsys):
@@ -178,16 +159,16 @@ def test_structures_builds_the_block_choices_once(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "get_example",
                         lambda name: build_kac_paljutkin())
     # the group-like and the biprojection enumerations share the base's list
-    assert _calls(core.Blocks.choices.func, capsys, "structures",
-                  "--example", "kac-paljutkin") == 1
+    assert len(_calls(core.Blocks.choices.func, capsys, "structures",
+                      "--example", "kac-paljutkin")) == 1
 
 
 def test_verify_evaluates_the_axioms_once_per_group(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "get_example",
                         lambda name: build_kac_paljutkin())
     # the base at construction, then the dual and the bidual
-    assert _calls(core._axiom_residuals, capsys, "verify", "--example",
-                  "kac-paljutkin") == 3
+    assert len(_calls(core._axiom_residuals, capsys, "verify", "--example",
+                      "kac-paljutkin")) == 3
 
 
 COMMON_KEYS = {"name", "claim", "lhs", "rhs", "residual", "holds"}
@@ -424,17 +405,6 @@ def test_reported_ratio_is_the_per_sample_worst_down_to_one_sample(capsys):
     want = lp.hausdorff_young_check(duality.build_dual(g), x,
                                     4.0 / 3.0).details["ratio"]
     assert json.loads(out)["checks"][0]["lhs"] == pytest.approx(want, rel=1e-12)
-
-
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_sampling_and_dual_construction_do_not_scale_with_calls(

@@ -3,6 +3,7 @@ import numpy as np
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import build_function_algebra, symmetric_table_s3
+from reference import _random
 
 
 def convolve_functional_form(g, omega, theta):
@@ -24,8 +25,8 @@ def test_function_algebra_convolution_is_classical():
     table = symmetric_table_s3()
     g = build_function_algebra(table)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x = _random(6, rng)
+    y = _random(6, rng)
     expect = np.zeros(6, dtype=complex)
     for s in range(6):
         for t in range(6):
@@ -64,7 +65,7 @@ def test_unit_of_convolution_on_every_example():
     rng = np.random.default_rng(6)
     for name in EXAMPLE_NAMES:
         g = get_example(name)
-        y = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+        y = _random(g.dim, rng)
         got = convolve(g, g.unit, y).coeffs
         expect = g.haar_of(y) * g.unit
         assert np.max(np.abs(got - expect)) < 1e-12, name
@@ -74,8 +75,7 @@ def test_convolution_is_associative():
     rng = np.random.default_rng(7)
     for name in EXAMPLE_NAMES:
         g = get_example(name)
-        x, y, z = (rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-                   for _ in range(3))
+        x, y, z = (_random(g.dim, rng) for _ in range(3))
         lhs = convolve(g, convolve(g, x, y), z).coeffs
         rhs = convolve(g, x, convolve(g, y, z)).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-10, name
@@ -86,8 +86,8 @@ def test_element_and_functional_convolutions_agree():
     rng = np.random.default_rng(8)
     for name in ("s3-function", "s3-group", "kac-paljutkin"):
         g = get_example(name)
-        x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-        y = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+        x = _random(g.dim, rng)
+        y = _random(g.dim, rng)
         lhs = convolve_functional_form(g, functional_of(g, x), functional_of(g, y))
         rhs = functional_of(g, convolve(g, x, y).coeffs)
         assert np.max(np.abs(lhs - rhs)) < 1e-10, name
@@ -96,7 +96,7 @@ def test_element_and_functional_convolutions_agree():
 def test_functional_convolution_unit_is_the_counit():
     g = get_example("kac-paljutkin")
     rng = np.random.default_rng(9)
-    om = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    om = _random(8, rng)
     got = convolve_functional_form(g, g.counit, om)
     assert np.max(np.abs(got - om)) < 1e-12
     got = convolve_functional_form(g, om, g.counit)

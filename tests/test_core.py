@@ -5,8 +5,6 @@ import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import (
-    BLOCK_SEED,
-    Blocks,
     CayleyTable,
     FiniteQuantumGroup,
     _encode_array,
@@ -25,9 +23,10 @@ from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, QgharmError
 from qgharm.report import json_dumps
 from qgharm.structures import group_like_checks
-from test_duality import _transported
-from test_lp import _s4_table, is_automorphism
-from test_structures import _kron_group
+from reference import (EPS, TENSORS, _counting, _delta_homomorphism_reference,
+                       _einsum_axioms, _gamma, _kron_group, _random, _s4_table,
+                       _transported, _wedderburn_reference, _wrong_haar,
+                       catalog_pairs, is_automorphism)
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +121,10 @@ def test_one_group_checked_at_two_tolerances_gets_both_verdicts():
 
 
 def test_axiom_report_flags_a_wrong_haar():
-    g = get_example("z3-function")
-    broken = FiniteQuantumGroup(
-        mult=g.mult,
-        unit=g.unit,
-        comult=g.comult,
-        counit=g.counit,
-        antipode=g.antipode,
-        star=g.star,
-        haar=g.counit,  # the counit is not invariant
-    )
-    rep = verify_axioms(broken)
+    rep = verify_axioms(_wrong_haar())
     assert not rep.holds
     assert rep.residuals["haar_left_invariance"] == pytest.approx(1.0)
     assert "haar_left_invariance" in rep.failing()
-
-
-TENSORS = ("mult", "unit", "comult", "counit", "antipode", "star", "haar")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -332,12 +318,10 @@ def test_kac_paljutkin_has_four_characters_and_one_matrix_block():
 
 
 def test_block_count_is_the_centre_dimension_everywhere():
-    for name in EXAMPLE_NAMES:
-        g = get_example(name)
-        for h in (g, build_dual(g).dual_qg):
-            b = h.blocks
-            assert len(b.sizes) == _centre_dimension(h), h.name
-            assert sum(d * d for d in b.sizes) == h.dim, h.name
+    for h in (pair.base for pair in catalog_pairs(duals=True)):
+        b = h.blocks
+        assert len(b.sizes) == _centre_dimension(h), h.name
+        assert sum(d * d for d in b.sizes) == h.dim, h.name
 
 
 def test_blocks_reject_every_corrupted_product_entry():
@@ -368,58 +352,6 @@ def test_blocks_refuse_a_state_that_is_not_faithful_on_a_character(haar):
         h.blocks
 
 
-def _wedderburn_reference(g):
-    """_wedderburn with a full SVD of the commutator map and one eigh and
-    one representation per block."""
-    n = g.dim
-    rng = np.random.default_rng(BLOCK_SEED)
-
-    def generic_self_adjoint(basis):
-        k = basis.shape[1]
-        z = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        return z + g.star_of(z)
-
-    comm = (g.mult - g.mult.transpose(1, 0, 2)).reshape(n, n * n).T
-    _, s, vh = np.linalg.svd(comm)
-    centre = vh[int(np.sum(s > 1e-10 * np.linalg.norm(g.mult))):].conj().T
-    lz = np.einsum("i,ikj->kj", generic_self_adjoint(centre), g.left_regular)
-    lam, vec = np.linalg.eig(centre.conj().T @ lz @ centre)
-    order = np.argsort(lam.real)
-    vec = vec[:, order]
-    central = ((centre @ vec)
-               * np.linalg.solve(vec, centre.conj().T @ g.unit)).T
-    squares = np.real(central @ np.einsum("skk->s", g.mult))
-    sizes = np.rint(np.sqrt(np.clip(squares, 0.0, None))).astype(int)
-    order = np.argsort(sizes, kind="stable")
-    central, sizes = central[order], tuple(int(d) for d in sizes[order])
-
-    chol = np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T))
-    to_gns = np.linalg.inv(chol).conj().T
-    y = generic_self_adjoint(np.eye(n))
-    reps = []
-    for z, d in zip(central, sizes):
-        right = np.einsum("s,jsk->kj", g.multiply(z, y), g.mult)
-        herm = chol.conj().T @ right @ to_gns
-        w, vecs = np.linalg.eigh(0.5 * (herm + herm.conj().T))
-        top = int(np.argmax(np.abs(w)))
-        ideal = np.abs(w - w[top]) <= 1e-8 * abs(w[top])
-        assert int(np.sum(ideal)) == d
-        u = to_gns @ vecs[:, ideal]
-        reps.append(np.einsum("ka,skj,jb->sab", (g.gram @ u).conj(),
-                              g.left_regular, u))
-    hom = max(_maxabs(np.einsum("sab,tbc->stac", r, r)
-                      - np.einsum("stu,uac->stac", g.mult, r)) for r in reps)
-    star = max(_maxabs(np.einsum("us,uab->sba", g.star, r).conj() - r)
-               for r in reps)
-    assert max(hom, star) <= 1e-10
-    to_blocks = np.concatenate([r.reshape(n, -1).T for r in reps])
-    return Blocks(central=central, sizes=sizes, to_blocks=to_blocks,
-                  from_blocks=np.linalg.inv(to_blocks))
-
-
-EPS = np.finfo(float).eps
-
-
 def _assert_blocks_match(got, want, tol, name):
     """got against the reference: the central projections and the rows of
     the matrix blocks within tol (0: bit for bit), and the characters and
@@ -430,13 +362,12 @@ def _assert_blocks_match(got, want, tol, name):
     phi(e_s p) / phi(p) with p = z_i z_i*, the reference as <u, e_s u> for a
     unit vector u of the ideal. The error of the eigensolve in z_i or u
     enters a Rayleigh quotient at second order, so each route is within the
-    rounding bound of a length-n inner product, gamma_n = n eps / 2
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), and
-    the two are within n eps. Such a change of the rows of to_blocks,
+    rounding bound of a length-n inner product, and the two are within
+    gamma_n (reference._gamma). Such a change of the rows of to_blocks,
     relative to its largest entries, 1, moves the inverse by at most
-    cond(to_blocks) n eps relative to its largest entry, to first order,
+    cond(to_blocks) gamma_n relative to its largest entry, to first order,
     and each route's inversion adds a rounding error of the same order:
-    2 cond n eps in all.
+    2 cond gamma_n in all.
     """
     n, chars = got.to_blocks.shape[1], got.sizes.count(1)
     assert got.sizes == want.sizes, name
@@ -447,21 +378,14 @@ def _assert_blocks_match(got, want, tol, name):
         else:
             assert _maxabs(a - b) <= tol, name
     assert _maxabs(got.to_blocks[:chars] - want.to_blocks[:chars]) \
-        <= n * EPS, name
-    bound = (2 * np.linalg.cond(want.to_blocks) * n * EPS
+        <= _gamma(n), name
+    bound = (2 * np.linalg.cond(want.to_blocks) * _gamma(n)
              * _maxabs(want.from_blocks))
     assert _maxabs(got.from_blocks - want.from_blocks) <= bound, name
 
 
-def _catalog_algebras():
-    for name in EXAMPLE_NAMES:
-        g = get_example(name)
-        yield g
-        yield build_dual(g).dual_qg
-
-
 def test_the_blocks_equal_the_per_block_reference_on_the_catalog():
-    for h in _catalog_algebras():
+    for h in (pair.base for pair in catalog_pairs(duals=True)):
         _assert_blocks_match(_wedderburn(h), _wedderburn_reference(h), 0,
                              h.name)
 
@@ -482,7 +406,7 @@ def test_every_catalog_character_is_zero_or_unimodular_on_the_basis():
     # the basis elements of the catalog are group elements, points or
     # products of unitary generators (and their duals), so a character
     # takes them to 0 or to the unit circle; within 4 eps here
-    for h in _catalog_algebras():
+    for h in (pair.base for pair in catalog_pairs(duals=True)):
         chi = h.blocks.to_blocks[:h.blocks.sizes.count(1)]
         assert len(chi) > 0
         off = np.minimum(np.abs(chi), np.abs(np.abs(chi) - 1.0))
@@ -490,25 +414,17 @@ def test_every_catalog_character_is_zero_or_unimodular_on_the_basis():
 
 
 def test_only_the_matrix_blocks_take_an_eigensolve(monkeypatch):
-    algebras = list(_catalog_algebras())
-    calls = []
-    for attr in ("eigh", "cholesky"):
-        original = getattr(np.linalg, attr)
-
-        def counted(*args, _attr=attr, _original=original, **kwargs):
-            calls.append(_attr)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, attr, counted)
+    algebras = [pair.base for pair in catalog_pairs(duals=True)]
+    eigh = _counting(monkeypatch, np.linalg, "eigh")
+    cholesky = _counting(monkeypatch, np.linalg, "cholesky")
     commutative = 0
     for h in algebras:
-        calls.clear()
+        eigh.clear()
+        cholesky.clear()
         _wedderburn(h)
-        if is_commutative(h):
-            commutative += 1
-            assert calls == [], h.name
-        else:
-            assert sorted(calls) == ["cholesky", "eigh"], h.name
+        solved = not is_commutative(h)
+        assert (len(eigh), len(cholesky)) == (solved, solved), h.name
+        commutative += not solved
     # s3-group, C[S3], kac-paljutkin and its dual have a 2 x 2 block
     assert (commutative, len(algebras)) == (10, 14)
 
@@ -517,62 +433,11 @@ def test_only_the_matrix_blocks_take_an_eigensolve(monkeypatch):
 # the axiom contractions against their einsum definitions
 # ---------------------------------------------------------------------------
 
-def _einsum_axioms(g):
-    """verify_axioms written as the einsum contractions of each law."""
-    n = g.dim
-    m, c3 = g.mult, g.comult.reshape(n, n, n)
-    eye = np.eye(n)
-    mx = lambda a: float(np.max(np.abs(a)))
-    res = {
-        "associativity": mx(np.einsum("ijl,lkm->ijkm", m, m)
-                            - np.einsum("jkl,ilm->ijkm", m, m)),
-        "unit": max(mx(np.einsum("ijk,i->jk", m, g.unit) - eye),
-                    mx(np.einsum("ijk,j->ik", m, g.unit) - eye)),
-        "coassociativity": mx(np.einsum("abi,ijk->abjk", c3, c3)
-                              - np.einsum("aik,bci->abck", c3, c3)),
-        "counit": max(mx(np.einsum("abk,a->bk", c3, g.counit) - eye),
-                      mx(np.einsum("abk,b->ak", c3, g.counit) - eye)),
-        "delta_unital": mx(np.einsum("abk,k->ab", c3, g.unit)
-                           - np.outer(g.unit, g.unit)),
-        "delta_homomorphism": mx(
-            np.einsum("abi,cdj,acp,bdq->pqij", c3, c3, m, m)
-            - np.einsum("pqk,ijk->pqij", c3, m)),
-        "delta_star_compatibility": mx(
-            np.einsum("abk,kl->abl", c3, g.star)
-            - np.einsum("ap,bq,pql->abl", g.star, g.star, np.conj(c3))),
-        "antipode": max(
-            mx(np.einsum("abk,pa,pbq->qk", c3, g.antipode, m)
-               - np.outer(g.unit, g.counit)),
-            mx(np.einsum("abk,pb,apq->qk", c3, g.antipode, m)
-               - np.outer(g.unit, g.counit))),
-        "antipode_squared": mx(g.antipode @ g.antipode - eye),
-        "star_involution": mx(g.star @ np.conj(g.star) - eye),
-        "star_antimultiplicative": mx(
-            np.einsum("ijk,lk->ijl", np.conj(m), g.star)
-            - np.einsum("pj,qi,pql->ijl", g.star, g.star, m)),
-        "haar_left_invariance": mx(np.einsum("abk,b->ak", c3, g.haar)
-                                   - np.outer(g.unit, g.haar)),
-        "haar_right_invariance": mx(np.einsum("abk,a->bk", c3, g.haar)
-                                    - np.outer(g.unit, g.haar)),
-        "haar_normalized": abs(complex(g.haar @ g.unit) - 1.0),
-    }
-    q = np.einsum("ijk,k->ij", m, g.haar)
-    gram = g.star.T @ q
-    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    floor = 1e-8 * max(eigs[-1], 1e-300)
-    res["gram_hermitian"] = mx(gram - gram.conj().T)
-    res["positivity"] = max(0.0, -eigs[0])
-    res["faithfulness"] = 0.0 if eigs[0] > floor else max(floor - eigs[0], floor)
-    res["traciality"] = mx(q - q.T)
-    return res
-
-
 def _noisy(g, rng, size=1e-3):
     """g with complex noise of the given size on mult, comult, star,
     antipode and haar, so that every law reads well above rounding."""
     def noise(a):
-        return a + size * (rng.standard_normal(a.shape)
-                           + 1j * rng.standard_normal(a.shape))
+        return a + size * _random(a.shape, rng)
     return FiniteQuantumGroup(
         mult=noise(g.mult), unit=g.unit, comult=noise(g.comult),
         counit=g.counit, antipode=noise(g.antipode), star=noise(g.star),
@@ -581,44 +446,21 @@ def _noisy(g, rng, size=1e-3):
 
 def test_axiom_contractions_match_their_einsum_definitions():
     rng = np.random.default_rng(5)
-    for name in EXAMPLE_NAMES:
-        base = get_example(name)
-        dual = build_dual(base).dual_qg
+    for pair in catalog_pairs():
+        base, dual = pair.base, pair.dual_qg
         for g in (base, dual, _noisy(base, rng), _noisy(dual, rng)):
             got = verify_axioms(g).residuals
             want = _einsum_axioms(g)
             assert got.keys() == want.keys()
             for law, value in want.items():
                 assert got[law] == pytest.approx(value, rel=1e-13, abs=1e-15), \
-                    (name, law)
-
-
-def _tensor_mult(g, xx, yy):
-    """Product in A x A of (..., n, n) coefficient matrices over e_i x e_j,
-    batched over the leading axes: the first legs multiply for every pair
-    (j, l) of second-leg indices, then the second legs."""
-    n = g.dim
-    first = g.multiply(np.swapaxes(xx, -1, -2)[..., :, None, :],
-                       np.swapaxes(yy, -1, -2)[..., None, :, :])
-    return np.swapaxes(first.reshape(first.shape[:-3] + (n * n, n)),
-                       -1, -2) @ g.mult.reshape(n * n, n)
-
-
-def _delta_homomorphism_reference(g):
-    """The delta_homomorphism residual as the _tensor_mult product of every
-    pair Delta(e_i), Delta(e_j): n^4 (1 x n)(n x n) products."""
-    n = g.dim
-    deltas = g.comult3.transpose(2, 0, 1)
-    return float(np.max(np.abs(
-        _tensor_mult(g, deltas[:, None], deltas[None, :])
-        - (g.mult.reshape(n * n, n) @ g.comult.T).reshape(n, n, n, n))))
+                    (base.name, law)
 
 
 def test_delta_homomorphism_contraction_equals_the_tensor_mult_product():
     rng = np.random.default_rng(8)
-    for name in EXAMPLE_NAMES:
-        base = get_example(name)
-        dual = build_dual(base).dual_qg
+    for pair in catalog_pairs():
+        base, dual = pair.base, pair.dual_qg
         for g in (base, dual):
             assert verify_axioms(g).residuals["delta_homomorphism"] == 0.0
             assert _delta_homomorphism_reference(g) == 0.0
@@ -660,8 +502,7 @@ def test_group_like_relation_matches_its_einsum_definition():
     rng = np.random.default_rng(6)
     for name in EXAMPLE_NAMES:
         g = get_example(name)
-        for h in (rng.standard_normal((3, g.dim))
-                  + 1j * rng.standard_normal((3, g.dim))):
+        for h in _random((3, g.dim), rng):
             dh = g.comult.reshape(g.dim, g.dim, g.dim) @ h
             want = np.max(np.abs(np.einsum("ij,k,jkl->il", dh, h, g.mult)
                                  - np.outer(h, h)))

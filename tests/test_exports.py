@@ -201,6 +201,31 @@ def test_every_error_type_is_told_apart_by_some_handler():
     assert {name for _, name in defined} <= caught
 
 
+def test_no_test_file_imports_another():
+    """Tests share code only through tests/reference.py: no file of tests/
+    or bench/tests imports a test module, and the reference module defines
+    no test of its own."""
+    imports = set()
+    for path in sorted(TESTS.glob("*.py")) + sorted(
+            (TESTS.parent / "bench" / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ([node.module] if node.module
+                         else [alias.name for alias in node.names])
+            else:
+                continue
+            imports |= {(path.name, name) for name in names
+                        if any(part.startswith("test_")
+                               for part in name.split("."))}
+    assert imports == set()
+    reference = ast.parse((TESTS / "reference.py").read_text())
+    assert [node.name for node in ast.walk(reference)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("test")] == []
+
+
 def test_importing_the_cli_loads_every_module():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import qgharm.cli; "
              "print(' '.join(sorted(m for m in sys.modules "

@@ -1,6 +1,7 @@
 import numpy as np
 
 from qgharm.linalg import range_projection
+from reference import _random
 
 
 def test_range_projection_rank_one():
@@ -11,7 +12,7 @@ def test_range_projection_rank_one():
 
 def test_range_projection_is_projection():
     rng = np.random.default_rng(4)
-    a = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    a = _random((6, 3), rng)
     p = range_projection(a)
     assert np.max(np.abs(p @ p - p)) < 1e-10
     assert np.max(np.abs(p - p.conj().T)) < 1e-10
@@ -19,7 +20,7 @@ def test_range_projection_is_projection():
     assert abs(np.trace(p).real - 3.0) < 1e-8
     # a stack gives the per-matrix results: the cutoff is relative to each
     # member, so a large member does not truncate a rank-one or zero one
-    stack = rng.standard_normal((3, 6, 3)) + 1j * rng.standard_normal((3, 6, 3))
+    stack = _random((3, 6, 3), rng)
     stack[0] *= 1e6
     stack[1, :, 1:] = 0.0
     stack[2] = 0.0

@@ -1,4 +1,4 @@
-import itertools
+import functools
 import warnings
 
 import numpy as np
@@ -11,10 +11,6 @@ from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import (
     Blocks,
-    CayleyTable,
-    FiniteQuantumGroup,
-    _maxabs,
-    _on_two_legs,
     build_function_algebra,
     build_group_algebra,
     cyclic_table,
@@ -23,10 +19,7 @@ from qgharm.core import (
 )
 from qgharm.duality import build_dual, fourier_coeffs
 from qgharm.errors import QgharmError
-from test_duality import _transported
 from qgharm.lp import (
-    SLACK,
-    WeightedLpSpace,
     base_space,
     conjugate_exponent,
     dual_space,
@@ -40,139 +33,25 @@ from qgharm.lp import (
     young_exponent,
     young_sides,
 )
-from qgharm.report import Check, check
 from qgharm.sharpness import (
     estimate_best_constant_hy,
     estimate_best_constant_young,
 )
-
-INF = float("inf")
-
-
-# ---------------------------------------------------------------------------
-# references: the one-sample checkers and helpers that only tests call, the
-# block layout and norms as they were before the layout was cached, which
-# the kernels must reproduce bit for bit, and the eigen route of
-# spectral_data as it was before 2x2 blocks took their closed form
-# ---------------------------------------------------------------------------
-
-AUTOMORPHISM_TOL = 1e-10
-
-
-def is_automorphism(g: FiniteQuantumGroup, alpha: np.ndarray) -> bool:
-    """True when alpha preserves multiplication, the unit, and the star."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (g.dim, g.dim):
-        raise QgharmError(f"expected {(g.dim, g.dim)}, got {alpha.shape}")
-    if abs(np.linalg.det(alpha)) < 1e-12:
-        return False
-    residuals = (g.mult @ alpha.T - _on_two_legs(alpha.T, g.mult),
-                 alpha @ g.unit - g.unit,
-                 alpha @ g.star - g.star @ np.conj(alpha))
-    return all(_maxabs(r) <= AUTOMORPHISM_TOL for r in residuals)
-
-
-def weighted_space(g: FiniteQuantumGroup, weight) -> WeightedLpSpace:
-    """L^p space over g for an arbitrary tracial positive weight vector."""
-    w = np.asarray(weight, dtype=complex).reshape(-1)
-    if w.shape != (g.dim,):
-        raise QgharmError(f"expected {g.dim} weight values, got {w.shape}")
-    blocks = g.blocks
-    c = blocks.weights(w)
-    gap = float(np.max(np.abs(blocks.trace_form(c) - w)))
-    if gap > 1e-9 * max(float(np.max(np.abs(w))), 1.0):
-        raise QgharmError(f"weight is not tracial: residual {gap:.3e}")
-    return WeightedLpSpace(algebra=g, eigen_weights=np.repeat(c, blocks.sizes))
-
-
-def norm_transport_check(g: FiniteQuantumGroup, alpha: np.ndarray, x, p) -> Check:
-    """||x||_{p, phi} equals ||alpha(x)||_{p, phi o alpha^{-1}}."""
-    if not is_automorphism(g, alpha):
-        raise QgharmError("alpha does not preserve the algebra structure")
-    alpha = np.asarray(alpha, dtype=complex)
-    alpha_inv = np.linalg.inv(alpha)
-    moved_weight = g.haar @ alpha_inv
-    sp = base_space(g)
-    sp_moved = weighted_space(g, moved_weight)
-    xc = g.coeffs_of(x)
-    lhs = lp_norm(sp, xc, p)
-    rhs = lp_norm(sp_moved, alpha @ xc, p)
-    return check("norm-transport", "automorphism-invariant-norm",
-                 {"relative_gap": abs(lhs - rhs) / max(lhs, 1e-300)}, SLACK,
-                 lhs=lhs, rhs=rhs, p=float(p), example=g.name)
-
-
-def holder_check(g: FiniteQuantumGroup, x, y, p) -> Check:
-    """|phi(x* y)| <= ||x||_p ||y||_{p'} sanity bound for the norms."""
-    sp = base_space(g)
-    pc = conjugate_exponent(p)
-    xc, yc = g.coeffs_of(x), g.coeffs_of(y)
-    pairing = abs(complex(xc.conj() @ g.gram @ yc))
-    bound = lp_norm(sp, xc, p) * lp_norm(sp, yc, pc)
-    return lp._bound("hoelder", "pairing-norm-bound",
-                     (pairing, bound, lp._ratio(pairing, bound)), p=float(p))
-
-
-def _reference_matrices(self: Blocks, coeffs) -> list:
-    """Blocks.matrices with its layout worked out on every call."""
-    entries = np.asarray(coeffs, dtype=complex) @ self.to_blocks.T
-    runs = [(d, self.sizes.count(d)) for d in sorted(set(self.sizes))]
-    ends = np.cumsum([0] + [k * d * d for d, k in runs])
-    return [entries[..., a:b].reshape(entries.shape[:-1] + (k, d, d))
-            for (d, k), a, b in zip(runs, ends, ends[1:])]
-
-
-def _reference_spectral_data(space: WeightedLpSpace, coeffs: np.ndarray):
-    """spectral_data with one batched eigensolve of rho(x)* rho(x) for every
-    block size d > 1, and every eigenvalue at or below 1e-13 times the row's
-    largest zeroed."""
-    w = []
-    for m in space.algebra.blocks.matrices(coeffs):
-        if m.shape[-1] == 1:
-            w.append(np.abs(m[..., 0, 0]) ** 2)
-        else:
-            mm = np.conj(m).swapaxes(-1, -2) @ m
-            try:
-                eig = np.linalg.eigvalsh(mm)
-            except np.linalg.LinAlgError:
-                # LAPACK may refuse a non-finite matrix, and with it the stack
-                finite = np.isfinite(mm).all(axis=(-1, -2))
-                eig = np.full(mm.shape[:-1], np.nan)
-                eig[finite] = np.linalg.eigvalsh(mm[finite])
-            w.append(eig.reshape(eig.shape[:-2] + (-1,)))
-    # clip copies, so the fuzz is zeroed in place below
-    w = (w[0] if len(w) == 1 else np.concatenate(w, axis=-1)).clip(0.0)
-    w[w <= 1e-13 * w.max(axis=-1, keepdims=True)] = 0.0
-    return w, space.eigen_weights
-
-
-def _reference_norms_from_spectral(w: np.ndarray, d: np.ndarray, p) -> np.ndarray:
-    """norms_from_spectral through the np.* function forms."""
-    p = lp._as_p(p)
-    if p == INF:
-        return np.sqrt(np.max(w, axis=-1))
-    try:
-        with np.errstate(over="raise", under="raise"):
-            vals = _reference_power_sums(w, d, p)
-    except FloatingPointError:
-        return _reference_norms_at_large_p(w, d, p)
-    return np.power(np.clip(vals, 0.0, None), 1.0 / p)
-
-
-def _reference_power_sums(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
-    return np.real(np.sum(np.power(w, 0.5 * p) * d, axis=-1))
-
-
-def _reference_norms_at_large_p(w: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        vals = _reference_power_sums(w, d, p)
-    top = np.max(w, axis=-1)
-    fix = ~((vals >= lp._TINY) & (vals < INF)) & (top > 0) & (top < INF)
-    t = np.where(fix, top, 1.0)
-    factored = np.sqrt(t) * np.power(
-        _reference_power_sums(w / t[..., None], d, p), 1.0 / p)
-    return np.where(fix, factored,
-                    np.power(np.clip(vals, 0.0, None), 1.0 / p))
+from reference import (
+    INF,
+    _counting,
+    _gamma,
+    _random,
+    _reference_matrices,
+    _reference_norms_from_spectral,
+    _reference_spectral_data,
+    _regular_norms,
+    _s4_table,
+    catalog_pairs,
+    holder_check,
+    norm_transport_check,
+    weighted_space,
+)
 
 
 def _same_bits(got, want) -> bool:
@@ -182,12 +61,6 @@ def _same_bits(got, want) -> bool:
     return got.shape == want.shape and all(
         np.array_equal(a, b, equal_nan=True)
         and np.array_equal(np.signbit(a), np.signbit(b)) for a, b in parts)
-
-
-def _random(g, seed, count=1):
-    rng = np.random.default_rng(seed)
-    out = rng.standard_normal((count, g.dim)) + 1j * rng.standard_normal((count, g.dim))
-    return out[0] if count == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +96,7 @@ def test_commutative_norm_is_the_weighted_entrywise_norm():
     weighted p-norm of the function values."""
     g = build_function_algebra(cyclic_table(5))
     sp = base_space(g)
-    x = _random(g, seed=0)
+    x = _random(g.dim, seed=0)
     for p in (1.0, 4.0 / 3.0, 2.0, 3.0):
         direct = (np.sum(np.abs(x) ** p) / 5.0) ** (1.0 / p)
         assert lp_norm(sp, x, p) == pytest.approx(direct, rel=1e-12)
@@ -244,7 +117,7 @@ def test_l2_norm_matches_the_gram_form():
     for name in EXAMPLE_NAMES:
         g = get_example(name)
         sp = base_space(g)
-        x = _random(g, seed=1)
+        x = _random(g.dim, seed=1)
         direct = float(np.sqrt((x.conj() @ g.gram @ x).real))
         assert lp_norm(sp, x, 2.0) == pytest.approx(direct, rel=1e-10), name
 
@@ -253,7 +126,7 @@ def test_norm_is_monotone_in_p_under_a_state():
     # for a state, p <= q implies ||x||_p <= ||x||_q
     g = get_example("kac-paljutkin")
     sp = base_space(g)
-    x = _random(g, seed=2)
+    x = _random(g.dim, seed=2)
     ps = [1.0, 1.5, 2.0, 3.0, 6.0, INF]
     vals = [lp_norm(sp, x, p) for p in ps]
     for a, b in zip(vals, vals[1:]):
@@ -273,7 +146,7 @@ def test_norm_of_projection_has_closed_form():
 def test_batch_norms_match_single_calls():
     g = get_example("s3-group")
     sp = base_space(g)
-    xs = _random(g, seed=3, count=8)
+    xs = _random((8, g.dim), seed=3)
     batch = lp_norms_batch(sp, xs, 4.0 / 3.0)
     for i in range(8):
         assert batch[i] == pytest.approx(lp_norm(sp, xs[i], 4.0 / 3.0), rel=1e-12)
@@ -282,7 +155,7 @@ def test_batch_norms_match_single_calls():
 def test_triangle_inequality_and_scaling():
     g = get_example("s3-function")
     sp = base_space(g)
-    x, y = _random(g, seed=4, count=2)
+    x, y = _random((2, g.dim), seed=4)
     for p in (1.0, 2.0, 3.0, INF):
         assert lp_norm(sp, x + y, p) <= (lp_norm(sp, x, p) + lp_norm(sp, y, p)) * (1 + 1e-12)
         assert lp_norm(sp, 2.5 * x, p) == pytest.approx(2.5 * lp_norm(sp, x, p), rel=1e-12)
@@ -292,59 +165,29 @@ def test_triangle_inequality_and_scaling():
 # second route: the regular representation
 # ---------------------------------------------------------------------------
 
-def _s4_table():
-    perms = list(itertools.permutations(range(4)))
-    index = {p: i for i, p in enumerate(perms)}
-    return CayleyTable(table=tuple(
-        tuple(index[tuple(p[q[x]] for x in range(4))] for q in perms)
-        for p in perms)).validate()
-
-
+@functools.cache
 def _spaces():
     """Base and dual spaces of the catalog and of complex transports of it,
     and algebras with several matrix blocks of unequal weight c_i: C[S4]
     (blocks 1, 1, 2, 3, 3), the dual of l^inf(S4), and C[D5] (blocks
-    1, 1, 2, 2) under a central weight that is not the Haar state."""
-    for name in EXAMPLE_NAMES:
-        for g in (get_example(name), _transported(get_example(name), seed=7)):
-            pair = build_dual(g)
-            yield g, g.haar
-            yield pair.dual_qg, pair.dual_weight
+    1, 1, 2, 2) under a central weight that is not the Haar state. Built
+    once, as the algebras are read-only."""
+    spaces = []
+    for pair in catalog_pairs(transports=True):
+        spaces += [(pair.base, pair.base.haar),
+                   (pair.dual_qg, pair.dual_weight)]
     s4 = build_group_algebra(_s4_table())
-    yield s4, s4.haar
     pair = build_dual(build_function_algebra(_s4_table()))
-    yield pair.dual_qg, pair.dual_weight
     d5 = build_group_algebra(dihedral_table(5))
-    yield d5, d5.blocks.trace_form(np.array([0.3, 1.1, 0.7, 2.9]))
-
-
-def _regular_norms(g, weight, xs, p):
-    """L^p norms in the left regular representation conjugated by G^{1/2},
-    with a least-squares density D, Tr(D pi(e_s)) = weight[s], and one
-    eigendecomposition of |x|^2 per element."""
-    lam, v = np.linalg.eigh(g.gram)
-    root = (v * np.sqrt(lam)) @ v.conj().T
-    root_inv = (v / np.sqrt(lam)) @ v.conj().T
-    ops = np.einsum("pk,ikj,jq->ipq", root, g.left_regular, root_inv)
-    n = g.dim
-    rows = ops.transpose(0, 2, 1).reshape(n, n * n)
-    vec_d, *_ = np.linalg.lstsq(rows, weight.astype(complex), rcond=None)
-    assert np.max(np.abs(rows @ vec_d - weight)) < 1e-10
-    density = vec_d.reshape(n, n)
-    density = 0.5 * (density + density.conj().T)
-    mats = np.einsum("bs,sij->bij", xs, ops)
-    w, vecs = np.linalg.eigh(np.conj(mats).swapaxes(1, 2) @ mats)
-    w = np.clip(w, 0.0, None)
-    if p == INF:
-        return np.sqrt(np.max(w, axis=1))
-    d = np.real(np.einsum("bji,jl,bli->bi", np.conj(vecs), density, vecs))
-    return np.sum(w ** (p / 2) * d, axis=1) ** (1 / p)
+    return tuple(spaces) + (
+        (s4, s4.haar), (pair.dual_qg, pair.dual_weight),
+        (d5, d5.blocks.trace_form(np.array([0.3, 1.1, 0.7, 2.9]))))
 
 
 def test_block_norms_match_the_regular_representation():
     for g, weight in _spaces():
         sp = weighted_space(g, weight)
-        xs = _random(g, seed=10, count=20)
+        xs = _random((20, g.dim), seed=10)
         for p in (1.0, 4.0 / 3.0, 2.0, 4.0, INF):
             want = _regular_norms(g, weight, xs, p)
             got = lp_norms_batch(sp, xs, p)
@@ -356,7 +199,7 @@ def test_block_picture_turns_star_into_adjoint():
     # *-homomorphism and sum_i c_i tr rho_i is the weight
     for g, weight in _spaces():
         b = g.blocks
-        x, y = _random(g, seed=11, count=2)
+        x, y = _random((2, g.dim), seed=11)
         rx = b.diag(x)
         assert np.max(np.abs(rx @ b.diag(y) - b.diag(g.multiply(x, y)))) < 1e-10
         assert np.max(np.abs(rx.conj().T - b.diag(g.star_of(x)))) < 1e-10
@@ -374,7 +217,7 @@ def _kernel_stacks(g, seed: int):
     z = g.blocks.central[-1]
     n = g.dim
     for shape in ((n,), (5, n), (3, 4 * n, n), (2, 30, 1, n)):
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = _random(shape, rng)
         if len(shape) == 1:
             yield from (x, np.zeros(n, dtype=complex),
                         np.full(n, np.nan, dtype=complex), g.multiply(x, z))
@@ -429,10 +272,7 @@ def test_kernels_match_the_eigen_route_away_from_rank_deficiency():
 
 
 def test_no_eigensolve_runs_on_blocks_of_size_at_most_two(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a: calls.append(a.shape) or eigvalsh(a))
+    calls = _counting(monkeypatch, np.linalg, "eigvalsh")
     for i, (g, weight) in enumerate(_spaces()):
         sp = weighted_space(g, weight)
         calls.clear()
@@ -440,7 +280,7 @@ def test_no_eigensolve_runs_on_blocks_of_size_at_most_two(monkeypatch):
             spectral_data(sp, x)
         # only C[S4] and the dual of l^inf(S4) have blocks of size 3
         assert bool(calls) == (max(g.blocks.sizes) > 2), g.name
-        assert all(shape[-1] == 3 for shape in calls)
+        assert all(a.shape[-1] == 3 for a in calls)
 
 
 def test_searches_follow_the_eigen_route_without_its_excess():
@@ -505,9 +345,10 @@ _blocks = st.builds(
        at=st.tuples(st.integers(0, 1), st.integers(0, 1)))
 def test_closed_form_singular_values_match_the_svd(blocks, bad, at):
     # 16 orders of magnitude of scale, with the zero block added: each
-    # singular value within 4e-15 ||m||_F of the SVD's. A block with a NaN
-    # or an infinity gives NaN for both, leaves the other blocks' bits, and
-    # raises no warning
+    # singular value within gamma_18 ||m||_F = 3.997e-15 ||m||_F of the
+    # SVD's, the 4e-15 of the closed form's first pin restated in eps (3.2
+    # eps seen). A block with a NaN or an infinity gives NaN for both,
+    # leaves the other blocks' bits, and raises no warning
     m = np.array(blocks + [np.zeros((2, 2))], dtype=complex)
     want = np.linalg.svd(m, compute_uv=False)[:, ::-1]
     frobenius = np.linalg.norm(m, axis=(-2, -1))
@@ -517,7 +358,7 @@ def test_closed_form_singular_values_match_the_svd(blocks, bad, at):
         m[0][at] = bad
         broken = lp._gram_eigenvalues_2x2(m)
     got = np.sqrt(w).reshape(-1, 2)
-    assert np.all(np.abs(got - want) <= 4e-15 * frobenius[:, None])
+    assert np.all(np.abs(got - want) <= _gamma(18) * frobenius[:, None])
     assert np.isnan(broken[:2]).all() and _same_bits(broken[2:], w[2:])
 
 
@@ -531,8 +372,8 @@ def test_young_holds_on_random_samples():
         g = get_example(name)
         rng = np.random.default_rng(123)
         for _ in range(50):
-            x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-            y = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+            x = _random(g.dim, rng)
+            y = _random(g.dim, rng)
             for p, q in pairs:
                 rep = young_check(g, x, y, p, q)
                 assert rep.holds, (name, p, q, rep.details["ratio"])
@@ -547,22 +388,21 @@ def test_young_equality_at_a_group_like_projection():
 
 def test_young_endpoint_q_one():
     g = get_example("s3-group")
-    x, y = _random(g, seed=5, count=2)
+    x, y = _random((2, g.dim), seed=5)
     for p in (1.0, 2.0, INF):
         rep = young_check(g, x, y, 1.0, p)
         assert rep.holds
 
 
 def test_hausdorff_young_random_and_endpoint():
-    for name in EXAMPLE_NAMES:
-        g = get_example(name)
-        pair = build_dual(g)
+    for pair in catalog_pairs():
+        g = pair.base
         rng = np.random.default_rng(7)
         for _ in range(25):
-            x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+            x = _random(g.dim, rng)
             for p in (1.0, 4.0 / 3.0, 2.0):
                 rep = hausdorff_young_check(pair, x, p)
-                assert rep.holds, (name, p, rep.details["ratio"])
+                assert rep.holds, (g.name, p, rep.details["ratio"])
             # p = 2 is the Plancherel identity, an equality
             rep = hausdorff_young_check(pair, x, 2.0)
             assert rep.details["ratio"] == pytest.approx(1.0, abs=1e-11)
@@ -571,12 +411,11 @@ def test_hausdorff_young_random_and_endpoint():
 def test_stacked_ratios_match_the_per_sample_checks():
     # the reference is the per-sample formula with scalar norms; the last
     # row is zero and takes the 0 / 0 = 0 branch
-    for name in EXAMPLE_NAMES:
-        g = get_example(name)
-        pair = build_dual(g)
+    for pair in catalog_pairs():
+        g = pair.base
         bsp, dsp = base_space(g), dual_space(pair)
-        xs = np.vstack([_random(g, seed=12, count=30), np.zeros(g.dim)])
-        ys = _random(g, seed=13, count=31)
+        xs = np.vstack([_random((30, g.dim), seed=12), np.zeros(g.dim)])
+        ys = _random((31, g.dim), seed=13)
         for p, q in ((1.0, 1.0), (4.0 / 3.0, 4.0 / 3.0), (1.5, 2.0), (2.0, 2.0)):
             r = young_exponent(p, q)
             want = [lp_norm(bsp, convolve(g, x, y), r)
@@ -585,7 +424,7 @@ def test_stacked_ratios_match_the_per_sample_checks():
             loop = [young_check(g, x, y, p, q).details["ratio"] for x, y in zip(xs, ys)]
             for got in (young_sides(g, xs, ys, p, q)[2], loop):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
-                                           err_msg=name)
+                                           err_msg=g.name)
         for p in (1.0, 4.0 / 3.0, 2.0):
             pc = conjugate_exponent(p)
             want = [lp_norm(dsp, fourier_coeffs(pair, x), pc) / lp_norm(bsp, x, p)
@@ -593,7 +432,7 @@ def test_stacked_ratios_match_the_per_sample_checks():
             loop = [hausdorff_young_check(pair, x, p).details["ratio"] for x in xs]
             for got in (hausdorff_young_sides(pair, xs, p)[2], loop):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
-                                           err_msg=name)
+                                           err_msg=g.name)
 
 
 def test_a_nan_coefficient_fails_both_inequalities():
@@ -646,11 +485,8 @@ def test_an_infinite_coefficient_gives_nan_ratios_without_a_warning(name,
 
 def test_eigen_weights_are_computed_once_per_algebra_and_pair(monkeypatch):
     # every call derives its spaces, but only the first computes weights
-    calls = []
-    weights = Blocks.weights
-    monkeypatch.setattr(Blocks, "weights",
-                        lambda self, w: calls.append(w) or weights(self, w))
-    x, y = _random(get_example("s3-group"), seed=14, count=2)
+    calls = _counting(monkeypatch, Blocks, "weights")
+    x, y = _random((2, get_example("s3-group").dim), seed=14)
 
     def weights_calls(run) -> int:
         """The Blocks.weights calls of run on a fresh s3-group."""
@@ -697,7 +533,7 @@ def test_norm_transport_along_inversion():
     alpha = np.zeros((4, 4))
     for i in range(4):
         alpha[table.inverse[i], i] = 1.0
-    rep = norm_transport_check(g, alpha, _random(g, seed=8), 3.0)
+    rep = norm_transport_check(g, alpha, _random(g.dim, seed=8), 3.0)
     assert rep.holds
     with pytest.raises(QgharmError, match="^alpha does not preserve the "
                                           "algebra structure$"):
@@ -706,7 +542,7 @@ def test_norm_transport_along_inversion():
 
 def test_holder_and_functional_submultiplicativity():
     g = get_example("kac-paljutkin")
-    x, y = _random(g, seed=9, count=2)
+    x, y = _random((2, g.dim), seed=9)
     assert holder_check(g, x, y, 4.0 / 3.0).holds
     assert holder_check(g, x, y, 1.0).holds
     assert young_check(g, x, y, 1.0, 1.0).holds
@@ -724,7 +560,7 @@ def test_large_exponents_factor_out_the_largest_eigenvalue():
     # for those below it; the norm is still t^{1/2} (sum (w/t)^{p/2} d)^{1/p}
     g = get_example("kac-paljutkin")
     pair = build_dual(g)
-    xs = _random(g, seed=9, count=4)
+    xs = _random((4, g.dim), seed=9)
     for space, coeffs in ((base_space(g), xs),
                           (dual_space(pair), fourier_coeffs(pair, xs))):
         top = np.max(spectral_data(space, coeffs)[0], axis=-1)

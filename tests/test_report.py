@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import qgharm
 from qgharm import duality, lp, structures
 from qgharm.catalog import get_example
-from qgharm.core import FiniteQuantumGroup, verify_axioms
+from qgharm.core import verify_axioms
 from qgharm.report import Check, check, json_dumps
-from test_lp import holder_check, norm_transport_check, weighted_space
+from reference import (_wrong_haar, holder_check, norm_transport_check,
+                       weighted_space)
 
 
 KP = get_example("kac-paljutkin")
@@ -27,15 +28,6 @@ Z4 = get_example("z4-function")
 Z4_PAIR = duality.build_dual(Z4)
 H = np.array([1.0, 0.0, 1.0, 0.0])
 COSET = np.array([0.0, 1.0, 0.0, 1.0])
-
-
-def _wrong_haar():
-    """z3-function with the counit in place of its Haar state."""
-    g = get_example("z3-function")
-    return FiniteQuantumGroup(mult=g.mult, unit=g.unit,
-                              comult=g.comult, counit=g.counit,
-                              antipode=g.antipode, star=g.star,
-                              haar=g.counit)
 
 
 def _young_under_a_sixteenth_of_phi():

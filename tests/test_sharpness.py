@@ -14,6 +14,7 @@ from qgharm.sharpness import (
     estimate_best_constant_young,
 )
 from qgharm.structures import bishift_theorem_check
+from reference import _random
 
 # restart and iteration budgets are kept small here; the warm starts at the
 # enumerated group-like projections already pin the attained value
@@ -163,19 +164,13 @@ def _cgrad_reference(f, v):
     return grad
 
 
-def _points(dim, count, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((count, dim))
-            + 1j * rng.standard_normal((count, dim)))
-
-
 def _single_argument_cases(monkeypatch):
     """(label, one-argument objective, dim) for every case, Young in each of
     its two arguments with the other held at a random point."""
     for name in ("z2-function", "z3-function", "kac-paljutkin"):
         f = _young(monkeypatch, name)
         dim = get_example(name).dim
-        fixed = _points(dim, 1, seed=2)[0]
+        fixed = _random(dim, seed=2)
         yield f"young {name} x", (lambda v, f=f, y=fixed: f(v, y)), dim
         yield f"young {name} y", (lambda v, f=f, x=fixed: f(x, v)), dim
     for name in ("s3-function", "kac-paljutkin"):
@@ -184,7 +179,7 @@ def _single_argument_cases(monkeypatch):
 
 def test_batched_gradient_matches_the_per_coordinate_loop(monkeypatch):
     for label, f, dim in list(_single_argument_cases(monkeypatch)):
-        stack = _points(dim, 3, seed=4)
+        stack = _random((3, dim), seed=4)
         ref = np.array([_cgrad_reference(f, v) for v in stack])
         one_by_one = np.array([sharpness._cgrad(f, v) for v in stack])
         for got in (one_by_one, sharpness._cgrad(f, stack)):
@@ -195,7 +190,7 @@ def test_batched_gradient_matches_the_per_coordinate_loop(monkeypatch):
 
 def test_objectives_on_a_stack_match_row_by_row(monkeypatch):
     for label, f, dim in list(_single_argument_cases(monkeypatch)):
-        stack = _points(dim, 5, seed=6)
+        stack = _random((5, dim), seed=6)
         stack[2] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from qgharm import structures
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.convolution import convolve
 from qgharm.core import (
-    FiniteQuantumGroup,
     _maxabs,
     build_group_algebra,
     cyclic_table,
@@ -19,25 +17,14 @@ from qgharm.core import (
 )
 from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
 from qgharm.errors import QgharmError
-from qgharm.report import check
 from qgharm.structures import (
-    MAX_DEGREE,
-    RANK_TOL,
-    ROOT_TOL,
-    STETTER_SEED,
-    TRIVIAL_NOTE,
     _biprojection_relation,
     _bloch_roots,
     _enumerate,
-    _Enumeration,
-    _fourier_blocks,
     _group_like_relation,
     _monomials,
     _quadratic_rows,
-    _require_group_like,
-    _right_mult,
     _shift_relations,
-    _shifted,
     bipartial_isometry_check,
     biprojection_checks,
     biprojection_iff_grouplike,
@@ -51,7 +38,17 @@ from qgharm.structures import (
     range_projection_of_fourier,
     shift_check,
 )
-from test_lp import _s4_table
+from reference import (
+    _enumerate_reference,
+    _gap_bound,
+    _kron_group,
+    _reference_glpbi_check,
+    _reference_is_biprojection,
+    _reference_is_group_like_projection,
+    _reference_verify_glp_properties,
+    _s4_table,
+    catalog_pairs,
+)
 
 # haar values of the full certified list, per example, sorted ascending
 EXPECTED_GROUP_LIKES = {
@@ -112,12 +109,6 @@ def test_enumeration_matches_the_subgroup_lattice():
         assert np.allclose(got, expected, atol=1e-12), (name, got)
 
 
-def test_enumerated_elements_are_normalized_subgroup_sums():
-    certs = enumerate_group_like_projections(get_example("z2-group"))
-    coeff_sets = {tuple(np.round(c.details["element"].coeffs.real, 9)) for c in certs}
-    assert coeff_sets == {(1.0, 0.0), (0.5, 0.5)}
-
-
 def _subgroup_sums(table):
     """The reference list: the normalized sum of every subgroup of a group
     given by its multiplication table, found by testing every subset."""
@@ -149,20 +140,18 @@ def test_group_algebra_enumeration_equals_the_subgroup_sums():
 
 def test_enumeration_agrees_across_the_fourier_transform():
     # the range of F(h) is a dual group-like projection, one for each h
-    for name in EXAMPLE_NAMES:
-        base_pair = _pair(name)
-        for pair in (base_pair, build_dual(base_pair.dual_qg)):
-            here = enumerate_group_like_projections(pair.base)
-            there = [c.details["element"].coeffs
-                     for c in enumerate_group_like_projections(pair.dual_qg)]
-            assert len(here) == len(there), pair.base.name
-            hits = set()
-            for cert in here:
-                p = range_projection_of_fourier(pair, cert.details["element"])
-                gaps = [_maxabs(p - q) for q in there]
-                assert min(gaps) <= 1e-9, pair.base.name
-                hits.add(int(np.argmin(gaps)))
-            assert len(hits) == len(there), pair.base.name
+    for pair in catalog_pairs(duals=True):
+        here = enumerate_group_like_projections(pair.base)
+        there = [c.details["element"].coeffs
+                 for c in enumerate_group_like_projections(pair.dual_qg)]
+        assert len(here) == len(there), pair.base.name
+        hits = set()
+        for cert in here:
+            p = range_projection_of_fourier(pair, cert.details["element"])
+            gaps = [_maxabs(p - q) for q in there]
+            assert min(gaps) <= 1e-9, pair.base.name
+            hits.add(int(np.argmin(gaps)))
+        assert len(hits) == len(there), pair.base.name
 
 
 def test_a_sphere_grid_on_kac_paljutkin_sees_only_the_exact_roots():
@@ -334,136 +323,8 @@ def test_kac_paljutkin_biprojections_close_at_degree_two(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-choice enumerator, kept as the reference of the stacked one
+# the stacked solve against the per-choice reference
 # ---------------------------------------------------------------------------
-
-def _reference_rows(relation, h0, dirs):
-    """_quadratic_rows for one choice, one relation call per choice."""
-    m = len(dirs)
-    eye = np.eye(m)
-    k, l = np.triu_indices(m, 1)
-    stencil = np.concatenate([np.zeros((1, m)), eye, -eye, eye[k] + eye[l]])
-    vals = relation(h0 + stencil @ dirs).reshape(len(stencil), -1)
-    vals = np.concatenate([vals.real, vals.imag], axis=-1)
-    zero, plus, minus = vals[0], vals[1:m + 1], vals[m + 1:2 * m + 1]
-    quad = np.empty((m, m, vals.shape[1]))
-    quad[k, l] = vals[2 * m + 1:] - plus[k] - plus[l] + zero
-    quad[np.arange(m), np.arange(m)] = 0.5 * (plus + minus) - zero
-    ku, lu = np.triu_indices(m)
-    rows = np.concatenate([zero[None], 0.5 * (plus - minus), quad[ku, lu]]).T
-    sphere = np.zeros((m // 3, rows.shape[1]))
-    sphere[:, 0] = -1.0
-    sphere[np.arange(m) // 3, 1 + m + np.flatnonzero(ku == lu)] = 1.0
-    return np.concatenate([rows, sphere])
-
-
-def _reference_roots(rows, m, affine_rows=True):
-    """_bloch_roots for one system, its Macaulay degrees raised one by
-    one. Without affine_rows it is the solver as it was before inconsistent
-    affine rows closed a system at degree 2, kept as the reference of the
-    points."""
-    gaps = []
-
-    def rank(s, absolute=False):
-        rel = s if absolute else (s / s[0] if s[0] > 0 else s)
-        r = int(np.sum(rel > RANK_TOL))
-        gaps.append((rel[r - 1] if r else (np.inf if absolute else 0.0),
-                     rel[r] if r < len(rel) else 0.0))
-        return r
-
-    def weakest():
-        return (float(min(k for k, _ in gaps)),
-                float(max(d for _, d in gaps)))
-
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    basis = vh[:rank(s)]
-    previous = len(basis[0]) - len(basis)
-    if previous == 0:
-        return np.zeros((m, 0)), weakest()
-    if affine_rows:
-        # the basis rows with no quadratic term have orthonormal affine
-        # parts; fewer ranks in their n-columns put 1 in the ideal
-        u, sq, _ = np.linalg.svd(basis[:, 1 + m:])
-        q = rank(sq, absolute=True)
-        if q < len(basis):
-            affine = u[:, q:].T @ basis[:, 1:1 + m]
-            if rank(np.linalg.svd(affine, compute_uv=False),
-                    absolute=True) < len(basis) - q:
-                return np.zeros((m, 0)), weakest()
-    for d in range(3, MAX_DEGREE + 1):
-        table = _shifted(m, d, 2)
-        width = len(_monomials(m, d))
-        mac = np.zeros((len(table), len(basis), width))
-        mac[np.arange(len(table))[:, None, None],
-            np.arange(len(basis))[None, :, None], table[:, None, :]] = basis
-        mac = mac.reshape(-1, width)
-        null = width - rank(np.linalg.svd(mac, compute_uv=False))
-        if null == 0:
-            return np.zeros((m, 0)), weakest()
-        if null == previous:
-            kernel = np.linalg.svd(mac)[2][width - null:].T
-            shift = _shifted(m, d, 1)
-            u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
-                                       full_matrices=False)
-            if rank(sl) == null:
-                rng = np.random.default_rng(STETTER_SEED)
-                weights = rng.standard_normal(m)
-                stetter = ((vlh.T / sl) @ u.T) @ (
-                    kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
-                roots = kernel @ np.linalg.eig(stetter)[1]
-                return roots[1:m + 1] / roots[0], weakest()
-        previous = null
-    raise QgharmError(
-        f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
-
-
-def _enumerate_reference(g, relation, tol, affine_rows=True):
-    """_enumerate with one polarization and one solve per block choice, by
-    _reference_roots."""
-    choices = g.blocks.choices
-    points = np.array([h0 for h0, dirs in choices if not len(dirs)])
-    holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
-                        axis=-1) <= tol)
-    out, gaps = [], []
-    for h0, dirs in choices:
-        if not len(dirs):
-            if next(holds):
-                out.append(h0)
-            continue
-        m = len(dirs)
-        rows = _reference_rows(relation, h0, dirs)
-        roots, gap = _reference_roots(rows, m, affine_rows)
-        gaps.append(gap)
-        exps = np.array(list(_monomials(m, 2)))
-        values = np.prod(roots.T[:, None, :] ** exps, axis=-1) @ rows.T
-        if not np.all(np.abs(values) <= ROOT_TOL):
-            raise QgharmError("a root of a block choice does not "
-                              "solve its system")
-        for n in roots.T[np.all(np.abs(roots.imag) <= ROOT_TOL, axis=0)]:
-            n = n.real.reshape(-1, 3)
-            out.append(h0 + (n / np.linalg.norm(n, axis=1)[:, None]).ravel()
-                       @ dirs)
-    return _Enumeration(points=out, choices=len(choices), gaps=gaps)
-
-
-def _kron_group(a, b):
-    """The tensor product quantum group of a and b, on the basis
-    e_i x f_p at index i * b.dim + p."""
-    n = a.dim * b.dim
-
-    def both(x, y):
-        return np.einsum("ijk,pqr->ipjqkr", x, y).reshape(n * n, n)
-
-    return FiniteQuantumGroup(
-        mult=both(a.mult, b.mult).reshape(n, n, n),
-        unit=np.kron(a.unit, b.unit),
-        comult=both(a.comult.reshape(a.dim, a.dim, a.dim),
-                    b.comult.reshape(b.dim, b.dim, b.dim)),
-        counit=np.kron(a.counit, b.counit),
-        antipode=np.kron(a.antipode, b.antipode),
-        star=np.kron(a.star, b.star), haar=np.kron(a.haar, b.haar),
-        name=f"{a.name} x {b.name}")
-
 
 def _relations(pair):
     """The group-like, biprojection and left-shift relations of the base,
@@ -482,27 +343,6 @@ def _assert_same_points(got, want):
     assert len(got.points) == len(want.points)
     assert all(p.dtype == q.dtype and p.tobytes() == q.tobytes()
                for p, q in zip(got.points, want.points))
-
-
-def _assert_same_run(got, want):
-    _assert_same_points(got, want)
-    assert got.gaps == want.gaps
-
-
-def _gap_bound(m):
-    """How far a relative singular value of a rank decision may move
-    between the reference's values-only SVD and the stacked solve's SVD
-    with V, two LAPACK paths, on m Bloch unknowns. Each path is backward
-    stable: its singular values are within p eps s_1 of the exact ones,
-    with p = max(rows, columns) the rounding estimate of numpy's
-    matrix_rank, here of the largest Macaulay matrix, at MAX_DEGREE. Each
-    s_i / s_1 is then within 2 p eps / (1 - p eps) of the exact ratio, and
-    the two paths within twice that. The weakest kept and strongest dropped
-    values, a min and a max over decisions, move no more."""
-    rows = math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)
-    p = max(rows, math.comb(m + MAX_DEGREE, m))
-    eps = np.finfo(float).eps
-    return 4 * p * eps / (1 - p * eps)
 
 
 def _assert_gaps_within_bound(g, got, want):
@@ -532,11 +372,9 @@ def _assert_matches_both_references(g, relation):
 
 
 def test_the_stacked_solve_equals_the_per_choice_reference_exactly():
-    for name in EXAMPLE_NAMES:
-        base_pair = _pair(name)
-        for pair in (base_pair, build_dual(base_pair.dual_qg)):
-            for relation in _relations(pair):
-                _assert_matches_both_references(pair.base, relation)
+    for pair in catalog_pairs(duals=True):
+        for relation in _relations(pair):
+            _assert_matches_both_references(pair.base, relation)
 
 
 def test_the_stacked_solve_equals_the_references_on_dihedral_groups():
@@ -591,7 +429,9 @@ def test_stacks_split_into_chunks_give_the_same_enumeration(monkeypatch):
     monkeypatch.setattr(structures, "MAX_MACAULAY_ENTRIES", 3 * 10 * 35 * 84)
     for relation, want in zip(relations, whole):
         calls = []
-        _assert_same_run(_enumerate(g, _counted(relation, calls), 1e-9), want)
+        got = _enumerate(g, _counted(relation, calls), 1e-9)
+        _assert_same_points(got, want)
+        assert got.gaps == want.gaps
         assert [shape[0] for shape in calls[1:]] == [3, 3, 3, 3, 3, 1]
 
 
@@ -663,12 +503,11 @@ def test_glp_properties_refuse_non_group_like_input():
 # ---------------------------------------------------------------------------
 
 def test_transform_of_group_like_is_a_biprojection():
-    for name in EXAMPLE_NAMES:
-        pair = _pair(name)
+    for pair in catalog_pairs():
         certs = enumerate_group_like_projections(pair.base)
         for cert, rep in zip(certs, biprojection_checks(
                 pair, [c.details["element"] for c in certs], 1e-9)):
-            assert rep.holds, (name, rep.details)
+            assert rep.holds, (pair.base.name, rep.details)
             assert rep.details["multiple"] == pytest.approx(
                 cert.details["haar_value"], abs=1e-10)
 
@@ -683,12 +522,11 @@ def test_biprojection_rejects_zero_input():
 
 def test_fourier_image_is_dual_group_like():
     worst = 0.0
-    for name in EXAMPLE_NAMES:
-        pair = _pair(name)
+    for pair in catalog_pairs():
         certs = enumerate_group_like_projections(pair.base)
         for rep in glpbi_checks(
                 pair, [c.details["element"] for c in certs], 1e-9):
-            assert rep.holds, (name, rep.details)
+            assert rep.holds, (pair.base.name, rep.details)
             worst = max(worst, *rep.residuals.values())
     assert worst < 1e-12
 
@@ -704,17 +542,15 @@ def test_range_transports_back_to_the_rescaled_projection():
 def test_range_projection_of_fourier_is_a_dual_projection_fixing_the_image():
     # checked by the dual product and star, not by the blocks that the
     # range projection is taken in
-    for name in EXAMPLE_NAMES:
-        base_pair = _pair(name)
-        for pair in (base_pair, build_dual(base_pair.dual_qg)):
-            d = pair.dual_qg
-            for cert in enumerate_group_like_projections(pair.base):
-                p = range_projection_of_fourier(pair, cert.details["element"])
-                f = fourier_coeffs(pair, cert.details["element"])
-                assert _maxabs(d.multiply(p, p) - p) < 1e-12, d.name
-                assert _maxabs(d.star_of(p) - p) < 1e-12, d.name
-                assert _maxabs(d.multiply(p, f) - f) < 1e-12, d.name
-                assert _maxabs(d.multiply(f, p) - f) < 1e-12, d.name
+    for pair in catalog_pairs(duals=True):
+        d = pair.dual_qg
+        for cert in enumerate_group_like_projections(pair.base):
+            p = range_projection_of_fourier(pair, cert.details["element"])
+            f = fourier_coeffs(pair, cert.details["element"])
+            assert _maxabs(d.multiply(p, p) - p) < 1e-12, d.name
+            assert _maxabs(d.star_of(p) - p) < 1e-12, d.name
+            assert _maxabs(d.multiply(p, f) - f) < 1e-12, d.name
+            assert _maxabs(d.multiply(f, p) - f) < 1e-12, d.name
 
 
 def test_equivalence_sweep_over_all_small_examples():
@@ -749,75 +585,6 @@ def test_equivalence_sweep_over_all_small_examples():
 # the stacked certificates against the per-element reference
 # ---------------------------------------------------------------------------
 
-def _reference_is_group_like_projection(g, h, tol):
-    """group_like_checks evaluated on one element."""
-    hc = g.coeffs_of(h)
-    res = {
-        "projection": _maxabs(g.multiply(hc, hc) - hc),
-        "self_adjoint": _maxabs(g.star_of(hc) - hc),
-        "nonzero": 0.0 if _maxabs(hc) > tol else math.inf,
-        "defining_relation": _maxabs(_group_like_relation(g, hc)),
-    }
-    return check("group-like-projection", "group-like-projection", res, tol,
-                 element=g.element(hc), haar_value=float(g.haar_of(hc).real))
-
-
-def _reference_verify_glp_properties(g, h, tol):
-    """glp_properties_checks evaluated on one element."""
-    cert = _require_group_like(g, h, tol)
-    hc = cert.details["element"].coeffs
-    mirrored = _right_mult(g, hc).T @ g.delta(hc)
-    res = {
-        "antipode_fixes": _maxabs(g.antipode @ hc - hc),
-        "mirrored_relation": _maxabs(mirrored - np.outer(hc, hc)),
-        "weighted_functionals_equal": _maxabs(g.q_matrix @ hc
-                                              - hc @ g.q_matrix),
-        "convolution_idempotent": _maxabs(
-            convolve(g, hc, hc).coeffs - cert.details["haar_value"] * hc),
-    }
-    return check("group-like-properties", "group-like-projection", res, tol,
-                 modular_invariance=TRIVIAL_NOTE)
-
-
-def _reference_is_biprojection(pair, h, tol):
-    """biprojection_checks evaluated on one element."""
-    f = _fourier_blocks(pair, h)
-    blocks = pair.dual_qg.blocks
-    scale = float(np.sqrt(blocks.hs(f, f).real))
-    if scale <= tol:
-        return check("biprojection", "fourier-multiple-of-projection",
-                     {"nonzero_transform": math.inf}, tol, multiple=0.0)
-    ff = f @ f
-    fit = blocks.hs(f, ff) / blocks.hs(f, f)
-    res_proj = _maxabs(ff - fit * f) / max(_maxabs(f), 1e-300)
-    res_sa = _maxabs(f - f.conj().T) / max(_maxabs(f), 1e-300)
-    return check("biprojection", "fourier-multiple-of-projection",
-                 {"idempotent_after_fit": res_proj, "self_adjoint": res_sa,
-                  "real_multiple": abs(fit.imag)}, tol,
-                 multiple=float(fit.real))
-
-
-def _reference_glpbi_check(pair, h, tol):
-    """glpbi_checks evaluated on one element."""
-    g = pair.base
-    cert = _require_group_like(g, h, tol)
-    hc = cert.details["element"].coeffs
-    phi_h = cert.details["haar_value"]
-    dual_cert = _reference_is_group_like_projection(
-        pair.dual_qg, fourier_coeffs(pair, hc) / phi_h, tol)
-    p_coeffs = range_projection_of_fourier(pair, hc)
-    weight_of_range = complex(pair.dual_weight @ p_coeffs)
-    back = dual_fourier(pair, p_coeffs).coeffs
-    res = {
-        "dual_group_like": max(dual_cert.residuals.values()),
-        "weight_of_range": abs(phi_h * weight_of_range - 1.0),
-        "inverse_transform_of_range": _maxabs(back - hc / phi_h),
-    }
-    return check("group-like-fourier-image", "dual-group-like-and-weight",
-                 res, tol, haar_value=phi_h,
-                 dual_weight_of_range=float(weight_of_range.real))
-
-
 # details that are computed values, held to 4e-16 relative
 COMPUTED_DETAILS = ("haar_value", "multiple", "dual_weight_of_range")
 
@@ -843,28 +610,26 @@ def test_the_stacked_certificates_equal_the_per_element_reference():
     # every enumerated group-like projection and biprojection, and the
     # zero element and the basis vectors, so that failing rows and the
     # zero-transform branch are compared too
-    for name in EXAMPLE_NAMES:
-        base_pair = _pair(name)
-        for pair in (base_pair, build_dual(base_pair.dual_qg)):
-            g = pair.base
-            certs = enumerate_group_like_projections(g)
-            bis = _enumerate(g, lambda h: _biprojection_relation(pair, h),
-                             1e-9).points
-            hs = ([c.details["element"].coeffs for c in certs] + bis
-                  + [np.zeros(g.dim)] + list(np.eye(g.dim)))
-            for got, h in zip(group_like_checks(g, hs, 1e-9), hs):
-                _assert_same_record(
-                    got, _reference_is_group_like_projection(g, h, 1e-9))
-            for got, h in zip(biprojection_checks(pair, hs, 1e-9), hs):
-                _assert_same_record(
-                    got, _reference_is_biprojection(pair, h, 1e-9))
-            for got, cert in zip(glp_properties_checks(g, certs, 1e-9),
-                                 certs):
-                _assert_same_record(
-                    got, _reference_verify_glp_properties(g, cert, 1e-9))
-            for got, cert in zip(glpbi_checks(pair, certs, 1e-9), certs):
-                _assert_same_record(
-                    got, _reference_glpbi_check(pair, cert, 1e-9))
+    for pair in catalog_pairs(duals=True):
+        g = pair.base
+        certs = enumerate_group_like_projections(g)
+        bis = _enumerate(g, lambda h: _biprojection_relation(pair, h),
+                         1e-9).points
+        hs = ([c.details["element"].coeffs for c in certs] + bis
+              + [np.zeros(g.dim)] + list(np.eye(g.dim)))
+        for got, h in zip(group_like_checks(g, hs, 1e-9), hs):
+            _assert_same_record(
+                got, _reference_is_group_like_projection(g, h, 1e-9))
+        for got, h in zip(biprojection_checks(pair, hs, 1e-9), hs):
+            _assert_same_record(
+                got, _reference_is_biprojection(pair, h, 1e-9))
+        for got, cert in zip(glp_properties_checks(g, certs, 1e-9),
+                             certs):
+            _assert_same_record(
+                got, _reference_verify_glp_properties(g, cert, 1e-9))
+        for got, cert in zip(glpbi_checks(pair, certs, 1e-9), certs):
+            _assert_same_record(
+                got, _reference_glpbi_check(pair, cert, 1e-9))
 
 
 def test_one_perturbed_row_fails_alone_and_moves_no_other_row():
@@ -904,32 +669,6 @@ def test_empty_stacks_give_no_records():
 # ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
-
-def test_left_shifts_are_exactly_the_left_cosets():
-    expected = {
-        "z2-function": [(0.5, 2), (1.0, 1)],
-        "z3-function": [(1.0 / 3.0, 3), (1.0, 1)],
-        "z4-function": [(0.25, 4), (0.5, 2), (1.0, 1)],
-    }
-    for name, spec in expected.items():
-        g = get_example(name)
-        certs = enumerate_group_like_projections(g)
-        got = sorted((round(c.details["haar_value"], 9),
-                      len(enumerate_left_shifts(g, c.details["element"])))
-                     for c in certs)
-        assert got == [(round(a, 9), b) for a, b in spec], name
-
-
-def test_left_shift_counts_on_s3_functions():
-    g = get_example("s3-function")
-    total = 0
-    for cert in enumerate_group_like_projections(g):
-        shifts = enumerate_left_shifts(g, cert.details["element"])
-        # index of the subgroup = number of left cosets
-        assert len(shifts) == round(1.0 / cert.details["haar_value"])
-        total += len(shifts)
-    assert total == 18
-
 
 def test_shift_certificate_fields():
     g = get_example("z4-function")
@@ -980,6 +719,8 @@ def test_right_shifts_and_the_antipode_bridge():
 # ---------------------------------------------------------------------------
 
 def test_every_certified_shift_is_a_bipartial_isometry():
+    # on C(G) the left shifts of a group-like projection 1_H are its left
+    # cosets, as many as the index of H, 1 / phi(1_H)
     totals = {"z2-function": 3, "z3-function": 4, "z4-function": 7,
               "s3-function": 18}
     for name, total in totals.items():
@@ -987,12 +728,15 @@ def test_every_certified_shift_is_a_bipartial_isometry():
         g = pair.base
         seen = 0
         for cert in enumerate_group_like_projections(g):
-            for s in enumerate_left_shifts(g, cert.details["element"]):
+            shifts = enumerate_left_shifts(g, cert.details["element"])
+            assert len(shifts) == round(1.0 / cert.details["haar_value"]), \
+                name
+            for s in shifts:
                 rep = bipartial_isometry_check(pair, s.details["element"],
                                                cert.details["element"])
                 assert rep.holds, (name, rep.details)
                 assert max(rep.residuals.values()) < 1e-12
-                seen += 1
+            seen += len(shifts)
         assert seen == total, name
 
 
