@@ -9,9 +9,21 @@ tensors transposed, over the operators B_s = F(Q^{-1} e_s); the dual Haar
 weight is the Haar integral h = Q^{-1} epsilon. The Fourier transform has
 one picture at every exponent, its coefficients (Qx)_s over the B_s:
 products, adjoints, blocks and norms of F(x) are those of the dual algebra,
-and no operator matrix of F(x) is formed. The multiplicative unitary W,
-defined through W*(a . b) = Delta(b)(a . 1), is formed only on demand, as
-the certificate behind the pentagon and comultiplication-conjugation checks.
+and no operator matrix of F(x) is formed.
+
+W, defined through W*(a . b) = Delta(b)(a . 1), is sum_s L_s . B_s with L_s
+the left regular representation (Baaj-Skandalis: W lies in A . Ahat). Its
+certificates check four premises: (1) that factorization, (2) L_a L_b =
+sum_k mult[a, b, k] L_k, (3) B_b B_c = sum_r comult3[b, c, r] B_r and (4)
+sum_{a, c} C[a, c, k, r] B_a L_c = L_r B_k, where C[a, c, k, r] =
+sum_b mult[a, b, k] comult3[b, c, r] (Kashaev's Heisenberg-double relation).
+By (1)-(3) both sides of the pentagon W12 W13 W23 = W23 W12 are sums of
+L_k . X . B_r, and by (1)-(2) those of W Delta(e_k) = (1 . L_k) W sums of
+L_m . X, with the sides of (4) as the X: so (4) gives both, and the
+unitarity gate of DualPair.w turns the second into Delta(x) = W*(1 . x)W.
+The L_k and B_r are independent, so the pentagon also gives (4). One call
+is n^6 work, real where W is: 0.2, 2.2 and 17 ms at n = 8, 16 and 24 on one
+BLAS thread, where the operator pentagon took about 2 ms, 0.35 s and 8 s.
 """
 
 from __future__ import annotations
@@ -27,16 +39,9 @@ from .core import (AlgebraElement, FiniteQuantumGroup, _accept, _maxabs,
 from .errors import QgharmError
 from .report import Check, check
 
-__all__ = [
-    "DualPair",
-    "build_dual",
-    "fourier_coeffs",
-    "dual_fourier",
-    "pentagon_residual",
-    "comult_conjugation_residual",
-    "plancherel_check",
-    "biduality_check",
-]
+__all__ = ["DualPair", "build_dual", "fourier_coeffs", "dual_fourier",
+           "pentagon_residual", "comult_conjugation_residual",
+           "plancherel_check", "biduality_check"]
 
 DUAL_TOL = 1e-8
 FOURIER_TOL = 1e-9
@@ -73,10 +78,8 @@ class DualPair:
     def w(self) -> np.ndarray:
         """W as the adjoint of W* under the doubled Gram form; gated on
         Gram unitarity, which makes the adjoint the inverse. W and W* are
-        float64 exactly when the comult, mult and Gram tensors have no
-        nonzero imaginary part, as on the catalog, so the certificates run
-        in real arithmetic there; core._axiom_residuals says why the
-        stored tensors stay complex."""
+        float64 exactly when the comult, mult and Gram tensors are real, as
+        on the catalog; core._axiom_residuals says why those stay complex."""
         gram = _real_if_exact(self.base.gram)
         gg = np.kron(gram, gram)
         adj = self.w_star.conj().T @ gg
@@ -104,36 +107,43 @@ class DualPair:
 
 
 def pentagon_residual(pair: DualPair) -> float:
-    """Max-abs residual of W12 W13 W23 = W23 W12 on the threefold GNS space.
-    With W4[a, b, A, B] = W[(a, b), (A, B)], at [(a, b, c), (A, B, C)]:
-    W23 W12 = sum_x W4[b, c, x, C] W4[a, x, A, B] and W13 W23 =
-    sum_y W4[a, c, A, y] W4[b, y, B, C], which W12 then multiplies. Each
-    side is formed one column leg C at a time, which W12 does not touch.
-    It reads only pair.w, so it runs in real arithmetic when W is real."""
-    n = pair.base.dim
-    w4 = pair.w.reshape(n, n, n, n)
-    worst = 0.0
-    for col in range(n):
-        rhs = np.tensordot(w4[..., col], w4, axes=([2], [1]))
-        mid = np.tensordot(w4, w4[..., col], axes=([3], [1]))
-        lhs = pair.w @ mid.transpose(0, 3, 1, 2, 4).reshape(n * n, -1)
-        worst = max(worst, _maxabs(lhs.reshape(mid.shape)
-                                   - rhs.transpose(2, 0, 1, 3, 4)))
-    return worst
+    """The pentagon: the largest premise residual of the module docstring."""
+    return max(_premises(pair.w, *_factors(pair.base)))
 
 
 def comult_conjugation_residual(pair: DualPair) -> float:
-    """Max-abs residual of Delta(x) = W*(1 . x)W over the operator basis."""
-    g = pair.base
+    """Delta(x) = W*(1 . x)W: the pentagon's premise residual, shared."""
+    return max(_premises(pair.w, *_factors(pair.base)))
+
+
+def _factors(g: FiniteQuantumGroup) -> tuple:
+    """mult and comult3 as (n^2, n) matrices, L_s = g.left_regular[s] and
+    B_s = sum_k S[s, k] comult3[k] as (n, n, n) stacks, and C as an (n^2, n^2)
+    matrix [(a, c), (r, k)]; float64 when mult, comult and S are real."""
     n = g.dim
-    lreg = _real_if_exact(g.left_regular)
-    w3 = pair.w.reshape(n, n, n * n)
-    lhs = pair.w_star @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
-    # [k, a, b, c, d] = sum_{i, j} comult3[i, j, k] L_i[a, b] L_j[c, d]
-    rhs = np.tensordot(np.tensordot(_real_if_exact(g.comult3), lreg,
-                                    axes=([0], [0])), lreg, axes=([0], [0]))
-    rhs = rhs.transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
-    return _maxabs(lhs - rhs)
+    mult, comult3, s = map(_real_if_exact, (g.mult, g.comult3, g.antipode))
+    lreg = np.ascontiguousarray(mult.transpose(0, 2, 1))
+    legs = (s @ comult3.reshape(n, n * n)).reshape(n, n, n)
+    coef = (lreg.reshape(n * n, n) @ comult3.reshape(n, n * n)).reshape(
+        n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
+    return mult.reshape(n * n, n), comult3.reshape(n * n, n), lreg, legs, coef
+
+
+def _premises(w, mult, comult3, lreg, legs, coef) -> tuple:
+    """Max-abs residuals of premises (1)-(4) of the module docstring on the
+    given W and factors; (4) is one (n^2, n^2) @ (n^2, n^2) product."""
+    n = len(lreg)
+
+    def products(x, y):
+        # [(a, b), (i, j)] = (x_a y_b)[i, j]
+        return (x[:, None] @ y[None]).reshape(n * n, n * n)
+
+    factored = lreg.reshape(n, -1).T @ legs.reshape(n, -1)
+    return (_maxabs(w.reshape(n, n, n, n) - factored.reshape(
+                n, n, n, n).transpose(0, 2, 1, 3)),
+            _maxabs(products(lreg, lreg) - mult @ lreg.reshape(n, -1)),
+            _maxabs(products(legs, legs) - comult3 @ legs.reshape(n, -1)),
+            _maxabs(coef.T @ products(legs, lreg) - products(lreg, legs)))
 
 
 def build_dual(g: FiniteQuantumGroup) -> DualPair:

@@ -30,7 +30,7 @@ from qgharm import lp
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import (BLOCK_SEED, Blocks, CayleyTable, FiniteQuantumGroup,
-                         _maxabs, _on_two_legs)
+                         _maxabs, _on_two_legs, _real_if_exact)
 from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
 from qgharm.errors import QgharmError
 from qgharm.lp import (SLACK, WeightedLpSpace, base_space, conjugate_exponent,
@@ -421,6 +421,55 @@ def _pentagon_reference(pair):
     lhs = on_legs(on_legs(on_legs(eye, (1, 2)), (0, 2)), (0, 1))
     rhs = on_legs(on_legs(eye, (0, 1)), (1, 2))
     return _maxabs(lhs - rhs)
+
+
+def _pentagon_by_column(pair):
+    """The pentagon residual contracted through W4 = W reshaped to
+    (n, n, n, n), as the package computed it before the coefficient form.
+    At [(a, b, c), (A, B, C)], W23 W12 = sum_x W4[b, c, x, C] W4[a, x, A, B]
+    and W13 W23 = sum_y W4[a, c, A, y] W4[b, y, B, C], which W12 then
+    multiplies. Each side is formed one column leg C at a time, which W12
+    does not touch: n^7 work, where _pentagon_reference takes n^8."""
+    n = pair.base.dim
+    w4 = pair.w.reshape(n, n, n, n)
+    worst = 0.0
+    for col in range(n):
+        rhs = np.tensordot(w4[..., col], w4, axes=([2], [1]))
+        mid = np.tensordot(w4, w4[..., col], axes=([3], [1]))
+        lhs = pair.w @ mid.transpose(0, 3, 1, 2, 4).reshape(n * n, -1)
+        worst = max(worst, _maxabs(lhs.reshape(mid.shape)
+                                   - rhs.transpose(2, 0, 1, 3, 4)))
+    return worst
+
+
+def _conjugation_reference(pair):
+    """The residual of Delta(x) = W*(1 . x)W over the operator basis, as
+    n^2 x n^2 operators: W*(1 . L_k)W against sum_{i, j} comult3[i, j, k]
+    L_i . L_j."""
+    g = pair.base
+    n = g.dim
+    lreg = _real_if_exact(g.left_regular)
+    w3 = pair.w.reshape(n, n, n * n)
+    lhs = pair.w_star @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
+    # [k, a, b, c, d] = sum_{i, j} comult3[i, j, k] L_i[a, b] L_j[c, d]
+    rhs = np.tensordot(np.tensordot(_real_if_exact(g.comult3), lreg,
+                                    axes=([0], [0])), lreg, axes=([0], [0]))
+    rhs = rhs.transpose(0, 1, 3, 2, 4).reshape(n, n * n, n * n)
+    return _maxabs(lhs - rhs)
+
+
+def _operator_bound(pair):
+    """How far the pentagon and conjugation residuals of two routes may
+    differ. On exact tensors both read 0, so each is a rounding error. An
+    entry of W12 W13 W23 - W23 W12 is a chain of three products of inner
+    length n^2 whose absolute values are at most ||W||_inf^3 (the max row
+    sum of |W|, at least 1), so the operator route is within
+    gamma_{3 n^2} ||W||_inf^3. The coefficient form's products are no
+    longer, over the same tensors; it is held to the same bound as a pin,
+    not by a proof."""
+    n = pair.base.dim
+    norm = max(float(np.abs(pair.w).sum(axis=1).max()), 1.0)
+    return _gamma(3 * n * n) * norm ** 3
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from qgharm.core import (
     symmetric_table_s3,
     verify_axioms,
 )
-from qgharm.duality import build_dual
+from qgharm.duality import _factors, build_dual
 from qgharm.errors import AxiomFailure, QgharmError
 from qgharm.report import json_dumps
 from qgharm.structures import group_like_checks
@@ -490,11 +490,14 @@ def test_an_imaginary_defect_fails_the_axioms():
 
 
 def test_the_unitary_is_real_exactly_when_the_tensors_are():
+    """W and the factors of its certificates (mult, comult3, L_s, B_s and
+    C), so that no contraction falls back to complex BLAS where W is real."""
     for name in EXAMPLE_NAMES:
         g = get_example(name)
-        assert build_dual(g).w.dtype == np.float64, name
-        moved = build_dual(_transported(g, seed=7))
-        assert moved.w.dtype == np.complex128, name
+        moved = _transported(g, seed=7)
+        for h, dtype in ((g, np.float64), (moved, np.complex128)):
+            assert build_dual(h).w.dtype == dtype, name
+            assert [a.dtype for a in _factors(h)] == [dtype] * 5, name
 
 
 def test_group_like_relation_matches_its_einsum_definition():

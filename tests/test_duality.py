@@ -7,7 +7,9 @@ from qgharm.core import (FiniteQuantumGroup, _maxabs, build_function_algebra,
                          build_group_algebra, cyclic_table, dihedral_table,
                          symmetric_table_s3, verify_axioms)
 from qgharm.duality import (
+    _factors,
     _gram_norm,
+    _premises,
     biduality_check,
     build_dual,
     comult_conjugation_residual,
@@ -17,9 +19,10 @@ from qgharm.duality import (
     plancherel_check,
 )
 from qgharm.errors import AxiomFailure
-from reference import (TENSORS, _dual_basis, _fourier, _legs_of_w, _over_basis,
-                       _pentagon_reference, _random, _transported,
-                       catalog_pairs)
+from reference import (TENSORS, _conjugation_reference, _dual_basis, _fourier,
+                       _kron_group, _legs_of_w, _operator_bound, _over_basis,
+                       _pentagon_by_column, _pentagon_reference, _random,
+                       _s4_table, _transported, catalog_pairs)
 
 
 def test_closed_form_dual_matches_the_multiplicative_unitary():
@@ -99,12 +102,21 @@ def test_single_entry_mutation_fails_the_base_gate():
 
 
 def test_pentagon_contraction_equals_the_leg_by_leg_product(monkeypatch):
-    for pair in catalog_pairs(transports=True):
-        assert pentagon_residual(pair) == _pentagon_reference(pair), \
-            pair.base.name
+    """The two operator routes of the pentagon agree bit for bit, and the
+    coefficient form of both certificates agrees with the operator routes
+    within _operator_bound, on the 14 catalog algebras and their
+    transports."""
+    for pair in catalog_pairs(transports=True, duals=True):
+        name = pair.base.name
+        operator = _pentagon_by_column(pair)
+        assert operator == _pentagon_reference(pair), name
+        bound = _operator_bound(pair)
+        assert abs(pentagon_residual(pair) - operator) <= bound, name
+        assert abs(comult_conjugation_residual(pair)
+                   - _conjugation_reference(pair)) <= bound, name
     # four corrupted unitaries per example, each W with one entry moved by
-    # 1e-3: the contraction still equals the reference, and the pentagon
-    # fails by more than 1e-9
+    # 1e-3: the factorization gap fails both certificates by more than
+    # 1e-9, as the operator route fails the pentagon
     rng = np.random.default_rng(11)
     for pair in catalog_pairs():
         w = pair.w
@@ -113,9 +125,62 @@ def test_pentagon_contraction_equals_the_leg_by_leg_product(monkeypatch):
             bad[tuple(rng.integers(0, w.shape[0], size=2))] += 1e-3
             # build_dual shares the pair, so its W is put back afterwards
             monkeypatch.setattr(pair, "w", bad)
-            residual = pentagon_residual(pair)
-            assert residual == _pentagon_reference(pair), pair.base.name
-            assert residual > 1e-9, pair.base.name
+            assert pentagon_residual(pair) > 1e-9, pair.base.name
+            assert comult_conjugation_residual(pair) > 1e-9, pair.base.name
+            assert _pentagon_by_column(pair) > 1e-9, pair.base.name
+
+
+def test_a_corrupted_leg_fails_the_coefficient_form():
+    """The legs of W = sum_s L_s . B_s built from a tensor with one entry
+    moved by 1e-3, on the catalog and its duals. L from such a mult fails
+    the factorization gap and the representation residual of L (eight
+    seeded entries per algebra; every entry fails). B =
+    sum_k S[s, k] comult3[k] from such an antipode fails the gap and the
+    representation residual of B, and the coefficient identity wherever the
+    moved entry of S was 0. A moved nonzero entry scales one B_s, which the
+    identity can miss: on C(G), where C[a, c, k, r] = 0 unless a = k, each
+    identity is linear in one B_k, and on KP's dual four such entries pass
+    it."""
+    rng = np.random.default_rng(13)
+    for pair in catalog_pairs(duals=True):
+        g = pair.base
+        n = g.dim
+        mult, comult3, lreg, legs, coef = _factors(g)
+        assert max(_premises(pair.w, mult, comult3, lreg, legs, coef)) == 0.0
+        for idx in rng.integers(0, n, size=(8, 3)):
+            m = np.array(g.mult)
+            m[tuple(idx)] += 1e-3
+            bad = m.transpose(0, 2, 1)
+            gap, rep_l, _, _ = _premises(pair.w, mult, comult3, bad, legs,
+                                         coef)
+            assert min(gap, rep_l) > 1e-9, (g.name, idx)
+        for idx in np.ndindex(n, n):
+            s = np.array(g.antipode)
+            s[idx] += 1e-3
+            bad = (s @ g.comult3.reshape(n, n * n)).reshape(n, n, n)
+            gap, _, rep_b, identity = _premises(pair.w, mult, comult3, lreg,
+                                                bad, coef)
+            assert min(gap, rep_b) > 1e-9, (g.name, idx)
+            if g.antipode[idx] == 0:
+                assert identity > 1e-9, (g.name, idx)
+
+
+def test_the_certificates_hold_beyond_the_catalog():
+    """C[D8] and KP (x) Z2 (n = 16) and C[S4] (n = 24) pass both gates of
+    verify; on KP (x) Z2 the coefficient form also agrees with the operator
+    routes, which take about 0.4 s there."""
+    kp_z2 = _kron_group(get_example("kac-paljutkin"),
+                        get_example("z2-function"))
+    for g in (build_group_algebra(dihedral_table(8)), kp_z2,
+              build_group_algebra(_s4_table())):
+        pair = build_dual(g)
+        pentagon = pentagon_residual(pair)
+        conjugation = comult_conjugation_residual(pair)
+        assert pentagon <= 1e-9 and conjugation <= 1e-10, g.name
+        if g is kp_z2:
+            bound = _operator_bound(pair)
+            assert abs(pentagon - _pentagon_by_column(pair)) <= bound
+            assert abs(conjugation - _conjugation_reference(pair)) <= bound
 
 
 def test_dual_satisfies_the_axioms():

@@ -740,6 +740,27 @@ def test_every_certified_shift_is_a_bipartial_isometry():
         assert seen == total, name
 
 
+def test_left_shifts_need_not_solve_the_weight_equality():
+    """enumerate_left_shifts leaves phi(x) = phi(h) out of its system, since
+    the shift and base relations imply it for a projection x != 0. Solving
+    all three relations finds the same points, as a set within 1e-12
+    (distinct projections lie far apart), on every catalog example and its
+    dual; the roots of one block choice may come in another order."""
+    for pair in catalog_pairs(duals=True):
+        g = pair.base
+        for cert in enumerate_group_like_projections(g):
+            hc = cert.details["element"].coeffs
+            got = np.array([s.details["element"].coeffs
+                            for s in enumerate_left_shifts(g, hc)])
+            want = np.array(_enumerate(g, lambda x: np.concatenate(
+                list(_shift_relations(g, x, hc, "left").values()), axis=-1),
+                structures.CERT_TOL).points)
+            assert got.shape == want.shape, g.name
+            dist = np.max(np.abs(got[:, None] - want[None]), axis=-1)
+            assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) \
+                <= 1e-12, g.name
+
+
 def test_group_algebra_bipartial_isometries():
     # (Haar value, number of left shifts) of each group-like projection
     expected = {
