@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -300,6 +300,19 @@ class AlgebraElement:
 BLOCK_SEED = 1611
 
 
+@lru_cache(maxsize=None)
+def _block_weights(k: int, n: int) -> tuple:
+    """The complex weights of the generic elements that split a centre of
+    dimension k and the matrix blocks of an n-dimensional algebra, drawn
+    from BLOCK_SEED in that order, once per shape; read-only."""
+    rng = np.random.default_rng(BLOCK_SEED)
+    weights = tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    for d in (k, n))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class Blocks:
     """The algebra as a direct sum of matrix blocks, M = (+)_i M_{d_i}.
@@ -444,11 +457,9 @@ def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
     *-homomorphisms within 1e-10, and they reproduce the Haar state.
     """
     n = g.dim
-    rng = np.random.default_rng(BLOCK_SEED)
 
-    def generic_self_adjoint(basis: np.ndarray) -> np.ndarray:
-        k = basis.shape[1]
-        z = basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    def generic_self_adjoint(basis: np.ndarray, weights) -> np.ndarray:
+        z = basis @ weights
         return z + g.star_of(z)
 
     comm = (g.mult - g.mult.transpose(1, 0, 2)).reshape(n, n * n).T
@@ -457,7 +468,9 @@ def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
     k = centre.shape[1]
     if k == 0:
         raise AxiomFailure("the algebra has no centre, not even its unit")
-    lz = np.einsum("i,ikj->kj", generic_self_adjoint(centre), g.left_regular)
+    centre_weights, block_weights = _block_weights(k, n)
+    lz = np.einsum("i,ikj->kj", generic_self_adjoint(centre, centre_weights),
+                   g.left_regular)
     lam, vec = np.linalg.eig(centre.conj().T @ lz @ centre)
     order = np.argsort(lam.real)
     lam, vec = lam.real[order], vec[:, order]
@@ -487,7 +500,7 @@ def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:
         # the matrix blocks, each from a minimal left ideal, in one eigh
         chol = np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T))
         to_gns = np.linalg.inv(chol).conj().T  # columns orthonormal for <x, y>
-        y = generic_self_adjoint(np.eye(n))
+        y = generic_self_adjoint(np.eye(n), block_weights)
         # the right multiplications by every z_i y as one stack
         right = np.einsum("is,jsk->ikj", g.multiply(central[chars:], y),
                           g.mult)

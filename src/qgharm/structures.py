@@ -350,6 +350,15 @@ def _all_certified(flags) -> None:
 
 
 @functools.lru_cache(maxsize=None)
+def _stetter_weights(m: int) -> np.ndarray:
+    """The weights of the generic linear form in m unknowns, drawn from
+    STETTER_SEED once per m; read-only."""
+    weights = np.random.default_rng(STETTER_SEED).standard_normal(m)
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.lru_cache(maxsize=None)
 def _monomials(m: int, d: int) -> dict:
     """Exponent tuples of the monomials of degree <= d in m unknowns, by
     degree and then in combinations_with_replacement order, mapped to their
@@ -423,7 +432,7 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     rows of its V.
     """
     kept, dropped = np.full(len(rows), np.inf), np.zeros(len(rows))
-    weights = np.random.default_rng(STETTER_SEED).standard_normal(m)
+    weights = _stetter_weights(m)
 
     def rank(s: np.ndarray, which, absolute: bool = False) -> np.ndarray:
         rel = s if absolute else s / np.where(s[:, :1] > 0, s[:, :1], 1.0)

@@ -7,7 +7,10 @@ normal form: the Haar state as an exact rational function of mu, the
 comultiplication, both antipodes, the compact-type convolution
 x * y = ((x phi) S^{-1} (x) id) Delta(y), and the certified lower bound
 showing that no finite constant C satisfies ||x * y|| <= C ||x||_1 ||y||
-on this algebra.
+on this algebra. Delta(g^p) is a q-binomial sum, as the two terms of a
+generator's Delta q-commute (q = mu^2 for a and c, mu^-2 for a* and c*).
+The relations are Z^2-graded, a[k,m,n] in degree (k, n - m), and phi
+vanishes off degree (0, 0), so the convolution skips pairs it cannot read.
 
 A rational function of mu is kept in the one shape the certificate builds:
 a Laurent numerator over 1 or over a polynomial with constant term 1 and
@@ -19,6 +22,7 @@ Letters: 'a' and 'c' are the generators, 'A' and 'C' their adjoints.
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Tuple
@@ -217,11 +221,12 @@ def _accumulate(out: dict, key, value) -> None:
 
 
 def _add_powers(out: Dict[int, int], powers: Dict[int, int], shift: int,
-                sign: int) -> None:
-    """out += sign * mu^shift * powers."""
+                sign: int) -> Dict[int, int]:
+    """out += sign * mu^shift * powers; returns out."""
     for e, s in powers.items():
         e += shift
         out[e] = out.get(e, 0) + sign * s
+    return out
 
 
 def _fold(counts: dict, word: Iterable[str]) -> dict:
@@ -346,39 +351,59 @@ def counit(x: PolyElement) -> MuRational:
     return total
 
 
-# Delta of each letter as (left letter, right letter, mu power, sign)
-_DELTA = {
-    "a": (("a", "a", 0, 1), ("C", "c", 1, -1)),
-    "c": (("c", "a", 0, 1), ("A", "c", 0, 1)),
-    "A": (("A", "A", 0, 1), ("c", "C", 1, -1)),
-    "C": (("C", "A", 0, 1), ("a", "C", 0, 1)),
+# T2^j T1^i in normal form as (left, right, mu power, sign), where Delta(g)
+# = T1 + T2 with T1 T2 = q T2 T1: a -> a (x) a - mu c* (x) c and
+# c -> c (x) a + a* (x) c, and their adjoints
+_DELTA_POWER = {
+    "a": lambda j, i: (Monomial(i, j, 0), Monomial(i, 0, j), j - 2 * i * j,
+                       (-1) ** j),
+    "c": lambda j, i: (Monomial(-j, 0, i), Monomial(i, 0, j), -i * j, 1),
+    "A": lambda j, i: (Monomial(-i, 0, j), Monomial(-i, j, 0), j + 2 * i * j,
+                       (-1) ** j),
+    "C": lambda j, i: (Monomial(j, i, 0), Monomial(-i, j, 0), i * j, 1),
 }
+
+
+def _power_counts(g: str, p: int) -> dict:
+    """Delta(g^p) = sum_j [p choose j]_q T2^j T1^{p-j} (q-binomial theorem),
+    as counts per pair. The Gaussian binomials are int counts per mu power,
+    by Pascal's rule [p, j] = [p-1, j-1] + q^j [p-1, j]."""
+    q, row = 2 if g in "ac" else -2, [{0: 1}]
+    for i in range(1, p + 1):
+        row = [{0: 1}] + [_add_powers(dict(row[j - 1]), row[j], q * j, 1)
+                          for j in range(1, i)] + [{0: 1}]
+    legs = map(_DELTA_POWER[g], range(p + 1), range(p, -1, -1))
+    return {(lm, rm): {e + de: s * ds for e, s in powers.items()}
+            for (lm, rm, de, ds), powers in zip(legs, row)}
+
+
+def _times_pairs(partial: dict, factor: dict) -> dict:
+    """The product of two sums of pair counts, leg by leg."""
+    out: Dict[Tuple[Monomial, Monomial], Dict[int, int]] = {}
+    for (l1, r1), p1 in partial.items():
+        for (l2, r2), p2 in factor.items():
+            right = _fold({r1: p2}, r2.word())
+            for lm, lp in _fold({l1: p1}, l2.word()).items():
+                for rm, rp in right.items():
+                    for e, s in rp.items():
+                        _add_powers(out.setdefault((lm, rm), {}), lp, e, s)
+    return out
 
 
 def comultiply(x: PolyElement) -> Dict[Tuple[Monomial, Monomial], MuRational]:
     """Comultiplication as a dictionary over pairs of normal-form monomials.
 
-    Delta is multiplicative: each letter's Delta is multiplied into a
-    running sum that maps each pair to its powers (signed int counts per
-    mu power), one _times_letter per side, pair and Delta term, whatever
-    the number of powers. For c^k the sum holds at most k + 1 pairs, and
-    2k(k + 1) letter products are made in all. Each output pair gets one
-    Laurent coefficient from its counts, times x's.
+    Delta(g^p) of a generator is p + 1 pairs in closed form (_power_counts).
+    A monomial a^k c*^m c^n multiplies at most three such sums, c^0 being
+    the unit pair, and c^k makes no letter product. Each output pair gets
+    one Laurent coefficient from its counts, times x's.
     """
     out: Dict[Tuple[Monomial, Monomial], MuRational] = {}
     for mono, coeff in x.terms.items():
-        partial = {(UNIT_MONOMIAL, UNIT_MONOMIAL): {0: 1}}
-        for letter in mono.word():
-            nxt: Dict[Tuple[Monomial, Monomial], Dict[int, int]] = {}
-            for (lm, rm), powers in partial.items():
-                for dl, dr, de, ds in _DELTA[letter]:
-                    right = _times_letter(rm, dr)
-                    for lm2, le, ls in _times_letter(lm, dl):
-                        for rm2, re, rs in right:
-                            _add_powers(nxt.setdefault((lm2, rm2), {}),
-                                        powers, de + le + re, ds * ls * rs)
-            partial = nxt
-        _add_counts(out, partial, coeff)
+        sums = [_power_counts(g, p) for g, p in (
+            ("a" if mono.k >= 0 else "A", abs(mono.k)), ("C", mono.m)) if p]
+        sums.append(_power_counts("c", mono.n))
+        _add_counts(out, functools.reduce(_times_pairs, sums), coeff)
     return out
 
 
@@ -416,16 +441,21 @@ def antipode(x: PolyElement) -> PolyElement:
 def convolve_compact(x: PolyElement, y: PolyElement) -> PolyElement:
     """x * y = ((x phi) S^{-1} (x) id) Delta(y), with (x phi)(z) = phi(z x).
 
-    For each pair (l, r) of Delta(y), S^{-1}(l) and then the letters of
-    each monomial of x are folded into int counts, and phi reads only their
-    diagonal monomials a[0,m,m]. Those Laurent terms are summed per (r, m)
-    with the pair's and x's coefficients, and one rational per (r, m) is
-    made at the end: phi(a[0,m,m]) times the sum.
+    phi vanishes off degree (0, 0), and S^{-1} negates the a-degree and
+    keeps the c-degree, so a pair (l, r) of Delta(y) and a monomial of x
+    are skipped unless their degrees cancel. Otherwise S^{-1}(l), once per
+    pair, and the letters of x's monomial are folded into int counts, and
+    phi reads their diagonal monomials a[0,m,m]. Those Laurent terms are
+    summed per (r, m) with the pair's and x's coefficients, and one
+    rational per (r, m) is made at the end: phi(a[0,m,m]) times the sum.
     """
     sums: Dict[Tuple[Monomial, int], MuRational] = {}
     for (lm, rm), coeff in comultiply(y).items():
-        s_inv = _antimultiplicative_counts(lm, _ANTIPODE_INV)
+        s_inv = None
         for xm, xc in x.terms.items():
+            if xm.k != lm.k or (xm.n - xm.m) + (lm.n - lm.m) != 0:
+                continue
+            s_inv = s_inv or _antimultiplicative_counts(lm, _ANTIPODE_INV)
             for mono, powers in _fold(s_inv, xm.word()).items():
                 if mono.k == 0 and mono.m == mono.n:
                     _accumulate(sums, (rm, mono.m),

@@ -276,6 +276,8 @@ NEVER_ENTERED = {
     "suq2.PolyElement.__repr__": REPR,
     "suq2.PolyElement.is_zero": ELEMENT_SUMS,
     "suq2._apply_antimultiplicative": HOPF,
+    "suq2._times_pairs": ("Delta of a monomial with two or three runs, "
+                          "a^k c*^m c^n; the certificate comultiplies c^{2n}"),
     "suq2.antipode": HOPF,
     "suq2.counit": HOPF,
 }

@@ -396,48 +396,60 @@ def test_comultiply_equals_the_word_expansion():
         assert comultiply(x) == expanded_comultiply(combination), combination
 
 
-def _q_binomial(k, j):
-    """[k choose j]_q at q = mu^2: prod_{i<j} (1-q^{k-i}) / (1-q^{i+1})."""
-    out = MuRational.const(1)
+def _q_binomial(k, j, q):
+    """[k choose j] at mu^q, q = 2 or -2: prod_{i<j} (1-mu^{2(k-i)}) /
+    (1-mu^{2(i+1)}), times mu^{-2j(k-j)} at q = -2, since
+    [k choose j]_{1/q} = q^{-j(k-j)} [k choose j]_q."""
+    out = MuRational.from_laurent(Laurent.mu_power(min(q, 0) * j * (k - j)))
     for i in range(j):
         out = out * MuRational(Laurent({0: 1, 2 * (k - i): -1}),
                                Laurent({0: 1, 2 * (i + 1): -1}))
     return out
 
 
-def test_comultiply_of_c_powers_is_the_q_binomial_sum():
-    # with X = c (x) a and Y = a* (x) c, XY = mu^2 YX in normal form, and
-    # Delta(c^k) = sum_j [k choose j]_{mu^2} Y^j X^{k-j}, where
-    # Y^j X^{k-j} = a*^j c^{k-j} (x) c^j a^{k-j}
-    for k in range(1, 9):
-        expected = {}
-        for j in range(k + 1):
-            left = normalize("A" * j + "c" * (k - j))
-            right = normalize("c" * j + "a" * (k - j))
-            for lm, lc in left.terms.items():
-                for rm, rc in right.terms.items():
-                    expected[lm, rm] = _q_binomial(k, j) * lc * rc
-        assert comultiply(gen("c", k)) == expected, k
+def test_comultiply_of_generator_powers_is_the_q_binomial_sum():
+    # with Delta(g) = X + Y (X first in _DELTA_OF_LETTER), XY = q YX in
+    # normal form, q = mu^2 for a and c and mu^-2 for a* and c*, and
+    # Delta(g^k) = sum_j [k choose j]_q Y^j X^{k-j}
+    for letter, q in (("a", 2), ("c", 2), ("A", -2), ("C", -2)):
+        (l1, r1, c1), (l2, r2, c2) = _DELTA_OF_LETTER[letter]
+        for k in range(9):
+            expected = {}
+            for j in range(k + 1):
+                scale = _q_binomial(k, j, q)
+                for _ in range(j):
+                    scale = scale * c2
+                for _ in range(k - j):
+                    scale = scale * c1
+                left = normalize(l2 * j + l1 * (k - j))
+                right = normalize(r2 * j + r1 * (k - j))
+                for lm, lc in left.terms.items():
+                    for rm, rc in right.terms.items():
+                        expected[lm, rm] = scale * lc * rc
+            assert comultiply(gen(letter, k)) == expected, (letter, k)
 
 
-def test_comultiply_rewrites_polynomially_many_words(monkeypatch):
-    calls = []
-    times_letter = suq2._times_letter
-
-    def counted(*args):
-        calls.append(args)
-        return times_letter(*args)
-    monkeypatch.setattr(suq2, "_times_letter", counted)
+def test_comultiply_of_c_powers_makes_no_letter_product(monkeypatch):
+    def no_letter_products(*args):
+        raise AssertionError("a letter product in Delta(c^k)")
+    monkeypatch.setattr(suq2, "_times_letter", no_letter_products)
+    monkeypatch.setattr(suq2, "_fold", no_letter_products)
     for k in range(1, 13):
-        x = gen("c", k)
-        calls.clear()
-        comultiply(x)
-        # step i + 1 starts from the i + 1 pairs a*^j c^(i-j) (x) c^j a^(i-j)
-        # and makes one letter product per side, pair and Delta term:
-        # 2k(k + 1) in all. Keyed by (pair, mu power), with j(i-j) + 1
-        # powers per pair, it would make 4 sum_{i<k} (i + 1 + (i^3 - i)/6),
-        # about k^4/6; a sum that did not merge equal keys, 4(2^k - 1)
-        assert len(calls) == 2 * k * (k + 1), k
+        x = PolyElement({Monomial(0, 0, k): MuRational.const(1)})
+        # the k + 1 pairs a*^j c^(k-j) (x) a^(k-j) c^j, in closed form
+        pairs = comultiply(x)
+        assert sorted(pairs) == [
+            (Monomial(-j, 0, k - j), Monomial(k - j, 0, j))
+            for j in range(k, -1, -1)], k
+
+
+# Delta of each letter as (left letter, right letter, mu power, sign)
+_DELTA = {
+    "a": (("a", "a", 0, 1), ("C", "c", 1, -1)),
+    "c": (("c", "a", 0, 1), ("A", "c", 0, 1)),
+    "A": (("A", "A", 0, 1), ("c", "C", 1, -1)),
+    "C": (("C", "A", 0, 1), ("a", "C", 0, 1)),
+}
 
 
 def _comultiply_reference(x):
@@ -450,7 +462,7 @@ def _comultiply_reference(x):
         for letter in m.word():
             nxt = {}
             for ((lm, rm), e), s in partial.items():
-                for dl, dr, de, ds in suq2._DELTA[letter]:
+                for dl, dr, de, ds in _DELTA[letter]:
                     right = suq2._times_letter(rm, dr)
                     for lm2, le, ls in suq2._times_letter(lm, dl):
                         for rm2, re, rs in right:
@@ -538,6 +550,61 @@ def test_comultiply_and_convolution_equal_their_second_routes():
             c.den != Laurent.const(1) for c in x.terms.values())
     # nonzero weights reached through x coefficients with a denominator
     assert reached >= 5, reached
+
+
+def test_comultiply_equals_its_second_route_on_every_short_word():
+    # 341 words of length <= 4, in value and in print
+    for length in range(5):
+        for word in itertools.product("aAcC", repeat=length):
+            x = normalize(word)
+            _assert_same(comultiply(x), _comultiply_reference(x))
+
+
+# a[k,m,n] with a run of a or a*, a run of c* and a run of c
+_mixed_monomials = st.builds(Monomial, st.integers(-2, 2), st.integers(0, 2),
+                             st.integers(0, 2))
+
+
+@st.composite
+def _mixed_coefficients(draw):
+    """A Laurent numerator over 1 or over 1 + r mu^d, r a proper fraction."""
+    powers = draw(st.sets(st.integers(-2, 2), min_size=1, max_size=2))
+    num = Laurent({e: draw(_nonzero_fractions) for e in powers})
+    if draw(st.booleans()):
+        return MuRational(num)
+    r = draw(st.sampled_from((Fraction(1, 2), Fraction(-1, 3),
+                              Fraction(3, 4))))
+    return MuRational(num, Laurent({0: 1, draw(st.integers(1, 3)): r}))
+
+
+_mixed_elements = st.dictionaries(_mixed_monomials, _mixed_coefficients(),
+                                  min_size=1, max_size=3).map(PolyElement)
+
+
+@seed(20261020)
+@settings(database=None, max_examples=60, deadline=None)
+@given(x=_mixed_elements, y=_mixed_elements)
+def test_closed_forms_equal_their_second_routes_on_mixed_monomials(x, y):
+    # products of the q-binomial sums of a^k or a*^k, c*^m and c^n, and the
+    # degree filter on pairs whose left leg has a- and c-degree
+    assert comultiply(y) == _comultiply_reference(y)
+    assert convolve_compact(x, y) == _convolve_reference(x, y)
+
+
+def test_the_certificate_forms_one_antipode_image(monkeypatch):
+    calls = []
+    counts = suq2._antimultiplicative_counts
+
+    def counted(mono, table):
+        calls.append(mono)
+        return counts(mono, table)
+    monkeypatch.setattr(suq2, "_antimultiplicative_counts", counted)
+    for n in range(1, 5):
+        calls.clear()
+        assert counterexample_report(n, HALF).holds, n
+        # of the 2n + 1 pairs a*^j c^(2n-j) (x) a^(2n-j) c^j, only j = 0
+        # has a left leg whose degree cancels that of c*^{2n}
+        assert calls == [Monomial(0, 0, 2 * n)], n
 
 
 def test_haar_invariance_on_sample_words():
