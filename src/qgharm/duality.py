@@ -11,19 +11,19 @@ one picture at every exponent, its coefficients (Qx)_s over the B_s:
 products, adjoints, blocks and norms of F(x) are those of the dual algebra,
 and no operator matrix of F(x) is formed.
 
-W, defined through W*(a . b) = Delta(b)(a . 1), is sum_s L_s . B_s with L_s
-the left regular representation (Baaj-Skandalis: W lies in A . Ahat). Its
-certificates check four premises: (1) that factorization, (2) L_a L_b =
+W* is given by W*(a . b) = Delta(b)(a . 1), and W = sum_s L_s . B_s, L_s
+the left regular representation (Baaj-Skandalis: W lies in A . Ahat). The
+certificates check four premises: (1) W* W = 1, (2) L_a L_b =
 sum_k mult[a, b, k] L_k, (3) B_b B_c = sum_r comult3[b, c, r] B_r and (4)
 sum_{a, c} C[a, c, k, r] B_a L_c = L_r B_k, where C[a, c, k, r] =
 sum_b mult[a, b, k] comult3[b, c, r] (Kashaev's Heisenberg-double relation).
-By (1)-(3) both sides of the pentagon W12 W13 W23 = W23 W12 are sums of
-L_k . X . B_r, and by (1)-(2) those of W Delta(e_k) = (1 . L_k) W sums of
-L_m . X, with the sides of (4) as the X: so (4) gives both, and the
-unitarity gate of DualPair.w turns the second into Delta(x) = W*(1 . x)W.
-The L_k and B_r are independent, so the pentagon also gives (4). One call
-is n^6 work, real where W is: 0.2, 2.2 and 17 ms at n = 8, 16 and 24 on one
-BLAS thread, where the operator pentagon took about 2 ms, 0.35 s and 8 s.
+By (2)-(3) both sides of the pentagon W12 W13 W23 = W23 W12 are sums of
+L_k . X . B_r, and by (2) those of W Delta(e_k) = (1 . L_k) W sums of
+L_m . X, with the sides of (4) as the X: so (4) gives both, and (1) turns
+the second into Delta(x) = W*(1 . x)W. The L_k and B_r are independent, so
+the pentagon also gives (4). One call is n^6 work, real where W is: 0.1,
+2-3 and 17-23 ms at n = 8, 16 and 24 on one BLAS thread, where the operator
+pentagon took about 2 ms, 0.35 s and 8 s.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .errors import QgharmError
 from .report import Check, check
 
 __all__ = ["DualPair", "build_dual", "fourier_coeffs", "dual_fourier",
-           "pentagon_residual", "comult_conjugation_residual",
-           "plancherel_check", "biduality_check"]
+           "pentagon_residual", "plancherel_check", "biduality_check"]
 
 DUAL_TOL = 1e-8
 FOURIER_TOL = 1e-9
@@ -54,10 +53,10 @@ class DualPair:
 
     dual_weight[s] is the true Plancherel weight of the dual basis operator
     B_s and dual_weight_total its value at the dual unit. The dual_qg
-    carries the normalized state so the axiom verifier applies. w is the
-    multiplicative unitary on the twofold GNS space and w_star its inverse;
-    both are formed from the base on first use. The pairs of build_dual
-    share their arrays, which are read-only.
+    carries the normalized state so the axiom verifier applies. w_star is
+    the inverse of the multiplicative unitary W = sum_s L_s . B_s on the
+    twofold GNS space, formed from the base on first use. The pairs of
+    build_dual share their arrays, which are read-only.
     """
 
     base: FiniteQuantumGroup
@@ -67,26 +66,21 @@ class DualPair:
 
     @cached_property
     def w_star(self) -> np.ndarray:
-        """W* from W*(a . b) = Delta(b)(a . 1) on basis pairs."""
+        """W* from W*(a . b) = Delta(b)(a . 1) on basis pairs, gated on Gram
+        unitarity; float64 exactly when the comult, mult and Gram tensors
+        are real, as on the catalog; core._axiom_residuals says why they
+        are stored complex."""
         g = self.base
         n = g.dim
-        return np.tensordot(_real_if_exact(g.comult3), _real_if_exact(g.mult),
-                            axes=([0], [0])).transpose(3, 0, 2, 1).reshape(
-                                n * n, n * n)
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        """W as the adjoint of W* under the doubled Gram form; gated on
-        Gram unitarity, which makes the adjoint the inverse. W and W* are
-        float64 exactly when the comult, mult and Gram tensors are real, as
-        on the catalog; core._axiom_residuals says why those stay complex."""
-        gram = _real_if_exact(self.base.gram)
+        w_star = np.tensordot(_real_if_exact(g.comult3),
+                              _real_if_exact(g.mult), axes=([0], [0])
+                              ).transpose(3, 0, 2, 1).reshape(n * n, n * n)
+        gram = _real_if_exact(g.gram)
         gg = np.kron(gram, gram)
-        adj = self.w_star.conj().T @ gg
-        iso = adj @ self.w_star - gg
+        iso = w_star.conj().T @ gg @ w_star - gg
         if _maxabs(iso) > 1e-9 * max(_maxabs(gg), 1.0):
             raise QgharmError(f"W fails Gram unitarity by {_maxabs(iso):.3e}")
-        return np.linalg.solve(gg, adj)
+        return w_star
 
     @cached_property
     def dual_q_matrix(self) -> np.ndarray:
@@ -107,13 +101,9 @@ class DualPair:
 
 
 def pentagon_residual(pair: DualPair) -> float:
-    """The pentagon: the largest premise residual of the module docstring."""
-    return max(_premises(pair.w, *_factors(pair.base)))
-
-
-def comult_conjugation_residual(pair: DualPair) -> float:
-    """Delta(x) = W*(1 . x)W: the pentagon's premise residual, shared."""
-    return max(_premises(pair.w, *_factors(pair.base)))
+    """The pentagon and Delta(x) = W*(1 . x)W: the largest premise residual
+    of the module docstring."""
+    return max(_premises(pair.w_star, *_factors(pair.base)))
 
 
 def _factors(g: FiniteQuantumGroup) -> tuple:
@@ -129,18 +119,23 @@ def _factors(g: FiniteQuantumGroup) -> tuple:
     return mult.reshape(n * n, n), comult3.reshape(n * n, n), lreg, legs, coef
 
 
-def _premises(w, mult, comult3, lreg, legs, coef) -> tuple:
+def _unitary(lreg, legs) -> np.ndarray:
+    """W = sum_s L_s . B_s as an (n^2, n^2) matrix [(i, k), (j, l)]."""
+    n = len(lreg)
+    return (lreg.reshape(n, -1).T @ legs.reshape(n, -1)).reshape(
+        n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _premises(w_star, mult, comult3, lreg, legs, coef) -> tuple:
     """Max-abs residuals of premises (1)-(4) of the module docstring on the
-    given W and factors; (4) is one (n^2, n^2) @ (n^2, n^2) product."""
+    given W* and factors; (1) and (4) are one (n^2, n^2) product each."""
     n = len(lreg)
 
     def products(x, y):
         # [(a, b), (i, j)] = (x_a y_b)[i, j]
         return (x[:, None] @ y[None]).reshape(n * n, n * n)
 
-    factored = lreg.reshape(n, -1).T @ legs.reshape(n, -1)
-    return (_maxabs(w.reshape(n, n, n, n) - factored.reshape(
-                n, n, n, n).transpose(0, 2, 1, 3)),
+    return (_maxabs(w_star @ _unitary(lreg, legs) - np.eye(n * n)),
             _maxabs(products(lreg, lreg) - mult @ lreg.reshape(n, -1)),
             _maxabs(products(legs, legs) - comult3 @ legs.reshape(n, -1)),
             _maxabs(coef.T @ products(legs, lreg) - products(lreg, legs)))

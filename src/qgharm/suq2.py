@@ -271,7 +271,9 @@ class PolyElement:
             raise QgharmError(f"unknown letter {letter!r}")
         if not isinstance(power, int) or power < 0:
             raise QgharmError(f"power must be an int >= 0, got {power!r}")
-        return normalize((letter,) * power)
+        k, m, n = {"a": (power, 0, 0), "A": (-power, 0, 0),
+                   "C": (0, power, 0), "c": (0, 0, power)}[letter]
+        return PolyElement({Monomial(k, m, n): ONE})   # one monomial
 
     def __add__(self, other: "PolyElement") -> "PolyElement":
         out = dict(self.terms)
@@ -508,7 +510,7 @@ def counterexample_report(n: int, mu) -> Check:
     y = PolyElement.generator("c", 2 * n)
     conv = convolve_compact(x, y)
 
-    phi_val = haar(y * x)   # phi(c^{2n} c*^{2n})
+    phi_val = _haar_diagonal(2 * n)   # phi(c^{2n} c*^{2n}), cc* = c*c
     sign_scale = MuRational.from_laurent(Laurent.mu_power(-2 * n))
     expected = PolyElement.generator("a", 2 * n).scaled(sign_scale * phi_val)
 

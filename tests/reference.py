@@ -11,8 +11,9 @@ module defines no test, and pytest does not collect it.
 - Checkers that only tests call: automorphisms, weighted L^p spaces, norm
   transport and Hoelder.
 - Second routes, each the plain form of what the package computes: the
-  einsum axioms, the per-block Wedderburn decomposition, the operator W,
-  the regular representation's norms, the eigen route of the L^p kernel,
+  einsum axioms, the per-block Wedderburn decomposition, W solved against
+  the doubled Gram form and the operator certificates it feeds, the
+  regular representation's norms, the eigen route of the L^p kernel,
   the per-choice Macaulay solver and the per-element structures
   certificates.
 - The rounding bound that the implementation pins derive from eps, and
@@ -406,11 +407,21 @@ def _over_basis(basis, mats):
     return sol.T.reshape(mats.shape[:-2] + (k,))
 
 
+def _w_by_solve(pair):
+    """W as the adjoint of W* under the doubled Gram form, by solving
+    kron(G, G) W = W*^H kron(G, G): the package's route before W was read
+    in closed form. It has no gate; pair.w_star holds the Gram-unitarity
+    gate that makes this adjoint the inverse."""
+    gram = _real_if_exact(pair.base.gram)
+    gg = np.kron(gram, gram)
+    return np.linalg.solve(gg, pair.w_star.conj().T @ gg)
+
+
 def _pentagon_reference(pair):
     """The pentagon residual leg by leg: each factor of W12 W13 W23 and
     W23 W12 multiplies the columns of the n^3 identity on two tensor legs."""
     n = pair.base.dim
-    w = pair.w
+    w = _w_by_solve(pair)
 
     def on_legs(x, legs):
         order = (*legs, 3 - sum(legs), 3)
@@ -431,12 +442,13 @@ def _pentagon_by_column(pair):
     multiplies. Each side is formed one column leg C at a time, which W12
     does not touch: n^7 work, where _pentagon_reference takes n^8."""
     n = pair.base.dim
-    w4 = pair.w.reshape(n, n, n, n)
+    w = _w_by_solve(pair)
+    w4 = w.reshape(n, n, n, n)
     worst = 0.0
     for col in range(n):
         rhs = np.tensordot(w4[..., col], w4, axes=([2], [1]))
         mid = np.tensordot(w4, w4[..., col], axes=([3], [1]))
-        lhs = pair.w @ mid.transpose(0, 3, 1, 2, 4).reshape(n * n, -1)
+        lhs = w @ mid.transpose(0, 3, 1, 2, 4).reshape(n * n, -1)
         worst = max(worst, _maxabs(lhs.reshape(mid.shape)
                                    - rhs.transpose(2, 0, 1, 3, 4)))
     return worst
@@ -449,7 +461,7 @@ def _conjugation_reference(pair):
     g = pair.base
     n = g.dim
     lreg = _real_if_exact(g.left_regular)
-    w3 = pair.w.reshape(n, n, n * n)
+    w3 = _w_by_solve(pair).reshape(n, n, n * n)
     lhs = pair.w_star @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
     # [k, a, b, c, d] = sum_{i, j} comult3[i, j, k] L_i[a, b] L_j[c, d]
     rhs = np.tensordot(np.tensordot(_real_if_exact(g.comult3), lreg,
@@ -468,7 +480,7 @@ def _operator_bound(pair):
     longer, over the same tensors; it is held to the same bound as a pin,
     not by a proof."""
     n = pair.base.dim
-    norm = max(float(np.abs(pair.w).sum(axis=1).max()), 1.0)
+    norm = max(float(np.abs(_w_by_solve(pair)).sum(axis=1).max()), 1.0)
     return _gamma(3 * n * n) * norm ** 3
 
 

@@ -490,13 +490,13 @@ def test_an_imaginary_defect_fails_the_axioms():
 
 
 def test_the_unitary_is_real_exactly_when_the_tensors_are():
-    """W and the factors of its certificates (mult, comult3, L_s, B_s and
+    """W* and the factors of its certificates (mult, comult3, L_s, B_s and
     C), so that no contraction falls back to complex BLAS where W is real."""
     for name in EXAMPLE_NAMES:
         g = get_example(name)
         moved = _transported(g, seed=7)
         for h, dtype in ((g, np.float64), (moved, np.complex128)):
-            assert build_dual(h).w.dtype == dtype, name
+            assert build_dual(h).w_star.dtype == dtype, name
             assert [a.dtype for a in _factors(h)] == [dtype] * 5, name
 
 

@@ -29,6 +29,8 @@ ONLY_TESTS_CALL = {
     "counit",
     "dihedral_table",
     "enumerate_left_shifts",
+    "haar",
+    "normalize",
     "young_check",
 }
 
@@ -248,6 +250,9 @@ HOPF = ("SU_mu(2) Hopf structure beyond the certificate: counit and "
         "antipode, waiting for the exact Hopf identities")
 ELEMENT_SUMS = ("element arithmetic of the tests' second routes; the "
                 "certificate adds coefficients, not elements")
+WORDS = ("words, products and Haar values of the tests' second routes; the "
+         "certificate writes c^{2n}, c*^{2n}, a^{2n} and phi(c^{2n} c*^{2n}) "
+         "in closed form")
 NEVER_ENTERED = {
     "cli._Parser.error": ERROR_PATH + " (argparse usage errors)",
     "cli.main": "the console-script entry point; the sweep calls cli.run",
@@ -269,10 +274,15 @@ NEVER_ENTERED = {
     "structures.bishift_theorem_check": SHIFTS,
     "structures.enumerate_left_shifts": SHIFTS,
     "structures.shift_check": SHIFTS,
+    "suq2.Laurent.__add__": WORDS,
     "suq2.Laurent.__repr__": REPR,
+    "suq2.Laurent.const": WORDS,
     "suq2.Monomial.__repr__": REPR,
+    "suq2.MuRational.__add__": WORDS,
     "suq2.MuRational.__repr__": REPR,
+    "suq2.MuRational.const": WORDS,
     "suq2.PolyElement.__add__": ELEMENT_SUMS,
+    "suq2.PolyElement.__mul__": WORDS,
     "suq2.PolyElement.__repr__": REPR,
     "suq2.PolyElement.is_zero": ELEMENT_SUMS,
     "suq2._apply_antimultiplicative": HOPF,
@@ -280,6 +290,8 @@ NEVER_ENTERED = {
                           "a^k c*^m c^n; the certificate comultiplies c^{2n}"),
     "suq2.antipode": HOPF,
     "suq2.counit": HOPF,
+    "suq2.haar": WORDS,
+    "suq2.normalize": WORDS,
 }
 
 

@@ -710,6 +710,19 @@ def test_negative_or_fractional_generator_powers_are_refused():
     assert gen("a", 0) == normalize("")
 
 
+def test_a_generator_power_is_its_folded_word():
+    """letter^p is written as one monomial; it equals the word folded
+    letter by letter, in value and repr. Since cc* = c*c, phi(c^{2n} c*^{2n})
+    is the diagonal Haar value that counterexample_report reads."""
+    for letter in suq2.LETTERS:
+        for p in range(9):
+            got, want = gen(letter, p), normalize((letter,) * p)
+            assert got == want and repr(got) == repr(want), (letter, p)
+    for n in (1, 2, 3, 4):
+        assert haar(gen("c", 2 * n) * gen("C", 2 * n)) == \
+            suq2._haar_diagonal(2 * n), n
+
+
 # ---------------------------------------------------------------------------
 # integer coefficients
 # ---------------------------------------------------------------------------
