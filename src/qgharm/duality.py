@@ -11,19 +11,23 @@ one picture at every exponent, its coefficients (Qx)_s over the B_s:
 products, adjoints, blocks and norms of F(x) are those of the dual algebra,
 and no operator matrix of F(x) is formed.
 
-W* is given by W*(a . b) = Delta(b)(a . 1), and W = sum_s L_s . B_s, L_s
-the left regular representation (Baaj-Skandalis: W lies in A . Ahat). The
-certificates check four premises: (1) W* W = 1, (2) L_a L_b =
-sum_k mult[a, b, k] L_k, (3) B_b B_c = sum_r comult3[b, c, r] B_r and (4)
-sum_{a, c} C[a, c, k, r] B_a L_c = L_r B_k, where C[a, c, k, r] =
-sum_b mult[a, b, k] comult3[b, c, r] (Kashaev's Heisenberg-double relation).
-By (2)-(3) both sides of the pentagon W12 W13 W23 = W23 W12 are sums of
-L_k . X . B_r, and by (2) those of W Delta(e_k) = (1 . L_k) W sums of
-L_m . X, with the sides of (4) as the X: so (4) gives both, and (1) turns
-the second into Delta(x) = W*(1 . x)W. The L_k and B_r are independent, so
-the pentagon also gives (4). One call is n^6 work, real where W is: 0.1,
-2-3 and 17-23 ms at n = 8, 16 and 24 on one BLAS thread, where the operator
-pentagon took about 2 ms, 0.35 s and 8 s.
+The multiplicative unitary is W = sum_s L_s . B_s, L_s the left regular
+representation (Baaj-Skandalis: W lies in A . Ahat), with W*(a . b) =
+Delta(b)(a . 1). Neither W nor W* is formed: the certificates check five
+premises on the structure tensors. (0) (id . phi)(Delta(e_j)* Delta(e_k)) =
+G[j, k] 1 for all j, k; as phi is faithful, this is W*^H (G . G) W* = G . G.
+(1) sum_s Delta(B_s e_j)(e_s . 1) = 1 . e_j for all j; W*W(a . b) is that
+sum at b times (a . 1), so this is W*W = 1, and with (0) W is unitary.
+(2) L_a L_b = sum_k mult[a, b, k] L_k, (3) B_b B_c = sum_r comult3[b, c, r]
+B_r and (4) sum_{a, c} C[a, c, k, r] B_a L_c = L_r B_k, where C[a, c, k, r]
+= sum_b mult[a, b, k] comult3[b, c, r] (Kashaev's Heisenberg-double
+relation). By (2)-(3) both sides of the pentagon W12 W13 W23 = W23 W12 are
+sums of L_k . X . B_r, and by (2) those of W Delta(e_k) = (1 . L_k) W sums
+of L_m . X, with the sides of (4) as the X: so (4) gives both, and (1)
+turns the second into Delta(x) = W*(1 . x)W. The L_k and B_r are
+independent, so the pentagon also gives (4). (0) and (1) are n^5 work and
+(2)-(4) n^6, real where the tensors are: one call takes 0.15, 1.6-1.8 and
+13 ms at n = 8, 16 and 24 on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -49,38 +53,20 @@ PLANCHEREL_SAMPLES = 100
 
 @dataclass(eq=False)
 class DualPair:
-    """The base quantum group with its dual and multiplicative unitary.
+    """The base quantum group with its dual.
 
     dual_weight[s] is the true Plancherel weight of the dual basis operator
     B_s and dual_weight_total its value at the dual unit. The dual_qg
-    carries the normalized state so the axiom verifier applies. w_star is
-    the inverse of the multiplicative unitary W = sum_s L_s . B_s on the
-    twofold GNS space, formed from the base on first use. The pairs of
-    build_dual share their arrays, which are read-only.
+    carries the normalized state so the axiom verifier applies. The
+    multiplicative unitary W = sum_s L_s . B_s is never formed: premises
+    (0)-(4) of the module docstring certify it on the base tensors. The
+    pairs of build_dual share their arrays, which are read-only.
     """
 
     base: FiniteQuantumGroup
     dual_qg: FiniteQuantumGroup
     dual_weight: np.ndarray
     dual_weight_total: float
-
-    @cached_property
-    def w_star(self) -> np.ndarray:
-        """W* from W*(a . b) = Delta(b)(a . 1) on basis pairs, gated on Gram
-        unitarity; float64 exactly when the comult, mult and Gram tensors
-        are real, as on the catalog; core._axiom_residuals says why they
-        are stored complex."""
-        g = self.base
-        n = g.dim
-        w_star = np.tensordot(_real_if_exact(g.comult3),
-                              _real_if_exact(g.mult), axes=([0], [0])
-                              ).transpose(3, 0, 2, 1).reshape(n * n, n * n)
-        gram = _real_if_exact(g.gram)
-        gg = np.kron(gram, gram)
-        iso = w_star.conj().T @ gg @ w_star - gg
-        if _maxabs(iso) > 1e-9 * max(_maxabs(gg), 1.0):
-            raise QgharmError(f"W fails Gram unitarity by {_maxabs(iso):.3e}")
-        return w_star
 
     @cached_property
     def dual_q_matrix(self) -> np.ndarray:
@@ -103,39 +89,46 @@ class DualPair:
 def pentagon_residual(pair: DualPair) -> float:
     """The pentagon and Delta(x) = W*(1 . x)W: the largest premise residual
     of the module docstring."""
-    return max(_premises(pair.w_star, *_factors(pair.base)))
+    return max(_premises(*_factors(pair.base)))
 
 
 def _factors(g: FiniteQuantumGroup) -> tuple:
     """mult and comult3 as (n^2, n) matrices, L_s = g.left_regular[s] and
-    B_s = sum_k S[s, k] comult3[k] as (n, n, n) stacks, and C as an (n^2, n^2)
-    matrix [(a, c), (r, k)]; float64 when mult, comult and S are real."""
+    B_s = sum_k S[s, k] comult3[k] as (n, n, n) stacks, C as an (n^2, n^2)
+    matrix [(a, c), (r, k)], then star, G and unit; each float64 when the
+    tensors it is made of are real."""
     n = g.dim
-    mult, comult3, s = map(_real_if_exact, (g.mult, g.comult3, g.antipode))
+    mult, comult3, s, star, gram, unit = map(_real_if_exact, (
+        g.mult, g.comult3, g.antipode, g.star, g.gram, g.unit))
     lreg = np.ascontiguousarray(mult.transpose(0, 2, 1))
     legs = (s @ comult3.reshape(n, n * n)).reshape(n, n, n)
     coef = (lreg.reshape(n * n, n) @ comult3.reshape(n, n * n)).reshape(
         n, n, n, n).transpose(0, 2, 3, 1).reshape(n * n, n * n)
-    return mult.reshape(n * n, n), comult3.reshape(n * n, n), lreg, legs, coef
+    return (mult.reshape(n * n, n), comult3.reshape(n * n, n), lreg, legs,
+            coef, star, gram, unit)
 
 
-def _unitary(lreg, legs) -> np.ndarray:
-    """W = sum_s L_s . B_s as an (n^2, n^2) matrix [(i, k), (j, l)]."""
+def _premises(mult, comult3, lreg, legs, coef, star, gram, unit) -> tuple:
+    """Max-abs residuals of premises (0)-(4) of the module docstring on the
+    given factors; (0) and (1) are two n^5 contractions each."""
     n = len(lreg)
-    return (lreg.reshape(n, -1).T @ legs.reshape(n, -1)).reshape(
-        n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
-def _premises(w_star, mult, comult3, lreg, legs, coef) -> tuple:
-    """Max-abs residuals of premises (1)-(4) of the module docstring on the
-    given W* and factors; (1) and (4) are one (n^2, n^2) product each."""
-    n = len(lreg)
+    c3, m3 = comult3.reshape(n, n, n), mult.reshape(n, n, n)
 
     def products(x, y):
         # [(a, b), (i, j)] = (x_a y_b)[i, j]
         return (x[:, None] @ y[None]).reshape(n * n, n * n)
 
-    return (_maxabs(w_star @ _unitary(lreg, legs) - np.eye(n * n)),
+    # [a, j, a', k] = sum_{b, b'} conj(c3[a, b, j]) G[b, b'] c3[a', b', k],
+    # times the coefficients [a, a', c] of e_a* e_a'
+    pairs = np.tensordot(c3.conj(), np.tensordot(gram, c3, axes=([1], [1])),
+                         axes=([1], [0]))
+    adjoint_products = (star.T @ mult.reshape(n, -1)).reshape(n, n, n)
+    isometry = np.tensordot(pairs, adjoint_products, axes=([0, 2], [0, 1]))
+    # [j, b, c] = sum_{s, i, a} B_s[i, j] c3[a, b, i] mult[a, s, c]
+    inverse = np.tensordot(np.tensordot(legs, c3, axes=([1], [2])), m3,
+                           axes=([0, 2], [1, 0]))
+    return (_maxabs(isometry - gram[..., None] * unit),
+            _maxabs(inverse - np.eye(n)[..., None] * unit),
             _maxabs(products(lreg, lreg) - mult @ lreg.reshape(n, -1)),
             _maxabs(products(legs, legs) - comult3 @ legs.reshape(n, -1)),
             _maxabs(coef.T @ products(legs, lreg) - products(lreg, legs)))

@@ -407,14 +407,26 @@ def _over_basis(basis, mats):
     return sol.T.reshape(mats.shape[:-2] + (k,))
 
 
+def _w_star(pair):
+    """W* as an (n^2, n^2) matrix [(c, b), (i, j)] from W*(a . b) =
+    Delta(b)(a . 1) on basis pairs: sum_a comult3[a, b, j] mult[a, i, c].
+    Real exactly when comult3 and mult are."""
+    g = pair.base
+    n = g.dim
+    return np.tensordot(_real_if_exact(g.comult3), _real_if_exact(g.mult),
+                        axes=([0], [0])).transpose(3, 0, 2, 1).reshape(
+                            n * n, n * n)
+
+
 def _w_by_solve(pair):
     """W as the adjoint of W* under the doubled Gram form, by solving
     kron(G, G) W = W*^H kron(G, G): the package's route before W was read
-    in closed form. It has no gate; pair.w_star holds the Gram-unitarity
-    gate that makes this adjoint the inverse."""
+    in closed form. It has no gate; premise (0) of qgharm.duality, that W*
+    is an isometry of the doubled Gram form, makes this adjoint the
+    inverse."""
     gram = _real_if_exact(pair.base.gram)
     gg = np.kron(gram, gram)
-    return np.linalg.solve(gg, pair.w_star.conj().T @ gg)
+    return np.linalg.solve(gg, _w_star(pair).conj().T @ gg)
 
 
 def _pentagon_reference(pair):
@@ -462,7 +474,7 @@ def _conjugation_reference(pair):
     n = g.dim
     lreg = _real_if_exact(g.left_regular)
     w3 = _w_by_solve(pair).reshape(n, n, n * n)
-    lhs = pair.w_star @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
+    lhs = _w_star(pair) @ (lreg[:, None] @ w3).reshape(n, n * n, n * n)
     # [k, a, b, c, d] = sum_{i, j} comult3[i, j, k] L_i[a, b] L_j[c, d]
     rhs = np.tensordot(np.tensordot(_real_if_exact(g.comult3), lreg,
                                     axes=([0], [0])), lreg, axes=([0], [0]))

@@ -490,14 +490,14 @@ def test_an_imaginary_defect_fails_the_axioms():
 
 
 def test_the_unitary_is_real_exactly_when_the_tensors_are():
-    """W* and the factors of its certificates (mult, comult3, L_s, B_s and
-    C), so that no contraction falls back to complex BLAS where W is real."""
+    """The factors of the certificates of W (mult, comult3, L_s, B_s, C,
+    star, G and unit), so that no contraction falls back to complex BLAS
+    where W is real."""
     for name in EXAMPLE_NAMES:
         g = get_example(name)
         moved = _transported(g, seed=7)
         for h, dtype in ((g, np.float64), (moved, np.complex128)):
-            assert build_dual(h).w_star.dtype == dtype, name
-            assert [a.dtype for a in _factors(h)] == [dtype] * 5, name
+            assert [a.dtype for a in _factors(h)] == [dtype] * 8, name
 
 
 def test_group_like_relation_matches_its_einsum_definition():

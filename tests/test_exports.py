@@ -141,6 +141,17 @@ def test_no_module_solves_by_least_squares():
     assert callers == []
 
 
+def test_no_module_forms_a_kronecker_product():
+    """The multiplicative unitary is certified on structure tensors: no
+    module of the package forms a Kronecker product, so no (n^2, n^2)
+    operator on the twofold GNS space."""
+    callers = sorted(mod for mod, tree in _package_trees().items()
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and "kron" in (getattr(node.func, "attr", None),
+                                    getattr(node.func, "id", None)))
+    assert callers == []
+
+
 def test_the_runtime_imports_only_numpy_and_the_standard_library():
     """Every import of the package is relative, from the standard library
     or from numpy; qgharm.suq2 stays pure Python and imports no numpy."""
