@@ -9,7 +9,9 @@ outside 0 < tol <= 1e-6, or a negative seed. Each of the two error types
 of qgharm.errors has its exit code: an AxiomFailure (the paper's identities
 fail on the data) prints a failing `construction` check under the claim it
 names and exits 2; any other QgharmError prints one `error:` line and exits
-1. Every --seed defaults to 42.
+1. The QG_SEED environment variable overrides the default of 42 for every
+--seed flag that is not given; it must then be an integer. An explicit flag
+wins over the environment.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -48,6 +51,15 @@ from .structures import (
 from .suq2 import counterexample_report
 
 __all__ = ["main", "build_parser", "run"]
+
+
+def _default_seed() -> int:
+    value = os.environ.get("QG_SEED", "42")
+    try:
+        return int(value)
+    except ValueError:
+        raise QgharmError(
+            f"QG_SEED must be an integer, got {value!r}") from None
 
 
 def _count(flag: str, value: int) -> None:
@@ -291,7 +303,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="Hopf *-algebra and duality axioms")
     add_example(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("young", help="Young convolution inequality on "
                                      "seeded random pairs")
@@ -299,21 +311,21 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=4.0 / 3.0)
     p.add_argument("--q", type=float, default=4.0 / 3.0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("hausdorff-young", help="Hausdorff-Young inequality "
                                                "on seeded random elements")
     add_example(p)
     p.add_argument("--p", type=float, default=4.0 / 3.0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int)
 
     no_effect = "echoed in the report; has no effect on the result"
     p = sub.add_parser("structures", help="group-like projections, Fourier "
                                           "images, certificate equivalence")
     add_example(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=42, help=no_effect)
+    p.add_argument("--seed", type=int, help=no_effect)
 
     p = sub.add_parser("sharpness", help="best-constant estimation")
     add_example(p)
@@ -322,7 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=4.0 / 3.0)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("suq2", help="exact deformation-parameter "
                                     "counterexample certificate")
@@ -338,13 +350,13 @@ def build_parser() -> _Parser:
     add_example(p)
     p.add_argument("--budget", type=int, default=8, help=no_effect)
     p.add_argument("--iters", type=int, default=300, help=no_effect)
-    p.add_argument("--seed", type=int, default=42, help=no_effect)
+    p.add_argument("--seed", type=int, help=no_effect)
 
     p = sub.add_parser("all", help="full suite on one or all examples")
     p.add_argument("--example", choices=list(catalog.EXAMPLE_NAMES))
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int)
 
     sub.add_parser("catalog", help="list the built-in examples")
 
@@ -354,8 +366,11 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         if getattr(args, "seed", 0) < 0:   # numpy's generators refuse it
-            raise QgharmError(f"--seed must not be negative, got {args.seed}")
+            raise QgharmError(f"--seed and QG_SEED must not be negative, "
+                              f"got {args.seed}")
         doc = globals()["_run_" + args.command.replace("-", "_")](args)
     except AxiomFailure as exc:   # raised by a handler, never by parsing
         doc = _document(args.command, getattr(args, "example", None), {},

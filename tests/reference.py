@@ -418,6 +418,15 @@ def _w_star(pair):
                             n * n, n * n)
 
 
+def _unitary(lreg, legs):
+    """W = sum_s L_s . B_s as an (n^2, n^2) matrix [(i, k), (j, l)], from
+    the legs that qgharm.duality._factors returns: the closed form the
+    package read before it certified W on structure tensors alone."""
+    n = len(lreg)
+    return (lreg.reshape(n, -1).T @ legs.reshape(n, -1)).reshape(
+        n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def _w_by_solve(pair):
     """W as the adjoint of W* under the doubled Gram form, by solving
     kron(G, G) W = W*^H kron(G, G): the package's route before W was read

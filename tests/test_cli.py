@@ -606,6 +606,13 @@ def test_suq2_refuses_a_mu_whose_bound_is_above_the_float_range(capsys):
             assert "above the float range" in err
 
 
+def test_non_integer_qg_seed_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "abc")
+    err = _one_line_error(capsys, "young", "--example", "z2-function",
+                          "--samples", "5")
+    assert "QG_SEED" in err
+
+
 def test_negative_seed_flag_is_an_error(capsys):
     for command in (("verify", "--example", "z2-function"),
                     ("young", "--example", "z2-function"),
@@ -621,17 +628,26 @@ def test_negative_seed_flag_is_an_error(capsys):
     assert code == 0 and json.loads(out)["seed"] == 0
 
 
-def test_qg_seed_no_longer_changes_a_document(capsys, monkeypatch):
-    """Every --seed defaults to 42 in the parser: QG_SEED, set to a seed,
-    a non-integer or a negative value, changes no byte and no exit code."""
-    argvs = [("young", "--example", "z2-function", "--samples", "5"),
-             ("catalog",), ("suq2", "--n", "1")]
-    monkeypatch.delenv("QG_SEED", raising=False)
-    plain = [run_cli(capsys, *argv) for argv in argvs]
-    assert json.loads(plain[0][1])["seed"] == 42
-    for value in ("1234", "5", "abc", "-3"):
-        monkeypatch.setenv("QG_SEED", value)
-        assert [run_cli(capsys, *argv) for argv in argvs] == plain, value
+def test_negative_qg_seed_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "-3")
+    err = _one_line_error(capsys, "young", "--example", "z2-function",
+                          "--samples", "5")
+    assert "QG_SEED" in err
+    # an explicit flag still wins
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--samples", "5", "--seed", "9")
+    assert code == 0 and json.loads(out)["seed"] == 9
+
+
+def test_bad_qg_seed_only_matters_where_it_supplies_the_seed(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "abc")
+    code, out, _ = run_cli(capsys, "catalog")
+    assert code == 0 and json.loads(out)["command"] == "catalog"
+    code, out, _ = run_cli(capsys, "suq2", "--n", "1")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                           "--samples", "5", "--seed", "9")
+    assert code == 0 and json.loads(out)["seed"] == 9
 
 
 def test_failing_check_exits_two(capsys, monkeypatch):
@@ -645,6 +661,17 @@ def test_failing_check_exits_two(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "FAIL" in captured.err
+
+
+def test_qg_seed_environment_default(capsys, monkeypatch):
+    monkeypatch.setenv("QG_SEED", "1234")
+    _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                        "--samples", "5")
+    assert json.loads(out)["seed"] == 1234
+    # an explicit flag still wins
+    _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                        "--samples", "5", "--seed", "9")
+    assert json.loads(out)["seed"] == 9
 
 
 def test_installed_entry_point_round_trip():
@@ -705,6 +732,14 @@ def test_help_and_usage_errors_leave_nothing_behind(capsys):
         assert exc.value.code == status
         capsys.readouterr()
         assert run_cli(capsys, *argv) == (0, fresh.stdout, fresh.stderr)
+
+
+def test_qg_seed_is_read_at_each_call(capsys, monkeypatch):
+    for seed in ("5", "6"):
+        monkeypatch.setenv("QG_SEED", seed)
+        _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                            "--samples", "5")
+        assert json.loads(out)["seed"] == int(seed)
 
 
 def test_one_process_prints_the_same_bytes_in_any_order(capsys):
