@@ -8,7 +8,9 @@ matrix).
 
 The axiom verifier is the oracle for every constructed example: it checks the
 Hopf *-algebra laws, two-sided Haar invariance, positivity and faithfulness of
-the state, traciality, and the involutivity of the antipode.
+the state, traciality, and the involutivity of the antipode. A structure
+that transposed makes from a checked group takes the laws that re-index the
+group's own from the group's residuals, and evaluates the rest.
 """
 
 from __future__ import annotations
@@ -571,54 +573,51 @@ def verify_axioms(g: FiniteQuantumGroup, tol: float = 1e-10) -> Check:
     return check("axioms", "hopf-star-algebra-axioms", g._axiom_residuals, tol)
 
 
+# The laws of transposed(g), each with the law of g that it re-indexes: the
+# product and the coproduct swap, and so do unit and counit. The
+# homomorphism law of the new Delta on (i, j, p, q) is that of g on
+# (q, p, i, j), and the new S^2 is (S^2)^T.
+_TRANSPOSED_LAWS = {"associativity": "coassociativity", "unit": "counit",
+                    "coassociativity": "associativity", "counit": "unit",
+                    "delta_homomorphism": "delta_homomorphism",
+                    "antipode_squared": "antipode_squared"}
+
+
 def _axiom_residuals(g: FiniteQuantumGroup) -> dict:
     """The residual of each law. The structure tensors and the Q and Gram
     matrices enter through _real_if_exact: a real one, as on the catalog,
     is checked in real arithmetic, and one with any nonzero imaginary part
     in complex arithmetic as stored. The stored dtype stays complex, since
     storing real tensors moves the Wedderburn gauge of a matrix block and
-    with it the last digits of the L^p documents. Delta's homomorphism law
-    costs n^6, in three contractions."""
+    with it the last digits of the L^p documents.
+
+    A group that transposed made from a group with evaluated residuals
+    takes the laws of _TRANSPOSED_LAWS from them and evaluates the rest:
+    those that read its own star, state, Q or Gram matrix, delta_unital (on
+    it, the multiplicativity of the source's counit) and the antipode law
+    (on it, the source's law for S^-1 and the opposite coproduct, equal to
+    the source's only through S^2 = 1). So the n^5 and n^6 laws run once
+    per chain of transposes."""
     n = g.dim
     m, c3, unit, counit, s, star, phi = (_real_if_exact(a) for a in (
         g.mult, g.comult3, g.unit, g.counit, g.antipode, g.star, g.haar))
-    m_in, m_out = m.reshape(n, n * n), m.reshape(n * n, n)
-    c_in, c_out = c3.reshape(n, n * n), c3.reshape(n * n, n)
+    m_out, c_in = m.reshape(n * n, n), c3.reshape(n, n * n)
     eye = np.eye(n)
-    res = {}
-
-    # algebra laws, as [i, j, k, m] tensors; a vector times an (n, n, n)
-    # tensor contracts its middle axis
-    assoc_r = np.tensordot(m, m, axes=([2], [1])).transpose(2, 0, 1, 3)
-    res["associativity"] = _maxabs((m_out @ m_in).reshape(n, n, n, n) - assoc_r)
-    res["unit"] = max(_maxabs((unit @ m_in).reshape(n, n) - eye),
-                      _maxabs(unit @ m - eye))
-
-    # coalgebra laws: (Delta x i)Delta and (i x Delta)Delta as (n,n,n,n) tensors
-    rhs = np.tensordot(c3, c3, axes=([1], [2])).transpose(0, 2, 3, 1)
-    res["coassociativity"] = _maxabs((c_out @ c_in).reshape(n, n, n, n) - rhs)
-    res["counit"] = max(_maxabs((counit @ c_in).reshape(n, n) - eye),
-                        _maxabs(counit @ c3 - eye))
+    shared = vars(g).get("_inherited") or _structure_laws(m, c3, unit,
+                                                          counit, s)
+    res = {law: shared[law] for law in
+           ("associativity", "unit", "coassociativity", "counit")}
     res["delta_unital"] = _maxabs(c3 @ unit - np.outer(unit, unit))
-
-    # Delta is a *-homomorphism: Delta(e_i) Delta(e_j) = Delta(e_i e_j), as
-    # [i, p, j, q] tensors. With C = comult3 and M = mult, the left side is
-    # sum_{b, d} V[b, i, p, d, j] M[b, d, q], where V = sum_c U[b, i, c, p]
-    # C[c, d, j] and U = sum_a C[a, b, i] M[a, c, p]
-    u = np.tensordot(c3, m, axes=([0], [0]))
-    v = np.tensordot(u, c3, axes=([2], [0]))
-    res["delta_homomorphism"] = _maxabs(
-        np.tensordot(v, m, axes=([0, 3], [0, 1]))
-        - (m_out @ c_out.T).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+    res["delta_homomorphism"] = shared["delta_homomorphism"]
     res["delta_star_compatibility"] = _maxabs(
         c3 @ star - _on_two_legs(star, np.conj(c3)))
 
-    # antipode axiom and involutivity: m(S x id)Delta = m(id x S)Delta = 1 eps
+    # antipode axiom: m(S x id)Delta = m(id x S)Delta = 1 eps
     anti_l = m_out.T @ (s @ c_in).reshape(n * n, n)
     anti_r = m_out.T @ (s @ c3).reshape(n * n, n)
     target = np.outer(unit, counit)
     res["antipode"] = max(_maxabs(anti_l - target), _maxabs(anti_r - target))
-    res["antipode_squared"] = _maxabs(s @ s - eye)
+    res["antipode_squared"] = shared["antipode_squared"]
 
     # star laws: involution, and (e_i e_j)* = e_j* e_i*
     res["star_involution"] = _maxabs(star @ np.conj(star) - eye)
@@ -645,6 +644,49 @@ def _axiom_residuals(g: FiniteQuantumGroup) -> dict:
     q = _real_if_exact(g.q_matrix)
     res["traciality"] = _maxabs(q - q.T)
     return res
+
+
+def _structure_laws(m, c3, unit, counit, s) -> dict:
+    """The laws of _TRANSPOSED_LAWS on the tensors as _axiom_residuals
+    passes them."""
+    n = len(unit)
+    m_in, m_out = m.reshape(n, n * n), m.reshape(n * n, n)
+    c_in, c_out = c3.reshape(n, n * n), c3.reshape(n * n, n)
+    eye = np.eye(n)
+    res = {}
+
+    # algebra laws, as [i, j, k, m] tensors; a vector times an (n, n, n)
+    # tensor contracts its middle axis
+    assoc_r = np.tensordot(m, m, axes=([2], [1])).transpose(2, 0, 1, 3)
+    res["associativity"] = _maxabs((m_out @ m_in).reshape(n, n, n, n) - assoc_r)
+    res["unit"] = max(_maxabs((unit @ m_in).reshape(n, n) - eye),
+                      _maxabs(unit @ m - eye))
+
+    # coalgebra laws: (Delta x i)Delta and (i x Delta)Delta as (n,n,n,n) tensors
+    rhs = np.tensordot(c3, c3, axes=([1], [2])).transpose(0, 2, 3, 1)
+    res["coassociativity"] = _maxabs((c_out @ c_in).reshape(n, n, n, n) - rhs)
+    res["counit"] = max(_maxabs((counit @ c_in).reshape(n, n) - eye),
+                        _maxabs(counit @ c3 - eye))
+    res["delta_homomorphism"] = _delta_homomorphism(m, c3)
+    res["antipode_squared"] = _maxabs(s @ s - eye)
+    return res
+
+
+def _delta_homomorphism(m: np.ndarray, c3: np.ndarray) -> float:
+    """Delta(e_i) Delta(e_j) = Delta(e_i e_j) as one (n^2, n^2) @ (n^2, n^2)
+    product, n^6 work and n^4 memory. With C = comult3 and M = mult, the
+    left side at [(i, p), (j, q)] is sum_{b, c} U1[(i, p), (b, c)]
+    U2[(b, c), (j, q)], where U1 = sum_a C[a, b, i] M[a, c, p] contracts
+    the first legs and U2 = sum_d C[c, d, j] M[b, d, q] the second."""
+    n = len(m)
+    u1 = (c3.reshape(n, -1).T @ m.reshape(n, -1)).reshape(n, n, n, n)
+    u2 = (m.transpose(1, 0, 2).reshape(n, -1).T
+          @ c3.transpose(1, 0, 2).reshape(n, -1)).reshape(n, n, n, n)
+    lhs = (u1.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+           @ u2.transpose(0, 2, 3, 1).reshape(n * n, n * n))
+    rhs = (m.reshape(n * n, n) @ c3.reshape(n * n, n).T).reshape(
+        n, n, n, n).transpose(0, 2, 1, 3)
+    return _maxabs(lhs.reshape(n, n, n, n) - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +741,20 @@ def transposed(g: FiniteQuantumGroup, haar, name: Optional[str]) -> FiniteQuantu
     """The linear dual of g, its structure tensors transposed: product and
     coproduct swap (the new coproduct is the flipped product), so do unit
     and counit; the antipode is S^T and the star (conj(star) S)^T. haar is
-    the state of the result; the caller puts it to the axiom gate."""
-    return FiniteQuantumGroup(
+    the state of the result; the caller puts it to the axiom gate. When
+    g's axiom residuals are already evaluated, the result keeps those of
+    _TRANSPOSED_LAWS as its own: its tensors are g's, so each such law
+    reads the same entries as a law of g, in another order."""
+    qg = FiniteQuantumGroup(
         mult=g.comult3, unit=g.counit,
         comult=g.mult.transpose(1, 0, 2).reshape(-1, g.dim), counit=g.unit,
         antipode=g.antipode.T, star=(np.conj(g.star) @ g.antipode).T,
         haar=haar, name=name)
+    checked = vars(g).get("_axiom_residuals")
+    if checked is not None:
+        vars(qg)["_inherited"] = {law: checked[source] for law, source
+                                  in _TRANSPOSED_LAWS.items()}
+    return qg
 
 
 def build_kac_paljutkin() -> FiniteQuantumGroup:

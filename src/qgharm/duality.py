@@ -137,8 +137,20 @@ def _premises(mult, comult3, lreg, legs, coef, star, gram, unit) -> tuple:
 def build_dual(g: FiniteQuantumGroup) -> DualPair:
     """Dual quantum group, dual basis and dual weight in closed form.
 
-    Gates: the base axioms at 1e-10, a positive dual weight total, the dual
-    axioms at DUAL_TOL, and Plancherel Q^dagger Ghat Q = G at DUAL_TOL.
+    Gates:
+    - the base axioms at 1e-10;
+    - a positive dual weight total;
+    - the dual axioms at DUAL_TOL. The dual is core.transposed of the
+      checked base, so it takes associativity, unit, coassociativity,
+      counit, Delta's homomorphism law and S^2 = 1 from the base's
+      residuals (coassociativity, counit, associativity, unit, the same
+      law re-indexed, and (S^2)^T = 1). It evaluates on its own tensors the
+      star laws, Haar invariance and normalisation, the Gram matrix's
+      hermiticity, positivity and faithfulness, traciality, delta_unital
+      (the multiplicativity of the base's counit) and the antipode law
+      (the base's for S^-1 and the opposite coproduct);
+    - Plancherel Q^dagger Ghat Q = G at DUAL_TOL.
+
     Built once per group: g keeps the pair without its base and a weak
     reference to the pair, so g is in no reference cycle, and the pair is
     the same while a caller holds it. A build that raises is not kept.
@@ -229,6 +241,12 @@ def biduality_check(g: FiniteQuantumGroup) -> Check:
     The identification sends the dual-coefficient GNS vector of lambda(x phi)
     to Lambda(x); pulled back to base coefficients it is the antipode T = S,
     which must intertwine every structure tensor.
+
+    The double dual is the dual put through core.transposed once more: the
+    base with opposite product and coproduct. Its axiom gate, inside
+    build_dual, takes the laws the dual took from the base from the dual's
+    residuals (each the base's law, re-indexed twice), and evaluates the
+    others on its own tensors as the dual does.
     """
     bid = build_dual(build_dual(g).dual_qg).dual_qg
     t = g.antipode

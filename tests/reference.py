@@ -307,12 +307,13 @@ def _tensor_mult(g, xx, yy):
 
 def _delta_homomorphism_reference(g):
     """The delta_homomorphism residual as the _tensor_mult product of every
-    pair Delta(e_i), Delta(e_j): n^4 (1 x n)(n x n) products."""
+    pair Delta(e_i), Delta(e_j): n^4 (1 x n)(n x n) products, taken one i
+    at a time, so that n = 24 needs a few MB and not a few hundred."""
     n = g.dim
     deltas = g.comult3.transpose(2, 0, 1)
-    return float(np.max(np.abs(
-        _tensor_mult(g, deltas[:, None], deltas[None, :])
-        - (g.mult.reshape(n * n, n) @ g.comult.T).reshape(n, n, n, n))))
+    rhs = (g.mult.reshape(n * n, n) @ g.comult.T).reshape(n, n, n, n)
+    return max(float(np.max(np.abs(_tensor_mult(g, deltas[i], deltas)
+                                   - rhs[i]))) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

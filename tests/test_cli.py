@@ -12,9 +12,11 @@ import pytest
 
 from qgharm import (catalog, cli, core, duality, lp, report, sharpness,
                     structures, suq2)
-from qgharm.core import FiniteQuantumGroup, build_kac_paljutkin
+from qgharm.core import (FiniteQuantumGroup, build_group_algebra,
+                         build_kac_paljutkin, verify_axioms)
 from qgharm.errors import AxiomFailure, QgharmError
-from reference import _calls_to, _counting, weighted_space
+from reference import (_calls_to, _counting, _delta_homomorphism_reference,
+                       _s4_table, weighted_space)
 
 
 def run_cli(capsys, *argv):
@@ -163,12 +165,28 @@ def test_structures_builds_the_block_choices_once(capsys, monkeypatch):
                       "--example", "kac-paljutkin")) == 1
 
 
-def test_verify_evaluates_the_axioms_once_per_group(capsys, monkeypatch):
+def test_verify_evaluates_the_homomorphism_law_once(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "get_example",
                         lambda name: build_kac_paljutkin())
-    # the base at construction, then the dual and the bidual
-    assert len(_calls(core._axiom_residuals, capsys, "verify", "--example",
-                      "kac-paljutkin")) == 3
+    # the n^6 law runs on the base at construction; the dual and the
+    # double dual take it from the base's residuals
+    assert len(_calls(core._delta_homomorphism, capsys, "verify",
+                      "--example", "kac-paljutkin")) == 1
+
+
+def test_verify_holds_on_the_group_algebra_of_s4(capsys, monkeypatch):
+    """n = 24: every check of the document and every gate of build_dual
+    holds, and the one-product homomorphism law reads the residual of the
+    pairwise products bit for bit."""
+    g = build_group_algebra(_s4_table(), "s4-group")
+    monkeypatch.setattr(catalog, "get_example", lambda name: g)
+    code, out, err = run_cli(capsys, "verify", "--example", "kac-paljutkin")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc["checks"]) == 22
+    assert all(c["holds"] for c in doc["checks"])
+    assert (verify_axioms(g).residuals["delta_homomorphism"]
+            == _delta_homomorphism_reference(g))
 
 
 COMMON_KEYS = {"name", "claim", "lhs", "rhs", "residual", "holds"}

@@ -5,6 +5,7 @@ import pytest
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import (
+    _TRANSPOSED_LAWS,
     CayleyTable,
     FiniteQuantumGroup,
     _encode_array,
@@ -17,6 +18,7 @@ from qgharm.core import (
     dihedral_table,
     is_commutative,
     symmetric_table_s3,
+    transposed,
     verify_axioms,
 )
 from qgharm.duality import _factors, build_dual
@@ -473,6 +475,78 @@ def test_delta_homomorphism_contraction_equals_the_tensor_mult_product():
             got = verify_axioms(g).residuals["delta_homomorphism"]
             assert abs(got - _delta_homomorphism_reference(g)) \
                 <= 1e-15 * scale, g.name
+
+
+def _law_gap_bound(g, law):
+    """A bound on the gap between two evaluations of one law of
+    _TRANSPOSED_LAWS on g's tensors, summed in any order: each entry of
+    either is within gamma_k of the largest sum of |terms| of one entry,
+    both sides, where k counts the terms of an entry and the factors of a
+    term (Higham, sec. 3.1), so the two maxima are within twice that."""
+    n = g.dim
+    m, c, s = (np.abs(a) for a in (g.mult, g.comult3, g.antipode))
+    u, e = np.abs(g.unit), np.abs(g.counit)
+    sums = {
+        "associativity": (np.einsum("ijl,lkm->ijkm", m, m)
+                          + np.einsum("jkl,ilm->ijkm", m, m), 2 * n),
+        "unit": (np.maximum(np.einsum("ijk,i->jk", m, u),
+                            np.einsum("ijk,j->ik", m, u)) + 1, n + 1),
+        "coassociativity": (np.einsum("abi,ijk->abjk", c, c)
+                            + np.einsum("aik,bci->abck", c, c), 2 * n),
+        "counit": (np.maximum(np.einsum("abk,a->bk", c, e),
+                              np.einsum("abk,b->ak", c, e)) + 1, n + 1),
+        "delta_homomorphism": (
+            np.einsum("abi,cdj,acp,bdq->pqij", c, c, m, m, optimize=True)
+            + np.einsum("pqk,ijk->pqij", c, m), n ** 4 + n),
+        "antipode_squared": (s @ s + 1, n + 1),
+    }
+    scale, k = sums[law]
+    return 2 * _gamma(k + 3) * float(np.max(scale))
+
+
+def test_the_dual_and_double_dual_take_their_structure_laws_from_the_base():
+    """Each law that the dual and the double dual take from their source's
+    residuals is that residual, and agrees with _einsum_axioms of the dual
+    or double dual itself: exactly on the catalog, where both read 0.0,
+    and within _law_gap_bound on the transports, once transported and
+    twice, where the Gram matrix is not symmetric."""
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        once = _transported(g, seed=7)
+        for base in (g, once, _transported(once, seed=8)):
+            source = base
+            for _ in range(2):
+                h = build_dual(source).dual_qg
+                got = verify_axioms(h).residuals
+                want = _einsum_axioms(h)
+                kept = verify_axioms(source).residuals
+                for law, of in _TRANSPOSED_LAWS.items():
+                    assert got[law] == kept[of], (h.name, law)
+                    if base is g:
+                        assert got[law] == want[law] == 0.0, (h.name, law)
+                    else:
+                        assert abs(got[law] - want[law]) \
+                            <= _law_gap_bound(h, law), (h.name, law)
+                source = h
+
+
+def test_a_transposed_group_takes_each_law_from_the_one_it_re_indexes():
+    """On noisy copies, where the laws fail by about 1e-3, each by its own
+    amount, a group transposed once or twice after its source's residuals
+    are evaluated reads every law as _einsum_axioms does, so no law is
+    taken from the wrong one."""
+    rng = np.random.default_rng(9)
+    for pair in catalog_pairs():
+        source = _noisy(pair.base, rng)
+        verify_axioms(source)
+        for step in ("once", "twice"):
+            h = transposed(source, _random(source.dim, rng), step)
+            got, want = verify_axioms(h).residuals, _einsum_axioms(h)
+            assert got.keys() == want.keys()
+            for law, value in want.items():
+                assert got[law] == pytest.approx(value, rel=1e-13, abs=1e-15), \
+                    (pair.base.name, step, law)
+            source = h
 
 
 def test_an_imaginary_defect_fails_the_axioms():

@@ -73,18 +73,23 @@ def test_closed_form_dual_matches_the_multiplicative_unitary():
 
 
 def test_transported_copies_keep_the_duality_stack():
+    """Once transported and twice: twice, G is complex Hermitian and not
+    symmetric, so a G read in the wrong order, in the Gram norms of the
+    Plancherel check or in build_dual's Plancherel gate, fails here."""
     for name in EXAMPLE_NAMES:
-        g = _transported(get_example(name), seed=7)
-        pair = build_dual(g)
-        # one residual for both certificates, held to the conjugation's gate
-        assert pentagon_residual(pair) < 1e-10, name
-        assert max(plancherel_check(pair).residuals.values()) < 1e-12, name
-        assert max(biduality_check(g).residuals.values()) < 1e-12, name
-        x = _random(g.dim, seed=5)
-        back = dual_fourier(pair, fourier_coeffs(pair, x)).coeffs
-        assert _maxabs(back - x) < 1e-12, name
-        # a star formula that is right on the catalog only
-        assert _maxabs(pair.dual_qg.star - g.star.T @ g.antipode.T) > 0.1
+        once = _transported(get_example(name), seed=7)
+        for g in (once, _transported(once, seed=8)):
+            pair = build_dual(g)
+            # one residual for both certificates, held to the conjugation's
+            # gate
+            assert pentagon_residual(pair) < 1e-10, name
+            assert max(plancherel_check(pair).residuals.values()) < 1e-12
+            assert max(biduality_check(g).residuals.values()) < 1e-12, name
+            x = _random(g.dim, seed=5)
+            back = dual_fourier(pair, fourier_coeffs(pair, x)).coeffs
+            assert _maxabs(back - x) < 1e-12, name
+            # a star formula that is right on the catalog only
+            assert _maxabs(pair.dual_qg.star - g.star.T @ g.antipode.T) > 0.1
 
 
 def test_the_premises_hold_where_the_gram_form_is_not_symmetric():

@@ -47,6 +47,7 @@ from reference import (
     _reference_spectral_data,
     _regular_norms,
     _s4_table,
+    _transported,
     catalog_pairs,
     holder_check,
     norm_transport_check,
@@ -168,14 +169,18 @@ def test_triangle_inequality_and_scaling():
 @functools.cache
 def _spaces():
     """Base and dual spaces of the catalog and of complex transports of it,
+    once transported and twice (where the Gram matrix is not symmetric),
     and algebras with several matrix blocks of unequal weight c_i: C[S4]
     (blocks 1, 1, 2, 3, 3), the dual of l^inf(S4), and C[D5] (blocks
     1, 1, 2, 2) under a central weight that is not the Haar state. Built
     once, as the algebras are read-only."""
     spaces = []
-    for pair in catalog_pairs(transports=True):
-        spaces += [(pair.base, pair.base.haar),
-                   (pair.dual_qg, pair.dual_weight)]
+    for name in EXAMPLE_NAMES:
+        once = _transported(get_example(name), seed=7)
+        for g in (get_example(name), once, _transported(once, seed=8)):
+            pair = build_dual(g)
+            spaces += [(pair.base, pair.base.haar),
+                       (pair.dual_qg, pair.dual_weight)]
     s4 = build_group_algebra(_s4_table())
     pair = build_dual(build_function_algebra(_s4_table()))
     d5 = build_group_algebra(dihedral_table(5))
