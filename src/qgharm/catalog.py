@@ -25,35 +25,25 @@ from .errors import QgharmError
 __all__ = ["EXAMPLE_NAMES", "get_example", "list_examples", "example_summary"]
 
 
-EXAMPLE_NAMES = (
-    "z2-function",
-    "z3-function",
-    "z4-function",
-    "s3-function",
-    "z2-group",
-    "s3-group",
-    "kac-paljutkin",
-)
+_BUILDERS = {
+    "z2-function": lambda name: build_function_algebra(cyclic_table(2), name),
+    "z3-function": lambda name: build_function_algebra(cyclic_table(3), name),
+    "z4-function": lambda name: build_function_algebra(cyclic_table(4), name),
+    "s3-function": lambda name: build_function_algebra(symmetric_table_s3(), name),
+    "z2-group": lambda name: build_group_algebra(cyclic_table(2), name),
+    "s3-group": lambda name: build_group_algebra(symmetric_table_s3(), name),
+    "kac-paljutkin": lambda name: build_kac_paljutkin(),
+}
+
+EXAMPLE_NAMES = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)
 def get_example(name: str) -> FiniteQuantumGroup:
     """Build (once per process) the named example quantum group."""
-    if name == "z2-function":
-        return build_function_algebra(cyclic_table(2), name=name)
-    if name == "z3-function":
-        return build_function_algebra(cyclic_table(3), name=name)
-    if name == "z4-function":
-        return build_function_algebra(cyclic_table(4), name=name)
-    if name == "s3-function":
-        return build_function_algebra(symmetric_table_s3(), name=name)
-    if name == "z2-group":
-        return build_group_algebra(cyclic_table(2), name=name)
-    if name == "s3-group":
-        return build_group_algebra(symmetric_table_s3(), name=name)
-    if name == "kac-paljutkin":
-        return build_kac_paljutkin()
-    raise QgharmError(f"no example named {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    if name not in _BUILDERS:
+        raise QgharmError(f"no example named {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
+    return _BUILDERS[name](name)
 
 
 def example_summary(name: str) -> dict:

@@ -759,95 +759,57 @@ def transposed(g: FiniteQuantumGroup, haar, name: Optional[str]) -> FiniteQuantu
 
 def build_kac_paljutkin() -> FiniteQuantumGroup:
     """The 8-dimensional quantum group that is neither commutative nor
-    cocommutative.
+    cocommutative (Kac and Paljutkin), with every tensor written in closed
+    form on the basis e(a, b, c) = x^a y^b z^c, a, b, c in {0, 1} (a dot
+    stands for the tensor sign):
 
-    Derived from its minimal presentation: generators x, y, z, all
-    self-adjoint and fixed by the antipode, with
+        product    x^2 = y^2 = 1,  xy = yx,  z x^a y^b = x^b y^a z,  z^2 = t,
+        coproduct  Delta(x^a y^b) = x^a y^b . x^a y^b,
+                   Delta(x^a y^b z) = (x^a y^b . x^a y^b) J (z.z),
+        antipode   S(x^a y^b) = x^a y^b,  S(x^a y^b z) = x^b y^a z,
+        star       (x^a y^b)* = x^a y^b,  (x^a y^b z)* = t x^b y^a z,
 
-        x^2 = y^2 = 1,  xy = yx,  zx = yz,  zy = xz,
-        z^2 = t  where  t = (1 + x + y - xy) / 2,
-        Delta(x) = x.x,  Delta(y) = y.y,
-        Delta(z) = (1.1 + 1.x + y.1 - y.x)(z.z) / 2,
-
-    (a dot stands for the tensor sign). Here x and y are self-adjoint and z
-    is unitary of order four, so z* = z^{-1} = tz; the antipode fixes all
-    three generators. The basis is x^a y^b z^c; products are expanded with
-    the rewriting rule z x^a y^b = x^b y^a z and the z^2 relation. The Haar
-    state phi(x^a y^b z^c) = [a = b = c = 0] is the unit's coefficient row.
-    The axiom verifier at 1e-12, which certifies phi as an invariant faithful
+    where t = (1 + x + y - xy) / 2 and J = (1.1 + 1.x + y.1 - y.x) / 2.
+    Both read one table of weights w(u, v), -1/2 at u = v = 1 and 1/2
+    elsewhere: t = sum w x^u y^v and J = sum w y^u . x^v, so
+    Delta(x^a y^b z) puts w(u, v) at e(a, b + u, 1) . e(a + v, b, 1). The
+    counit is 1 on every word, and the Haar state
+    phi(x^a y^b z^c) = [a = b = c = 0] is the unit's coefficient row. The
+    axiom verifier at 1e-12, which certifies phi as an invariant faithful
     state, plus the failure of commutativity and cocommutativity certifies
-    the construction: up to isomorphism there is only one such quantum group
-    of dimension 8.
+    the construction: up to isomorphism there is only one such quantum
+    group of dimension 8.
     """
     n = 8
 
-    def widx(a: int, b: int, c: int) -> int:
-        return (a % 2) + 2 * (b % 2) + 4 * (c % 2)
+    def e(a: int, b: int, c: int = 0) -> int:
+        return a % 2 + 2 * (b % 2) + 4 * (c % 2)
 
-    def word_times_klein(a: int, b: int, out: np.ndarray, c_left: int) -> None:
-        # accumulate x^a y^b z^{c_left} * z^2 expanded via the relation
-        for da, db, sign in ((0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, -1.0)):
-            out[widx(a + da, b + db, c_left)] += 0.5 * sign
+    # (u, v, w(u, v)): the terms of t and of J
+    halves = ((0, 0, 0.5), (1, 0, 0.5), (0, 1, 0.5), (1, 1, -0.5))
+    mult, comult = np.zeros((2, n, n, n))
+    antipode, star = np.zeros((2, n, n))
+    for a, b in itertools.product(range(2), repeat=2):
+        comult[e(a, b), e(a, b), e(a, b)] = 1.0
+        antipode[e(a, b), e(a, b)] = star[e(a, b), e(a, b)] = 1.0
+        antipode[e(b, a, 1), e(a, b, 1)] = 1.0
+        for u, v, w in halves:
+            comult[e(a, b + u, 1), e(a + v, b, 1), e(a, b, 1)] = w
+            star[e(b + u, a + v, 1), e(a, b, 1)] = w
+        # x^a y^b and x^a y^b z times x^a2 y^b2 z^c2
+        for a2, b2, c2 in itertools.product(range(2), repeat=3):
+            mult[e(a, b), e(a2, b2, c2), e(a + a2, b + b2, c2)] = 1.0
+            if not c2:
+                mult[e(a, b, 1), e(a2, b2), e(a + b2, b + a2, 1)] = 1.0
+                continue
+            for u, v, w in halves:
+                mult[e(a, b, 1), e(a2, b2, 1), e(a + b2 + u, b + a2 + v)] = w
 
-    mult = np.zeros((n, n, n))
-    for a1, b1, c1, a2, b2, c2 in itertools.product(range(2), repeat=6):
-        i, j = widx(a1, b1, c1), widx(a2, b2, c2)
-        aa, bb = (a1 + a2, b1 + b2) if c1 == 0 else (a1 + b2, b1 + a2)
-        if c1 + c2 < 2:
-            mult[i, j, widx(aa, bb, c1 + c2)] += 1.0
-        else:
-            word_times_klein(aa, bb, mult[i, j], 0)
-
-    unit = np.zeros(n)
-    unit[widx(0, 0, 0)] = 1.0
-
-    def times(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-        # product in A x A of (n, n) coefficient matrices over e_i x e_j:
-        # first legs for every pair (j, l) of second-leg indices, then
-        # second legs
-        first = yy.T @ (xx.T @ mult.reshape(n, n * n)).reshape(n, n, n)
-        return first.reshape(n * n, n).T @ mult.reshape(n * n, n)
-
-    x_v, y_v, z_v = np.eye(n)[[widx(1, 0, 0), widx(0, 1, 0), widx(0, 0, 1)]]
-    delta_x = np.outer(x_v, x_v)
-    delta_y = np.outer(y_v, y_v)
-    j_factor = 0.5 * (np.outer(unit, unit) + np.outer(unit, x_v)
-                      + np.outer(y_v, unit) - np.outer(y_v, x_v))
-    delta_z = times(j_factor, np.outer(z_v, z_v))
-
-    comult = np.zeros((n * n, n), dtype=complex)
-    for a, b, c in itertools.product(range(2), repeat=3):
-        acc = np.outer(unit, unit).astype(complex)
-        for factor, power in ((delta_x, a), (delta_y, b), (delta_z, c)):
-            if power:
-                acc = times(acc, factor)
-        comult[:, widx(a, b, c)] = acc.reshape(-1)
-
-    # S fixes the generators and reverses words: x^a y^b z -> x^b y^a z.
-    antipode = np.zeros((n, n))
-    for a in range(2):
-        for b in range(2):
-            antipode[widx(a, b, 0), widx(a, b, 0)] = 1.0
-            antipode[widx(b, a, 1), widx(a, b, 1)] = 1.0
-
-    # star: words without z are fixed; (x^a y^b z)* = z^{-1} y^b x^a
-    # = t x^b y^a z, which expands through the z^2 element t.
-    star = np.zeros((n, n))
-    for a in range(2):
-        for b in range(2):
-            star[widx(a, b, 0), widx(a, b, 0)] = 1.0
-            word_times_klein(b, a, star[:, widx(a, b, 1)], 1)
-
+    unit = np.eye(n)[e(0, 0)]
     qg = FiniteQuantumGroup(
-        mult=mult,
-        unit=unit,
-        comult=comult,
-        counit=np.ones(n),
-        antipode=antipode,
-        star=star,
-        haar=unit.copy(),
-        name="kac-paljutkin",
-    )
+        mult=mult, unit=unit, comult=comult.reshape(n * n, n),
+        counit=np.ones(n), antipode=antipode, star=star, haar=unit,
+        name="kac-paljutkin")
     _accept(qg, tol=1e-12)
     if is_cocommutative(qg):
         raise AxiomFailure("presented data is cocommutative")

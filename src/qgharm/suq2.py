@@ -410,11 +410,11 @@ def comultiply(x: PolyElement) -> Dict[Tuple[Monomial, Monomial], MuRational]:
 
 
 # S and S^{-1} of each letter as (letter, mu power, sign); both reverse
-# products: S(c) = -mu c, S(c*) = -mu^{-1} c*, and S^{-1} the other way
+# products: S(c) = -mu c, S(c*) = -mu^{-1} c*, and S^{-1} is S with mu
+# replaced by 1/mu
 _ANTIPODE = {"a": ("A", 0, 1), "A": ("a", 0, 1),
              "c": ("c", 1, -1), "C": ("C", -1, -1)}
-_ANTIPODE_INV = {"a": ("A", 0, 1), "A": ("a", 0, 1),
-                 "c": ("c", -1, -1), "C": ("C", 1, -1)}
+_ANTIPODE_INV = {k: (image, -e, s) for k, (image, e, s) in _ANTIPODE.items()}
 
 
 def _antimultiplicative_counts(mono: Monomial, table) -> dict:

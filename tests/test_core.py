@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from qgharm.report import json_dumps
 from qgharm.structures import group_like_checks
 from reference import (EPS, TENSORS, _counting, _delta_homomorphism_reference,
                        _einsum_axioms, _gamma, _kron_group, _random, _s4_table,
-                       _transported, _wedderburn_reference, _wrong_haar,
-                       catalog_pairs, is_automorphism)
+                       _tensor_mult, _transported, _wedderburn_reference,
+                       _wrong_haar, catalog_pairs, is_automorphism)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,43 @@ def test_kac_paljutkin_haar_state_is_its_unit_vector():
 def test_kac_paljutkin_axioms_are_exact():
     rep = verify_axioms(build_kac_paljutkin())
     assert max(rep.residuals.values()) == 0.0
+
+
+def test_kac_paljutkin_closed_form_satisfies_its_presentation():
+    # a second route: the closed-form tensors, read through the algebra's
+    # own maps, obey the presentation by generators and relations. All
+    # entries are dyadic, so every product here is exact.
+    g = build_kac_paljutkin()
+    basis = np.eye(8)
+    one, x, y, z = basis[[0, 1, 2, 4]]
+    mul, same = g.multiply, np.array_equal
+    t = (one + x + y - mul(x, y)) / 2
+    j = (np.outer(one, one) + np.outer(one, x) + np.outer(y, one)
+         - np.outer(y, x)) / 2
+    assert same(mul(x, x), one) and same(mul(y, y), one)
+    assert same(mul(x, y), mul(y, x))
+    assert same(mul(z, x), mul(y, z)) and same(mul(z, y), mul(x, z))
+    assert same(mul(z, z), t)
+    assert same(g.delta(x), np.outer(x, x))
+    assert same(g.delta(y), np.outer(y, y))
+    assert same(g.delta(z), _tensor_mult(g, j, np.outer(z, z)))
+    for generator in (x, y, z):
+        assert same(g.antipode_of(generator), generator)
+    assert same(g.star_of(x), x) and same(g.star_of(y), y)
+    assert same(g.star_of(z), mul(t, z))
+    # the basis is x^a y^b z^c at index a + 2b + 4c
+    for a, b, c in itertools.product(range(2), repeat=3):
+        word = one
+        for factor, power in ((x, a), (y, b), (z, c)):
+            word = mul(word, factor) if power else word
+        assert same(word, basis[a + 2 * b + 4 * c]), (a, b, c)
+    # Delta is multiplicative, and S and the star reverse products, so
+    # their values on x, y and z fix them on every word
+    assert _delta_homomorphism_reference(g) == 0.0
+    products = mul(basis[:, None], basis[None, :])
+    for reverse in (g.antipode_of, g.star_of):
+        images = reverse(basis)
+        assert same(reverse(products), mul(images[None, :], images[:, None]))
 
 
 def test_axiom_records_copy_the_residuals_kept_on_the_group():
