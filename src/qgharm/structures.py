@@ -18,11 +18,13 @@ The lists of group-like projections, of biprojections and of the shifts of
 a group-like projection are complete. A projection is a choice of one
 projection per Wedderburn block; on a block of size 2 a rank-one choice
 carries a Bloch vector, and each relation is solved exactly for those
-vectors. A system whose affine rows (the equations it implies with no
-quadratic term) are inconsistent is closed at degree 2, before any
-Macaulay matrix, and the rank decisions of that step are among the
-singular_value_gaps. Algebras with a block of size 3 or more, or with more
-than two blocks of size 2 (see MAX_MACAULAY_ENTRIES), are refused.
+vectors; for group-like projections and biprojections, which have counit
+1, only the choices with epsilon(h0) = 1. A system whose affine rows (the
+equations it implies with no quadratic term) are inconsistent is closed at
+degree 2, before any Macaulay matrix, and the rank decisions of that step
+are among the singular_value_gaps. Algebras with a block of size 3 or more,
+or with more than two blocks of size 2 (see MAX_MACAULAY_ENTRIES), are
+refused.
 """
 
 from __future__ import annotations
@@ -255,19 +257,28 @@ def biprojection_iff_grouplike(pair: DualPair,
     a biprojection, over all projections of the base.
 
     Both lists are complete: each solves its relation exactly over every
-    block choice, the choices with the same number of Bloch unknowns as one
-    stack (see _enumerate). A biprojection solves F(h)^2 = phi(h) F(h)
-    and F(h)* = F(h); the multiple is phi(h) because the dual counit is a
-    character with epsilon_hat(F(x)) = phi(x). projections_checked counts
-    the block choices, group_like holds the certificates of
+    block choice with epsilon(h0) = 1 (see _counit_one), the choices with
+    the same number of Bloch unknowns as one stack (see _enumerate). A
+    biprojection solves F(h)^2 = phi(h) F(h) and F(h)* = F(h); the multiple
+    is phi(h) because the dual counit is a character with
+    epsilon_hat(F(x)) = phi(x). So P = F(h) / phi(h) is a nonzero
+    projection, as Q is invertible. With w = Q^-1 epsilon and Q symmetric,
+    phihat(F(x)) = w^T Q x = epsilon(x) (checked at CERT_TOL), so
+    epsilon(h) = phi(h) phihat(P) > 0 by faithfulness; a *-character is 0
+    or 1 on a projection, so epsilon(h) = 1. projections_checked counts all
+    nonzero block choices, group_like holds the certificates of
     enumerate_group_like_projections, group_like_biprojection the
     biprojection_checks record of each of them, and singular_value_gaps
     holds the weakest rank decision of each choice solved with rank-one
     blocks. Each list is certified as one stack.
     """
     g = pair.base
-    group_like, gl_run = _group_like(g, tol)
-    bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol)
+    _premise("phihat(F(x)) = epsilon(x), Q^T w = epsilon",
+             _maxabs(g.q_matrix.T @ pair.dual_weight - g.counit))
+    keep = _counit_one(g)
+    group_like, gl_run = _group_like(g, tol, keep)
+    bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol,
+                        keep)
     _all_certified(c.holds for c in
                    biprojection_checks(pair, bi_run.points, tol))
     disagreements = [
@@ -297,8 +308,8 @@ def _disagreement(h: np.ndarray, biprojection: bool, group_like: bool) -> dict:
             "biprojection": biprojection, "group_like": group_like}
 
 
-def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
-    run = _enumerate(g, lambda h: _group_like_relation(g, h), tol)
+def _group_like(g: FiniteQuantumGroup, tol: float, keep) -> tuple:
+    run = _enumerate(g, lambda h: _group_like_relation(g, h), tol, keep)
     certs = group_like_checks(g, run.points, tol)
     _all_certified(c.holds for c in certs)
     return certs, run
@@ -306,10 +317,35 @@ def _group_like(g: FiniteQuantumGroup, tol: float) -> tuple:
 
 def enumerate_group_like_projections(g: FiniteQuantumGroup) -> list:
     """Every group-like projection of g, certified at CERT_TOL, in the order of
-    the block choices. The list is complete (see _enumerate); an algebra
-    with a block of size 3 or more raises QgharmError.
+    the block choices. The list is complete (see _enumerate): only the
+    choices with epsilon(h0) = 1 are solved, since epsilon . id applied to
+    Delta(h)(1 . h) = h . h gives h = h h = epsilon(h) h by the counit law
+    and the multiplicativity of epsilon (see _counit_one). An algebra with a
+    block of size 3 or more raises QgharmError.
     """
-    return _group_like(g, CERT_TOL)[0]
+    return _group_like(g, CERT_TOL, _counit_one(g))[0]
+
+
+def _premise(name: str, residual: float) -> None:
+    if not residual <= CERT_TOL:
+        raise QgharmError(f"the counit pruning needs {name}; it fails by "
+                          f"{residual:.3e}")
+
+
+def _counit_one(g: FiniteQuantumGroup) -> np.ndarray:
+    """Which block choices have epsilon(h0) = 1, after checking at CERT_TOL
+    the counit law, epsilon(h0) in {0, 1} on every choice and epsilon = 0 on
+    every Bloch direction (so epsilon(h) = epsilon(h0)). The last two make
+    epsilon a *-character: the one of a block of size 1."""
+    choices, n = g.blocks.choices, g.dim
+    _premise("the counit law", _maxabs(
+        g.counit @ g.comult3.reshape(n, n * n) - np.eye(n).ravel()))
+    eps = np.array([h0 for h0, _ in choices]) @ g.counit
+    _premise("epsilon(h0) in {0, 1}",
+             np.max(np.minimum(np.abs(eps), np.abs(eps - 1))))
+    _premise("epsilon = 0 on the Bloch directions", _maxabs(
+        np.concatenate([dirs for _, dirs in choices]) @ g.counit))
+    return np.abs(eps - 1) <= CERT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +534,13 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     return roots, [(float(a), float(b)) for a, b in zip(kept, dropped)]
 
 
-def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
+def _enumerate(g: FiniteQuantumGroup, relation, tol: float,
+               solve=None) -> _Enumeration:
     """Every projection h of g with relation(h) = 0, in the order of the
-    block choices. relation maps a stack of coefficient vectors to residual
-    arrays and has degree <= 2. Choices without a rank-one block are
-    points: one stack of them is tested at tol. The others are solved
+    block choices, among those that the boolean mask solve keeps (all by
+    default). relation maps a stack of coefficient vectors
+    to residual arrays and has degree <= 2. Choices without a rank-one block
+    are points: one stack of them is tested at tol. The others are solved
     exactly (_bloch_roots), one stack per number m of Bloch unknowns in
     parts of at most MAX_MACAULAY_ENTRIES worst-case Macaulay entries; every
     root must solve its system, and each real one gives a projection. Raises
@@ -517,12 +555,14 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float) -> _Enumeration:
         raise QgharmError(
             f"a block choice may need {max(worst.values())} Macaulay entries, "
             f"above the bound of {MAX_MACAULAY_ENTRIES}")
+    if solve is not None:               # no stack takes a skipped choice
+        unknowns = np.where(solve, unknowns, -1)
     at = np.flatnonzero(unknowns == 0)
     points = np.array([choices[i][0] for i in at])
     holds = np.max(np.abs(relation(points)).reshape(len(points), -1),
                    axis=-1) <= tol
     found, gaps = [(i, h) for i, h, ok in zip(at, points, holds) if ok], []
-    for m in sorted(worst.keys() - {0}):
+    for m in sorted(set(unknowns.tolist()) - {0, -1}):
         at = np.flatnonzero(unknowns == m)
         step = MAX_MACAULAY_ENTRIES // worst[m]
         for part in np.split(at, range(step, len(at), step)):

@@ -706,14 +706,14 @@ def test_installed_entry_point_round_trip():
 
 def test_the_document_digests_are_stable_and_every_job_succeeds():
     # tools/doc_digests.py, the probe that two checkouts print the same
-    # documents: 35 workload jobs at one seed and 4 fixed calls
+    # documents: 35 workload jobs at one seed and 10 fixed calls
     root = Path(__file__).resolve().parent.parent
     runs = [subprocess.run([sys.executable, str(root / "tools" / "doc_digests.py"),
                             str(root), "1"],
                            capture_output=True, text=True, check=True).stdout
             for _ in range(2)]
     rows = [json.loads(line) for line in runs[0].splitlines()]
-    assert len(rows) == 39
+    assert len(rows) == 45
     assert all(row["exit"] == 0 for row in rows)
     assert runs[1] == runs[0]
 

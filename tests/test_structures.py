@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qgharm import structures
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.core import (
+    FiniteQuantumGroup,
     _maxabs,
     build_group_algebra,
     cyclic_table,
@@ -310,16 +312,16 @@ def test_one_equals_zero_alone_closes_without_a_weak_decision():
 
 
 def test_kac_paljutkin_biprojections_close_at_degree_two(monkeypatch):
-    # 14 of the 16 choices with the rank-one block have 1 = 0 among their
-    # affine rows; solved by Macaulay matrices, they took a (14, 28, 20)
-    # and a (14, 70, 35) SVD
+    # 7 of the 8 choices with the rank-one block and 1 on the counit's
+    # block have 1 = 0 among their affine rows; the eighth alone goes on to
+    # Macaulay degree 5
     pair = _pair("kac-paljutkin")
     shapes = []
     _count_svd_shapes(monkeypatch, shapes)
     assert biprojection_iff_grouplike(pair).holds
     stacks = [shape for shape in shapes
               if len(shape) == 3 and shape[-1] >= 20]
-    assert stacks and max(shape[0] for shape in stacks) <= 2
+    assert stacks and max(shape[0] for shape in stacks) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +559,16 @@ def test_equivalence_sweep_over_all_small_examples():
     # projections_checked counts the nonzero block choices: 2^k - 1 for k
     # blocks of size 1, 2 * 2 * 3 - 1 for the blocks 1, 1, 2 of C[S3],
     # 2^4 * 3 - 1 for KP and 2 * 2 * 3 * 3 - 1 for C[D5]; then the choices
-    # with a rank-one block, each solved twice, and the biprojections
+    # with a rank-one block and 1 on the counit's block, each solved twice
+    # (2 * 1, 2^3 * 1 and 2 * (3 * 3 - 2 * 2) of them), and the
+    # biprojections
     expected = {name: (count, 0, len(EXPECTED_GROUP_LIKES[name])) for
                 name, count in (("z2-function", 3), ("z3-function", 7),
                                 ("z4-function", 15), ("s3-function", 63),
                                 ("z2-group", 3))}
-    expected["s3-group"] = (11, 4, 6)
-    expected["kac-paljutkin"] = (47, 16, 8)
-    expected["C[D5]"] = (35, 20, 8)
+    expected["s3-group"] = (11, 2, 6)
+    expected["kac-paljutkin"] = (47, 8, 8)
+    expected["C[D5]"] = (35, 10, 8)
     for name, (count, with_bloch, biprojections) in expected.items():
         pair = (build_dual(build_group_algebra(dihedral_table(5)))
                 if name == "C[D5]" else _pair(name))
@@ -579,6 +583,75 @@ def test_equivalence_sweep_over_all_small_examples():
         solved = gaps["group_like"] + gaps["biprojection"]
         assert len(solved) == 2 * with_bloch, name
         assert all(kept > 1e-3 and dropped < 1e-12 for kept, dropped in solved)
+
+
+# ---------------------------------------------------------------------------
+# the counit pruning
+# ---------------------------------------------------------------------------
+
+def _assert_pruned_equals_full(g, relation):
+    """The full solve finds no point on the choices with epsilon(h0) = 0,
+    and the pruned solve has the full solve's points, byte for byte, and
+    the rank decisions of the choices it solves."""
+    keep = structures._counit_one(g)
+    assert _enumerate(g, relation, 1e-9, ~keep).points == []
+    full = _enumerate(g, relation, 1e-9)
+    pruned = _enumerate(g, relation, 1e-9, keep)
+    _assert_same_points(pruned, full)
+    solved = keep[[len(dirs) > 0 for _, dirs in g.blocks.choices]]
+    assert pruned.gaps == [gap for gap, s in zip(full.gaps, solved) if s]
+
+
+def test_choices_with_counit_zero_hold_no_group_like_or_biprojection():
+    pairs = list(catalog_pairs(duals=True))
+    for n in (4, 5, 6):
+        pair = build_dual(build_group_algebra(dihedral_table(n)))
+        pairs += [pair, build_dual(pair.dual_qg)]
+    for pair in pairs:
+        g = pair.base
+        _assert_pruned_equals_full(g, lambda h: _group_like_relation(g, h))
+        _assert_pruned_equals_full(
+            g, lambda h: _biprojection_relation(pair, h))
+    g = _kron_group(get_example("kac-paljutkin"), get_example("z2-function"))
+    _assert_pruned_equals_full(g, lambda h: _group_like_relation(g, h))
+
+
+def _with_counit(g, counit):
+    """g with the counit counit and Delta(x) = 1 . x, which keeps the
+    counit law whenever counit(1) = 1."""
+    n = g.dim
+    return FiniteQuantumGroup(
+        mult=g.mult, unit=g.unit, comult=np.kron(g.unit[:, None], np.eye(n)),
+        counit=counit, antipode=g.antipode, star=g.star, haar=g.haar)
+
+
+def test_a_broken_premise_of_the_counit_pruning_is_refused():
+    # each premise fails alone, and the enumeration refuses instead of
+    # pruning: a counit off by 1e-6, a counit that is 1/2 on two central
+    # projections, the counit plus a functional that is 0 on the unit of
+    # the M_2 block but not on its sigma_z direction, and a dual weight off
+    # by 1e-6
+    pair = _pair("kac-paljutkin")
+    g = pair.base
+    to_blocks = g.blocks.to_blocks
+    bumped = g.counit.copy()
+    bumped[3] += 1e-6
+    cases = [
+        (replace(g, counit=bumped), "the counit law"),
+        (_with_counit(g, 0.5 * (to_blocks[0] + to_blocks[1])),
+         r"epsilon\(h0\) in \{0, 1\}"),
+        (_with_counit(g, g.counit + 0.25 * (to_blocks[4] - to_blocks[7])),
+         "epsilon = 0 on the Bloch directions"),
+    ]
+    for h, premise in cases:
+        with pytest.raises(QgharmError, match=f"^the counit pruning needs "
+                                              f"{premise}; it fails by "):
+            enumerate_group_like_projections(h)
+    w = pair.dual_weight.copy()
+    w[0] += 1e-6
+    with pytest.raises(QgharmError, match=r"needs phihat\(F\(x\)\) = "
+                                          r"epsilon\(x\), Q\^T w = epsilon; "):
+        biprojection_iff_grouplike(replace(pair, dual_weight=w))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ this process through that checkout's ``qgharm.cli.run`` and prints one
 JSON line per call: its argv, its exit code and the sha256 of its stdout
 and of its stderr. The calls are every ``bench/workloads.py`` job of the
 ``sweep``, ``search`` and ``exact`` workloads at each seed, then
-``all --seed 1``, then ``verify``, ``structures`` and ``hunt`` on
-kac-paljutkin. Two checkouts that print the same lines print the same
+``all --seed 1``, then ``verify`` and ``structures`` on kac-paljutkin and
+``hunt`` on every catalog example, so that the biprojection list of every
+example is compared. Two checkouts that print the same lines print the same
 documents:
 
     git worktree add ../parent HEAD~1
@@ -36,7 +37,10 @@ os.environ.pop("QG_SEED", None)
 FIXED = (("all", "--seed", "1"),
          ("verify", "--example", "kac-paljutkin"),
          ("structures", "--example", "kac-paljutkin"),
-         ("hunt", "--example", "kac-paljutkin"))
+         ("hunt", "--example", "kac-paljutkin"),
+         *(("hunt", "--example", name) for name in (
+             "z2-function", "z3-function", "z4-function", "s3-function",
+             "z2-group", "s3-group")))
 
 
 def _sha256(text: str) -> str:
