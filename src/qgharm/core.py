@@ -404,35 +404,44 @@ class Blocks:
         return np.repeat(c, self.sizes) @ self.to_blocks[rows == cols]
 
     @cached_property
-    def choices(self) -> list:
-        """(h0, directions) for every nonzero choice of one projection per
-        block: 0 or 1 on a block of size 1; 0, 1 or a rank-one (1 + n.sigma)/2
-        on a block of size 2. The element is h0 + n @ directions, affine in
-        the unit Bloch vectors n, three rows of directions per rank-one block;
-        built once per algebra."""
+    def choices(self) -> tuple:
+        """(h0, directions, unknowns) over every nonzero choice of one
+        projection per block, in itertools.product order: 0 or 1 on a block
+        of size 1; 0, 1 or a rank-one (1 + n.sigma)/2 on a block of size 2.
+        Choice c is h0[c] + n @ directions[c, :unknowns[c]], affine in the
+        unit Bloch vectors n: three rows per rank-one block in block order,
+        then zero rows. h0 sums the options in block order from 0, as the
+        Python sum does; built once per algebra."""
         if max(self.sizes) > 2:
             raise QgharmError(
                 f"a block of size {max(self.sizes)} has projections of rank "
                 "between 1 and its size minus 1; only blocks of size 1 and 2 "
                 "are enumerated")
         units = self.from_blocks.T          # row j: the matrix unit of entry j
-        zero = (np.zeros(len(units), dtype=complex), ())
-        options, start = [], 0
+        zero = np.zeros(len(units), dtype=complex)
+        options, bloch, start = [], [], 0
         for d in self.sizes:
             e = units[start:start + d * d]
             start += d * d
-            if d == 1:
-                options.append((zero, (e[0], ())))
-            else:
-                one = e[0] + e[3]
-                bloch = (0.5 * (e[1] + e[2]), 0.5j * (e[2] - e[1]),
-                         0.5 * (e[0] - e[3]))
-                options.append((zero, (one, ()), (0.5 * one, bloch)))
-        choices = [(sum(h for h, _ in combo),
-                    np.reshape([v for _, vs in combo for v in vs],
-                               (-1, len(units))))
-                   for combo in itertools.product(*options)]
-        return choices[1:]              # the first one is zero everywhere
+            one = e[0] + e[3] if d == 2 else e[0]
+            options.append(np.array([zero, one, 0.5 * one][:d + 1]))
+            if d == 2:
+                bloch.append(np.array([0.5 * (e[1] + e[2]),
+                                       0.5j * (e[2] - e[1]),
+                                       0.5 * (e[0] - e[3])]))
+        # each block's option per choice; the first choice is zero everywhere
+        pick = np.indices([len(o) for o in options]).reshape(
+            len(options), -1)[:, 1:]
+        h0 = np.zeros((pick.shape[1], len(units)), dtype=complex)
+        for option, at in zip(options, pick):
+            h0 += option[at]
+        rank_one = pick[np.array(self.sizes) == 2] == 2
+        slot = 3 * (np.cumsum(rank_one, axis=0) - rank_one)
+        dirs = np.zeros((len(h0), 3 * len(bloch), len(units)), dtype=complex)
+        for vectors, on, at in zip(bloch, rank_one, slot):
+            c = np.flatnonzero(on)
+            dirs[c[:, None], at[c, None] + np.arange(3)] = vectors
+        return h0, dirs, 3 * rank_one.sum(axis=0)
 
 
 def _wedderburn(g: "FiniteQuantumGroup") -> Blocks:

@@ -337,14 +337,13 @@ def _counit_one(g: FiniteQuantumGroup) -> np.ndarray:
     the counit law, epsilon(h0) in {0, 1} on every choice and epsilon = 0 on
     every Bloch direction (so epsilon(h) = epsilon(h0)). The last two make
     epsilon a *-character: the one of a block of size 1."""
-    choices, n = g.blocks.choices, g.dim
+    (h0, dirs, _), n = g.blocks.choices, g.dim
     _premise("the counit law", _maxabs(
         g.counit @ g.comult3.reshape(n, n * n) - np.eye(n).ravel()))
-    eps = np.array([h0 for h0, _ in choices]) @ g.counit
+    eps = h0 @ g.counit
     _premise("epsilon(h0) in {0, 1}",
              np.max(np.minimum(np.abs(eps), np.abs(eps - 1))))
-    _premise("epsilon = 0 on the Bloch directions", _maxabs(
-        np.concatenate([dirs for _, dirs in choices]) @ g.counit))
+    _premise("epsilon = 0 on the Bloch directions", _maxabs(dirs @ g.counit))
     return np.abs(eps - 1) <= CERT_TOL
 
 
@@ -444,7 +443,9 @@ def _quadratic_rows(relation, h0: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     """All complex roots of each real system in a stack of coefficient rows
     over _monomials(m, 2), one (m, count) array per system, and the weakest
-    rank decision of each solve (see _Enumeration).
+    rank decision of each solve (see _Enumeration). The roots of a system
+    are in lexicographic order of (Re n, Im n) rounded to 6 decimals, so
+    the order of its real roots does not depend on the kernel's basis.
 
     The rows are compressed to an orthonormal row basis. Its combinations
     with no quadratic term, the left singular vectors of its quadratic
@@ -460,12 +461,16 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
     multiplication matrix (Stetter matrix) of a generic linear form, taken
     on the null space, has those monomial vectors as eigenvectors. A
     null space of dimension 0 means 1 is in the ideal: there is no root.
-    Systems whose bases have the same rank go in lockstep, one batched SVD
-    per degree (at degree 2, one of the quadratic columns and one of the
-    affine rows per quadratic rank), and each takes the rank decisions it
-    would take alone. A Macaulay matrix is decomposed once: the rank comes
-    from the singular values of the batched SVD and the kernel from the last
-    rows of its V.
+
+    The null space grows degree by degree (Batselier, Dreesen and De Moor,
+    J. Comput. Appl. Math. 267, 2014): Mac_d = [[Mac_(d-1), 0], [A, B]],
+    [A, B] being the basis times the monomials of degree d - 2, so with N
+    the orthonormal kernel of Mac_(d-1) (at degree 2, the complement of the
+    basis) null(Mac_d) = blockdiag(N, 1) null([A N, B]), and one SVD of
+    [A N, B] gives the rank and the next kernel. Systems with the same basis
+    rank and kernel dimension go in lockstep, one batched SVD per degree (at
+    degree 2, one of the quadratic columns and one of the affine rows per
+    quadratic rank), and each takes the rank decisions it would take alone.
     """
     kept, dropped = np.full(len(rows), np.inf), np.zeros(len(rows))
     weights = _stetter_weights(m)
@@ -481,11 +486,25 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
         dropped[which] = np.maximum(dropped[which], ends[at, r + 1])
         return r
 
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    def read_roots(at: np.ndarray, kernel: np.ndarray, shift) -> tuple:
+        """Set the roots of the systems of a stable lockstep whose kernel
+        the monomials of degree < d separate; give back the others."""
+        u, sl, vlh = np.linalg.svd(kernel[:, shift[:, 0]],
+                                   full_matrices=False)
+        done = rank(sl, at) == kernel.shape[-1]
+        stetter = ((vlh[done].transpose(0, 2, 1) / sl[done, None])
+                   @ u[done].transpose(0, 2, 1)) @ (
+            kernel[done][:, shift[:, 1:]].transpose(0, 1, 3, 2) @ weights)
+        vecs = kernel[done] @ np.linalg.eig(stetter)[1]
+        for j, n in zip(at[done], vecs[:, 1:m + 1] / vecs[:, :1]):
+            key = np.round(np.concatenate([n.real, n.imag]), 6)
+            roots[j] = n[:, np.lexsort(key[::-1])]
+        return at[~done], kernel[~done]
+
+    # a null space needs the full V when rows are fewer than columns
+    _, s, vh = np.linalg.svd(rows, full_matrices=rows.shape[1] < rows.shape[2])
     ranks = rank(s, slice(None))
-    # null-space dimensions; the Macaulay matrix of degree 2 is the basis
-    previous = vh.shape[-1] - ranks
-    roots, open_ = [np.zeros((m, 0))] * len(rows), previous > 0
+    roots, open_ = [np.zeros((m, 0))] * len(rows), ranks < vh.shape[-1]
     linear = len(_monomials(m, 1))
     for r in set(ranks[open_].tolist()):
         live = np.flatnonzero((ranks == r) & open_)
@@ -501,53 +520,57 @@ def _bloch_roots(rows: np.ndarray, m: int) -> tuple:
                           absolute=True)
             open_[at[n_rank < r - q]] = False
         live = live[open_[live]]
+        # (systems, kernel of the last degree) of each lockstep
+        steps = [(live, vh[live, r:].transpose(0, 2, 1))] if len(live) else []
         for d in range(3, MAX_DEGREE + 1):
-            if not len(live):
+            if not steps:
                 break
-            table, width = _shifted(m, d, 2), len(_monomials(m, d))
-            mac = np.zeros((len(live), len(table), r, width))
-            mac[:, np.arange(len(table))[:, None, None],
-                np.arange(r)[None, :, None], table[:, None, :]] = \
-                vh[live, None, :r]
-            mac = mac.reshape(len(live), -1, width)
-            # the null space needs the full V when rows are fewer
-            _, s, mac_vh = np.linalg.svd(
-                mac, full_matrices=mac.shape[1] < width)
-            null = width - rank(s, live)
-            open_[live[null == 0]] = False
-            shift = _shifted(m, d, 1)
-            for j in np.flatnonzero((null == previous[live]) & (null > 0)):
-                kernel = mac_vh[j, width - null[j]:].T
-                u, sl, vlh = np.linalg.svd(kernel[shift[:, 0]],
-                                           full_matrices=False)
-                if rank(sl[None], live[[j]])[0] == null[j]:
-                    stetter = ((vlh.T / sl) @ u.T) @ (
-                        kernel[shift[:, 1:]].transpose(0, 2, 1) @ weights)
-                    vecs = kernel @ np.linalg.eig(stetter)[1]
-                    roots[live[j]] = vecs[1:m + 1] / vecs[0]
-                    open_[live[j]] = False
-            previous[live] = null
-            live = live[open_[live]]
-    if np.any(open_):
-        raise QgharmError(
-            f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
+            old, width = len(_monomials(m, d - 1)), len(_monomials(m, d))
+            # the new rows: the basis times the monomials of degree d - 2.
+            # Its columns of degree <= 1 land on old columns, which the
+            # kernel reads, and its quadratic ones on new columns
+            table = _shifted(m, d, 2)[len(_monomials(m, d - 3)):]
+            t, shift = np.arange(len(table))[:, None, None], _shifted(m, d, 1)
+            steps, last = [], steps
+            for at, kernel in last:
+                k = kernel.shape[-1]
+                basis = vh[at, None, :r]
+                new = np.zeros((len(at), len(table), r, width - old))
+                new[:, t, np.arange(r)[None, :, None],
+                    table[:, None, linear:] - old] = basis[..., linear:]
+                mac = np.concatenate(
+                    [basis[..., :linear] @ kernel[:, table[:, :linear]], new],
+                    axis=-1).reshape(len(at), -1, k + width - old)
+                _, s, mac_vh = np.linalg.svd(
+                    mac, full_matrices=mac.shape[1] < mac.shape[2])
+                null = mac.shape[2] - rank(s, at)
+                for n in set(null.tolist()) - {0}:
+                    v = mac_vh[null == n, -n:].transpose(0, 2, 1)
+                    step = (at[null == n], np.concatenate(
+                        [kernel[null == n] @ v[:, :k], v[:, k:]], axis=1))
+                    steps.append(read_roots(*step, shift) if n == k
+                                 else step)
+            steps = [(at, kernel) for at, kernel in steps if len(at)]
+        if steps:
+            raise QgharmError(
+                f"a Macaulay null space is not stable by degree {MAX_DEGREE}")
     return roots, [(float(a), float(b)) for a, b in zip(kept, dropped)]
 
 
 def _enumerate(g: FiniteQuantumGroup, relation, tol: float,
                solve=None) -> _Enumeration:
     """Every projection h of g with relation(h) = 0, in the order of the
-    block choices, among those that the boolean mask solve keeps (all by
-    default). relation maps a stack of coefficient vectors
-    to residual arrays and has degree <= 2. Choices without a rank-one block
-    are points: one stack of them is tested at tol. The others are solved
-    exactly (_bloch_roots), one stack per number m of Bloch unknowns in
-    parts of at most MAX_MACAULAY_ENTRIES worst-case Macaulay entries; every
-    root must solve its system, and each real one gives a projection. Raises
-    QgharmError when a block has size 3 or more, before any solve when one
-    choice may exceed that bound, or when a system does not resolve."""
-    choices = g.blocks.choices
-    unknowns = np.array([len(dirs) for _, dirs in choices])
+    block choices and within a choice in the order of _bloch_roots, among
+    the choices that the boolean mask solve keeps (all by default).
+    relation maps a stack of coefficient vectors to residual arrays and has
+    degree <= 2. Choices without a rank-one block are points: one stack of
+    them is tested at tol. The others are solved exactly (_bloch_roots), one
+    stack per number m of Bloch unknowns in parts of at most
+    MAX_MACAULAY_ENTRIES worst-case Macaulay entries; every root must solve
+    its system, and each real one gives a projection. Raises QgharmError
+    when a block has size 3 or more, before any solve when one choice may
+    exceed that bound, or when a system does not resolve."""
+    h0, dirs, unknowns = g.blocks.choices
     # basis rank times monomial shifts times columns, at degree MAX_DEGREE
     worst = {m: math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)
              * math.comb(m + MAX_DEGREE, m) for m in set(unknowns.tolist())}
@@ -558,17 +581,15 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float,
     if solve is not None:               # no stack takes a skipped choice
         unknowns = np.where(solve, unknowns, -1)
     at = np.flatnonzero(unknowns == 0)
-    points = np.array([choices[i][0] for i in at])
-    holds = np.max(np.abs(relation(points)).reshape(len(points), -1),
+    holds = np.max(np.abs(relation(h0[at])).reshape(len(at), -1),
                    axis=-1) <= tol
-    found, gaps = [(i, h) for i, h, ok in zip(at, points, holds) if ok], []
+    index, found, gaps = [at[holds]], [h0[at[holds]]], []
     for m in sorted(set(unknowns.tolist()) - {0, -1}):
         at = np.flatnonzero(unknowns == m)
         step = MAX_MACAULAY_ENTRIES // worst[m]
         for part in np.split(at, range(step, len(at), step)):
-            h0 = np.array([choices[i][0] for i in part])
-            dirs = np.array([choices[i][1] for i in part])
-            rows = _quadratic_rows(relation, h0, dirs)
+            d = dirs[part, :m]
+            rows = _quadratic_rows(relation, h0[part], d)
             roots, gap = _bloch_roots(rows, m)
             gaps += zip(part, gap)
             which = np.repeat(range(len(part)), [r.shape[1] for r in roots])
@@ -581,11 +602,12 @@ def _enumerate(g: FiniteQuantumGroup, relation, tol: float,
             real = np.all(np.abs(n.imag) <= ROOT_TOL, axis=1)
             unit = n[real].real.reshape(-1, m // 3, 3)
             unit /= np.linalg.norm(unit, axis=-1)[..., None]
-            found += zip(part[which[real]], h0[which[real]] + (
-                unit.reshape(-1, 1, m) @ dirs[which[real]])[:, 0])
-    found.sort(key=lambda ih: ih[0])
-    return _Enumeration(points=[h for _, h in found], choices=len(choices),
-                        gaps=[gap for _, gap in sorted(gaps)])
+            index.append(part[which[real]])
+            found.append(h0[index[-1]]
+                         + (unit.reshape(-1, 1, m) @ d[which[real]])[:, 0])
+    order = np.argsort(np.concatenate(index), kind="stable")
+    return _Enumeration(points=list(np.concatenate(found)[order]),
+                        choices=len(h0), gaps=[gap for _, gap in sorted(gaps)])
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,30 @@ def _reference_norms_at_large_p(w: np.ndarray, d: np.ndarray, p: float) -> np.nd
 # the per-choice Macaulay solver
 # ---------------------------------------------------------------------------
 
+def _reference_choices(blocks: Blocks) -> list:
+    """Blocks.choices as a list of (h0, directions), one pair per choice:
+    h0 is the Python sum of the blocks' options and directions the Bloch
+    rows of its rank-one blocks."""
+    units = blocks.from_blocks.T
+    zero = (np.zeros(len(units), dtype=complex), ())
+    options, start = [], 0
+    for d in blocks.sizes:
+        e = units[start:start + d * d]
+        start += d * d
+        if d == 1:
+            options.append((zero, (e[0], ())))
+        else:
+            one = e[0] + e[3]
+            bloch = (0.5 * (e[1] + e[2]), 0.5j * (e[2] - e[1]),
+                     0.5 * (e[0] - e[3]))
+            options.append((zero, (one, ()), (0.5 * one, bloch)))
+    choices = [(sum(h for h, _ in combo),
+                np.reshape([v for _, vs in combo for v in vs],
+                           (-1, len(units))))
+               for combo in itertools.product(*options)]
+    return choices[1:]
+
+
 def _reference_rows(relation, h0, dirs):
     """_quadratic_rows for one choice, one relation call per choice."""
     m = len(dirs)
@@ -682,7 +706,7 @@ def _reference_roots(rows, m, affine_rows=True):
 def _enumerate_reference(g, relation, tol, affine_rows=True):
     """_enumerate with one polarization and one solve per block choice, by
     _reference_roots."""
-    choices = g.blocks.choices
+    choices = _reference_choices(g.blocks)
     points = np.array([h0 for h0, dirs in choices if not len(dirs)])
     holds = iter(np.max(np.abs(relation(points)).reshape(len(points), -1),
                         axis=-1) <= tol)
@@ -720,6 +744,20 @@ def _gap_bound(m):
     values, a min and a max over decisions, move no more."""
     rows = math.comb(m + 2, 2) * math.comb(m + MAX_DEGREE - 2, m)
     return 4 * _gamma(max(rows, math.comb(m + MAX_DEGREE, m)))
+
+
+def _point_bound(m, kept):
+    """How far a point of a choice with m Bloch unknowns may move between
+    the reference's kernel, from its Macaulay matrix, and the stacked
+    solve's, from the recursion [A N, B], whose weakest kept relative
+    singular values are at least kept. Each kernel is backward stable,
+    from a matrix within 2 gamma_p s_1 of the exact one (p as in
+    _gap_bound), and by Wedin's theorem its angle to the exact kernel is
+    at most that over the relative gap, at least kept; two routes, twice
+    that. A root is read from the kernel with no further loss on the
+    well-separated roots of these systems, so the point, an affine image
+    of it with unit directions, moves no more."""
+    return _gap_bound(m) / kept
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from qgharm.core import (
 from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
 from qgharm.errors import QgharmError
 from qgharm.structures import (
+    RANK_TOL,
     _biprojection_relation,
     _bloch_roots,
     _enumerate,
@@ -44,6 +45,8 @@ from reference import (
     _enumerate_reference,
     _gap_bound,
     _kron_group,
+    _point_bound,
+    _reference_choices,
     _reference_glpbi_check,
     _reference_is_biprojection,
     _reference_is_group_like_projection,
@@ -168,16 +171,17 @@ def test_a_sphere_grid_on_kac_paljutkin_sees_only_the_exact_roots():
     turn = np.pi * (1.0 + np.sqrt(5.0)) * i
     grid = np.stack([np.sqrt(1.0 - z * z) * np.cos(turn),
                      np.sqrt(1.0 - z * z) * np.sin(turn), z], axis=1)
+    h0, dirs, unknowns = g.blocks.choices
+    bloch = np.flatnonzero(unknowns)
     for relation in (lambda h: _group_like_relation(g, h),
                      lambda h: _biprojection_relation(pair, h)):
         real_roots = 0
-        bloch = [(h0, dirs) for h0, dirs in g.blocks.choices if len(dirs)]
         stack, _ = _bloch_roots(_quadratic_rows(
-            relation, np.array([h0 for h0, _ in bloch]),
-            np.array([dirs for _, dirs in bloch])), 3)
-        for (h0, dirs), roots in zip(bloch, stack):
+            relation, h0[bloch], dirs[bloch, :3]), 3)
+        for c, roots in zip(bloch, stack):
             real = roots.real.T[np.all(np.abs(roots.imag) <= 1e-6, axis=0)]
-            res = np.abs(relation(h0 + grid @ dirs)).reshape(len(grid), -1)
+            res = np.abs(relation(h0[c] + grid @ dirs[c, :3])).reshape(
+                len(grid), -1)
             res = res.max(axis=1)
             dist = np.full(len(grid), np.inf)
             for n in real:
@@ -211,8 +215,9 @@ def test_a_continuum_of_solutions_is_refused():
 def test_a_macaulay_matrix_with_fewer_rows_than_columns_is_solved(
         monkeypatch):
     # |n|^2 = 1 and xy = yz = zx = 0 have the six roots +-e_i; the null
-    # space is stable at degree 3, where the Macaulay matrix is 16 x 20 and
-    # the null space needs the full V of its SVD
+    # space is stable at degree 3. The row basis (4 x 10) and the
+    # recursion's matrix at degree 3 have fewer rows than columns, and
+    # their null spaces need the full V of their SVDs
     monkeypatch.setattr(structures, "MAX_DEGREE", 3)
     cols = _monomials(3, 2)
     equations = [{(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0,
@@ -229,16 +234,17 @@ def test_a_macaulay_matrix_with_fewer_rows_than_columns_is_solved(
     found = sorted(map(tuple, np.round(roots.real.T, 12) + 0.0))
     assert found == sorted(map(tuple, np.concatenate([np.eye(3),
                                                       -np.eye(3)])))
-    # one SVD of the stack gives the rank and the kernel; no Macaulay
-    # matrix is decomposed again on its own
-    assert [v for shape, v in zip(shapes, v_shapes)
-            if shape == (1, 16, 20)] == [(1, 20, 20)]
-    assert not any(len(shape) == 2 and shape[-1] == 20 for shape in shapes)
+    # every SVD with fewer rows than columns that gives a V gives all of it
+    wide = [(shape, v) for shape, v in zip(shapes, v_shapes)
+            if v is not None and shape[-2] < shape[-1]]
+    assert len(wide) >= 2
+    assert all(v[-2:] == (shape[-1], shape[-1]) for shape, v in wide)
 
 
-def _count_svd_shapes(mp, shapes, v_shapes=None):
-    """Record the shape of the input of every np.linalg.svd call, and in
-    v_shapes the shape of its V, None when it computes none."""
+def _count_svd_shapes(mp, shapes, v_shapes=None, values=None):
+    """Record the shape of the input of every np.linalg.svd call, in
+    v_shapes the shape of its V, None when it computes none, and in values
+    its singular values."""
     svd = np.linalg.svd
 
     def counted(a, *args, **kwargs):
@@ -246,6 +252,8 @@ def _count_svd_shapes(mp, shapes, v_shapes=None):
         out = svd(a, *args, **kwargs)
         if v_shapes is not None:
             v_shapes.append(out.Vh.shape if isinstance(out, tuple) else None)
+        if values is not None:
+            values.append(out.S if isinstance(out, tuple) else out)
         return out
 
     mp.setattr(np.linalg, "svd", counted)
@@ -272,9 +280,11 @@ _unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array).filter(
 def test_planted_roots_are_found_and_contradicting_affine_rows_close(
         points, a, b, seed):
     # three or four unit vectors in general position are the only roots of
-    # the quadrics through them; with n_x = a and n_x = b added, the rank
-    # at degree 2 is at most 9 of 10, so only the affine rows can close
-    # the system before a Macaulay matrix of 20 columns
+    # the quadrics through them, found in lexicographic order whatever the
+    # mixing of the rows; with n_x = a and n_x = b added, the rank at
+    # degree 2 is at most 9 of 10, so only the affine rows can close the
+    # system before a Macaulay step, whose matrix is wider than the 10
+    # monomials of degree <= 2
     points = np.array(points)
     assume(min(np.linalg.norm(p - q) for i, p in enumerate(points)
                for q in points[:i]) >= 0.3)
@@ -288,14 +298,18 @@ def test_planted_roots_are_found_and_contradicting_affine_rows_close(
         shapes = []
         _count_svd_shapes(mp, shapes)
         (roots,), _ = _bloch_roots(rows[None], 3)
-        assert any(shape[-1] >= 20 for shape in shapes)
+        assert any(shape[-1] > 10 for shape in shapes)
         for p in points:
             assert np.min(np.linalg.norm(roots.T - p, axis=1)) <= 1e-6
+        key = np.round(roots.real, 6)
+        assert list(np.lexsort(key[::-1])) == list(range(len(points)))
+        (mixed,), _ = _bloch_roots(_planted_rows(points, seed + 1)[None], 3)
+        assert np.max(np.abs(mixed - roots)) <= 1e-6
         shapes.clear()
         (roots,), _ = _bloch_roots(
             np.concatenate([rows, contradiction])[None], 3)
         assert roots.shape == (3, 0)
-        assert all(shape[-1] < 20 for shape in shapes)
+        assert all(shape[-1] <= 10 for shape in shapes)
 
 
 def test_one_equals_zero_alone_closes_without_a_weak_decision():
@@ -314,14 +328,50 @@ def test_one_equals_zero_alone_closes_without_a_weak_decision():
 def test_kac_paljutkin_biprojections_close_at_degree_two(monkeypatch):
     # 7 of the 8 choices with the rank-one block and 1 on the counit's
     # block have 1 = 0 among their affine rows; the eighth alone goes on to
-    # Macaulay degree 5
+    # Macaulay degree 5: one system in each Macaulay step, the SVDs wider
+    # than the 10 monomials of degree <= 2
     pair = _pair("kac-paljutkin")
+    assert biprojection_iff_grouplike(pair).holds
+    g = pair.base
     shapes = []
     _count_svd_shapes(monkeypatch, shapes)
-    assert biprojection_iff_grouplike(pair).holds
+    _enumerate(g, lambda h: _biprojection_relation(pair, h), 1e-9,
+               structures._counit_one(g))
     stacks = [shape for shape in shapes
-              if len(shape) == 3 and shape[-1] >= 20]
-    assert stacks and max(shape[0] for shape in stacks) == 1
+              if len(shape) == 3 and shape[-1] > 10]
+    assert [shape[0] for shape in stacks] == [1, 1, 1]
+
+
+def test_each_macaulay_step_decomposes_the_kernel_and_the_new_monomials(
+        monkeypatch):
+    # at degree d >= 3 the matrix decomposed is [A N, B]: the k columns of
+    # the kernel N of degree d - 1 and the new monomials of degree d, never
+    # the whole Macaulay matrix; for six unknowns at degree 5 that is k +
+    # 252 columns against 462
+    reached = set()
+    for n in (5, 6):
+        pair = build_dual(build_group_algebra(dihedral_table(n)))
+        g = pair.base
+        h0, dirs, unknowns = g.blocks.choices
+        six = np.flatnonzero(unknowns == 6)
+        for relation in (lambda h: _group_like_relation(g, h),
+                         lambda h: _biprojection_relation(pair, h)):
+            for rows in _quadratic_rows(relation, h0[six], dirs[six, :6]):
+                shapes, values = [], []
+                with pytest.MonkeyPatch.context() as mp:
+                    _count_svd_shapes(mp, shapes, values=values)
+                    _bloch_roots(rows[None], 6)
+                # the row basis first, over the 28 monomials of degree <= 2
+                nulls = [shape[-1] - np.sum(s / s[..., :1] > RANK_TOL)
+                         for shape, s in zip(shapes, values)]
+                steps = [i for i, shape in enumerate(shapes)
+                         if len(shape) == 3 and shape[-1] > shapes[0][-1]]
+                for d, (i, k) in enumerate(
+                        zip(steps, [nulls[0]] + [nulls[i] for i in steps]),
+                        start=3):
+                    assert shapes[i][-1] <= k + math.comb(d + 5, 5)
+                    reached.add(d)
+    assert 5 in reached
 
 
 # ---------------------------------------------------------------------------
@@ -347,33 +397,86 @@ def _assert_same_points(got, want):
                for p, q in zip(got.points, want.points))
 
 
+def _choices_of(g, points):
+    """The block choice of each point, read from the traces of its blocks
+    (0, 1 or 2, which tell the choices apart), and its Bloch vector in
+    that choice's directions."""
+    h0, dirs, unknowns = g.blocks.choices
+
+    def traces(x):
+        return [tuple(t) for t in np.rint(np.concatenate(
+            [np.trace(b, axis1=-2, axis2=-1).real
+             for b in g.blocks.matrices(x)], axis=-1)).astype(int)]
+    index = {t: c for c, t in enumerate(traces(h0))}
+    choice = np.array([index[t] for t in traces(np.reshape(
+        points, (len(points), g.dim)))], dtype=int)
+    bloch = [np.linalg.lstsq(dirs[c, :unknowns[c]].T, h - h0[c])[0].real
+             for c, h in zip(choice, points)]
+    return choice, bloch
+
+
+def _assert_points_within_bound(g, got, want):
+    """The same number of choices and of points of each block choice, in
+    the order of the choices. Within a choice, got's points come in
+    lexicographic order of their Bloch vectors rounded to 6 decimals, and
+    each is within _point_bound of its own point of want (the same bytes
+    on a choice without rank-one blocks)."""
+    assert got.choices == want.choices
+    assert len(got.points) == len(want.points)
+    choice, bloch = _choices_of(g, got.points)
+    assert np.array_equal(choice, _choices_of(g, want.points)[0])
+    assert np.all(np.diff(choice) >= 0)
+    unknowns = g.blocks.choices[2]
+    solved = np.flatnonzero(unknowns)
+    for c in set(choice.tolist()):
+        at = np.flatnonzero(choice == c)
+        if not unknowns[c]:
+            assert all(got.points[i].tobytes() == want.points[i].tobytes()
+                       for i in at)
+            continue
+        key = np.round([bloch[i] for i in at], 6)
+        assert list(np.lexsort(key.T[::-1])) == list(range(len(at)))
+        s = np.searchsorted(solved, c)
+        bound = _point_bound(unknowns[c], min(got.gaps[s][0],
+                                              want.gaps[s][0]))
+        dist = np.array([[_maxabs(got.points[i] - want.points[j])
+                          for j in at] for i in at])
+        assert sorted(dist.argmin(axis=1)) == list(range(len(at)))
+        assert np.all(dist.min(axis=1) <= bound), (c, dist.min(axis=1))
+
+
 def _assert_gaps_within_bound(g, got, want):
-    """The gaps of each solved choice, equal where infinite and otherwise
-    within _gap_bound of its number of Bloch unknowns."""
-    bounds = [_gap_bound(len(dirs)) for _, dirs in g.blocks.choices
-              if len(dirs)]
+    """The gaps of each solved choice: equal where infinite, and otherwise
+    within _gap_bound of its number of Bloch unknowns, or as clear a
+    separation on both sides (kept above 1e-3, dropped below 1e-12): past
+    degree 2 the recursion decomposes other matrices than the reference's
+    Macaulay matrices, with the same null spaces but other singular
+    values."""
+    bounds = [_gap_bound(m) for m in g.blocks.choices[2] if m]
     assert len(got.gaps) == len(want.gaps) == len(bounds)
     for (kept, dropped), (ref_kept, ref_dropped), bound in zip(
             got.gaps, want.gaps, bounds):
         assert kept == ref_kept if math.isinf(ref_kept) \
-            else abs(kept - ref_kept) <= bound
-        assert abs(dropped - ref_dropped) <= bound
+            else abs(kept - ref_kept) <= bound or min(kept, ref_kept) > 1e-3
+        assert abs(dropped - ref_dropped) <= bound \
+            or max(dropped, ref_dropped) < 1e-12
 
 
 def _assert_matches_both_references(g, relation):
-    """The stacked solve has the points of the per-choice reference, byte
-    for byte, and its gaps within _gap_bound; and the points of the solver
-    without the affine-row closing."""
+    """The stacked solve has the point counts of the per-choice reference
+    and its points within _point_bound, and its gaps as in
+    _assert_gaps_within_bound; and the reference has, byte for byte, the
+    points of the solver without the affine-row closing."""
     got = _enumerate(g, relation, 1e-9)
     want = _enumerate_reference(g, relation, 1e-9)
-    _assert_same_points(got, want)
+    _assert_points_within_bound(g, got, want)
     _assert_gaps_within_bound(g, got, want)
-    _assert_same_points(got, _enumerate_reference(g, relation, 1e-9,
-                                                  affine_rows=False))
+    _assert_same_points(want, _enumerate_reference(g, relation, 1e-9,
+                                                   affine_rows=False))
     return got
 
 
-def test_the_stacked_solve_equals_the_per_choice_reference_exactly():
+def test_the_stacked_solve_matches_the_per_choice_reference():
     for pair in catalog_pairs(duals=True):
         for relation in _relations(pair):
             _assert_matches_both_references(pair.base, relation)
@@ -399,7 +502,7 @@ def test_the_stacked_solve_equals_the_reference_with_two_bloch_blocks():
     got = _assert_matches_both_references(
         g, lambda h: _group_like_relation(g, h))
     assert len(got.points) == 27
-    assert sum(len(dirs) == 6 for _, dirs in g.blocks.choices) == 256
+    assert np.sum(g.blocks.choices[2] == 6) == 256
 
 
 def _counted(relation, calls):
@@ -598,7 +701,7 @@ def _assert_pruned_equals_full(g, relation):
     full = _enumerate(g, relation, 1e-9)
     pruned = _enumerate(g, relation, 1e-9, keep)
     _assert_same_points(pruned, full)
-    solved = keep[[len(dirs) > 0 for _, dirs in g.blocks.choices]]
+    solved = keep[g.blocks.choices[2] > 0]
     assert pruned.gaps == [gap for gap, s in zip(full.gaps, solved) if s]
 
 
@@ -614,6 +717,29 @@ def test_choices_with_counit_zero_hold_no_group_like_or_biprojection():
             g, lambda h: _biprojection_relation(pair, h))
     g = _kron_group(get_example("kac-paljutkin"), get_example("z2-function"))
     _assert_pruned_equals_full(g, lambda h: _group_like_relation(g, h))
+
+
+def test_the_block_choices_are_the_reference_list_byte_for_byte():
+    # h0 adds the blocks' options in block order from 0, as the Python sum
+    # of the reference list does; the directions of a choice are its rows
+    # of the list, then zero rows; the counit mask is the list's
+    algebras = [pair.base for pair in catalog_pairs(duals=True)]
+    algebras += [build_group_algebra(dihedral_table(n)) for n in (4, 5, 6)]
+    algebras.append(_kron_group(get_example("kac-paljutkin"),
+                                get_example("z2-function")))
+    for g in algebras:
+        h0, dirs, unknowns = g.blocks.choices
+        want = _reference_choices(g.blocks)
+        assert len(h0) == len(unknowns) == len(dirs) == len(want)
+        for c, (want_h0, want_dirs) in enumerate(want):
+            assert h0[c].dtype == want_h0.dtype
+            assert h0[c].tobytes() == want_h0.tobytes()
+            assert unknowns[c] == len(want_dirs)
+            assert dirs[c, :unknowns[c]].tobytes() == want_dirs.tobytes()
+            assert not np.any(dirs[c, unknowns[c]:])
+        eps = np.array([want_h0 for want_h0, _ in want]) @ g.counit
+        assert np.array_equal(structures._counit_one(g),
+                              np.abs(eps - 1) <= structures.CERT_TOL)
 
 
 def _with_counit(g, counit):
