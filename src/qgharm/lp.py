@@ -256,22 +256,28 @@ def hausdorff_young_sides(pair: DualPair, x, p) -> tuple:
 
 
 def _bound(name: str, claim: str, sides, **details) -> Check:
-    """lhs <= rhs up to the relative SLACK; the residual is the excess of
-    lhs / rhs over 1, NaN where the ratio is NaN."""
-    lhs, rhs, ratio = (float(v) for v in sides)
-    return check(name, claim, {"excess": np.maximum(ratio - 1.0, 0.0)}, SLACK,
-                 lhs=lhs, rhs=rhs, ratio=ratio, **details)
+    """lhs <= rhs up to the relative SLACK on the worst sample of the
+    leading axis: the first of largest ratio, or the first NaN ratio. The
+    residual is the excess of its ratio over 1, and lhs and rhs are its two
+    sides; details gain its ratio and sample_index."""
+    lhs, rhs, ratio = (np.ravel(v) for v in sides)
+    i = int(np.argmax(ratio))   # argmax returns the first NaN
+    return check(name, claim, {"excess": np.maximum(ratio[i] - 1.0, 0.0)},
+                 SLACK, lhs=float(lhs[i]), rhs=float(rhs[i]),
+                 ratio=float(ratio[i]), sample_index=i, **details)
 
 
 def young_check(g: FiniteQuantumGroup, x, y, p, q) -> Check:
-    """||x * y||_r <= ||x||_p ||y||_q with 1/r + 1 = 1/p + 1/q."""
+    """||x * y||_r <= ||x||_p ||y||_q with 1/r + 1 = 1/p + 1/q, on the
+    worst of the pairs of x and y, (..., n)."""
     r = young_exponent(p, q)
     return _bound("young-inequality", "convolution-norm-bound",
                   young_sides(g, x, y, p, q), p=float(p), q=float(q), r=r)
 
 
 def hausdorff_young_check(pair: DualPair, x, p) -> Check:
-    """||F(x)||_{p'} <= ||x||_p for p in [1, 2], dual side under the weight."""
+    """||F(x)||_{p'} <= ||x||_p for p in [1, 2], dual side under the weight,
+    on the worst of the samples of x, (..., n)."""
     return _bound("hausdorff-young-inequality", "fourier-norm-bound",
                   hausdorff_young_sides(pair, x, p),
                   p=float(p), p_conjugate=conjugate_exponent(p))

@@ -8,7 +8,6 @@ import sys
 import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qgharm import (catalog, cli, core, duality, lp, report, sharpness,
@@ -376,9 +375,12 @@ def test_failing_run_names_the_first_worst_sample(capsys, monkeypatch):
 
 
 def test_a_nan_ratio_or_estimate_fails_the_run(capsys, monkeypatch):
-    entry = cli._worst_ratio("young-inequality", "convolution-norm-bound",
-                             np.array([0.5, math.nan, 0.7]))
-    assert not entry["holds"]
+    g = catalog.get_example("z2-function")
+    xs = cli._seeded_elements(g, 3, 1)
+    xs[1, 0] = math.nan
+    entry = cli._sampled_entry(lp.young_check(g, xs, xs[::-1], 4.0 / 3.0,
+                                              4.0 / 3.0))
+    assert not entry["holds"] and math.isnan(entry["lhs"])
     assert entry["witness"]["sample_index"] == 1
     real = cli.estimate_best_constant_young
 
@@ -476,6 +478,9 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         cli.run([])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["young", "--example", "z2-function", "--seed", "abc"])
     assert exc.value.code == 1
 
 
@@ -625,13 +630,6 @@ def test_suq2_refuses_a_mu_whose_bound_is_above_the_float_range(capsys):
             assert "above the float range" in err
 
 
-def test_non_integer_qg_seed_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("QG_SEED", "abc")
-    err = _one_line_error(capsys, "young", "--example", "z2-function",
-                          "--samples", "5")
-    assert "QG_SEED" in err
-
-
 def test_negative_seed_flag_is_an_error(capsys):
     for command in (("verify", "--example", "z2-function"),
                     ("young", "--example", "z2-function"),
@@ -641,32 +639,43 @@ def test_negative_seed_flag_is_an_error(capsys):
                     ("hunt", "--example", "z2-function"),
                     ("all", "--example", "z2-function")):
         err = _one_line_error(capsys, *command, "--seed", "-1")
-        assert "--seed" in err
-    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
-                           "--samples", "5", "--seed", "0")
-    assert code == 0 and json.loads(out)["seed"] == 0
+        assert "--seed must not be negative" in err
+    for seed in ("0", "9"):
+        code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                               "--samples", "5", "--seed", seed)
+        assert code == 0 and json.loads(out)["seed"] == int(seed)
 
 
-def test_negative_qg_seed_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("QG_SEED", "-3")
-    err = _one_line_error(capsys, "young", "--example", "z2-function",
-                          "--samples", "5")
-    assert "QG_SEED" in err
-    # an explicit flag still wins
-    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
-                           "--samples", "5", "--seed", "9")
-    assert code == 0 and json.loads(out)["seed"] == 9
+def test_the_environment_changes_no_document(capsys, monkeypatch):
+    # every seed-1 benchmark job without its seed, and commands that take
+    # none or ignore it: QG_SEED, which once set the default seed, leaves
+    # every byte, and every seeded document prints the parser's default
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    from workloads import WORKLOADS, make_jobs
 
-
-def test_bad_qg_seed_only_matters_where_it_supplies_the_seed(capsys, monkeypatch):
-    monkeypatch.setenv("QG_SEED", "abc")
-    code, out, _ = run_cli(capsys, "catalog")
-    assert code == 0 and json.loads(out)["command"] == "catalog"
-    code, out, _ = run_cli(capsys, "suq2", "--n", "1")
-    assert code == 0
-    code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
-                           "--samples", "5", "--seed", "9")
-    assert code == 0 and json.loads(out)["seed"] == 9
+    argvs = []
+    for workload in WORKLOADS:
+        for job in make_jobs(workload, 1):
+            argv = list(job.argv)
+            if "--seed" in argv:
+                del argv[argv.index("--seed"):argv.index("--seed") + 2]
+            argvs.append(argv)
+    argvs += [["catalog"], ["suq2", "--n", "1"],
+              ["structures", "--example", "kac-paljutkin"],
+              ["hunt", "--example", "kac-paljutkin"]]
+    runs = []
+    for value in (None, "7", "abc"):
+        if value is None:
+            monkeypatch.delenv("QG_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QG_SEED", value)
+        runs.append([run_cli(capsys, *argv) for argv in argvs])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert all(code == 0 for code, _, _ in runs[0])
+    seeds = [json.loads(out)["seed"] for _, out, _ in runs[0]]
+    # suq2, the exact workload's command, and catalog take no seed
+    assert seeds.count(None) == 6 and seeds.count(42) == len(argvs) - 6
 
 
 def test_failing_check_exits_two(capsys, monkeypatch):
@@ -680,17 +689,6 @@ def test_failing_check_exits_two(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "FAIL" in captured.err
-
-
-def test_qg_seed_environment_default(capsys, monkeypatch):
-    monkeypatch.setenv("QG_SEED", "1234")
-    _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
-                        "--samples", "5")
-    assert json.loads(out)["seed"] == 1234
-    # an explicit flag still wins
-    _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
-                        "--samples", "5", "--seed", "9")
-    assert json.loads(out)["seed"] == 9
 
 
 def test_installed_entry_point_round_trip():
@@ -751,6 +749,10 @@ def test_a_later_call_starts_from_the_defaults(capsys):
                            "--samples", "5")
     params = json.loads(out)["params"]
     assert code == 0 and params["p"] == params["q"] == 4.0 / 3.0
+    for seed_flag, seed in ((["--seed", "9"], 9), ([], 42)):
+        code, out, _ = run_cli(capsys, "young", "--example", "z2-function",
+                               "--samples", "5", *seed_flag)
+        assert code == 0 and json.loads(out)["seed"] == seed
 
 
 def test_help_and_usage_errors_leave_nothing_behind(capsys):
@@ -765,14 +767,6 @@ def test_help_and_usage_errors_leave_nothing_behind(capsys):
         assert exc.value.code == status
         capsys.readouterr()
         assert run_cli(capsys, *argv) == (0, fresh.stdout, fresh.stderr)
-
-
-def test_qg_seed_is_read_at_each_call(capsys, monkeypatch):
-    for seed in ("5", "6"):
-        monkeypatch.setenv("QG_SEED", seed)
-        _, out, _ = run_cli(capsys, "young", "--example", "z2-function",
-                            "--samples", "5")
-        assert json.loads(out)["seed"] == int(seed)
 
 
 def test_one_process_prints_the_same_bytes_in_any_order(capsys):

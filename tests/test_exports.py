@@ -31,7 +31,6 @@ ONLY_TESTS_CALL = {
     "enumerate_left_shifts",
     "haar",
     "normalize",
-    "young_check",
 }
 
 @pytest.mark.parametrize("module",
@@ -271,10 +270,7 @@ NEVER_ENTERED = {
     "core.dihedral_table": SECOND_ROUTE,
     "core.dihedral_table.<locals>.idx": SECOND_ROUTE,
     "errors.AxiomFailure.__init__": ERROR_PATH + " (exit 2)",
-    "lp._bound": SECOND_ROUTE,
     "lp._norms_at_large_p": ERROR_PATH + " (overflow at a large p)",
-    "lp.hausdorff_young_check": SHIFTS,
-    "lp.young_check": SECOND_ROUTE,
     "report.Check.failing": ERROR_PATH + " (names failing residuals)",
     "structures._disagreement": ERROR_PATH + " (a non-group-like "
                                 "biprojection, which no example has)",

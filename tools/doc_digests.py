@@ -15,8 +15,7 @@ documents:
     python3 tools/doc_digests.py . 1 2 3 > change.jsonl
     diff parent.jsonl change.jsonl
 
-BLAS runs on one thread, as under ``bench/run.py``, and ``QG_SEED`` is
-unset, so the lines do not depend on the caller's environment.
+BLAS runs on one thread, as under ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("QG_SEED", None)
 
 FIXED = (("all", "--seed", "1"),
          ("verify", "--example", "kac-paljutkin"),
