@@ -43,6 +43,7 @@ from .sharpness import (
 from .structures import (
     ROOT_TOL,
     biprojection_iff_grouplike,
+    enumerate_biprojections,
     glp_properties_checks,
     glpbi_checks,
 )
@@ -227,14 +228,13 @@ def _run_hunt(args) -> dict:
     _count("--budget", args.budget)
     _count("--iters", args.iters)
     g = catalog.get_example(args.example)
-    rep = biprojection_iff_grouplike(build_dual(g))
-    candidates = [d for d in rep.details["disagreements"] if d["biprojection"]]
+    _, run, candidates = enumerate_biprojections(build_dual(g))
     entry = _entry(
         check("non-group-like-biprojection-hunt", "certificate-equivalence",
               {"candidates": len(candidates)}, 0.0,
               lhs=float(len(candidates))),
         candidates=candidates,
-        group_like_hits=rep.details["biprojections"] - len(candidates))
+        group_like_hits=len(run.points) - len(candidates))
     return _document("hunt", args.example,
                      {"budget": args.budget, "iters": args.iters},
                      args.seed, [entry])

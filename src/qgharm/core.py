@@ -560,6 +560,13 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _ratio(lhs, rhs):
+    """lhs / rhs; 0 where both are 0, inf where only rhs is, and NaN where
+    rhs is NaN, as it is wherever x or y has a NaN or infinite coefficient."""
+    out = np.where(lhs == 0, 0.0, np.inf)
+    return np.divide(lhs, rhs, out=out, where=~(rhs <= 0))
+
+
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
     """The real part of a as a view when a is complex and every imaginary
     part is exactly 0, so that a certificate on real data runs in real

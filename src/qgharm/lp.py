@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import convolve
-from .core import FiniteQuantumGroup
+from .core import FiniteQuantumGroup, _ratio
 from .duality import DualPair, fourier_coeffs
 from .errors import QgharmError
 from .report import Check, check
@@ -223,13 +223,6 @@ def lp_norms_batch(space: WeightedLpSpace, coeffs: np.ndarray, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inequality checkers
 # ---------------------------------------------------------------------------
-
-def _ratio(lhs, rhs):
-    """lhs / rhs; 0 where both are 0, INF where only rhs is, and NaN where
-    rhs is NaN, as it is wherever x or y has a NaN or infinite coefficient."""
-    out = np.where(lhs == 0, 0.0, INF)
-    return np.divide(lhs, rhs, out=out, where=~(rhs <= 0))
-
 
 def young_sides(g: FiniteQuantumGroup, x, y, p, q) -> tuple:
     """lhs = ||x * y||_r, rhs = ||x||_p ||y||_q and lhs / rhs, with

@@ -3,10 +3,16 @@
 Estimates the best Young and Hausdorff-Young constants by multistart
 projected gradient ascent on the unit L^p spheres, warm-started at the
 complete list of group-like projections. All starts ascend in lockstep,
-one (R, n) stack per argument: a gradient is one objective call on the
-central-difference probes of every active start, a line search one call
-on all 30 step halvings of each. Each start follows the path it follows
-alone; everything is seeded, so reports are reproducible bit for bit.
+one (R, n) stack per argument. A step moves one argument and holds the
+others, through a step objective that returns the ratio and the norm of
+the moving argument: for Young the held argument is folded into one linear
+map per start, x * y = x K_y or y E_x, and its norm is taken once. A
+gradient is one call on the central-difference probes of every active
+start, a line search one call on all 30 step halvings of each. The ratio
+does not change when the moving argument is scaled, so the halvings are
+evaluated as they are, and only the accepted one is normalized, by the norm
+that call returned. Each start follows the path it follows alone;
+everything is seeded, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FiniteQuantumGroup
+from .convolution import left_convolution_matrix, right_convolution_matrix
+from .core import FiniteQuantumGroup, _ratio
 from .duality import build_dual
 from .errors import AxiomFailure, QgharmError
 from .lp import (
@@ -78,17 +85,22 @@ def _unit(v: np.ndarray, space, p) -> np.ndarray:
     return v / np.maximum(lp_norms_batch(space, v, p), 1e-300)[..., None]
 
 
-def _ascend(objective: Callable, blocks: list, spheres: list,
-            max_iter: int) -> tuple:
+def _ascend(objective: Callable, step: Callable, blocks: list,
+            spheres: list, max_iter: int) -> tuple:
     """Alternating projected gradient ascent from R starts in lockstep.
 
-    blocks holds one (R, n) stack per argument, on the unit sphere of its
-    (space, p) in spheres. A row whose gradient
-    vanishes skips its line search; the line search takes the first of the
-    steps 0.5^k / max|grad|, k < 30, that raises the value; a row leaves
-    the active set once an iteration gains less than REL_IMPROVEMENT or its
-    max_iter iterations are spent. Returns (blocks, values, iterations,
-    converged), one entry per row.
+    blocks holds one (R, n) stack per argument, scaled onto the unit
+    sphere of its (space, p) in spheres; objective gives the start values.
+    step(bi, held) is the step objective of argument bi with the others at
+    held, their (R', n) rows of the active starts: a function f(v, rows)
+    of a (len(rows), k, n) stack, rows indexing those R' starts (all by
+    default), that returns the ratio and the norm of v, each
+    (len(rows), k). A row whose gradient vanishes skips its line search;
+    the line search takes the first of the steps 0.5^k / max|grad|,
+    k < 30, that raises the value, and scales it onto the sphere by the
+    norm f returned; a row leaves the active set once an iteration gains
+    less than REL_IMPROVEMENT or its max_iter iterations are spent. Returns
+    (blocks, values, iterations, converged), one entry per row.
     """
     # a lone point goes in as a (..., 1, n) slice, which numpy multiplies as
     # one vector, so each row rounds, and breaks ties, as it would alone
@@ -100,27 +112,21 @@ def _ascend(objective: Callable, blocks: list, spheres: list,
     while active.size:
         its[active] += 1
         prev = val[active]
-        for bi, (space, p) in enumerate(spheres):
-            def f_of(v, rows, _bi=bi):
-                held = tuple(range(1, v.ndim - 1))
-                return objective(*[v if j == _bi else np.expand_dims(
-                    b[rows], held) for j, b in enumerate(blocks)])
-
-            grad = _cgrad(lambda v: f_of(v, active), blocks[bi][active])
+        for bi in range(len(blocks)):
+            f = step(bi, [b[active] for b in blocks])
+            grad = _cgrad(lambda v: f(v)[0], blocks[bi][active])
             gnorm = np.max(np.abs(grad), axis=-1)
             move = gnorm > 1e-14 * np.maximum(1.0, np.abs(val[active]))
             rows = active[move]
             if not rows.size:
                 continue
             steps = (0.5 / gnorm[move])[:, None] * halvings
-            cand = _unit(blocks[bi][rows, None, None]
-                         + steps[..., None, None] * grad[move, None, None],
-                         space, p)
-            up = f_of(cand, rows)[..., 0]
+            cand = blocks[bi][rows, None] + steps[..., None] * grad[move, None]
+            up, norm = f(cand, move)
             better = up > val[rows, None]
             hit = np.any(better, axis=-1)
             k = np.argmax(better, axis=-1)[hit]
-            blocks[bi][rows[hit]] = cand[hit, k, 0]
+            blocks[bi][rows[hit]] = cand[hit, k] / norm[hit, k][:, None]
             val[rows[hit]] = up[hit, k]
         done = val[active] - prev <= REL_IMPROVEMENT * np.maximum(
             np.abs(prev), 1e-300)
@@ -145,12 +151,12 @@ def _gauge(v: np.ndarray, space, p) -> np.ndarray:
     return v * np.conj(phase)
 
 
-def _multistart(g, kind, exponents, objective, spheres, restarts, max_iter,
-                seed, warm_starts) -> SharpnessReport:
-    """Best of the ascents from seeded random starts and the warm starts on
-    the unit spheres, one (space, p) per argument. Raises QgharmError on
-    an empty budget, and AxiomFailure above 1 + CEILING: both sharp
-    constants are 1."""
+def _multistart(g, kind, exponents, objective, step, spheres, restarts,
+                max_iter, seed, warm_starts) -> SharpnessReport:
+    """Best of the ascents (see _ascend) from seeded random starts and the
+    warm starts on the unit spheres, one (space, p) per argument. Raises
+    QgharmError on an empty budget, and AxiomFailure above 1 + CEILING:
+    both sharp constants are 1."""
     if restarts < 1 or max_iter < 1:
         raise QgharmError(
             f"empty budget: {restarts} restarts, {max_iter} iterations")
@@ -158,7 +164,8 @@ def _multistart(g, kind, exponents, objective, spheres, restarts, max_iter,
     starts = [[rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
                for _ in spheres] for _ in range(restarts)] + list(warm_starts)
     stacks = [np.array(column) for column in zip(*starts)]
-    blocks, vals, its, flags = _ascend(objective, stacks, spheres, max_iter)
+    blocks, vals, its, flags = _ascend(objective, step, stacks, spheres,
+                                       max_iter)
     best = int(np.argmax(vals))
     gauged = [_gauge(b[best], *sph) for b, sph in zip(blocks, spheres)]
     final = float(objective(*gauged))
@@ -198,11 +205,25 @@ def estimate_best_constant_young(g: FiniteQuantumGroup, p, q,
     def objective(x, y):
         return young_sides(g, x, y, p, q)[2]
 
+    def step(bi, held):
+        """The ratio in argument bi, with the other folded into one matrix
+        per start (x * y = x K_y or y E_x) and its norm taken once."""
+        other = held[1 - bi][:, None]
+        fold = (right_convolution_matrix,
+                left_convolution_matrix)[bi](g, other)[:, 0]
+        other_norm = lp_norms_batch(sp, other, (q, p)[bi])
+
+        def f(v, rows=slice(None)):
+            norm = lp_norms_batch(sp, v, (p, q)[bi])
+            lhs = lp_norms_batch(sp, v @ fold[rows], r)
+            return _ratio(lhs, norm * other_norm[rows]), norm
+        return f
+
     warm = [[c.details["element"].coeffs.astype(complex),
              c.details["element"].coeffs.astype(complex)]
             for c in enumerate_group_like_projections(g)]
     return _multistart(g, "young", (float(p), float(q), float(r)), objective,
-                       [(sp, p), (sp, q)], restarts, iters, seed, warm)
+                       step, [(sp, p), (sp, q)], restarts, iters, seed, warm)
 
 
 def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
@@ -222,7 +243,13 @@ def estimate_best_constant_hy(g, p, restarts: int = 32, iters: int = 2000,
     def objective(x):
         return hausdorff_young_sides(pair, x, p)[2]
 
+    def ratio_and_norm(v, rows=None):
+        """The step objective; with one argument nothing is held."""
+        _, norm, ratio = hausdorff_young_sides(pair, v, p)
+        return ratio, norm
+
     warm = [[c.details["element"].coeffs.astype(complex)]
             for c in enumerate_group_like_projections(g)]
     return _multistart(g, "hausdorff-young", (p, float(pc)), objective,
-                       [(base_space(g), p)], restarts, iters, seed, warm)
+                       lambda bi, held: ratio_and_norm, [(base_space(g), p)],
+                       restarts, iters, seed, warm)

@@ -50,6 +50,7 @@ __all__ = [
     "biprojection_checks",
     "glpbi_checks",
     "biprojection_iff_grouplike",
+    "enumerate_biprojections",
     "enumerate_group_like_projections",
     "shift_check",
     "enumerate_left_shifts",
@@ -258,34 +259,17 @@ def biprojection_iff_grouplike(pair: DualPair,
 
     Both lists are complete: each solves its relation exactly over every
     block choice with epsilon(h0) = 1 (see _counit_one), the choices with
-    the same number of Bloch unknowns as one stack (see _enumerate). A
-    biprojection solves F(h)^2 = phi(h) F(h) and F(h)* = F(h); the multiple
-    is phi(h) because the dual counit is a character with
-    epsilon_hat(F(x)) = phi(x). So P = F(h) / phi(h) is a nonzero
-    projection, as Q is invertible. With w = Q^-1 epsilon and Q symmetric,
-    phihat(F(x)) = w^T Q x = epsilon(x) (checked at CERT_TOL), so
-    epsilon(h) = phi(h) phihat(P) > 0 by faithfulness; a *-character is 0
-    or 1 on a projection, so epsilon(h) = 1. projections_checked counts all
-    nonzero block choices, group_like holds the certificates of
+    the same number of Bloch unknowns as one stack (see _enumerate); the
+    biprojections are those of enumerate_biprojections. projections_checked
+    counts all nonzero block choices, group_like holds the certificates of
     enumerate_group_like_projections, group_like_biprojection the
     biprojection_checks record of each of them, and singular_value_gaps
     holds the weakest rank decision of each choice solved with rank-one
     blocks. Each list is certified as one stack.
     """
     g = pair.base
-    _premise("phihat(F(x)) = epsilon(x), Q^T w = epsilon",
-             _maxabs(g.q_matrix.T @ pair.dual_weight - g.counit))
-    keep = _counit_one(g)
+    keep, bi_run, disagreements = enumerate_biprojections(pair, tol)
     group_like, gl_run = _group_like(g, tol, keep)
-    bi_run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol,
-                        keep)
-    _all_certified(c.holds for c in
-                   biprojection_checks(pair, bi_run.points, tol))
-    disagreements = [
-        _disagreement(h, biprojection=True, group_like=False)
-        for h, c in zip(bi_run.points,
-                        group_like_checks(g, bi_run.points, tol))
-        if not c.holds]
     group_like_bi = biprojection_checks(
         pair, [c.details["element"] for c in group_like], tol)
     disagreements += [
@@ -301,6 +285,35 @@ def biprojection_iff_grouplike(pair: DualPair,
                  disagreements=disagreements,
                  singular_value_gaps={"group_like": gl_run.gaps,
                                       "biprojection": bi_run.gaps})
+
+
+def enumerate_biprojections(pair: DualPair, tol: float = 1e-9) -> tuple:
+    """Every biprojection of the base, certified as one stack, and the
+    disagreement record of each one that is not group-like.
+
+    A biprojection solves F(h)^2 = phi(h) F(h) and F(h)* = F(h); the
+    multiple is phi(h) because the dual counit is a character with
+    epsilon_hat(F(x)) = phi(x). So P = F(h) / phi(h) is a nonzero
+    projection, as Q is invertible. With w = Q^-1 epsilon and Q symmetric,
+    phihat(F(x)) = w^T Q x = epsilon(x) (checked at CERT_TOL), so
+    epsilon(h) = phi(h) phihat(P) > 0 by faithfulness; a *-character is 0
+    or 1 on a projection, so epsilon(h) = 1, and only the block choices
+    with epsilon(h0) = 1 are solved (see _counit_one). Returns (keep, run,
+    disagreements): the mask of those choices, the _Enumeration of the
+    biprojections and one record per biprojection that fails
+    group_like_checks.
+    """
+    g = pair.base
+    _premise("phihat(F(x)) = epsilon(x), Q^T w = epsilon",
+             _maxabs(g.q_matrix.T @ pair.dual_weight - g.counit))
+    keep = _counit_one(g)
+    run = _enumerate(g, lambda h: _biprojection_relation(pair, h), tol, keep)
+    _all_certified(c.holds for c in biprojection_checks(pair, run.points, tol))
+    disagreements = [
+        _disagreement(h, biprojection=True, group_like=False)
+        for h, c in zip(run.points, group_like_checks(g, run.points, tol))
+        if not c.holds]
+    return keep, run, disagreements
 
 
 def _disagreement(h: np.ndarray, biprojection: bool, group_like: bool) -> dict:

@@ -14,8 +14,8 @@ module defines no test, and pytest does not collect it.
   einsum axioms, the per-block Wedderburn decomposition, W solved against
   the doubled Gram form and the operator certificates it feeds, the
   regular representation's norms, the eigen route of the L^p kernel,
-  the per-choice Macaulay solver and the per-element structures
-  certificates.
+  the per-choice Macaulay solver, the per-element structures
+  certificates and the sharpness ascent before its step objectives.
 - The rounding bound that the implementation pins derive from eps, and
   the call counters that tests patch in.
 """
@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from qgharm import lp
+from qgharm import lp, sharpness
 from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import (BLOCK_SEED, Blocks, CayleyTable, FiniteQuantumGroup,
@@ -831,3 +831,52 @@ def _reference_glpbi_check(pair, h, tol):
     return check("group-like-fourier-image", "dual-group-like-and-weight",
                  res, tol, haar_value=phi_h,
                  dual_weight_of_range=float(weight_of_range.real))
+
+
+# ---------------------------------------------------------------------------
+# sharpness: the ascent before its step objectives
+# ---------------------------------------------------------------------------
+
+def _ascend_unfolded(objective, blocks, spheres, max_iter):
+    """sharpness._ascend as it was before the step objectives: every
+    gradient probe and every line-search halving goes through the full
+    objective, the held arguments as (..., 1, n) slices broadcast against
+    the moving one, and each of the 30 halvings is scaled onto its sphere
+    before it is evaluated."""
+    blocks = [sharpness._unit(b[:, None], *sph)[:, 0]
+              for b, sph in zip(blocks, spheres)]
+    val = objective(*[b[:, None] for b in blocks])[:, 0]
+    its, converged = np.zeros(len(val), int), np.zeros(len(val), bool)
+    active = np.arange(len(val))
+    halvings = 0.5 ** np.arange(30)
+    while active.size:
+        its[active] += 1
+        prev = val[active]
+        for bi, (space, p) in enumerate(spheres):
+            def f_of(v, rows, _bi=bi):
+                held = tuple(range(1, v.ndim - 1))
+                return objective(*[v if j == _bi else np.expand_dims(
+                    b[rows], held) for j, b in enumerate(blocks)])
+
+            grad = sharpness._cgrad(lambda v: f_of(v, active),
+                                    blocks[bi][active])
+            gnorm = np.max(np.abs(grad), axis=-1)
+            move = gnorm > 1e-14 * np.maximum(1.0, np.abs(val[active]))
+            rows = active[move]
+            if not rows.size:
+                continue
+            steps = (0.5 / gnorm[move])[:, None] * halvings
+            cand = sharpness._unit(
+                blocks[bi][rows, None, None]
+                + steps[..., None, None] * grad[move, None, None], space, p)
+            up = f_of(cand, rows)[..., 0]
+            better = up > val[rows, None]
+            hit = np.any(better, axis=-1)
+            k = np.argmax(better, axis=-1)[hit]
+            blocks[bi][rows[hit]] = cand[hit, k, 0]
+            val[rows[hit]] = up[hit, k]
+        done = val[active] - prev <= sharpness.REL_IMPROVEMENT * np.maximum(
+            np.abs(prev), 1e-300)
+        converged[active[done]] = True
+        active = active[~done & (its[active] < max_iter)]
+    return blocks, val, its, converged

@@ -333,6 +333,17 @@ def test_hunt_subcommand(capsys):
     assert "disclaimer" not in check and "near_misses" not in check
 
 
+def test_hunt_solves_only_the_biprojections(capsys):
+    # hunt prints the biprojections that are not group-like: one
+    # enumeration, where structures also enumerates the group-like ones
+    for command, calls in (("hunt", 1), ("structures", 2)):
+        (code, out, _), entered = _calls_to(
+            structures._enumerate,
+            lambda: run_cli(capsys, command, "--example", "kac-paljutkin"))
+        assert code == 0 and json.loads(out)["command"] == command
+        assert len(entered) == calls, command
+
+
 def test_all_subcommand_on_one_example(capsys):
     code, out, _ = run_cli(capsys, "all", "--example", "z2-function",
                            "--samples", "5", "--seed", "42")

@@ -1,7 +1,8 @@
 import numpy as np
 
 from qgharm.catalog import EXAMPLE_NAMES, get_example
-from qgharm.convolution import convolve
+from qgharm.convolution import (convolve, left_convolution_matrix,
+                                right_convolution_matrix)
 from qgharm.core import build_function_algebra, symmetric_table_s3
 from reference import _random
 
@@ -102,3 +103,16 @@ def test_functional_convolution_unit_is_the_counit():
     got = convolve_functional_form(g, om, g.counit)
     assert np.max(np.abs(got - om)) < 1e-12
 
+
+
+def test_convolution_matrices_reproduce_convolve():
+    # x * y = x K_y = y E_x, one matrix per row of a stack, on every example
+    rng = np.random.default_rng(10)
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        x, y = _random((3, g.dim), rng), _random((3, g.dim), rng)
+        want = convolve(g, x, y).coeffs
+        k_y, e_x = right_convolution_matrix(g, y), left_convolution_matrix(g, x)
+        assert k_y.shape == e_x.shape == (3, g.dim, g.dim), name
+        for got in ((x[:, None] @ k_y)[:, 0], (y[:, None] @ e_x)[:, 0]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from qgharm import sharpness
-from qgharm.catalog import get_example
+from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.duality import build_dual
 from qgharm.errors import AxiomFailure, QgharmError
-from qgharm.lp import base_space, lp_norm
+from qgharm.lp import (base_space, hausdorff_young_sides, lp_norm,
+                       lp_norms_batch, young_sides)
 from qgharm.sharpness import (
     estimate_best_constant_hy,
     estimate_best_constant_young,
 )
 from qgharm.structures import bishift_theorem_check
-from reference import _random
+from reference import _ascend_unfolded, _random
 
 # restart and iteration budgets are kept small here; the warm starts at the
 # enumerated group-like projections already pin the attained value
@@ -138,16 +139,20 @@ def _args_of(monkeypatch, name, run):
     return seen[0]
 
 
-def _young(monkeypatch, name):
+def _young(monkeypatch, name, part=0):
+    """The objective (part 0) or the step objectives (part 1) of the Young
+    search at (p, q) = (4/3, 3/2)."""
     args = _args_of(monkeypatch, "_multistart", lambda: (
         estimate_best_constant_young(get_example(name), 4.0 / 3.0, 1.5)))
-    return next(a for a in args if callable(a))
+    return [a for a in args if callable(a)][part]
 
 
-def _hy(monkeypatch, name):
+def _hy(monkeypatch, name, part=0):
+    """The objective (part 0) or the step objectives (part 1) of the
+    Hausdorff-Young search at p = 4/3."""
     args = _args_of(monkeypatch, "_multistart", lambda: (
         estimate_best_constant_hy(get_example(name), 4.0 / 3.0)))
-    return next(a for a in args if callable(a))
+    return [a for a in args if callable(a)][part]
 
 
 def _cgrad_reference(f, v):
@@ -201,6 +206,45 @@ def test_objectives_on_a_stack_match_row_by_row(monkeypatch):
         assert np.all(np.abs(got - rows) <= 1e-12 * np.abs(rows)), label
 
 
+def test_step_objectives_match_the_sides_row_by_row(monkeypatch):
+    # each argument moving with the other held at seeded random points: the
+    # ratio is young_sides' (hausdorff_young_sides') within 1e-12 relative,
+    # a zero row included, and the norm is lp_norms_batch's
+    p, q = 4.0 / 3.0, 1.5
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        sp = base_space(g)
+        held = _random((4, g.dim), seed=7)
+        moving = _random((4, 3, g.dim), seed=8)
+        moving[2] = 0.0
+        young, hy = _young(monkeypatch, name, 1), _hy(monkeypatch, name, 1)
+        pair = build_dual(g)
+        cases = [
+            (young(0, [None, held]), p, lambda v, h: young_sides(
+                g, v, h, p, q)[2]),
+            (young(1, [held, None]), q, lambda v, h: young_sides(
+                g, h, v, p, q)[2]),
+            (hy(0, [held]), p, lambda v, h: hausdorff_young_sides(
+                pair, v, p)[2]),
+        ]
+        for bi, (f, exponent, sides) in enumerate(cases):
+            label = (name, bi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ratio, norm = f(moving)
+                rows = np.array([[sides(v, h) for v in vs]
+                                 for vs, h in zip(moving, held)])
+            assert ratio.shape == norm.shape == (4, 3), label
+            assert np.all(ratio[2] == 0.0), label
+            assert np.all(np.abs(ratio - rows) <= 1e-12 * np.abs(rows)), label
+            assert np.array_equal(norm, lp_norms_batch(sp, moving, exponent))
+            # a subset of the held rows, as the line search passes them
+            some = np.array([True, False, True, True])
+            sub_ratio, sub_norm = f(moving[some], some)
+            assert np.array_equal(sub_ratio, ratio[some]), label
+            assert np.array_equal(sub_norm, norm[some]), label
+
+
 def test_an_empty_budget_is_refused_by_the_library():
     g = get_example("z2-function")
     for restarts, iters in ((0, 0), (0, 50), (-3, 50), (4, 0), (4, -1)):
@@ -218,13 +262,14 @@ def test_an_empty_budget_is_refused_by_the_library():
 # the lockstep ascent against the sequential one, start by start
 # ---------------------------------------------------------------------------
 
-def _ascend_reference(objective, blocks, spheres, max_iter):
-    """One start at a time and one line-search halving at a time; returns
-    (blocks, value, iterations, converged, skipped line searches)."""
-    renorms = [lambda v, sp=sp, p=p: v / max(lp_norm(sp, v, p), 1e-300)
-               for sp, p in spheres]
-    blocks = [renorm(b) for b, renorm in zip(blocks, renorms)]
-    val = objective(*blocks)
+def _ascend_reference(objective, step, blocks, spheres, max_iter):
+    """One start at a time, as a stack of one row, with the 30 halvings of
+    a line search as one unnormalized (1, 30, n) matrix; returns (blocks,
+    value, iterations, converged, skipped line searches)."""
+    blocks = [sharpness._unit(b[None, None], *sph)[0]
+              for b, sph in zip(blocks, spheres)]
+    val = objective(*[b[:, None] for b in blocks])[0, 0]
+    halvings = 0.5 ** np.arange(30)
     converged = False
     skipped = 0
     it = 0
@@ -232,30 +277,23 @@ def _ascend_reference(objective, blocks, spheres, max_iter):
         it += 1
         prev = val
         for bi in range(len(blocks)):
-            def f_of(v, _bi=bi):
-                trial = list(blocks)
-                trial[_bi] = v
-                return objective(*trial)
-
-            grad = sharpness._cgrad(f_of, blocks[bi])
-            gnorm = float(np.max(np.abs(grad)))
+            f = step(bi, blocks)
+            grad = sharpness._cgrad(lambda v: f(v)[0], blocks[bi])
+            gnorm = np.max(np.abs(grad))
             if gnorm <= 1e-14 * max(1.0, abs(val)):
                 skipped += 1
                 continue
-            step = 0.5 / gnorm
-            for _ in range(30):
-                cand = renorms[bi](blocks[bi] + step * grad)
-                cval = objective(*[cand if j == bi else blocks[j]
-                                   for j in range(len(blocks))])
-                if cval > val:
-                    blocks[bi] = cand
-                    val = cval
-                    break
-                step *= 0.5
+            cand = blocks[bi] + ((0.5 / gnorm) * halvings)[:, None] * grad
+            up, norm = f(cand[None])
+            better = np.flatnonzero(up[0] > val)
+            if better.size:
+                k = better[0]
+                blocks[bi] = cand[None, k] / norm[0, k]
+                val = up[0, k]
         if val - prev <= sharpness.REL_IMPROVEMENT * max(abs(prev), 1e-300):
             converged = True
             break
-    return blocks, val, it, converged, skipped
+    return [b[0] for b in blocks], val, it, converged, skipped
 
 
 def _close(a, b, rel=1e-12):
@@ -283,18 +321,20 @@ ASCENTS = {
 
 @pytest.mark.parametrize("label", list(ASCENTS))
 def test_lockstep_ascent_follows_each_sequential_ascent(monkeypatch, label):
-    objective, starts, spheres, max_iter = _args_of(
+    objective, step, starts, spheres, max_iter = _args_of(
         monkeypatch, "_ascend", ASCENTS[label])
-    refs = [_ascend_reference(objective, [s[r] for s in starts], spheres,
-                              max_iter) for r in range(len(starts[0]))]
-    blocks, vals, its, flags = sharpness._ascend(objective, starts, spheres,
-                                                 max_iter)
+    refs = [_ascend_reference(objective, step, [s[r] for s in starts],
+                              spheres, max_iter)
+            for r in range(len(starts[0]))]
+    blocks, vals, its, flags = sharpness._ascend(objective, step, starts,
+                                                 spheres, max_iter)
     assert list(its) == [ref[2] for ref in refs]
     assert list(flags) == [ref[3] for ref in refs]
+    # no start's arithmetic depends on another's: bit for bit
     for r, (ref_blocks, ref_val, *_) in enumerate(refs):
-        assert _close(vals[r], ref_val)
+        assert vals[r] == ref_val
         for b, ref_b in zip(blocks, ref_blocks):
-            assert _close(b[r], ref_b)
+            assert np.array_equal(b[r], ref_b)
 
     rep = ASCENTS[label]()
     assert rep.iterations == sum(ref[2] for ref in refs)
@@ -309,6 +349,20 @@ def test_lockstep_ascent_follows_each_sequential_ascent(monkeypatch, label):
     if "s3-function" in label:
         assert len(set(its)) > 1 and its[0] == max_iter and not flags[0]
         assert all(flags[1:])
+
+
+@pytest.mark.parametrize("label", list(ASCENTS))
+def test_step_objectives_take_the_steps_of_the_unfolded_ascent(monkeypatch,
+                                                               label):
+    # the same iterations and convergence as the ascent that evaluated every
+    # probe and every normalized halving through the full objective
+    folded = ASCENTS[label]()
+    monkeypatch.setattr(sharpness, "_ascend", lambda objective, step, *rest: (
+        _ascend_unfolded(objective, *rest)))
+    unfolded = ASCENTS[label]()
+    assert folded.iterations == unfolded.iterations
+    assert folded.converged_per_restart == unfolded.converged_per_restart
+    assert _close(folded.constant_estimate, unfolded.constant_estimate)
 
 
 def _endpoints(monkeypatch, run):
@@ -345,6 +399,7 @@ def test_restarts_do_not_see_each_other(monkeypatch):
 
 def test_objective_calls_per_iteration_do_not_grow_with_restarts(monkeypatch):
     g = get_example("z2-function")
+    lockstep = sharpness._ascend
     counts = []
     for restarts in (2, 16):
         calls = []
@@ -354,7 +409,18 @@ def test_objective_calls_per_iteration_do_not_grow_with_restarts(monkeypatch):
             calls.append(args[0])
             return original(*args, **kwargs)
 
+        def counted_steps(objective, step, *rest):
+            def counted_step(bi, held):
+                f = step(bi, held)
+
+                def counted_f(*args):
+                    calls.append(bi)
+                    return f(*args)
+                return counted_f
+            return lockstep(objective, counted_step, *rest)
+
         monkeypatch.setattr(sharpness, "young_sides", counted)
+        monkeypatch.setattr(sharpness, "_ascend", counted_steps)
         estimate_best_constant_young(g, 4.0 / 3.0, 4.0 / 3.0,
                                      restarts=restarts, iters=5, seed=42)
         monkeypatch.undo()
