@@ -3,8 +3,11 @@
 Runs ``bench/run.py`` for every workload of ``bench/workloads.py``, each
 in its own process, untraced (the end-to-end metrics) and traced (the
 per-layer metrics), and folds the full records that those runs leave in
-``.bench_out/`` into one JSON file at the root of the checkout. Beside
-them it keeps:
+``.bench_out/`` into one JSON file at the root of the checkout. In the
+folded records the per-pass lists (``raw_pass_wall_s``, ``calibration_s``)
+become their median and quartiles, and the traced spans are left out, so
+that the file stays small; ``.bench_out/`` keeps them in full. Beside the
+records it keeps:
 
 - the bytecode state: ``PYTHONDONTWRITEBYTECODE`` and whether
   ``src/qgharm/__pycache__`` existed before the first run. Without cached
@@ -36,16 +39,24 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("sweep", "search", "exact")
+# read before this process imports qgharm, which may write the bytecode
+BYTECODE = {
+    "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    "src_pycache_existed": (ROOT / "src" / "qgharm" / "__pycache__").is_dir(),
+}
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+from workloads import WORKLOADS, summary  # noqa: E402
+
 DIGEST_SEEDS = (1, 2, 3)
 FIRST_DOCUMENT_REPEATS = 5
 # imports the checkout's workloads (and with them qgharm.cli) and runs the
 # first job of one workload, in a fresh interpreter
 FIRST_DOCUMENT_PROBE = (
-    "import sys; sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/bench']; "
+    "import sys; "
+    "sys.path[:0] = [sys.argv[1] + '/src', sys.argv[1] + '/bench']; "
     "import workloads; "
-    "result = workloads.call(workloads.make_jobs(sys.argv[2], int(sys.argv[3]))[0]); "
-    "sys.exit(0 if workloads.check(result) == [] else 1)")
+    "job = workloads.make_jobs(sys.argv[2], int(sys.argv[3]))[0]; "
+    "sys.exit(0 if workloads.check(workloads.call(job)) == [] else 1)")
 
 
 def _run(argv: list) -> str:
@@ -58,11 +69,15 @@ def _run(argv: list) -> str:
 
 def workload_record(workload: str, seed: int, seconds: float,
                     trace: int) -> dict:
-    """The full record of one ``bench/run.py`` run."""
+    """The folded record of one ``bench/run.py`` run."""
     _run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
           str(seed), "--seconds", str(seconds), "--trace", str(trace)])
     path = ROOT / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
-    return json.loads(path.read_text())
+    record = json.loads(path.read_text())
+    record.pop("spans", None)
+    for key in ("raw_pass_wall_s", "calibration_s"):
+        record[key] = summary(record[key])
+    return record
 
 
 def first_document_s(workload: str, seed: int) -> dict:
@@ -97,11 +112,6 @@ def main(argv=None) -> int:
                              "at the root of the checkout)")
     args = parser.parse_args(argv)
     out = args.out or ROOT / f"BENCH_{args.label}.json"
-    bytecode = {
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "src_pycache_existed": (ROOT / "src" / "qgharm"
-                                / "__pycache__").is_dir(),
-    }
     workloads = {}
     for workload in WORKLOADS:
         workloads[workload] = {
@@ -111,7 +121,7 @@ def main(argv=None) -> int:
         workloads[workload]["first_document_s"] = first_document_s(
             workload, args.seed)
     record = {"label": args.label, "seed": args.seed,
-              "seconds": args.seconds, "bytecode": bytecode,
+              "seconds": args.seconds, "bytecode": BYTECODE,
               "workloads": workloads,
               "doc_digests": {"seeds": list(DIGEST_SEEDS),
                               "lines": doc_digests()}}
