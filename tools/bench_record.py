@@ -9,9 +9,12 @@ become their median and quartiles, and the traced spans are left out, so
 that the file stays small; ``.bench_out/`` keeps them in full. Beside the
 records it keeps:
 
-- the bytecode state: ``PYTHONDONTWRITEBYTECODE`` and whether
-  ``src/qgharm/__pycache__`` existed before the first run. Without cached
-  bytecode every ``setup_s`` sample also compiles ``src/qgharm``;
+- the bytecode state: ``PYTHONDONTWRITEBYTECODE``, and whether
+  ``src/qgharm/__pycache__`` existed at the start and just before each
+  timed run (``src_pycache_existed`` in each record). Without cached
+  bytecode every ``setup_s`` sample also compiles ``src/qgharm``. This
+  process writes no bytecode itself, but with the variable unset the runs
+  it starts do;
 - per workload, the seconds from starting a fresh interpreter to the end
   of the workload's first job, which ``setup_s`` alone does not show when
   an import moves from set-up into the first job;
@@ -19,9 +22,11 @@ records it keeps:
   of every document the workloads print.
 
     python3 tools/bench_record.py 41
-    python3 tools/bench_record.py dev --seconds 5 --out /tmp/bench.json
+    python3 tools/bench_record.py dev --out /tmp/bench.json
 
-BLAS runs on one thread, as under ``bench/run.py``.
+Every run uses benchmark seed SEED and lasts SECONDS, so that records of
+different commits compare: ``peak_rss_mb`` grows with the number of
+passes a run fits in. BLAS runs on one thread, as under ``bench/run.py``.
 """
 
 from __future__ import annotations
@@ -39,14 +44,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
-# read before this process imports qgharm, which may write the bytecode
+PYCACHE = ROOT / "src" / "qgharm" / "__pycache__"
 BYTECODE = {
     "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-    "src_pycache_existed": (ROOT / "src" / "qgharm" / "__pycache__").is_dir(),
+    "src_pycache_existed": PYCACHE.is_dir(),
 }
+# the workloads import qgharm.cli; the timed runs should not find bytecode
+# that this process wrote
+sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from workloads import WORKLOADS, summary  # noqa: E402
 
+SEED = 1
+SECONDS = 30.0
 DIGEST_SEEDS = (1, 2, 3)
 FIRST_DOCUMENT_REPEATS = 5
 # imports the checkout's workloads (and with them qgharm.cli) and runs the
@@ -67,30 +77,33 @@ def _run(argv: list) -> str:
     return done.stdout
 
 
-def workload_record(workload: str, seed: int, seconds: float,
-                    trace: int) -> dict:
+def workload_record(workload: str, trace: int) -> dict:
     """The folded record of one ``bench/run.py`` run."""
+    pycache = PYCACHE.is_dir()
     _run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-          str(seed), "--seconds", str(seconds), "--trace", str(trace)])
-    path = ROOT / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
+          str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)])
+    path = ROOT / ".bench_out" / f"{workload}-seed{SEED}-trace{trace}.json"
     record = json.loads(path.read_text())
+    record["src_pycache_existed"] = pycache
     record.pop("spans", None)
     for key in ("raw_pass_wall_s", "calibration_s"):
         record[key] = summary(record[key])
     return record
 
 
-def first_document_s(workload: str, seed: int) -> dict:
+def first_document_s(workload: str) -> dict:
     """Seconds from starting a fresh interpreter to the end of the first
     job of the workload, over FIRST_DOCUMENT_REPEATS runs."""
+    pycache = PYCACHE.is_dir()
     times = []
     for _ in range(FIRST_DOCUMENT_REPEATS):
         start = time.perf_counter()
         _run([sys.executable, "-c", FIRST_DOCUMENT_PROBE, str(ROOT),
-              workload, str(seed)])
+              workload, str(SEED)])
         times.append(time.perf_counter() - start)
     return {"median": statistics.median(times), "min": min(times),
-            "max": max(times), "n": len(times)}
+            "max": max(times), "n": len(times),
+            "src_pycache_existed": pycache}
 
 
 def doc_digests() -> list:
@@ -103,10 +116,6 @@ def doc_digests() -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the file BENCH_<LABEL>.json")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="benchmark seed of every run")
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="seconds of each bench/run.py run")
     parser.add_argument("--out", type=Path,
                         help="where to write (default: BENCH_<LABEL>.json "
                              "at the root of the checkout)")
@@ -115,13 +124,11 @@ def main(argv=None) -> int:
     workloads = {}
     for workload in WORKLOADS:
         workloads[workload] = {
-            f"trace{trace}": workload_record(workload, args.seed,
-                                             args.seconds, trace)
+            f"trace{trace}": workload_record(workload, trace)
             for trace in (0, 1)}
-        workloads[workload]["first_document_s"] = first_document_s(
-            workload, args.seed)
-    record = {"label": args.label, "seed": args.seed,
-              "seconds": args.seconds, "bytecode": BYTECODE,
+        workloads[workload]["first_document_s"] = first_document_s(workload)
+    record = {"label": args.label, "seed": SEED,
+              "seconds": SECONDS, "bytecode": BYTECODE,
               "workloads": workloads,
               "doc_digests": {"seeds": list(DIGEST_SEEDS),
                               "lines": doc_digests()}}
