@@ -23,6 +23,7 @@ Letters: 'a' and 'c' are the generators, 'A' and 'C' their adjoints.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Tuple
@@ -55,11 +56,18 @@ LETTERS = ("a", "A", "c", "C")
 class Laurent:
     """Laurent polynomial in mu with exact coefficients, canonical: no zero
     coefficient is stored, and each one is an int when it is integral and
-    a Fraction with denominator other than 1 otherwise."""
+    a Fraction with denominator other than 1 otherwise. canonical=True
+    takes coeffs as they are, for callers that built them so. Nothing
+    mutates a Laurent once built, so a product by the unit returns the
+    other operand."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[int, Fraction] = None):
+    def __init__(self, coeffs: Dict[int, Fraction] = None, *,
+                 canonical: bool = False):
+        if canonical:
+            self.coeffs = coeffs
+            return
         clean = {}
         for k, v in (coeffs or {}).items():
             if type(v) is not int:
@@ -83,15 +91,19 @@ class Laurent:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return Laurent(out)
+        return _settled(out)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
+        if other.coeffs == _UNIT:
+            return self
+        if self.coeffs == _UNIT:
+            return other
         out: Dict[int, Fraction] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = out.get(k, 0) + v1 * v2
-        return Laurent(out)
+        return _settled(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
@@ -111,7 +123,21 @@ class Laurent:
         return " + ".join(parts)
 
 
+_UNIT = {0: 1}
 ONE = Laurent.const(1)
+
+
+def _settled(out: Dict[int, Fraction]) -> Laurent:
+    """The Laurent of a sum or product of canonical coefficients: zeros
+    are dropped and integral Fractions become ints."""
+    return Laurent({k: v if type(v) is int or v.denominator != 1
+                    else v.numerator for k, v in out.items() if v},
+                   canonical=True)
+
+
+def _counted(powers: Dict[int, int]) -> Laurent:
+    """The Laurent sum of powers[e] mu^e over signed int counts."""
+    return Laurent({e: s for e, s in powers.items() if s}, canonical=True)
 
 
 class MuRational:
@@ -124,7 +150,8 @@ class MuRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Laurent, den: Laurent = ONE):
-        if den.coeffs.get(0) != 1 or min(den.coeffs) < 0:
+        if den is not ONE and (den.coeffs.get(0) != 1 or
+                               min(den.coeffs) < 0):
             raise QgharmError(f"denominator {den!r} is not a polynomial in "
                               "mu with constant term 1")
         self.num, self.den = num, (ONE if num.is_zero() else den)
@@ -138,16 +165,12 @@ class MuRational:
         return MuRational(Laurent.const(value), ONE)
 
     def __add__(self, other: "MuRational") -> "MuRational":
-        if self.den == ONE and other.den == ONE:
-            return MuRational(self.num + other.num)
         return MuRational(self.num * other.den + other.num * self.den,
                           self.den * other.den)
 
     def __mul__(self, other) -> "MuRational":
         if isinstance(other, Laurent):
             return MuRational(self.num * other, self.den)
-        if self.den == ONE and other.den == ONE:
-            return MuRational(self.num * other.num)
         return MuRational(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other) -> bool:
@@ -243,10 +266,13 @@ def _fold(counts: dict, word: Iterable[str]) -> dict:
     return counts
 
 
-def _add_counts(out: dict, counts: dict, coeff) -> None:
-    """out[key] += coeff * (sum over e of powers[e] mu^e), per key."""
+def _add_counts(out: dict, counts: dict, coeff: MuRational) -> None:
+    """out[key] += coeff * (sum over e of powers[e] mu^e), per key; a unit
+    coeff multiplies nothing."""
+    unit = coeff.den is ONE and coeff.num.coeffs == _UNIT
     for key, powers in counts.items():
-        _accumulate(out, key, coeff * Laurent(powers))
+        value = _counted(powers)
+        _accumulate(out, key, MuRational(value) if unit else coeff * value)
 
 
 class PolyElement:
@@ -319,7 +345,7 @@ def normalize(word: Iterable[str]) -> PolyElement:
         if letter not in LETTERS:
             raise QgharmError(f"unknown letter {letter!r}")
     counts = _fold({UNIT_MONOMIAL: {0: 1}}, word)
-    return PolyElement({mono: Laurent(p) for mono, p in counts.items()})
+    return PolyElement({mono: _counted(p) for mono, p in counts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +355,8 @@ def normalize(word: Iterable[str]) -> PolyElement:
 def _haar_diagonal(m: int) -> MuRational:
     """phi(a[0,m,m]) = (1-mu^2)/(1-mu^{2m+2}) = 1/(1 + mu^2 + ... + mu^{2m}),
     written over a denominator with constant term 1, the shape kept."""
-    return MuRational(ONE, Laurent(dict.fromkeys(range(0, 2 * m + 1, 2), 1)))
+    return MuRational(ONE, Laurent(dict.fromkeys(range(0, 2 * m + 1, 2), 1),
+                                   canonical=True))
 
 
 def haar(x: PolyElement) -> MuRational:
@@ -366,17 +393,29 @@ _DELTA_POWER = {
 }
 
 
+def _gaussian_row(p: int) -> list:
+    """The Gaussian binomials [p choose j]_q, j = 0..p, each a dense row of
+    int counts per power of q, by Pascal's rule [i, j] = [i-1, j-1] +
+    q^j [i-1, j], of which the shifted term is the longer row. As
+    [i, j] = [i, i-j], only j <= i/2 is summed."""
+    row = [[1]]
+    for i in range(1, p + 1):
+        half = [[1]]
+        for j in range(1, i // 2 + 1):
+            low, high = row[j - 1], [0] * j + row[j]
+            high[:len(low)] = map(operator.add, low, high)
+            half.append(high)
+        row = half + half[(i - 1) // 2::-1]
+    return row
+
+
 def _power_counts(g: str, p: int) -> dict:
     """Delta(g^p) = sum_j [p choose j]_q T2^j T1^{p-j} (q-binomial theorem),
-    as counts per pair. The Gaussian binomials are int counts per mu power,
-    by Pascal's rule [p, j] = [p-1, j-1] + q^j [p-1, j]."""
-    q, row = 2 if g in "ac" else -2, [{0: 1}]
-    for i in range(1, p + 1):
-        row = [{0: 1}] + [_add_powers(dict(row[j - 1]), row[j], q * j, 1)
-                          for j in range(1, i)] + [{0: 1}]
+    as counts per pair, q = mu^2 for a and c and mu^-2 for a* and c*."""
+    q = 2 if g in "ac" else -2
     legs = map(_DELTA_POWER[g], range(p + 1), range(p, -1, -1))
-    return {(lm, rm): {e + de: s * ds for e, s in powers.items()}
-            for (lm, rm, de, ds), powers in zip(legs, row)}
+    return {(lm, rm): {de + q * t: ds * s for t, s in enumerate(counts)}
+            for (lm, rm, de, ds), counts in zip(legs, _gaussian_row(p))}
 
 
 def _times_pairs(partial: dict, factor: dict) -> dict:
@@ -458,10 +497,10 @@ def convolve_compact(x: PolyElement, y: PolyElement) -> PolyElement:
             if xm.k != lm.k or (xm.n - xm.m) + (lm.n - lm.m) != 0:
                 continue
             s_inv = s_inv or _antimultiplicative_counts(lm, _ANTIPODE_INV)
+            scale = coeff * xc
             for mono, powers in _fold(s_inv, xm.word()).items():
                 if mono.k == 0 and mono.m == mono.n:
-                    _accumulate(sums, (rm, mono.m),
-                                coeff * xc * Laurent(powers))
+                    _accumulate(sums, (rm, mono.m), scale * _counted(powers))
     out: Dict[Monomial, MuRational] = {}
     for (rm, m), total in sums.items():
         _accumulate(out, rm, total * _haar_diagonal(m))
@@ -472,6 +511,10 @@ def convolve_compact(x: PolyElement, y: PolyElement) -> PolyElement:
 # the unbounded-ratio certificate
 # ---------------------------------------------------------------------------
 
+# the float range, exact, so that no bound converts it per call
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
 def certified_bound(n: int, mu: Fraction) -> Fraction:
     """L(n, mu) = mu^{-2n} (1 - mu^{2n+2}) / (1 - mu^{4n+2}), exact.
 
@@ -480,9 +523,9 @@ def certified_bound(n: int, mu: Fraction) -> Fraction:
     mu = Fraction(mu)
     if not isinstance(n, int) or n < 1 or n > 4:
         raise QgharmError("n must be an integer in [1, 4]")
-    if not 0 < abs(mu) < 1:
+    p, q = mu.numerator, mu.denominator   # q > 0
+    if not 0 < abs(p) < q:
         raise QgharmError("mu must satisfy 0 < |mu| < 1")
-    p, q = mu.numerator, mu.denominator
     return Fraction(q ** (4 * n) * (q ** (2 * n + 2) - p ** (2 * n + 2)),
                     p ** (2 * n) * (q ** (4 * n + 2) - p ** (4 * n + 2)))
 
@@ -500,9 +543,9 @@ def counterexample_report(n: int, mu) -> Check:
     as a float; details hold n, mu, the exact bound, the convolution and
     the expected element.
     """
-    bound = certified_bound(n, mu)
     mu = Fraction(mu)
-    if bound > sys.float_info.max:
+    bound = certified_bound(n, mu)
+    if bound > _FLOAT_MAX:
         raise QgharmError(f"the certified bound at n = {n}, mu = {mu} is "
                           "above the float range")
 

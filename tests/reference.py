@@ -15,7 +15,8 @@ module defines no test, and pytest does not collect it.
   the doubled Gram form and the operator certificates it feeds, the
   regular representation's norms, the eigen route of the L^p kernel,
   the per-choice Macaulay solver, the per-element structures
-  certificates and the sharpness ascent before its step objectives.
+  certificates, the sharpness ascent before its step objectives and
+  SU_mu(2)'s Gaussian binomials merged as dicts.
 - The rounding bound that the implementation pins derive from eps, and
   the call counters that tests patch in.
 """
@@ -42,6 +43,7 @@ from qgharm.structures import (MAX_DEGREE, RANK_TOL, ROOT_TOL, STETTER_SEED,
                                _group_like_relation, _monomials,
                                _require_group_like, _right_mult, _shifted,
                                range_projection_of_fourier)
+from qgharm.suq2 import _DELTA_POWER, _add_powers
 
 INF = float("inf")
 EPS = np.finfo(float).eps
@@ -880,3 +882,23 @@ def _ascend_unfolded(objective, blocks, spheres, max_iter):
         converged[active[done]] = True
         active = active[~done & (its[active] < max_iter)]
     return blocks, val, its, converged
+
+
+# ---------------------------------------------------------------------------
+# SU_mu(2)
+# ---------------------------------------------------------------------------
+
+def _power_counts_by_dicts(g: str, p: int) -> dict:
+    """suq2._power_counts as it was before the dense Gaussian rows, each
+    row a dict of counts per mu power, merged by _add_powers.
+
+    Delta(g^p) = sum_j [p choose j]_q T2^j T1^{p-j} (q-binomial theorem),
+    as counts per pair. The Gaussian binomials are int counts per mu power,
+    by Pascal's rule [p, j] = [p-1, j-1] + q^j [p-1, j]."""
+    q, row = 2 if g in "ac" else -2, [{0: 1}]
+    for i in range(1, p + 1):
+        row = [{0: 1}] + [_add_powers(dict(row[j - 1]), row[j], q * j, 1)
+                          for j in range(1, i)] + [{0: 1}]
+    legs = map(_DELTA_POWER[g], range(p + 1), range(p, -1, -1))
+    return {(lm, rm): {e + de: s * ds for e, s in powers.items()}
+            for (lm, rm, de, ds), powers in zip(legs, row)}

@@ -23,7 +23,7 @@ from qgharm.suq2 import (
     haar,
     normalize,
 )
-from reference import _calls_to
+from reference import _calls_to, _power_counts_by_dicts
 
 HALF = Fraction(1, 2)
 
@@ -138,6 +138,62 @@ def test_a_monomial_over_a_unit_constant_denominator_is_canonical(
     else:
         with pytest.raises(QgharmError, match=_REFUSED):
             MuRational(num, moved)
+
+
+def _naive_product(a, b):
+    """a * b with every coefficient product summed into a dict, and the
+    dict canonicalised by Laurent(...)."""
+    out = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return Laurent(out)
+
+
+def _naive_sum(a, b):
+    out = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        out[k] = out.get(k, 0) + v
+    return Laurent(out)
+
+
+# int and Fraction coefficients, integral Fractions and zeros among them,
+# and the zero and unit polynomials, the unit both as suq2.ONE and anew
+_laurents = st.one_of(
+    st.sampled_from((Laurent(), suq2.ONE, Laurent.const(1))),
+    st.dictionaries(st.integers(-3, 3),
+                    st.one_of(st.integers(-3, 3), _small_fractions),
+                    max_size=4).map(Laurent))
+_denominators = st.one_of(st.sampled_from((suq2.ONE, Laurent.const(1))),
+                          _polynomials(1))
+
+
+@seed(20261022)
+@settings(database=None, max_examples=200, deadline=None)
+@given(a=_laurents, b=_laurents, da=_denominators, db=_denominators)
+def test_scalar_arithmetic_equals_the_naive_dict_route(a, b, da, db):
+    for got, want in ((a * b, _naive_product(a, b)),
+                      (a + b, _naive_sum(a, b))):
+        assert got.coeffs == want.coeffs
+        assert _canonical(got.coeffs.values()) and all(got.coeffs.values())
+    assert (a == b) == _naive_sum(
+        a, _naive_product(b, Laurent.const(-1))).is_zero()
+    # a product by the unit returns the other operand (the left one when
+    # both are units)
+    if b.coeffs == {0: 1}:
+        assert a * b is a and b * a is (b if a.coeffs == {0: 1} else a)
+    x, y = MuRational(a, da), MuRational(b, db)
+    for got, num, den in (
+            (x * y, _naive_product(a, b), _naive_product(x.den, y.den)),
+            (x * b, _naive_product(a, b), x.den),
+            (x + y, _naive_sum(_naive_product(a, y.den),
+                               _naive_product(b, x.den)),
+             _naive_product(x.den, y.den))):
+        want = MuRational(num, den)
+        assert (got.num.coeffs, got.den.coeffs) == \
+            (want.num.coeffs, want.den.coeffs)
+        assert _canonical(_scalars(got))
+    assert (x == y) == (_naive_product(a, y.den) == _naive_product(b, x.den))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +483,13 @@ def test_comultiply_of_generator_powers_is_the_q_binomial_sum():
                     for rm, rc in right.terms.items():
                         expected[lm, rm] = scale * lc * rc
             assert comultiply(gen(letter, k)) == expected, (letter, k)
+
+
+def test_dense_gaussian_rows_equal_the_dict_merges():
+    for letter in suq2.LETTERS:
+        for p in range(17):
+            assert suq2._power_counts(letter, p) == \
+                _power_counts_by_dicts(letter, p), (letter, p)
 
 
 def test_comultiply_of_c_powers_makes_no_letter_product(monkeypatch):
@@ -786,6 +849,14 @@ def test_a_certificate_makes_few_fractions():
     _, calls = _calls_to(Fraction.__new__,
                          lambda: counterexample_report(4, HALF))
     assert len(calls) <= 1000
+
+
+def test_a_certificate_makes_few_laurents():
+    # 32 Laurent constructions at n = 4 when every product and every
+    # pair's counts were canonicalised anew, products by the unit included
+    _, calls = _calls_to(Laurent.__init__,
+                         lambda: counterexample_report(4, HALF))
+    assert len(calls) <= 15
 
 
 # repr of c*^{2n} * c^{2n}, as printed when every coefficient was a Fraction

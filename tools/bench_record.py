@@ -19,7 +19,15 @@ records it keeps:
   of the workload's first job, which ``setup_s`` alone does not show when
   an import moves from set-up into the first job;
 - the lines of ``tools/doc_digests.py`` at seeds 1, 2 and 3, the sha256
-  of every document the workloads print.
+  of every document the workloads print;
+- per-layer timed calls that no traced span isolates yet, under
+  ``layers_s``: the seconds per call of
+  ``suq2.counterexample_report(n, 1/2)`` for n = 1..4, in this process
+  after the workload runs. Each is timed in LAYER_BLOCKS blocks of
+  LAYER_CALLS calls between runs of ``bench/harness.py``'s calibration
+  kernel and, like a pass of ``bench/run.py``, scaled to the reference
+  speed (``calibrated``) or not (``raw``), as median and quartiles over
+  the blocks: the machine's speed drifts within seconds.
 
     python3 tools/bench_record.py 41
     python3 tools/bench_record.py dev --out /tmp/bench.json
@@ -38,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -53,12 +62,16 @@ BYTECODE = {
 # that this process wrote
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+from harness import calibration_s, scale  # noqa: E402
 from workloads import WORKLOADS, summary  # noqa: E402
+from qgharm.suq2 import counterexample_report  # noqa: E402
 
 SEED = 1
 SECONDS = 30.0
 DIGEST_SEEDS = (1, 2, 3)
 FIRST_DOCUMENT_REPEATS = 5
+LAYER_BLOCKS = 20
+LAYER_CALLS = 50
 # imports the checkout's workloads (and with them qgharm.cli) and runs the
 # first job of one workload, in a fresh interpreter
 FIRST_DOCUMENT_PROBE = (
@@ -106,6 +119,24 @@ def first_document_s(workload: str) -> dict:
             "src_pycache_existed": pycache}
 
 
+def layer_seconds() -> dict:
+    """The per-layer timed calls, after one untimed call each."""
+    out = {}
+    for n in (1, 2, 3, 4):
+        counterexample_report(n, Fraction(1, 2))
+        cal, raw, calibrated = [calibration_s()], [], []
+        for _ in range(LAYER_BLOCKS):
+            start = time.perf_counter()
+            for _ in range(LAYER_CALLS):
+                counterexample_report(n, Fraction(1, 2))
+            raw.append((time.perf_counter() - start) / LAYER_CALLS)
+            cal.append(calibration_s())
+            calibrated.append(raw[-1] * scale(cal[-2], cal[-1]))
+        out[f"suq2.counterexample_report(n={n}, mu=1/2)"] = {
+            "calibrated": summary(calibrated), "raw": summary(raw)}
+    return out
+
+
 def doc_digests() -> list:
     """The lines of tools/doc_digests.py for this checkout at DIGEST_SEEDS."""
     out = _run([sys.executable, "tools/doc_digests.py", str(ROOT),
@@ -129,7 +160,7 @@ def main(argv=None) -> int:
         workloads[workload]["first_document_s"] = first_document_s(workload)
     record = {"label": args.label, "seed": SEED,
               "seconds": SECONDS, "bytecode": BYTECODE,
-              "workloads": workloads,
+              "workloads": workloads, "layers_s": layer_seconds(),
               "doc_digests": {"seeds": list(DIGEST_SEEDS),
                               "lines": doc_digests()}}
     out.write_text(json.dumps(record, indent=1) + "\n")
@@ -140,6 +171,8 @@ def main(argv=None) -> int:
               f"{e2e['metrics']['peak_rss_mb']['value']:.1f}, first document "
               f"{recs['first_document_s']['median']:.4f} s, "
               f"failed {e2e['failed']} + {recs['trace1']['failed']}")
+    for name, times in record["layers_s"].items():
+        print(f"{name}: {times['calibrated']['median'] * 1e6:.1f} us")
     print(f"wrote {out}")
     return 0
 
