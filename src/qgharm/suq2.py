@@ -56,18 +56,13 @@ LETTERS = ("a", "A", "c", "C")
 class Laurent:
     """Laurent polynomial in mu with exact coefficients, canonical: no zero
     coefficient is stored, and each one is an int when it is integral and
-    a Fraction with denominator other than 1 otherwise. canonical=True
-    takes coeffs as they are, for callers that built them so. Nothing
-    mutates a Laurent once built, so a product by the unit returns the
-    other operand."""
+    a Fraction with denominator other than 1 otherwise. Nothing mutates a
+    Laurent once built, so a product by the unit returns the other
+    operand."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[int, Fraction] = None, *,
-                 canonical: bool = False):
-        if canonical:
-            self.coeffs = coeffs
-            return
+    def __init__(self, coeffs: Dict[int, Fraction] = None):
         clean = {}
         for k, v in (coeffs or {}).items():
             if type(v) is not int:
@@ -128,16 +123,13 @@ ONE = Laurent.const(1)
 
 
 def _settled(out: Dict[int, Fraction]) -> Laurent:
-    """The Laurent of a sum or product of canonical coefficients: zeros
-    are dropped and integral Fractions become ints."""
-    return Laurent({k: v if type(v) is int or v.denominator != 1
-                    else v.numerator for k, v in out.items() if v},
-                   canonical=True)
-
-
-def _counted(powers: Dict[int, int]) -> Laurent:
-    """The Laurent sum of powers[e] mu^e over signed int counts."""
-    return Laurent({e: s for e, s in powers.items() if s}, canonical=True)
+    """The Laurent sum of out[e] mu^e, for int counts or for a sum or
+    product of canonical coefficients: zeros are dropped and integral
+    Fractions become ints, so __init__'s checks are not run again."""
+    result = object.__new__(Laurent)
+    result.coeffs = {k: v if type(v) is int or v.denominator != 1
+                     else v.numerator for k, v in out.items() if v}
+    return result
 
 
 class MuRational:
@@ -267,12 +259,9 @@ def _fold(counts: dict, word: Iterable[str]) -> dict:
 
 
 def _add_counts(out: dict, counts: dict, coeff: MuRational) -> None:
-    """out[key] += coeff * (sum over e of powers[e] mu^e), per key; a unit
-    coeff multiplies nothing."""
-    unit = coeff.den is ONE and coeff.num.coeffs == _UNIT
+    """out[key] += coeff * (sum over e of powers[e] mu^e), per key."""
     for key, powers in counts.items():
-        value = _counted(powers)
-        _accumulate(out, key, MuRational(value) if unit else coeff * value)
+        _accumulate(out, key, coeff * _settled(powers))
 
 
 class PolyElement:
@@ -345,7 +334,7 @@ def normalize(word: Iterable[str]) -> PolyElement:
         if letter not in LETTERS:
             raise QgharmError(f"unknown letter {letter!r}")
     counts = _fold({UNIT_MONOMIAL: {0: 1}}, word)
-    return PolyElement({mono: _counted(p) for mono, p in counts.items()})
+    return PolyElement({mono: _settled(p) for mono, p in counts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +344,7 @@ def normalize(word: Iterable[str]) -> PolyElement:
 def _haar_diagonal(m: int) -> MuRational:
     """phi(a[0,m,m]) = (1-mu^2)/(1-mu^{2m+2}) = 1/(1 + mu^2 + ... + mu^{2m}),
     written over a denominator with constant term 1, the shape kept."""
-    return MuRational(ONE, Laurent(dict.fromkeys(range(0, 2 * m + 1, 2), 1),
-                                   canonical=True))
+    return MuRational(ONE, Laurent(dict.fromkeys(range(0, 2 * m + 1, 2), 1)))
 
 
 def haar(x: PolyElement) -> MuRational:
@@ -500,7 +488,7 @@ def convolve_compact(x: PolyElement, y: PolyElement) -> PolyElement:
             scale = coeff * xc
             for mono, powers in _fold(s_inv, xm.word()).items():
                 if mono.k == 0 and mono.m == mono.n:
-                    _accumulate(sums, (rm, mono.m), scale * _counted(powers))
+                    _accumulate(sums, (rm, mono.m), scale * _settled(powers))
     out: Dict[Monomial, MuRational] = {}
     for (rm, m), total in sums.items():
         _accumulate(out, rm, total * _haar_diagonal(m))
@@ -543,8 +531,8 @@ def counterexample_report(n: int, mu) -> Check:
     as a float; details hold n, mu, the exact bound, the convolution and
     the expected element.
     """
-    mu = Fraction(mu)
     bound = certified_bound(n, mu)
+    mu = Fraction(mu)
     if bound > _FLOAT_MAX:
         raise QgharmError(f"the certified bound at n = {n}, mu = {mu} is "
                           "above the float range")

@@ -852,11 +852,12 @@ def test_a_certificate_makes_few_fractions():
 
 
 def test_a_certificate_makes_few_laurents():
-    # 32 Laurent constructions at n = 4 when every product and every
+    # a Laurent is built by __init__ or, from canonical values, by
+    # _settled; 32 constructions at n = 4 when every product and every
     # pair's counts were canonicalised anew, products by the unit included
-    _, calls = _calls_to(Laurent.__init__,
-                         lambda: counterexample_report(4, HALF))
-    assert len(calls) <= 15
+    built = sum(len(_calls_to(f, lambda: counterexample_report(4, HALF))[1])
+                for f in (Laurent.__init__, suq2._settled))
+    assert built <= 15
 
 
 # repr of c*^{2n} * c^{2n}, as printed when every coefficient was a Fraction

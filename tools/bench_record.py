@@ -9,6 +9,10 @@ become their median and quartiles, and the traced spans are left out, so
 that the file stays small; ``.bench_out/`` keeps them in full. Beside the
 records it keeps:
 
+- the state of the tree, under ``tree``: HEAD, the lines of ``git status
+  --porcelain`` and the sha256 of ``git diff HEAD`` (None when no tracked
+  file differs from HEAD). ``bench/run.py`` stamps each record with HEAD
+  alone, so a record made with uncommitted changes shows them only here;
 - the bytecode state: ``PYTHONDONTWRITEBYTECODE``, and whether
   ``src/qgharm/__pycache__`` existed at the start and just before each
   timed run (``src_pycache_existed`` in each record). Without cached
@@ -40,6 +44,7 @@ passes a run fits in. BLAS runs on one thread, as under ``bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -88,6 +93,15 @@ def _run(argv: list) -> str:
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} failed:\n{done.stderr}")
     return done.stdout
+
+
+def tree_state() -> dict:
+    """HEAD, the porcelain status and the digest of the uncommitted diff."""
+    diff = _run(["git", "diff", "HEAD"])
+    return {"head": _run(["git", "rev-parse", "HEAD"]).strip(),
+            "status": _run(["git", "status", "--porcelain"]).splitlines(),
+            "diff_sha256": (hashlib.sha256(diff.encode()).hexdigest()
+                            if diff else None)}
 
 
 def workload_record(workload: str, trace: int) -> dict:
@@ -152,6 +166,7 @@ def main(argv=None) -> int:
                              "at the root of the checkout)")
     args = parser.parse_args(argv)
     out = args.out or ROOT / f"BENCH_{args.label}.json"
+    tree = tree_state()
     workloads = {}
     for workload in WORKLOADS:
         workloads[workload] = {
@@ -159,7 +174,7 @@ def main(argv=None) -> int:
             for trace in (0, 1)}
         workloads[workload]["first_document_s"] = first_document_s(workload)
     record = {"label": args.label, "seed": SEED,
-              "seconds": SECONDS, "bytecode": BYTECODE,
+              "seconds": SECONDS, "tree": tree, "bytecode": BYTECODE,
               "workloads": workloads, "layers_s": layer_seconds(),
               "doc_digests": {"seeds": list(DIGEST_SEEDS),
                               "lines": doc_digests()}}
@@ -173,6 +188,8 @@ def main(argv=None) -> int:
               f"failed {e2e['failed']} + {recs['trace1']['failed']}")
     for name, times in record["layers_s"].items():
         print(f"{name}: {times['calibrated']['median'] * 1e6:.1f} us")
+    if tree["status"]:
+        print(f"uncommitted changes: {len(tree['status'])} paths")
     print(f"wrote {out}")
     return 0
 
