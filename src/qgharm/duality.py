@@ -48,7 +48,6 @@ __all__ = ["DualPair", "build_dual", "fourier_coeffs", "dual_fourier",
 
 DUAL_TOL = 1e-8
 FOURIER_TOL = 1e-9
-PLANCHEREL_SAMPLES = 100
 
 
 @dataclass(eq=False)
@@ -214,25 +213,19 @@ def dual_fourier(pair: DualPair, coeffs) -> AlgebraElement:
 # checks
 # ---------------------------------------------------------------------------
 
-def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """(c^dagger gram c)^(1/2), batched over the leading axes of c."""
-    val = np.sum((c.conj() @ gram) * c, axis=-1)
-    return np.sqrt(np.maximum(val.real, 0.0))
-
-
-def plancherel_check(pair: DualPair, seed: int = 42) -> Check:
-    """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
+def plancherel_check(pair: DualPair) -> Check:
+    """||F(x)||_{2, dual weight} = ||x||_{2, phi} for every x: the squared
+    ratio is a Rayleigh quotient of the Hermitian pencil (Q^dagger Ghat Q,
+    G), so the largest relative gap is max |sqrt(lambda) - 1| over its
+    eigenvalues, kept in details, from a Cholesky factor and eigvalsh."""
     g = pair.base
-    draws = np.random.default_rng(seed).standard_normal(
-        (PLANCHEREL_SAMPLES, 2, g.dim))
-    x = draws[:, 0] + 1j * draws[:, 1]
-    rhs = _gram_norm(x, g.gram)
-    gaps = np.abs(_gram_norm(fourier_coeffs(pair, x), pair.dual_gram_weight)
-                  - rhs)
-    worst = np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0)
+    q = g.q_matrix
+    inv = np.linalg.inv(np.linalg.cholesky(0.5 * (g.gram + g.gram.conj().T)))
+    form = inv @ q.conj().T @ pair.dual_gram_weight @ q @ inv.conj().T
+    lam = np.linalg.eigvalsh(0.5 * (form + form.conj().T))
+    worst = np.max(np.abs(np.sqrt(np.maximum(lam, 0.0)) - 1.0))
     return check("plancherel", "fourier-isometry", {"relative_gap": worst},
-                 FOURIER_TOL, samples=PLANCHEREL_SAMPLES, seed=seed,
-                 example=g.name)
+                 FOURIER_TOL, eigenvalues=lam, example=g.name)
 
 
 def biduality_check(g: FiniteQuantumGroup) -> Check:

@@ -46,7 +46,8 @@ __all__ = [
     "counterexample_report",
 ]
 
-LETTERS = ("a", "A", "c", "C")
+# each letter of a word with the exponents (k, m, n) of its first power
+LETTERS = {"a": (1, 0, 0), "A": (-1, 0, 0), "c": (0, 0, 1), "C": (0, 1, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,9 @@ class MuRational:
         return f"({self.num!r}) / ({self.den!r})"
 
 
+_MU_ONE = MuRational(ONE)   # every generator's coefficient
+
+
 # ---------------------------------------------------------------------------
 # words and normal form
 # ---------------------------------------------------------------------------
@@ -286,9 +290,9 @@ class PolyElement:
             raise QgharmError(f"unknown letter {letter!r}")
         if not isinstance(power, int) or power < 0:
             raise QgharmError(f"power must be an int >= 0, got {power!r}")
-        k, m, n = {"a": (power, 0, 0), "A": (-power, 0, 0),
-                   "C": (0, power, 0), "c": (0, 0, power)}[letter]
-        return PolyElement({Monomial(k, m, n): ONE})   # one monomial
+        k, m, n = LETTERS[letter]
+        mono = Monomial(power * k, power * m, power * n)
+        return PolyElement({mono: _MU_ONE})   # one monomial
 
     def __add__(self, other: "PolyElement") -> "PolyElement":
         out = dict(self.terms)

@@ -13,10 +13,11 @@ module defines no test, and pytest does not collect it.
 - Second routes, each the plain form of what the package computes: the
   einsum axioms, the per-block Wedderburn decomposition, W solved against
   the doubled Gram form and the operator certificates it feeds, the
-  regular representation's norms, the eigen route of the L^p kernel,
-  the per-choice Macaulay solver, the per-element structures
-  certificates, the sharpness ascent before its step objectives and
-  SU_mu(2)'s Gaussian binomials merged as dicts.
+  Plancherel identity on seeded samples, the regular representation's
+  norms, the eigen route of the L^p kernel, the per-choice Macaulay
+  solver, the per-element structures certificates, the sharpness ascent
+  before its step objectives and SU_mu(2)'s Gaussian binomials merged as
+  dicts.
 - The rounding bound that the implementation pins derive from eps, and
   the call counters that tests patch in.
 """
@@ -33,7 +34,8 @@ from qgharm.catalog import EXAMPLE_NAMES, get_example
 from qgharm.convolution import convolve
 from qgharm.core import (BLOCK_SEED, Blocks, CayleyTable, FiniteQuantumGroup,
                          _maxabs, _on_two_legs, _real_if_exact)
-from qgharm.duality import build_dual, dual_fourier, fourier_coeffs
+from qgharm.duality import (FOURIER_TOL, DualPair, build_dual, dual_fourier,
+                             fourier_coeffs)
 from qgharm.errors import QgharmError
 from qgharm.lp import (SLACK, WeightedLpSpace, base_space, conjugate_exponent,
                        lp_norm)
@@ -506,6 +508,41 @@ def _operator_bound(pair):
     n = pair.base.dim
     norm = max(float(np.abs(_w_by_solve(pair)).sum(axis=1).max()), 1.0)
     return _gamma(3 * n * n) * norm ** 3
+
+
+PLANCHEREL_SAMPLES = 100
+
+
+def _gram_norm(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """(c^dagger gram c)^(1/2), batched over the leading axes of c."""
+    val = np.sum((c.conj() @ gram) * c, axis=-1)
+    return np.sqrt(np.maximum(val.real, 0.0))
+
+
+def _sampled_plancherel_check(pair: DualPair, seed: int = 42) -> Check:
+    """||F(x)||_{2, dual weight} = ||x||_{2, phi} on seeded random elements."""
+    g = pair.base
+    draws = np.random.default_rng(seed).standard_normal(
+        (PLANCHEREL_SAMPLES, 2, g.dim))
+    x = draws[:, 0] + 1j * draws[:, 1]
+    rhs = _gram_norm(x, g.gram)
+    gaps = np.abs(_gram_norm(fourier_coeffs(pair, x), pair.dual_gram_weight)
+                  - rhs)
+    worst = np.max(gaps / np.maximum(rhs, 1e-300), initial=0.0)
+    return check("plancherel", "fourier-isometry", {"relative_gap": worst},
+                 FOURIER_TOL, samples=PLANCHEREL_SAMPLES, seed=seed,
+                 example=g.name)
+
+
+def _sampled_plancherel_bound(n):
+    """How far the sampled Plancherel gap may lie above the exact one. Each
+    Gram norm of a sample is a chain of about 2n operations, the Fourier
+    side's n more, so the sampled gap is within gamma_{4n} of its value
+    in exact arithmetic; the pencil's eigenvalues are within as much of
+    theirs while G is well conditioned (cond G < 2 on the catalog and its
+    transports). The sampled gap in exact arithmetic is at most the exact
+    supremum."""
+    return 2 * _gamma(4 * n)
 
 
 # ---------------------------------------------------------------------------

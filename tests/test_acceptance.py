@@ -84,7 +84,7 @@ def test_criterion_2_duality_stack():
         residual = pentagon_residual(pair)
         worst["pentagon"] = max(worst["pentagon"], residual)
         worst["conjugation"] = max(worst["conjugation"], residual)
-        pl = plancherel_check(pair, seed=42)
+        pl = plancherel_check(pair)
         worst["plancherel"] = max(worst["plancherel"], *pl.residuals.values())
         bd = biduality_check(g)
         worst["biduality"] = max(worst["biduality"], *bd.residuals.values())

@@ -58,6 +58,17 @@ def test_output_is_byte_identical_across_reruns(capsys):
                          "--seed", "42")
     assert out1 == out2
     assert out1.endswith("\n")
+    # verify's checks are exact: its seed is only echoed
+    _, out3, _ = run_cli(capsys, "verify", "--example", "z3-function",
+                         "--seed", "1")
+    assert out3 == out1.replace('"seed": 42', '"seed": 1')
+    assert out3 != out1
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    help_of = {command: next(a.help for a in subparsers[command]._actions
+                             if a.dest == "seed")
+               for command in ("verify", "structures")}
+    assert help_of["verify"] == help_of["structures"] == (
+        "echoed in the report; has no effect on the result")
 
 
 def test_young_subcommand(capsys):

@@ -10,7 +10,6 @@ from qgharm.core import (FiniteQuantumGroup, _maxabs, build_function_algebra,
                          symmetric_table_s3, verify_axioms)
 from qgharm.duality import (
     _factors,
-    _gram_norm,
     _premises,
     biduality_check,
     build_dual,
@@ -21,10 +20,12 @@ from qgharm.duality import (
 )
 from qgharm.errors import AxiomFailure
 from reference import (TENSORS, _conjugation_reference, _dual_basis, _fourier,
-                       _gamma, _kron_group, _legs_of_w, _operator_bound,
-                       _over_basis, _pentagon_by_column, _pentagon_reference,
-                       _random, _s4_table, _transported, _unitary,
-                       _w_by_solve, _w_star, catalog_pairs)
+                       _gamma, _gram_norm, _kron_group, _legs_of_w,
+                       _operator_bound, _over_basis, _pentagon_by_column,
+                       _pentagon_reference, _random, _s4_table,
+                       _sampled_plancherel_bound, _sampled_plancherel_check,
+                       _transported, _unitary, _w_by_solve, _w_star,
+                       catalog_pairs)
 
 
 def test_closed_form_dual_matches_the_multiplicative_unitary():
@@ -74,8 +75,8 @@ def test_closed_form_dual_matches_the_multiplicative_unitary():
 
 def test_transported_copies_keep_the_duality_stack():
     """Once transported and twice: twice, G is complex Hermitian and not
-    symmetric, so a G read in the wrong order, in the Gram norms of the
-    Plancherel check or in build_dual's Plancherel gate, fails here."""
+    symmetric, so a G read in the wrong order, in the Plancherel check's
+    pencil or in build_dual's Plancherel gate, fails here."""
     for name in EXAMPLE_NAMES:
         once = _transported(get_example(name), seed=7)
         for g in (once, _transported(once, seed=8)):
@@ -296,11 +297,59 @@ def test_dual_of_s3_group_algebra_is_s3_functions():
     assert np.max(np.abs(d.haar - fn.haar @ t)) < 1e-14
 
 
+def _plancherel_pairs():
+    """The pair of every catalog example, of its once- and twice-
+    transported copies, and of the dual of each."""
+    for name in EXAMPLE_NAMES:
+        g = get_example(name)
+        once = _transported(g, seed=7)
+        for h in (g, once, _transported(once, seed=8)):
+            pair = build_dual(h)
+            yield pair
+            yield build_dual(pair.dual_qg)
+
+
 def test_plancherel_on_seeded_samples():
-    for pair in catalog_pairs():
-        rep = plancherel_check(pair, seed=42)
-        assert rep.holds, pair.base.name
-        assert max(rep.residuals.values()) < 1e-12, pair.base.name
+    """The exact gap is the supremum of the sampled one: no seeded sample
+    lies above it by more than rounding, so the exact check is never the
+    weaker of the two."""
+    for pair in _plancherel_pairs():
+        name = pair.base.name
+        rep = plancherel_check(pair)
+        assert rep.holds, name
+        exact = rep.residuals["relative_gap"]
+        assert exact < 1e-12, name
+        # the premise of _sampled_plancherel_bound
+        assert np.linalg.cond(pair.base.gram) < 2, name
+        for seed in (1, 42):
+            sampled = _sampled_plancherel_check(pair, seed=seed)
+            assert exact >= (sampled.residuals["relative_gap"]
+                             - _sampled_plancherel_bound(pair.base.dim)), name
+
+
+def test_plancherel_eigenvalues_by_a_second_route():
+    """The pencil's eigenvalues, from a Cholesky factor and eigvalsh,
+    against those of G^-1 Q^dagger Ghat Q from a general eigensolve."""
+    for pair in _plancherel_pairs():
+        g = pair.base
+        form = g.q_matrix.conj().T @ pair.dual_gram_weight @ g.q_matrix
+        ref = np.linalg.eig(np.linalg.solve(g.gram, form))[0]
+        assert _maxabs(ref.imag) < 1e-12, g.name
+        lam = plancherel_check(pair).details["eigenvalues"]
+        assert _maxabs(lam - np.sort(ref.real)) < 1e-12, g.name
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
+def test_a_rescaled_dual_weight_fails_plancherel(scale):
+    """A dual weight off by a factor 1 +- 1e-6, which replace lets past
+    build_dual's gate, scales every eigenvalue of the pencil: the gap is
+    |sqrt(scale) - 1|, about 5e-7, on every pair."""
+    for pair in _plancherel_pairs():
+        bad = replace(pair, dual_weight=pair.dual_weight * scale)
+        rep = plancherel_check(bad)
+        assert not rep.holds, pair.base.name
+        assert abs(rep.residuals["relative_gap"]
+                   - abs(np.sqrt(scale) - 1)) < 1e-12, pair.base.name
 
 
 def test_plancherel_single_element_norms():

@@ -26,8 +26,10 @@ records it keeps:
   of every document the workloads print;
 - per-layer timed calls that no traced span isolates yet, under
   ``layers_s``: the seconds per call of
-  ``suq2.counterexample_report(n, 1/2)`` for n = 1..4, in this process
-  after the workload runs. Each is timed in LAYER_BLOCKS blocks of
+  ``suq2.counterexample_report(n, 1/2)`` for n = 1..4 and of the two W
+  certificates of ``verify``, ``duality.pentagon_residual`` and
+  ``duality.plancherel_check``, on the Kac-Paljutkin pair, in this
+  process after the workload runs. Each is timed in LAYER_BLOCKS blocks of
   LAYER_CALLS calls between runs of ``bench/harness.py``'s calibration
   kernel and, like a pass of ``bench/run.py``, scaled to the reference
   speed (``calibrated``) or not (``raw``), as median and quartiles over
@@ -44,6 +46,7 @@ passes a run fits in. BLAS runs on one thread, as under ``bench/run.py``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -69,6 +72,9 @@ sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from harness import calibration_s, scale  # noqa: E402
 from workloads import WORKLOADS, summary  # noqa: E402
+from qgharm.catalog import get_example  # noqa: E402
+from qgharm.duality import (build_dual, pentagon_residual,  # noqa: E402
+                            plancherel_check)
 from qgharm.suq2 import counterexample_report  # noqa: E402
 
 SEED = 1
@@ -133,21 +139,32 @@ def first_document_s(workload: str) -> dict:
             "src_pycache_existed": pycache}
 
 
+def layer_calls() -> dict:
+    """The per-layer calls by name, each with its arguments bound."""
+    calls = {f"suq2.counterexample_report(n={n}, mu=1/2)":
+             functools.partial(counterexample_report, n, Fraction(1, 2))
+             for n in (1, 2, 3, 4)}
+    pair = build_dual(get_example("kac-paljutkin"))
+    for certificate in (pentagon_residual, plancherel_check):
+        calls[f"duality.{certificate.__name__}(kac-paljutkin)"] = (
+            functools.partial(certificate, pair))
+    return calls
+
+
 def layer_seconds() -> dict:
     """The per-layer timed calls, after one untimed call each."""
     out = {}
-    for n in (1, 2, 3, 4):
-        counterexample_report(n, Fraction(1, 2))
+    for name, call in layer_calls().items():
+        call()
         cal, raw, calibrated = [calibration_s()], [], []
         for _ in range(LAYER_BLOCKS):
             start = time.perf_counter()
             for _ in range(LAYER_CALLS):
-                counterexample_report(n, Fraction(1, 2))
+                call()
             raw.append((time.perf_counter() - start) / LAYER_CALLS)
             cal.append(calibration_s())
             calibrated.append(raw[-1] * scale(cal[-2], cal[-1]))
-        out[f"suq2.counterexample_report(n={n}, mu=1/2)"] = {
-            "calibrated": summary(calibrated), "raw": summary(raw)}
+        out[name] = {"calibrated": summary(calibrated), "raw": summary(raw)}
     return out
 
 
